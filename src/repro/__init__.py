@@ -56,7 +56,6 @@ Package layout
 ``repro.api``         unified strategy API: registry, staged pipeline, batch
 ``repro.serve``       design service: artifact cache, sessions, async front
 ``repro.lp``          LP modeling/solving substrate
-``repro.flow``        max-flow / min-cost-flow substrate
 ``repro.network``     overlay topology, loss models, exact reliability
 ``repro.workloads``   synthetic Akamai-like instance generators
 ``repro.simulation``  packet-level streaming simulation + failure injection

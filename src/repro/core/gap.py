@@ -29,9 +29,19 @@ the target).
 
 Implementation notes
 ---------------------
-* All capacities are doubled so the min-cost max-flow solver
-  (:func:`repro.flow.min_cost_max_flow`) works with integers; dividing by two
-  recovers the paper's half-integral flow.
+* The network is kept as flat arc arrays (:class:`GapNetwork`) and solved as
+  one sparse node-arc LP on the ``"highs"`` backend: a conservation row for
+  every node except ``s`` and ``T``, bounds ``[0, capacity]`` on every arc.
+* All capacities are doubled, so they are integers.  A node-arc incidence
+  matrix is totally unimodular, hence every vertex of the LP polytope is an
+  integral flow and the simplex optimum is one; dividing by two recovers the
+  paper's half-integral flow.  :func:`check_gap_flow` verifies integrality,
+  capacities and conservation of every returned flow and raises
+  :class:`GapFlowError` otherwise.
+* Max flow first, cost second: each ``box -> T`` arc earns a reward larger
+  than ``sum |cost| * capacity``.  Between integral flows one more unit of
+  flow outweighs any cost difference, so the optimum is the cheapest among
+  the maximum flows.
 * Degenerate box counts: if ``sum_i x_bar_ij < 1`` the paper's rule would give
   zero boxes after dropping the last one, which would leave the demand
   entirely unserved.  We keep a single box in that case (and only drop the
@@ -46,14 +56,28 @@ Implementation notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import sparse
 
 from repro.core.lp_solution import AssignmentKey, RoundedSolution
 from repro.core.problem import Demand, OverlayDesignProblem
-from repro.flow import FlowNetwork, min_cost_max_flow
+from repro.lp import CompiledLP, LPStatus, solve_compiled
 
 #: x_bar values smaller than this are treated as zero mass.
 _MASS_TOL = 1e-12
+
+#: Node indices of the super source ``s`` and the super sink ``T``.
+SOURCE = 0
+SINK = 1
+
+#: How far an LP flow value may sit from an integer or outside its capacity bounds.
+_FLOW_TOL = 1e-9
+
+
+class GapFlowError(RuntimeError):
+    """The GAP LP returned something that is not an integral feasible flow."""
 
 
 @dataclass(frozen=True)
@@ -75,18 +99,30 @@ class WeightBox:
 
 @dataclass
 class GapNetwork:
-    """The constructed Figure-2 network plus bookkeeping to read the flow back."""
+    """The Figure-2 network as flat arc arrays (capacities doubled).
 
-    network: FlowNetwork
-    source: int
-    sink: int
+    Node :data:`SOURCE` is ``s`` and node :data:`SINK` is ``T``; node
+    ``2 + i`` is ``reflectors[i]``, box and pair nodes follow.  Arc ``a`` runs
+    ``tail[a] -> head[a]``.  ``pair[a]`` indexes :attr:`pairs` on
+    ``reflector -> pair`` and ``pair -> box`` arcs, ``box[a]`` indexes
+    :attr:`boxes` on ``pair -> box`` and ``box -> T`` arcs; both are -1
+    elsewhere.
+    """
+
+    num_nodes: int
+    tail: np.ndarray
+    head: np.ndarray
+    capacity: np.ndarray
+    cost: np.ndarray
+    pair: np.ndarray
+    box: np.ndarray
+    reflectors: list[str]
+    pairs: list[AssignmentKey]
     boxes: list[WeightBox]
-    #: edge id of the reflector -> (reflector, demand) pair edge, per assignment key
-    pair_edge: dict[AssignmentKey, int]
-    #: edge ids of pair -> box edges, per assignment key
-    pair_box_edges: dict[AssignmentKey, list[int]] = field(default_factory=dict)
-    #: total (doubled) demand, i.e. number of boxes
-    total_demand: int = 0
+
+    @property
+    def num_arcs(self) -> int:
+        return len(self.tail)
 
 
 @dataclass
@@ -105,6 +141,9 @@ class GapResult:
         between them to report unserved weight.
     cost:
         Cost of the extracted flow (assignment-cost scale, see module notes).
+    flow:
+        Integral per-arc flow on the :class:`GapNetwork`, or ``None`` when
+        the assignments did not come from the Figure-2 network.
     """
 
     assignments: set[AssignmentKey]
@@ -112,6 +151,7 @@ class GapResult:
     boxes_total: int
     boxes_served: int
     cost: float
+    flow: np.ndarray | None = None
 
 
 def build_boxes_for_demand(
@@ -178,106 +218,173 @@ def build_gap_network(
     rounded: RoundedSolution,
     keep_degenerate_box: bool = True,
 ) -> GapNetwork:
-    """Build the (doubled-capacity) Figure-2 network from a rounded solution."""
-    net = FlowNetwork()
-    source = net.add_node("s")
-    sink = net.add_node("T")
+    """Build the (doubled-capacity) Figure-2 network from a rounded solution.
 
+    Arcs come in the order ``s -> reflector`` for every reflector in the
+    support of ``rounded.x``, then per demand its ``box -> T`` arcs followed,
+    pair by pair, by ``reflector -> pair`` and that pair's ``pair -> box``
+    arcs.
+    """
     # Group surviving x_bar values by demand.
-    by_demand: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
+    by_demand: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for (reflector, demand_key), value in rounded.x.items():
-        if value <= _MASS_TOL:
-            continue
-        by_demand.setdefault(demand_key, []).append((reflector, 0.0, value))
-
-    demand_lookup = {demand.key: demand for demand in problem.demands}
+        if value > _MASS_TOL:
+            by_demand.setdefault(demand_key, []).append((reflector, value))
 
     # Level 2: reflectors present in the support.
-    reflector_nodes: dict[str, int] = {}
-    for (reflector, _demand_key) in rounded.x:
-        if reflector not in reflector_nodes:
-            reflector_nodes[reflector] = net.add_node(("reflector", reflector))
-            net.add_edge(
-                source,
-                reflector_nodes[reflector],
-                capacity=2.0 * problem.fanout(reflector),
-                cost=0.0,
-            )
+    reflector_node: dict[str, int] = {}
+    for reflector, _demand_key in rounded.x:
+        reflector_node.setdefault(reflector, 2 + len(reflector_node))
+    tail = [SOURCE] * len(reflector_node)
+    head = list(reflector_node.values())
+    capacity = [2.0 * problem.fanout(reflector) for reflector in reflector_node]
+    cost = [0.0] * len(reflector_node)
+    pair_of = [-1] * len(reflector_node)
+    box_of = [-1] * len(reflector_node)
 
+    def add_arc(u: int, v: int, cap: float, unit_cost: float, p: int, b: int) -> None:
+        tail.append(u)
+        head.append(v)
+        capacity.append(cap)
+        cost.append(unit_cost)
+        pair_of.append(p)
+        box_of.append(b)
+
+    demand_lookup = {demand.key: demand for demand in problem.demands}
+    num_nodes = 2 + len(reflector_node)
+    pairs: list[AssignmentKey] = []
     boxes: list[WeightBox] = []
-    pair_edge: dict[AssignmentKey, int] = {}
-    pair_box_edges: dict[AssignmentKey, list[int]] = {}
-    total_demand = 0
-
-    for demand_key, entries in by_demand.items():
+    for demand_key, support in by_demand.items():
         demand = demand_lookup[demand_key]
-        # Fill in the weights (deferred above to avoid recomputing per entry).
         entries = [
             (reflector, problem.edge_weight(demand, reflector), value)
-            for reflector, _w, value in entries
+            for reflector, value in support
         ]
         demand_boxes = build_boxes_for_demand(demand, entries, keep_degenerate_box)
         if not demand_boxes:
             continue
-        # Level 4/5: box nodes and their edges to the super sink.
-        box_nodes: list[int] = []
-        for box in demand_boxes:
-            node = net.add_node(("box", demand_key, box.index))
-            net.add_edge(node, sink, capacity=1.0, cost=0.0)  # 1/2 doubled
-            box_nodes.append(node)
-            boxes.append(box)
-            total_demand += 1
+        # Level 4/5: box nodes and their arcs to the super sink (1/2 doubled).
+        first_box_node, first_box = num_nodes, len(boxes)
+        for offset in range(len(demand_boxes)):
+            add_arc(first_box_node + offset, SINK, 1.0, 0.0, -1, first_box + offset)
+        num_nodes += len(demand_boxes)
+        boxes.extend(demand_boxes)
         # Level 3: (reflector, demand) pair nodes.
-        for reflector, weight, value in entries:
-            key: AssignmentKey = (reflector, demand_key)
-            pair_node = net.add_node(("pair", reflector, demand_key))
-            cost = problem.assignment_cost(demand, reflector) / 2.0
-            pair_edge[key] = net.add_edge(
-                reflector_nodes[reflector], pair_node, capacity=2.0, cost=cost
-            )
-            edges: list[int] = []
-            for box, box_node in zip(demand_boxes, box_nodes):
+        for reflector, weight, _value in entries:
+            pair_node, p = num_nodes, len(pairs)
+            num_nodes += 1
+            pairs.append((reflector, demand_key))
+            unit_cost = problem.assignment_cost(demand, reflector) / 2.0
+            add_arc(reflector_node[reflector], pair_node, 2.0, unit_cost, p, -1)
+            for offset, box in enumerate(demand_boxes):
                 if box.contains(weight):
-                    edges.append(net.add_edge(pair_node, box_node, capacity=1.0, cost=0.0))
-            pair_box_edges[key] = edges
+                    add_arc(pair_node, first_box_node + offset, 1.0, 0.0, p, first_box + offset)
 
     return GapNetwork(
-        network=net,
-        source=source,
-        sink=sink,
+        num_nodes=num_nodes,
+        tail=np.asarray(tail, dtype=np.int64),
+        head=np.asarray(head, dtype=np.int64),
+        capacity=np.asarray(capacity, dtype=float),
+        cost=np.asarray(cost, dtype=float),
+        pair=np.asarray(pair_of, dtype=np.int64),
+        box=np.asarray(box_of, dtype=np.int64),
+        reflectors=list(reflector_node),
+        pairs=pairs,
         boxes=boxes,
-        pair_edge=pair_edge,
-        pair_box_edges=pair_box_edges,
-        total_demand=total_demand,
     )
 
 
-def solve_gap(problem: OverlayDesignProblem, gap: GapNetwork) -> GapResult:
-    """Extract the min-cost max flow from a built GAP network and read it back."""
-    result = min_cost_max_flow(gap.network, gap.source, gap.sink)
+def check_gap_flow(gap: GapNetwork, flow: np.ndarray) -> np.ndarray:
+    """Return ``flow`` rounded to integers after checking it is a feasible flow.
 
+    Raises :class:`GapFlowError` unless every arc value is within 1e-9 of an
+    integer and of ``[0, capacity]``, and the rounded flow is conserved at
+    every node other than ``s`` and ``T``.
+    """
+    flow = np.asarray(flow, dtype=float)
+    if flow.shape != (gap.num_arcs,):
+        raise GapFlowError(f"flow has shape {flow.shape}, expected ({gap.num_arcs},)")
+    integral = np.rint(flow)
+    fractional = np.flatnonzero(np.abs(flow - integral) > _FLOW_TOL)
+    if fractional.size:
+        arc = fractional[0]
+        raise GapFlowError(f"arc {arc} carries non-integral flow {flow[arc]!r}")
+    outside = np.flatnonzero((flow < -_FLOW_TOL) | (flow > gap.capacity + _FLOW_TOL))
+    if outside.size:
+        arc = outside[0]
+        raise GapFlowError(f"arc {arc} carries {flow[arc]!r} outside [0, {gap.capacity[arc]!r}]")
+    # Integer flows: the balances are exact.
+    imbalance = np.bincount(gap.head, integral, gap.num_nodes) - np.bincount(
+        gap.tail, integral, gap.num_nodes
+    )
+    imbalance[[SOURCE, SINK]] = 0.0
+    if imbalance.any():
+        raise GapFlowError(f"flow is not conserved at nodes {np.flatnonzero(imbalance).tolist()}")
+    return integral
+
+
+def _flow_lp(gap: GapNetwork) -> CompiledLP:
+    """The node-arc LP whose optimum is the min-cost max flow of ``gap``."""
+    arcs = np.arange(gap.num_arcs)
+    out_rows = gap.tail >= 2
+    in_rows = gap.head >= 2
+    incidence = sparse.csr_matrix(
+        (
+            np.concatenate([-np.ones(out_rows.sum()), np.ones(in_rows.sum())]),
+            (
+                np.concatenate([gap.tail[out_rows], gap.head[in_rows]]) - 2,
+                np.concatenate([arcs[out_rows], arcs[in_rows]]),
+            ),
+        ),
+        shape=(gap.num_nodes - 2, gap.num_arcs),
+    )
+    reward = 1.0 + float(np.abs(gap.cost) @ gap.capacity)
+    return CompiledLP(
+        c=gap.cost - reward * (gap.head == SINK),
+        A_ub=None,
+        b_ub=None,
+        A_eq=incidence,
+        b_eq=np.zeros(gap.num_nodes - 2),
+        bounds=np.column_stack([np.zeros(gap.num_arcs), gap.capacity]),
+        objective_sign=1.0,
+        objective_constant=0.0,
+    )
+
+
+def solve_gap_flow(gap: GapNetwork) -> np.ndarray:
+    """Integral per-arc min-cost maximum ``s -> T`` flow of ``gap``, by one LP.
+
+    Needs integer capacities and no arc into ``s`` or out of ``T``, as in
+    Figure 2.  Raises :class:`GapFlowError` if the LP fails or its values do
+    not pass :func:`check_gap_flow`.
+    """
+    solution = solve_compiled(_flow_lp(gap), backend="highs")
+    if solution.status is not LPStatus.OPTIMAL:
+        raise GapFlowError(f"GAP flow LP ended {solution.status}: {solution.message}")
+    return check_gap_flow(gap, solution.values)
+
+
+def solve_gap(problem: OverlayDesignProblem, gap: GapNetwork) -> GapResult:
+    """Solve the network's min-cost max flow as one LP and read it back."""
+    flow = solve_gap_flow(gap)
+
+    used = flow > 0.5  # any positive (doubled) flow means the arc is used
     assignments: set[AssignmentKey] = set()
     cost = 0.0
-    for key, edge_id in gap.pair_edge.items():
-        flow = gap.network.flow_on(edge_id)
-        if flow > 0.5:  # any positive (doubled) flow means the pair is used
-            assignments.add(key)
-            reflector, (sink_name, stream) = key
-            cost += problem.delivery_cost(reflector, sink_name, stream)
+    for p in gap.pair[used & (gap.pair >= 0) & (gap.box < 0)]:
+        key = gap.pairs[p]
+        assignments.add(key)
+        reflector, (sink_name, stream) = key
+        cost += problem.delivery_cost(reflector, sink_name, stream)
 
-    # Count saturated boxes by inspecting box -> T edges.
-    boxes_served = 0
-    for edge in gap.network.edges():
-        label = gap.network.label_of(edge.head)
-        if label == "T" and gap.network.flow_on(edge.edge_id) > 0.5:
-            boxes_served += 1
-
+    into_sink = gap.head == SINK
     return GapResult(
         assignments=assignments,
-        flow_value=result.value,
-        boxes_total=gap.total_demand,
-        boxes_served=boxes_served,
+        flow_value=float(flow[into_sink].sum()),
+        boxes_total=len(gap.boxes),
+        boxes_served=int(np.count_nonzero(used & into_sink)),
         cost=cost,
+        flow=flow,
     )
 
 

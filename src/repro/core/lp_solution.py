@@ -101,7 +101,3 @@ class RoundedSolution:
             if key == demand.key and value > 0:
                 total += value * problem.edge_weight(demand, reflector)
         return total
-
-    def reflector_load(self, reflector: str) -> float:
-        """``sum_{k,j} x_bar_kij`` for a reflector (LHS of the fanout constraint)."""
-        return sum(value for (r, _key), value in self.x.items() if r == reflector)

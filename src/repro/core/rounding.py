@@ -217,17 +217,29 @@ class RoundingAudit:
 def audit_rounding(
     problem: OverlayDesignProblem, rounded: RoundedSolution
 ) -> RoundingAudit:
-    """Measure the weight and fanout constraint violations of a rounding draw."""
+    """Measure the weight and fanout constraint violations of a rounding draw.
+
+    One pass over ``rounded.x`` accumulates both sides; each demand's weight
+    is summed in ``x`` order, as :meth:`RoundedSolution.delivered_weight`
+    sums it.
+    """
+    demands = {demand.key: demand for demand in problem.demands}
+    delivered: dict[tuple[str, str], float] = {}
+    load: dict[str, float] = {}
+    for (reflector, key), value in rounded.x.items():
+        load[reflector] = load.get(reflector, 0.0) + value
+        if value > 0:
+            weight = problem.edge_weight(demands[key], reflector)
+            delivered[key] = delivered.get(key, 0.0) + value * weight
+
     weight_fraction: dict[tuple[str, str], float] = {}
     for demand in problem.demands:
         required = problem.demand_weight(demand)
-        delivered = rounded.delivered_weight(problem, demand)
-        weight_fraction[demand.key] = delivered / required if required > 0 else 1.0
+        weight_fraction[demand.key] = (
+            delivered.get(demand.key, 0.0) / required if required > 0 else 1.0
+        )
 
     fanout_factor: dict[str, float] = {}
-    load: dict[str, float] = {}
-    for (reflector, _key), value in rounded.x.items():
-        load[reflector] = load.get(reflector, 0.0) + value
     for reflector, used in load.items():
         fanout_factor[reflector] = used / problem.fanout(reflector)
     return RoundingAudit(weight_fraction=weight_fraction, fanout_factor=fanout_factor)

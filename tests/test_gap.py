@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.formulation import build_formulation
 from repro.core.gap import (
+    SINK,
+    SOURCE,
+    GapFlowError,
     WeightBox,
     build_boxes_for_demand,
     build_gap_network,
+    check_gap_flow,
     gap_round,
     solve_gap,
 )
 from repro.core.problem import Demand
 from repro.core.rounding import RoundingParameters, round_solution
-from repro.flow import assert_feasible_flow
 
 
 @pytest.fixture
@@ -76,55 +80,100 @@ class TestBoxConstruction:
         assert not box.contains(2.5)
 
 
+def _node_levels(gap):
+    """Figure-2 level of every node, read off the arc kinds."""
+    level = np.zeros(gap.num_nodes, dtype=int)
+    level[SOURCE], level[SINK] = 1, 5
+    level[2 : 2 + len(gap.reflectors)] = 2
+    pair_arcs = (gap.pair >= 0) & (gap.box < 0)
+    level[gap.head[pair_arcs]] = 3
+    level[gap.tail[(gap.pair < 0) & (gap.box >= 0)]] = 4
+    return level
+
+
 class TestGapNetworkStructure:
     def test_network_levels_and_capacities(self, tiny_problem, rounded_tiny):
         gap = build_gap_network(tiny_problem, rounded_tiny)
-        net = gap.network
-        assert net.label_of(gap.source) == "s"
-        assert net.label_of(gap.sink) == "T"
-        # Every pair edge has doubled capacity 2; every source->reflector edge 2F.
-        for key, edge_id in gap.pair_edge.items():
-            assert net.edge(edge_id).capacity == pytest.approx(2.0)
-        for edge in net.edges():
-            tail_label = net.label_of(edge.tail)
-            head_label = net.label_of(edge.head)
-            if tail_label == "s":
-                reflector = head_label[1]
-                assert edge.capacity == pytest.approx(2.0 * tiny_problem.fanout(reflector))
-            if head_label == "T":
-                assert edge.capacity == pytest.approx(1.0)
+        level = _node_levels(gap)
+        assert np.all(level > 0), "every node sits on one of the five levels"
+        # Every arc goes one level down: s -> reflector -> pair -> box -> T.
+        assert np.all(level[gap.head] == level[gap.tail] + 1)
+        # Every pair arc has doubled capacity 2; every s -> reflector arc 2F.
+        pair_arcs = (gap.pair >= 0) & (gap.box < 0)
+        assert np.all(gap.capacity[pair_arcs] == 2.0)
+        from_source = np.flatnonzero(gap.tail == SOURCE)
+        assert len(from_source) == len(gap.reflectors)
+        for arc in from_source:
+            reflector = gap.reflectors[gap.head[arc] - 2]
+            assert gap.capacity[arc] == pytest.approx(2.0 * tiny_problem.fanout(reflector))
+        assert np.all(gap.capacity[gap.head == SINK] == 1.0)
+        assert np.all(gap.capacity[(gap.pair >= 0) & (gap.box >= 0)] == 1.0)
 
-    def test_total_demand_counts_boxes(self, tiny_problem, rounded_tiny):
-        gap = build_gap_network(tiny_problem, rounded_tiny)
-        assert gap.total_demand == len(gap.boxes)
-        assert gap.total_demand >= tiny_problem.num_demands  # at least one box per served demand
-
-    def test_pair_edges_connect_only_matching_boxes(self, tiny_problem, rounded_tiny):
+    def test_pair_arcs_start_at_their_reflector_and_carry_half_cost(
+        self, tiny_problem, rounded_tiny
+    ):
         gap = build_gap_network(tiny_problem, rounded_tiny)
         demand_lookup = {d.key: d for d in tiny_problem.demands}
-        for key, edges in gap.pair_box_edges.items():
-            reflector, demand_key = key
-            weight = tiny_problem.edge_weight(demand_lookup[demand_key], reflector)
-            for edge_id in edges:
-                head = gap.network.edge(edge_id).head
-                label = gap.network.label_of(head)
-                assert label[0] == "box" and label[1] == demand_key
-                box = next(
-                    b
-                    for b in gap.boxes
-                    if b.demand_key == demand_key and b.index == label[2]
-                )
-                assert box.contains(weight)
+        for arc in np.flatnonzero((gap.pair >= 0) & (gap.box < 0)):
+            reflector, demand_key = gap.pairs[gap.pair[arc]]
+            assert gap.reflectors[gap.tail[arc] - 2] == reflector
+            expected = tiny_problem.assignment_cost(demand_lookup[demand_key], reflector) / 2
+            assert gap.cost[arc] == pytest.approx(expected)
+        assert np.all(gap.cost[gap.box >= 0] == 0.0)
+
+    def test_box_count_matches_box_arcs(self, tiny_problem, rounded_tiny):
+        gap = build_gap_network(tiny_problem, rounded_tiny)
+        into_sink = gap.head == SINK
+        assert sorted(gap.box[into_sink]) == list(range(len(gap.boxes)))
+        assert len(gap.boxes) >= tiny_problem.num_demands  # at least one box per served demand
+
+    def test_pair_arcs_connect_only_matching_boxes(self, tiny_problem, rounded_tiny):
+        gap = build_gap_network(tiny_problem, rounded_tiny)
+        demand_lookup = {d.key: d for d in tiny_problem.demands}
+        box_node = dict(zip(gap.box[gap.head == SINK], gap.tail[gap.head == SINK]))
+        pair_node = {
+            p: node for p, node, box in zip(gap.pair, gap.head, gap.box) if p >= 0 and box < 0
+        }
+        pair_box_arcs = np.flatnonzero((gap.pair >= 0) & (gap.box >= 0))
+        assert len(pair_box_arcs) > 0
+        for arc in pair_box_arcs:
+            reflector, demand_key = gap.pairs[gap.pair[arc]]
+            box = gap.boxes[gap.box[arc]]
+            assert gap.tail[arc] == pair_node[gap.pair[arc]]
+            assert gap.head[arc] == box_node[gap.box[arc]]
+            assert box.demand_key == demand_key
+            assert box.contains(tiny_problem.edge_weight(demand_lookup[demand_key], reflector))
 
 
 class TestGapSolve:
     def test_flow_feasible_and_boxes_served(self, tiny_problem, rounded_tiny):
         gap = build_gap_network(tiny_problem, rounded_tiny)
         result = solve_gap(tiny_problem, gap)
-        assert_feasible_flow(gap.network, gap.source, gap.sink)
+        np.testing.assert_array_equal(check_gap_flow(gap, result.flow), result.flow)
         assert result.boxes_served <= result.boxes_total
         assert result.flow_value == pytest.approx(result.boxes_served, abs=1e-6)
         assert result.assignments, "expected at least one assignment"
+
+    def test_check_rejects_fractional_flow(self, tiny_problem, rounded_tiny):
+        gap = build_gap_network(tiny_problem, rounded_tiny)
+        flow = solve_gap(tiny_problem, gap).flow.copy()
+        flow[0] += 0.5
+        with pytest.raises(GapFlowError, match="non-integral"):
+            check_gap_flow(gap, flow)
+
+    def test_check_rejects_capacity_violation(self, tiny_problem, rounded_tiny):
+        gap = build_gap_network(tiny_problem, rounded_tiny)
+        flow = np.zeros(gap.num_arcs)
+        flow[np.flatnonzero(gap.head == SINK)[0]] = 2.0  # box -> T has capacity 1
+        with pytest.raises(GapFlowError, match="outside"):
+            check_gap_flow(gap, flow)
+
+    def test_check_rejects_unbalanced_flow(self, tiny_problem, rounded_tiny):
+        gap = build_gap_network(tiny_problem, rounded_tiny)
+        flow = np.zeros(gap.num_arcs)
+        flow[np.flatnonzero(gap.tail == SOURCE)[0]] = 1.0  # enters a reflector, never leaves
+        with pytest.raises(GapFlowError, match="not conserved"):
+            check_gap_flow(gap, flow)
 
     def test_assignments_subset_of_support(self, tiny_problem, rounded_tiny):
         result = gap_round(tiny_problem, rounded_tiny)

@@ -155,6 +155,21 @@ class TestRoundingGuarantees:
         # With x_bar = x_hat the LP constraint guarantees full weight.
         assert audit.min_weight_fraction >= 1.0 - 1e-6
 
+    def test_audit_matches_per_demand_scan_bit_for_bit(self, small_random_problem):
+        """The one-pass audit sums each demand in x order, like delivered_weight."""
+        formulation = build_formulation(small_random_problem)
+        fractional = formulation.fractional_solution(formulation.solve()).support()
+        for seed in range(3):
+            rounded = round_solution(
+                small_random_problem, fractional, RoundingParameters(c=1.0, seed=seed)
+            )
+            audit = audit_rounding(small_random_problem, rounded)
+            for demand in small_random_problem.demands:
+                expected = rounded.delivered_weight(
+                    small_random_problem, demand
+                ) / small_random_problem.demand_weight(demand)
+                assert audit.weight_fraction[demand.key] == expected
+
     def test_retries_return_acceptable_draw(self, small_random_problem):
         formulation = build_formulation(small_random_problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
