@@ -13,7 +13,6 @@ Environment knobs (all optional):
 * ``REPRO_BENCH_SMOKE=1`` -- CI-sized seed blocks / draw counts / sizes;
 * ``REPRO_BENCH_JOBS=N|auto`` -- worker processes per scenario (default 1);
 * ``REPRO_BENCH_SEED=N`` -- master seed (default 0);
-* ``REPRO_T5_SINKS=N`` -- instance size of the sparse-vs-expr comparison.
 """
 
 from __future__ import annotations

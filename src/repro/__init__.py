@@ -55,7 +55,7 @@ Package layout
 ``repro.core``        the paper's algorithm (LP, rounding, GAP, extensions)
 ``repro.api``         unified strategy API: registry, staged pipeline, batch
 ``repro.serve``       design service: artifact cache, sessions, async front
-``repro.lp``          LP modeling/solving substrate
+``repro.lp``          sparse LP builder + solver backends
 ``repro.network``     overlay topology, loss models, exact reliability
 ``repro.workloads``   synthetic Akamai-like instance generators
 ``repro.simulation``  packet-level streaming simulation + failure injection
@@ -84,11 +84,7 @@ from repro.core.algorithm import (
     repair_weight_shortfalls,
 )
 from repro.core.extensions import design_overlay_extended
-from repro.core.formulation import (
-    ExtensionOptions,
-    build_formulation,
-    build_sparse_formulation,
-)
+from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.problem import Demand, DeliveryEdge, OverlayDesignProblem, StreamEdge
 from repro.core.rounding import RoundingParameters
 from repro.core.solution import OverlaySolution
@@ -124,7 +120,6 @@ __all__ = [
     "RoundingParameters",
     "StreamEdge",
     "apply_delta",
-    "build_formulation",
     "build_sparse_formulation",
     "design_batch",
     "design_incremental",

@@ -85,9 +85,7 @@ def run_design(
         "unserved_demands": audit.unserved_demands,
         "rounding_attempts": report.rounding_attempts,
         "elapsed_seconds": elapsed,
-        "lp_nonzeros": (
-            report.lp_build_stats.num_nonzeros if report.lp_build_stats else 0
-        ),
+        "lp_nonzeros": report.lp_build_stats.num_nonzeros,
         "formulate_seconds": report.stage_seconds.get("formulate", 0.0),
         "lp_seconds": report.stage_seconds.get("solve_lp", 0.0),
         "rounding_seconds": report.stage_seconds.get("rounding", 0.0),

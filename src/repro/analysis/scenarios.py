@@ -22,7 +22,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import os
 import time
 
 import numpy as np
@@ -47,18 +46,14 @@ from repro.core.extensions import (
     color_constrained_parameters,
     extended_report_from_context,
 )
-from repro.core.formulation import (
-    ExtensionOptions,
-    build_formulation,
-    build_sparse_formulation,
-)
+from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.gap import build_gap_network, check_gap_flow, gap_round, solve_gap
 from repro.core.rounding import (
     RoundingParameters,
     audit_rounding,
     round_solution,
 )
-from repro.lp import LinearExpr, LinearProgram, Objective, solve_lp
+from repro.lp import Objective, SparseLPBuilder, solve_compiled
 from repro.network.reliability import demand_success_probability
 from repro.network.topology import NodeRole
 from repro.simulation import (
@@ -217,7 +212,7 @@ def t2_task(task: dict) -> dict:
         RandomInstanceConfig(num_streams=2, num_reflectors=10, num_sinks=20),
         rng=task["instance_rng"],
     )
-    formulation = build_formulation(problem)
+    formulation = build_sparse_formulation(problem)
     fractional = formulation.fractional_solution(formulation.solve()).support()
     rng = np.random.default_rng(task["seed"])
     params = RoundingParameters(c=c, delta=delta)
@@ -298,7 +293,7 @@ def t3_task(task: dict) -> dict:
         ),
         rng=2,
     )
-    formulation = build_formulation(problem)
+    formulation = build_sparse_formulation(problem)
     fractional = formulation.fractional_solution(formulation.solve()).support()
     rng = np.random.default_rng(task["seed"])
     params = RoundingParameters(c=task["c"])
@@ -552,130 +547,6 @@ register_scenario(
         validate=t5_validate,
         artifact="T5_scaling",
         description="LP size and per-stage wall-clock across a size sweep.",
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# T5_SPARSE -- sparse vs expression-tree LP assembly parity and speedup
-# ---------------------------------------------------------------------------
-
-
-def t5_sparse_task(task: dict) -> list[dict]:
-    num_sinks = task["sinks"]
-    regions = 5 if num_sinks >= 5 else 1
-    config = AkamaiLikeConfig(
-        num_regions=regions,
-        colos_per_region=max(1, num_sinks // regions),
-        reflectors_per_colo=1,
-        num_streams=3,
-        num_isps=4,
-        num_sources=2,
-        edge_density=0.12,
-    )
-    topology, _registry = generate_akamai_like_topology(config, rng=task["rng"])
-    problem = topology.to_problem()
-
-    start = time.perf_counter()
-    sparse = build_sparse_formulation(problem)
-    sparse_build = time.perf_counter() - start
-    start = time.perf_counter()
-    expr = build_formulation(problem)
-    expr_build = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sparse_solution = sparse.solve()
-    sparse_solve = time.perf_counter() - start
-    start = time.perf_counter()
-    expr_solution = expr.solve()
-    expr_solve = time.perf_counter() - start
-
-    speedup = expr_build / max(sparse_build, 1e-12)
-    return [
-        {
-            "backend": "sparse",
-            "sinks": problem.num_sinks,
-            "demands": problem.num_demands,
-            "lp_variables": sparse.num_variables,
-            "lp_constraints": sparse.num_constraints,
-            "lp_nonzeros": sparse.stats.num_nonzeros,
-            "build_seconds": sparse_build,
-            "solve_seconds": sparse_solve,
-            "objective": sparse_solution.objective,
-            "is_optimal": bool(sparse_solution.is_optimal),
-            "assembly_speedup": speedup,
-        },
-        {
-            "backend": "expr",
-            "sinks": problem.num_sinks,
-            "demands": problem.num_demands,
-            "lp_variables": expr.num_variables,
-            "lp_constraints": expr.num_constraints,
-            "lp_nonzeros": sum(len(c.expr.coeffs) for c in expr.model.constraints),
-            "build_seconds": expr_build,
-            "solve_seconds": expr_solve,
-            "objective": expr_solution.objective,
-            "is_optimal": bool(expr_solution.is_optimal),
-        },
-    ]
-
-
-def t5_sparse_tasks(master_seed: int, smoke: bool) -> list[dict]:
-    default_sinks = 40 if smoke else 500
-    sinks = int(os.environ.get("REPRO_T5_SINKS", str(default_sinks)))
-    return [{"sinks": sinks, "rng": 0, "seed": master_seed}]
-
-
-def t5_sparse_metrics(rows: list[dict]) -> dict[str, float]:
-    # NB: assembly_speedup is wall-clock-derived and deliberately NOT a key
-    # metric -- comparing it against a baseline would gate CI on machine noise.
-    by_backend = {row["backend"]: row for row in rows}
-    sparse, expr = by_backend["sparse"], by_backend["expr"]
-    return {
-        "objective_abs_diff": abs(sparse["objective"] - expr["objective"]),
-        "sparse_objective": sparse["objective"],
-    }
-
-
-def t5_sparse_validate(record: BenchRecord) -> list[str]:
-    failures = []
-    by_backend = {row["backend"]: row for row in record.rows}
-    sparse, expr = by_backend["sparse"], by_backend["expr"]
-    if not (sparse["is_optimal"] and expr["is_optimal"]):
-        failures.append("one of the LP backends failed to reach optimality")
-    for key in ("lp_variables", "lp_constraints"):
-        if sparse[key] != expr[key]:
-            failures.append(f"backend {key} mismatch: {sparse[key]} vs {expr[key]}")
-    if abs(sparse["objective"] - expr["objective"]) > 1e-9:
-        failures.append(
-            f"objective parity broken: |{sparse['objective']} - {expr['objective']}| > 1e-9"
-        )
-    if sparse["sinks"] >= 200 and sparse["assembly_speedup"] < 5.0:
-        failures.append(
-            f"sparse assembly only {sparse['assembly_speedup']:.1f}x faster "
-            "(>= 5x required at >= 200 sinks)"
-        )
-    return failures
-
-
-register_scenario(
-    ScenarioSpec(
-        scenario_id="t5_sparse",
-        suites=("perf",),
-        title="Sparse vs expression-tree LP assembly (akamai-like instance)",
-        task_fn=t5_sparse_task,
-        make_tasks=t5_sparse_tasks,
-        policies={
-            "sparse_objective": MetricPolicy("equal", rel_tol=1e-6, abs_tol=1e-6),
-            "objective_abs_diff": MetricPolicy("lower", abs_tol=1e-9),
-            "lp_variables": MetricPolicy("equal", rel_tol=0.0),
-            "lp_nonzeros": MetricPolicy("equal", rel_tol=0.0),
-        },
-        derive_metrics=t5_sparse_metrics,
-        validate=t5_sparse_validate,
-        artifact="T5_sparse_vs_expr",
-        description="Assembly parity + speedup of the vectorized sparse LP builder; "
-        "REPRO_T5_SINKS overrides the instance size.",
     )
 )
 
@@ -1543,7 +1414,7 @@ F2_SIZES = {
 
 def f2_task(task: dict) -> dict:
     problem = random_problem(RandomInstanceConfig(**task["config"]), rng=task["seed"])
-    formulation = build_formulation(problem)
+    formulation = build_sparse_formulation(problem)
     fractional = formulation.fractional_solution(formulation.solve()).support()
     rounded = round_solution(
         problem, fractional, RoundingParameters(c=64.0, seed=task["seed"])
@@ -1664,22 +1535,17 @@ def _f3_max_flow(integral: bool) -> float:
             if _f3_feasible(flows):
                 best = max(best, sum(flows))
         return best
-    model = LinearProgram(objective_sense=Objective.MAXIMIZE)
-    path_vars = [model.add_variable(f"p{i}") for i in range(len(F3_PATHS))]
-    for edge, capacity in F3_EDGES.items():
-        expr = LinearExpr.sum(
-            path_vars[i] for i, path in enumerate(F3_PATHS) if edge in path
-        )
-        if expr.coeffs:
-            model.add_constraint(expr <= capacity)
-    entangled_expr = LinearExpr.sum(
-        path_vars[i]
-        for i, path in enumerate(F3_PATHS)
-        if any(edge in path for edge in F3_ENTANGLED)
-    )
-    model.add_constraint(entangled_expr <= F3_ENTANGLED_CAPACITY)
-    model.set_objective(LinearExpr.sum(path_vars))
-    solution = solve_lp(model)
+    builder = SparseLPBuilder(name="figure-3", objective_sense=Objective.MAXIMIZE)
+    path_vars = builder.add_variables(len(F3_PATHS), 0.0, np.inf, name="path")
+    builder.add_objective_terms(path_vars, np.ones(len(F3_PATHS)))
+    rows = [((edge,), capacity) for edge, capacity in F3_EDGES.items()]
+    rows.append((F3_ENTANGLED, F3_ENTANGLED_CAPACITY))
+    for members, capacity in rows:
+        # A path counts against a row if it uses any of the row's edges.
+        users = [i for i, path in enumerate(F3_PATHS) if any(edge in path for edge in members)]
+        ones = np.ones(len(users))
+        builder.add_block("capacity", np.zeros_like(ones), path_vars[users], ones, [capacity])
+    solution = solve_compiled(builder.build()[0])
     if not solution.is_optimal:
         raise AssertionError("Figure-3 LP did not reach optimality")
     return solution.objective

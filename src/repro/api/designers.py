@@ -269,7 +269,6 @@ def _run_lp_bound(request: DesignRequest) -> DesignResult:
     lower_bound = fractional_lower_bound(
         request.problem,
         request.parameters.extensions,
-        lp_backend=request.parameters.lp_backend,
         solver_backend=request.parameters.solver_backend,
     )
     elapsed = time.perf_counter() - start

@@ -41,7 +41,7 @@ from repro.core.algorithm import (
     DesignReport,
     repair_weight_shortfalls,
 )
-from repro.core.formulation import build_formulation, build_sparse_formulation
+from repro.core.formulation import SparseOverlayFormulation, build_sparse_formulation
 from repro.core.gap import GapResult, gap_round
 from repro.core.lp_solution import FractionalSolution, RoundedSolution
 from repro.core.path_rounding import (
@@ -78,7 +78,7 @@ class PipelineContext:
     #: :class:`repro.lp.SolveOptions` -- only backends that support MIP
     #: starts honor it, so the default backend's results never change).
     warm_start: np.ndarray | None = None
-    formulation: object | None = None
+    formulation: SparseOverlayFormulation | None = None
     lp_solution: object | None = None
     fractional: FractionalSolution | None = None
     rounded: RoundedSolution | None = None
@@ -115,7 +115,7 @@ class PipelineContext:
             ),
             "stage_seconds": dict(self.stage_seconds),
             "rounding_attempts": self.rounding_attempts,
-            "lp_build_stats": getattr(self.formulation, "stats", None),
+            "lp_build_stats": self.formulation.stats,
             "solution_audit": self.solution_audit,
         }
 
@@ -134,8 +134,8 @@ class StageCache:
     a long-lived session -- skip LP assembly and the simplex run entirely.
 
     Implementations key on problem *content* plus whatever parameters affect
-    the artifact (``lp_backend`` and ``extensions`` for formulations; the LP
-    solve adds nothing further, being deterministic given the formulation).
+    the artifact (``extensions`` for formulations, ``solver_backend`` for LP
+    solves, which are otherwise deterministic given the formulation).
     Returned artifacts must be treated as immutable: formulations are solved
     read-only and fractional solutions are only read by the rounding stages,
     so one cached object may serve many concurrent pipeline runs.
@@ -143,14 +143,14 @@ class StageCache:
 
     def get_formulation(
         self, problem: OverlayDesignProblem, parameters: DesignParameters
-    ) -> object | None:
+    ) -> SparseOverlayFormulation | None:
         raise NotImplementedError
 
     def put_formulation(
         self,
         problem: OverlayDesignProblem,
         parameters: DesignParameters,
-        formulation: object,
+        formulation: SparseOverlayFormulation,
     ) -> None:
         raise NotImplementedError
 
@@ -215,7 +215,7 @@ class PipelineStage:
 
 
 class FormulateStage(PipelineStage):
-    """Build the Section-2 LP relaxation (sparse or expression backend)."""
+    """Build the Section-2 LP relaxation."""
 
     name = "formulate"
 
@@ -230,14 +230,7 @@ class FormulateStage(PipelineStage):
                 "miss" if formulation is None else "hit"
             )
         if formulation is None:
-            if parameters.lp_backend == "sparse":
-                formulation = build_sparse_formulation(
-                    context.problem, parameters.extensions
-                )
-            else:
-                formulation = build_formulation(
-                    context.problem, parameters.extensions
-                )
+            formulation = build_sparse_formulation(context.problem, parameters.extensions)
             if cache is not None:
                 cache.put_formulation(context.problem, parameters, formulation)
         context.formulation = formulation

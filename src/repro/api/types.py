@@ -300,7 +300,6 @@ def parameters_to_dict(parameters: DesignParameters) -> dict[str, Any]:
         "keep_degenerate_box": parameters.keep_degenerate_box,
         "repair_shortfall": parameters.repair_shortfall,
         "repair_fanout_slack": parameters.repair_fanout_slack,
-        "lp_backend": parameters.lp_backend,
         "solver_backend": parameters.solver_backend,
     }
 
@@ -327,7 +326,6 @@ def parameters_from_dict(data: dict[str, Any]) -> DesignParameters:
         keep_degenerate_box=data.get("keep_degenerate_box", True),
         repair_shortfall=data.get("repair_shortfall", False),
         repair_fanout_slack=data.get("repair_fanout_slack", 4.0),
-        lp_backend=data.get("lp_backend", "sparse"),
         solver_backend=data.get("solver_backend", "highs"),
     )
 

@@ -34,9 +34,8 @@ from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 from repro.lp import LPStatus, SolveOptions, get_backend, solve_compiled
-from repro.lp.model import CompiledLP
+from repro.lp.model import CompiledLP, Sense
 from repro.lp.sparse import BlockStats
-from repro.lp.expr import Sense
 
 
 @dataclass

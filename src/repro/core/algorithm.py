@@ -34,13 +34,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.audit import SolutionAudit
 
-from repro.core.formulation import (
-    ExtensionOptions,
-    OverlayFormulation,
-    SparseOverlayFormulation,
-    build_formulation,
-    build_sparse_formulation,
-)
+from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.gap import GapResult
 from repro.core.lp_solution import FractionalSolution, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
@@ -77,12 +71,6 @@ class DesignParameters:
     repair_fanout_slack:
         Fanout multiple the repair pass is allowed to use (4.0 matches the
         paper's final guarantee).
-    lp_backend:
-        How the Section-2 LP is assembled: ``"sparse"`` (default) uses the
-        vectorized block builder of :mod:`repro.lp.sparse`; ``"expr"`` uses
-        the expression-tree modeling layer.  Both produce the same relaxation
-        and objective; sparse is ~an order of magnitude faster to build on
-        large instances.
     solver_backend:
         Which registered solver backend (:mod:`repro.lp.backends`) solves the
         LP relaxation: ``"highs"`` (default), ``"highs-mip"``, or
@@ -99,15 +87,10 @@ class DesignParameters:
     keep_degenerate_box: bool = True
     repair_shortfall: bool = False
     repair_fanout_slack: float = 4.0
-    lp_backend: str = "sparse"
     solver_backend: str = "highs"
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lp_backend not in ("sparse", "expr"):
-            raise ValueError(
-                f"lp_backend must be 'sparse' or 'expr', got {self.lp_backend!r}"
-            )
         from repro.lp.backends import backend_names
 
         if self.solver_backend not in backend_names():
@@ -146,9 +129,8 @@ class DesignReport:
     rounding_attempts:
         Number of rounding draws used.
     lp_build_stats:
-        Matrix-assembly report (:class:`repro.lp.LPBuildStats`) when the
-        sparse LP backend built the formulation; ``None`` on the
-        expression-tree path.
+        Matrix-assembly report (:class:`repro.lp.LPBuildStats`) of the
+        Section-2 LP: sizes, build time and per-family row counts.
     solution_audit:
         Constraint-violation audit of the final solution, produced by the
         pipeline's audit stage (:class:`repro.analysis.audit.SolutionAudit`).
@@ -165,7 +147,7 @@ class DesignReport:
     formulation_size: tuple[int, int]
     stage_seconds: dict[str, float]
     rounding_attempts: int
-    lp_build_stats: "LPBuildStats | None" = None
+    lp_build_stats: LPBuildStats
     solution_audit: "SolutionAudit | None" = None
 
     @property
@@ -289,18 +271,10 @@ def repair_weight_shortfalls(
 def fractional_lower_bound(
     problem: OverlayDesignProblem,
     extensions: ExtensionOptions | None = None,
-    lp_backend: str = "sparse",
     solver_backend: str = "highs",
 ) -> float:
     """Solve only the LP relaxation and return its objective (the OPT lower bound)."""
-    if lp_backend not in ("sparse", "expr"):
-        raise ValueError(f"lp_backend must be 'sparse' or 'expr', got {lp_backend!r}")
-    if lp_backend == "sparse":
-        formulation: OverlayFormulation | SparseOverlayFormulation = build_sparse_formulation(
-            problem, extensions
-        )
-    else:
-        formulation = build_formulation(problem, extensions)
+    formulation = build_sparse_formulation(problem, extensions)
     lp_solution = formulation.solve(solver_backend)
     return formulation.fractional_solution(lp_solution).objective
 

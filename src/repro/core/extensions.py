@@ -102,7 +102,6 @@ def color_constrained_parameters(
         keep_degenerate_box=base.keep_degenerate_box,
         repair_shortfall=base.repair_shortfall,
         repair_fanout_slack=base.repair_fanout_slack,
-        lp_backend=base.lp_backend,
         solver_backend=base.solver_backend,
     )
 

@@ -31,16 +31,11 @@ This module only *builds* the LP; solving and rounding live in
 :mod:`repro.core.algorithm`, :mod:`repro.core.rounding` and
 :mod:`repro.core.gap`.
 
-Two builders produce the same relaxation:
-
-* :func:`build_formulation` -- the expression-tree path over
-  :mod:`repro.lp.model`.  One Python object per variable/constraint; reads
-  like the paper and is the teaching/compatibility surface.
-* :func:`build_sparse_formulation` -- the vectorized path over
-  :mod:`repro.lp.sparse`.  Variables are allocated as index blocks and every
-  constraint family is emitted as one batched coordinate block, so assembly
-  cost is a handful of numpy operations over the instance arrays.  This is
-  what :func:`repro.core.algorithm.design_overlay` uses by default.
+:func:`build_sparse_formulation` assembles the relaxation with
+:class:`repro.lp.SparseLPBuilder`: variables are allocated as index blocks
+and every constraint family above is emitted as one batched coordinate block
+(named in :attr:`SparseOverlayFormulation.stats`), so assembly cost is a
+handful of numpy operations over the instance arrays.
 """
 
 from __future__ import annotations
@@ -50,21 +45,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.lp_solution import AssignmentKey, FractionalSolution
-from repro.core.problem import Demand, OverlayDesignProblem
+from repro.core.problem import OverlayDesignProblem
 from repro.core.weights import MAX_WEIGHT, MIN_FAILURE_PROBABILITY
 from repro.lp import (
     CompiledLP,
-    LinearExpr,
-    LinearProgram,
     LPBuildStats,
     LPSolution,
     Objective,
     Sense,
     SolveOptions,
     SparseLPBuilder,
-    Variable,
     solve_compiled,
-    solve_lp,
 )
 
 
@@ -99,239 +90,17 @@ class ExtensionOptions:
 
 
 @dataclass
-class OverlayFormulation:
-    """A built LP plus the variable maps needed to interpret its solution."""
-
-    problem: OverlayDesignProblem
-    model: LinearProgram
-    z_vars: dict[str, Variable]
-    y_vars: dict[tuple[str, str], Variable]
-    x_vars: dict[AssignmentKey, Variable]
-    #: cached edge weights w^k_ij keyed like the x variables
-    weights: dict[AssignmentKey, float]
-    #: cached demand weights W^k_j keyed by demand key
-    demand_weights: dict[tuple[str, str], float]
-    options: ExtensionOptions = field(default_factory=ExtensionOptions)
-
-    # ------------------------------------------------------------------ solve
-    def solve(
-        self, backend: str = "highs", *, options: SolveOptions | None = None
-    ) -> LPSolution:
-        """Solve the LP relaxation (Section 2, relaxed constraint (6))."""
-        return solve_lp(self.model, backend, options=options)
-
-    def fractional_solution(self, lp_solution: LPSolution) -> FractionalSolution:
-        """Extract ``(z_hat, y_hat, x_hat)`` from a solved LP."""
-        if not lp_solution.is_optimal:
-            raise ValueError(
-                f"LP relaxation was not solved to optimality: {lp_solution.status.value} "
-                f"({lp_solution.message})"
-            )
-        return FractionalSolution(
-            z={name: lp_solution.value(var) for name, var in self.z_vars.items()},
-            y={key: lp_solution.value(var) for key, var in self.y_vars.items()},
-            x={key: lp_solution.value(var) for key, var in self.x_vars.items()},
-            objective=lp_solution.objective,
-        )
-
-    # ------------------------------------------------------------- accessors
-    def assignment_keys_for_demand(self, demand: Demand) -> list[AssignmentKey]:
-        """All x-variable keys serving a particular demand."""
-        return [key for key in self.x_vars if key[1] == demand.key]
-
-    def assignment_keys_for_reflector(self, reflector: str) -> list[AssignmentKey]:
-        """All x-variable keys routed through a particular reflector."""
-        return [key for key in self.x_vars if key[0] == reflector]
-
-    @property
-    def num_variables(self) -> int:
-        return self.model.num_variables
-
-    @property
-    def num_constraints(self) -> int:
-        return self.model.num_constraints
-
-
-def build_formulation(
-    problem: OverlayDesignProblem,
-    options: ExtensionOptions | None = None,
-) -> OverlayFormulation:
-    """Build the Section-2 LP relaxation (optionally with Section-6 extensions).
-
-    The variable set is restricted to the problem's support: an ``x`` variable
-    exists only for (reflector, demand) pairs where both the stream edge and
-    the delivery edge exist, and a ``y`` variable only for existing stream
-    edges.  This matches the paper's tripartite digraph and keeps the LP at
-    ``O(|S|·|R|·|D|)`` size.
-    """
-    options = options or ExtensionOptions()
-    problem.validate()
-
-    model = LinearProgram(name=f"{problem.name}-lp", objective_sense=Objective.MINIMIZE)
-
-    # Variables -------------------------------------------------------------
-    z_vars: dict[str, Variable] = {}
-    for reflector in problem.reflectors:
-        z_vars[reflector] = model.add_variable(name=f"z[{reflector}]", lower=0.0, upper=1.0)
-
-    y_vars: dict[tuple[str, str], Variable] = {}
-    for edge in problem.stream_edges():
-        key = (edge.stream, edge.reflector)
-        y_vars[key] = model.add_variable(
-            name=f"y[{edge.stream},{edge.reflector}]", lower=0.0, upper=1.0
-        )
-
-    x_vars: dict[AssignmentKey, Variable] = {}
-    weights: dict[AssignmentKey, float] = {}
-    demand_weights: dict[tuple[str, str], float] = {}
-    for demand in problem.demands:
-        demand_weights[demand.key] = problem.demand_weight(demand)
-        for reflector in problem.candidate_reflectors(demand):
-            key: AssignmentKey = (reflector, demand.key)
-            x_vars[key] = model.add_variable(
-                name=f"x[{reflector},{demand.sink},{demand.stream}]", lower=0.0, upper=1.0
-            )
-            weights[key] = problem.edge_weight(demand, reflector)
-
-    # Objective --------------------------------------------------------------
-    objective = LinearExpr()
-    for reflector, var in z_vars.items():
-        objective += problem.reflector_cost(reflector) * var
-    for (stream, reflector), var in y_vars.items():
-        objective += problem.stream_edge(stream, reflector).cost * var
-    for (reflector, (sink, stream)), var in x_vars.items():
-        objective += problem.delivery_cost(reflector, sink, stream) * var
-    model.set_objective(objective)
-
-    # Constraint (1): y <= z --------------------------------------------------
-    for (stream, reflector), y_var in y_vars.items():
-        model.add_constraint(
-            y_var - z_vars[reflector] <= 0.0, name=f"(1)[{stream},{reflector}]"
-        )
-
-    # Constraint (2): x <= y --------------------------------------------------
-    for (reflector, (sink, stream)), x_var in x_vars.items():
-        y_var = y_vars.get((stream, reflector))
-        if y_var is None:  # pragma: no cover - excluded by candidate_reflectors
-            raise RuntimeError("x variable exists without its y variable")
-        model.add_constraint(
-            x_var - y_var <= 0.0, name=f"(2)[{reflector},{sink},{stream}]"
-        )
-
-    # Fanout constraints (3)/(4) or their bandwidth versions (3')/(4') --------
-    bandwidth = (
-        {stream: problem.stream_bandwidth(stream) for stream in problem.streams}
-        if options.use_bandwidth
-        else {stream: 1.0 for stream in problem.streams}
-    )
-
-    for reflector in problem.reflectors:
-        keys = [key for key in x_vars if key[0] == reflector]
-        if not keys:
-            continue
-        fanout = float(problem.fanout(reflector))
-        total_load = LinearExpr.weighted_sum(
-            (bandwidth[key[1][1]], x_vars[key]) for key in keys
-        )
-        model.add_constraint(
-            total_load - fanout * z_vars[reflector] <= 0.0, name=f"(3)[{reflector}]"
-        )
-        if not options.drop_cutting_plane:
-            by_stream: dict[str, list[AssignmentKey]] = {}
-            for key in keys:
-                by_stream.setdefault(key[1][1], []).append(key)
-            for stream, stream_keys in by_stream.items():
-                y_var = y_vars.get((stream, reflector))
-                if y_var is None:
-                    continue
-                stream_load = LinearExpr.weighted_sum(
-                    (bandwidth[stream], x_vars[key]) for key in stream_keys
-                )
-                model.add_constraint(
-                    stream_load - fanout * y_var <= 0.0, name=f"(4)[{reflector},{stream}]"
-                )
-
-    # Constraint (5): weight coverage -----------------------------------------
-    for demand in problem.demands:
-        keys = [key for key in x_vars if key[1] == demand.key]
-        coverage = LinearExpr.weighted_sum((weights[key], x_vars[key]) for key in keys)
-        model.add_constraint(
-            coverage >= demand_weights[demand.key],
-            name=f"(5)[{demand.sink},{demand.stream}]",
-        )
-
-    # Section 6.2: reflector capacities (8) ------------------------------------
-    if options.use_reflector_capacities:
-        for reflector in problem.reflectors:
-            capacity = problem.reflector_capacity(reflector)
-            if capacity is None:
-                continue
-            keys = [key for key in y_vars if key[1] == reflector]
-            if not keys:
-                continue
-            load = LinearExpr.sum(y_vars[key] for key in keys)
-            model.add_constraint(load <= capacity, name=f"(8)[{reflector}]")
-
-    # Section 6.3: arc capacities (7') -----------------------------------------
-    if options.use_arc_capacities:
-        for reflector, sink in problem.delivery_links():
-            capacity = problem.arc_capacity(reflector, sink)
-            if capacity is None:
-                continue
-            keys = [key for key in x_vars if key[0] == reflector and key[1][0] == sink]
-            if not keys:
-                continue
-            load = LinearExpr.sum(x_vars[key] for key in keys)
-            model.add_constraint(load <= capacity, name=f"(7')[{reflector},{sink}]")
-
-    # Section 6.4: color constraints (9) ----------------------------------------
-    if options.use_color_constraints:
-        color_groups = problem.colors()
-        for demand in problem.demands:
-            for color, members in color_groups.items():
-                keys = [
-                    (reflector, demand.key)
-                    for reflector in members
-                    if (reflector, demand.key) in x_vars
-                ]
-                if len(keys) < 2:
-                    # A single member can never exceed one copy.
-                    continue
-                load = LinearExpr.sum(x_vars[key] for key in keys)
-                model.add_constraint(
-                    load <= 1.0, name=f"(9)[{color},{demand.sink},{demand.stream}]"
-                )
-
-    return OverlayFormulation(
-        problem=problem,
-        model=model,
-        z_vars=z_vars,
-        y_vars=y_vars,
-        x_vars=x_vars,
-        weights=weights,
-        demand_weights=demand_weights,
-        options=options,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Vectorized sparse path
-# ---------------------------------------------------------------------------
-
-
-@dataclass
 class SparseOverlayFormulation:
-    """The Section-2 LP assembled directly in matrix form.
+    """The Section-2 LP in matrix form, plus the keys to read its solution.
 
-    Produces *exactly* the same relaxation as :class:`OverlayFormulation`
-    (same variables in the same order, same constraint families), but holds a
-    :class:`~repro.lp.model.CompiledLP` instead of an expression tree, plus an
-    :class:`~repro.lp.LPBuildStats` describing assembly cost.
+    Holds the :class:`~repro.lp.model.CompiledLP` and the
+    :class:`~repro.lp.LPBuildStats` of its assembly; ``stats.blocks`` names
+    the constraint families in the order they were emitted.
 
     Variable layout: ``z`` for every reflector first, then ``y`` for every
-    stream edge, then ``x`` for every (reflector, demand) support pair --
-    matching the allocation order of :func:`build_formulation` so solutions
-    are interchangeable between the two paths.
+    stream edge (in ``problem.stream_edges()`` order), then ``x`` for every
+    (reflector, demand) support pair, ordered by demand and then by
+    reflector.  ``z_keys``, ``y_keys`` and ``x_keys`` name the columns.
     """
 
     problem: OverlayDesignProblem
@@ -340,8 +109,6 @@ class SparseOverlayFormulation:
     z_keys: list[str]
     y_keys: list[tuple[str, str]]
     x_keys: list[AssignmentKey]
-    weights: dict[AssignmentKey, float]
-    demand_weights: dict[tuple[str, str], float]
     options: ExtensionOptions = field(default_factory=ExtensionOptions)
 
     # ------------------------------------------------------------------ solve
@@ -368,14 +135,6 @@ class SparseOverlayFormulation:
         )
 
     # ------------------------------------------------------------- accessors
-    def assignment_keys_for_demand(self, demand: Demand) -> list[AssignmentKey]:
-        """All x-variable keys serving a particular demand."""
-        return [key for key in self.x_keys if key[1] == demand.key]
-
-    def assignment_keys_for_reflector(self, reflector: str) -> list[AssignmentKey]:
-        """All x-variable keys routed through a particular reflector."""
-        return [key for key in self.x_keys if key[0] == reflector]
-
     @property
     def num_variables(self) -> int:
         return int(self.compiled.c.size)
@@ -389,14 +148,16 @@ def build_sparse_formulation(
     problem: OverlayDesignProblem,
     options: ExtensionOptions | None = None,
 ) -> SparseOverlayFormulation:
-    """Build the Section-2 LP relaxation as batched sparse blocks.
+    """Build the Section-2 LP relaxation (optionally with Section-6 extensions).
 
-    Semantically identical to :func:`build_formulation` (same variable
-    support, same constraint families, optionally the same Section-6
-    extensions) but assembled with vectorized numpy over the instance arrays:
-    the ``x`` support is the nonzero set of a ``(demands, reflectors)``
-    boolean mask, and each constraint family -- (1), (2), (3), (4), (5) and
-    the Section-6 blocks -- is emitted as a single coordinate block.
+    The variable set is restricted to the problem's support: an ``x``
+    variable exists only for (reflector, demand) pairs where both the stream
+    edge and the delivery edge exist, and a ``y`` variable only for existing
+    stream edges.  This matches the paper's tripartite digraph and keeps the
+    LP at ``O(|S|·|R|·|D|)`` size.  The ``x`` support is the nonzero set of a
+    ``(demands, reflectors)`` boolean mask, and each constraint family --
+    (1), (2), (3), (4), (5) and the Section-6 blocks -- is emitted as a
+    single coordinate block.
     """
     options = options or ExtensionOptions()
     problem.validate()
@@ -442,7 +203,6 @@ def build_sparse_formulation(
     d_sink = np.array([k_index[d.sink] for d in demands], dtype=np.int64)
     d_stream = np.array([s_index[d.stream] for d in demands], dtype=np.int64)
     d_threshold = np.array([d.success_threshold for d in demands])
-    n_demands = len(demands)
     # W_kj = -log(1 - Phi), clamped exactly like weights.threshold_to_weight.
     d_failure = 1.0 - d_threshold
     demand_weight = np.where(
@@ -484,7 +244,7 @@ def build_sparse_formulation(
         overridden = ~np.isnan(override_cost)
         x_cost[overridden] = override_cost[overridden]
 
-    # Variables (same layout as build_formulation: z, then y, then x) --------
+    # Variables: z, then y, then x -------------------------------------------
     z_cols = builder.add_variables(n_reflectors, 0.0, 1.0, name="z")
     y_cols = builder.add_variables(n_edges, 0.0, 1.0, name="y")
     x_cols = builder.add_variables(n_x, 0.0, 1.0, name="x")
@@ -625,22 +385,15 @@ def build_sparse_formulation(
 
     compiled, stats = builder.build()
 
-    # Key lists / caches mirroring OverlayFormulation's dict maps -------------
-    y_keys = [(edge.stream, edge.reflector) for edge in edges]
-    x_keys: list[AssignmentKey] = [
-        (reflectors[r], (sinks[k], streams[s]))
-        for r, k, s in zip(xr.tolist(), x_sink.tolist(), x_stream.tolist())
-    ]
     return SparseOverlayFormulation(
         problem=problem,
         compiled=compiled,
         stats=stats,
         z_keys=list(reflectors),
-        y_keys=y_keys,
-        x_keys=x_keys,
-        weights=dict(zip(x_keys, x_weight.tolist())),
-        demand_weights=dict(
-            zip((d.key for d in demands), demand_weight.tolist())
-        ),
+        y_keys=[(edge.stream, edge.reflector) for edge in edges],
+        x_keys=[
+            (reflectors[r], (sinks[k], streams[s]))
+            for r, k, s in zip(xr.tolist(), x_sink.tolist(), x_stream.tolist())
+        ],
         options=options,
     )

@@ -43,14 +43,15 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from itertools import chain
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.core.gap import WeightBox, build_boxes_for_demand
 from repro.core.lp_solution import AssignmentKey, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
-from repro.lp import LinearExpr, LinearProgram, Objective, solve_lp
+from repro.lp import CompiledLP, LPBuildStats, Sense, SparseLPBuilder, solve_compiled
 
 _MASS_TOL = 1e-12
 
@@ -186,67 +187,96 @@ def _enumerate_paths(
     return paths, boxes_by_demand
 
 
-def _solve_path_lp(
-    problem: OverlayDesignProblem,
-    paths: list[BoxPath],
-    boxes_by_demand: dict[tuple[str, str], list[WeightBox]],
-    entangled_sets: Sequence[EntangledSet],
-) -> tuple[np.ndarray, float]:
-    """Solve the path LP (constraints (i)-(iii); cost is the objective).
+def _group_paths(
+    paths: Sequence[BoxPath], key: Callable[[BoxPath], Hashable]
+) -> dict[Hashable, list[int]]:
+    """Path indices grouped by ``key(path)``, groups in first-appearance order."""
+    groups: dict[Hashable, list[int]] = {}
+    for idx, path in enumerate(paths):
+        groups.setdefault(key(path), []).append(idx)
+    return groups
 
-    Returns the per-path fractional values and the LP objective.
+
+def _add_path_rows(
+    builder: SparseLPBuilder,
+    name: str,
+    groups: Sequence[list[int]],
+    rhs: np.ndarray,
+    sense: Sense,
+) -> None:
+    """One row per group: the sum of its paths' variables against ``rhs``.
+
+    The path variables are the builder's only columns, so a path's index is
+    its column.
     """
-    model = LinearProgram(name="gap-path-lp", objective_sense=Objective.MINIMIZE)
-    variables = [model.add_variable(name=f"y[{idx}]", lower=0.0, upper=1.0) for idx in range(len(paths))]
+    sizes = [len(group) for group in groups]
+    cols = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=sum(sizes))
+    rows = np.repeat(np.arange(len(groups)), sizes)
+    builder.add_block(name, rows, cols, np.ones(cols.size), rhs, sense)
+
+
+def _build_path_lp(
+    problem: OverlayDesignProblem,
+    paths: Sequence[BoxPath],
+    entangled_sets: Sequence[EntangledSet],
+) -> tuple[CompiledLP, LPBuildStats]:
+    """The path LP: constraints (i)-(iii), total path cost as the objective."""
+    builder = SparseLPBuilder(name="gap-path-lp")
+    columns = builder.add_variables(len(paths), 0.0, 1.0, name="y")
+    # (iv) is folded into the objective: minimize total path cost.
+    builder.add_objective_terms(columns, np.array([path.cost / 2.0 for path in paths]))
 
     # (ii) one unit of flow per box.
-    by_box: dict[tuple[tuple[str, str], int], list[int]] = {}
-    for idx, path in enumerate(paths):
-        by_box.setdefault((path.key[1], path.box_index), []).append(idx)
-    for (demand_key, box_index), idxs in by_box.items():
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(expr.equals(1.0), name=f"(ii)[{demand_key},{box_index}]")
+    by_box = _group_paths(paths, lambda path: (path.key[1], path.box_index))
+    _add_path_rows(builder, "(ii) box", list(by_box.values()), np.ones(len(by_box)), Sense.EQ)
 
     # (i) pair-edge capacities: each pair may carry at most 2 half-unit paths.
-    by_pair: dict[AssignmentKey, list[int]] = {}
-    for idx, path in enumerate(paths):
-        by_pair.setdefault(path.key, []).append(idx)
-    for key, idxs in by_pair.items():
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(expr <= 2.0, name=f"(i)pair[{key}]")
+    by_pair = _group_paths(paths, lambda path: path.key)
+    _add_path_rows(
+        builder, "(i) pair", list(by_pair.values()), np.full(len(by_pair), 2.0), Sense.LE
+    )
 
     # (i) reflector fanout: at most 2 * F_i half-unit paths per reflector.
-    by_reflector: dict[str, list[int]] = {}
-    for idx, path in enumerate(paths):
-        by_reflector.setdefault(path.key[0], []).append(idx)
-    for reflector, idxs in by_reflector.items():
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(
-            expr <= 2.0 * problem.fanout(reflector), name=f"(i)fanout[{reflector}]"
-        )
+    by_reflector = _group_paths(paths, lambda path: path.key[0])
+    _add_path_rows(
+        builder,
+        "(i) fanout",
+        list(by_reflector.values()),
+        np.array([2.0 * problem.fanout(reflector) for reflector in by_reflector]),
+        Sense.LE,
+    )
 
     # (iii) entangled sets: capacity in assignment units -> 2x in half units.
-    for entangled in entangled_sets:
-        idxs = [i for i, path in enumerate(paths) if path.key in entangled.keys]
-        if not idxs:
-            continue
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(expr <= 2.0 * entangled.capacity, name=f"(iii)[{entangled.name}]")
-
-    # Objective (iv is folded into the objective: minimize total path cost).
-    objective = LinearExpr.weighted_sum(
-        (path.cost / 2.0, variables[idx]) for idx, path in enumerate(paths)
+    # Sets none of whose pairs carries a path get no row.
+    members = [
+        [idx for key in entangled.keys for idx in by_pair.get(key, ())]
+        for entangled in entangled_sets
+    ]
+    used = [(idxs, entangled) for idxs, entangled in zip(members, entangled_sets) if idxs]
+    _add_path_rows(
+        builder,
+        "(iii) entangled",
+        [idxs for idxs, _ in used],
+        np.array([2.0 * entangled.capacity for _, entangled in used]),
+        Sense.LE,
     )
-    model.set_objective(objective)
+    return builder.build()
 
-    solution = solve_lp(model)
+
+def _solve_path_lp(
+    problem: OverlayDesignProblem,
+    paths: Sequence[BoxPath],
+    entangled_sets: Sequence[EntangledSet],
+) -> tuple[np.ndarray, float]:
+    """Solve the path LP; returns the per-path fractional values and the optimum."""
+    compiled, stats = _build_path_lp(problem, paths, entangled_sets)
+    solution = solve_compiled(compiled, stats=stats)
     if not solution.is_optimal:
         raise ValueError(
             "path LP infeasible -- the extension constraints are too tight for "
             f"the rounded support ({solution.status.value})"
         )
-    values = np.array([solution.value(var) for var in variables])
-    return values, solution.objective
+    return solution.values, solution.objective
 
 
 def _measure_violations(
@@ -322,12 +352,10 @@ def path_round(
             boxes_served=0,
         )
 
-    values, lp_cost = _solve_path_lp(problem, paths, boxes_by_demand, entangled_sets)
+    values, lp_cost = _solve_path_lp(problem, paths, entangled_sets)
 
     # Per-box categorical distributions.
-    by_box: dict[tuple[tuple[str, str], int], list[int]] = {}
-    for idx, path in enumerate(paths):
-        by_box.setdefault((path.key[1], path.box_index), []).append(idx)
+    by_box = _group_paths(paths, lambda path: (path.key[1], path.box_index))
 
     def draw() -> list[BoxPath]:
         chosen: list[BoxPath] = []

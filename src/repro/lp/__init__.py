@@ -1,41 +1,30 @@
 """Linear-programming substrate.
 
 The SPAA'03 overlay-design algorithm begins by solving the LP relaxation of
-the integer program of Section 2.  This subpackage provides a small,
-self-contained LP *modeling* layer (variables, linear expressions, linear
-constraints, objective) and a solver backend that compiles the model to the
-sparse matrix form expected by :func:`scipy.optimize.linprog` (HiGHS).
+the integer program of Section 2.  This subpackage assembles LPs as batched
+sparse blocks and solves them through registered solver backends.
 
-Two build paths share one solver backend:
-
-* the *expression-tree* layer (:mod:`repro.lp.expr` / :mod:`repro.lp.model`)
-  builds one Python object per variable and constraint so the formulation
-  code in :mod:`repro.core.formulation` reads like the paper's IP -- this is
-  the teaching / compatibility surface;
-* the *vectorized sparse* layer (:mod:`repro.lp.sparse`) assembles the same
-  matrices as batched numpy blocks, which is what the production pipeline
-  uses (``O(|S|·|R|·|D|)`` variables are assembled in a handful of array
-  operations instead of millions of dict updates).
-
-Both compile to the same :class:`~repro.lp.model.CompiledLP` structure and
-are solved by :func:`solve_compiled`, which dispatches to a *registered
-solver backend* (:mod:`repro.lp.backends`): ``"highs"`` (scipy ``linprog``,
-the LP default), ``"highs-mip"`` (scipy ``milp``, exact MILP), and an
-optional ``"gurobi"`` backend that is gracefully absent unless ``gurobipy``
-is installed.
+Models are built with :class:`SparseLPBuilder` (:mod:`repro.lp.sparse`): a
+variable arena hands out column indices in blocks and each constraint family
+is added as one coordinate block, so the ``O(|S|·|R|·|D|)``-variable
+Section-2 LP is assembled in a handful of numpy operations.  The builder
+compiles to a :class:`~repro.lp.model.CompiledLP` (scipy's matrix form),
+which :func:`solve_compiled` hands to a *registered solver backend*
+(:mod:`repro.lp.backends`): ``"highs"`` (scipy ``linprog``, the LP default),
+``"highs-mip"`` (scipy ``milp``, exact MILP), and an optional ``"gurobi"``
+backend that is gracefully absent unless ``gurobipy`` is installed.
 
 Public API
 ----------
-``LinearProgram``    -- model container (variables, constraints, objective).
-``Variable``         -- decision variable handle; supports arithmetic.
-``LinearExpr``       -- affine expression over variables.
-``Constraint``       -- linear constraint (<=, >=, ==).
 ``SparseLPBuilder``  -- vectorized batched-block model builder.
 ``VariableArena``    -- vectorized variable-index allocator.
 ``LPBuildStats``     -- timing/size report of a sparse assembly.
-``solve_lp``         -- solve a ``LinearProgram``, returning an ``LPSolution``.
-``solve_compiled``   -- solve an already-compiled matrix-form LP.
-``LPSolution``       -- status, objective value, per-variable values.
+``BlockStats``       -- size of one constraint family in that report.
+``CompiledLP``       -- matrix form shared by builders and backends.
+``Sense``            -- constraint sense (<=, >=, ==).
+``Objective``        -- optimization direction.
+``solve_compiled``   -- solve a compiled LP, returning an ``LPSolution``.
+``LPSolution``       -- status, objective value, per-column values.
 ``LPStatus``         -- enum of solver outcomes.
 ``SolverBackend``    -- backend protocol (``name`` + ``solve``).
 ``SolveOptions``     -- backend-independent options (integrality, limits).
@@ -56,18 +45,14 @@ from repro.lp.backends import (
     register_backend,
     registered_backends,
 )
-from repro.lp.expr import Constraint, LinearExpr, Sense, Variable
-from repro.lp.model import CompiledLP, LinearProgram, Objective
+from repro.lp.model import CompiledLP, Objective, Sense
 from repro.lp.result import LPSolution, LPStatus
 from repro.lp.sparse import BlockStats, LPBuildStats, SparseLPBuilder, VariableArena
-from repro.lp.solver import solve_compiled, solve_lp
+from repro.lp.solver import solve_compiled
 
 __all__ = [
     "BlockStats",
     "CompiledLP",
-    "Constraint",
-    "LinearExpr",
-    "LinearProgram",
     "LPBuildStats",
     "LPSolution",
     "LPStatus",
@@ -77,13 +62,11 @@ __all__ = [
     "SolverBackend",
     "SolverError",
     "SparseLPBuilder",
-    "Variable",
     "VariableArena",
     "available_backend_names",
     "backend_names",
     "get_backend",
     "register_backend",
     "registered_backends",
-    "solve_lp",
     "solve_compiled",
 ]

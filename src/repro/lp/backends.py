@@ -250,11 +250,7 @@ def _compiled_to_milp_args(compiled: CompiledLP) -> tuple[list[LinearConstraint]
         constraints.append(LinearConstraint(compiled.A_ub, -np.inf, compiled.b_ub))
     if compiled.A_eq is not None:
         constraints.append(LinearConstraint(compiled.A_eq, compiled.b_eq, compiled.b_eq))
-    lowers = np.array([lo for lo, _ in compiled.bounds], dtype=float)
-    uppers = np.array(
-        [np.inf if hi is None else hi for _, hi in compiled.bounds], dtype=float
-    )
-    return constraints, Bounds(lowers, uppers)
+    return constraints, Bounds(compiled.bounds[:, 0], compiled.bounds[:, 1])
 
 
 @register_backend
@@ -384,11 +380,8 @@ class GurobiBackend:
         integrality = options.integrality
         if integrality is None:
             integrality = np.zeros(n, dtype=np.int8)
-        lowers = np.array([lo for lo, _ in compiled.bounds], dtype=float)
-        uppers = np.array(
-            [gp.GRB.INFINITY if hi is None else hi for _, hi in compiled.bounds],
-            dtype=float,
-        )
+        lowers = compiled.bounds[:, 0]
+        uppers = np.minimum(compiled.bounds[:, 1], gp.GRB.INFINITY)
         vtypes = np.where(
             np.asarray(integrality) > 0, gp.GRB.INTEGER, gp.GRB.CONTINUOUS
         ).tolist()

@@ -1,22 +1,26 @@
-"""The :class:`LinearProgram` model container.
+"""The matrix form every LP builder and solver backend shares.
 
-A model owns its variables and constraints and knows how to compile itself
-into the sparse-matrix form consumed by :func:`scipy.optimize.linprog`
-(see :mod:`repro.lp.solver`).  Construction cost is linear in the number of
-constraint nonzeros, which keeps building the ``O(|S|·|R|·|D|)``-variable
-Section-2 LP fast even for thousands of (stream, sink) pairs.
+:class:`~repro.lp.sparse.SparseLPBuilder` compiles models to a
+:class:`CompiledLP` (so do the hand-assembled flow LP of :mod:`repro.core.gap`
+and the symmetry-extended MILP of :mod:`repro.baselines.milp`), and every
+backend of :mod:`repro.lp.backends` solves one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
-from repro.lp.expr import Constraint, LinearExpr, Sense, Variable
+
+class Sense(Enum):
+    """Constraint sense."""
+
+    LE = "<="
+    GE = ">="
+    EQ = "=="
 
 
 class Objective(Enum):
@@ -32,7 +36,9 @@ class CompiledLP:
 
     ``A_ub x <= b_ub`` and ``A_eq x == b_eq``; ``c`` is always a minimization
     objective (maximization models are negated during compilation and the
-    objective value is flipped back by the solver wrapper).
+    objective value is flipped back by the solver wrapper).  ``bounds`` is an
+    ``(n, 2)`` float array of ``[lower, upper]`` per variable, with
+    ``np.inf`` for an unbounded side.
     """
 
     c: np.ndarray
@@ -40,168 +46,6 @@ class CompiledLP:
     b_ub: np.ndarray | None
     A_eq: sparse.csr_matrix | None
     b_eq: np.ndarray | None
-    bounds: list[tuple[float, float | None]]
+    bounds: np.ndarray
     objective_sign: float
     objective_constant: float
-
-
-class LinearProgram:
-    """A linear program: variables, linear constraints, and a linear objective."""
-
-    def __init__(self, name: str = "lp", objective_sense: Objective = Objective.MINIMIZE) -> None:
-        self.name = name
-        self.objective_sense = objective_sense
-        self._variables: list[Variable] = []
-        self._var_names: dict[str, int] = {}
-        self._constraints: list[Constraint] = []
-        self._objective = LinearExpr()
-
-    # ------------------------------------------------------------- variables
-    @property
-    def num_variables(self) -> int:
-        return len(self._variables)
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self._constraints)
-
-    @property
-    def variables(self) -> list[Variable]:
-        return list(self._variables)
-
-    @property
-    def constraints(self) -> list[Constraint]:
-        return list(self._constraints)
-
-    def add_variable(
-        self,
-        name: str | None = None,
-        lower: float = 0.0,
-        upper: float | None = None,
-    ) -> Variable:
-        """Add a continuous variable with the given bounds and return its handle.
-
-        Variable names must be unique; anonymous variables get ``x{i}`` names.
-        """
-        index = len(self._variables)
-        if name is None:
-            name = f"x{index}"
-        if name in self._var_names:
-            raise ValueError(f"variable name {name!r} already used")
-        if upper is not None and upper < lower:
-            raise ValueError(f"variable {name!r}: upper bound {upper} < lower bound {lower}")
-        var = Variable(index, name, lower, float("inf") if upper is None else upper)
-        self._variables.append(var)
-        self._var_names[name] = index
-        return var
-
-    def variable_by_name(self, name: str) -> Variable:
-        """Look a variable up by name (KeyError if absent)."""
-        return self._variables[self._var_names[name]]
-
-    # ----------------------------------------------------------- constraints
-    def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Add a constraint built with ``<=`` / ``>=`` / ``.equals`` and return it."""
-        if not isinstance(constraint, Constraint):
-            raise TypeError(
-                "add_constraint expects a Constraint; build one by comparing "
-                "a LinearExpr with a bound (e.g. expr <= 1.0)"
-            )
-        if name:
-            constraint.name = name
-        elif not constraint.name:
-            constraint.name = f"c{len(self._constraints)}"
-        self._constraints.append(constraint)
-        return constraint
-
-    def add_constraints(self, constraints: Iterable[Constraint]) -> None:
-        for constraint in constraints:
-            self.add_constraint(constraint)
-
-    # ------------------------------------------------------------- objective
-    def set_objective(self, expr: LinearExpr | Variable, sense: Objective | None = None) -> None:
-        """Set the objective expression (and optionally its direction)."""
-        if isinstance(expr, Variable):
-            expr = expr + 0.0
-        self._objective = expr.copy()
-        if sense is not None:
-            self.objective_sense = sense
-
-    @property
-    def objective(self) -> LinearExpr:
-        return self._objective.copy()
-
-    def objective_value(self, assignment) -> float:
-        """Evaluate the objective under an assignment (list or dict by index)."""
-        return self._objective.value(assignment)
-
-    # -------------------------------------------------------------- compiling
-    def compile(self) -> CompiledLP:
-        """Compile to the sparse matrix form used by scipy's HiGHS backend."""
-        num_vars = self.num_variables
-        sign = 1.0 if self.objective_sense is Objective.MINIMIZE else -1.0
-
-        c = np.zeros(num_vars)
-        for idx, coeff in self._objective.coeffs.items():
-            c[idx] = sign * coeff
-
-        ub_rows: list[int] = []
-        ub_cols: list[int] = []
-        ub_vals: list[float] = []
-        b_ub: list[float] = []
-        eq_rows: list[int] = []
-        eq_cols: list[int] = []
-        eq_vals: list[float] = []
-        b_eq: list[float] = []
-
-        for constraint in self._constraints:
-            if constraint.sense is Sense.EQ:
-                row = len(b_eq)
-                for idx, coeff in constraint.expr.coeffs.items():
-                    eq_rows.append(row)
-                    eq_cols.append(idx)
-                    eq_vals.append(coeff)
-                b_eq.append(constraint.rhs)
-            else:
-                row = len(b_ub)
-                flip = 1.0 if constraint.sense is Sense.LE else -1.0
-                for idx, coeff in constraint.expr.coeffs.items():
-                    ub_rows.append(row)
-                    ub_cols.append(idx)
-                    ub_vals.append(flip * coeff)
-                b_ub.append(flip * constraint.rhs)
-
-        A_ub = (
-            sparse.csr_matrix(
-                (ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), num_vars)
-            )
-            if b_ub
-            else None
-        )
-        A_eq = (
-            sparse.csr_matrix(
-                (eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), num_vars)
-            )
-            if b_eq
-            else None
-        )
-        bounds = [
-            (var.lower, None if var.upper == float("inf") else var.upper)
-            for var in self._variables
-        ]
-        return CompiledLP(
-            c=c,
-            A_ub=A_ub,
-            b_ub=np.asarray(b_ub) if b_ub else None,
-            A_eq=A_eq,
-            b_eq=np.asarray(b_eq) if b_eq else None,
-            bounds=bounds,
-            objective_sign=sign,
-            objective_constant=self._objective.constant,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return (
-            f"LinearProgram(name={self.name!r}, vars={self.num_variables}, "
-            f"constraints={self.num_constraints})"
-        )

@@ -7,8 +7,6 @@ from enum import Enum
 
 import numpy as np
 
-from repro.lp.expr import Variable
-
 
 class LPStatus(Enum):
     """Outcome of an LP / MILP solve.
@@ -26,7 +24,7 @@ class LPStatus(Enum):
 
 @dataclass
 class LPSolution:
-    """Result of solving a :class:`repro.lp.LinearProgram`.
+    """Result of solving a :class:`~repro.lp.model.CompiledLP`.
 
     Attributes
     ----------
@@ -36,7 +34,7 @@ class LPSolution:
         Objective value in the model's own direction (already un-negated for
         maximization models); ``nan`` unless ``status`` is ``OPTIMAL``.
     values:
-        Array of variable values indexed by variable index; empty on failure.
+        Array of variable values indexed by column; empty on failure.
     message:
         Backend diagnostic string.
     backend:
@@ -67,15 +65,3 @@ class LPSolution:
     def has_solution(self) -> bool:
         """True when ``values`` holds a usable incumbent (optimal or feasible)."""
         return self.status in (LPStatus.OPTIMAL, LPStatus.FEASIBLE)
-
-    def value(self, var: Variable) -> float:
-        """Value of a single variable."""
-        return float(self.values[var.index])
-
-    def value_map(self, variables: dict) -> dict:
-        """Map an arbitrary-keyed dict of variables to their solved values.
-
-        Convenience for formulation code that keeps variables in dictionaries
-        keyed by (stream, reflector, sink) tuples.
-        """
-        return {key: self.value(var) for key, var in variables.items()}

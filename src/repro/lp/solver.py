@@ -1,12 +1,12 @@
-"""Solve :class:`repro.lp.LinearProgram` models through registered backends.
+"""Solve :class:`~repro.lp.model.CompiledLP` models through registered backends.
 
 The paper's algorithm only needs an optimal *fractional* solution of the
 Section-2 relaxation; HiGHS (bundled with scipy) is more than adequate for
 that and remains the default.  Exact integer solves go through the same
-entry points by picking the ``"highs-mip"`` (or optional ``"gurobi"``)
+entry point by picking the ``"highs-mip"`` (or optional ``"gurobi"``)
 backend -- see :mod:`repro.lp.backends`.  Keeping every backend behind
-:func:`solve_lp` / :func:`solve_compiled` means the rest of the code never
-touches solver libraries directly.
+:func:`solve_compiled` means the rest of the code never touches solver
+libraries directly.
 
 Failure semantics: infeasible and unbounded outcomes are *returned* as
 :class:`LPSolution` values (they are legitimate answers about the model);
@@ -19,38 +19,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.lp.backends import SolveOptions, get_backend
-from repro.lp.model import CompiledLP, LinearProgram
+from repro.lp.model import CompiledLP
 from repro.lp.result import LPSolution, LPStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lp.sparse import LPBuildStats
-
-
-def solve_lp(
-    model: LinearProgram,
-    backend: str = "highs",
-    *,
-    options: SolveOptions | None = None,
-) -> LPSolution:
-    """Solve ``model`` and return an :class:`LPSolution`.
-
-    Parameters
-    ----------
-    model:
-        The linear program to solve.
-    backend:
-        Registered backend name (``"highs"`` by default; ``"highs-mip"`` or
-        ``"gurobi"`` for integer programs).
-    options:
-        Backend-independent :class:`~repro.lp.backends.SolveOptions`
-        (integrality, time limit, MIP gap, warm start).
-    """
-    if model.num_variables == 0:
-        return LPSolution(status=LPStatus.OPTIMAL, objective=0.0, values=np.empty(0))
-    return solve_compiled(model.compile(), backend=backend, options=options)
 
 
 def solve_compiled(
@@ -60,11 +34,8 @@ def solve_compiled(
     options: SolveOptions | None = None,
     stats: "LPBuildStats | None" = None,
 ) -> LPSolution:
-    """Solve an already-compiled matrix-form LP through a registered backend.
-
-    Both build paths converge here: the expression-tree layer compiles via
-    :meth:`repro.lp.model.LinearProgram.compile`, the vectorized layer via
-    :meth:`repro.lp.sparse.SparseLPBuilder.build`.
+    """Solve a matrix-form LP (e.g. from
+    :meth:`repro.lp.sparse.SparseLPBuilder.build`) through a registered backend.
 
     When ``stats`` (the :class:`~repro.lp.sparse.LPBuildStats` of the build)
     is supplied, infeasible / unbounded outcomes name the constraint family

@@ -1,12 +1,10 @@
 """Vectorized sparse LP assembly: variable arena + batched constraint blocks.
 
-The expression-tree layer in :mod:`repro.lp.model` builds one Python object
-per variable and per constraint, which is the right teaching surface for the
-Section-2 IP but dominates the pipeline's runtime on large instances (the
-Section-2 LP has ``O(|S|·|R|·|D|)`` variables).  This module is the fast
-path: models are assembled as flat numpy arrays and handed to scipy's HiGHS
-backend as :class:`~repro.lp.model.CompiledLP` matrices without ever
-materializing per-variable or per-constraint objects.
+Every LP in the package is built here.  Models are assembled as flat numpy
+arrays and handed to the solver backends as
+:class:`~repro.lp.model.CompiledLP` matrices without ever materializing
+per-variable or per-constraint objects, which keeps the Section-2 LP's
+``O(|S|·|R|·|D|)`` variables cheap to assemble.
 
 Two pieces:
 
@@ -23,10 +21,10 @@ Two pieces:
     ``(rows, cols, values, rhs)`` arrays; :meth:`SparseLPBuilder.build`
     concatenates the blocks into CSR matrices and reports an
     :class:`LPBuildStats` describing what was built and how long it took.
+    Its per-family :class:`BlockStats` are how tests and error messages
+    name the paper's constraint families.
 
-The produced :class:`~repro.lp.model.CompiledLP` is exactly the structure the
-expression path compiles to, so both paths share
-:func:`repro.lp.solver.solve_compiled` and solve identically.
+The built model is solved by :func:`repro.lp.solver.solve_compiled`.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.lp.expr import Sense
-from repro.lp.model import CompiledLP, Objective
+from repro.lp.model import CompiledLP, Objective, Sense
 
 
 @dataclass(frozen=True)
@@ -76,9 +73,6 @@ class LPBuildStats:
         building the CSR matrices.
     blocks:
         Per-family :class:`BlockStats`, in the order the blocks were added.
-    backend:
-        Identifier of the build path (``"sparse"`` here; the compatibility
-        layer reports ``"expr"``).
     """
 
     name: str
@@ -89,21 +83,10 @@ class LPBuildStats:
     build_seconds: float
     compile_seconds: float
     blocks: list[BlockStats] = field(default_factory=list)
-    backend: str = "sparse"
 
     @property
     def num_constraints(self) -> int:
         return self.num_inequality_rows + self.num_equality_rows
-
-    def as_dict(self) -> dict:
-        """Flat dict form used by the benchmark tables."""
-        return {
-            "lp_variables": self.num_variables,
-            "lp_constraints": self.num_constraints,
-            "lp_nonzeros": self.num_nonzeros,
-            "build_seconds": self.build_seconds,
-            "backend": self.backend,
-        }
 
 
 class VariableArena:
@@ -249,6 +232,8 @@ class SparseLPBuilder:
             Coefficient of each nonzero.
         rhs:
             Right-hand side per row; its length defines the number of rows.
+            A block with no rows must have no nonzeros either (it is then
+            ignored).
         sense:
             One shared sense for the whole block (GE blocks are negated into
             ``A_ub x <= b_ub`` form at build time).
@@ -263,6 +248,8 @@ class SparseLPBuilder:
                 f"({rows.shape}, {cols.shape}, {values.shape})"
             )
         if rhs.size == 0:
+            if rows.size:
+                raise ValueError(f"block {name!r}: {rows.size} nonzeros but no rows (empty rhs)")
             return
         if rows.size and (rows.min() < 0 or rows.max() >= rhs.size):
             raise ValueError(

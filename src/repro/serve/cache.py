@@ -281,8 +281,8 @@ def formulation_key(p_digest: str, parameters: Any) -> str:
     """Key for compiled LP formulations (and their solved fractionals).
 
     Covers exactly the knobs :class:`~repro.api.pipeline.FormulateStage`
-    and :class:`~repro.api.pipeline.SolveStage` read -- the build backend,
-    the solver backend, and the Section-6 extension toggles -- so requests
+    and :class:`~repro.api.pipeline.SolveStage` read -- the solver backend
+    and the Section-6 extension toggles -- so requests
     differing only in rounding seed or repair knobs share a line, while
     solves on different solver backends never alias.
     """
@@ -290,7 +290,6 @@ def formulation_key(p_digest: str, parameters: Any) -> str:
     return canonical_digest(
         {
             "problem": p_digest,
-            "lp_backend": document["lp_backend"],
             "solver_backend": document["solver_backend"],
             "extensions": document["extensions"],
         }

@@ -3,8 +3,7 @@
 One stream, three reflectors, two sinks.  Small enough to check every LP
 coefficient by hand, rich enough to exercise all constraint families; it is
 the instance used throughout the test suite, the README quickstart and the
-documentation examples, and it doubles as the parity fixture for the sparse
-vs expression-tree LP builders.
+documentation examples.
 """
 
 from __future__ import annotations

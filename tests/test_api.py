@@ -199,12 +199,13 @@ class TestDeprecatedWrappers:
 
 class TestSerialization:
     def test_request_roundtrip(self, problem):
+        from repro.serve.cache import request_digest
+
         request = DesignRequest(
             problem=problem,
             parameters=DesignParameters(
                 rounding=RoundingParameters(c=16.0, delta=0.5, seed=9),
                 repair_shortfall=True,
-                lp_backend="expr",
                 max_rounding_attempts=7,
             ),
             strategy="greedy",
@@ -214,12 +215,19 @@ class TestSerialization:
         document = request_to_dict(request)
         assert document["schema_version"] == SCHEMA_VERSION
         assert document["kind"] == "design-request"
-        restored = request_from_dict(json.loads(json.dumps(document)))
+        # Older builds wrote an LP build-backend knob; its documents still load.
+        older = json.loads(json.dumps(document))
+        older["parameters"]["lp_backend"] = "expr"
+        restored = request_from_dict(older)
+        current = request_from_dict(json.loads(json.dumps(document)))
         assert restored.strategy == "greedy"
         assert restored.request_id == "req-42"
         assert restored.options == {"fanout_slack": 2.0}
         assert restored.parameters == request.parameters
+        assert restored.parameters == current.parameters
         assert problem_to_dict(restored.problem) == problem_to_dict(problem)
+        assert request_digest(restored) == request_digest(current)
+        assert request_digest(restored) == request_digest(request)
 
     def test_result_roundtrip_with_stage_timings_and_audit(self, problem):
         request = DesignRequest(
@@ -484,7 +492,6 @@ def test_api_surface_snapshot():
             "RoundingParameters",
             "StreamEdge",
             "apply_delta",
-            "build_formulation",
             "build_sparse_formulation",
             "design_batch",
             "design_incremental",

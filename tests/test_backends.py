@@ -9,17 +9,18 @@ import numpy as np
 import pytest
 
 from repro.lp import (
-    LinearProgram,
+    CompiledLP,
     LPStatus,
+    Sense,
     SolveOptions,
     SolverBackend,
     SolverError,
+    SparseLPBuilder,
     available_backend_names,
     backend_names,
     get_backend,
     registered_backends,
     solve_compiled,
-    solve_lp,
 )
 
 try:
@@ -30,25 +31,24 @@ except ImportError:
     GUROBI_INSTALLED = False
 
 
-def _small_lp() -> LinearProgram:
+def _two_variable_lp(costs, row, rhs) -> CompiledLP:
+    # min costs @ x  s.t.  row @ x >= rhs, 0 <= x <= 1.
+    builder = SparseLPBuilder()
+    x = builder.add_variables(2, lower=0.0, upper=1.0, name="x")
+    builder.add_objective_terms(x, costs)
+    builder.add_block("cover", [0, 0], x, row, [rhs], Sense.GE)
+    return builder.build()[0]
+
+
+def _small_lp() -> CompiledLP:
     # min x + 2y  s.t.  x + y >= 1, 0 <= x,y <= 1  ->  optimum 1 at (1, 0).
-    model = LinearProgram()
-    x = model.add_variable("x", lower=0.0, upper=1.0)
-    y = model.add_variable("y", lower=0.0, upper=1.0)
-    model.add_constraint(x + y >= 1.0)
-    model.set_objective(x + 2.0 * y)
-    return model
+    return _two_variable_lp([1.0, 2.0], [1.0, 1.0], 1.0)
 
 
-def _fractional_lp() -> LinearProgram:
+def _fractional_lp() -> CompiledLP:
     # min x + y  s.t.  2x + 2y >= 3, 0 <= x,y <= 1: LP optimum 1.5 is
     # fractional; the integer optimum is 2 (e.g. x = y = 1).
-    model = LinearProgram()
-    x = model.add_variable("x", lower=0.0, upper=1.0)
-    y = model.add_variable("y", lower=0.0, upper=1.0)
-    model.add_constraint(2.0 * x + 2.0 * y >= 3.0)
-    model.set_objective(x + y)
-    return model
+    return _two_variable_lp([1.0, 1.0], [2.0, 2.0], 3.0)
 
 
 class TestRegistry:
@@ -84,20 +84,20 @@ class TestRegistry:
 
 class TestHighsBackend:
     def test_solves_lp(self):
-        solution = solve_lp(_small_lp(), "highs")
+        solution = solve_compiled(_small_lp(), "highs")
         assert solution.is_optimal
         assert solution.backend == "highs"
         assert solution.objective == pytest.approx(1.0)
 
     def test_rejects_integrality(self):
-        compiled = _fractional_lp().compile()
+        compiled = _fractional_lp()
         options = SolveOptions(integrality=np.ones(2, dtype=np.int8))
         with pytest.raises(SolverError, match="pure LPs only"):
             solve_compiled(compiled, "highs", options=options)
 
     def test_accepts_and_ignores_warm_start(self):
-        cold = solve_lp(_small_lp(), "highs")
-        warm = solve_lp(
+        cold = solve_compiled(_small_lp(), "highs")
+        warm = solve_compiled(
             _small_lp(), "highs", options=SolveOptions(warm_start=np.array([0.0, 1.0]))
         )
         assert warm.objective == cold.objective
@@ -106,22 +106,22 @@ class TestHighsBackend:
 
 class TestHighsMIPBackend:
     def test_solves_pure_lp_like_highs(self):
-        lp = solve_lp(_fractional_lp(), "highs")
-        mip = solve_lp(_fractional_lp(), "highs-mip")
+        lp = solve_compiled(_fractional_lp(), "highs")
+        mip = solve_compiled(_fractional_lp(), "highs-mip")
         assert mip.is_optimal
         assert mip.backend == "highs-mip"
         assert mip.objective == pytest.approx(lp.objective)
 
     def test_integrality_closes_the_gap(self):
         options = SolveOptions(integrality=np.ones(2, dtype=np.int8))
-        solution = solve_lp(_fractional_lp(), "highs-mip", options=options)
+        solution = solve_compiled(_fractional_lp(), "highs-mip", options=options)
         assert solution.is_optimal
         assert solution.objective == pytest.approx(2.0)
         assert np.allclose(solution.values, np.round(solution.values))
 
     def test_surfaces_mip_diagnostics(self):
         options = SolveOptions(integrality=np.ones(2, dtype=np.int8))
-        solution = solve_lp(_fractional_lp(), "highs-mip", options=options)
+        solution = solve_compiled(_fractional_lp(), "highs-mip", options=options)
         assert solution.mip_gap is not None and solution.mip_gap <= 1e-6
         assert solution.mip_dual_bound == pytest.approx(2.0)
         assert solution.mip_node_count is not None
@@ -130,23 +130,30 @@ class TestHighsMIPBackend:
         options = SolveOptions(
             integrality=np.ones(2, dtype=np.int8), mip_gap=0.5, time_limit=10.0
         )
-        solution = solve_lp(_fractional_lp(), "highs-mip", options=options)
+        solution = solve_compiled(_fractional_lp(), "highs-mip", options=options)
         assert solution.has_solution
         assert solution.objective == pytest.approx(2.0)
 
+    def test_unbounded_above_columns(self):
+        # min x  s.t.  x >= 2.5, x integer in [0, inf): the upper bound is np.inf.
+        builder = SparseLPBuilder()
+        x = builder.add_variables(1, lower=0.0, upper=np.inf)
+        builder.add_objective_terms(x, [1.0])
+        builder.add_block("floor", [0], x, [1.0], [2.5], Sense.GE)
+        compiled = builder.build()[0]
+        assert compiled.bounds.tolist() == [[0.0, np.inf]]
+        options = SolveOptions(integrality=np.ones(1, dtype=np.int8))
+        solution = solve_compiled(compiled, "highs-mip", options=options)
+        assert solution.objective == pytest.approx(3.0)
+
     def test_infeasible_returns_status(self):
-        model = LinearProgram()
-        x = model.add_variable("x", lower=0.0, upper=1.0)
-        model.add_constraint(x >= 2.0)
-        model.set_objective(x + 0.0)
-        solution = solve_lp(model, "highs-mip")
+        # x >= 2 with 0 <= x <= 1.
+        solution = solve_compiled(_two_variable_lp([1.0, 0.0], [1.0, 0.0], 2.0), "highs-mip")
         assert solution.status is LPStatus.INFEASIBLE
 
 
 class TestStatusMapping:
     def test_infeasible_message_names_constraint_families(self):
-        from repro.lp import Sense, SparseLPBuilder
-
         builder = SparseLPBuilder(name="infeasible-lp")
         x = builder.add_variables(1, lower=0.0, upper=1.0, name="x")
         builder.add_objective_terms(x, np.ones(1))
@@ -174,21 +181,21 @@ class TestGurobiBackend:
         assert backend.available() is False
         assert "gurobi" not in available_backend_names()
         with pytest.raises(SolverError, match="gurobipy"):
-            backend.solve(_small_lp().compile(), SolveOptions())
+            backend.solve(_small_lp(), SolveOptions())
 
     @pytest.mark.skipif(
         not GUROBI_INSTALLED, reason="gurobipy not installed (optional backend)"
     )
     def test_solves_lp_and_mip_when_installed(self):
         assert "gurobi" in available_backend_names()
-        solution = solve_lp(_small_lp(), "gurobi")
+        solution = solve_compiled(_small_lp(), "gurobi")
         assert solution.is_optimal
         assert solution.objective == pytest.approx(1.0)
         options = SolveOptions(
             integrality=np.ones(2, dtype=np.int8),
             warm_start=np.array([1.0, 1.0]),
         )
-        mip = solve_lp(_fractional_lp(), "gurobi", options=options)
+        mip = solve_compiled(_fractional_lp(), "gurobi", options=options)
         assert mip.is_optimal
         assert mip.objective == pytest.approx(2.0)
 

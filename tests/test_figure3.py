@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 import pytest
 
-from repro.lp import LinearExpr, LinearProgram, Objective, solve_lp
+from repro.lp import Objective, SparseLPBuilder, solve_compiled
 
 # The network of Figure 3: s -> {a, p}; a -> {b, q}; p -> q; {b, q} -> t.
 EDGES = {
@@ -55,24 +56,25 @@ def _solve_max_flow(integral: bool) -> float:
             if _feasible(flows):
                 best = max(best, sum(flows))
         return best
-    model = LinearProgram(objective_sense=Objective.MAXIMIZE)
-    path_vars = [model.add_variable(f"p{i}") for i in range(len(PATHS))]
-    for edge, capacity in EDGES.items():
-        expr = LinearExpr.sum(
-            path_vars[i] for i, path in enumerate(PATHS) if edge in path
-        )
-        if expr.coeffs:
-            model.add_constraint(expr <= capacity)
-    entangled_expr = LinearExpr.sum(
-        path_vars[i]
-        for i, path in enumerate(PATHS)
-        if any(edge in path for edge in ENTANGLED)
-    )
-    model.add_constraint(entangled_expr <= ENTANGLED_CAPACITY)
-    model.set_objective(LinearExpr.sum(path_vars))
-    solution = solve_lp(model)
+    solution = _solve_path_lp(with_entangled=True)
     assert solution.is_optimal
     return solution.objective
+
+
+def _solve_path_lp(with_entangled: bool):
+    """Maximum total path flow under the edge (and entangled-set) capacities."""
+    builder = SparseLPBuilder(objective_sense=Objective.MAXIMIZE)
+    path_vars = builder.add_variables(len(PATHS), 0.0, np.inf, name="path")
+    builder.add_objective_terms(path_vars, np.ones(len(PATHS)))
+    rows = [((edge,), capacity) for edge, capacity in EDGES.items()]
+    if with_entangled:
+        rows.append((ENTANGLED, ENTANGLED_CAPACITY))
+    for members, capacity in rows:
+        # A path counts against a row if it uses any of the row's edges.
+        users = [i for i, path in enumerate(PATHS) if any(edge in path for edge in members)]
+        ones = np.ones(len(users))
+        builder.add_block("capacity", np.zeros_like(ones), path_vars[users], ones, [capacity])
+    return solve_compiled(builder.build()[0])
 
 
 def _feasible(path_flows: list[float]) -> bool:
@@ -111,14 +113,5 @@ class TestFigure3:
 
     def test_without_entangled_constraint_flow_is_four(self):
         """Dropping the set constraint removes the gap (sanity check)."""
-        model = LinearProgram(objective_sense=Objective.MAXIMIZE)
-        path_vars = [model.add_variable(f"p{i}") for i in range(len(PATHS))]
-        for edge, capacity in EDGES.items():
-            expr = LinearExpr.sum(
-                path_vars[i] for i, path in enumerate(PATHS) if edge in path
-            )
-            if expr.coeffs:
-                model.add_constraint(expr <= capacity)
-        model.set_objective(LinearExpr.sum(path_vars))
-        solution = solve_lp(model)
+        solution = _solve_path_lp(with_entangled=False)
         assert solution.objective == pytest.approx(4.0, abs=1e-6)

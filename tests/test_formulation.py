@@ -2,81 +2,82 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from lp_oracle import formulation_families
 
-from repro.core.formulation import ExtensionOptions, build_formulation
+from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.problem import OverlayDesignProblem
 from repro.lp import Sense
 
 
+def _families(formulation) -> set[str]:
+    """Tags (``"(1)"``, ``"(7')"``, ...) of the constraint families built."""
+    return {block.name.split()[0] for block in formulation.stats.blocks}
+
+
 class TestFormulationStructure:
     def test_variable_counts(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         # z per reflector, y per stream edge, x per (reflector, demand) pair.
-        assert len(formulation.z_vars) == 3
-        assert len(formulation.y_vars) == 3
-        assert len(formulation.x_vars) == 6
+        assert len(formulation.z_keys) == 3
+        assert len(formulation.y_keys) == 3
+        assert len(formulation.x_keys) == 6
         assert formulation.num_variables == 12
 
     def test_constraint_families_present(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
-        names = [c.name for c in formulation.model.constraints]
-        assert any(name.startswith("(1)") for name in names)
-        assert any(name.startswith("(2)") for name in names)
-        assert any(name.startswith("(3)") for name in names)
-        assert any(name.startswith("(4)") for name in names)
-        assert any(name.startswith("(5)") for name in names)
+        formulation = build_sparse_formulation(tiny_problem)
+        assert _families(formulation) == {"(1)", "(2)", "(3)", "(4)", "(5)"}
 
     def test_weight_constraints_are_ge(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
-        weight_constraints = [
-            c for c in formulation.model.constraints if c.name.startswith("(5)")
-        ]
+        formulation = build_sparse_formulation(tiny_problem)
+        weight_constraints = formulation_families(formulation)["(5)"]
         assert len(weight_constraints) == tiny_problem.num_demands
-        assert all(c.sense is Sense.GE for c in weight_constraints)
-        for constraint in weight_constraints:
-            assert constraint.rhs > 0
+        assert all(row.sense is Sense.GE for row in weight_constraints)
+        for row in weight_constraints:
+            assert row.rhs > 0
 
     def test_cutting_plane_can_be_dropped(self, tiny_problem):
-        base = build_formulation(tiny_problem)
-        without = build_formulation(tiny_problem, ExtensionOptions(drop_cutting_plane=True))
-        base_names = {c.name for c in base.model.constraints}
-        without_names = {c.name for c in without.model.constraints}
-        assert any(name.startswith("(4)") for name in base_names)
-        assert not any(name.startswith("(4)") for name in without_names)
+        base = build_sparse_formulation(tiny_problem)
+        without = build_sparse_formulation(tiny_problem, ExtensionOptions(drop_cutting_plane=True))
+        assert "(4)" in _families(base)
+        assert "(4)" not in _families(without)
         assert without.num_constraints < base.num_constraints
 
-    def test_weights_cached_consistently(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
-        for (reflector, demand_key), weight in formulation.weights.items():
-            demand = next(d for d in tiny_problem.demands if d.key == demand_key)
-            assert weight == pytest.approx(tiny_problem.edge_weight(demand, reflector))
+    def test_coverage_coefficients_are_edge_weights(self, tiny_problem):
+        formulation = build_sparse_formulation(tiny_problem)
+        demands = {demand.key: demand for demand in tiny_problem.demands}
+        for row in formulation_families(formulation)["(5)"]:
+            for (_kind, (reflector, demand_key)), weight in row.coeffs.items():
+                expected = tiny_problem.edge_weight(demands[demand_key], reflector)
+                assert weight == pytest.approx(expected)
 
-    def test_assignment_key_queries(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+    def test_assignment_keys_cover_candidate_pairs(self, tiny_problem):
+        formulation = build_sparse_formulation(tiny_problem)
         demand = tiny_problem.demands[0]
-        keys = formulation.assignment_keys_for_demand(demand)
+        keys = [key for key in formulation.x_keys if key[1] == demand.key]
         assert len(keys) == 3
-        assert all(key[1] == demand.key for key in keys)
-        r1_keys = formulation.assignment_keys_for_reflector("r1")
+        assert [key[0] for key in keys] == tiny_problem.candidate_reflectors(demand)
+        r1_keys = [key for key in formulation.x_keys if key[0] == "r1"]
         assert len(r1_keys) == 2
 
     def test_invalid_problem_rejected(self):
         with pytest.raises(ValueError):
-            build_formulation(OverlayDesignProblem())
+            build_sparse_formulation(OverlayDesignProblem())
 
 
 class TestFormulationSolution:
     def test_lp_solves_and_is_feasible(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         solution = formulation.solve()
         assert solution.is_optimal
         # Every constraint of the LP is (near) satisfied by the solution.
-        for constraint in formulation.model.constraints:
-            assert constraint.violation(solution.values) <= 1e-6
+        compiled = formulation.compiled
+        assert np.all(compiled.A_ub @ solution.values <= compiled.b_ub + 1e-6)
+        assert compiled.A_eq is None
 
     def test_fractional_solution_extraction(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         fractional = formulation.fractional_solution(formulation.solve())
         assert fractional.objective > 0
         assert set(fractional.z) == set(tiny_problem.reflectors)
@@ -84,7 +85,7 @@ class TestFormulationSolution:
         assert all(0.0 - 1e-9 <= value <= 1.0 + 1e-9 for value in fractional.x.values())
 
     def test_fractional_weight_constraints_met(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         fractional = formulation.fractional_solution(formulation.solve())
         for demand in tiny_problem.demands:
             delivered = sum(
@@ -95,13 +96,13 @@ class TestFormulationSolution:
             assert delivered + 1e-6 >= tiny_problem.demand_weight(demand)
 
     def test_fractional_cost_matches_objective(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         fractional = formulation.fractional_solution(formulation.solve())
         assert fractional.cost(tiny_problem) == pytest.approx(fractional.objective, rel=1e-6)
 
     def test_lower_bound_monotone_in_demands(self, tiny_problem):
         """Adding a demand can only increase the LP optimum."""
-        base = build_formulation(tiny_problem).solve().objective
+        base = build_sparse_formulation(tiny_problem).solve().objective
 
         harder = OverlayDesignProblem(name="harder")
         harder.add_stream("s")
@@ -124,7 +125,7 @@ class TestFormulationSolution:
         for demand in tiny_problem.demands:
             harder.add_demand(demand.sink, demand.stream, demand.success_threshold)
         harder.add_demand("d3", "s", success_threshold=0.99)
-        harder_bound = build_formulation(harder).solve().objective
+        harder_bound = build_sparse_formulation(harder).solve().objective
         assert harder_bound >= base - 1e-9
 
     def test_unsolved_extraction_raises_for_infeasible(self):
@@ -135,7 +136,7 @@ class TestFormulationSolution:
         problem.add_stream_edge("s", "r", 0.4, 1.0)
         problem.add_delivery_edge("r", "d", 0.4, 1.0)
         problem.add_demand("d", "s", success_threshold=0.9999)
-        formulation = build_formulation(problem)
+        formulation = build_sparse_formulation(problem)
         lp_solution = formulation.solve()
         assert not lp_solution.is_optimal
         with pytest.raises(ValueError):
@@ -156,13 +157,13 @@ class TestExtensionsInFormulation:
         problem.add_delivery_edge("r", "d2", 0.02, 0.5)
         problem.add_demand("d1", "hd", 0.99)
         problem.add_demand("d2", "hd", 0.99)
-        plain = build_formulation(problem)
-        weighted = build_formulation(problem, ExtensionOptions(use_bandwidth=True))
-        plain_fanout = next(c for c in plain.model.constraints if c.name == "(3)[r]")
-        weighted_fanout = next(c for c in weighted.model.constraints if c.name == "(3)[r]")
+        plain = build_sparse_formulation(problem)
+        weighted = build_sparse_formulation(problem, ExtensionOptions(use_bandwidth=True))
+        (plain_fanout,) = formulation_families(plain)["(3)"]
+        (weighted_fanout,) = formulation_families(weighted)["(3)"]
         # Bandwidth 4 means each assignment consumes 4 units of fanout.
-        plain_coeffs = sorted(plain_fanout.expr.coeffs.values())
-        weighted_coeffs = sorted(weighted_fanout.expr.coeffs.values())
+        plain_coeffs = sorted(plain_fanout.coeffs.values())
+        weighted_coeffs = sorted(weighted_fanout.coeffs.values())
         assert max(weighted_coeffs) == pytest.approx(4.0)
         assert max(plain_coeffs) == pytest.approx(1.0)
 
@@ -176,10 +177,10 @@ class TestExtensionsInFormulation:
         problem.add_stream_edge("b", "r", 0.01, 1.0)
         problem.add_delivery_edge("r", "d", 0.02, 0.5)
         problem.add_demand("d", "a", 0.9)
-        formulation = build_formulation(
+        formulation = build_sparse_formulation(
             problem, ExtensionOptions(use_reflector_capacities=True)
         )
-        assert any(c.name.startswith("(8)") for c in formulation.model.constraints)
+        assert "(8)" in _families(formulation)
 
     def test_arc_capacity_constraint_added(self):
         problem = OverlayDesignProblem()
@@ -189,18 +190,16 @@ class TestExtensionsInFormulation:
         problem.add_stream_edge("a", "r", 0.01, 1.0)
         problem.add_delivery_edge("r", "d", 0.02, 0.5, capacity=1.0)
         problem.add_demand("d", "a", 0.9)
-        formulation = build_formulation(problem, ExtensionOptions(use_arc_capacities=True))
-        assert any(c.name.startswith("(7')") for c in formulation.model.constraints)
+        formulation = build_sparse_formulation(problem, ExtensionOptions(use_arc_capacities=True))
+        assert "(7')" in _families(formulation)
 
     def test_color_constraints_added_only_for_multi_member_groups(self, colored_problem):
-        formulation = build_formulation(
+        formulation = build_sparse_formulation(
             colored_problem, ExtensionOptions(use_color_constraints=True)
         )
-        color_constraints = [
-            c for c in formulation.model.constraints if c.name.startswith("(9)")
-        ]
+        color_constraints = formulation_families(formulation).get("(9)", [])
         assert color_constraints, "expected color constraints on a colored instance"
-        for constraint in color_constraints:
-            assert constraint.sense is Sense.LE
-            assert constraint.rhs == pytest.approx(1.0)
-            assert len(constraint.expr.coeffs) >= 2
+        for row in color_constraints:
+            assert row.sense is Sense.LE
+            assert row.rhs == pytest.approx(1.0)
+            assert len(row.coeffs) >= 2

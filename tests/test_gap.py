@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.formulation import build_formulation
+from repro.core.formulation import build_sparse_formulation
 from repro.core.gap import (
     SINK,
     SOURCE,
@@ -23,7 +23,7 @@ from repro.core.rounding import RoundingParameters, round_solution
 
 @pytest.fixture
 def rounded_tiny(tiny_problem):
-    formulation = build_formulation(tiny_problem)
+    formulation = build_sparse_formulation(tiny_problem)
     fractional = formulation.fractional_solution(formulation.solve()).support()
     return round_solution(tiny_problem, fractional, RoundingParameters(c=64.0, seed=0))
 
@@ -181,7 +181,7 @@ class TestGapSolve:
 
     def test_weight_preserved_at_least_quarter(self, small_random_problem):
         """Section-5 guarantee: final weight >= 1/4 of the requirement (with paper c)."""
-        formulation = build_formulation(small_random_problem)
+        formulation = build_sparse_formulation(small_random_problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         rounded = round_solution(
             small_random_problem, fractional, RoundingParameters(c=64.0, seed=1)
@@ -199,7 +199,7 @@ class TestGapSolve:
             assert delivered >= required / 4.0 - 1e-9
 
     def test_fanout_violation_bounded_by_four(self, small_random_problem):
-        formulation = build_formulation(small_random_problem)
+        formulation = build_sparse_formulation(small_random_problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         rounded = round_solution(
             small_random_problem, fractional, RoundingParameters(c=64.0, seed=3)

@@ -5,18 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.formulation import ExtensionOptions, build_formulation
+from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.path_rounding import (
+    _build_path_lp,
+    _enumerate_paths,
+    _solve_path_lp,
     arc_capacity_entangled_sets,
     color_entangled_sets,
     path_round,
 )
 from repro.core.problem import OverlayDesignProblem
 from repro.core.rounding import RoundingParameters, round_solution
+from repro.core.serialization import problem_from_dict, problem_to_dict
 
 
 def _rounded(problem, options=None, c=64.0, seed=0):
-    formulation = build_formulation(problem, options)
+    formulation = build_sparse_formulation(problem, options)
     fractional = formulation.fractional_solution(formulation.solve()).support()
     return round_solution(problem, fractional, RoundingParameters(c=c, seed=seed))
 
@@ -132,3 +136,61 @@ class TestPathRounding:
         a = path_round(colored_problem, rounded, rng=np.random.default_rng(11))
         b = path_round(colored_problem, rounded, rng=np.random.default_rng(11))
         assert a.assignments == b.assignments
+
+
+class TestPathLP:
+    def test_row_counts_per_family(self, colored_problem):
+        options = ExtensionOptions(use_color_constraints=True)
+        rounded = _rounded(colored_problem, options=options, seed=1)
+        entangled = color_entangled_sets(colored_problem, list(rounded.x))
+        paths, boxes = _enumerate_paths(colored_problem, rounded, keep_degenerate_box=True)
+        compiled, stats = _build_path_lp(colored_problem, paths, entangled)
+        rows = {block.name: block.rows for block in stats.blocks}
+        pairs = {path.key for path in paths}
+        assert list(rows) == ["(ii) box", "(i) pair", "(i) fanout", "(iii) entangled"]
+        assert rows["(ii) box"] == sum(len(demand_boxes) for demand_boxes in boxes.values())
+        assert rows["(i) pair"] == len(pairs)
+        assert rows["(i) fanout"] == len({reflector for reflector, _ in pairs})
+        assert rows["(iii) entangled"] == sum(1 for s in entangled if s.keys & pairs) > 0
+        assert compiled.A_eq.shape == (rows["(ii) box"], len(paths))
+        assert compiled.A_ub.shape == (
+            rows["(i) pair"] + rows["(i) fanout"] + rows["(iii) entangled"],
+            len(paths),
+        )
+        # Every path lies in exactly one box row and one pair row.
+        assert np.all(compiled.A_eq.sum(axis=0) == 1)
+        assert np.all(compiled.A_ub[: rows["(i) pair"]].sum(axis=0) == 1)
+        # Pair rows come in order of the pair's first path.
+        first_paths = [compiled.A_ub[row].indices.min() for row in range(rows["(i) pair"])]
+        assert first_paths == sorted(first_paths)
+
+    def test_arc_capacity_rows(self, small_random_problem):
+        # Cap every other delivery link of the random instance at one stream.
+        document = problem_to_dict(small_random_problem)
+        for i, edge in enumerate(document["delivery_edges"]):
+            if i % 2 == 0:
+                edge["capacity"] = 1.0
+        problem = problem_from_dict(document)
+        rounded = _rounded(problem, options=ExtensionOptions(use_arc_capacities=True))
+        entangled = arc_capacity_entangled_sets(problem, list(rounded.x))
+        paths, _boxes = _enumerate_paths(problem, rounded, keep_degenerate_box=True)
+        compiled, stats = _build_path_lp(problem, paths, entangled)
+        rows = {block.name: block for block in stats.blocks}
+        pairs = {path.key for path in paths}
+        assert rows["(iii) entangled"].rows == sum(1 for s in entangled if s.keys & pairs) > 0
+        assert rows["(iii) entangled"].nonzeros == sum(
+            1 for path in paths for s in entangled if path.key in s.keys
+        )
+        entangled_rhs = compiled.b_ub[-rows["(iii) entangled"].rows :]
+        assert np.all(entangled_rhs == 2.0)
+
+    def test_lp_solution_satisfies_every_row(self, colored_problem):
+        options = ExtensionOptions(use_color_constraints=True)
+        rounded = _rounded(colored_problem, options=options, seed=1)
+        entangled = color_entangled_sets(colored_problem, list(rounded.x))
+        paths, _boxes = _enumerate_paths(colored_problem, rounded, keep_degenerate_box=True)
+        compiled, _stats = _build_path_lp(colored_problem, paths, entangled)
+        values, objective = _solve_path_lp(colored_problem, paths, entangled)
+        assert np.allclose(compiled.A_eq @ values, 1.0)
+        assert np.all(compiled.A_ub @ values <= compiled.b_ub + 1e-9)
+        assert objective == pytest.approx(sum(p.cost / 2.0 * v for p, v in zip(paths, values)))

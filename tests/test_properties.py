@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import greedy_design
-from repro.core.formulation import build_formulation
+from repro.core.formulation import build_sparse_formulation
 from repro.core.gap import build_boxes_for_demand
 from repro.core.problem import Demand
 from repro.core.rounding import RoundingParameters, round_solution
@@ -41,7 +41,7 @@ class TestPipelineInvariants:
     @given(st.integers(0, 10_000))
     def test_lp_bound_below_feasible_greedy_cost(self, seed):
         problem = _instance(seed)
-        formulation = build_formulation(problem)
+        formulation = build_sparse_formulation(problem)
         lp = formulation.solve()
         assert lp.is_optimal
         greedy = greedy_design(problem)
@@ -52,16 +52,18 @@ class TestPipelineInvariants:
     @given(st.integers(0, 10_000))
     def test_fractional_solution_respects_lp_constraints(self, seed):
         problem = _instance(seed)
-        formulation = build_formulation(problem)
+        formulation = build_sparse_formulation(problem)
         lp = formulation.solve()
-        for constraint in formulation.model.constraints:
-            assert constraint.violation(lp.values) <= 1e-6
+        compiled = formulation.compiled
+        assert np.all(compiled.A_ub @ lp.values <= compiled.b_ub + 1e-6)
+        bounds = compiled.bounds
+        assert np.all((lp.values >= bounds[:, 0] - 1e-6) & (lp.values <= bounds[:, 1] + 1e-6))
 
     @_SETTINGS
     @given(st.integers(0, 10_000), st.floats(1.0, 64.0))
     def test_rounding_support_contained_in_fractional_support(self, seed, c):
         problem = _instance(seed)
-        formulation = build_formulation(problem)
+        formulation = build_sparse_formulation(problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         rounded = round_solution(
             problem, fractional, RoundingParameters(c=c, seed=seed)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.formulation import build_formulation
+from repro.core.formulation import build_sparse_formulation
 from repro.core.problem import OverlayDesignProblem
 from repro.core.rounding import RoundingParameters, audit_rounding, round_solution
 from repro.core.solution import OverlaySolution
@@ -155,7 +155,7 @@ class TestRoundingInvariants:
             RandomInstanceConfig(num_streams=1, num_reflectors=5, num_sinks=6),
             rng=seed % 997,
         )
-        formulation = build_formulation(problem)
+        formulation = build_sparse_formulation(problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         rounded = round_solution(
             problem, fractional, RoundingParameters(c=64.0, seed=seed)

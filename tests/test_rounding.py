@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.formulation import build_formulation
+from repro.core.formulation import build_sparse_formulation
 from repro.core.rounding import (
     RoundingParameters,
     audit_rounding,
@@ -19,7 +19,7 @@ from repro.core.rounding import (
 
 @pytest.fixture
 def fractional(tiny_problem):
-    formulation = build_formulation(tiny_problem)
+    formulation = build_sparse_formulation(tiny_problem)
     return formulation.fractional_solution(formulation.solve()).support()
 
 
@@ -117,7 +117,7 @@ class TestRoundingStructure:
 class TestRoundingGuarantees:
     def test_cost_at_most_multiplier_times_lp_in_expectation(self, small_random_problem):
         """Lemma 4.1: E[cost after rounding] <= c log n * LP optimum (checked by sampling)."""
-        formulation = build_formulation(small_random_problem)
+        formulation = build_sparse_formulation(small_random_problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         params = RoundingParameters(c=4.0)
         rng = np.random.default_rng(0)
@@ -132,7 +132,7 @@ class TestRoundingGuarantees:
 
     def test_paper_constants_satisfy_constraints_whp(self, small_random_problem):
         """With c = 64 (paper constants) a single draw almost always passes the audit."""
-        formulation = build_formulation(small_random_problem)
+        formulation = build_sparse_formulation(small_random_problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         params = RoundingParameters.paper_defaults()
         rng = np.random.default_rng(2)
@@ -157,7 +157,7 @@ class TestRoundingGuarantees:
 
     def test_audit_matches_per_demand_scan_bit_for_bit(self, small_random_problem):
         """The one-pass audit sums each demand in x order, like delivered_weight."""
-        formulation = build_formulation(small_random_problem)
+        formulation = build_sparse_formulation(small_random_problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         for seed in range(3):
             rounded = round_solution(
@@ -171,7 +171,7 @@ class TestRoundingGuarantees:
                 assert audit.weight_fraction[demand.key] == expected
 
     def test_retries_return_acceptable_draw(self, small_random_problem):
-        formulation = build_formulation(small_random_problem)
+        formulation = build_sparse_formulation(small_random_problem)
         fractional = formulation.fractional_solution(formulation.solve()).support()
         rounded, audit, attempts = round_solution_with_retries(
             small_random_problem,

@@ -340,6 +340,6 @@ class TestBenchCli:
 
     def test_scenario_catalogue_is_complete(self):
         assert {
-            "t1", "t2", "t3", "t4", "t5", "t5_sparse", "t6", "t7",
+            "t1", "t2", "t3", "t4", "t5", "t6", "t7",
             "c1", "c2", "f1", "f2", "f3", "tiny",
         } <= set(scenario_ids())
