@@ -21,7 +21,7 @@ from repro import DesignParameters, DesignRequest, run_request
 from repro.analysis import format_table
 from repro.core.extensions import color_constrained_parameters
 from repro.network.reliability import demand_success_probability
-from repro.simulation import FailureSchedule, SimulationConfig, simulate_solution
+from repro.simulation import FailureSchedule, MonteCarloConfig, run_monte_carlo
 from repro.workloads import AkamaiLikeConfig, generate_akamai_like_topology
 
 
@@ -80,10 +80,10 @@ def main() -> None:
         worst = None
         for victim in registry.names():
             schedule = FailureSchedule.single_isp_outage(victim, 10_000, fraction=1.0)
-            sim = simulate_solution(
+            sim = run_monte_carlo(
                 problem,
                 solution,
-                SimulationConfig(num_packets=10_000, failures=schedule, seed=5),
+                MonteCarloConfig(num_packets=10_000, trials=1, failures=schedule, seed=5),
                 node_isp=node_isp,
             )
             row = {

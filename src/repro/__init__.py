@@ -90,12 +90,7 @@ from repro.core.rounding import RoundingParameters
 from repro.core.solution import OverlaySolution
 from repro.incremental import ProblemDelta, apply_delta, diff_problems, invert_delta
 from repro.serve import ArtifactCache, DesignService, DesignSession
-from repro.simulation import (
-    MonteCarloConfig,
-    evaluate_design,
-    run_monte_carlo,
-    simulate_solution,
-)
+from repro.simulation import MonteCarloConfig, evaluate_design, run_monte_carlo
 
 __version__ = "1.2.0"
 
@@ -135,6 +130,5 @@ __all__ = [
     "repair_weight_shortfalls",
     "run_monte_carlo",
     "run_request",
-    "simulate_solution",
     "__version__",
 ]

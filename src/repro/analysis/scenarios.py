@@ -59,14 +59,12 @@ from repro.network.topology import NodeRole
 from repro.simulation import (
     FailureSchedule,
     MonteCarloConfig,
-    SimulationConfig,
     StreamingConfig,
     compile_path_table,
     evaluate_design,
     failure_scenario_names,
     run_monte_carlo,
     run_streaming_monte_carlo,
-    simulate_solution,
 )
 from repro.workloads import (
     AkamaiLikeConfig,
@@ -778,10 +776,10 @@ def c1_task(task: dict) -> list[dict]:
         ).solution
 
     def simulated_loss(problem_, solution_):
-        sim = simulate_solution(
+        sim = run_monte_carlo(
             problem_,
             solution_,
-            SimulationConfig(num_packets=task["packets"], seed=task["sim_seed"]),
+            MonteCarloConfig(num_packets=task["packets"], trials=1, seed=task["sim_seed"]),
         )
         return sim.mean_loss
 
@@ -965,188 +963,6 @@ register_scenario(
         validate=c2_validate,
         artifact="C2_ablation",
         description="Rounding multiplier, cutting-plane and degenerate-box ablations.",
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# R1 -- vectorized Monte-Carlo engine vs the legacy per-demand loop
-# ---------------------------------------------------------------------------
-
-R1_CONFIGS = {
-    "akamai-default": dict(),
-    "akamai-large": dict(num_regions=4, colos_per_region=6, num_streams=4),
-}
-
-
-def r1_task(task: dict) -> dict:
-    config = AkamaiLikeConfig(**R1_CONFIGS[task["instance"]])
-    topology, _registry = generate_akamai_like_topology(config, rng=task["rng"])
-    problem = topology.to_problem()
-    solution = get_designer("greedy").design(DesignRequest(problem=problem)).solution
-    packets, window = task["packets"], task["window"]
-
-    # Both engines are timed as `timing_reps` interleaved (legacy block,
-    # vectorized run) pairs, so a sustained slowdown of the machine (shared
-    # CI boxes, frequency scaling) hits both sides of a pair; the row
-    # reports both the peak and the median paired ratio, and validation
-    # gates on both (peak for the throughput claim, a median floor so one
-    # clean pair cannot carry a genuinely regressed engine).  The per-trial
-    # columns report each engine's best block.
-    reps = task["timing_reps"]
-    rng = np.random.default_rng(task["sim_seed"])
-    legacy_config = SimulationConfig(num_packets=packets, window=window)
-    mc_config = MonteCarloConfig(num_packets=packets, trials=task["trials"], window=window)
-    # One warm-up run per engine keeps allocator effects out of the timing.
-    simulate_solution(problem, solution, legacy_config, rng=np.random.default_rng(0))
-    run_monte_carlo(problem, solution, mc_config, rng=np.random.default_rng(0))
-    legacy_means = []
-    legacy_block_times = []
-    vectorized_times = []
-    report = None
-    for rep in range(reps):
-        start = time.perf_counter()
-        for _ in range(task["legacy_trials"]):
-            legacy_means.append(
-                simulate_solution(problem, solution, legacy_config, rng=rng).mean_loss
-            )
-        legacy_block_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        rep_report = run_monte_carlo(
-            problem,
-            solution,
-            mc_config,
-            rng=np.random.default_rng(task["sim_seed"] + 1 + rep),
-        )
-        vectorized_times.append(time.perf_counter() - start)
-        if report is None:
-            report = rep_report
-    paired_ratios = [
-        (block / task["legacy_trials"]) / (vec / task["trials"])
-        for block, vec in zip(legacy_block_times, vectorized_times)
-    ]
-
-    # Compat mode: bit-identical replay of the legacy draw order.
-    compat = run_monte_carlo(
-        problem,
-        solution,
-        MonteCarloConfig(num_packets=packets, trials=1, window=window, rng_mode="compat"),
-        rng=np.random.default_rng(task["compat_seed"]),
-    ).to_simulation_report(0)
-    reference = simulate_solution(
-        problem,
-        solution,
-        SimulationConfig(num_packets=packets, window=window),
-        rng=np.random.default_rng(task["compat_seed"]),
-    )
-    compat_exact = all(
-        a.demand_key == b.demand_key
-        and a.loss_rate == b.loss_rate
-        and a.worst_window_loss == b.worst_window_loss
-        and a.duplicates_discarded == b.duplicates_discarded
-        for a, b in zip(reference.demands, compat.demands)
-    )
-
-    legacy_mean = float(np.mean(legacy_means))
-    legacy_se = float(np.std(legacy_means, ddof=1) / np.sqrt(len(legacy_means)))
-    vec_se = float(
-        np.std(report.trial_mean_loss, ddof=1) / np.sqrt(report.trials)
-    )
-    legacy_per_trial = min(legacy_block_times) / task["legacy_trials"]
-    vectorized_per_trial = min(vectorized_times) / task["trials"]
-    return {
-        "instance": task["instance"],
-        "demands": problem.num_demands,
-        "packets": packets,
-        "vectorized_trials": task["trials"],
-        "legacy_trials": task["legacy_trials"] * reps,
-        "legacy_mean_loss": legacy_mean,
-        "vectorized_mean_loss": report.mean_loss,
-        "mean_loss_z_score": (report.mean_loss - legacy_mean)
-        / max(np.hypot(legacy_se, vec_se), 1e-12),
-        "compat_exact": bool(compat_exact),
-        "legacy_per_trial_seconds": legacy_per_trial,
-        "vectorized_per_trial_seconds": vectorized_per_trial,
-        # Peak paired ratio = the cleanest (least externally-disturbed)
-        # measurement pair; the median shows the typical ratio under whatever
-        # contention the machine had.  Shared hosts skew the ratio *down*
-        # (the batched engine is memory-bandwidth-bound, the legacy loop is
-        # dispatch-bound), so the peak is the right throughput claim.
-        "speedup_vs_legacy": float(np.max(paired_ratios)),
-        "median_speedup_vs_legacy": float(np.median(paired_ratios)),
-    }
-
-
-def r1_tasks(master_seed: int, smoke: bool) -> list[dict]:
-    instances = ["akamai-default"] if smoke else ["akamai-default", "akamai-large"]
-    return [
-        {
-            "instance": instance,
-            "rng": index,
-            "packets": 1000 if smoke else 2000,
-            "window": 200,
-            "trials": 100 if smoke else 400,
-            "legacy_trials": 4 if smoke else 15,
-            "timing_reps": 3 if smoke else 6,
-            "sim_seed": master_seed * 1000 + index,
-            "compat_seed": master_seed * 1000 + 500 + index,
-        }
-        for index, instance in enumerate(instances)
-    ]
-
-
-def r1_validate(record: BenchRecord) -> list[str]:
-    failures = []
-    # Timing thresholds are generous in smoke mode: CI boxes are noisy and
-    # run scenarios in parallel.  Full runs enforce the real target on the
-    # peak paired ratio plus a median floor -- the peak carries the
-    # throughput claim (contention skews ratios down, the vectorized engine
-    # being memory-bandwidth-bound), while the median floor ensures a
-    # genuine engine regression cannot hide behind one noisy pair.
-    required_peak = 2.0 if record.smoke else 20.0
-    required_median = 1.5 if record.smoke else 10.0
-    for row in record.rows:
-        if not row["compat_exact"]:
-            failures.append(
-                f"{row['instance']}: compat RNG mode is not bit-identical to the legacy engine"
-            )
-        if abs(row["mean_loss_z_score"]) > 4.0:
-            failures.append(
-                f"{row['instance']}: engine means differ by z = {row['mean_loss_z_score']:.2f}"
-            )
-        if row["speedup_vs_legacy"] < required_peak:
-            failures.append(
-                f"{row['instance']}: vectorized engine only "
-                f"{row['speedup_vs_legacy']:.1f}x faster than the legacy loop "
-                f"(peak >= {required_peak:g}x required)"
-            )
-        if row["median_speedup_vs_legacy"] < required_median:
-            failures.append(
-                f"{row['instance']}: median paired speedup "
-                f"{row['median_speedup_vs_legacy']:.1f}x below the "
-                f"{required_median:g}x floor (engine regression?)"
-            )
-    return failures
-
-
-register_scenario(
-    ScenarioSpec(
-        scenario_id="r1",
-        title="R1: vectorized Monte-Carlo engine vs the legacy per-demand loop",
-        task_fn=r1_task,
-        make_tasks=r1_tasks,
-        policies={
-            # Both engines run fixed seeds, so their measured means are
-            # deterministic; the z-score column guards statistical agreement.
-            "legacy_mean_loss": MetricPolicy("equal", rel_tol=1e-6, abs_tol=1e-9),
-            "vectorized_mean_loss": MetricPolicy("equal", rel_tol=1e-6, abs_tol=1e-9),
-            "compat_exact": MetricPolicy("higher", rel_tol=0.0),
-        },
-        validate=r1_validate,
-        artifact="R1_reliability_engine",
-        suites=("reliability",),
-        description="Throughput and statistical equivalence of the batched engine "
-        "(compat mode must be bit-identical; full runs require >= 20x).",
     )
 )
 
@@ -1709,8 +1525,8 @@ def t8_task(task: dict) -> dict:
         "stitch_unresolved_overloads": sharded.metadata["stitch_unresolved_overloads"],
         "monolithic_seconds": monolithic_seconds,
         "sharded_seconds": sharded_seconds,
-        # Wall-clock-derived; deliberately NOT a comparable metric (like the
-        # R1 engine speedup, it is gated by validate, not by the baseline).
+        # Wall-clock-derived; deliberately NOT a comparable metric (it is
+        # gated by validate, not by the baseline).
         "speedup_vs_monolithic": monolithic_seconds / max(sharded_seconds, 1e-9),
     }
 

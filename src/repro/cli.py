@@ -63,8 +63,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from repro.analysis import audit_solution, compare_designs, format_table
 from repro.api import (
     DesignRequest,
@@ -84,7 +82,6 @@ from repro.core.serialization import (
     load_problem,
     load_solution,
 )
-from repro.simulation import SimulationConfig, simulate_solution
 from repro.workloads import (
     AkamaiLikeConfig,
     AsGeoConfig,
@@ -660,6 +657,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not args.problem or not args.solution:
         print("error: --problem and --solution are required", file=sys.stderr)
         return 2
+    for flag, value in (
+        ("--packets", args.packets),
+        ("--trials", args.trials),
+        ("--window", args.window),
+    ):
+        if value <= 0:
+            print(f"error: {flag} must be positive, got {value}", file=sys.stderr)
+            return 2
     try:
         jobs = resolve_jobs(args.jobs)
     except ValueError as error:
@@ -695,13 +700,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
 
     if args.scenario:
-        if args.engine not in ("auto", "vectorized"):
-            print(
-                f"error: --engine {args.engine} cannot drive a scenario sweep "
-                "(sweeps always use the vectorized engine)",
-                file=sys.stderr,
-            )
-            return 2
         # A --scenario value that looks like a path is a DSL document: it is
         # validated, registered, and swept under its own name.
         selections: list[str] = []
@@ -743,7 +741,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "solution": args.solution,
                 "packets": args.packets,
                 "trials": args.trials,
-                "window": args.window if args.window is not None else 200,
+                "window": args.window,
                 "seed": args.seed,
                 "stream": args.stream,
                 "traces": traces,
@@ -771,12 +769,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     solution = load_solution(args.solution, problem)
 
     if args.stream:
-        if args.engine not in ("auto", "vectorized"):
-            print(
-                f"error: --engine {args.engine} cannot be combined with --stream",
-                file=sys.stderr,
-            )
-            return 2
         from repro.simulation import (
             StreamingConfig,
             StreamingMemoryError,
@@ -786,7 +778,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = StreamingConfig(
             num_packets=args.packets,
             trials=args.trials,
-            window=args.window if args.window is not None else 200,
+            window=args.window,
             seed=args.seed,
             demand_tile=args.demand_tile,
             trial_tile=args.trial_tile,
@@ -822,42 +814,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(format_table(trace_rows, title=f"trace replay: {name}"))
         return 0
 
-    engine = args.engine
-    if engine == "auto":
-        engine = "legacy" if args.trials == 1 else "vectorized"
-    if engine == "legacy":
-        if args.trials != 1:
-            print("error: --engine legacy simulates a single trial", file=sys.stderr)
-            return 2
-        window_kwargs = {"window": args.window} if args.window is not None else {}
-        config = SimulationConfig(num_packets=args.packets, seed=args.seed, **window_kwargs)
-        sim = simulate_solution(
-            problem, solution, config, rng=np.random.default_rng(args.seed)
-        )
-        rows = [
-            {
-                "demand": f"{key[0]}/{key[1]}",
-                "paths": result.paths,
-                "loss_rate": result.loss_rate,
-                "worst_window_loss": result.worst_window_loss,
-                "meets_threshold": result.meets_threshold,
-            }
-            for key, result in ((r.demand_key, r) for r in sim.demands)
-        ]
-        print(format_table(rows, title=f"packet simulation ({args.packets} packets)"))
-        print(
-            f"\nmean loss {sim.mean_loss:.4f}; "
-            f"{sim.fraction_meeting_threshold:.0%} of demands within budget"
-        )
-        return 0
-
     batch_kwargs = {"max_batch_bytes": max_memory} if max_memory is not None else {}
     config = MonteCarloConfig(
         num_packets=args.packets,
         trials=args.trials,
-        window=args.window if args.window is not None else 200,
+        window=args.window,
         seed=args.seed,
-        rng_mode="compat" if engine == "compat" else "batched",
         **batch_kwargs,
     )
     report = run_monte_carlo(problem, solution, config)
@@ -878,8 +840,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             title=f"Monte-Carlo simulation ({args.trials} trials x {args.packets} packets)",
         )
     )
+    # One trial has no spread to report; a "+- 0" interval would overstate it.
+    ci = f" +- {report.mean_loss_ci_halfwidth:.4f} (95% CI)" if args.trials > 1 else ""
     print(
-        f"\nmean loss {report.mean_loss:.4f} +- {report.mean_loss_ci_halfwidth:.4f} (95% CI); "
+        f"\nmean loss {report.mean_loss:.4f}{ci}; "
         f"{report.fraction_meeting_threshold:.0%} of demand-trials within budget"
     )
     return 0
@@ -1414,14 +1378,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=1,
-        help="Monte-Carlo trials (>1 switches to the vectorized engine)",
+        help="Monte-Carlo trials: independent packet sessions (default: 1)",
     )
     simulate.add_argument(
         "--window",
         type=int,
-        default=None,
-        help="worst-window statistic size in packets (defaults: 500 for single "
-        "legacy replays, 200 for Monte-Carlo runs)",
+        default=200,
+        help="worst-window statistic size in packets (default: 200)",
     )
     simulate.add_argument(
         "--scenario",
@@ -1429,13 +1392,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="failure scenario(s) to sweep (repeatable / comma-separated; 'all' "
         "for the whole catalogue; a .json/.yaml path compiles and sweeps a "
         "scenario DSL document; see --list-scenarios and docs/scenarios.md)",
-    )
-    simulate.add_argument(
-        "--engine",
-        choices=["auto", "legacy", "vectorized", "compat"],
-        default="auto",
-        help="auto picks legacy for --trials 1, vectorized otherwise; compat "
-        "replays the legacy draw order bit-for-bit",
     )
     simulate.add_argument(
         "--list-scenarios",

@@ -6,19 +6,14 @@ post-reconstruction loss* at each edgeserver: the fraction of packets that no
 reflector path delivered in time.  This subpackage simulates exactly that
 process for any :class:`repro.core.OverlaySolution`:
 
-* :mod:`repro.simulation.packets` -- packet-session bookkeeping and windowed
-  loss statistics (vectorized ``reduceat`` folds);
-* :mod:`repro.simulation.transport` -- per-link loss sampling and two-hop
-  delivery masks (vectorised with numpy);
-* :mod:`repro.simulation.reconstruction` -- the edgeserver's duplicate
-  suppression / hole filling (a packet survives if *any* copy arrives);
+* :mod:`repro.simulation.packets` -- packet-window bookkeeping;
 * :mod:`repro.simulation.failures` -- injected events (ISP outages, node and
   regional failures, congestion) plus correlated failure samplers;
-* :mod:`repro.simulation.engine` -- the legacy per-demand driver
-  (:func:`simulate_solution`), one session at a time;
 * :mod:`repro.simulation.montecarlo` -- the batched Monte-Carlo engine
-  (:func:`run_monte_carlo`): all demands x all trials as numpy arrays, with a
-  bit-compatible ``rng_mode="compat"`` anchored to the legacy engine;
+  (:func:`run_monte_carlo`): all demands x all trials as bit-packed numpy
+  arrays; the shared source->reflector draw is broadcast to every path behind
+  a reflector, and the edgeserver's reconstruction (a packet survives if
+  *any* copy arrives) is a bitwise fold over each demand's paths;
 * :mod:`repro.simulation.streaming` -- the memory-bounded streaming audit
   (:func:`run_streaming_monte_carlo`): tiles the demands x trials plane,
   folds exact mergeable accumulators per tile, flat RSS in the trial count;
@@ -34,7 +29,7 @@ process for any :class:`repro.core.OverlaySolution`:
   access; see ``docs/scenarios.md``).
 
 The engines are the empirical cross-check for the analytic reliability claims
-and the workhorse of the C1/T6/R1/R2 benchmarks; see ``docs/simulation.md``
+and the workhorse of the C1/R2/R3 benchmarks; see ``docs/simulation.md``
 for the design and the RNG/determinism contract.
 """
 
@@ -47,7 +42,6 @@ from repro.simulation.dsl import (
     register_scenario_file,
     shipped_scenario_paths,
 )
-from repro.simulation.engine import SimulationConfig, SimulationReport, simulate_solution
 from repro.simulation.failures import (
     FailureEvent,
     FailureSchedule,
@@ -64,8 +58,6 @@ from repro.simulation.montecarlo import (
     run_monte_carlo,
     slice_path_table,
 )
-from repro.simulation.packets import StreamSession
-from repro.simulation.reconstruction import post_reconstruction_loss, reconstruct
 from repro.simulation.scenarios import (
     FailureScenario,
     ScenarioContext,
@@ -95,7 +87,6 @@ from repro.simulation.traces import (
     load_trace_names,
     register_load_trace,
 )
-from repro.simulation.transport import simulate_demand_paths, simulate_link_losses
 
 __all__ = [
     "DemandReliability",
@@ -110,9 +101,6 @@ __all__ = [
     "ScenarioRealization",
     "ScenarioValidationError",
     "SessionActivity",
-    "SimulationConfig",
-    "SimulationReport",
-    "StreamSession",
     "StreamingAccumulator",
     "StreamingConfig",
     "StreamingMemoryError",
@@ -129,9 +117,7 @@ __all__ = [
     "load_scenario_file",
     "load_trace_names",
     "normalize_scenario_spec",
-    "post_reconstruction_loss",
     "realize_scenario",
-    "reconstruct",
     "reflector_betweenness",
     "register_failure_scenario",
     "register_load_trace",
@@ -144,8 +130,5 @@ __all__ = [
     "sample_flash_crowd_congestion",
     "sample_isp_outage_schedule",
     "sample_regional_outage_schedule",
-    "simulate_demand_paths",
-    "simulate_link_losses",
-    "simulate_solution",
     "slice_path_table",
 ]

@@ -1,9 +1,8 @@
 """Batched Monte-Carlo reliability engine.
 
-:func:`simulate_solution` replays one packet session demand by demand in
-Python; estimating tail reliability under correlated failures needs hundreds
-of trials over every demand, which the per-demand loop cannot sustain.  This
-module simulates *all demands x all trials* as numpy arrays:
+Estimating tail reliability under correlated failures needs hundreds of
+packet sessions over every demand.  This module simulates *all demands x all
+trials* as numpy arrays:
 
 * the (problem, solution) pair is compiled once into a :class:`PathTable` --
   flat arrays of first-hop links, per-path second-hop losses, forced-loss
@@ -16,21 +15,14 @@ module simulates *all demands x all trials* as numpy arrays:
   reconstruction is a bitwise-AND fold over each demand's path block (a
   packet is lost iff *every* copy lost it);
 * loss counts and the worst-window statistic come from byte popcounts folded
-  per window (non-byte-aligned windows unpack first;
-  :func:`~repro.simulation.packets.windowed_loss_matrix` is the boolean-mask
-  reference the fold is tested against).
+  per window (non-byte-aligned windows unpack first).
 
 Determinism contract
 --------------------
-``rng_mode="batched"`` (the default) consumes randomness in large blocks: a
-run is reproducible from ``(seed, trials, num_packets, loss model, failure
-schedule, max_batch_bytes)`` and produces loss statistics *statistically
-equivalent* to :func:`simulate_solution` (the differential tests pin this).
-``rng_mode="compat"`` replays the legacy engine's exact per-link draw order
-trial by trial and is *bit-identical* to calling :func:`simulate_solution`
-repeatedly with the same generator -- the anchor the batched mode is verified
-against.  Worst-window statistics use windows that are cheapest when
-``window`` is a multiple of 8 (byte-aligned popcount folds).
+Randomness is consumed in large blocks: a run is reproducible from ``(seed,
+trials, num_packets, loss model, failure schedule, max_batch_bytes)``.
+Worst-window statistics use windows that are cheapest when ``window`` is a
+multiple of 8 (byte-aligned popcount folds).
 """
 
 from __future__ import annotations
@@ -46,16 +38,8 @@ from repro.network.loss import (
     LossModel,
     sample_bernoulli_positions,
 )
-from repro.simulation.engine import (
-    DemandSimulationResult,
-    SimulationConfig,
-    SimulationReport,
-    simulate_solution,
-)
 from repro.simulation.failures import FailureSchedule
 from repro.simulation.packets import window_starts
-
-RNG_MODES = ("batched", "compat")
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
     _popcount = np.bitwise_count
@@ -87,13 +71,10 @@ class MonteCarloConfig:
     seed:
         Seed of the engine generator (ignored when an explicit generator is
         passed to :func:`run_monte_carlo`).
-    rng_mode:
-        ``"batched"`` (fast, block randomness) or ``"compat"``
-        (bit-identical to the legacy engine, trial by trial).
     max_batch_bytes:
         Approximate working-set bound; trials are chunked so intermediate
-        matrices stay under it.  Part of the determinism contract of the
-        batched mode (chunk boundaries shift the random-block layout).
+        matrices stay under it.  Part of the determinism contract (chunk
+        boundaries shift the random-block layout).
     """
 
     num_packets: int = 2000
@@ -102,7 +83,6 @@ class MonteCarloConfig:
     loss_model: LossModel = field(default_factory=BernoulliLossModel)
     failures: FailureSchedule = field(default_factory=FailureSchedule)
     seed: int | None = None
-    rng_mode: str = "batched"
     max_batch_bytes: int = 64 * 2**20
 
     def __post_init__(self) -> None:
@@ -112,8 +92,6 @@ class MonteCarloConfig:
             raise ValueError("trials must be positive")
         if self.window <= 0:
             raise ValueError("window must be positive")
-        if self.rng_mode not in RNG_MODES:
-            raise ValueError(f"rng_mode must be one of {RNG_MODES}, got {self.rng_mode!r}")
         if self.max_batch_bytes <= 0:
             raise ValueError("max_batch_bytes must be positive")
 
@@ -292,7 +270,6 @@ class MonteCarloReport:
     num_packets: int
     trials: int
     window: int
-    rng_mode: str
     demands: list[DemandReliability]
 
     @property
@@ -345,23 +322,6 @@ class MonteCarloReport:
             if result.demand_key == demand_key:
                 return result
         raise KeyError(f"no Monte-Carlo result for demand {demand_key}")
-
-    def to_simulation_report(self, trial: int = 0) -> SimulationReport:
-        """Project one trial onto the legacy :class:`SimulationReport` shape."""
-        if not 0 <= trial < self.trials:
-            raise IndexError(f"trial {trial} outside [0, {self.trials})")
-        rows = [
-            DemandSimulationResult(
-                demand_key=d.demand_key,
-                threshold=d.threshold,
-                paths=d.paths,
-                loss_rate=float(d.loss[trial]),
-                worst_window_loss=float(d.worst_window[trial]),
-                duplicates_discarded=int(d.duplicates[trial]),
-            )
-            for d in self.demands
-        ]
-        return SimulationReport(num_packets=self.num_packets, demands=rows)
 
     def summary(self) -> dict:
         return {
@@ -585,15 +545,13 @@ def run_monte_carlo(
     """Run the batched Monte-Carlo simulation of ``solution`` on ``problem``.
 
     ``node_isp`` maps node names to ISP names for ISP-outage events; it
-    defaults to the reflector colors recorded in the problem, exactly like
-    :func:`simulate_solution`.
+    defaults to the reflector colors recorded in the problem.
 
     ``table`` supplies a pre-compiled :class:`PathTable` (e.g. from the
     serving cache) and must come from :func:`compile_path_table` over the
     *same* ``(problem, solution, config.failures, config.num_packets,
     node_isp)`` -- the table is a pure function of those inputs, so a valid
-    supplied table only skips the compile pass.  Ignored in ``compat`` mode,
-    which replays the legacy per-packet path.
+    supplied table only skips the compile pass.
     """
     config = config or MonteCarloConfig()
     if node_isp is None:
@@ -601,9 +559,6 @@ def run_monte_carlo(
     config.failures.validate_for_session(config.num_packets)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if config.rng_mode == "compat":
-        return _run_compat(problem, solution, config, rng, node_isp)
-
     if table is None:
         table = compile_path_table(
             problem, solution, config.failures, config.num_packets, node_isp
@@ -663,54 +618,6 @@ def run_monte_carlo(
         num_packets=num_packets,
         trials=config.trials,
         window=config.window,
-        rng_mode=config.rng_mode,
         demands=demands,
     )
 
-
-def _run_compat(
-    problem: OverlayDesignProblem,
-    solution: OverlaySolution,
-    config: MonteCarloConfig,
-    rng: np.random.Generator,
-    node_isp: dict[str, str | None],
-) -> MonteCarloReport:
-    """Trial-by-trial replay through the legacy engine (bit-identical anchor).
-
-    Trial ``t`` consumes exactly the draws that the ``t+1``-th call of
-    :func:`simulate_solution` on the same generator would, so a compat run
-    with ``trials=n`` equals ``n`` consecutive legacy runs, number for number.
-    """
-    legacy = SimulationConfig(
-        num_packets=config.num_packets,
-        loss_model=config.loss_model,
-        failures=config.failures,
-        window=config.window,
-    )
-    per_demand: dict[tuple[str, str], list[DemandSimulationResult]] = {}
-    for _ in range(config.trials):
-        report = simulate_solution(problem, solution, legacy, rng=rng, node_isp=node_isp)
-        for result in report.demands:
-            per_demand.setdefault(result.demand_key, []).append(result)
-    demands = [
-        DemandReliability(
-            demand_key=demand.key,
-            threshold=demand.success_threshold,
-            paths=per_demand[demand.key][0].paths,
-            loss=np.asarray([r.loss_rate for r in per_demand[demand.key]]),
-            worst_window=np.asarray(
-                [r.worst_window_loss for r in per_demand[demand.key]]
-            ),
-            duplicates=np.asarray(
-                [r.duplicates_discarded for r in per_demand[demand.key]], dtype=np.int64
-            ),
-        )
-        for demand in problem.demands
-    ]
-    return MonteCarloReport(
-        num_packets=config.num_packets,
-        trials=config.trials,
-        window=config.window,
-        rng_mode=config.rng_mode,
-        demands=demands,
-    )

@@ -1,40 +1,8 @@
-"""Packet-session bookkeeping for the streaming simulation."""
+"""Packet-window bookkeeping shared by the Monte-Carlo engines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class StreamSession:
-    """One simulated delivery session of a stream.
-
-    Attributes
-    ----------
-    stream:
-        Stream (commodity) name.
-    num_packets:
-        Number of packets simulated.  At typical live bitrates a packet is a
-        few milliseconds of media, so 10,000 packets is on the order of half a
-        minute of playback -- enough for the loss-rate estimate to stabilise.
-    """
-
-    stream: str
-    num_packets: int
-
-    def __post_init__(self) -> None:
-        if self.num_packets <= 0:
-            raise ValueError(f"num_packets must be positive, got {self.num_packets}")
-
-
-def loss_rate(received: np.ndarray) -> float:
-    """Fraction of packets lost given a boolean *received* mask."""
-    received = np.asarray(received, dtype=bool)
-    if received.size == 0:
-        return 1.0
-    return float(1.0 - received.mean())
 
 
 def window_starts(num_packets: int, window: int) -> np.ndarray:
@@ -42,39 +10,3 @@ def window_starts(num_packets: int, window: int) -> np.ndarray:
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     return np.arange(0, num_packets, window)
-
-
-def window_loss_rates(received: np.ndarray, window: int) -> np.ndarray:
-    """Loss rate per consecutive window of ``window`` packets.
-
-    Mirrors the 5-minute-bucket accounting of bandwidth contracts
-    (Section 1.2) and lets callers inspect worst-case intervals (e.g. during
-    an injected ISP outage) rather than only the session average.  The last
-    window may be shorter; rates are exact (integer counts over the window
-    size), computed in one ``reduceat`` pass rather than a Python loop.
-    """
-    received = np.asarray(received, dtype=bool)
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    if received.size == 0:
-        return np.empty(0)
-    starts = window_starts(received.size, window)
-    counts = np.add.reduceat(received, starts, dtype=np.int64)
-    sizes = np.diff(np.append(starts, received.size))
-    return 1.0 - counts / sizes
-
-
-def windowed_loss_matrix(lost: np.ndarray, window: int) -> np.ndarray:
-    """Per-window loss rates for a batched ``(..., num_packets)`` lost mask.
-
-    The packet axis is folded into windows with a single ``reduceat`` over
-    the last axis, yielding a ``(..., num_windows)`` float matrix whose
-    maximum along the last axis is the worst-window loss statistic.  This is
-    the boolean-mask counterpart of the Monte-Carlo engine's byte-popcount
-    window fold and the reference the engine is tested against.
-    """
-    lost = np.asarray(lost, dtype=bool)
-    starts = window_starts(lost.shape[-1], window)
-    counts = np.add.reduceat(lost, starts, axis=-1, dtype=np.int64)
-    sizes = np.diff(np.append(starts, lost.shape[-1]))
-    return counts / sizes

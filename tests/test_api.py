@@ -507,7 +507,6 @@ def test_api_surface_snapshot():
             "repair_weight_shortfalls",
             "run_monte_carlo",
             "run_request",
-            "simulate_solution",
             "__version__",
         ]
     )

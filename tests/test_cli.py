@@ -139,8 +139,8 @@ class TestDesignEvaluateSimulate:
             == 0
         )
         simulation = capsys.readouterr().out
-        assert "loss_rate" in simulation
-        assert "mean loss" in simulation
+        assert "Monte-Carlo simulation (1 trials x 2000 packets)" in simulation
+        assert "mean loss" in simulation and "95% CI" not in simulation
 
     def test_compare(self, problem_file, capsys):
         assert main(["compare", "--problem", problem_file, "--seed", "1"]) == 0
@@ -436,45 +436,17 @@ class TestSimulateMonteCarlo:
         assert "Monte-Carlo simulation (8 trials x 400 packets)" in output
         assert "mean_loss" in output and "95% CI" in output
 
-    def test_compat_engine_matches_legacy_output(self, problem_file, solution_file, capsys):
-        args = [
-            "simulate",
-            "--problem",
-            problem_file,
-            "--solution",
-            solution_file,
-            "--packets",
-            "500",
-            "--seed",
-            "4",
+    @pytest.mark.parametrize("mode", ["single", "stream", "scenario"])
+    @pytest.mark.parametrize("flag", ["--packets", "--trials", "--window"])
+    def test_non_positive_numeric_flag_is_a_clean_error(
+        self, problem_file, solution_file, capsys, flag, mode
+    ):
+        args = ["simulate", "--problem", problem_file, "--solution", solution_file]
+        args += {"single": [], "stream": ["--stream"], "scenario": ["--scenario", "baseline"]}[
+            mode
         ]
-        assert main(args) == 0
-        legacy = capsys.readouterr().out
-        assert main(args + ["--engine", "compat", "--window", "500"]) == 0
-        compat = capsys.readouterr().out
-        # Same seed, same draw order: the measured numbers agree exactly.
-        def mean_loss(text):
-            line = next(ln for ln in text.splitlines() if ln.startswith("mean loss"))
-            return line.split()[2].rstrip(";")
-
-        assert mean_loss(legacy) == mean_loss(compat)
-
-    def test_legacy_engine_rejects_multiple_trials(self, problem_file, solution_file, capsys):
-        code = main(
-            [
-                "simulate",
-                "--problem",
-                problem_file,
-                "--solution",
-                solution_file,
-                "--trials",
-                "4",
-                "--engine",
-                "legacy",
-            ]
-        )
-        assert code == 2
-        assert "single trial" in capsys.readouterr().err
+        assert main(args + [flag, "0"]) == 2
+        assert f"error: {flag} must be positive, got 0" in capsys.readouterr().err
 
     def test_scenario_sweep(self, problem_file, solution_file, capsys):
         code = main(
@@ -649,7 +621,7 @@ class TestBenchSuites:
     def test_list_shows_reliability_tag(self, capsys):
         assert main(["bench", "--list"]) == 0
         output = capsys.readouterr().out
-        assert "r1" in output and "r2" in output and "reliability" in output
+        assert "r2" in output and "r3" in output and "reliability" in output
 
     def test_list_shows_suite_tags_for_every_scenario(self, capsys):
         from repro.analysis.runner import scenario_ids, suite_tags
@@ -658,7 +630,7 @@ class TestBenchSuites:
         output = capsys.readouterr().out
         tagged = {sid for members in suite_tags().values() for sid in members}
         # Every built-in scenario carries at least one suite tag, and the
-        # listing prints the tags so e.g. r1/r2 and t8 are distinguishable
+        # listing prints the tags so e.g. r2/r3 and t8 are distinguishable
         # from the paper suite at a glance.  (Underscore-prefixed ids are
         # synthetic test doubles registered by other test modules.)
         builtin = {sid for sid in scenario_ids() if not sid.startswith("_")}
@@ -670,7 +642,7 @@ class TestBenchSuites:
         from repro.analysis.runner import expand_scenario_ids
 
         assert expand_scenario_ids(["scale"]) == ["i1", "r3", "t8"]
-        assert expand_scenario_ids(["reliability"]) == ["a1", "r1", "r2", "r3"]
+        assert expand_scenario_ids(["reliability"]) == ["a1", "r2", "r3"]
 
     def test_reliability_suite_smoke(self, tmp_path, capsys):
         code = main(
@@ -687,9 +659,9 @@ class TestBenchSuites:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "R1" in output and "R2" in output
-        assert (tmp_path / "BENCH_R1.json").exists()
+        assert "R2" in output and "R3" in output
         assert (tmp_path / "BENCH_R2.json").exists()
+        assert (tmp_path / "BENCH_R3.json").exists()
 
 
 class TestParser:

@@ -16,16 +16,16 @@ from repro.simulation import (
     FailureEvent,
     FailureSchedule,
     MonteCarloConfig,
-    SimulationConfig,
+    StreamingConfig,
     evaluate_design,
     failure_scenario_names,
     get_failure_scenario,
     realize_scenario,
     run_monte_carlo,
+    run_streaming_monte_carlo,
     sample_flash_crowd_congestion,
     sample_isp_outage_schedule,
     sample_regional_outage_schedule,
-    simulate_solution,
 )
 from repro.network.loss import BernoulliLossModel, GilbertElliottLossModel
 from repro.core.problem import OverlayDesignProblem
@@ -92,16 +92,16 @@ class TestFailureSchedule:
         solution = OverlaySolution.from_assignments(tiny_problem, {("d1", "s"): ["r1"]})
         schedule = FailureSchedule([FailureEvent("reflector_crash", "r1", 500, 600)])
         with pytest.raises(ValueError, match="silently never fire"):
-            simulate_solution(
-                tiny_problem,
-                solution,
-                SimulationConfig(num_packets=100, failures=schedule, seed=0),
-            )
-        with pytest.raises(ValueError, match="silently never fire"):
             run_monte_carlo(
                 tiny_problem,
                 solution,
                 MonteCarloConfig(num_packets=100, trials=2, window=8, failures=schedule),
+            )
+        with pytest.raises(ValueError, match="silently never fire"):
+            run_streaming_monte_carlo(
+                tiny_problem,
+                solution,
+                StreamingConfig(num_packets=100, trials=2, window=8, failures=schedule),
             )
 
     def test_link_loss_profile_combines_outage_and_congestion(self):

@@ -10,7 +10,7 @@ from repro.baselines import greedy_design, naive_quality_first_design, single_tr
 from repro.core.extensions import color_constrained_parameters
 from repro.core.rounding import RoundingParameters
 from repro.network.reliability import solution_reliability_summary
-from repro.simulation import FailureSchedule, SimulationConfig, simulate_solution
+from repro.simulation import FailureSchedule, MonteCarloConfig, run_monte_carlo
 from repro.workloads import (
     AkamaiLikeConfig,
     FlashCrowdConfig,
@@ -44,13 +44,13 @@ class TestAkamaiWorkloadEndToEnd:
         below = solution.demands_below_threshold()
         assert len(below) <= max(1, problem.num_demands // 10)
         # Simulated: measured loss within each demand's budget (with slack for noise).
-        sim = simulate_solution(
-            problem, solution, SimulationConfig(num_packets=20_000, seed=2)
+        sim = run_monte_carlo(
+            problem, solution, MonteCarloConfig(num_packets=20_000, trials=1, seed=2)
         )
         for demand in problem.demands:
             result = sim.result_for(demand.key)
             analytic_loss = solution.failure_probability(demand)
-            assert result.loss_rate == pytest.approx(analytic_loss, abs=0.01)
+            assert result.mean_loss == pytest.approx(analytic_loss, abs=0.01)
 
     def test_algorithm_cheaper_than_naive_with_comparable_quality(self, akamai_setup):
         _topology, _registry, problem = akamai_setup
@@ -96,10 +96,10 @@ class TestAkamaiWorkloadEndToEnd:
         # ISP but keeps edgeservers reachable).
         node_isp = {r: problem.color(r) for r in problem.reflectors}
         schedule = FailureSchedule.single_isp_outage(victim, 10_000, fraction=1.0)
-        sim = simulate_solution(
+        sim = run_monte_carlo(
             problem,
             solution,
-            SimulationConfig(num_packets=10_000, failures=schedule, seed=3),
+            MonteCarloConfig(num_packets=10_000, trials=1, failures=schedule, seed=3),
             node_isp=node_isp,
         )
         from repro.network.reliability import demand_success_probability
@@ -112,7 +112,7 @@ class TestAkamaiWorkloadEndToEnd:
                 failed_isps={victim},
                 reflector_isp={r: node_isp.get(r) for r in problem.reflectors},
             )
-            measured_loss = sim.result_for(demand.key).loss_rate
+            measured_loss = sim.result_for(demand.key).mean_loss
             assert measured_loss == pytest.approx(1.0 - expected_success, abs=0.02)
 
 

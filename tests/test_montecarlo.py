@@ -1,18 +1,22 @@
-"""The batched Monte-Carlo engine: unit, compat and differential tests.
+"""The batched Monte-Carlo engine: unit and differential tests.
 
-The differential tests are the engine's correctness anchor:
+The differential tests against the per-demand oracle (``tests/sim_oracle.py``)
+are the engine's correctness anchor:
 
-* ``compat`` RNG mode must be *bit-identical* to consecutive
-  :func:`repro.simulation.simulate_solution` calls on the same generator;
-* the batched mode must be *statistically equivalent* to the legacy engine on
-  seeded workloads -- per-demand means inside joint confidence bounds.
+* with a link-keyed loss model (every link's mask a pure function of the
+  link) the engine must reproduce the oracle *exactly*: loss counts,
+  duplicates, path counts and the worst window, failures included;
+* with the paper's Bernoulli model the two draw in different orders, so their
+  per-demand means must agree inside joint confidence bounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from sim_oracle import LinkKeyedLossModel, simulate_solution, windowed_loss_matrix
 
+from repro.api import DesignRequest, get_designer
 from repro.baselines import greedy_design
 from repro.core.solution import OverlaySolution
 from repro.network.loss import GilbertElliottLossModel
@@ -20,14 +24,16 @@ from repro.simulation import (
     FailureEvent,
     FailureSchedule,
     MonteCarloConfig,
-    SimulationConfig,
     compile_path_table,
     run_monte_carlo,
-    simulate_solution,
 )
 from repro.simulation.montecarlo import _window_counts_packed
-from repro.simulation.packets import windowed_loss_matrix
-from repro.workloads import RandomInstanceConfig, random_problem
+from repro.workloads import (
+    AkamaiLikeConfig,
+    RandomInstanceConfig,
+    generate_akamai_like_topology,
+    random_problem,
+)
 
 
 def _workload(seed: int):
@@ -37,13 +43,37 @@ def _workload(seed: int):
     return problem, greedy_design(problem)
 
 
-def _assert_reports_identical(legacy, projected):
-    for a, b in zip(legacy.demands, projected.demands):
-        assert a.demand_key == b.demand_key
-        assert a.paths == b.paths
-        assert a.loss_rate == b.loss_rate
-        assert a.worst_window_loss == b.worst_window_loss
-        assert a.duplicates_discarded == b.duplicates_discarded
+def _exact_case(seed: int):
+    """Instance, design and session for one exact-differential case.
+
+    A random instance with ISP-colored reflectors and its greedy design with
+    one demand left unserved; a reflector crash plus an ISP outage whose
+    ``node_isp`` also homes some sinks in the failed ISP; windows alternate
+    between byte-aligned and unaligned, session lengths between whole and
+    partial bytes.
+    """
+    rng = np.random.default_rng(seed)
+    problem = random_problem(
+        RandomInstanceConfig(num_streams=2, num_reflectors=6, num_sinks=15, num_colors=2),
+        rng=seed,
+    )
+    greedy = get_designer("greedy").design(DesignRequest(problem=problem)).solution
+    assignments = dict(greedy.assignments)
+    del assignments[problem.demands[seed % problem.num_demands].key]
+    solution = OverlaySolution.from_assignments(problem, assignments)
+    packets = 600 if seed % 2 else 613
+    window = (64, 60, 75)[seed % 3]
+    crashed = sorted(solution.built_reflectors)[seed % len(solution.built_reflectors)]
+    node_isp = {r: problem.color(r) for r in problem.reflectors}
+    node_isp.update({sink: problem.color(crashed) for sink in problem.sinks[::3]})
+    start, length = int(rng.integers(0, packets // 2)), int(rng.integers(1, packets))
+    schedule = FailureSchedule(
+        [
+            FailureEvent("reflector_crash", crashed, start, start + length),
+            FailureEvent("isp_outage", problem.color(crashed), length // 2, length),
+        ]
+    )
+    return problem, solution, packets, window, schedule, node_isp
 
 
 class TestConfig:
@@ -54,8 +84,6 @@ class TestConfig:
             MonteCarloConfig(trials=0)
         with pytest.raises(ValueError):
             MonteCarloConfig(window=0)
-        with pytest.raises(ValueError):
-            MonteCarloConfig(rng_mode="fast")
         with pytest.raises(ValueError):
             MonteCarloConfig(max_batch_bytes=0)
 
@@ -80,55 +108,52 @@ class TestPathTable:
         assert table.demand_keys == [("d1", "s")]
 
 
-class TestCompatMode:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_bit_identical_to_legacy_engine(self, seed):
-        """Ten seeded workloads: compat trials replay the legacy draws exactly."""
-        problem, solution = _workload(seed)
-        shared = np.random.default_rng(seed)
-        legacy_config = SimulationConfig(num_packets=600, window=64)
-        legacy = [
-            simulate_solution(problem, solution, legacy_config, rng=shared)
-            for _ in range(2)
-        ]
+class TestExactDifferential:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_oracle_with_link_keyed_losses(self, seed):
+        """Loss counts, duplicates, paths and worst windows equal the oracle's."""
+        problem, solution, packets, window, schedule, node_isp = _exact_case(seed)
+        model = LinkKeyedLossModel(salt=seed)
+        trials = 3
         report = run_monte_carlo(
             problem,
             solution,
-            MonteCarloConfig(num_packets=600, trials=2, window=64, rng_mode="compat"),
-            rng=np.random.default_rng(seed),
-        )
-        for trial, reference in enumerate(legacy):
-            _assert_reports_identical(reference, report.to_simulation_report(trial))
-
-    def test_compat_with_failures_and_congestion(self, tiny_problem):
-        solution = OverlaySolution.from_assignments(
-            tiny_problem, {("d1", "s"): ["r1", "r2"], ("d2", "s"): ["r3"]}
-        )
-        schedule = FailureSchedule(
-            [
-                FailureEvent("reflector_crash", "r1", 100, 300),
-                FailureEvent("link_congestion", "d1", 200, 500, severity=0.4),
-            ]
-        )
-        config = SimulationConfig(num_packets=800, window=100, failures=schedule)
-        legacy = simulate_solution(
-            tiny_problem, solution, config, rng=np.random.default_rng(11)
-        )
-        report = run_monte_carlo(
-            tiny_problem,
-            solution,
             MonteCarloConfig(
-                num_packets=800, trials=1, window=100, failures=schedule, rng_mode="compat"
+                num_packets=packets,
+                trials=trials,
+                window=window,
+                loss_model=model,
+                failures=schedule,
+                seed=seed,
             ),
-            rng=np.random.default_rng(11),
+            node_isp=node_isp,
         )
-        _assert_reports_identical(legacy, report.to_simulation_report(0))
+        oracle = simulate_solution(
+            problem,
+            solution,
+            packets,
+            np.random.default_rng(seed),
+            window=window,
+            loss_model=model,
+            failures=schedule,
+            node_isp=node_isp,
+        )
+        assert [row.demand_key for row in oracle] == [d.demand_key for d in report.demands]
+        assert any(row.paths == 0 for row in oracle)
+        for expected, got in zip(oracle, report.demands):
+            assert got.paths == expected.paths
+            lost = np.rint(got.loss * packets).astype(np.int64)
+            assert lost.tolist() == [round(expected.loss_rate * packets)] * trials
+            assert got.duplicates.tolist() == [expected.duplicates_discarded] * trials
+            # The two window formulas (lost / size vs 1 - received / size)
+            # may differ in the last ulp.
+            assert np.abs(got.worst_window - expected.worst_window_loss).max() <= 1e-12
 
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(10))
     def test_batched_mean_matches_legacy(self, seed):
-        """Ten seeded workloads: batched vs legacy per-demand means within CI."""
+        """Ten seeded workloads: batched vs oracle per-demand means within CI."""
         problem, solution = _workload(seed)
         trials, legacy_runs, packets = 120, 30, 500
         report = run_monte_carlo(
@@ -137,11 +162,9 @@ class TestDifferential:
             MonteCarloConfig(num_packets=packets, trials=trials, window=100, seed=seed),
         )
         rng = np.random.default_rng(seed + 1000)
-        config = SimulationConfig(num_packets=packets, window=100)
         legacy_losses: dict = {d.key: [] for d in problem.demands}
         for _ in range(legacy_runs):
-            run = simulate_solution(problem, solution, config, rng=rng)
-            for row in run.demands:
+            for row in simulate_solution(problem, solution, packets, rng, window=100):
                 legacy_losses[row.demand_key].append(row.loss_rate)
         for demand in problem.demands:
             batched = report.result_for(demand.key)
@@ -185,9 +208,15 @@ class TestDifferential:
             ),
         )
         rng = np.random.default_rng(5)
-        config = SimulationConfig(num_packets=packets, window=100, failures=schedule)
         legacy = [
-            simulate_solution(tiny_problem, solution, config, rng=rng).mean_loss
+            np.mean(
+                [
+                    row.loss_rate
+                    for row in simulate_solution(
+                        tiny_problem, solution, packets, rng, window=100, failures=schedule
+                    )
+                ]
+            )
             for _ in range(legacy_runs)
         ]
         joint_se = np.sqrt(
@@ -197,6 +226,32 @@ class TestDifferential:
         assert abs(report.mean_loss - np.mean(legacy)) <= 5.0 * joint_se + 1e-3
         # The crash covers half the session, so the worst window saturates.
         assert report.result_for(("d2", "s")).worst_window.max() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"num_regions": 4, "colos_per_region": 6, "num_streams": 4}],
+        ids=["akamai-default", "akamai-large"],
+    )
+    def test_session_mean_z_score_on_akamai(self, config):
+        """Engine means agree within 4 standard errors on akamai-like designs."""
+        topology, _registry = generate_akamai_like_topology(AkamaiLikeConfig(**config), rng=0)
+        problem = topology.to_problem()
+        solution = get_designer("greedy").design(DesignRequest(problem=problem)).solution
+        packets, legacy_runs = 1000, 12
+        report = run_monte_carlo(
+            problem,
+            solution,
+            MonteCarloConfig(num_packets=packets, trials=100, window=200, seed=1),
+        )
+        rng = np.random.default_rng(0)
+        legacy = [
+            np.mean([row.loss_rate for row in simulate_solution(problem, solution, packets, rng)])
+            for _ in range(legacy_runs)
+        ]
+        legacy_se = np.std(legacy, ddof=1) / np.sqrt(legacy_runs)
+        batched_se = np.std(report.trial_mean_loss, ddof=1) / np.sqrt(report.trials)
+        z_score = (report.mean_loss - np.mean(legacy)) / max(np.hypot(legacy_se, batched_se), 1e-12)
+        assert abs(z_score) <= 4.0
 
     def test_gilbert_elliott_dense_fallback(self, tiny_problem):
         """Non-Bernoulli models route through the packed dense fallback."""
@@ -232,7 +287,7 @@ class TestEngineBehaviour:
         assert missing.paths == 0
         assert missing.loss.tolist() == [1.0] * 4
         assert missing.worst_window.tolist() == [1.0] * 4
-        assert not report.to_simulation_report(0).result_for(("d2", "s")).meets_threshold
+        assert missing.meets_threshold_fraction == 0.0
 
     def test_determinism_and_chunking(self, tiny_problem):
         solution = OverlaySolution.from_assignments(
@@ -286,8 +341,6 @@ class TestEngineBehaviour:
         assert summary["trials"] == 8 and summary["num_demands"] == 2
         with pytest.raises(KeyError):
             report.result_for(("missing", "s"))
-        with pytest.raises(IndexError):
-            report.to_simulation_report(8)
 
     def test_window_counts_packed_matches_unpacked(self):
         rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sim_oracle import post_reconstruction_loss
 
 from repro.baselines import greedy_design
 from repro.core.formulation import build_sparse_formulation
@@ -20,7 +21,6 @@ from repro.core.problem import Demand
 from repro.core.rounding import RoundingParameters, round_solution
 from repro.core.serialization import problem_from_dict, problem_to_dict
 from repro.core.solution import OverlaySolution
-from repro.simulation.reconstruction import post_reconstruction_loss
 from repro.workloads import RandomInstanceConfig, random_problem
 
 _SETTINGS = settings(

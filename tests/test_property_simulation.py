@@ -9,6 +9,10 @@ generated inputs:
 4. LP randomized rounding never violates the capacity/fanout guarantees on
    random tiny instances (Lemma 4.6's factor-2 bound).
 
+Reconstruction and window invariants are checked on the per-demand oracle
+(``tests/sim_oracle.py``); the monotonicity properties drive
+:func:`repro.simulation.run_monte_carlo` with its link-keyed loss model.
+
 Plus distribution/packing invariants of the batched samplers that the
 Monte-Carlo engine's correctness rests on.
 """
@@ -19,18 +23,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sim_oracle import (
+    LinkKeyedLossModel,
+    loss_rate,
+    post_reconstruction_loss,
+    reconstruct,
+    window_loss_rates,
+    windowed_loss_matrix,
+)
 
 from repro.core.formulation import build_sparse_formulation
 from repro.core.problem import OverlayDesignProblem
 from repro.core.rounding import RoundingParameters, audit_rounding, round_solution
 from repro.core.solution import OverlaySolution
 from repro.network.loss import BernoulliLossModel, sample_bernoulli_positions
-from repro.simulation import SimulationConfig, simulate_solution
-from repro.simulation.packets import loss_rate, window_loss_rates, windowed_loss_matrix
-from repro.simulation.reconstruction import post_reconstruction_loss, reconstruct
+from repro.simulation import MonteCarloConfig, run_monte_carlo
 from repro.workloads import RandomInstanceConfig, random_problem
 
 _SETTINGS = settings(max_examples=25)
+
+
+def _session_loss(problem: OverlayDesignProblem, reflectors: list[str], seed: int) -> float:
+    """Loss of demand ``d`` served by ``reflectors`` under link-keyed draws."""
+    solution = OverlaySolution.from_assignments(problem, {("d", "s"): reflectors})
+    config = MonteCarloConfig(
+        num_packets=400, trials=1, window=80, loss_model=LinkKeyedLossModel(salt=seed)
+    )
+    return run_monte_carlo(problem, solution, config).result_for(("d", "s")).mean_loss
 
 
 def _two_path_problem(loss_a: float, loss_b: float) -> OverlayDesignProblem:
@@ -84,45 +103,25 @@ class TestMonotonicityInvariants:
     def test_quality_monotone_in_link_reliability(self, loss_a, loss_b, delta, seed):
         """Lowering a link's loss never lowers delivered quality (CRN).
 
-        Both runs replay the same uniforms (identical draw order), so the
-        better link's loss set is a subset of the worse link's and the
-        measured loss is deterministically ordered -- no sampling slack.
+        Both runs threshold the same link-keyed uniforms, so the better
+        link's loss set is a subset of the worse link's and the measured
+        loss is deterministically ordered -- no sampling slack.
         """
         better = _two_path_problem(loss_a, loss_b)
         worse = _two_path_problem(min(loss_a + delta, 1.0), loss_b)
-        config = SimulationConfig(num_packets=400, window=80)
-        results = []
-        for problem in (better, worse):
-            solution = OverlaySolution.from_assignments(
-                problem, {("d", "s"): ["ra", "rb"]}
-            )
-            report = simulate_solution(
-                problem, solution, config, rng=np.random.default_rng(seed)
-            )
-            results.append(report.result_for(("d", "s")).loss_rate)
-        assert results[0] <= results[1] + 1e-12
+        assert _session_loss(better, ["ra", "rb"], seed) <= (
+            _session_loss(worse, ["ra", "rb"], seed) + 1e-12
+        )
 
     @_SETTINGS
     @given(st.integers(0, 10_000))
     def test_extra_path_never_hurts(self, seed):
+        """ra's link-keyed draws are the same in both designs, so adding rb
+        can only fill holes."""
         problem = _two_path_problem(0.3, 0.4)
-        config = SimulationConfig(num_packets=300, window=60)
-        single = OverlaySolution.from_assignments(problem, {("d", "s"): ["ra"]})
-        double = OverlaySolution.from_assignments(problem, {("d", "s"): ["ra", "rb"]})
-        loss_single = (
-            simulate_solution(problem, single, config, rng=np.random.default_rng(seed))
-            .result_for(("d", "s"))
-            .loss_rate
+        assert _session_loss(problem, ["ra", "rb"], seed) <= (
+            _session_loss(problem, ["ra"], seed) + 1e-12
         )
-        loss_double = (
-            simulate_solution(problem, double, config, rng=np.random.default_rng(seed))
-            .result_for(("d", "s"))
-            .loss_rate
-        )
-        # Same generator, but the two-path run draws an extra stream; compare
-        # statistically impossible orderings only: the double design replays
-        # ra's draws first, so its loss cannot exceed the single design's.
-        assert loss_double <= loss_single + 1e-12
 
 
 class TestWindowInvariants:
