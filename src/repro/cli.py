@@ -661,8 +661,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ("--packets", args.packets),
         ("--trials", args.trials),
         ("--window", args.window),
+        ("--demand-tile", args.demand_tile),
+        ("--trial-tile", args.trial_tile),
     ):
-        if value <= 0:
+        if value is not None and value <= 0:
             print(f"error: {flag} must be positive, got {value}", file=sys.stderr)
             return 2
     try:

@@ -35,11 +35,11 @@ _SPARSE_SAMPLING_THRESHOLD = 0.45
 def _gap_budget(mean_losses: float) -> float:
     """Gap draws budgeted per chain: mean + ~2 sigma + slack.
 
-    Shared by the bucket planner, the position sampler and the packed bucket
-    fill -- tuning the headroom in one place keeps the planner's "no row
-    overdraws more than ~40%" invariant and the samplers' top-up frequency
-    in sync (and the engine's memory estimate in
-    :func:`repro.simulation.montecarlo._chunk_trials` mirrors it).
+    Shared by the bucket planner, the position sampler, the packed bucket
+    fill and the Gilbert-Elliott sojourn draws -- tuning the headroom in one
+    place keeps the planner's "no row overdraws more than ~40%" invariant
+    and the samplers' top-up frequency in sync (and the engines' memory
+    model, :func:`repro.simulation.montecarlo.row_trial_bytes`, mirrors it).
     """
     return mean_losses + 2.0 * np.sqrt(mean_losses + 1.0) + 8.0
 
@@ -223,8 +223,9 @@ class LossModel(ABC):
         ``t // 8``; trailing pad bits are zero.  The Monte-Carlo engine works
         on this packed form (bitwise AND/OR + popcounts are ~8x cheaper than
         boolean arrays).  The default packs :meth:`sample_loss_matrix`;
-        :class:`BernoulliLossModel` builds the bytes directly from sampled
-        loss positions without materializing a boolean array at all.
+        :class:`BernoulliLossModel` and :class:`GilbertElliottLossModel`
+        build the bytes directly from sampled positions without
+        materializing a boolean array at all.
         """
         dense = self.sample_loss_matrix(
             loss_probabilities, trials, num_packets, rng, links=links
@@ -411,11 +412,112 @@ class GilbertElliottLossModel(LossModel):
     with ``loss_good = p * good_scale`` (mostly clean) and ``loss_bad``
     derived; the mean sojourn time in the bad state is ``mean_burst_length``
     packets.
+
+    Sampling never steps packets: the state sequence is drawn as alternating
+    geometric sojourns (:meth:`_bad_state_mask`) and each packet takes its
+    bit from one of two packed Bernoulli rows, at ``loss_good`` and
+    ``loss_bad``, according to its state.
     """
 
     mean_burst_length: float = 20.0
     bad_state_fraction: float = 0.1
     good_scale: float = 0.2
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.bad_state_fraction < 1.0:
+            raise ValueError(
+                f"bad_state_fraction must lie in (0, 1), got {self.bad_state_fraction}"
+            )
+        if not 1.0 <= self.mean_burst_length < np.inf:
+            raise ValueError(
+                f"mean_burst_length must be a finite number >= 1, got {self.mean_burst_length}"
+            )
+        if not 0.0 <= self.good_scale <= 1.0:
+            raise ValueError(f"good_scale must lie in [0, 1], got {self.good_scale}")
+
+    def _chain_parameters(self, probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-link ``(loss_good, loss_bad)``; links at ``p = 1`` lose every packet."""
+        pi_bad = self.bad_state_fraction
+        loss_good = np.minimum(probabilities * self.good_scale, 1.0)
+        # Solve pi_bad * loss_bad + (1 - pi_bad) * loss_good = p for loss_bad.
+        loss_bad = np.clip((probabilities - (1.0 - pi_bad) * loss_good) / pi_bad, 0.0, 1.0)
+        full = probabilities >= 1.0
+        loss_good[full] = 1.0
+        loss_bad[full] = 1.0
+        return loss_good, loss_bad
+
+    def _transition_rates(self) -> tuple[float, float]:
+        """``(p_enter_bad, p_leave_bad)``, shared by every link.
+
+        Leave the bad state w.p. 1/burst; enter it so that the stationary
+        distribution puts mass ``bad_state_fraction`` on the bad state.
+        """
+        pi_bad = self.bad_state_fraction
+        p_leave_bad = 1.0 / self.mean_burst_length
+        return min(p_leave_bad * pi_bad / (1.0 - pi_bad), 1.0), p_leave_bad
+
+    def _sojourn_budget(self, num_packets: int) -> int:
+        """Sojourn draws budgeted per chain: two per mean cycle, plus the first."""
+        p_enter_bad, p_leave_bad = self._transition_rates()
+        expected = 2.0 * num_packets / (1.0 / p_enter_bad + 1.0 / p_leave_bad) + 1.0
+        return int(np.ceil(_gap_budget(expected)))
+
+    def _bad_state_mask(
+        self, chains: int, num_packets: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Packed ``(chains, bytes)`` mask of the packets each chain spends bad.
+
+        The initial state is stationary (bad w.p. ``bad_state_fraction``);
+        then good and bad sojourns alternate, each an exact Geometric(q) gap
+        ``floor(E / -log1p(-q)) + 1`` with ``q = p_enter_bad`` in the good
+        state and ``q = p_leave_bad`` in the bad one -- the law of the
+        per-packet chain.  A sojourn's end toggles the state, so the mask is
+        the running XOR of the packed toggle bits.  Chains whose sojourn
+        budget ends inside the session continue in top-up rounds.
+        """
+        num_bytes = (num_packets + 7) // 8
+        with np.errstate(divide="ignore"):
+            # Indexed by state (0 = good, 1 = bad); q = 1 gives rate 0, gap 1.
+            inv_rate = (1.0 / -np.log1p(-np.array(self._transition_rates()))).astype(np.float32)
+        bad = rng.random(chains) < self.bad_state_fraction
+        budget = self._sojourn_budget(num_packets)
+        parity = (np.arange(budget) & 1).astype(np.int8)
+        limit = np.float32(num_packets + 1)
+        mask = np.zeros(chains * num_bytes, dtype=np.uint8)
+        # A chain that starts bad toggles at packet 0.
+        mask[np.flatnonzero(bad) * num_bytes] = 1
+        state = bad.astype(np.int8)  # state of each chain's next sojourn
+        cursor = np.zeros(chains, dtype=np.int64)
+        active = np.arange(chains)
+        while active.size:
+            draws = rng.standard_exponential((active.size, budget), dtype=np.float32)
+            draws *= inv_rate[state[active, None] ^ parity]
+            ends = np.fmin(draws, limit).astype(np.int64)
+            del draws
+            ends += 1
+            np.cumsum(ends, axis=1, out=ends)
+            ends += cursor[active, None]
+            inside = ends < num_packets
+            toggles = ends[inside]
+            np.bitwise_or.at(
+                mask,
+                np.repeat(active * num_bytes, inside.sum(axis=1)) + (toggles >> 3),
+                np.left_shift(1, toggles & 7).astype(np.uint8),
+            )
+            cursor[active] = ends[:, -1]
+            state[active] ^= budget & 1
+            active = active[ends[:, -1] < num_packets]
+        mask = mask.reshape(chains, num_bytes)
+        # Running XOR: first within each byte (little-endian bit order), then
+        # the parity of all earlier bytes flips whole bytes.
+        mask ^= mask << 1
+        mask ^= mask << 2
+        mask ^= mask << 4
+        byte_parity = mask >> 7
+        carry = np.bitwise_xor.accumulate(byte_parity, axis=1)
+        carry ^= byte_parity
+        mask ^= carry * np.uint8(0xFF)
+        return mask
 
     def sample_losses(
         self,
@@ -424,47 +526,7 @@ class GilbertElliottLossModel(LossModel):
         rng: np.random.Generator,
         link: tuple[str, str] | None = None,
     ) -> np.ndarray:
-        _check(loss_probability, num_packets)
-        if loss_probability in (0.0, 1.0):
-            return np.full(num_packets, bool(loss_probability))
-        pi_bad = self.bad_state_fraction
-        loss_good = min(loss_probability * self.good_scale, 1.0)
-        # Solve pi_bad * loss_bad + (1 - pi_bad) * loss_good = p for loss_bad.
-        loss_bad = (loss_probability - (1.0 - pi_bad) * loss_good) / pi_bad
-        loss_bad = float(np.clip(loss_bad, 0.0, 1.0))
-        # Transition probabilities: leave bad state w.p. 1/burst, enter so that
-        # the stationary distribution has mass pi_bad on the bad state.
-        p_leave_bad = 1.0 / max(self.mean_burst_length, 1.0)
-        p_enter_bad = p_leave_bad * pi_bad / max(1.0 - pi_bad, 1e-9)
-        p_enter_bad = float(np.clip(p_enter_bad, 0.0, 1.0))
-
-        states = np.empty(num_packets, dtype=bool)  # True = bad state
-        uniforms = rng.random(num_packets)
-        transitions = rng.random(num_packets)
-        state = rng.random() < pi_bad
-        for t in range(num_packets):
-            states[t] = state
-            if state:
-                state = not (transitions[t] < p_leave_bad)
-            else:
-                state = transitions[t] < p_enter_bad
-        loss_rates = np.where(states, loss_bad, loss_good)
-        return uniforms < loss_rates
-
-    def _chain_parameters(
-        self, probabilities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Per-link (loss_good, loss_bad) plus the shared transition rates."""
-        pi_bad = self.bad_state_fraction
-        loss_good = np.minimum(probabilities * self.good_scale, 1.0)
-        loss_bad = np.clip(
-            (probabilities - (1.0 - pi_bad) * loss_good) / pi_bad, 0.0, 1.0
-        )
-        p_leave_bad = 1.0 / max(self.mean_burst_length, 1.0)
-        p_enter_bad = float(
-            np.clip(p_leave_bad * pi_bad / max(1.0 - pi_bad, 1e-9), 0.0, 1.0)
-        )
-        return loss_good, loss_bad, p_leave_bad, p_enter_bad
+        return self.sample_loss_matrix(np.array([loss_probability]), 1, num_packets, rng)[0, 0]
 
     def sample_loss_matrix(
         self,
@@ -474,35 +536,42 @@ class GilbertElliottLossModel(LossModel):
         rng: np.random.Generator,
         links: Sequence[tuple[str, str]] | None = None,
     ) -> np.ndarray:
-        """Vectorized chains: all ``(link, trial)`` state machines step together.
+        """The packed sample, unpacked to booleans."""
+        packed = self.sample_packed_loss_matrix(loss_probabilities, trials, num_packets, rng)
+        return np.unpackbits(packed, axis=-1, count=num_packets, bitorder="little").astype(bool)
 
-        The per-packet Markov update runs once over an ``(links, trials)``
-        state matrix instead of once per packet per link in Python, which is
-        what makes the bursty scenario usable at Monte-Carlo trial counts.
+    def sample_packed_loss_matrix(
+        self,
+        loss_probabilities: np.ndarray,
+        trials: int,
+        num_packets: int,
+        rng: np.random.Generator,
+        links: Sequence[tuple[str, str]] | None = None,
+    ) -> np.ndarray:
+        """Packed chains: bad-state masks picking between two Bernoulli rows.
+
+        Draw order: initial states and sojourns of every ``(link, trial)``
+        chain, then the packed ``loss_good`` rows, then the ``loss_bad``
+        rows (both through :class:`BernoulliLossModel`).  A packet is lost
+        iff the row of its state lost it.
         """
         probabilities = np.asarray(loss_probabilities, dtype=np.float64)
         for probability in probabilities:
             _check(float(probability), num_packets)
-        num_links = probabilities.size
-        if num_links == 0 or trials == 0 or num_packets == 0:
-            return np.zeros((num_links, trials, num_packets), dtype=bool)
-        loss_good, loss_bad, p_leave_bad, p_enter_bad = self._chain_parameters(
-            probabilities
-        )
-        uniforms = rng.random((num_links, trials, num_packets))
-        transitions = rng.random((num_links, trials, num_packets))
-        state = rng.random((num_links, trials)) < self.bad_state_fraction
-        rates = np.empty((num_links, trials, num_packets))
-        good = loss_good[:, None]
-        bad = loss_bad[:, None]
-        for t in range(num_packets):
-            rates[:, :, t] = np.where(state, bad, good)
-            step = transitions[:, :, t]
-            state = np.where(state, step >= p_leave_bad, step < p_enter_bad)
-        lost = uniforms < rates
-        # Degenerate endpoints keep the exact semantics of sample_losses.
-        lost[probabilities <= 0.0] = False
-        lost[probabilities >= 1.0] = True
+        num_bytes = (num_packets + 7) // 8
+        if probabilities.size == 0 or trials == 0 or num_packets == 0:
+            return np.zeros((probabilities.size, trials, num_bytes), dtype=np.uint8)
+        loss_good, loss_bad = self._chain_parameters(probabilities)
+        in_bad = self._bad_state_mask(probabilities.size * trials, num_packets, rng)
+        in_bad = in_bad.reshape(probabilities.size, trials, num_bytes)
+        bernoulli = BernoulliLossModel()
+        lost = bernoulli.sample_packed_loss_matrix(loss_good, trials, num_packets, rng)
+        lost_bad = bernoulli.sample_packed_loss_matrix(loss_bad, trials, num_packets, rng)
+        # (good & ~in_bad) | (bad & in_bad), in place.
+        lost_bad &= in_bad
+        np.invert(in_bad, out=in_bad)
+        lost &= in_bad
+        lost |= lost_bad
         return lost
 
 

@@ -98,20 +98,6 @@ class FailureEvent:
         mask[min(self.start, num_packets) : min(self.end, num_packets)] = True
         return mask
 
-    def matches_link(
-        self,
-        tail: str,
-        head: str,
-        node_isp: Mapping[str, str | None],
-    ) -> bool:
-        """Whether this event affects the link ``tail -> head``."""
-        if self.kind == "isp_outage":
-            return node_isp.get(tail) == self.target or node_isp.get(head) == self.target
-        if self.kind in ("reflector_crash", "node_outage"):
-            return self.target in (tail, head)
-        # link_congestion: receiver-side overload hits incoming links only.
-        return head == self.target
-
 
 @dataclass
 class FailureSchedule:
@@ -152,51 +138,9 @@ class FailureSchedule:
                     "never fire"
                 )
 
-    def link_outage_mask(
-        self,
-        tail: str,
-        head: str,
-        num_packets: int,
-        node_isp: Mapping[str, str | None] | None = None,
-    ) -> np.ndarray:
-        """Packets for which the link ``tail -> head`` is forced down.
-
-        Only total-outage events contribute; congestion events carry
-        fractional severity and are exposed via :meth:`link_loss_profile`.
-        """
-        mask = np.zeros(num_packets, dtype=bool)
-        node_isp = node_isp or {}
-        for event in self.events:
-            if event.kind in OUTAGE_KINDS and event.matches_link(tail, head, node_isp):
-                mask |= event.window_mask(num_packets)
-        return mask
-
-    def link_loss_profile(
-        self,
-        tail: str,
-        head: str,
-        num_packets: int,
-        node_isp: Mapping[str, str | None] | None = None,
-    ) -> np.ndarray | None:
-        """Forced per-packet loss probability for the link, or ``None``.
-
-        Outage events force loss 1.0; overlapping congestion events combine
-        independently (``1 - prod(1 - severity)``).  Returns ``None`` when no
-        event touches the link, so callers can skip the overlay entirely.
-        """
-        node_isp = node_isp or {}
-        profile: np.ndarray | None = None
-        for event in self.events:
-            if not event.matches_link(tail, head, node_isp):
-                continue
-            if profile is None:
-                profile = np.zeros(num_packets, dtype=np.float64)
-            window = event.window_mask(num_packets)
-            if event.kind in OUTAGE_KINDS:
-                profile[window] = 1.0
-            else:
-                profile[window] = 1.0 - (1.0 - profile[window]) * (1.0 - event.severity)
-        return profile
+    def link_index(self, node_isp: Mapping[str, str | None] | None = None) -> "LinkEventIndex":
+        """Index the events once for per-link lookups (see :class:`LinkEventIndex`)."""
+        return LinkEventIndex(self.events, node_isp or {})
 
     @staticmethod
     def single_isp_outage(isp: str, num_packets: int, fraction: float = 0.3) -> "FailureSchedule":
@@ -206,6 +150,66 @@ class FailureSchedule:
         span = int(round(fraction * num_packets))
         start = (num_packets - span) // 2
         return FailureSchedule([FailureEvent("isp_outage", isp, start, start + span)])
+
+
+class LinkEventIndex:
+    """A schedule's events keyed by what they match, for per-link lookups.
+
+    Built once per schedule: node -> its ``reflector_crash`` and
+    ``node_outage`` events, ISP -> its ``isp_outage`` events, head node ->
+    its ``link_congestion`` events.  An ISP outage hits every link with an
+    endpoint homed in the ISP, a crash or node outage every link with an
+    endpoint at the node, and congestion only the links *into* its node, so
+    a link's events are a handful of dict lookups, not a scan of every event.
+    """
+
+    def __init__(
+        self, events: Sequence[FailureEvent], node_isp: Mapping[str, str | None]
+    ) -> None:
+        self.events = tuple(events)
+        self.node_isp = node_isp
+        self._by_node: dict[str, list[int]] = {}
+        self._by_isp: dict[str | None, list[int]] = {}
+        self._by_head: dict[str, list[int]] = {}
+        for index, event in enumerate(self.events):
+            if event.kind == "isp_outage":
+                keyed = self._by_isp
+            elif event.kind in CONGESTION_KINDS:
+                keyed = self._by_head
+            else:
+                keyed = self._by_node
+            keyed.setdefault(event.target, []).append(index)
+
+    def link_events(self, tail: str, head: str) -> tuple[int, ...]:
+        """Sorted indices of the events that affect the link ``tail -> head``."""
+        isp = self.node_isp.get
+        matched = [
+            *self._by_node.get(tail, ()),
+            *self._by_node.get(head, ()),
+            *self._by_isp.get(isp(tail), ()),
+            *self._by_isp.get(isp(head), ()),
+            *self._by_head.get(head, ()),
+        ]
+        return tuple(sorted(set(matched)))
+
+    def loss_profile(self, events: Sequence[int], num_packets: int) -> np.ndarray | None:
+        """Forced per-packet loss probability under ``events``, or ``None``.
+
+        Events apply in index order: outages force loss 1.0, and overlapping
+        congestion events combine independently (``1 - prod(1 - severity)``).
+        ``None`` means no event, so callers can skip the overlay entirely.
+        """
+        if not events:
+            return None
+        profile = np.zeros(num_packets, dtype=np.float64)
+        for index in events:
+            event = self.events[index]
+            window = event.window_mask(num_packets)
+            if event.kind in OUTAGE_KINDS:
+                profile[window] = 1.0
+            else:
+                profile[window] = 1.0 - (1.0 - profile[window]) * (1.0 - event.severity)
+        return profile
 
 
 # ---------------------------------------------------------------------------

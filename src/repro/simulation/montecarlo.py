@@ -10,7 +10,9 @@ trials* as numpy arrays:
 * per-link loss matrices are *bit-packed* (one uint8 byte per 8 packets):
   Bernoulli links sample only the loss positions (geometric skip-sampling,
   :func:`~repro.network.loss.sample_bernoulli_positions`) OR-ed in as
-  byte-index/bit pairs; other models pack a dense draw;
+  byte-index/bit pairs; Gilbert-Elliott links draw geometric state sojourns
+  and pick each packet's bit from one of two such rows; other models pack a
+  dense draw;
 * the shared source->reflector draw is OR-broadcast onto its paths, and
   reconstruction is a bitwise-AND fold over each demand's path block (a
   packet is lost iff *every* copy lost it);
@@ -34,11 +36,14 @@ import numpy as np
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 from repro.network.loss import (
+    _SPARSE_SAMPLING_THRESHOLD,
     BernoulliLossModel,
+    GilbertElliottLossModel,
     LossModel,
+    _gap_budget,
     sample_bernoulli_positions,
 )
-from repro.simulation.failures import FailureSchedule
+from repro.simulation.failures import FailureSchedule, LinkEventIndex
 from repro.simulation.packets import window_starts
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
@@ -159,6 +164,28 @@ def _split_profile(
     return packed_hard, _profile_segments(soft)
 
 
+def link_profiles(
+    links: list[tuple[str, str]], index: LinkEventIndex, num_packets: int
+) -> list[tuple[int, np.ndarray | None, list[tuple[int, int, float]]]]:
+    """``(row, packed hard mask, congestion segments)`` of every link a failure touches.
+
+    Each link looks up its sorted tuple of matching events in ``index``;
+    links sharing a tuple share one profile, computed and split once.
+    """
+    splits: dict[tuple[int, ...], tuple[np.ndarray | None, list[tuple[int, int, float]]]] = {}
+    out = []
+    for row, (tail, head) in enumerate(links):
+        events = index.link_events(tail, head)
+        if not events:
+            continue
+        if events not in splits:
+            splits[events] = _split_profile(index.loss_profile(events, num_packets))
+        hard, segments = splits[events]
+        if hard is not None or segments:
+            out.append((row, hard, segments))
+    return out
+
+
 def compile_path_table(
     problem: OverlayDesignProblem,
     solution: OverlaySolution,
@@ -199,16 +226,7 @@ def compile_path_table(
                 path_loss.append(problem.delivery_loss(reflector, demand.sink))
                 path_first_hop.append(first_hop_index[link])
 
-    def profiles(links: list[tuple[str, str]]):
-        out = []
-        for row, (tail, head) in enumerate(links):
-            hard, segments = _split_profile(
-                failures.link_loss_profile(tail, head, num_packets, node_isp)
-            )
-            if hard is not None or segments:
-                out.append((row, hard, segments))
-        return out
-
+    event_index = failures.link_index(node_isp)
     path_first_hop_array = np.asarray(path_first_hop, dtype=np.intp)
     return PathTable(
         demand_keys=demand_keys,
@@ -217,7 +235,7 @@ def compile_path_table(
         demand_num_paths=np.asarray(num_paths, dtype=np.int64),
         first_hop_links=first_hop_links,
         first_hop_loss=np.asarray(first_hop_loss, dtype=np.float64),
-        first_hop_profiles=profiles(first_hop_links),
+        first_hop_profiles=link_profiles(first_hop_links, event_index, num_packets),
         first_hop_path_rows=[
             np.flatnonzero(path_first_hop_array == index)
             for index in range(len(first_hop_links))
@@ -225,7 +243,7 @@ def compile_path_table(
         path_links=path_links,
         path_loss=np.asarray(path_loss, dtype=np.float64),
         path_first_hop=path_first_hop_array,
-        path_profiles=profiles(path_links),
+        path_profiles=link_profiles(path_links, event_index, num_packets),
     )
 
 
@@ -341,30 +359,58 @@ class MonteCarloReport:
 # ---------------------------------------------------------------------------
 
 
-def estimate_trial_bytes(table: PathTable, loss_model: LossModel, num_packets: int) -> float:
-    """Approximate working-set bytes one trial of ``table`` needs.
+def _bernoulli_row_bytes(p: np.ndarray, num_packets: int) -> np.ndarray:
+    """Sampling bytes of one packed Bernoulli row per trial, at each probability.
 
-    Shared between the batched engine's trial chunking and the streaming
-    engine's tile-fit checks, so both enforce the same working-set bound.
+    Lossy rows (p >= the sparse threshold) draw dense float64 uniforms; the
+    rest draw ~gap-budget float32 exponentials plus position arrays.
     """
-    from repro.network.loss import _SPARSE_SAMPLING_THRESHOLD, _gap_budget
+    budget = _gap_budget(num_packets * np.where(p > 0.0, p, 0.0)) * 5.0
+    out = np.where(p >= _SPARSE_SAMPLING_THRESHOLD, float(num_packets * 10), budget)
+    return np.where(p > 0.0, out, 0.0)
 
-    num_bytes = (num_packets + 7) // 8
-    rows = table.num_first_hops + 2 * table.num_paths + len(table.demand_keys)
-    per_trial = float(rows * (num_bytes * 3 + 96))
+
+def row_trial_bytes(
+    loss_model: LossModel, probabilities: np.ndarray, num_packets: int
+) -> tuple[float, np.ndarray]:
+    """The engines' one memory model: per-trial bytes of path-table rows.
+
+    Returns ``(per_row, sampling)``: ``per_row`` bytes for each first-hop,
+    path (counted twice) and demand row, plus ``sampling[i]`` bytes to draw
+    a row at ``probabilities[i]``.  Bernoulli and Gilbert-Elliott rows stay
+    packed; a Gilbert-Elliott row also holds its sojourn draws, its packed
+    state mask and two Bernoulli rows.  Any other model materializes dense
+    ``(rows, trials, packets)`` draws before packing.  The batched engine's
+    trial chunking (:func:`estimate_trial_bytes`) and the streaming tile
+    planner both derive from it; the Bernoulli figures are part of the
+    batched determinism contract, since they fix the chunk boundaries.
+    """
+    p = np.asarray(probabilities, dtype=np.float64)
+    per_row = float((num_packets + 7) // 8 * 3 + 96)
     if type(loss_model) is BernoulliLossModel:
-        # Per-row sampling footprint mirrors sample_packed_loss_matrix: lossy
-        # rows (p >= the sparse threshold) draw dense float64 uniforms, the
-        # rest draw ~gap-budget float32 exponentials plus position arrays.
-        for p in np.concatenate([table.first_hop_loss, table.path_loss]):
-            if p >= _SPARSE_SAMPLING_THRESHOLD:
-                per_trial += num_packets * 10
-            elif p > 0.0:
-                per_trial += _gap_budget(num_packets * float(p)) * 5
-    else:
-        # Dense models materialize (rows, chunk, packets) draws before packing.
-        per_trial = float(rows * num_packets * 20)
-    return per_trial
+        return per_row, _bernoulli_row_bytes(p, num_packets)
+    if type(loss_model) is GilbertElliottLossModel:
+        loss_good, loss_bad = loss_model._chain_parameters(p)
+        chain = 2.0 * per_row + 48.0 * loss_model._sojourn_budget(num_packets)
+        return per_row, (
+            chain
+            + _bernoulli_row_bytes(loss_good, num_packets)
+            + _bernoulli_row_bytes(loss_bad, num_packets)
+        )
+    return float(num_packets * 20), np.zeros(p.size)
+
+
+def estimate_trial_bytes(table: PathTable, loss_model: LossModel, num_packets: int) -> float:
+    """Approximate working-set bytes one trial of ``table`` needs (see :func:`row_trial_bytes`)."""
+    per_row, sampling = row_trial_bytes(
+        loss_model, np.concatenate([table.first_hop_loss, table.path_loss]), num_packets
+    )
+    rows = table.num_first_hops + 2 * table.num_paths + len(table.demand_keys)
+    per_trial = float(rows * per_row)
+    # Summed in row order: the chunk size depends on the exact value.
+    for cost in sampling:
+        per_trial += cost
+    return float(per_trial)
 
 
 def _chunk_trials(table: PathTable, config: MonteCarloConfig) -> list[int]:

@@ -53,6 +53,7 @@ from repro.simulation.montecarlo import (
     PathTable,
     compile_path_table,
     path_count_groups,
+    row_trial_bytes,
     simulate_trial_block,
     slice_path_table,
 )
@@ -310,28 +311,15 @@ def _per_demand_trial_bytes(
 ) -> np.ndarray:
     """Approximate per-trial working-set bytes attributable to each demand.
 
-    Mirrors :func:`repro.simulation.montecarlo.estimate_trial_bytes`, with
+    Derived from :func:`repro.simulation.montecarlo.row_trial_bytes`, with
     shared first-hop rows conservatively attributed to every path using
     them, so summing over a demand tile upper-bounds the tile's estimate.
     """
-    from repro.network.loss import _SPARSE_SAMPLING_THRESHOLD, _gap_budget
-
-    counts = table.demand_num_paths.astype(np.float64)
-    if type(loss_model) is not BernoulliLossModel:
-        return (1.0 + 3.0 * counts) * (num_packets * 20.0)
-    num_bytes = (num_packets + 7) // 8
-    per = (1.0 + 3.0 * counts) * (num_bytes * 3 + 96)
-
-    def sampling(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        budget = _gap_budget(num_packets * np.where(p > 0.0, p, 0.0)) * 5.0
-        out = np.where(p >= _SPARSE_SAMPLING_THRESHOLD, float(num_packets * 10), budget)
-        return np.where(p > 0.0, out, 0.0)
-
+    per_row, path_sampling = row_trial_bytes(loss_model, table.path_loss, num_packets)
+    _, first_hop_sampling = row_trial_bytes(loss_model, table.first_hop_loss, num_packets)
+    per = (1.0 + 3.0 * table.demand_num_paths.astype(np.float64)) * per_row
     if table.num_paths:
-        path_cost = sampling(table.path_loss) + sampling(
-            table.first_hop_loss[table.path_first_hop]
-        )
+        path_cost = path_sampling + first_hop_sampling[table.path_first_hop]
         per += np.add.reduceat(path_cost, table.demand_path_starts)
     return per
 

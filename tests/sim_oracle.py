@@ -18,19 +18,35 @@ Its draw order differs from the batched engine's, so with a random loss model
 the two agree only statistically.  :class:`LinkKeyedLossModel` makes every
 link's loss mask a pure function of the link, and then the two engines must
 agree exactly (``tests/test_montecarlo.py``).
+
+Two more replaced implementations live here as oracles:
+
+* :func:`link_loss_profile` -- the per-link scan of every failure event that
+  :class:`~repro.simulation.failures.LinkEventIndex` replaced; the compiled
+  path table's profiles must equal :func:`scanned_profiles` bit for bit;
+* :class:`SteppedGilbertElliott` -- the Gilbert-Elliott chain stepped one
+  packet at a time, which the sojourn sampler of
+  :class:`~repro.network.loss.GilbertElliottLossModel` replaced; the two must
+  agree in law (``tests/test_ge_sampler.py``).
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
-from repro.network.loss import BernoulliLossModel, LossModel
-from repro.simulation.failures import FailureSchedule
+from repro.network.loss import BernoulliLossModel, LossModel, _check
+from repro.simulation.failures import (
+    OUTAGE_KINDS,
+    FailureEvent,
+    FailureSchedule,
+)
+from repro.simulation.montecarlo import _split_profile
 from repro.simulation.packets import window_starts
 
 
@@ -57,6 +73,164 @@ class LinkKeyedLossModel(LossModel):
         key = zlib.crc32("\x00".join(link or ()).encode())
         uniforms = np.random.default_rng([self.salt, key]).random(num_packets)
         return uniforms < loss_probability
+
+
+@dataclass
+class SteppedGilbertElliott(LossModel):
+    """The Gilbert-Elliott chain stepped one packet at a time.
+
+    Same parameters and law as :class:`~repro.network.loss.GilbertElliottLossModel`:
+    a stationary initial state, then one transition draw per packet.
+    """
+
+    mean_burst_length: float = 20.0
+    bad_state_fraction: float = 0.1
+    good_scale: float = 0.2
+
+    def _chain_parameters(
+        self, probabilities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Per-link (loss_good, loss_bad) plus the shared transition rates."""
+        pi_bad = self.bad_state_fraction
+        loss_good = np.minimum(probabilities * self.good_scale, 1.0)
+        loss_bad = np.clip(
+            (probabilities - (1.0 - pi_bad) * loss_good) / pi_bad, 0.0, 1.0
+        )
+        p_leave_bad = 1.0 / max(self.mean_burst_length, 1.0)
+        p_enter_bad = float(
+            np.clip(p_leave_bad * pi_bad / max(1.0 - pi_bad, 1e-9), 0.0, 1.0)
+        )
+        return loss_good, loss_bad, p_leave_bad, p_enter_bad
+
+    def sample_losses(
+        self,
+        loss_probability: float,
+        num_packets: int,
+        rng: np.random.Generator,
+        link: tuple[str, str] | None = None,
+    ) -> np.ndarray:
+        _check(loss_probability, num_packets)
+        if loss_probability in (0.0, 1.0):
+            return np.full(num_packets, bool(loss_probability))
+        pi_bad = self.bad_state_fraction
+        loss_good = min(loss_probability * self.good_scale, 1.0)
+        # Solve pi_bad * loss_bad + (1 - pi_bad) * loss_good = p for loss_bad.
+        loss_bad = (loss_probability - (1.0 - pi_bad) * loss_good) / pi_bad
+        loss_bad = float(np.clip(loss_bad, 0.0, 1.0))
+        # Transition probabilities: leave bad state w.p. 1/burst, enter so that
+        # the stationary distribution has mass pi_bad on the bad state.
+        p_leave_bad = 1.0 / max(self.mean_burst_length, 1.0)
+        p_enter_bad = p_leave_bad * pi_bad / max(1.0 - pi_bad, 1e-9)
+        p_enter_bad = float(np.clip(p_enter_bad, 0.0, 1.0))
+
+        states = np.empty(num_packets, dtype=bool)  # True = bad state
+        uniforms = rng.random(num_packets)
+        transitions = rng.random(num_packets)
+        state = rng.random() < pi_bad
+        for t in range(num_packets):
+            states[t] = state
+            if state:
+                state = not (transitions[t] < p_leave_bad)
+            else:
+                state = transitions[t] < p_enter_bad
+        loss_rates = np.where(states, loss_bad, loss_good)
+        return uniforms < loss_rates
+
+    def sample_loss_matrix(
+        self,
+        loss_probabilities: np.ndarray,
+        trials: int,
+        num_packets: int,
+        rng: np.random.Generator,
+        links=None,
+    ) -> np.ndarray:
+        """Vectorized chains: all ``(link, trial)`` state machines step together."""
+        probabilities = np.asarray(loss_probabilities, dtype=np.float64)
+        for probability in probabilities:
+            _check(float(probability), num_packets)
+        num_links = probabilities.size
+        if num_links == 0 or trials == 0 or num_packets == 0:
+            return np.zeros((num_links, trials, num_packets), dtype=bool)
+        loss_good, loss_bad, p_leave_bad, p_enter_bad = self._chain_parameters(
+            probabilities
+        )
+        uniforms = rng.random((num_links, trials, num_packets))
+        transitions = rng.random((num_links, trials, num_packets))
+        state = rng.random((num_links, trials)) < self.bad_state_fraction
+        rates = np.empty((num_links, trials, num_packets))
+        good = loss_good[:, None]
+        bad = loss_bad[:, None]
+        for t in range(num_packets):
+            rates[:, :, t] = np.where(state, bad, good)
+            step = transitions[:, :, t]
+            state = np.where(state, step >= p_leave_bad, step < p_enter_bad)
+        lost = uniforms < rates
+        # Degenerate endpoints keep the exact semantics of sample_losses.
+        lost[probabilities <= 0.0] = False
+        lost[probabilities >= 1.0] = True
+        return lost
+
+
+# ---------------------------------------------------------------------------
+# Failure profiles by scanning every event
+# ---------------------------------------------------------------------------
+
+
+def matches_link(
+    event: FailureEvent, tail: str, head: str, node_isp: Mapping[str, str | None]
+) -> bool:
+    """Whether ``event`` affects the link ``tail -> head``."""
+    if event.kind == "isp_outage":
+        return node_isp.get(tail) == event.target or node_isp.get(head) == event.target
+    if event.kind in ("reflector_crash", "node_outage"):
+        return event.target in (tail, head)
+    # link_congestion: receiver-side overload hits incoming links only.
+    return head == event.target
+
+
+def link_loss_profile(
+    schedule: FailureSchedule,
+    tail: str,
+    head: str,
+    num_packets: int,
+    node_isp: Mapping[str, str | None] | None = None,
+) -> np.ndarray | None:
+    """Forced per-packet loss probability for the link, or ``None``.
+
+    Outage events force loss 1.0; overlapping congestion events combine
+    independently (``1 - prod(1 - severity)``).  Returns ``None`` when no
+    event touches the link.
+    """
+    node_isp = node_isp or {}
+    profile: np.ndarray | None = None
+    for event in schedule.events:
+        if not matches_link(event, tail, head, node_isp):
+            continue
+        if profile is None:
+            profile = np.zeros(num_packets, dtype=np.float64)
+        window = event.window_mask(num_packets)
+        if event.kind in OUTAGE_KINDS:
+            profile[window] = 1.0
+        else:
+            profile[window] = 1.0 - (1.0 - profile[window]) * (1.0 - event.severity)
+    return profile
+
+
+def scanned_profiles(
+    links: list[tuple[str, str]],
+    schedule: FailureSchedule,
+    num_packets: int,
+    node_isp: Mapping[str, str | None] | None,
+) -> list[tuple[int, np.ndarray | None, list[tuple[int, int, float]]]]:
+    """A path table's ``*_profiles`` list, one event scan per link."""
+    out = []
+    for row, (tail, head) in enumerate(links):
+        hard, segments = _split_profile(
+            link_loss_profile(schedule, tail, head, num_packets, node_isp)
+        )
+        if hard is not None or segments:
+            out.append((row, hard, segments))
+    return out
 
 
 @dataclass
@@ -201,7 +375,7 @@ def simulate_stream_transport(
             rng,
             loss_model,
             link=(stream, reflector),
-            loss_profile=failures.link_loss_profile(stream, reflector, num_packets, node_isp),
+            loss_profile=link_loss_profile(failures, stream, reflector, num_packets, node_isp),
         )
 
     results: dict[tuple[str, str], dict[str, np.ndarray]] = {}
@@ -216,8 +390,8 @@ def simulate_stream_transport(
                 rng,
                 loss_model,
                 link=(reflector, demand.sink),
-                loss_profile=failures.link_loss_profile(
-                    reflector, demand.sink, num_packets, node_isp
+                loss_profile=link_loss_profile(
+                    failures, reflector, demand.sink, num_packets, node_isp
                 ),
             )
             per_path[reflector] = ~reflector_lost[reflector] & ~lost_second_hop

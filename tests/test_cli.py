@@ -437,7 +437,9 @@ class TestSimulateMonteCarlo:
         assert "mean_loss" in output and "95% CI" in output
 
     @pytest.mark.parametrize("mode", ["single", "stream", "scenario"])
-    @pytest.mark.parametrize("flag", ["--packets", "--trials", "--window"])
+    @pytest.mark.parametrize(
+        "flag", ["--packets", "--trials", "--window", "--demand-tile", "--trial-tile"]
+    )
     def test_non_positive_numeric_flag_is_a_clean_error(
         self, problem_file, solution_file, capsys, flag, mode
     ):

@@ -29,6 +29,7 @@ from repro.simulation import (
 )
 from repro.network.loss import BernoulliLossModel, GilbertElliottLossModel
 from repro.core.problem import OverlayDesignProblem
+from repro.simulation.montecarlo import link_profiles
 from repro.simulation.scenarios import hot_sinks, infer_clusters
 from repro.workloads import AkamaiLikeConfig, generate_akamai_like_topology
 
@@ -61,15 +62,17 @@ class TestFailureEvent:
         assert FailureEvent("link_congestion", "x", 0, 10, severity=0.3).severity == 0.3
 
     def test_node_outage_matches_either_endpoint(self):
-        event = FailureEvent("node_outage", "edge1", 0, 10)
-        assert event.matches_link("r1", "edge1", {})
-        assert event.matches_link("edge1", "r1", {})
-        assert not event.matches_link("r1", "edge2", {})
+        index = FailureSchedule([FailureEvent("node_outage", "edge1", 0, 10)]).link_index()
+        assert index.link_events("r1", "edge1") == (0,)
+        assert index.link_events("edge1", "r1") == (0,)
+        assert index.link_events("r1", "edge2") == ()
 
     def test_congestion_matches_head_only(self):
-        event = FailureEvent("link_congestion", "edge1", 0, 10, severity=0.3)
-        assert event.matches_link("r1", "edge1", {})
-        assert not event.matches_link("edge1", "r1", {})
+        index = FailureSchedule(
+            [FailureEvent("link_congestion", "edge1", 0, 10, severity=0.3)]
+        ).link_index()
+        assert index.link_events("r1", "edge1") == (0,)
+        assert index.link_events("edge1", "r1") == ()
 
     def test_event_outlasting_session_is_truncated_not_dropped(self):
         """Golden: an interval ending after num_packets applies to its prefix."""
@@ -112,19 +115,21 @@ class TestFailureSchedule:
                 FailureEvent("link_congestion", "edge1", 6, 8, severity=0.5),
             ]
         )
-        profile = schedule.link_loss_profile("r1", "edge1", 10)
+        index = schedule.link_index()
+        profile = index.loss_profile(index.link_events("r1", "edge1"), 10)
         assert profile[:4].tolist() == [1.0] * 4  # outage dominates
         assert profile[4:6].tolist() == [0.5, 0.5]
         assert profile[6:8] == pytest.approx([0.75, 0.75])  # independent combine
         assert profile[8:].tolist() == [0.0, 0.0]
-        assert schedule.link_loss_profile("r1", "edge2", 10) is None
+        assert index.loss_profile(index.link_events("r1", "edge2"), 10) is None
         assert schedule.has_congestion()
 
     def test_outage_mask_ignores_congestion(self):
         schedule = FailureSchedule(
             [FailureEvent("link_congestion", "edge1", 0, 10, severity=0.9)]
         )
-        assert not schedule.link_outage_mask("r1", "edge1", 10).any()
+        [(row, hard, segments)] = link_profiles([("r1", "edge1")], schedule.link_index(), 10)
+        assert (row, hard, segments) == (0, None, [(0, 10, 0.9)])
 
 
 class TestGoldenSamplers:

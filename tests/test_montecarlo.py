@@ -12,6 +12,8 @@ are the engine's correctness anchor:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from sim_oracle import LinkKeyedLossModel, simulate_solution, windowed_loss_matrix
@@ -19,7 +21,7 @@ from sim_oracle import LinkKeyedLossModel, simulate_solution, windowed_loss_matr
 from repro.api import DesignRequest, get_designer
 from repro.baselines import greedy_design
 from repro.core.solution import OverlaySolution
-from repro.network.loss import GilbertElliottLossModel
+from repro.network.loss import BernoulliLossModel, GilbertElliottLossModel
 from repro.simulation import (
     FailureEvent,
     FailureSchedule,
@@ -27,7 +29,15 @@ from repro.simulation import (
     compile_path_table,
     run_monte_carlo,
 )
-from repro.simulation.montecarlo import _window_counts_packed
+from repro.simulation.montecarlo import (
+    _chunk_trials,
+    _window_counts_packed,
+    estimate_trial_bytes,
+    path_count_groups,
+    simulate_trial_block,
+)
+from repro.simulation.scenarios import realize_scenario
+from repro.simulation.streaming import _per_demand_trial_bytes
 from repro.workloads import (
     AkamaiLikeConfig,
     RandomInstanceConfig,
@@ -362,3 +372,59 @@ class TestEngineBehaviour:
             MonteCarloConfig(num_packets=500, trials=6, window=125, seed=3),
         )
         assert (report.result_for(("d1", "s")).worst_window <= 1.0).all()
+
+
+class TestMemoryModel:
+    """``row_trial_bytes`` is the one memory model of both engines."""
+
+    @staticmethod
+    def _table(num_packets: int, scenario: str = "isp-outage"):
+        problem = random_problem(
+            RandomInstanceConfig(num_streams=2, num_reflectors=10, num_sinks=120), rng=7
+        )
+        solution = get_designer("greedy").design(DesignRequest(problem=problem)).solution
+        realization = realize_scenario(
+            scenario, problem, num_packets, np.random.default_rng(3), solution=solution
+        )
+        table = compile_path_table(problem, solution, realization.failures, num_packets, None)
+        return table, realization.loss_model
+
+    @pytest.mark.parametrize(
+        "scenario", ["baseline", "isp-outage", "bursty-links", "perfect-storm"]
+    )
+    @pytest.mark.parametrize("num_packets,chunk", [(2000, 6), (613, 3), (240, 16)])
+    def test_kernel_peak_stays_within_the_estimate(self, scenario, num_packets, chunk):
+        table, loss_model = self._table(num_packets, scenario)
+        estimate = chunk * estimate_trial_bytes(table, loss_model, num_packets)
+        tracemalloc.start()
+        try:
+            groups = path_count_groups(table)
+            rng = np.random.default_rng(0)
+            simulate_trial_block(table, loss_model, chunk, num_packets, 200, groups, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate, (type(loss_model).__name__, peak, estimate)
+
+    def test_bernoulli_estimate_is_unchanged(self):
+        # Batched chunk boundaries derive from this figure, so it is part of
+        # the determinism contract: pinned at the values of earlier releases.
+        for num_packets, expected in ((613, 91396.28066494917), (2000, 231385.6698253533)):
+            table, _ = self._table(num_packets, "baseline")
+            assert estimate_trial_bytes(table, BernoulliLossModel(), num_packets) == expected
+
+    @pytest.mark.parametrize(
+        "loss_model", [BernoulliLossModel(), GilbertElliottLossModel(), LinkKeyedLossModel()]
+    )
+    def test_streaming_estimate_bounds_the_batched_one(self, loss_model):
+        table, _ = self._table(2000)
+        per_demand = _per_demand_trial_bytes(table, loss_model, 2000)
+        assert per_demand.shape == (len(table.demand_keys),)
+        assert per_demand.sum() >= estimate_trial_bytes(table, loss_model, 2000)
+
+    def test_ge_sweeps_run_in_one_chunk(self):
+        # The packed footprint replaced a dense 20 bytes/packet estimate that
+        # cut audit-size Gilbert-Elliott sweeps into 1-2-trial chunks.
+        table, loss_model = self._table(2000, "bursty-links")
+        config = MonteCarloConfig(num_packets=2000, trials=10, loss_model=loss_model)
+        assert _chunk_trials(table, config) == [10]

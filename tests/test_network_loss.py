@@ -57,6 +57,31 @@ class TestGilbertElliott:
         assert not model.sample_losses(0.0, 500, rng).any()
         assert model.sample_losses(1.0, 500, rng).all()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("bad_state_fraction", 0.0),
+            ("bad_state_fraction", 1.0),
+            ("bad_state_fraction", float("nan")),
+            ("mean_burst_length", 0.5),
+            ("mean_burst_length", float("inf")),
+            ("good_scale", -0.1),
+            ("good_scale", 1.5),
+        ],
+    )
+    def test_invalid_parameters_are_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GilbertElliottLossModel(**{field: value})
+
+    def test_parameter_edges_are_accepted(self, rng):
+        for model in (
+            GilbertElliottLossModel(mean_burst_length=1.0),
+            GilbertElliottLossModel(bad_state_fraction=0.99, good_scale=0.0),
+            GilbertElliottLossModel(good_scale=1.0),
+        ):
+            losses = model.sample_losses(0.05, 2000, rng)
+            assert losses.shape == (2000,) and 0.0 < losses.mean() < 0.2
+
 
 class TestIspOutage:
     NODE_ISP = {"src": "ispA", "r1": "ispA", "r2": "ispB", "d": "ispB"}

@@ -19,6 +19,7 @@ from sim_oracle import (
 from repro.core.solution import OverlaySolution
 from repro.network.loss import GilbertElliottLossModel
 from repro.simulation import FailureEvent, FailureSchedule, MonteCarloConfig, run_monte_carlo
+from repro.simulation.montecarlo import link_profiles
 
 
 @pytest.fixture
@@ -95,12 +96,16 @@ class TestFailures:
             ]
         )
         node_isp = {"r2": "ispA", "d": "ispB"}
-        mask_r1 = schedule.link_outage_mask("r1", "d", 10)
-        assert mask_r1[:5].all() and not mask_r1[5:].any()
-        mask_r2 = schedule.link_outage_mask("r2", "d", 10, node_isp)
-        assert mask_r2[5:].all() and not mask_r2[:5].any()
-        mask_other = schedule.link_outage_mask("r3", "d", 10, node_isp)
-        assert not mask_other.any()
+        links = [("r1", "d"), ("r2", "d"), ("r3", "d")]
+        profiles = link_profiles(links, schedule.link_index(node_isp), 10)
+        masks = {
+            links[row]: np.unpackbits(hard, count=10, bitorder="little").astype(bool)
+            for row, hard, _segments in profiles
+        }
+        assert all(segments == [] for _row, _hard, segments in profiles)
+        assert masks[("r1", "d")][:5].all() and not masks[("r1", "d")][5:].any()
+        assert masks[("r2", "d")][5:].all() and not masks[("r2", "d")][:5].any()
+        assert ("r3", "d") not in masks
 
     def test_single_isp_outage_helper(self):
         schedule = FailureSchedule.single_isp_outage("ispA", 1000, fraction=0.25)
