@@ -28,6 +28,7 @@ from repro.core.formulation import ExtensionOptions
 from repro.core.problem import OverlayDesignProblem
 from repro.core.rounding import RoundingParameters
 from repro.core.serialization import (
+    DocumentError,
     check_document,
     problem_from_dict,
     problem_to_dict,
@@ -143,8 +144,16 @@ def evaluation_spec_to_dict(spec: EvaluationSpec) -> dict[str, Any]:
     return data
 
 
+def _object(value: Any, field: str) -> dict[str, Any]:
+    """``value`` if it is a JSON object, else a :class:`DocumentError` naming ``field``."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"{field} must be an object, got {type(value).__name__}")
+    return value
+
+
 def evaluation_spec_from_dict(data: dict[str, Any]) -> EvaluationSpec:
     """Decode an :class:`EvaluationSpec` from its JSON form."""
+    data = _object(data, "evaluation")
     scenarios = data.get("scenarios", "all")
     return EvaluationSpec(
         scenarios=scenarios if isinstance(scenarios, str) else tuple(scenarios),
@@ -306,8 +315,9 @@ def parameters_to_dict(parameters: DesignParameters) -> dict[str, Any]:
 
 def parameters_from_dict(data: dict[str, Any]) -> DesignParameters:
     """Decode :class:`DesignParameters` from :func:`parameters_to_dict` output."""
-    rounding = data.get("rounding", {})
-    extensions = data.get("extensions", {})
+    data = _object(data, "parameters")
+    rounding = _object(data.get("rounding", {}), "parameters.rounding")
+    extensions = _object(data.get("extensions", {}), "parameters.extensions")
     return DesignParameters(
         rounding=RoundingParameters(
             c=rounding.get("c", 8.0),
@@ -388,7 +398,9 @@ def request_from_dict(data: dict[str, Any]) -> DesignRequest:
     """Decode a request document produced by :func:`request_to_dict`.
 
     Reads every version in :data:`SCHEMA_VERSIONS_READ`, so documents written
-    by older builds keep loading after a schema bump.
+    by older builds keep loading after a schema bump.  A field of the wrong
+    JSON type raises :class:`~repro.core.serialization.DocumentError` (a
+    ``ValueError``) naming the field.
     """
     check_document(
         data,
@@ -402,7 +414,7 @@ def request_from_dict(data: dict[str, Any]) -> DesignRequest:
         problem=problem_from_dict(data["problem"]),
         parameters=parameters_from_dict(data.get("parameters", {})),
         strategy=data.get("strategy", "spaa03"),
-        options=dict(data.get("options", {})),
+        options=dict(_object(data.get("options", {}), "options")),
         evaluation=(
             evaluation_spec_from_dict(evaluation_data)
             if evaluation_data is not None

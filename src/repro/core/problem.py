@@ -131,6 +131,11 @@ class OverlayDesignProblem:
     1
     """
 
+    #: Memo of :func:`repro.core.serialization.problem_digest`.  The content
+    #: changes only through the ``add_*`` methods, and each one clears it.
+    #: Pickles and copies leave it out, so they digest their own content.
+    _digest: str | None = None
+
     def __init__(self, name: str = "overlay-design") -> None:
         self.name = name
         self._streams: list[str] = []
@@ -151,6 +156,11 @@ class OverlayDesignProblem:
         self._stream_bandwidth: dict[str, float] = {}
         self._arc_capacity: dict[tuple[str, str], float] = {}
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
+
     # --------------------------------------------------------------- building
     def add_stream(self, stream: str, bandwidth: float = 1.0) -> None:
         """Register a stream (commodity).
@@ -158,6 +168,7 @@ class OverlayDesignProblem:
         ``bandwidth`` is only used by the Section 6.1 extension (``B^k``); the
         base formulation treats every stream as one unit of fanout.
         """
+        self._digest = None
         if stream in self._stream_set:
             raise ValueError(f"stream {stream!r} already exists")
         if bandwidth <= 0:
@@ -180,6 +191,7 @@ class OverlayDesignProblem:
         color-constraint extension; ``capacity`` bounds the number of distinct
         streams delivered to the reflector (Section 6.2, constraint (8)).
         """
+        self._digest = None
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
         if cost < 0:
@@ -195,6 +207,7 @@ class OverlayDesignProblem:
 
     def add_sink(self, sink: str) -> None:
         """Register a sink (edgeserver)."""
+        self._digest = None
         if sink in self._sink_set:
             raise ValueError(f"sink {sink!r} already exists")
         self._sinks.append(sink)
@@ -204,6 +217,7 @@ class OverlayDesignProblem:
         self, stream: str, reflector: str, loss_probability: float, cost: float
     ) -> None:
         """Add the source->reflector edge for ``stream`` (at most one per pair)."""
+        self._digest = None
         self._require_stream(stream)
         self._require_reflector(reflector)
         _check_probability(loss_probability)
@@ -231,6 +245,7 @@ class OverlayDesignProblem:
         ``capacity`` bounds the number of streams on the link (Section 6.3,
         constraint (7')).
         """
+        self._digest = None
         self._require_reflector(reflector)
         self._require_sink(sink)
         _check_probability(loss_probability)
@@ -256,6 +271,7 @@ class OverlayDesignProblem:
 
     def add_demand(self, sink: str, stream: str, success_threshold: float) -> None:
         """Require ``sink`` to receive ``stream`` with success probability >= threshold."""
+        self._digest = None
         self._require_sink(sink)
         self._require_stream(stream)
         if not 0.0 < success_threshold < 1.0:

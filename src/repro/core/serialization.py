@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+import math
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Sequence
 
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
@@ -24,12 +27,47 @@ FORMAT_VERSION = 1
 
 
 class DocumentError(ValueError):
-    """A problem or solution file that cannot be read or decoded.
+    """A problem, solution or request document that cannot be read or decoded.
 
     Raised by :func:`load_problem` and :func:`load_solution` for a missing or
     unreadable file, non-JSON content, a wrong ``kind``/version, or a missing
-    field.  The message names the path and the cause.
+    field; the message names the path and the cause.  The decoders raise it
+    directly for a field of the wrong JSON type, naming the field (e.g.
+    ``problem.streams must be a list``).
     """
+
+
+def _stream_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
+    return [
+        {"name": stream, "bandwidth": problem.stream_bandwidth(stream)}
+        for stream in problem.streams
+    ]
+
+
+def _reflector_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
+    return [
+        {
+            "name": reflector,
+            "cost": info.cost,
+            "fanout": info.fanout,
+            "color": info.color,
+            "capacity": info.capacity,
+        }
+        for reflector in problem.reflectors
+        for info in [problem.reflector_info(reflector)]
+    ]
+
+
+def _stream_edge_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
+    return [
+        {
+            "stream": edge.stream,
+            "reflector": edge.reflector,
+            "loss_probability": edge.loss_probability,
+            "cost": edge.cost,
+        }
+        for edge in problem.stream_edges()
+    ]
 
 
 def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
@@ -38,31 +76,10 @@ def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
         "format_version": FORMAT_VERSION,
         "kind": "overlay-design-problem",
         "name": problem.name,
-        "streams": [
-            {"name": stream, "bandwidth": problem.stream_bandwidth(stream)}
-            for stream in problem.streams
-        ],
-        "reflectors": [
-            {
-                "name": reflector,
-                "cost": info.cost,
-                "fanout": info.fanout,
-                "color": info.color,
-                "capacity": info.capacity,
-            }
-            for reflector in problem.reflectors
-            for info in [problem.reflector_info(reflector)]
-        ],
+        "streams": _stream_entries(problem),
+        "reflectors": _reflector_entries(problem),
         "sinks": list(problem.sinks),
-        "stream_edges": [
-            {
-                "stream": edge.stream,
-                "reflector": edge.reflector,
-                "loss_probability": edge.loss_probability,
-                "cost": edge.cost,
-            }
-            for edge in problem.stream_edges()
-        ],
+        "stream_edges": _stream_edge_entries(problem),
         "delivery_edges": [
             {
                 "reflector": reflector,
@@ -99,10 +116,17 @@ def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
 def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
     """Decode a problem from a dictionary produced by :func:`problem_to_dict`."""
     _check_document(data, "overlay-design-problem")
+
+    def entities(key: str) -> list:
+        value = data.get(key, [])
+        if not isinstance(value, list):
+            raise DocumentError(f"problem.{key} must be a list, got {type(value).__name__}")
+        return value
+
     problem = OverlayDesignProblem(name=data.get("name", "overlay-design"))
-    for stream in data.get("streams", []):
+    for stream in entities("streams"):
         problem.add_stream(stream["name"], bandwidth=stream.get("bandwidth", 1.0))
-    for reflector in data.get("reflectors", []):
+    for reflector in entities("reflectors"):
         problem.add_reflector(
             reflector["name"],
             cost=reflector["cost"],
@@ -110,16 +134,16 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
             color=reflector.get("color"),
             capacity=reflector.get("capacity"),
         )
-    for sink in data.get("sinks", []):
+    for sink in entities("sinks"):
         problem.add_sink(sink)
-    for edge in data.get("stream_edges", []):
+    for edge in entities("stream_edges"):
         problem.add_stream_edge(
             edge["stream"],
             edge["reflector"],
             loss_probability=edge["loss_probability"],
             cost=edge["cost"],
         )
-    for edge in data.get("delivery_edges", []):
+    for edge in entities("delivery_edges"):
         problem.add_delivery_edge(
             edge["reflector"],
             edge["sink"],
@@ -128,7 +152,7 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
             stream_costs=edge.get("stream_costs") or None,
             capacity=edge.get("capacity"),
         )
-    for demand in data.get("demands", []):
+    for demand in entities("demands"):
         problem.add_demand(
             demand["sink"], demand["stream"], success_threshold=demand["success_threshold"]
         )
@@ -207,27 +231,143 @@ def load_solution(path: str, problem: OverlayDesignProblem) -> OverlaySolution:
     return _load_document(path, lambda data: solution_from_dict(data, problem))
 
 
+def _canonical(obj: Any, places: int = 9) -> Any:
+    """``obj`` with floats rounded to ``places`` and dict keys as sorted strings."""
+    if isinstance(obj, float):
+        return round(float(obj), places)
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v, places) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v, places) for v in obj]
+    return obj
+
+
 def canonical_digest(document: Any, *, places: int = 9, length: int = 16) -> str:
     """Stable short digest of a JSON-compatible document.
 
     Floats are rounded to ``places`` decimal places and dictionary keys are
-    sorted before hashing, so the digest is insensitive to insertion order
-    and to sub-ULP float noise -- the same convention the golden regression
-    corpus uses.  Two documents with equal digests are, for regression
-    purposes, the same document.
+    sorted before hashing, so the digest is insensitive to key order and to
+    float noise that does not change a value's rounded form -- the same
+    convention the golden regression corpus uses.  Noise can still move a
+    value across a rounding boundary (``0.1234567884999`` and
+    ``0.1234567885001`` round apart at 9 places), and then the digest
+    changes.  Two documents with equal digests are, for regression purposes,
+    the same document.
     """
-
-    def canonical(obj: Any) -> Any:
-        if isinstance(obj, float):
-            return round(float(obj), places)
-        if isinstance(obj, dict):
-            return {str(k): canonical(v) for k, v in sorted(obj.items())}
-        if isinstance(obj, (list, tuple)):
-            return [canonical(v) for v in obj]
-        return obj
-
-    payload = json.dumps(canonical(document), sort_keys=True).encode()
+    payload = json.dumps(_canonical(document, places), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:length]
+
+
+def _text(value: Any) -> str:
+    """Canonical JSON text of one value: the bytes :func:`canonical_digest` writes."""
+    return json.dumps(_canonical(value), sort_keys=True)
+
+
+def _float_texts(values: Sequence[float]) -> list[str]:
+    """Canonical text of each float in ``values``, in order.
+
+    ``json`` writes the whole rounded column in one call; no float's text
+    contains ``", "``, so the column splits back into one text per value.
+    """
+    if not values:
+        return []
+    return json.dumps(list(map(round, values, repeat(9))))[1:-1].split(", ")
+
+
+def _sorted_texts(template: str, *columns) -> list[str]:
+    """Fill ``template`` once per row of ``columns``; the texts, sorted."""
+    return sorted(map(template.__mod__, zip(*columns)))
+
+
+# problem_to_dict's delivery-edge and demand entries and its document, keys
+# in sorted order (tests/test_digest.py holds them to the old encoder).
+_DELIVERY_EDGE = (
+    '{"capacity": %s, "cost": %s, "loss_probability": %s, "reflector": %s, '
+    '"sink": %s, "stream_costs": %s}'
+)
+_DEMAND = '{"sink": %s, "stream": %s, "success_threshold": %s}'
+_PROBLEM = (
+    '{"delivery_edges": [%s], "demands": [%s], "format_version": %d, '
+    '"kind": "overlay-design-problem", "reflectors": [%s], "sinks": [%s], '
+    '"stream_edges": [%s], "streams": [%s]}'
+)
+
+
+def _delivery_texts(
+    problem: OverlayDesignProblem, streams: list[str], names: dict[str, str]
+) -> list[str]:
+    """Sorted canonical texts of the delivery links, as problem_to_dict writes them.
+
+    A link's ``cost`` is its cost for the first stream and ``stream_costs``
+    lists the streams whose rounded cost differs from it (so a NaN cost lists
+    every stream).  problem_to_dict compares unrounded costs; comparing the
+    rounded ones keeps float noise out of the digest.  Only links with
+    per-stream overrides, or a NaN cost, need that per-stream pass; the rest
+    write their base cost and ``{}``.
+    """
+    links = problem.delivery_link_data()
+    if not links:
+        return []
+    reflectors, sinks, losses, costs = zip(*links)
+    stream_costs = ["{}"] * len(links)
+    if not streams:
+        costs = (0.0,) * len(links)
+    else:
+        overrides = problem.delivery_stream_cost_overrides()
+        if overrides or any(map(math.isnan, costs)):
+            costs = list(costs)
+            for index, (reflector, sink, _loss, base) in enumerate(links):
+                own = overrides.get((reflector, sink), {})
+                per_stream = {stream: own.get(stream, base) for stream in streams}
+                cost = costs[index] = per_stream[streams[0]]
+                differing = {
+                    k: v for k, v in per_stream.items() if round(v, 9) != round(cost, 9)
+                }
+                if differing:
+                    stream_costs[index] = _text(differing)
+    capacities = problem.arc_capacities()
+    capacity_texts = (
+        [_text(capacities.get(key)) for key in zip(reflectors, sinks)]
+        if capacities
+        else ["null"] * len(links)
+    )
+    return _sorted_texts(
+        _DELIVERY_EDGE,
+        capacity_texts,
+        _float_texts(costs),
+        _float_texts(losses),
+        map(names.__getitem__, reflectors),
+        map(names.__getitem__, sinks),
+        stream_costs,
+    )
+
+
+def _problem_digest(problem: OverlayDesignProblem) -> str:
+    """One pass over the problem's tables; see :func:`problem_digest`."""
+    streams = problem.streams
+    sinks = problem.sinks
+    # Each name's JSON text, escaped once however often the name is used.
+    names = {
+        name: encode_basestring_ascii(name) if isinstance(name, str) else _text(name)
+        for name in streams + problem.reflectors + sinks
+    }
+    demands = problem.demands
+    demand_texts = _sorted_texts(
+        _DEMAND,
+        [names[demand.sink] for demand in demands],
+        [names[demand.stream] for demand in demands],
+        _float_texts([demand.success_threshold for demand in demands]),
+    )
+    text = _PROBLEM % (
+        ", ".join(_delivery_texts(problem, streams, names)),
+        ", ".join(demand_texts),
+        FORMAT_VERSION,
+        ", ".join(sorted(map(_text, _reflector_entries(problem)))),
+        ", ".join(map(names.__getitem__, sorted(sinks))),
+        ", ".join(sorted(map(_text, _stream_edge_entries(problem)))),
+        ", ".join(sorted(map(_text, _stream_entries(problem)))),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def problem_digest(problem: OverlayDesignProblem) -> str:
@@ -237,16 +377,27 @@ def problem_digest(problem: OverlayDesignProblem) -> str:
     two problems describing the same network (same streams, reflectors,
     sinks, edges, demands) digest identically even if they were built in
     different orders -- which is what makes the digest useful for checking
-    delta round-trips (``apply(apply(P, d), invert(d)) == P``).
+    delta round-trips (``apply(apply(P, d), invert(d)) == P``).  One order
+    still counts: with per-stream cost overrides, a link's costs are written
+    relative to the first stream added, as :func:`problem_to_dict` writes
+    them.
+
+    The digest hashes :func:`problem_to_dict` without the name, with floats
+    rounded as in :func:`canonical_digest`: each entity list is sorted by its
+    entries' rounded text, the sinks by name, and a link lists a per-stream
+    cost only when it differs from the link's cost after rounding.  It is
+    written in one pass over the problem's tables rather than through that
+    document.  Float noise is ignored when every value keeps its 9-place
+    rounded form; a value that crosses a rounding boundary changes the
+    digest.
+
+    The digest is memoised on the problem object; every ``add_*`` method of
+    :class:`OverlayDesignProblem` clears it.
     """
-    document = problem_to_dict(problem)
-    document.pop("name", None)
-    for key in ("streams", "reflectors", "stream_edges", "delivery_edges", "demands"):
-        document[key] = sorted(
-            document[key], key=lambda entry: json.dumps(entry, sort_keys=True)
-        )
-    document["sinks"] = sorted(document["sinks"])
-    return canonical_digest(document)
+    digest = problem._digest
+    if digest is None:
+        digest = problem._digest = _problem_digest(problem)
+    return digest
 
 
 def solution_digest(solution: OverlaySolution) -> str:

@@ -26,7 +26,6 @@ per-request provenance lands on ``DesignResult.cache``.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import replace
 from typing import Any, Callable, Mapping
 
@@ -70,44 +69,25 @@ class StageCacheAdapter(StageCache):
             "formulate": {"hit": 0, "miss": 0},
             "solve": {"hit": 0, "miss": 0},
         }
-        # Problem digests are memoised per problem *object* for the adapter's
-        # lifetime: one design digests each (sub)problem up to four times
-        # (formulate get/put, solve get/put) and the content cannot change
-        # underneath -- problems are append-only and the pipeline never
-        # appends.
-        self._digests: "weakref.WeakKeyDictionary[OverlayDesignProblem, str]" = (
-            weakref.WeakKeyDictionary()
-        )
-
-    def _digest(self, problem: OverlayDesignProblem) -> str:
-        try:
-            return self._digests[problem]
-        except (KeyError, TypeError):
-            digest = problem_digest(problem)
-            try:
-                self._digests[problem] = digest
-            except TypeError:  # pragma: no cover - non-weakrefable problem
-                pass
-            return digest
 
     def get_formulation(self, problem, parameters):
-        key = formulation_key(self._digest(problem), parameters)
+        key = formulation_key(problem_digest(problem), parameters)
         value = self.cache.get("formulation", key)
         self.counts["formulate"]["hit" if value is not None else "miss"] += 1
         return value
 
     def put_formulation(self, problem, parameters, formulation):
-        key = formulation_key(self._digest(problem), parameters)
+        key = formulation_key(problem_digest(problem), parameters)
         self.cache.put("formulation", key, formulation)
 
     def get_lp(self, problem, parameters):
-        key = formulation_key(self._digest(problem), parameters)
+        key = formulation_key(problem_digest(problem), parameters)
         value = self.cache.get("lp", key)
         self.counts["solve"]["hit" if value is not None else "miss"] += 1
         return value
 
     def put_lp(self, problem, parameters, lp_solution, fractional):
-        key = formulation_key(self._digest(problem), parameters)
+        key = formulation_key(problem_digest(problem), parameters)
         self.cache.put("lp", key, (lp_solution, fractional))
 
     def stage_states(self) -> dict[str, str]:
@@ -231,8 +211,9 @@ def run_request_cached(
     options) run uncached with ``stages={"result": "bypass"}``.
 
     ``digest`` is an optional precomputed :func:`request_digest` -- the
-    service passes the one it already computed for in-flight dedup so the
-    hot repeat path canonicalizes the problem once, not twice.
+    service passes the one it already computed for in-flight dedup.  The
+    problem digest is memoised on the problem object, so a request digests
+    its problem once whichever of the two computes it first.
     """
     if cache is None or bypass:
         from repro.api.registry import run_request
@@ -249,10 +230,8 @@ def run_request_cached(
             result.cache["session_id"] = session_id
         return result
 
-    # The repeat-digest hot path canonicalizes the problem exactly once (for
-    # the request digest -- or zero times when the service hands one in);
-    # the problem digest is only needed for stage keys on a miss, so it is
-    # stored with the cached entry instead of being recomputed on a hit.
+    # A hit reads the problem digest from the cached entry; a miss needs it
+    # for the stage keys and finds it memoised by the request digest.
     r_digest = digest if digest is not None else request_digest(request)
     stages: dict[str, str] = {}
 

@@ -18,6 +18,7 @@ import pytest
 from repro.api import (
     DesignRequest,
     get_designer,
+    request_to_dict,
     result_from_dict,
     result_to_dict,
 )
@@ -602,3 +603,78 @@ class TestResultSchemaVersions:
         assert solution_digest(restored.solution) == solution_digest(
             result.solution
         )
+
+
+# ---------------------------------------------------------------------------
+# Malformed request documents: a named error at every front
+# ---------------------------------------------------------------------------
+
+#: (field named in the error, path to the field, a value of the wrong type)
+MALFORMED_FIELDS = [
+    ("parameters", ("parameters",), [1, 2]),
+    ("parameters.rounding", ("parameters", "rounding"), [1]),
+    ("parameters.extensions", ("parameters", "extensions"), "on"),
+    ("options", ("options",), [1, 2]),
+    ("evaluation", ("evaluation",), [1]),
+    *(
+        (f"problem.{key}", ("problem", key), 7)
+        for key in ("streams", "reflectors", "sinks", "stream_edges", "delivery_edges", "demands")
+    ),
+]
+
+
+def _malformed_request(problem, path, value) -> dict:
+    document = json.loads(
+        json.dumps(request_to_dict(DesignRequest(problem=problem, parameters=DesignParameters())))
+    )
+    *parents, key = path
+    target = document
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    return document
+
+
+@pytest.fixture(scope="module")
+def design_server():
+    from repro.serve import DesignServer
+
+    with DesignServer(DesignService(workers=1)) as server:
+        yield server
+
+
+@pytest.mark.parametrize("front", ["submit", "http", "batch"])
+@pytest.mark.parametrize(
+    "field,path,value", MALFORMED_FIELDS, ids=[case[0] for case in MALFORMED_FIELDS]
+)
+def test_malformed_request_field_is_named(
+    request, problem, tmp_path, capsys, front, field, path, value
+):
+    import urllib.error
+    import urllib.request
+
+    from repro.cli import main
+    from repro.core.serialization import DocumentError
+
+    document = _malformed_request(problem, path, value)
+    message = f"{field} must be"
+    if front == "submit":
+        with DesignService(workers=1) as service:
+            with pytest.raises(DocumentError, match=message):
+                service.submit(document)
+    elif front == "http":
+        post = urllib.request.Request(
+            request.getfixturevalue("design_server").url + "/design",
+            data=json.dumps(document).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(post, timeout=30)
+        assert excinfo.value.code == 400
+        assert message in json.loads(excinfo.value.read())["error"]
+    else:
+        path = tmp_path / "requests.jsonl"
+        path.write_text(json.dumps(document) + "\n")
+        assert main(["batch", "--requests", str(path)]) == 2
+        assert message in capsys.readouterr().err
