@@ -1,12 +1,12 @@
 """Experiment R3 -- streaming million-demand reliability audit.
 
 Scenario ``r3`` designs an internet-scale instance, then audits it with the
-memory-bounded streaming engine along a trial ladder, asserting the memory
+memory-bounded Monte-Carlo fold along a trial ladder, asserting the memory
 contract (peak working set flat in the trial count and under the configured
-budget), the bit-identity of a single-tile run against the batched engine,
-and a diurnal trace replay producing per-window loss and rebuffering
-metrics.  Smoke runs 50k sinks; the full (nightly) leg runs 1M sinks x 1k
-trials.
+budget) and a diurnal trace replay producing per-window loss and rebuffering
+metrics.  The fold's exactness is pinned by the tier-1 oracle differential
+(``tests/test_montecarlo.py``).  Smoke runs 50k sinks; the full (nightly)
+leg runs 1M sinks x 1k trials.
 """
 
 from __future__ import annotations

@@ -56,12 +56,10 @@ from repro.network.topology import NodeRole
 from repro.simulation import (
     FailureSchedule,
     MonteCarloConfig,
-    StreamingConfig,
     compile_path_table,
     evaluate_design,
     failure_scenario_names,
     run_monte_carlo,
-    run_streaming_monte_carlo,
 )
 from repro.workloads import (
     AkamaiLikeConfig,
@@ -2185,12 +2183,12 @@ register_scenario(
 def r3_task(task: dict) -> list[dict]:
     """Design one internet-scale instance, then audit it along a trial ladder.
 
-    One row per ladder rung, each measuring the streaming fold alone: the
+    One row per ladder rung, each measuring the Monte-Carlo fold alone: the
     path table is compiled (and the design produced) before ``tracemalloc``
     starts, so ``peak_rss_bytes`` is the audit's working set -- tile buffers,
     tile tasks, and the per-demand accumulators.  The rung results must be
     flat in the trial count: that is the memory contract of
-    :func:`repro.simulation.run_streaming_monte_carlo`.
+    :func:`repro.simulation.run_monte_carlo`.
     """
     import tracemalloc
 
@@ -2211,69 +2209,9 @@ def r3_task(task: dict) -> list[dict]:
         problem, solution, FailureSchedule(), task["packets"], node_isp
     )
 
-    matches_batched = None
-    if task["differential"]:
-        # Bit-identical leg: a single-tile streaming run shares the batched
-        # engine's draw order exactly (same per-tile stream, one tile).
-        trials = task["trial_ladder"][0]
-        single = run_streaming_monte_carlo(
-            problem,
-            solution,
-            StreamingConfig(
-                num_packets=task["packets"],
-                trials=trials,
-                window=task["window"],
-                seed=task["eval_seed"],
-                demand_tile=10**9,
-                trial_tile=10**9,
-            ),
-            node_isp=node_isp,
-            table=table,
-        )
-        batched = run_monte_carlo(
-            problem,
-            solution,
-            MonteCarloConfig(
-                num_packets=task["packets"],
-                trials=trials,
-                window=task["window"],
-                max_batch_bytes=2**40,
-            ),
-            rng=np.random.default_rng(np.random.SeedSequence([task["eval_seed"], 0])),
-        )
-        # The batched report lists demands in problem order and aggregates
-        # per-trial floats; align by key and compare the *exact* integer
-        # sufficient statistics (loss counts and lcm-scaled worst windows are
-        # recoverable bit-for-bit from the correctly-rounded trial floats).
-        served = len(table.demand_keys)
-        by_key = {d.demand_key: d for d in batched.demands}
-        aligned = [by_key[key] for key in single.demand_keys[:served]]
-        counts = np.rint(
-            np.stack([d.loss for d in aligned]) * task["packets"]
-        ).astype(np.int64)
-        scale = single.accumulator.worst_scale
-        worst = np.rint(
-            np.stack([d.worst_window for d in aligned]) * scale
-        ).astype(np.int64)
-        duplicates = np.stack([d.duplicates for d in aligned])
-        accumulator = single.accumulator
-        matches_batched = bool(
-            np.array_equal(accumulator.loss_sum[:served], counts.sum(axis=1))
-            and np.array_equal(accumulator.loss_max[:served], counts.max(axis=1))
-            and np.array_equal(accumulator.worst_sum[:served], worst.sum(axis=1))
-            and np.array_equal(accumulator.worst_max[:served], worst.max(axis=1))
-            and np.array_equal(
-                accumulator.duplicates_sum[:served], duplicates.sum(axis=1)
-            )
-            and np.array_equal(
-                single.meets_threshold_fraction[:served],
-                np.asarray([d.meets_threshold_fraction for d in aligned]),
-            )
-        )
-
     rows = []
     for trials in task["trial_ladder"]:
-        streaming_config = StreamingConfig(
+        config = MonteCarloConfig(
             num_packets=task["packets"],
             trials=trials,
             window=task["window"],
@@ -2282,10 +2220,10 @@ def r3_task(task: dict) -> list[dict]:
         )
         tracemalloc.start()
         start = time.perf_counter()
-        report = run_streaming_monte_carlo(
+        report = run_monte_carlo(
             problem,
             solution,
-            streaming_config,
+            config,
             node_isp=node_isp,
             table=table,
             traces=tuple(task["traces"]),
@@ -2306,7 +2244,6 @@ def r3_task(task: dict) -> list[dict]:
             "fraction_meeting_threshold": report.fraction_meeting_threshold,
             "peak_rss_bytes": int(peak),
             "rss_budget": task["rss_budget"],
-            "matches_batched": matches_batched,
             "audit_seconds": elapsed,
         }
         for name in sorted(report.traces):
@@ -2335,7 +2272,6 @@ def r3_tasks(master_seed: int, smoke: bool) -> list[dict]:
                 "max_memory": 64 * 2**20,
                 "rss_budget": 256 * 2**20,
                 "traces": ["diurnal", "metro-diurnal"],
-                "differential": True,
             }
         ]
     return [
@@ -2351,10 +2287,6 @@ def r3_tasks(master_seed: int, smoke: bool) -> list[dict]:
             "max_memory": 256 * 2**20,
             "rss_budget": 1536 * 2**20,
             "traces": ["diurnal", "metro-diurnal"],
-            # A single-tile run over 1M x 100 trials cannot fit in RAM --
-            # exactly why the streaming engine exists; the bit-identity claim
-            # is carried by the smoke leg and tests/test_streaming.py.
-            "differential": False,
         }
     ]
 
@@ -2362,14 +2294,11 @@ def r3_tasks(master_seed: int, smoke: bool) -> list[dict]:
 def r3_metrics(rows: list[dict]) -> dict[str, float]:
     last = rows[-1]
     peaks = [row["peak_rss_bytes"] for row in rows]
-    out = {
+    return {
         "mean_loss": last["mean_loss"],
         "fraction_meeting_threshold": last["fraction_meeting_threshold"],
         "rss_flatness_ratio": max(peaks) / min(peaks),
     }
-    if rows[0]["matches_batched"] is not None:
-        out["streaming_matches_batched"] = float(rows[0]["matches_batched"])
-    return out
 
 
 def r3_validate(record: BenchRecord) -> list[str]:
@@ -2381,10 +2310,6 @@ def r3_validate(record: BenchRecord) -> list[str]:
                 f"{label}: audit peak {row['peak_rss_bytes']} bytes exceeds the "
                 f"{row['rss_budget']}-byte budget"
             )
-        if row["matches_batched"] is False:
-            failures.append(
-                f"{label}: single-tile streaming run diverges from the batched engine"
-            )
         if not 0.0 < row["mean_loss"] < 0.2:
             failures.append(
                 f"{label}: implausible mean loss {row['mean_loss']:.4f}"
@@ -2394,7 +2319,7 @@ def r3_validate(record: BenchRecord) -> list[str]:
     peaks = [row["peak_rss_bytes"] for row in record.rows]
     if max(peaks) / min(peaks) > 1.5:
         failures.append(
-            "streaming peak memory grows with the trial count "
+            "Monte-Carlo peak memory grows with the trial count "
             f"(ladder peaks: {peaks}); the fold is supposed to be flat"
         )
     return failures
@@ -2407,13 +2332,12 @@ register_scenario(
         task_fn=r3_task,
         make_tasks=r3_tasks,
         policies={
-            # Streaming results are a pure function of the seeds and the
+            # Monte-Carlo results are a pure function of the seeds and the
             # effective tile grid, so the statistics are drift-gated exactly.
             "mean_loss": MetricPolicy("equal", rel_tol=1e-9, abs_tol=1e-12),
             "fraction_meeting_threshold": MetricPolicy(
                 "equal", rel_tol=1e-9, abs_tol=1e-12
             ),
-            "streaming_matches_batched": MetricPolicy("higher", rel_tol=0.0),
             # Allocator layout shifts move tracemalloc peaks a little.
             "rss_flatness_ratio": MetricPolicy("lower", abs_tol=0.25),
         },
@@ -2432,7 +2356,6 @@ register_scenario(
             "mean_worst_window_loss",
             "fraction_meeting_threshold",
             "peak_rss_bytes",
-            "matches_batched",
             "audit_seconds",
             "diurnal_peak_window_loss",
             "diurnal_rebuffer_session_fraction",
@@ -2441,9 +2364,8 @@ register_scenario(
         ],
         suites=("reliability", "scale"),
         description="Memory-bounded streaming audit of an internet-scale design: "
-        "trial-ladder peak-RSS flatness under a working-set budget, bit-identity "
-        "of the single-tile run vs the batched engine, and diurnal trace replay "
-        "(smoke: 50k sinks; full: 1M sinks x 1k trials).",
+        "trial-ladder peak-RSS flatness under a working-set budget and diurnal "
+        "trace replay (smoke: 50k sinks; full: 1M sinks x 1k trials).",
     )
 )
 

@@ -86,7 +86,7 @@ class RegisteredDesigner:
             # Reliability sweep across the failure-scenario catalogue; lazy
             # import keeps the registry importable without the simulation
             # stack (and avoids a circular import at module load).
-            from repro.simulation import evaluate_design, evaluate_design_streaming
+            from repro.simulation import evaluate_design
 
             spec = request.evaluation
             if spec.scenario_files:
@@ -94,28 +94,17 @@ class RegisteredDesigner:
 
                 for path in spec.scenario_files:
                     register_scenario_file(path)
-            if spec.mode == "streaming":
-                result.evaluation = evaluate_design_streaming(
-                    request.problem,
-                    result.solution,
-                    spec.scenarios,
-                    trials=spec.trials,
-                    num_packets=spec.num_packets,
-                    window=spec.window,
-                    seed=spec.seed,
-                    traces=spec.traces,
-                    max_memory=spec.max_memory,
-                )
-            else:
-                result.evaluation = evaluate_design(
-                    request.problem,
-                    result.solution,
-                    spec.scenarios,
-                    trials=spec.trials,
-                    num_packets=spec.num_packets,
-                    window=spec.window,
-                    seed=spec.seed,
-                )
+            result.evaluation = evaluate_design(
+                request.problem,
+                result.solution,
+                spec.scenarios,
+                trials=spec.trials,
+                num_packets=spec.num_packets,
+                window=spec.window,
+                seed=spec.seed,
+                traces=spec.traces,
+                max_memory=spec.max_memory,
+            )
         return result
 
 

@@ -55,8 +55,9 @@ class EvaluationSpec:
 
     When a request carries one, the registry runs the produced solution
     through the failure-scenario catalogue
-    (:func:`repro.simulation.evaluate_design`) and attaches the per-scenario
-    reliability metrics to the result's ``evaluation`` field.
+    (:func:`repro.simulation.evaluate_design`, the tiled Monte-Carlo fold)
+    and attaches the per-scenario reliability metrics to the result's
+    ``evaluation`` field.
 
     Attributes
     ----------
@@ -72,16 +73,11 @@ class EvaluationSpec:
         byte-aligned fast path).
     seed:
         Seed of the evaluation sweep (failure draws + engine randomness).
-    mode:
-        ``"batched"`` (the in-RAM engine, the default) or ``"streaming"``
-        (the memory-bounded tiled fold of
-        :func:`repro.simulation.evaluate_design_streaming`).
     traces:
-        Registered load-trace names replayed through the streaming fold
-        (per-window loss + rebuffering metrics); requires
-        ``mode="streaming"``.
+        Registered load-trace names replayed through the fold (per-window
+        loss + rebuffering metrics).
     max_memory:
-        Streaming working-set bound in bytes (``None`` keeps the default
+        Working-set bound of one tile in bytes (``None`` keeps the default
         tile grid).
     scenario_files:
         Paths to scenario DSL documents (see :mod:`repro.simulation.dsl`)
@@ -95,7 +91,6 @@ class EvaluationSpec:
     num_packets: int = 2000
     window: int = 200
     seed: int = 0
-    mode: str = "batched"
     traces: tuple[str, ...] = ()
     max_memory: int | None = None
     scenario_files: tuple[str, ...] = ()
@@ -113,12 +108,12 @@ class EvaluationSpec:
             raise ValueError("num_packets must be positive")
         if self.window <= 0:
             raise ValueError("window must be positive")
-        if self.mode not in ("batched", "streaming"):
-            raise ValueError(f"mode must be 'batched' or 'streaming', got {self.mode!r}")
-        if self.traces and self.mode != "streaming":
-            raise ValueError("traces require mode='streaming'")
         if self.max_memory is not None and self.max_memory <= 0:
             raise ValueError("max_memory must be positive when set")
+
+
+#: ``evaluation.mode`` values written before the engines merged; read and ignored.
+_LEGACY_MODES = ("batched", "streaming")
 
 
 def evaluation_spec_to_dict(spec: EvaluationSpec) -> dict[str, Any]:
@@ -131,10 +126,8 @@ def evaluation_spec_to_dict(spec: EvaluationSpec) -> dict[str, Any]:
         "window": spec.window,
         "seed": spec.seed,
     }
-    # Streaming fields are additive: emitted only when non-default so
-    # documents written for the batched mode are byte-stable across builds.
-    if spec.mode != "batched":
-        data["mode"] = spec.mode
+    # Optional fields are emitted only when set, so documents that do not
+    # use them stay byte-stable across builds.
     if spec.traces:
         data["traces"] = list(spec.traces)
     if spec.max_memory is not None:
@@ -151,20 +144,45 @@ def _object(value: Any, field: str) -> dict[str, Any]:
     return value
 
 
+def _integer(data: dict[str, Any], key: str, default: int | None) -> int | None:
+    """``evaluation.<key>`` as an integer (bools excluded); ``None`` only as the default."""
+    value = data.get(key, default)
+    if value is default or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise DocumentError(f"evaluation.{key} must be an integer, got {type(value).__name__}")
+
+
+def _names(data: dict[str, Any], key: str) -> tuple[str, ...]:
+    """``evaluation.<key>`` as a tuple of strings."""
+    value = data.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise DocumentError(f"evaluation.{key} must be a list of strings")
+    return tuple(value)
+
+
 def evaluation_spec_from_dict(data: dict[str, Any]) -> EvaluationSpec:
-    """Decode an :class:`EvaluationSpec` from its JSON form."""
+    """Decode an :class:`EvaluationSpec` from its JSON form.
+
+    A field of the wrong JSON type raises
+    :class:`~repro.core.serialization.DocumentError` naming it.  ``mode``
+    (written by builds with two engines) is accepted as ``"batched"`` or
+    ``"streaming"`` and ignored.
+    """
     data = _object(data, "evaluation")
+    if data.get("mode", _LEGACY_MODES[0]) not in _LEGACY_MODES:
+        raise DocumentError(
+            f"evaluation.mode must be 'batched' or 'streaming', got {data['mode']!r}"
+        )
     scenarios = data.get("scenarios", "all")
     return EvaluationSpec(
-        scenarios=scenarios if isinstance(scenarios, str) else tuple(scenarios),
-        trials=data.get("trials", 30),
-        num_packets=data.get("num_packets", 2000),
-        window=data.get("window", 200),
-        seed=data.get("seed", 0),
-        mode=data.get("mode", "batched"),
-        traces=tuple(data.get("traces", ())),
-        max_memory=data.get("max_memory"),
-        scenario_files=tuple(data.get("scenario_files", ())),
+        scenarios=scenarios if isinstance(scenarios, str) else _names(data, "scenarios"),
+        trials=_integer(data, "trials", 30),
+        num_packets=_integer(data, "num_packets", 2000),
+        window=_integer(data, "window", 200),
+        seed=_integer(data, "seed", 0),
+        traces=_names(data, "traces"),
+        max_memory=_integer(data, "max_memory", None),
+        scenario_files=_names(data, "scenario_files"),
     )
 
 

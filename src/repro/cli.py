@@ -467,9 +467,8 @@ def _simulate_scenario_task(task: dict) -> dict:
 
     Module-level so the parallel executor can pickle it; paths travel in the
     task dict and are re-loaded inside the worker.  Metrics come from
-    :func:`repro.simulation.evaluate_design` (or its streaming variant when
-    the task carries ``stream=True``), so a CLI sweep is seeded and assembled
-    identically to the Designer-API and R2 sweeps.
+    :func:`repro.simulation.evaluate_design`, so a CLI sweep is seeded and
+    assembled identically to the Designer-API and R2 sweeps.
     """
     # User DSL scenarios live only in the parent's registry; re-register them
     # in this worker process (shipped files auto-load, user files travel in
@@ -478,36 +477,23 @@ def _simulate_scenario_task(task: dict) -> dict:
         from repro.simulation import register_scenario_file
 
         register_scenario_file(path)
+    from repro.simulation import evaluate_design
+
     problem = load_problem(task["problem"])
     solution = load_solution(task["solution"], problem)
-    if task.get("stream"):
-        from repro.simulation import evaluate_design_streaming
-
-        metrics = evaluate_design_streaming(
-            problem,
-            solution,
-            (task["scenario"],),
-            trials=task["trials"],
-            num_packets=task["packets"],
-            window=task["window"],
-            seed=task["seed"],
-            traces=tuple(task.get("traces") or ()),
-            demand_tile=task.get("demand_tile"),
-            trial_tile=task.get("trial_tile"),
-            max_memory=task.get("max_memory"),
-        )[task["scenario"]]
-    else:
-        from repro.simulation import evaluate_design
-
-        metrics = evaluate_design(
-            problem,
-            solution,
-            (task["scenario"],),
-            trials=task["trials"],
-            num_packets=task["packets"],
-            window=task["window"],
-            seed=task["seed"],
-        )[task["scenario"]]
+    metrics = evaluate_design(
+        problem,
+        solution,
+        (task["scenario"],),
+        trials=task["trials"],
+        num_packets=task["packets"],
+        window=task["window"],
+        seed=task["seed"],
+        traces=tuple(task["traces"]),
+        demand_tile=task["demand_tile"],
+        trial_tile=task["trial_tile"],
+        max_memory=task["max_memory"],
+    )[task["scenario"]]
     row = {
         "scenario": task["scenario"],
         "failure_events": int(metrics["failure_events"]),
@@ -649,7 +635,12 @@ def _parse_memory_size(text: str) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis.runner import execute_tasks, resolve_jobs
-    from repro.simulation import MonteCarloConfig, failure_scenario_names, run_monte_carlo
+    from repro.simulation import (
+        MonteCarloConfig,
+        StreamingMemoryError,
+        failure_scenario_names,
+        run_monte_carlo,
+    )
 
     if args.list_scenarios:
         return _list_failure_scenarios()
@@ -684,12 +675,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     traces = []
     for chunk in args.trace or []:
         traces.extend(t.strip() for t in chunk.split(",") if t.strip())
-    if traces and not args.stream:
-        print("error: --trace requires --stream", file=sys.stderr)
-        return 2
-    if (args.demand_tile is not None or args.trial_tile is not None) and not args.stream:
-        print("error: --demand-tile/--trial-tile require --stream", file=sys.stderr)
-        return 2
     if traces:
         from repro.simulation import load_trace_names
 
@@ -746,22 +731,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "trials": args.trials,
                 "window": args.window,
                 "seed": args.seed,
-                "stream": args.stream,
                 "traces": traces,
                 "demand_tile": args.demand_tile,
                 "trial_tile": args.trial_tile,
-                "max_memory": max_memory if args.stream else None,
+                "max_memory": max_memory,
                 "scenario_files": scenario_files,
             }
             for name in names
         ]
-        rows = execute_tasks(_simulate_scenario_task, tasks, jobs=jobs)
-        engine_note = "streaming, " if args.stream else ""
+        try:
+            rows = execute_tasks(_simulate_scenario_task, tasks, jobs=jobs)
+        except StreamingMemoryError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         print(
             format_table(
                 rows,
                 title=(
-                    f"reliability sweep ({engine_note}{args.trials} trials x "
+                    f"reliability sweep ({args.trials} trials x "
                     f"{args.packets} packets, jobs={jobs})"
                 ),
             )
@@ -770,79 +757,37 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     problem = load_problem(args.problem)
     solution = load_solution(args.solution, problem)
-
-    if args.stream:
-        from repro.simulation import (
-            StreamingConfig,
-            StreamingMemoryError,
-            run_streaming_monte_carlo,
-        )
-
-        config = StreamingConfig(
-            num_packets=args.packets,
-            trials=args.trials,
-            window=args.window,
-            seed=args.seed,
-            demand_tile=args.demand_tile,
-            trial_tile=args.trial_tile,
-            max_memory=max_memory,
-        )
-        try:
-            report = run_streaming_monte_carlo(
-                problem, solution, config, traces=tuple(traces), jobs=jobs
-            )
-        except StreamingMemoryError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        rows = [
-            {"metric": key, "value": value} for key, value in report.summary().items()
-        ]
-        print(
-            format_table(
-                rows,
-                title=(
-                    f"streaming Monte-Carlo audit ({args.trials} trials x "
-                    f"{args.packets} packets, {report.plan.num_tiles} tiles, "
-                    f"jobs={jobs})"
-                ),
-            )
-        )
-        for name in sorted(report.traces):
-            trace_rows = [
-                {"metric": key, "value": value}
-                for key, value in report.traces[name].summary().items()
-                if key != "trace"
-            ]
-            print()
-            print(format_table(trace_rows, title=f"trace replay: {name}"))
-        return 0
-
-    batch_kwargs = {"max_batch_bytes": max_memory} if max_memory is not None else {}
     config = MonteCarloConfig(
         num_packets=args.packets,
         trials=args.trials,
         window=args.window,
         seed=args.seed,
-        **batch_kwargs,
+        demand_tile=args.demand_tile,
+        trial_tile=args.trial_tile,
+        max_memory=max_memory,
     )
-    report = run_monte_carlo(problem, solution, config)
-    rows = [
-        {
-            "demand": f"{d.demand_key[0]}/{d.demand_key[1]}",
-            "paths": d.paths,
-            "mean_loss": d.mean_loss,
-            "loss_std": d.loss_std,
-            "mean_worst_window": d.mean_worst_window,
-            "meets_threshold": d.meets_threshold_fraction,
-        }
-        for d in report.demands
-    ]
+    try:
+        report = run_monte_carlo(problem, solution, config, traces=tuple(traces), jobs=jobs)
+    except StreamingMemoryError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    rows = [{"metric": key, "value": value} for key, value in report.summary().items()]
     print(
         format_table(
             rows,
             title=f"Monte-Carlo simulation ({args.trials} trials x {args.packets} packets)",
         )
     )
+    for name in sorted(report.traces):
+        trace_rows = [
+            {"metric": key, "value": value}
+            for key, value in report.traces[name].summary().items()
+            if key != "trace"
+        ]
+        print()
+        print(format_table(trace_rows, title=f"trace replay: {name}"))
+    print()
+    _print_demand_table(report)
     # One trial has no spread to report; a "+- 0" interval would overstate it.
     ci = f" +- {report.mean_loss_ci_halfwidth:.4f} (95% CI)" if args.trials > 1 else ""
     print(
@@ -850,6 +795,44 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"{report.fraction_meeting_threshold:.0%} of demand-trials within budget"
     )
     return 0
+
+
+#: Rows of the ``repro simulate`` per-demand table: output and memory stay
+#: bounded on the million-demand tier.
+DEMAND_TABLE_ROWS = 20
+
+
+def _print_demand_table(report) -> None:
+    """The worst :data:`DEMAND_TABLE_ROWS` demands by mean loss (ties by key)."""
+    import heapq
+
+    loss_sum = report.accumulator.loss_sum.tolist()
+    keys = report.demand_keys
+    shown = heapq.nsmallest(
+        DEMAND_TABLE_ROWS, range(len(keys)), key=lambda row: (-loss_sum[row], keys[row])
+    )
+    mean = report.mean_loss_per_demand
+    worst = report.mean_worst_window_per_demand
+    meets = report.meets_threshold_fraction
+    rows = [
+        {
+            "demand": f"{keys[row][0]}/{keys[row][1]}",
+            "paths": int(report.paths[row]),
+            "mean_loss": float(mean[row]),
+            "loss_std": report.loss_std(row),
+            "mean_worst_window": float(worst[row]),
+            "meets_threshold": float(meets[row]),
+        }
+        for row in shown
+    ]
+    print(
+        format_table(
+            rows,
+            title=f"per-demand reliability (worst {len(shown)} of {len(keys)} by mean loss)",
+        )
+    )
+    if len(keys) > len(shown):
+        print(f"({len(keys) - len(shown)} more demands not shown)")
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -1402,17 +1385,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered failure scenarios and exit",
     )
     simulate.add_argument(
-        "--stream",
-        action="store_true",
-        help="memory-bounded streaming engine: tile the demands x trials plane "
-        "and fold exact mergeable accumulators (results independent of tiling "
-        "and --jobs)",
-    )
-    simulate.add_argument(
         "--trace",
         action="append",
-        help="replay registered load trace(s) through the streaming fold "
-        "(repeatable / comma-separated; requires --stream; see --list-traces)",
+        help="replay registered load trace(s) through the Monte-Carlo fold "
+        "(repeatable / comma-separated; see --list-traces)",
     )
     simulate.add_argument(
         "--list-traces",
@@ -1421,20 +1397,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--max-memory",
-        help="working-set byte budget, e.g. 512M or 2G (streaming: shrinks the "
-        "tile grid to fit; batched: caps the per-chunk trial block)",
+        help="working-set byte budget of one tile, e.g. 512M or 2G (shrinks the "
+        "tile grid to fit)",
     )
     simulate.add_argument(
         "--demand-tile",
         type=int,
         default=None,
-        help="streaming tile height in demands (default: auto)",
+        help="tile height in demands (default: 1024)",
     )
     simulate.add_argument(
         "--trial-tile",
         type=int,
         default=None,
-        help="streaming tile width in trials (default: auto)",
+        help="tile width in trials (default: 32)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 

@@ -116,46 +116,61 @@ def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
 def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
     """Decode a problem from a dictionary produced by :func:`problem_to_dict`."""
     _check_document(data, "overlay-design-problem")
+    current = "streams"
 
     def entities(key: str) -> list:
+        nonlocal current
+        current = key
         value = data.get(key, [])
         if not isinstance(value, list):
             raise DocumentError(f"problem.{key} must be a list, got {type(value).__name__}")
         return value
 
     problem = OverlayDesignProblem(name=data.get("name", "overlay-design"))
-    for stream in entities("streams"):
-        problem.add_stream(stream["name"], bandwidth=stream.get("bandwidth", 1.0))
-    for reflector in entities("reflectors"):
-        problem.add_reflector(
-            reflector["name"],
-            cost=reflector["cost"],
-            fanout=reflector["fanout"],
-            color=reflector.get("color"),
-            capacity=reflector.get("capacity"),
-        )
-    for sink in entities("sinks"):
-        problem.add_sink(sink)
-    for edge in entities("stream_edges"):
-        problem.add_stream_edge(
-            edge["stream"],
-            edge["reflector"],
-            loss_probability=edge["loss_probability"],
-            cost=edge["cost"],
-        )
-    for edge in entities("delivery_edges"):
-        problem.add_delivery_edge(
-            edge["reflector"],
-            edge["sink"],
-            loss_probability=edge["loss_probability"],
-            cost=edge["cost"],
-            stream_costs=edge.get("stream_costs") or None,
-            capacity=edge.get("capacity"),
-        )
-    for demand in entities("demands"):
-        problem.add_demand(
-            demand["sink"], demand["stream"], success_threshold=demand["success_threshold"]
-        )
+    try:
+        for stream in entities("streams"):
+            problem.add_stream(stream["name"], bandwidth=stream.get("bandwidth", 1.0))
+        for reflector in entities("reflectors"):
+            problem.add_reflector(
+                reflector["name"],
+                cost=reflector["cost"],
+                fanout=reflector["fanout"],
+                color=reflector.get("color"),
+                capacity=reflector.get("capacity"),
+            )
+        for sink in entities("sinks"):
+            problem.add_sink(sink)
+        for edge in entities("stream_edges"):
+            problem.add_stream_edge(
+                edge["stream"],
+                edge["reflector"],
+                loss_probability=edge["loss_probability"],
+                cost=edge["cost"],
+            )
+        for edge in entities("delivery_edges"):
+            problem.add_delivery_edge(
+                edge["reflector"],
+                edge["sink"],
+                loss_probability=edge["loss_probability"],
+                cost=edge["cost"],
+                stream_costs=edge.get("stream_costs") or None,
+                capacity=edge.get("capacity"),
+            )
+        for demand in entities("demands"):
+            problem.add_demand(
+                demand["sink"], demand["stream"], success_threshold=demand["success_threshold"]
+            )
+    except TypeError as error:
+        # The happy path pays no per-entry check: a wrongly typed entry is
+        # diagnosed only after a decode loop has tripped over it.
+        kind = str if current == "sinks" else dict
+        wrong = next((e for e in data.get(current, []) if not isinstance(e, kind)), None)
+        if wrong is not None:
+            noun = "strings" if kind is str else "objects"
+            raise DocumentError(
+                f"problem.{current}: entries must be {noun}, got {type(wrong).__name__}"
+            ) from None
+        raise DocumentError(f"problem.{current}: {error}") from None
     return problem
 
 

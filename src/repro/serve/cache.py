@@ -312,8 +312,9 @@ def path_table_key(
 ) -> str:
     """Key for compiled Monte-Carlo path tables.
 
-    The failure schedule is drawn from ``(seed, scenario index)`` inside
-    :func:`~repro.simulation.evaluate_design`, so ``(scenario, seed,
+    The failure schedule is drawn from ``[seed, scenario_stream_key(scenario),
+    0]`` inside :func:`~repro.simulation.evaluate_design`
+    (:func:`~repro.simulation.scenario_stream_key`), so ``(scenario, seed,
     num_packets)`` pins it exactly without hashing the schedule itself.
     """
     return canonical_digest(

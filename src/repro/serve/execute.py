@@ -143,7 +143,7 @@ def _evaluate_cached(
     is a pure function of ``(problem, solution, spec)``, so both the whole
     sweep and the per-scenario compiled path tables are cacheable.
     """
-    from repro.simulation import evaluate_design, evaluate_design_streaming
+    from repro.simulation import evaluate_design
 
     spec = request.evaluation
     s_digest = solution_digest(result.solution)
@@ -157,29 +157,18 @@ def _evaluate_cached(
     evaluation = cache.get("evaluation", key)
     stages["evaluate"] = "hit" if evaluation is not None else "miss"
     if evaluation is None:
-        if spec.mode == "streaming":
-            evaluation = evaluate_design_streaming(
-                request.problem,
-                result.solution,
-                spec.scenarios,
-                trials=spec.trials,
-                num_packets=spec.num_packets,
-                window=spec.window,
-                seed=spec.seed,
-                traces=spec.traces,
-                max_memory=spec.max_memory,
-            )
-        else:
-            evaluation = evaluate_design(
-                request.problem,
-                result.solution,
-                spec.scenarios,
-                trials=spec.trials,
-                num_packets=spec.num_packets,
-                window=spec.window,
-                seed=spec.seed,
-                table_provider=make_table_provider(cache, p_digest, s_digest, spec.seed),
-            )
+        evaluation = evaluate_design(
+            request.problem,
+            result.solution,
+            spec.scenarios,
+            trials=spec.trials,
+            num_packets=spec.num_packets,
+            window=spec.window,
+            seed=spec.seed,
+            traces=spec.traces,
+            max_memory=spec.max_memory,
+            table_provider=make_table_provider(cache, p_digest, s_digest, spec.seed),
+        )
         cache.put("evaluation", key, evaluation)
     result.evaluation = {
         name: dict(metrics) for name, metrics in evaluation.items()

@@ -9,26 +9,25 @@ process for any :class:`repro.core.OverlaySolution`:
 * :mod:`repro.simulation.packets` -- packet-window bookkeeping;
 * :mod:`repro.simulation.failures` -- injected events (ISP outages, node and
   regional failures, congestion) plus correlated failure samplers;
-* :mod:`repro.simulation.montecarlo` -- the batched Monte-Carlo engine
-  (:func:`run_monte_carlo`): all demands x all trials as bit-packed numpy
-  arrays; the shared source->reflector draw is broadcast to every path behind
-  a reflector, and the edgeserver's reconstruction (a packet survives if
+* :mod:`repro.simulation.montecarlo` -- path tables and the packed trial
+  kernel: a block of trials over many demands as bit-packed numpy arrays;
+  the shared source->reflector draw is broadcast to every path behind a
+  reflector, and the edgeserver's reconstruction (a packet survives if
   *any* copy arrives) is a bitwise fold over each demand's paths;
-* :mod:`repro.simulation.streaming` -- the memory-bounded streaming audit
-  (:func:`run_streaming_monte_carlo`): tiles the demands x trials plane,
-  folds exact mergeable accumulators per tile, flat RSS in the trial count;
+* :mod:`repro.simulation.streaming` -- the Monte-Carlo engine
+  (:func:`run_monte_carlo`): tiles the demands x trials plane, runs the
+  kernel per tile and folds exact mergeable accumulators, flat memory in
+  the trial count;
 * :mod:`repro.simulation.traces` -- diurnal :class:`LoadTrace` catalogue
-  (arrival/departure processes) for trace-driven replay through the
-  streaming fold;
+  (arrival/departure processes) for trace-driven replay through the fold;
 * :mod:`repro.simulation.scenarios` -- the registered failure-scenario
-  catalogue (:func:`evaluate_design` sweeps a design across it;
-  :func:`evaluate_design_streaming` is the memory-bounded variant);
+  catalogue (:func:`evaluate_design` sweeps a design across it);
 * :mod:`repro.simulation.dsl` -- the composable scenario DSL: YAML/JSON
   documents compiled into catalogue entries (the shipped ``*.json`` files
   under ``repro/simulation/scenarios/`` auto-register on first catalogue
   access; see ``docs/scenarios.md``).
 
-The engines are the empirical cross-check for the analytic reliability claims
+The engine is the empirical cross-check for the analytic reliability claims
 and the workhorse of the C1/R2/R3 benchmarks; see ``docs/simulation.md``
 for the design and the RNG/determinism contract.
 """
@@ -50,12 +49,8 @@ from repro.simulation.failures import (
     sample_regional_outage_schedule,
 )
 from repro.simulation.montecarlo import (
-    DemandReliability,
-    MonteCarloConfig,
-    MonteCarloReport,
     PathTable,
     compile_path_table,
-    run_monte_carlo,
     slice_path_table,
 )
 from repro.simulation.scenarios import (
@@ -63,7 +58,7 @@ from repro.simulation.scenarios import (
     ScenarioContext,
     ScenarioRealization,
     evaluate_design,
-    evaluate_design_streaming,
+    evaluate_design_streaming,  # noqa: F401 -- kept for perfbench, not exported
     failure_scenario_names,
     get_failure_scenario,
     realize_scenario,
@@ -73,12 +68,12 @@ from repro.simulation.scenarios import (
     top_betweenness_reflectors,
 )
 from repro.simulation.streaming import (
+    MonteCarloConfig,
+    MonteCarloReport,
     StreamingAccumulator,
-    StreamingConfig,
     StreamingMemoryError,
-    StreamingReport,
     TraceReport,
-    run_streaming_monte_carlo,
+    run_monte_carlo,
 )
 from repro.simulation.traces import (
     LoadTrace,
@@ -89,7 +84,6 @@ from repro.simulation.traces import (
 )
 
 __all__ = [
-    "DemandReliability",
     "FailureEvent",
     "FailureScenario",
     "FailureSchedule",
@@ -102,15 +96,12 @@ __all__ = [
     "ScenarioValidationError",
     "SessionActivity",
     "StreamingAccumulator",
-    "StreamingConfig",
     "StreamingMemoryError",
-    "StreamingReport",
     "SpecIssue",
     "TraceReport",
     "compile_path_table",
     "compile_scenario",
     "evaluate_design",
-    "evaluate_design_streaming",
     "failure_scenario_names",
     "get_failure_scenario",
     "get_load_trace",
@@ -126,7 +117,6 @@ __all__ = [
     "scenario_stream_key",
     "shipped_scenario_paths",
     "top_betweenness_reflectors",
-    "run_streaming_monte_carlo",
     "sample_flash_crowd_congestion",
     "sample_isp_outage_schedule",
     "sample_regional_outage_schedule",

@@ -1,35 +1,33 @@
-"""Batched Monte-Carlo reliability engine.
+"""Path tables and the packed trial kernel of the Monte-Carlo engine.
 
-Estimating tail reliability under correlated failures needs hundreds of
-packet sessions over every demand.  This module simulates *all demands x all
-trials* as numpy arrays:
+The engine itself -- :func:`repro.simulation.streaming.run_monte_carlo`, a
+tiled fold -- lives in :mod:`repro.simulation.streaming`.  This module holds
+what every tile runs:
 
 * the (problem, solution) pair is compiled once into a :class:`PathTable` --
   flat arrays of first-hop links, per-path second-hop losses, forced-loss
-  profiles, and boundaries grouping paths by demand;
-* per-link loss matrices are *bit-packed* (one uint8 byte per 8 packets):
-  Bernoulli links sample only the loss positions (geometric skip-sampling,
-  :func:`~repro.network.loss.sample_bernoulli_positions`) OR-ed in as
-  byte-index/bit pairs; Gilbert-Elliott links draw geometric state sojourns
-  and pick each packet's bit from one of two such rows; other models pack a
-  dense draw;
+  profiles, and boundaries grouping paths by demand --
+  (:func:`compile_path_table`) and sliced per demand tile
+  (:func:`slice_path_table`);
+* :func:`simulate_trial_block` runs a block of trials over every demand of a
+  table: per-link loss matrices are *bit-packed* (one uint8 byte per 8
+  packets): Bernoulli links sample only the loss positions (geometric
+  skip-sampling, :func:`~repro.network.loss.sample_bernoulli_positions`)
+  OR-ed in as byte-index/bit pairs; Gilbert-Elliott links draw geometric
+  state sojourns and pick each packet's bit from one of two such rows; other
+  models pack a dense draw;
 * the shared source->reflector draw is OR-broadcast onto its paths, and
   reconstruction is a bitwise-AND fold over each demand's path block (a
   packet is lost iff *every* copy lost it);
 * loss counts and the worst-window statistic come from byte popcounts folded
-  per window (non-byte-aligned windows unpack first).
-
-Determinism contract
---------------------
-Randomness is consumed in large blocks: a run is reproducible from ``(seed,
-trials, num_packets, loss model, failure schedule, max_batch_bytes)``.
-Worst-window statistics use windows that are cheapest when ``window`` is a
-multiple of 8 (byte-aligned popcount folds).
+  per window (non-byte-aligned windows unpack first);
+* :func:`row_trial_bytes` is the one memory model: the tile planner sizes
+  tiles under ``max_memory`` with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +42,6 @@ from repro.network.loss import (
     sample_bernoulli_positions,
 )
 from repro.simulation.failures import FailureSchedule, LinkEventIndex
-from repro.simulation.packets import window_starts
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
     _popcount = np.bitwise_count
@@ -53,52 +50,6 @@ else:  # pragma: no cover - exercised only on old numpy
 
     def _popcount(values: np.ndarray) -> np.ndarray:
         return _POPCOUNT_TABLE[values]
-
-
-@dataclass
-class MonteCarloConfig:
-    """Configuration of a batched Monte-Carlo run.
-
-    Attributes
-    ----------
-    num_packets:
-        Packets per simulated session (one trial = one session).
-    trials:
-        Number of independent sessions.
-    window:
-        Window (in packets) of the worst-window loss statistic.  Multiples
-        of 8 keep the batched engine on its byte-aligned fast path.
-    loss_model:
-        Per-link loss process shared by all trials.
-    failures:
-        Injected failure schedule, identical across trials (sample a fresh
-        schedule and run separate configs to sweep failure draws).
-    seed:
-        Seed of the engine generator (ignored when an explicit generator is
-        passed to :func:`run_monte_carlo`).
-    max_batch_bytes:
-        Approximate working-set bound; trials are chunked so intermediate
-        matrices stay under it.  Part of the determinism contract (chunk
-        boundaries shift the random-block layout).
-    """
-
-    num_packets: int = 2000
-    trials: int = 50
-    window: int = 200
-    loss_model: LossModel = field(default_factory=BernoulliLossModel)
-    failures: FailureSchedule = field(default_factory=FailureSchedule)
-    seed: int | None = None
-    max_batch_bytes: int = 64 * 2**20
-
-    def __post_init__(self) -> None:
-        if self.num_packets <= 0:
-            raise ValueError("num_packets must be positive")
-        if self.trials <= 0:
-            raise ValueError("trials must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.max_batch_bytes <= 0:
-            raise ValueError("max_batch_bytes must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -248,114 +199,7 @@ def compile_path_table(
 
 
 # ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DemandReliability:
-    """Per-demand Monte-Carlo outcome: one entry per trial."""
-
-    demand_key: tuple[str, str]
-    threshold: float
-    paths: int
-    loss: np.ndarray
-    worst_window: np.ndarray
-    duplicates: np.ndarray
-
-    @property
-    def mean_loss(self) -> float:
-        return float(self.loss.mean())
-
-    @property
-    def loss_std(self) -> float:
-        return float(self.loss.std(ddof=1)) if self.loss.size > 1 else 0.0
-
-    @property
-    def mean_worst_window(self) -> float:
-        return float(self.worst_window.mean())
-
-    @property
-    def meets_threshold_fraction(self) -> float:
-        budget = (1.0 - self.threshold) + 1e-12
-        return float(np.mean(self.loss <= budget))
-
-
-@dataclass
-class MonteCarloReport:
-    """Aggregate + per-demand results of a batched Monte-Carlo run."""
-
-    num_packets: int
-    trials: int
-    window: int
-    demands: list[DemandReliability]
-
-    @property
-    def loss_matrix(self) -> np.ndarray:
-        """Per-demand, per-trial loss rates: shape ``(demands, trials)``."""
-        if not self.demands:
-            return np.zeros((0, self.trials))
-        return np.stack([d.loss for d in self.demands])
-
-    @property
-    def trial_mean_loss(self) -> np.ndarray:
-        """Mean loss across demands, per trial."""
-        matrix = self.loss_matrix
-        if matrix.size == 0:
-            return np.zeros(self.trials)
-        return matrix.mean(axis=0)
-
-    @property
-    def mean_loss(self) -> float:
-        matrix = self.loss_matrix
-        return float(matrix.mean()) if matrix.size else 0.0
-
-    @property
-    def max_loss(self) -> float:
-        matrix = self.loss_matrix
-        return float(matrix.max()) if matrix.size else 0.0
-
-    @property
-    def mean_loss_ci_halfwidth(self) -> float:
-        """95% CI half-width of the session mean loss (across trials)."""
-        means = self.trial_mean_loss
-        if means.size <= 1:
-            return 0.0
-        return float(1.96 * means.std(ddof=1) / np.sqrt(means.size))
-
-    @property
-    def fraction_meeting_threshold(self) -> float:
-        if not self.demands:
-            return 1.0
-        return float(np.mean([d.meets_threshold_fraction for d in self.demands]))
-
-    @property
-    def mean_worst_window(self) -> float:
-        if not self.demands:
-            return 0.0
-        return float(np.mean([d.mean_worst_window for d in self.demands]))
-
-    def result_for(self, demand_key: tuple[str, str]) -> DemandReliability:
-        for result in self.demands:
-            if result.demand_key == demand_key:
-                return result
-        raise KeyError(f"no Monte-Carlo result for demand {demand_key}")
-
-    def summary(self) -> dict:
-        return {
-            "num_packets": self.num_packets,
-            "trials": self.trials,
-            "num_demands": len(self.demands),
-            "mean_loss": self.mean_loss,
-            "mean_loss_ci95": self.mean_loss_ci_halfwidth,
-            "max_loss": self.max_loss,
-            "mean_worst_window_loss": self.mean_worst_window,
-            "fraction_meeting_threshold": self.fraction_meeting_threshold,
-        }
-
-
-# ---------------------------------------------------------------------------
-# The engine
+# The kernel
 # ---------------------------------------------------------------------------
 
 
@@ -373,17 +217,17 @@ def _bernoulli_row_bytes(p: np.ndarray, num_packets: int) -> np.ndarray:
 def row_trial_bytes(
     loss_model: LossModel, probabilities: np.ndarray, num_packets: int
 ) -> tuple[float, np.ndarray]:
-    """The engines' one memory model: per-trial bytes of path-table rows.
+    """The engine's one memory model: per-trial bytes of path-table rows.
 
     Returns ``(per_row, sampling)``: ``per_row`` bytes for each first-hop,
     path (counted twice) and demand row, plus ``sampling[i]`` bytes to draw
     a row at ``probabilities[i]``.  Bernoulli and Gilbert-Elliott rows stay
     packed; a Gilbert-Elliott row also holds its sojourn draws, its packed
     state mask and two Bernoulli rows.  Any other model materializes dense
-    ``(rows, trials, packets)`` draws before packing.  The batched engine's
-    trial chunking (:func:`estimate_trial_bytes`) and the streaming tile
-    planner both derive from it; the Bernoulli figures are part of the
-    batched determinism contract, since they fix the chunk boundaries.
+    ``(rows, trials, packets)`` draws before packing.  The tile planner
+    (:func:`repro.simulation.streaming.resolve_tiling`) sizes tiles under
+    ``max_memory`` with it, so runs with ``max_memory`` set depend on these
+    figures.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     per_row = float((num_packets + 7) // 8 * 3 + 96)
@@ -401,26 +245,17 @@ def row_trial_bytes(
 
 
 def estimate_trial_bytes(table: PathTable, loss_model: LossModel, num_packets: int) -> float:
-    """Approximate working-set bytes one trial of ``table`` needs (see :func:`row_trial_bytes`)."""
+    """Approximate working-set bytes one trial of ``table`` needs (see :func:`row_trial_bytes`).
+
+    Kept for ``perfbench``'s audit-sweep workload, which reports it as
+    ``sim.trial_bytes``; the engine sizes tiles with
+    :func:`repro.simulation.streaming.resolve_tiling` instead.
+    """
     per_row, sampling = row_trial_bytes(
         loss_model, np.concatenate([table.first_hop_loss, table.path_loss]), num_packets
     )
     rows = table.num_first_hops + 2 * table.num_paths + len(table.demand_keys)
-    per_trial = float(rows * per_row)
-    # Summed in row order: the chunk size depends on the exact value.
-    for cost in sampling:
-        per_trial += cost
-    return float(per_trial)
-
-
-def _chunk_trials(table: PathTable, config: MonteCarloConfig) -> list[int]:
-    """Deterministic trial chunking under the working-set bound."""
-    per_trial = estimate_trial_bytes(table, config.loss_model, config.num_packets)
-    chunk = int(np.clip(config.max_batch_bytes // max(int(per_trial), 1), 1, config.trials))
-    sizes = [chunk] * (config.trials // chunk)
-    if config.trials % chunk:
-        sizes.append(config.trials % chunk)
-    return sizes
+    return float(rows * per_row + sampling.sum())
 
 
 def slice_path_table(table: PathTable, start: int, stop: int) -> PathTable:
@@ -543,8 +378,7 @@ def simulate_trial_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block of ``chunk`` trials over every demand of ``table``.
 
-    The integer core of the batched engine, shared with the streaming tiles:
-    returns ``(window_counts, loss_count, duplicates)`` as int64 arrays of
+    The integer core every tile of the engine runs: returns ``(window_counts, loss_count, duplicates)`` as int64 arrays of
     shapes ``(served, chunk, windows)``, ``(served, chunk)``, ``(served,
     chunk)``.  Consumes randomness from ``rng`` in a fixed order (first-hop
     draws, first-hop profiles, path draws, path profiles).
@@ -578,92 +412,3 @@ def simulate_trial_block(
     copies = np.add.reduceat(path_received, starts, axis=0)
     duplicates = copies - (num_packets - loss_count)
     return window_counts, loss_count, duplicates
-
-
-def run_monte_carlo(
-    problem: OverlayDesignProblem,
-    solution: OverlaySolution,
-    config: MonteCarloConfig | None = None,
-    rng: np.random.Generator | None = None,
-    node_isp: dict[str, str | None] | None = None,
-    table: PathTable | None = None,
-) -> MonteCarloReport:
-    """Run the batched Monte-Carlo simulation of ``solution`` on ``problem``.
-
-    ``node_isp`` maps node names to ISP names for ISP-outage events; it
-    defaults to the reflector colors recorded in the problem.
-
-    ``table`` supplies a pre-compiled :class:`PathTable` (e.g. from the
-    serving cache) and must come from :func:`compile_path_table` over the
-    *same* ``(problem, solution, config.failures, config.num_packets,
-    node_isp)`` -- the table is a pure function of those inputs, so a valid
-    supplied table only skips the compile pass.
-    """
-    config = config or MonteCarloConfig()
-    if node_isp is None:
-        node_isp = {r: problem.color(r) for r in problem.reflectors}
-    config.failures.validate_for_session(config.num_packets)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    if table is None:
-        table = compile_path_table(
-            problem, solution, config.failures, config.num_packets, node_isp
-        )
-    num_packets = config.num_packets
-    served = len(table.demand_keys)
-    wsizes = np.diff(np.append(window_starts(num_packets, config.window), num_packets))
-    # Demands grouped by path count: the reconstruction fold runs once per
-    # distinct count on a fancy-indexed block instead of once per demand.
-    count_groups = path_count_groups(table)
-    loss_chunks: list[np.ndarray] = []
-    worst_chunks: list[np.ndarray] = []
-    dup_chunks: list[np.ndarray] = []
-
-    for chunk in _chunk_trials(table, config) if served else []:
-        window_counts, loss_count, duplicates = simulate_trial_block(
-            table, config.loss_model, chunk, num_packets, config.window, count_groups, rng
-        )
-        loss_chunks.append(loss_count / num_packets)
-        worst_chunks.append((window_counts / wsizes).max(axis=2))
-        dup_chunks.append(duplicates)
-
-    if served:
-        loss = np.concatenate(loss_chunks, axis=1)
-        worst = np.concatenate(worst_chunks, axis=1)
-        duplicates = np.concatenate(dup_chunks, axis=1)
-    else:
-        loss = worst = duplicates = np.zeros((0, config.trials))
-    by_key = {key: row for row, key in enumerate(table.demand_keys)}
-
-    demands: list[DemandReliability] = []
-    for demand in problem.demands:
-        row = by_key.get(demand.key)
-        if row is None:
-            demands.append(
-                DemandReliability(
-                    demand_key=demand.key,
-                    threshold=demand.success_threshold,
-                    paths=0,
-                    loss=np.ones(config.trials),
-                    worst_window=np.ones(config.trials),
-                    duplicates=np.zeros(config.trials, dtype=np.int64),
-                )
-            )
-            continue
-        demands.append(
-            DemandReliability(
-                demand_key=demand.key,
-                threshold=demand.success_threshold,
-                paths=int(table.demand_num_paths[row]),
-                loss=loss[row],
-                worst_window=worst[row],
-                duplicates=duplicates[row].astype(np.int64),
-            )
-        )
-    return MonteCarloReport(
-        num_packets=num_packets,
-        trials=config.trials,
-        window=config.window,
-        demands=demands,
-    )
-

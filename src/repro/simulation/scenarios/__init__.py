@@ -60,11 +60,8 @@ from repro.simulation.failures import (
     sample_isp_outage_schedule,
     sample_regional_outage_schedule,
 )
-from repro.simulation.montecarlo import (
-    MonteCarloConfig,
-    PathTable,
-    run_monte_carlo,
-)
+from repro.simulation.montecarlo import PathTable
+from repro.simulation.streaming import MonteCarloConfig, run_monte_carlo
 
 #: Serving-cache hook signature for :func:`evaluate_design`: maps the exact
 #: ``compile_path_table`` inputs (plus the scenario name, a convenient cache
@@ -143,9 +140,9 @@ def scenario_stream_key(name: str) -> int:
 
     Built-ins keep their historical positional keys (0..4); every other name
     hashes to ``5 + sha256(name)[:8]``, so the key depends only on the name --
-    never on what else is registered or in what order.  Both
-    :func:`evaluate_design` and :func:`evaluate_design_streaming` seed their
-    per-scenario failure/engine streams from this key.
+    never on what else is registered or in what order.
+    :func:`evaluate_design` seeds its per-scenario failure/engine streams
+    from this key.
     """
     compat = _COMPAT_STREAM_KEYS.get(name)
     if compat is not None:
@@ -400,15 +397,27 @@ def evaluate_design(
     num_packets: int = 2000,
     window: int = 200,
     seed: int = 0,
+    traces: Sequence[str] = (),
+    demand_tile: int | None = None,
+    trial_tile: int | None = None,
+    max_memory: int | None = None,
+    rebuffer_loss: float = 0.1,
+    jobs: int | str | None = 1,
     node_isp: Mapping[str, str | None] | None = None,
     table_provider: "TableProvider | None" = None,
 ) -> dict[str, dict[str, float]]:
     """Sweep ``solution`` across the failure catalogue.
 
-    Returns ``{scenario name: reliability metrics}``; every scenario gets an
-    independent, seed-derived generator for both the failure draw and the
-    Monte-Carlo run, so the sweep is reproducible from ``seed`` and
-    insensitive to the order or subset of scenarios requested.
+    Returns ``{scenario name: reliability metrics}``.  Per scenario (``key``
+    from :func:`scenario_stream_key`), the failure draw consumes the
+    ``[seed, key, 0]`` stream and the engine's integer seed derives from
+    ``[seed, key, 1]`` -- so the sweep is reproducible from ``seed`` and
+    insensitive to the order or subset of scenarios requested, and ``jobs``
+    never changes metrics.  Each row carries the run's tile grid
+    (``num_tiles``, ``demand_tile``, ``trial_tile``); ``traces`` adds
+    per-window loss/rebuffering metrics (flattened as
+    ``"trace:<name>:<metric>"``) replayed through the same fold.  The
+    engine knobs are those of :class:`~repro.simulation.streaming.MonteCarloConfig`.
 
     ``table_provider`` is the serving cache's hook: called per scenario with
     the exact :func:`~repro.simulation.montecarlo.compile_path_table` inputs
@@ -430,12 +439,20 @@ def evaluate_design(
             node_isp=isp_map,
             solution=solution,
         )
+        engine_seed = int(
+            np.random.SeedSequence([seed, key, 1]).generate_state(1, dtype=np.uint64)[0]
+        )
         config = MonteCarloConfig(
             num_packets=num_packets,
             trials=trials,
             window=window,
             loss_model=realization.loss_model,
             failures=realization.failures,
+            seed=engine_seed,
+            demand_tile=demand_tile,
+            trial_tile=trial_tile,
+            max_memory=max_memory,
+            rebuffer_loss=rebuffer_loss,
         )
         table = None
         if table_provider is not None:
@@ -449,83 +466,7 @@ def evaluate_design(
                 effective_isp,
             )
         report = run_monte_carlo(
-            problem,
-            solution,
-            config,
-            rng=np.random.default_rng([seed, key, 1]),
-            node_isp=isp_map,
-            table=table,
-        )
-        summary = report.summary()
-        summary["failure_events"] = float(len(realization.failures))
-        summary["worst_demand_mean_loss"] = float(
-            max((d.mean_loss for d in report.demands), default=0.0)
-        )
-        results[name] = {key: float(value) for key, value in summary.items()}
-    return results
-
-
-def evaluate_design_streaming(
-    problem: OverlayDesignProblem,
-    solution: OverlaySolution,
-    scenarios: Iterable[str] | str | None = None,
-    *,
-    trials: int = 30,
-    num_packets: int = 2000,
-    window: int = 200,
-    seed: int = 0,
-    traces: Sequence[str] = (),
-    demand_tile: int | None = None,
-    trial_tile: int | None = None,
-    max_memory: int | None = None,
-    rebuffer_loss: float = 0.1,
-    jobs: int | str | None = 1,
-    node_isp: Mapping[str, str | None] | None = None,
-) -> dict[str, dict[str, float]]:
-    """Memory-bounded catalogue sweep (the streaming counterpart of
-    :func:`evaluate_design`).
-
-    Per scenario, the failure draw consumes the same ``[seed, key, 0]``
-    stream as :func:`evaluate_design` (``key`` from
-    :func:`scenario_stream_key`), and the streaming engine's integer
-    seed derives from ``[seed, key, 1]`` -- so the sweep is reproducible
-    from ``seed`` and insensitive to scenario order/subset, and ``jobs``
-    never changes metrics.  ``traces`` adds per-window loss/rebuffering
-    metrics (flattened as ``"trace:<name>:<metric>"``) replayed through the
-    same fold.
-    """
-    from repro.simulation.streaming import StreamingConfig, run_streaming_monte_carlo
-
-    names = resolve_scenario_names(scenarios)
-    isp_map = dict(node_isp) if node_isp is not None else None
-    results: dict[str, dict[str, float]] = {}
-    for name in names:
-        key = scenario_stream_key(name)
-        realization = realize_scenario(
-            name,
-            problem,
-            num_packets,
-            np.random.default_rng([seed, key, 0]),
-            node_isp=isp_map,
-            solution=solution,
-        )
-        engine_seed = int(
-            np.random.SeedSequence([seed, key, 1]).generate_state(1, dtype=np.uint64)[0]
-        )
-        config = StreamingConfig(
-            num_packets=num_packets,
-            trials=trials,
-            window=window,
-            loss_model=realization.loss_model,
-            failures=realization.failures,
-            seed=engine_seed,
-            demand_tile=demand_tile,
-            trial_tile=trial_tile,
-            max_memory=max_memory,
-            rebuffer_loss=rebuffer_loss,
-        )
-        report = run_streaming_monte_carlo(
-            problem, solution, config, node_isp=isp_map, traces=traces, jobs=jobs
+            problem, solution, config, node_isp=isp_map, table=table, traces=traces, jobs=jobs
         )
         summary = report.summary()
         summary["failure_events"] = float(len(realization.failures))
@@ -539,3 +480,7 @@ def evaluate_design_streaming(
                     row[f"trace:{trace_name}:{key}"] = float(value)
         results[name] = row
     return results
+
+
+#: Kept for ``perfbench``'s audit-sweep workload, which calls this name.
+evaluate_design_streaming = evaluate_design

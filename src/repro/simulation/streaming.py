@@ -1,34 +1,36 @@
-"""Memory-bounded streaming reliability audit (the million-demand tier).
+"""The Monte-Carlo reliability engine: a memory-bounded tiled fold.
 
-The batched engine of :mod:`repro.simulation.montecarlo` materialises all
-``demands x trials`` statistics in RAM, which caps end-to-end audits well
-below the internet-scale instances the design pipeline can now produce.
-This module tiles the ``(demands x trials)`` plane and folds statistics
-tile by tile through mergeable accumulators, so peak memory is one tile's
-working set plus per-demand sufficient statistics -- *flat in the trial
-count*:
+:func:`run_monte_carlo` measures the loss each edgeserver sees after
+reconstruction.  It tiles the ``(demands x trials)`` plane and folds
+statistics tile by tile through mergeable accumulators, so peak memory is
+one tile's working set plus per-demand sufficient statistics -- *flat in
+the trial count*, which is what lets it audit million-demand instances:
 
 * the compiled :class:`~repro.simulation.montecarlo.PathTable` is sliced
   per demand tile (:func:`~repro.simulation.montecarlo.slice_path_table`)
-  and each tile runs the engine's shared integer kernel
+  and each tile runs the packed integer kernel
   (:func:`~repro.simulation.montecarlo.simulate_trial_block`);
 * every tile draws from its own ``SeedSequence([seed, tile])`` stream, so
-  tiles are self-contained: execution order, ``--jobs``, and appending more
-  trials never shift another tile's random-block layout (the batched mode's
-  documented ``max_batch_bytes`` caveat does not apply here);
+  tiles are self-contained: execution order, ``jobs``, and appending more
+  trials never shift another tile's random-block layout;
 * accumulators hold *exact integer sufficient statistics* (lost-packet
-  counts, threshold hits, duplicate counts, worst-window numerators over a
-  common denominator), so ``merge`` is integer addition/maximum -- exact,
-  associative, commutative -- and results are bit-identical no matter how
-  tiles are scheduled;
-* tiles fan out over :func:`repro.analysis.runner.execute_tasks`, the same
-  deterministic executor the bench scenarios use.
+  counts and their squares, threshold hits, duplicate counts, worst-window
+  numerators over a common denominator), so ``merge`` is integer
+  addition/maximum -- exact, associative, commutative -- and results are
+  bit-identical no matter how tiles are scheduled;
+* tiles fan out over :func:`repro.analysis.runner.execute_tasks_iter`, the
+  same deterministic executor the bench scenarios use.
+
+Determinism contract: a run is a pure function of ``(seed, trials,
+num_packets, window, loss model, failures, effective tile grid)``.  The
+grid is ``demand_tile x trial_tile`` (defaults ``1024 x 32``), shrunk
+deterministically when ``max_memory`` is set (:func:`resolve_tiling`).
 
 Worst-window statistics are folded as *scaled integers*: with window sizes
 ``b_w`` and ``L = lcm(b_w)``, the worst-window numerator
 ``max_w(count_w * L / b_w)`` is an exact int64, and because correctly
-rounded float division is monotone, ``float(worst_scaled / L)`` reproduces
-the batched engine's ``max_w(count_w / b_w)`` bit for bit.
+rounded float division is monotone, ``float(worst_scaled / L)`` equals
+``max_w(count_w / b_w)`` bit for bit.
 
 Trace-driven replay (:mod:`repro.simulation.traces`) rides the same fold:
 a :class:`~repro.simulation.traces.LoadTrace` realizes per-demand session
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,18 +81,42 @@ class StreamingMemoryError(ValueError):
 
 
 @dataclass
-class StreamingConfig:
-    """Configuration of a streaming Monte-Carlo audit.
+class MonteCarloConfig:
+    """Configuration of a Monte-Carlo reliability run.
 
-    ``demand_tile``/``trial_tile`` fix the tile grid (defaults
-    ``1024 x 32``); results are a pure function of ``(seed, num_packets,
-    window, loss model, failures, effective tile grid)`` -- never of
-    ``jobs`` or scheduling order.  ``max_memory`` bounds one tile's
-    estimated working set: the grid is shrunk deterministically (trial tile
-    first, then demand tile) until it fits, and a
-    :class:`StreamingMemoryError` is raised when even a single demand row
-    at one trial cannot fit.  ``rebuffer_loss`` is the per-window loss
-    fraction at or above which an active session counts a rebuffer event.
+    Attributes
+    ----------
+    num_packets:
+        Packets per simulated session (one trial = one session).
+    trials:
+        Number of independent sessions.
+    window:
+        Window (in packets) of the worst-window loss statistic.  Multiples
+        of 8 keep the kernel on its byte-aligned fast path.
+    loss_model:
+        Per-link loss process shared by all trials.
+    failures:
+        Injected failure schedule, identical across trials.
+    seed:
+        Seed of the run's random streams; the default is ``0``.  ``None``
+        draws fresh entropy once per run (the report records the drawn
+        seed, so the run can be repeated).
+    demand_tile, trial_tile:
+        The tile grid (defaults ``1024 x 32``).
+    max_memory:
+        Bound on one tile's estimated working set in bytes: the grid is
+        shrunk deterministically (trial tile first, then demand tile) until
+        it fits, and a :class:`StreamingMemoryError` is raised when even a
+        single demand row at one trial cannot fit.
+    loss_bins:
+        Bins of the per-demand-trial loss histogram.
+    rebuffer_loss:
+        Per-window loss fraction at or above which an active session counts
+        a rebuffer event (trace replay).
+
+    Results are a pure function of ``(seed, trials, num_packets, window,
+    loss model, failures, effective tile grid)`` -- never of ``jobs`` or
+    scheduling order.
     """
 
     num_packets: int = 2000
@@ -98,7 +124,7 @@ class StreamingConfig:
     window: int = 200
     loss_model: LossModel = field(default_factory=BernoulliLossModel)
     failures: FailureSchedule = field(default_factory=FailureSchedule)
-    seed: int = 0
+    seed: int | None = 0
     demand_tile: int | None = None
     trial_tile: int | None = None
     max_memory: int | None = None
@@ -146,7 +172,7 @@ def worst_window_scale(num_packets: int, window: int) -> tuple[int, np.ndarray]:
 def threshold_budget_counts(thresholds: np.ndarray, num_packets: int) -> np.ndarray:
     """Largest lost-packet count per demand that still meets its threshold.
 
-    Matches the batched report's float semantics exactly: ``count <=
+    Matches the per-trial float semantics exactly: ``count <=
     budget_counts[d]`` iff ``float(count / num_packets) <= (1 - threshold) +
     1e-12`` (correctly rounded division is monotone in ``count``).
     """
@@ -175,7 +201,7 @@ def _loss_bin_indices(loss_count: np.ndarray, num_packets: int, bins: int) -> np
 
 @dataclass
 class StreamingAccumulator:
-    """Mergeable exact sufficient statistics of a streaming audit.
+    """Mergeable exact sufficient statistics of a Monte-Carlo run.
 
     All fields are int64; :meth:`merge` is elementwise addition (and maximum
     for the ``*_max`` fields), which is exact, associative and commutative --
@@ -188,6 +214,7 @@ class StreamingAccumulator:
     loss_bins: int
     trial_counts: np.ndarray
     loss_sum: np.ndarray
+    loss_sq_sum: np.ndarray
     loss_max: np.ndarray
     meets: np.ndarray
     duplicates_sum: np.ndarray
@@ -209,6 +236,7 @@ class StreamingAccumulator:
             loss_bins=loss_bins,
             trial_counts=np.zeros(shape, dtype=np.int64),
             loss_sum=np.zeros(shape, dtype=np.int64),
+            loss_sq_sum=np.zeros(shape, dtype=np.int64),
             loss_max=np.zeros(shape, dtype=np.int64),
             meets=np.zeros(shape, dtype=np.int64),
             duplicates_sum=np.zeros(shape, dtype=np.int64),
@@ -238,6 +266,7 @@ class StreamingAccumulator:
         self._check_compatible(other)
         self.trial_counts += other.trial_counts
         self.loss_sum += other.loss_sum
+        self.loss_sq_sum += other.loss_sq_sum
         np.maximum(self.loss_max, other.loss_max, out=self.loss_max)
         self.meets += other.meets
         self.duplicates_sum += other.duplicates_sum
@@ -254,6 +283,7 @@ class StreamingAccumulator:
         chunk = partial["chunk"]
         self.trial_counts[d0:d1] += chunk
         self.loss_sum[d0:d1] += partial["loss_sum"]
+        self.loss_sq_sum[d0:d1] += partial["loss_sq_sum"]
         np.maximum(self.loss_max[d0:d1], partial["loss_max"], out=self.loss_max[d0:d1])
         self.meets[d0:d1] += partial["meets"]
         self.duplicates_sum[d0:d1] += partial["duplicates_sum"]
@@ -313,7 +343,8 @@ def _per_demand_trial_bytes(
 
     Derived from :func:`repro.simulation.montecarlo.row_trial_bytes`, with
     shared first-hop rows conservatively attributed to every path using
-    them, so summing over a demand tile upper-bounds the tile's estimate.
+    them, so summing over a demand tile upper-bounds the tile's estimate
+    (:func:`~repro.simulation.montecarlo.estimate_trial_bytes`).
     """
     per_row, path_sampling = row_trial_bytes(loss_model, table.path_loss, num_packets)
     _, first_hop_sampling = row_trial_bytes(loss_model, table.first_hop_loss, num_packets)
@@ -324,7 +355,7 @@ def _per_demand_trial_bytes(
     return per
 
 
-def resolve_tiling(table: PathTable, config: StreamingConfig) -> tuple[int, int]:
+def resolve_tiling(table: PathTable, config: MonteCarloConfig) -> tuple[int, int]:
     """Effective ``(demand_tile, trial_tile)`` under the working-set bound.
 
     Deterministic: starts from the configured (or default) tile shape and
@@ -372,7 +403,7 @@ class TilePlan:
         return len(self.demand_ranges) * len(self.trial_offsets)
 
 
-def plan_tiles(table: PathTable, config: StreamingConfig) -> TilePlan:
+def plan_tiles(table: PathTable, config: MonteCarloConfig) -> TilePlan:
     """Tile the ``(served demands x trials)`` plane for ``config``."""
     demand_tile, trial_tile = resolve_tiling(table, config)
     served = len(table.demand_keys)
@@ -427,6 +458,7 @@ def _streaming_tile_task(task: dict) -> dict:
         "t0": task["t0"],
         "chunk": chunk,
         "loss_sum": loss_count.sum(axis=1),
+        "loss_sq_sum": (loss_count * loss_count).sum(axis=1),
         "loss_max": loss_count.max(axis=1),
         "meets": (loss_count <= budget[:, None]).sum(axis=1),
         "duplicates_sum": duplicates.sum(axis=1),
@@ -464,7 +496,7 @@ def _streaming_tile_task(task: dict) -> dict:
 
 @dataclass
 class TraceReport:
-    """Per-window trace-replay outcome of one streaming run."""
+    """Per-window trace-replay outcome of one Monte-Carlo run."""
 
     trace_name: str
     description: str
@@ -536,14 +568,15 @@ class TraceReport:
 
 
 @dataclass
-class StreamingReport:
-    """Aggregate + per-demand results of a streaming Monte-Carlo audit.
+class MonteCarloReport:
+    """Aggregate + per-demand results of a Monte-Carlo run.
 
     ``demand_keys`` lists served demands first (table order), then unserved
-    demands (which count as total loss, exactly like the batched report).
-    Per-demand floats derive lazily from the accumulator's exact integers;
-    ``worst_window_max`` is bit-identical to the batched engine's per-trial
-    maxima (see the module docstring).
+    demands (which count as total loss).  Per-demand floats derive lazily
+    from the accumulator's exact integers; ``worst_window_max`` equals the
+    maximum of the per-trial worst-window fractions bit for bit (see the
+    module docstring).  ``seed`` is the seed the run used (the drawn one
+    when the config's seed was ``None``).
     """
 
     num_packets: int
@@ -564,6 +597,20 @@ class StreamingReport:
     @property
     def mean_loss_per_demand(self) -> np.ndarray:
         return self.accumulator.loss_sum / (self.trials * self.num_packets)
+
+    def loss_std(self, row: int) -> float:
+        """Sample standard deviation (``ddof=1``) of demand ``row``'s per-trial loss.
+
+        ``trials * loss_sq_sum - loss_sum**2`` is formed exactly in Python
+        integers, so only the final division, square root and scaling round;
+        ``0`` for one trial.
+        """
+        n = self.trials
+        if n <= 1:
+            return 0.0
+        total = int(self.accumulator.loss_sum[row])
+        spread = n * int(self.accumulator.loss_sq_sum[row]) - total * total
+        return math.sqrt(spread / (n * (n - 1))) / self.num_packets
 
     @property
     def max_loss_per_demand(self) -> np.ndarray:
@@ -624,7 +671,7 @@ class StreamingReport:
         try:
             return self.demand_keys.index(demand_key)
         except ValueError:
-            raise KeyError(f"no streaming result for demand {demand_key}") from None
+            raise KeyError(f"no Monte-Carlo result for demand {demand_key}") from None
 
     def summary(self) -> dict:
         return {
@@ -656,7 +703,7 @@ def _resolve_traces(traces: Sequence[LoadTrace | str]) -> list[LoadTrace]:
 
 def _build_tile_tasks(
     table: PathTable,
-    config: StreamingConfig,
+    config: MonteCarloConfig,
     plan: TilePlan,
     budget_counts: np.ndarray,
     worst_weights: np.ndarray,
@@ -717,6 +764,7 @@ def _fold_unserved(
     rows = slice(served, None)
     accumulator.trial_counts[rows] += trials
     accumulator.loss_sum[rows] += trials * num_packets
+    accumulator.loss_sq_sum[rows] += trials * num_packets * num_packets
     np.maximum(accumulator.loss_max[rows], num_packets, out=accumulator.loss_max[rows])
     # count == num_packets meets iff the budget allows total loss.
     accumulator.meets[rows] += np.where(budget_counts[rows] >= num_packets, trials, 0)
@@ -737,17 +785,25 @@ def _fold_unserved(
         trace_acc.rebuffer_sessions += num * trials
 
 
-def run_streaming_monte_carlo(
+def run_monte_carlo(
     problem: OverlayDesignProblem,
     solution: OverlaySolution,
-    config: StreamingConfig | None = None,
+    config: MonteCarloConfig | None = None,
     *,
     node_isp: dict[str, str | None] | None = None,
     table: PathTable | None = None,
     traces: Sequence[LoadTrace | str] = (),
     jobs: int | str | None = 1,
-) -> StreamingReport:
-    """Audit ``solution`` with the memory-bounded streaming fold.
+) -> MonteCarloReport:
+    """Simulate ``solution`` on ``problem`` with the tiled Monte-Carlo fold.
+
+    ``node_isp`` maps node names to ISP names for ISP-outage events; it
+    defaults to the reflector colors recorded in the problem.  ``table``
+    supplies a pre-compiled :class:`~repro.simulation.montecarlo.PathTable`
+    (e.g. from the serving cache) and must come from
+    :func:`~repro.simulation.montecarlo.compile_path_table` over the *same*
+    ``(problem, solution, config.failures, config.num_packets, node_isp)``
+    -- a valid supplied table only skips the compile pass.
 
     ``traces`` names :class:`~repro.simulation.traces.LoadTrace` entries (or
     passes instances) to replay through the same fold; each gets its own
@@ -757,7 +813,9 @@ def run_streaming_monte_carlo(
     """
     from repro.analysis.runner import execute_tasks_iter
 
-    config = config or StreamingConfig()
+    config = config or MonteCarloConfig()
+    if config.seed is None:
+        config = replace(config, seed=int(np.random.SeedSequence().entropy))
     if node_isp is None:
         node_isp = {r: problem.color(r) for r in problem.reflectors}
     config.failures.validate_for_session(config.num_packets)
@@ -844,7 +902,7 @@ def run_streaming_monte_carlo(
         )
         for trace, activity, trace_acc in zip(load_traces, activities, trace_accumulators)
     }
-    return StreamingReport(
+    return MonteCarloReport(
         num_packets=config.num_packets,
         trials=config.trials,
         window=config.window,
@@ -856,3 +914,7 @@ def run_streaming_monte_carlo(
         accumulator=accumulator,
         traces=trace_reports,
     )
+
+
+#: Kept for ``perfbench``'s audit-sweep workload, which patches this name.
+run_streaming_monte_carlo = run_monte_carlo

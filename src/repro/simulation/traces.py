@@ -11,10 +11,10 @@ A :class:`LoadTrace` turns the static demand set of an
 demand it realizes an ``(arrival, departure)`` pair in worst-window units
 over one simulated day.  The realization is sampled once per run from its
 own ``SeedSequence``-derived stream, *independent of the tile grid*, so the
-streaming engine's trace replay is as tiling-immune as the loss fold itself.
+engine's trace replay is as tiling-immune as the loss fold itself.
 
 Traces are registered by name (the catalogue mirrors
-:mod:`repro.simulation.scenarios`); ``repro simulate --stream --trace NAME``
+:mod:`repro.simulation.scenarios`); ``repro simulate --trace NAME``
 and :class:`repro.api.EvaluationSpec` resolve them here.  Workload-specific
 traces (e.g. the metro-timezone-aware ``metro-diurnal`` of
 :mod:`repro.workloads.session_traces`) register themselves on import and are

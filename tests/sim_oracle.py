@@ -14,10 +14,15 @@ It encodes the paper's reliability model (Sections 1.1 and 1.3) directly:
 * the edgeserver reconstructs the stream from any copy: a packet survives iff
   at least one path delivered it.
 
-Its draw order differs from the batched engine's, so with a random loss model
-the two agree only statistically.  :class:`LinkKeyedLossModel` makes every
-link's loss mask a pure function of the link, and then the two engines must
-agree exactly (``tests/test_montecarlo.py``).
+Its draw order differs from the engine's, so with a random loss model the
+two agree only statistically.  :class:`LinkKeyedLossModel` makes every link's
+loss mask a pure function of the link, and then the two must agree exactly
+(``tests/test_montecarlo.py``).
+
+:func:`per_trial_statistics` keeps the per-trial arrays the engine's fold
+reduces away: it re-runs every tile's kernel call on the engine's own tile
+streams and returns the ``(demands, trials)`` matrices, the reference for
+the accumulators' exact integer statistics.
 
 Two more replaced implementations live here as oracles:
 
@@ -46,8 +51,15 @@ from repro.simulation.failures import (
     FailureEvent,
     FailureSchedule,
 )
-from repro.simulation.montecarlo import _split_profile
+from repro.simulation.montecarlo import (
+    _split_profile,
+    compile_path_table,
+    path_count_groups,
+    simulate_trial_block,
+    slice_path_table,
+)
 from repro.simulation.packets import window_starts
+from repro.simulation.streaming import MonteCarloConfig, plan_tiles, window_sizes
 
 
 @dataclass
@@ -448,3 +460,60 @@ def simulate_solution(
             )
         )
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# Per-trial arrays of the engine's tiles
+# ---------------------------------------------------------------------------
+
+
+def per_trial_statistics(
+    problem: OverlayDesignProblem,
+    solution: OverlaySolution,
+    config: MonteCarloConfig,
+    node_isp: dict[str, str | None] | None = None,
+) -> dict:
+    """Per-demand, per-trial outcomes of ``run_monte_carlo(problem, solution, config)``.
+
+    Runs the kernel once per tile of the engine's grid, on the tile's own
+    ``SeedSequence([seed, tile])`` stream, and keeps what the fold reduces:
+    ``loss`` (lost-packet counts), ``worst_window`` (the worst window's loss
+    fraction) and ``duplicates``, each of shape ``(demands, trials)`` in the
+    report's demand order (served demands in table order, then unserved
+    demands, which lose every packet).
+    """
+    if node_isp is None:
+        node_isp = {r: problem.color(r) for r in problem.reflectors}
+    table = compile_path_table(
+        problem, solution, config.failures, config.num_packets, node_isp
+    )
+    served = len(table.demand_keys)
+    table_keys = set(table.demand_keys)
+    keys = table.demand_keys + [d.key for d in problem.demands if d.key not in table_keys]
+    shape = (len(keys), config.trials)
+    loss = np.full(shape, config.num_packets, dtype=np.int64)
+    worst = np.ones(shape)
+    duplicates = np.zeros(shape, dtype=np.int64)
+    wsizes = window_sizes(config.num_packets, config.window)
+    plan = plan_tiles(table, config)
+    num_trial_tiles = len(plan.trial_offsets)
+    for di, (d0, d1) in enumerate(plan.demand_ranges if served else ()):
+        subtable = slice_path_table(table, d0, d1)
+        for ti, (t0, chunk) in enumerate(plan.trial_offsets):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, di * num_trial_tiles + ti])
+            )
+            window_counts, loss_count, dups = simulate_trial_block(
+                subtable,
+                config.loss_model,
+                chunk,
+                config.num_packets,
+                config.window,
+                path_count_groups(subtable),
+                rng,
+            )
+            cells = (slice(d0, d1), slice(t0, t0 + chunk))
+            loss[cells] = loss_count
+            worst[cells] = (window_counts / wsizes).max(axis=2)
+            duplicates[cells] = dups
+    return {"demand_keys": keys, "loss": loss, "worst_window": worst, "duplicates": duplicates}

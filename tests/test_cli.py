@@ -436,7 +436,7 @@ class TestSimulateMonteCarlo:
         assert "Monte-Carlo simulation (8 trials x 400 packets)" in output
         assert "mean_loss" in output and "95% CI" in output
 
-    @pytest.mark.parametrize("mode", ["single", "stream", "scenario"])
+    @pytest.mark.parametrize("mode", ["single", "traced", "scenario"])
     @pytest.mark.parametrize(
         "flag", ["--packets", "--trials", "--window", "--demand-tile", "--trial-tile"]
     )
@@ -444,9 +444,11 @@ class TestSimulateMonteCarlo:
         self, problem_file, solution_file, capsys, flag, mode
     ):
         args = ["simulate", "--problem", problem_file, "--solution", solution_file]
-        args += {"single": [], "stream": ["--stream"], "scenario": ["--scenario", "baseline"]}[
-            mode
-        ]
+        args += {
+            "single": [],
+            "traced": ["--trace", "diurnal"],
+            "scenario": ["--scenario", "baseline"],
+        }[mode]
         assert main(args + [flag, "0"]) == 2
         assert f"error: {flag} must be positive, got 0" in capsys.readouterr().err
 
@@ -534,7 +536,6 @@ class TestStreamingCli:
                 problem_file,
                 "--solution",
                 solution_file,
-                "--stream",
                 "--packets",
                 "300",
                 "--trials",
@@ -551,26 +552,39 @@ class TestStreamingCli:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "streaming Monte-Carlo audit" in output
+        assert "Monte-Carlo simulation (4 trials x 300 packets)" in output
         assert "trace replay: diurnal" in output
         assert "trace replay: metro-diurnal" in output
+        assert "per-demand reliability (worst 2 of 2 by mean loss)" in output
+        assert "loss_std" in output and "more demands not shown" not in output
 
-    def test_impossible_memory_bound_is_a_clean_error(
-        self, problem_file, solution_file, capsys
+    @pytest.mark.parametrize("mode", ["single", "scenario"])
+    def test_trace_and_tiles_work_on_every_path(
+        self, problem_file, solution_file, capsys, mode
     ):
-        code = main(
-            [
-                "simulate",
-                "--problem",
-                problem_file,
-                "--solution",
-                solution_file,
-                "--stream",
-                "--max-memory",
-                "1",
-            ]
-        )
-        assert code == 2
+        args = ["simulate", "--problem", problem_file, "--solution", solution_file]
+        args += ["--packets", "200", "--trials", "4", "--window", "40"]
+        args += ["--trace", "diurnal", "--demand-tile", "1", "--trial-tile", "2"]
+        if mode == "scenario":
+            args += ["--scenario", "baseline"]
+        assert main(args) == 0
+        output = capsys.readouterr().out
+        if mode == "scenario":
+            assert "trace:diurnal:peak_window_loss" in output
+        else:
+            assert "trace replay: diurnal" in output
+            # Two served demands x two trial tiles.
+            assert "num_tiles                   4" in output
+
+    @pytest.mark.parametrize("mode", ["single", "scenario"])
+    def test_impossible_memory_bound_is_a_clean_error(
+        self, problem_file, solution_file, capsys, mode
+    ):
+        args = ["simulate", "--problem", problem_file, "--solution", solution_file]
+        args += ["--max-memory", "1"]
+        if mode == "scenario":
+            args += ["--scenario", "baseline"]
+        assert main(args) == 2
         assert "single demand row" in capsys.readouterr().err
 
     def test_unparseable_memory_size_errors(self, problem_file, solution_file, capsys):
@@ -580,19 +594,11 @@ class TestStreamingCli:
             problem_file,
             "--solution",
             solution_file,
-            "--stream",
         ]
         assert main(args + ["--max-memory", "lots"]) == 2
         assert "memory" in capsys.readouterr().err.lower()
         assert main(args + ["--max-memory", "0"]) == 2
         capsys.readouterr()
-
-    def test_trace_and_tiles_require_stream(self, problem_file, solution_file, capsys):
-        base = ["simulate", "--problem", problem_file, "--solution", solution_file]
-        assert main(base + ["--trace", "diurnal"]) == 2
-        assert "--trace requires --stream" in capsys.readouterr().err
-        assert main(base + ["--demand-tile", "8"]) == 2
-        assert "require --stream" in capsys.readouterr().err
 
     def test_unknown_trace_lists_the_catalogue(
         self, problem_file, solution_file, capsys
@@ -604,7 +610,6 @@ class TestStreamingCli:
                 problem_file,
                 "--solution",
                 solution_file,
-                "--stream",
                 "--trace",
                 "no-such-trace",
             ]
@@ -612,6 +617,34 @@ class TestStreamingCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown trace" in err and "diurnal" in err
+
+    def test_per_demand_table_is_bounded_worst_first(self, tmp_path, capsys):
+        from repro.api import DesignRequest, get_designer
+        from repro.cli import DEMAND_TABLE_ROWS
+        from repro.core.serialization import dump_solution
+        from repro.workloads import RandomInstanceConfig, random_problem
+
+        problem = random_problem(
+            RandomInstanceConfig(num_streams=2, num_reflectors=6, num_sinks=40), rng=3
+        )
+        solution = get_designer("greedy").design(DesignRequest(problem=problem)).solution
+        problem_path, solution_path = tmp_path / "p.json", tmp_path / "s.json"
+        dump_problem(problem, str(problem_path))
+        dump_solution(solution, str(solution_path))
+        args = ["simulate", "--problem", str(problem_path), "--solution", str(solution_path)]
+        assert main(args + ["--packets", "400", "--trials", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        total = problem.num_demands
+        assert total > DEMAND_TABLE_ROWS
+        title = lines.index(
+            f"per-demand reliability (worst {DEMAND_TABLE_ROWS} of {total} by mean loss)"
+        )
+        rows = lines[title + 3 : title + 3 + DEMAND_TABLE_ROWS]
+        means = [float(row.split()[2]) for row in rows]
+        assert means == sorted(means, reverse=True)
+        assert lines[title + 3 + DEMAND_TABLE_ROWS] == (
+            f"({total - DEMAND_TABLE_ROWS} more demands not shown)"
+        )
 
 
 class TestBenchSuites:

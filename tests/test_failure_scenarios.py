@@ -16,13 +16,11 @@ from repro.simulation import (
     FailureEvent,
     FailureSchedule,
     MonteCarloConfig,
-    StreamingConfig,
     evaluate_design,
     failure_scenario_names,
     get_failure_scenario,
     realize_scenario,
     run_monte_carlo,
-    run_streaming_monte_carlo,
     sample_flash_crowd_congestion,
     sample_isp_outage_schedule,
     sample_regional_outage_schedule,
@@ -89,7 +87,7 @@ class TestFailureSchedule:
             schedule.validate_for_session(1000)
         schedule.validate_for_session(1001)  # starts inside: fine
 
-    def test_engines_reject_out_of_session_events(self, tiny_problem):
+    def test_engine_rejects_out_of_session_events(self, tiny_problem):
         from repro.core.solution import OverlaySolution
 
         solution = OverlaySolution.from_assignments(tiny_problem, {("d1", "s"): ["r1"]})
@@ -99,12 +97,6 @@ class TestFailureSchedule:
                 tiny_problem,
                 solution,
                 MonteCarloConfig(num_packets=100, trials=2, window=8, failures=schedule),
-            )
-        with pytest.raises(ValueError, match="silently never fire"):
-            run_streaming_monte_carlo(
-                tiny_problem,
-                solution,
-                StreamingConfig(num_packets=100, trials=2, window=8, failures=schedule),
             )
 
     def test_link_loss_profile_combines_outage_and_congestion(self):

@@ -1,11 +1,13 @@
-"""The batched Monte-Carlo engine: unit and differential tests.
+"""The Monte-Carlo engine: unit and differential tests.
 
 The differential tests against the per-demand oracle (``tests/sim_oracle.py``)
 are the engine's correctness anchor:
 
 * with a link-keyed loss model (every link's mask a pure function of the
-  link) the engine must reproduce the oracle *exactly*: loss counts,
-  duplicates, path counts and the worst window, failures included;
+  link) the tiled fold must reproduce the oracle *exactly* on a grid that
+  splits both the demand and the trial axis: loss counts and their squares,
+  duplicates, threshold hits, path counts and the worst window, failures
+  included;
 * with the paper's Bernoulli model the two draw in different orders, so their
   per-demand means must agree inside joint confidence bounds.
 """
@@ -16,7 +18,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from sim_oracle import LinkKeyedLossModel, simulate_solution, windowed_loss_matrix
+from sim_oracle import (
+    LinkKeyedLossModel,
+    per_trial_statistics,
+    simulate_solution,
+    windowed_loss_matrix,
+)
 
 from repro.api import DesignRequest, get_designer, run_request
 from repro.core.solution import OverlaySolution
@@ -29,14 +36,13 @@ from repro.simulation import (
     run_monte_carlo,
 )
 from repro.simulation.montecarlo import (
-    _chunk_trials,
     _window_counts_packed,
     estimate_trial_bytes,
     path_count_groups,
     simulate_trial_block,
 )
 from repro.simulation.scenarios import realize_scenario
-from repro.simulation.streaming import _per_demand_trial_bytes
+from repro.simulation.streaming import _per_demand_trial_bytes, threshold_budget_counts
 from repro.workloads import (
     AkamaiLikeConfig,
     RandomInstanceConfig,
@@ -50,6 +56,10 @@ def _workload(seed: int):
         RandomInstanceConfig(num_streams=2, num_reflectors=6, num_sinks=6), rng=seed
     )
     return problem, run_request(DesignRequest(problem=problem, strategy="greedy")).solution
+
+
+def _row(report, key) -> int:
+    return report.demand_index(key)
 
 
 def _exact_case(seed: int):
@@ -93,8 +103,29 @@ class TestConfig:
             MonteCarloConfig(trials=0)
         with pytest.raises(ValueError):
             MonteCarloConfig(window=0)
-        with pytest.raises(ValueError):
-            MonteCarloConfig(max_batch_bytes=0)
+
+    def test_default_seed_is_zero(self, tiny_problem):
+        solution = OverlaySolution.from_assignments(tiny_problem, {("d1", "s"): ["r1"]})
+        config = dict(num_packets=200, trials=3, window=40)
+        default = run_monte_carlo(tiny_problem, solution, MonteCarloConfig(**config))
+        zero = run_monte_carlo(tiny_problem, solution, MonteCarloConfig(**config, seed=0))
+        assert default.seed == 0
+        assert np.array_equal(default.accumulator.loss_sum, zero.accumulator.loss_sum)
+
+    def test_seed_none_draws_fresh_entropy_once_per_run(self, tiny_problem):
+        solution = OverlaySolution.from_assignments(
+            tiny_problem, {("d1", "s"): ["r1", "r2"], ("d2", "s"): ["r1"]}
+        )
+        config = dict(num_packets=400, trials=6, window=80, trial_tile=2)
+        first = run_monte_carlo(tiny_problem, solution, MonteCarloConfig(**config, seed=None))
+        second = run_monte_carlo(tiny_problem, solution, MonteCarloConfig(**config, seed=None))
+        assert first.seed != second.seed
+        # The drawn seed is recorded: replaying it reproduces the run exactly.
+        replay = run_monte_carlo(
+            tiny_problem, solution, MonteCarloConfig(**config, seed=first.seed)
+        )
+        assert np.array_equal(first.accumulator.loss_sum, replay.accumulator.loss_sum)
+        assert np.array_equal(first.accumulator.trial_loss_sum, replay.accumulator.trial_loss_sum)
 
 
 class TestPathTable:
@@ -120,7 +151,12 @@ class TestPathTable:
 class TestExactDifferential:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_oracle_with_link_keyed_losses(self, seed):
-        """Loss counts, duplicates, paths and worst windows equal the oracle's."""
+        """Loss counts, duplicates, paths and worst windows equal the oracle's.
+
+        The grid splits both axes (4 demands x 2 trials per tile), so the
+        first-hop broadcast, the outage overlay and the fold's merges all
+        cross tile boundaries.
+        """
         problem, solution, packets, window, schedule, node_isp = _exact_case(seed)
         model = LinkKeyedLossModel(salt=seed)
         trials = 3
@@ -134,6 +170,8 @@ class TestExactDifferential:
                 loss_model=model,
                 failures=schedule,
                 seed=seed,
+                demand_tile=4,
+                trial_tile=2,
             ),
             node_isp=node_isp,
         )
@@ -147,22 +185,83 @@ class TestExactDifferential:
             failures=schedule,
             node_isp=node_isp,
         )
-        assert [row.demand_key for row in oracle] == [d.demand_key for d in report.demands]
+        served = int(np.count_nonzero(report.paths))
+        assert report.plan.demand_tile < served and report.plan.trial_tile < trials
+        assert sorted(row.demand_key for row in oracle) == sorted(report.demand_keys)
         assert any(row.paths == 0 for row in oracle)
-        for expected, got in zip(oracle, report.demands):
-            assert got.paths == expected.paths
-            lost = np.rint(got.loss * packets).astype(np.int64)
-            assert lost.tolist() == [round(expected.loss_rate * packets)] * trials
-            assert got.duplicates.tolist() == [expected.duplicates_discarded] * trials
+        acc = report.accumulator
+        budgets = threshold_budget_counts(report.thresholds, packets)
+        for expected in oracle:
+            row = report.demand_index(expected.demand_key)
+            lost = round(expected.loss_rate * packets)
+            assert int(report.paths[row]) == expected.paths
+            # Every trial sees the same link-keyed masks.
+            assert int(acc.loss_sum[row]) == trials * lost
+            assert int(acc.loss_max[row]) == lost
+            assert int(acc.loss_sq_sum[row]) == trials * lost * lost
+            assert int(acc.duplicates_sum[row]) == trials * expected.duplicates_discarded
+            assert int(acc.meets[row]) == trials * int(lost <= budgets[row])
+            assert report.loss_std(row) == 0.0
             # The two window formulas (lost / size vs 1 - received / size)
             # may differ in the last ulp.
-            assert np.abs(got.worst_window - expected.worst_window_loss).max() <= 1e-12
+            assert abs(float(report.worst_window_max[row]) - expected.worst_window_loss) <= 1e-12
+
+
+class TestPerTrialReference:
+    """The fold's exact statistics against the per-trial arrays it reduces."""
+
+    @pytest.mark.parametrize(
+        "trials,demand_tile,trial_tile", [(1, 5, 4), (7, 5, 3), (12, 64, 32)]
+    )
+    def test_accumulators_equal_the_per_trial_arrays(self, trials, demand_tile, trial_tile):
+        problem, solution = _workload(4)
+        assignments = dict(solution.assignments)
+        del assignments[problem.demands[0].key]
+        solution = OverlaySolution.from_assignments(problem, assignments)
+        config = MonteCarloConfig(
+            num_packets=420,
+            trials=trials,
+            window=100,
+            seed=17,
+            demand_tile=demand_tile,
+            trial_tile=trial_tile,
+        )
+        report = run_monte_carlo(problem, solution, config)
+        reference = per_trial_statistics(problem, solution, config)
+        assert reference["demand_keys"] == report.demand_keys
+        loss = reference["loss"]
+        acc = report.accumulator
+        assert np.array_equal(acc.loss_sum, loss.sum(axis=1))
+        assert np.array_equal(acc.loss_sq_sum, (loss * loss).sum(axis=1))
+        assert np.array_equal(acc.loss_max, loss.max(axis=1))
+        assert np.array_equal(acc.duplicates_sum, reference["duplicates"].sum(axis=1))
+        assert np.array_equal(acc.trial_loss_sum, loss.sum(axis=0))
+        # The scaled-integer worst window reproduces max_w(count_w / b_w)
+        # bit for bit, including the short tail window (420 = 4 x 100 + 20).
+        assert np.array_equal(report.worst_window_max, reference["worst_window"].max(axis=1))
+        budget = (1.0 - report.thresholds) + 1e-12
+        meets = (loss / config.num_packets <= budget[:, None]).mean(axis=1)
+        assert np.array_equal(report.meets_threshold_fraction, meets)
+
+    @pytest.mark.parametrize("trials", [1, 2, 9, 40])
+    def test_loss_std_matches_numpy(self, trials):
+        problem, solution = _workload(2)
+        config = MonteCarloConfig(num_packets=500, trials=trials, window=100, seed=3)
+        report = run_monte_carlo(problem, solution, config)
+        fractions = per_trial_statistics(problem, solution, config)["loss"] / 500
+        for row in range(report.num_demands):
+            got = report.loss_std(row)
+            if trials == 1:
+                assert got == 0.0
+                continue
+            expected = float(np.std(fractions[row], ddof=1))
+            assert abs(got - expected) <= 1e-12 * expected, (row, got, expected)
 
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(10))
-    def test_batched_mean_matches_legacy(self, seed):
-        """Ten seeded workloads: batched vs oracle per-demand means within CI."""
+    def test_mean_matches_oracle(self, seed):
+        """Ten seeded workloads: engine vs oracle per-demand means within CI."""
         problem, solution = _workload(seed)
         trials, legacy_runs, packets = 120, 30, 500
         report = run_monte_carlo(
@@ -176,17 +275,18 @@ class TestDifferential:
             for row in simulate_solution(problem, solution, packets, rng, window=100):
                 legacy_losses[row.demand_key].append(row.loss_rate)
         for demand in problem.demands:
-            batched = report.result_for(demand.key)
+            row = _row(report, demand.key)
             legacy = np.asarray(legacy_losses[demand.key])
             joint_se = np.sqrt(
-                batched.loss_std**2 / trials + legacy.var(ddof=1) / legacy_runs
+                report.loss_std(row) ** 2 / trials + legacy.var(ddof=1) / legacy_runs
             )
             # 5 sigma + a floor for near-zero variance cells; with ~60
             # demand-cells per run a 4-sigma bound would flake.
             tolerance = 5.0 * joint_se + 3.0 / packets
-            assert abs(batched.mean_loss - legacy.mean()) <= tolerance, demand.key
+            mean = float(report.mean_loss_per_demand[row])
+            assert abs(mean - legacy.mean()) <= tolerance, demand.key
 
-    def test_batched_mean_matches_analytic(self):
+    def test_mean_matches_analytic(self):
         problem, solution = _workload(3)
         trials = 300
         report = run_monte_carlo(
@@ -195,13 +295,14 @@ class TestDifferential:
             MonteCarloConfig(num_packets=1000, trials=trials, window=100, seed=0),
         )
         for demand in problem.demands:
-            result = report.result_for(demand.key)
-            if result.paths == 0:
-                assert result.mean_loss == 1.0
+            row = _row(report, demand.key)
+            mean = float(report.mean_loss_per_demand[row])
+            if report.paths[row] == 0:
+                assert mean == 1.0
                 continue
             analytic = solution.failure_probability(demand)
-            se = max(result.loss_std / np.sqrt(trials), 1e-5)
-            assert abs(result.mean_loss - analytic) <= 5.0 * se + 1e-3
+            se = max(report.loss_std(row) / np.sqrt(trials), 1e-5)
+            assert abs(mean - analytic) <= 5.0 * se + 1e-3
 
     def test_differential_under_failure_schedule(self, tiny_problem):
         solution = OverlaySolution.from_assignments(
@@ -234,7 +335,7 @@ class TestDifferential:
         )
         assert abs(report.mean_loss - np.mean(legacy)) <= 5.0 * joint_se + 1e-3
         # The crash covers half the session, so the worst window saturates.
-        assert report.result_for(("d2", "s")).worst_window.max() == pytest.approx(1.0)
+        assert report.worst_window_max[_row(report, ("d2", "s"))] == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "config",
@@ -258,8 +359,8 @@ class TestDifferential:
             for _ in range(legacy_runs)
         ]
         legacy_se = np.std(legacy, ddof=1) / np.sqrt(legacy_runs)
-        batched_se = np.std(report.trial_mean_loss, ddof=1) / np.sqrt(report.trials)
-        z_score = (report.mean_loss - np.mean(legacy)) / max(np.hypot(legacy_se, batched_se), 1e-12)
+        engine_se = np.std(report.trial_mean_loss, ddof=1) / np.sqrt(report.trials)
+        z_score = (report.mean_loss - np.mean(legacy)) / max(np.hypot(legacy_se, engine_se), 1e-12)
         assert abs(z_score) <= 4.0
 
     def test_gilbert_elliott_dense_fallback(self, tiny_problem):
@@ -280,8 +381,8 @@ class TestDifferential:
         )
         for demand in tiny_problem.demands:
             analytic = solution.failure_probability(demand)
-            result = report.result_for(demand.key)
-            assert result.mean_loss == pytest.approx(analytic, abs=0.02)
+            mean = report.mean_loss_per_demand[_row(report, demand.key)]
+            assert mean == pytest.approx(analytic, abs=0.02)
 
 
 class TestEngineBehaviour:
@@ -292,46 +393,23 @@ class TestEngineBehaviour:
             solution,
             MonteCarloConfig(num_packets=200, trials=4, window=40, seed=0),
         )
-        missing = report.result_for(("d2", "s"))
-        assert missing.paths == 0
-        assert missing.loss.tolist() == [1.0] * 4
-        assert missing.worst_window.tolist() == [1.0] * 4
-        assert missing.meets_threshold_fraction == 0.0
+        row = _row(report, ("d2", "s"))
+        assert report.paths[row] == 0
+        assert report.mean_loss_per_demand[row] == 1.0
+        assert report.max_loss_per_demand[row] == 1.0
+        assert report.worst_window_max[row] == 1.0
+        assert report.meets_threshold_fraction[row] == 0.0
+        assert report.loss_std(row) == 0.0
 
-    def test_determinism_and_chunking(self, tiny_problem):
+    def test_determinism(self, tiny_problem):
         solution = OverlaySolution.from_assignments(
             tiny_problem, {("d1", "s"): ["r1", "r2"], ("d2", "s"): ["r1"]}
         )
         config = dict(num_packets=500, trials=16, window=56, seed=9)
         a = run_monte_carlo(tiny_problem, solution, MonteCarloConfig(**config))
         b = run_monte_carlo(tiny_problem, solution, MonteCarloConfig(**config))
-        assert np.array_equal(a.loss_matrix, b.loss_matrix)
-        # A tiny batch budget forces many chunks; results stay valid (but are
-        # a different random stream -- chunk layout is part of the contract).
-        tiny_batches = run_monte_carlo(
-            tiny_problem,
-            solution,
-            MonteCarloConfig(**config, max_batch_bytes=10_000),
-        )
-        assert tiny_batches.loss_matrix.shape == a.loss_matrix.shape
-        assert 0.0 <= tiny_batches.mean_loss <= 1.0
-
-    def test_chunk_boundaries_shift_the_random_stream(self, tiny_problem):
-        # Regression pinning the documented max_batch_bytes caveat: the same
-        # seed under a different chunk layout is a *different* random stream.
-        # (The streaming engine is immune -- per-tile SeedSequence streams --
-        # see tests/test_streaming.py::TestDeterminismContract.)
-        solution = OverlaySolution.from_assignments(
-            tiny_problem, {("d1", "s"): ["r1", "r2"], ("d2", "s"): ["r1"]}
-        )
-        config = dict(num_packets=500, trials=16, window=56, seed=9)
-        one_chunk = run_monte_carlo(
-            tiny_problem, solution, MonteCarloConfig(**config, max_batch_bytes=2**40)
-        )
-        many_chunks = run_monte_carlo(
-            tiny_problem, solution, MonteCarloConfig(**config, max_batch_bytes=10_000)
-        )
-        assert not np.array_equal(one_chunk.loss_matrix, many_chunks.loss_matrix)
+        assert np.array_equal(a.accumulator.loss_sum, b.accumulator.loss_sum)
+        assert np.array_equal(a.accumulator.trial_loss_sum, b.accumulator.trial_loss_sum)
 
     def test_report_accessors(self, tiny_problem):
         solution = OverlaySolution.from_assignments(
@@ -342,14 +420,14 @@ class TestEngineBehaviour:
             solution,
             MonteCarloConfig(num_packets=400, trials=8, window=80, seed=1),
         )
-        assert report.loss_matrix.shape == (2, 8)
+        assert report.mean_loss_per_demand.shape == (2,)
         assert report.trial_mean_loss.shape == (8,)
         assert 0.0 <= report.mean_loss <= report.max_loss <= 1.0
         assert report.mean_loss_ci_halfwidth >= 0.0
         summary = report.summary()
         assert summary["trials"] == 8 and summary["num_demands"] == 2
         with pytest.raises(KeyError):
-            report.result_for(("missing", "s"))
+            report.demand_index(("missing", "s"))
 
     def test_window_counts_packed_matches_unpacked(self):
         rng = np.random.default_rng(0)
@@ -370,11 +448,11 @@ class TestEngineBehaviour:
             solution,
             MonteCarloConfig(num_packets=500, trials=6, window=125, seed=3),
         )
-        assert (report.result_for(("d1", "s")).worst_window <= 1.0).all()
+        assert report.worst_window_max[_row(report, ("d1", "s"))] <= 1.0
 
 
 class TestMemoryModel:
-    """``row_trial_bytes`` is the one memory model of both engines."""
+    """``row_trial_bytes`` is the engine's one memory model."""
 
     @staticmethod
     def _table(num_packets: int, scenario: str = "isp-outage"):
@@ -405,25 +483,11 @@ class TestMemoryModel:
             tracemalloc.stop()
         assert peak <= estimate, (type(loss_model).__name__, peak, estimate)
 
-    def test_bernoulli_estimate_is_unchanged(self):
-        # Batched chunk boundaries derive from this figure, so it is part of
-        # the determinism contract: pinned at the values of earlier releases.
-        for num_packets, expected in ((613, 91396.28066494917), (2000, 231385.6698253533)):
-            table, _ = self._table(num_packets, "baseline")
-            assert estimate_trial_bytes(table, BernoulliLossModel(), num_packets) == expected
-
     @pytest.mark.parametrize(
         "loss_model", [BernoulliLossModel(), GilbertElliottLossModel(), LinkKeyedLossModel()]
     )
-    def test_streaming_estimate_bounds_the_batched_one(self, loss_model):
+    def test_per_demand_estimate_bounds_the_table_estimate(self, loss_model):
         table, _ = self._table(2000)
         per_demand = _per_demand_trial_bytes(table, loss_model, 2000)
         assert per_demand.shape == (len(table.demand_keys),)
         assert per_demand.sum() >= estimate_trial_bytes(table, loss_model, 2000)
-
-    def test_ge_sweeps_run_in_one_chunk(self):
-        # The packed footprint replaced a dense 20 bytes/packet estimate that
-        # cut audit-size Gilbert-Elliott sweeps into 1-2-trial chunks.
-        table, loss_model = self._table(2000, "bursty-links")
-        config = MonteCarloConfig(num_packets=2000, trials=10, loss_model=loss_model)
-        assert _chunk_trials(table, config) == [10]

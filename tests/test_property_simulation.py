@@ -49,7 +49,8 @@ def _session_loss(problem: OverlayDesignProblem, reflectors: list[str], seed: in
     config = MonteCarloConfig(
         num_packets=400, trials=1, window=80, loss_model=LinkKeyedLossModel(salt=seed)
     )
-    return run_monte_carlo(problem, solution, config).result_for(("d", "s")).mean_loss
+    report = run_monte_carlo(problem, solution, config)
+    return float(report.mean_loss_per_demand[report.demand_index(("d", "s"))])
 
 
 def _two_path_problem(loss_a: float, loss_b: float) -> OverlayDesignProblem:

@@ -17,7 +17,9 @@ import pytest
 
 from repro.api import (
     DesignRequest,
+    EvaluationSpec,
     get_designer,
+    request_from_dict,
     request_to_dict,
     result_from_dict,
     result_to_dict,
@@ -289,6 +291,28 @@ class TestRunRequestCached:
         assert result.cache["served_from_cache"] is False
         assert result.cache["stages"]["formulate"] == "hit"
         assert result.cache["stages"]["solve"] == "hit"
+
+    def test_traced_sweeps_reuse_cached_path_tables(self, problem, parameters):
+        # Two evaluations of one design that differ only in the trial count
+        # compile the same path tables: the second reads them from the cache.
+        cache = ArtifactCache()
+        spec = dict(scenarios=("baseline", "isp-outage"), num_packets=200, window=40)
+        requests = [
+            DesignRequest(
+                problem=problem,
+                parameters=parameters,
+                evaluation=EvaluationSpec(trials=trials, traces=("diurnal",), **spec),
+            )
+            for trials in (2, 3)
+        ]
+        first = run_request_cached(requests[0], cache)
+        tables = cache.stats().by_namespace["path_table"]
+        assert tables["misses"] == 2 and tables.get("hits", 0) == 0
+        second = run_request_cached(requests[1], cache)
+        assert cache.stats().by_namespace["path_table"]["hits"] == 2
+        assert "trace:diurnal:peak_window_loss" in second.evaluation["baseline"]
+        for cached, request in ((first, requests[0]), (second, requests[1])):
+            assert _comparable(cached) == _comparable(run_request_cached(request, None))
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +686,73 @@ def test_malformed_request_field_is_named(
         with DesignService(workers=1) as service:
             with pytest.raises(DocumentError, match=message):
                 service.submit(document)
+    elif front == "http":
+        post = urllib.request.Request(
+            request.getfixturevalue("design_server").url + "/design",
+            data=json.dumps(document).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(post, timeout=30)
+        assert excinfo.value.code == 400
+        assert message in json.loads(excinfo.value.read())["error"]
+    else:
+        path = tmp_path / "requests.jsonl"
+        path.write_text(json.dumps(document) + "\n")
+        assert main(["batch", "--requests", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+#: (case id, path to the field, a value of the wrong type, the error message)
+WRONG_TYPED_FIELDS = [
+    ("trials-string", ("evaluation", "trials"), "10", "evaluation.trials must be an integer"),
+    ("trials-bool", ("evaluation", "trials"), True, "evaluation.trials must be an integer"),
+    ("seed-string", ("evaluation", "seed"), "x", "evaluation.seed must be an integer"),
+    ("traces-string", ("evaluation", "traces"), "diurnal", "evaluation.traces must be a list"),
+    ("scenarios-int", ("evaluation", "scenarios"), 5, "evaluation.scenarios must be a list"),
+    (
+        "max-memory-string",
+        ("evaluation", "max_memory"),
+        "64M",
+        "evaluation.max_memory must be an integer",
+    ),
+    ("mode-unknown", ("evaluation", "mode"), "tiled", "evaluation.mode must be"),
+    ("streams-int", ("problem", "streams"), [1], "problem.streams: entries must be objects"),
+    ("demands-str", ("problem", "demands"), ["x"], "problem.demands: entries must be objects"),
+]
+
+
+@pytest.mark.parametrize("front", ["request_from_dict", "http", "batch"])
+@pytest.mark.parametrize(
+    "path,value,message",
+    [case[1:] for case in WRONG_TYPED_FIELDS],
+    ids=[case[0] for case in WRONG_TYPED_FIELDS],
+)
+def test_wrong_typed_field_is_named(
+    request, problem, tmp_path, capsys, front, path, value, message
+):
+    import urllib.error
+    import urllib.request
+
+    from repro.cli import main
+    from repro.core.serialization import DocumentError
+
+    document = json.loads(
+        json.dumps(
+            request_to_dict(
+                DesignRequest(
+                    problem=problem,
+                    parameters=DesignParameters(),
+                    evaluation=EvaluationSpec(scenarios=("baseline",), trials=2),
+                )
+            )
+        )
+    )
+    document[path[0]][path[1]] = value
+    if front == "request_from_dict":
+        with pytest.raises(DocumentError, match=message):
+            request_from_dict(document)
     elif front == "http":
         post = urllib.request.Request(
             request.getfixturevalue("design_server").url + "/design",

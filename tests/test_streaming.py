@@ -1,16 +1,15 @@
-"""The streaming engine: determinism contract, differential and memory tests.
+"""The Monte-Carlo fold: determinism contract, tiling, memory and plumbing tests.
 
 The anchors:
 
-* **bit-identity** -- a single-tile streaming run must reproduce the batched
-  engine's statistics exactly (same kernel, same ``SeedSequence([seed, 0])``
-  stream), compared demand-by-demand on exact integer sufficient statistics;
 * **the determinism contract** -- ``jobs``, tile scheduling order, and a
   ``max_memory`` bound that leaves the tile grid unchanged never change a
   result; only ``(seed, packets, window, loss model, failures, grid)`` do;
 * **flat memory** -- peak traced working set must stay (near-)constant along
   a trial ladder, the property that lets the fold audit million-demand
-  instances the batched engine cannot hold in RAM.
+  instances;
+* **exactness** lives in ``tests/test_montecarlo.py``: the link-keyed oracle
+  differential and the per-trial reference of the accumulators.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.simulation.scenarios as scenarios_module
 from repro.api import (
     DesignRequest,
     EvaluationSpec,
@@ -27,18 +27,17 @@ from repro.api import (
     evaluation_spec_to_dict,
     run_request,
 )
+from repro.core.serialization import DocumentError
 from repro.core.solution import OverlaySolution
 from repro.simulation import (
     MonteCarloConfig,
-    StreamingConfig,
     StreamingMemoryError,
     compile_path_table,
-    evaluate_design_streaming,
+    evaluate_design,
     failure_scenario_names,
     get_load_trace,
     load_trace_names,
     run_monte_carlo,
-    run_streaming_monte_carlo,
 )
 from repro.simulation.streaming import (
     StreamingAccumulator,
@@ -55,6 +54,7 @@ from repro.workloads.tiny import build_tiny_problem
 _ACC_FIELDS = (
     "trial_counts",
     "loss_sum",
+    "loss_sq_sum",
     "loss_max",
     "meets",
     "duplicates_sum",
@@ -77,94 +77,6 @@ def _assert_accumulators_equal(a: StreamingAccumulator, b: StreamingAccumulator)
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def _batched_integer_stats(report, num_packets: int, scale: int) -> dict:
-    """Per-demand exact integer statistics recovered from the batched floats.
-
-    The batched engine's per-trial fractions are correctly-rounded divisions
-    of integer counts, so ``rint(loss * P)`` / ``rint(worst * scale)`` are
-    bit-exact inversions.
-    """
-    stats = {}
-    for demand in report.demands:
-        loss = np.rint(np.asarray(demand.loss) * num_packets).astype(np.int64)
-        worst = np.rint(np.asarray(demand.worst_window) * scale).astype(np.int64)
-        duplicates = np.asarray(demand.duplicates).astype(np.int64)
-        stats[demand.demand_key] = {
-            "loss_sum": int(loss.sum()),
-            "loss_max": int(loss.max()),
-            "worst_sum": int(worst.sum()),
-            "worst_max": int(worst.max()),
-            "duplicates_sum": int(duplicates.sum()),
-            "meets": demand.meets_threshold_fraction,
-        }
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# Differential: streaming vs the in-RAM batched engine
-# ---------------------------------------------------------------------------
-
-
-class TestBatchedDifferential:
-    def test_single_tile_is_bit_identical_to_batched(self):
-        problem, solution = _workload()
-        packets, trials, window, seed = 420, 6, 100, 11
-        config = StreamingConfig(
-            num_packets=packets,
-            trials=trials,
-            window=window,
-            seed=seed,
-            demand_tile=10**9,
-            trial_tile=10**9,
-        )
-        streaming = run_streaming_monte_carlo(problem, solution, config)
-        assert streaming.plan.num_tiles == 1
-        # One tile => one SeedSequence([seed, 0]) stream; the batched engine
-        # in one chunk (huge max_batch_bytes) consumes the same draws.
-        batched = run_monte_carlo(
-            problem,
-            solution,
-            MonteCarloConfig(
-                num_packets=packets, trials=trials, window=window, max_batch_bytes=2**40
-            ),
-            rng=np.random.default_rng(np.random.SeedSequence([seed, 0])),
-        )
-        scale = streaming.accumulator.worst_scale
-        by_key = _batched_integer_stats(batched, packets, scale)
-        assert set(by_key) == set(streaming.demand_keys)
-        for row, key in enumerate(streaming.demand_keys):
-            expected = by_key[key]
-            assert int(streaming.accumulator.loss_sum[row]) == expected["loss_sum"], key
-            assert int(streaming.accumulator.loss_max[row]) == expected["loss_max"], key
-            assert int(streaming.accumulator.worst_sum[row]) == expected["worst_sum"], key
-            assert int(streaming.accumulator.worst_max[row]) == expected["worst_max"], key
-            assert (
-                int(streaming.accumulator.duplicates_sum[row])
-                == expected["duplicates_sum"]
-            ), key
-            # count / trials on both sides: bit-equal, not approx.
-            assert float(streaming.meets_threshold_fraction[row]) == expected["meets"], key
-
-    def test_worst_window_max_matches_batched_floats(self):
-        # The scaled-integer fold must reproduce max_w(count_w / b_w) bit for
-        # bit, including the short tail window (420 = 4 x 100 + 20).
-        problem, solution = _workload()
-        config = StreamingConfig(
-            num_packets=420, trials=4, window=100, seed=3, demand_tile=10**9, trial_tile=10**9
-        )
-        streaming = run_streaming_monte_carlo(problem, solution, config)
-        batched = run_monte_carlo(
-            problem,
-            solution,
-            MonteCarloConfig(num_packets=420, trials=4, window=100, max_batch_bytes=2**40),
-            rng=np.random.default_rng(np.random.SeedSequence([3, 0])),
-        )
-        by_key = {d.demand_key: d for d in batched.demands}
-        for row, key in enumerate(streaming.demand_keys):
-            expected = float(np.asarray(by_key[key].worst_window).max())
-            assert float(streaming.worst_window_max[row]) == expected
-
-
 # ---------------------------------------------------------------------------
 # The determinism contract
 # ---------------------------------------------------------------------------
@@ -173,21 +85,21 @@ class TestBatchedDifferential:
 class TestDeterminismContract:
     def test_repeat_runs_are_identical(self):
         problem, solution = _workload()
-        config = StreamingConfig(
+        config = MonteCarloConfig(
             num_packets=200, trials=5, window=64, seed=9, demand_tile=3, trial_tile=2
         )
-        first = run_streaming_monte_carlo(problem, solution, config)
-        second = run_streaming_monte_carlo(problem, solution, config)
+        first = run_monte_carlo(problem, solution, config)
+        second = run_monte_carlo(problem, solution, config)
         assert first.plan == second.plan
         _assert_accumulators_equal(first.accumulator, second.accumulator)
 
     def test_jobs_never_change_results(self):
         problem, solution = _workload()
-        config = StreamingConfig(
+        config = MonteCarloConfig(
             num_packets=200, trials=4, window=64, seed=7, demand_tile=4, trial_tile=2
         )
-        serial = run_streaming_monte_carlo(problem, solution, config, traces=("diurnal",))
-        parallel = run_streaming_monte_carlo(
+        serial = run_monte_carlo(problem, solution, config, traces=("diurnal",))
+        parallel = run_monte_carlo(
             problem, solution, config, traces=("diurnal",), jobs=2
         )
         assert serial.plan.num_tiles > 1
@@ -200,10 +112,10 @@ class TestDeterminismContract:
 
     def test_max_memory_with_unchanged_grid_changes_nothing(self):
         problem, solution = _workload()
-        base = StreamingConfig(
+        base = MonteCarloConfig(
             num_packets=200, trials=4, window=64, seed=7, demand_tile=4, trial_tile=2
         )
-        bounded = StreamingConfig(
+        bounded = MonteCarloConfig(
             num_packets=200,
             trials=4,
             window=64,
@@ -217,8 +129,8 @@ class TestDeterminismContract:
         )
         assert resolve_tiling(table, base) == resolve_tiling(table, bounded)
         _assert_accumulators_equal(
-            run_streaming_monte_carlo(problem, solution, base).accumulator,
-            run_streaming_monte_carlo(problem, solution, bounded).accumulator,
+            run_monte_carlo(problem, solution, base).accumulator,
+            run_monte_carlo(problem, solution, bounded).accumulator,
         )
 
     def test_extending_trials_preserves_the_prefix(self):
@@ -227,10 +139,10 @@ class TestDeterminismContract:
         problem, solution = _workload()
 
         def run(trials):
-            return run_streaming_monte_carlo(
+            return run_monte_carlo(
                 problem,
                 solution,
-                StreamingConfig(
+                MonteCarloConfig(
                     num_packets=200,
                     trials=trials,
                     window=64,
@@ -251,10 +163,10 @@ class TestDeterminismContract:
         problem, solution = _workload()
 
         def active_cells(demand_tile, trial_tile):
-            report = run_streaming_monte_carlo(
+            report = run_monte_carlo(
                 problem,
                 solution,
-                StreamingConfig(
+                MonteCarloConfig(
                     num_packets=200,
                     trials=4,
                     window=64,
@@ -277,7 +189,7 @@ class TestDeterminismContract:
 class TestTiling:
     def test_plan_partitions_the_plane(self):
         problem, solution = _workload()
-        config = StreamingConfig(num_packets=200, trials=7, window=64, demand_tile=3, trial_tile=2)
+        config = MonteCarloConfig(num_packets=200, trials=7, window=64, demand_tile=3, trial_tile=2)
         table = compile_path_table(problem, solution, config.failures, 200, None)
         plan = plan_tiles(table, config)
         served = len(table.demand_keys)
@@ -288,14 +200,14 @@ class TestTiling:
 
     def test_max_memory_shrinks_trial_tile_first(self):
         problem, solution = _workload()
-        config = StreamingConfig(num_packets=400, trials=32, window=100)
+        config = MonteCarloConfig(num_packets=400, trials=32, window=100)
         table = compile_path_table(problem, solution, config.failures, 400, None)
         free_demand, free_trial = resolve_tiling(table, config)
         # Tighten until the grid changes; the demand tile must be the last
         # thing to give.
         grids = []
         for exponent in range(30, 9, -1):
-            bounded = StreamingConfig(
+            bounded = MonteCarloConfig(
                 num_packets=400, trials=32, window=100, max_memory=2**exponent
             )
             try:
@@ -313,21 +225,21 @@ class TestTiling:
 
     def test_impossible_bound_raises_streaming_memory_error(self):
         problem, solution = _workload()
-        config = StreamingConfig(num_packets=400, trials=4, window=100, max_memory=1)
+        config = MonteCarloConfig(num_packets=400, trials=4, window=100, max_memory=1)
         with pytest.raises(StreamingMemoryError, match="single demand row"):
-            run_streaming_monte_carlo(problem, solution, config)
+            run_monte_carlo(problem, solution, config)
 
     def test_peak_memory_is_flat_along_a_trial_ladder(self):
-        # Satellite regression: peak traced allocation must not grow with the
-        # trial count (the batched engine's would grow linearly).
+        # Peak traced allocation must not grow with the trial count (a
+        # run holding every per-trial array would grow linearly).
         problem = random_problem(
             RandomInstanceConfig(num_streams=2, num_reflectors=10, num_sinks=250), rng=7
         )
         solution = run_request(DesignRequest(problem=problem, strategy="greedy")).solution
-        table = compile_path_table(problem, solution, StreamingConfig().failures, 240, None)
+        table = compile_path_table(problem, solution, MonteCarloConfig().failures, 240, None)
         peaks = {}
         for trials in (4, 16, 48):
-            config = StreamingConfig(
+            config = MonteCarloConfig(
                 num_packets=240,
                 trials=trials,
                 window=80,
@@ -337,7 +249,7 @@ class TestTiling:
             )
             tracemalloc.start()
             try:
-                report = run_streaming_monte_carlo(problem, solution, config, table=table)
+                report = run_monte_carlo(problem, solution, config, table=table)
                 _, peaks[trials] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -408,10 +320,10 @@ class TestUnservedAndTraces:
     def test_unserved_demand_counts_as_total_loss(self):
         problem = build_tiny_problem()
         solution = OverlaySolution.from_assignments(problem, {("d1", "s"): ["r1"]})
-        report = run_streaming_monte_carlo(
+        report = run_monte_carlo(
             problem,
             solution,
-            StreamingConfig(num_packets=200, trials=3, window=64, seed=0),
+            MonteCarloConfig(num_packets=200, trials=3, window=64, seed=0),
             traces=("diurnal",),
         )
         row = report.demand_index(("d2", "s"))
@@ -427,10 +339,10 @@ class TestUnservedAndTraces:
 
     def test_trace_replay_reports_per_window_metrics(self):
         problem, solution = _workload()
-        report = run_streaming_monte_carlo(
+        report = run_monte_carlo(
             problem,
             solution,
-            StreamingConfig(num_packets=420, trials=4, window=100, seed=2),
+            MonteCarloConfig(num_packets=420, trials=4, window=100, seed=2),
             traces=("diurnal", "metro-diurnal"),
         )
         assert set(report.traces) == {"diurnal", "metro-diurnal"}
@@ -468,42 +380,72 @@ class TestStreamingEvaluation:
         problem, solution = _workload()
         names = failure_scenario_names()[:2]
         kwargs = dict(trials=2, num_packets=200, window=64, seed=4, traces=("diurnal",))
-        both = evaluate_design_streaming(problem, solution, names, **kwargs)
-        alone = evaluate_design_streaming(problem, solution, [names[1]], **kwargs)
+        both = evaluate_design(problem, solution, names, **kwargs)
+        alone = evaluate_design(problem, solution, [names[1]], **kwargs)
         assert both[names[1]] == alone[names[1]]
         row = both[names[0]]
         assert 0.0 <= row["mean_loss"] <= 1.0
         assert "trace:diurnal:peak_window_loss" in row
         assert "trace:diurnal:rebuffer_session_fraction" in row
+        assert {"num_tiles", "demand_tile", "trial_tile"} <= set(row)
+
+    def test_sweep_runs_the_engine_through_the_scenarios_module(self, monkeypatch):
+        # The benchmark harness records kernel spans by patching this name.
+        problem, solution = _workload()
+        calls = []
+        engine = scenarios_module.run_monte_carlo
+
+        def counting(problem, solution, config, *args, **kwargs):
+            calls.append(config.seed)
+            return engine(problem, solution, config, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios_module, "run_monte_carlo", counting)
+        names = failure_scenario_names()[:3]
+        evaluate_design(problem, solution, names, trials=2, num_packets=200, window=64)
+        assert len(calls) == len(names)
+
+    def test_names_kept_for_the_benchmark_harness(self):
+        import repro.simulation as simulation
+        import repro.simulation.montecarlo as montecarlo
+        import repro.simulation.streaming as streaming
+
+        assert simulation.evaluate_design_streaming is evaluate_design
+        assert streaming.run_streaming_monte_carlo is run_monte_carlo
+        assert scenarios_module.run_monte_carlo is run_monte_carlo
+        assert streaming.compile_path_table is montecarlo.compile_path_table
+        assert callable(montecarlo.estimate_trial_bytes)
+        assert callable(scenarios_module.realize_scenario)
 
     def test_spec_roundtrip_preserves_streaming_fields(self):
         spec = EvaluationSpec(
             scenarios=("baseline",),
             trials=5,
-            mode="streaming",
             traces=("diurnal", "metro-diurnal"),
             max_memory=1 << 20,
         )
         assert evaluation_spec_from_dict(evaluation_spec_to_dict(spec)) == spec
 
-    def test_batched_spec_dict_is_byte_stable(self):
-        # Streaming fields are additive: a batched spec's document must not
+    def test_default_spec_dict_is_byte_stable(self):
+        # Optional fields are additive: a default spec's document must not
         # grow new keys (old documents stay byte-identical across builds).
         data = evaluation_spec_to_dict(EvaluationSpec())
         assert set(data) == {"scenarios", "trials", "num_packets", "window", "seed"}
         legacy = evaluation_spec_from_dict(dict(data))
-        assert legacy.mode == "batched"
-        assert legacy.traces == ()
-        assert legacy.max_memory is None
+        assert legacy == EvaluationSpec()
+
+    @pytest.mark.parametrize("mode", ["batched", "streaming"])
+    def test_legacy_mode_is_read_and_never_written(self, mode):
+        data = {"trials": 4, "mode": mode, "traces": ["diurnal"]}
+        spec = evaluation_spec_from_dict(data)
+        assert spec == EvaluationSpec(trials=4, traces=("diurnal",))
+        assert "mode" not in evaluation_spec_to_dict(spec)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            EvaluationSpec(mode="tiled")
-        with pytest.raises(ValueError, match="traces require"):
-            EvaluationSpec(traces=("diurnal",))
+        with pytest.raises(DocumentError, match="evaluation.mode"):
+            evaluation_spec_from_dict({"mode": "tiled"})
         with pytest.raises(ValueError, match="max_memory"):
-            EvaluationSpec(mode="streaming", max_memory=0)
+            EvaluationSpec(max_memory=0)
         with pytest.raises(ValueError, match="rebuffer_loss"):
-            StreamingConfig(rebuffer_loss=0.0)
+            MonteCarloConfig(rebuffer_loss=0.0)
         with pytest.raises(ValueError, match="trial_tile"):
-            StreamingConfig(trial_tile=0)
+            MonteCarloConfig(trial_tile=0)
