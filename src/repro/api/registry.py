@@ -83,27 +83,8 @@ class RegisteredDesigner:
         result.strategy = self.name
         result.request_id = request.request_id
         if request.evaluation is not None and self.produces_solution:
-            # Reliability sweep across the failure-scenario catalogue; lazy
-            # import keeps the registry importable without the simulation
-            # stack (and avoids a circular import at module load).
-            from repro.simulation import evaluate_design
-
-            spec = request.evaluation
-            if spec.scenario_files:
-                from repro.simulation import register_scenario_file
-
-                for path in spec.scenario_files:
-                    register_scenario_file(path)
-            result.evaluation = evaluate_design(
-                request.problem,
-                result.solution,
-                spec.scenarios,
-                trials=spec.trials,
-                num_packets=spec.num_packets,
-                window=spec.window,
-                seed=spec.seed,
-                traces=spec.traces,
-                max_memory=spec.max_memory,
+            result.evaluation = request.evaluation.evaluate(
+                request.problem, result.solution
             )
         return result
 

@@ -111,6 +111,36 @@ class EvaluationSpec:
         if self.max_memory is not None and self.max_memory <= 0:
             raise ValueError("max_memory must be positive when set")
 
+    def evaluate(
+        self,
+        problem: OverlayDesignProblem,
+        solution: OverlaySolution,
+        table_provider=None,
+    ) -> dict[str, dict[str, float]]:
+        """Sweep ``solution`` across the catalogue with this spec's fields.
+
+        Registers :attr:`scenario_files` first, so their names are
+        sweepable.  ``table_provider`` is the serving cache's hook into
+        :func:`repro.simulation.evaluate_design`; it never changes metrics.
+        """
+        # Lazy import: the simulation stack imports this module.
+        from repro.simulation import evaluate_design, register_scenario_file
+
+        for path in self.scenario_files:
+            register_scenario_file(path)
+        return evaluate_design(
+            problem,
+            solution,
+            self.scenarios,
+            trials=self.trials,
+            num_packets=self.num_packets,
+            window=self.window,
+            seed=self.seed,
+            traces=self.traces,
+            max_memory=self.max_memory,
+            table_provider=table_provider,
+        )
+
 
 #: ``evaluation.mode`` values written before the engines merged; read and ignored.
 _LEGACY_MODES = ("batched", "streaming")

@@ -352,8 +352,11 @@ def _cmd_update(args: argparse.Namespace) -> int:
         else:
             new_problem = load_problem(args.new_problem)
             delta = diff_problems(problem, new_problem)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
+    except (OSError, ValueError, KeyError) as error:
+        # DocumentError is a ValueError; apply_delta raises KeyError for a
+        # delta naming a stream or reflector the problem does not have.
+        message = error.args[0] if isinstance(error, KeyError) and error.args else error
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
     parameters = DesignParameters(
@@ -370,7 +373,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
                 "shards": args.shards,
                 "jobs": jobs,
                 "partitioner": args.partitioner,
-                "resolve": args.resolve,
                 "full_redesign_threshold": args.full_redesign_threshold,
             },
             previous_problem=problem,
@@ -1304,12 +1306,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--shards", default="auto")
     update.add_argument(
         "--partitioner", default="auto", choices=["auto", "metro", "isp", "hash"]
-    )
-    update.add_argument(
-        "--resolve",
-        default="residual",
-        choices=["residual", "full"],
-        help="re-solve dirty shards as residual subproblems (default) or whole",
     )
     update.add_argument(
         "--full-redesign-threshold",

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.core.problem import OverlayDesignProblem
-from repro.core.serialization import check_document
+from repro.core.serialization import DocumentError, check_document
 
 #: Version written into every delta document; bump on breaking changes.
 DELTA_FORMAT_VERSION = 1
@@ -406,14 +406,36 @@ def _spec_to_dict(spec: DeliveryEdgeSpec | None) -> dict[str, Any] | None:
     }
 
 
+def _name(value: Any, field: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _number(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a number, got {type(value).__name__}")
+    return value
+
+
+def _optional_number(value: Any, field: str) -> float | None:
+    return None if value is None else _number(value, field)
+
+
 def _spec_from_dict(data: dict[str, Any] | None) -> DeliveryEdgeSpec | None:
     if data is None:
         return None
+    stream_costs = data.get("stream_costs") or {}
     return DeliveryEdgeSpec(
-        loss_probability=data["loss_probability"],
-        cost=data["cost"],
-        stream_costs=tuple(sorted((data.get("stream_costs") or {}).items())),
-        capacity=data.get("capacity"),
+        loss_probability=_number(data["loss_probability"], "loss_probability"),
+        cost=_number(data["cost"], "cost"),
+        stream_costs=tuple(
+            sorted(
+                (stream, _number(cost, f"stream_costs.{stream}"))
+                for stream, cost in stream_costs.items()
+            )
+        ),
+        capacity=_optional_number(data.get("capacity"), "capacity"),
     )
 
 
@@ -426,7 +448,10 @@ def _stream_spec_to_dict(spec: StreamEdgeSpec | None) -> dict[str, Any] | None:
 def _stream_spec_from_dict(data: dict[str, Any] | None) -> StreamEdgeSpec | None:
     if data is None:
         return None
-    return StreamEdgeSpec(loss_probability=data["loss_probability"], cost=data["cost"])
+    return StreamEdgeSpec(
+        loss_probability=_number(data["loss_probability"], "loss_probability"),
+        cost=_number(data["cost"], "cost"),
+    )
 
 
 def _attachment_to_dict(attachment: SinkAttachment) -> dict[str, Any]:
@@ -445,21 +470,16 @@ def _attachment_to_dict(attachment: SinkAttachment) -> dict[str, Any]:
 def _attachment_from_dict(data: dict[str, Any]) -> SinkAttachment:
     delivery = tuple(
         sorted(
-            (
-                entry["reflector"],
-                DeliveryEdgeSpec(
-                    loss_probability=entry["loss_probability"],
-                    cost=entry["cost"],
-                    stream_costs=tuple(sorted((entry.get("stream_costs") or {}).items())),
-                    capacity=entry.get("capacity"),
-                ),
-            )
+            (_name(entry["reflector"], "reflector"), _spec_from_dict(entry))
             for entry in data.get("delivery", [])
         )
     )
     demands = tuple(
         sorted(
-            (entry["stream"], entry["success_threshold"])
+            (
+                _name(entry["stream"], "stream"),
+                _number(entry["success_threshold"], "success_threshold"),
+            )
             for entry in data.get("demands", [])
         )
     )
@@ -509,37 +529,82 @@ def delta_to_dict(delta: ProblemDelta) -> dict[str, Any]:
     }
 
 
-def delta_from_dict(data: dict[str, Any]) -> ProblemDelta:
-    """Decode a delta from a :func:`delta_to_dict` document."""
-    check_document(data, "problem-delta", version=DELTA_FORMAT_VERSION)
-    return ProblemDelta(
-        sinks_added={
-            sink: _attachment_from_dict(entry)
-            for sink, entry in data.get("sinks_added", {}).items()
-        },
-        sinks_removed={
-            sink: _attachment_from_dict(entry)
-            for sink, entry in data.get("sinks_removed", {}).items()
-        },
-        delivery_changed={
-            (entry["reflector"], entry["sink"]): (
+def delta_from_dict(data: Any) -> ProblemDelta:
+    """Decode a delta from a :func:`delta_to_dict` document.
+
+    Anything else raises :class:`DocumentError` naming the field, e.g.
+    ``delta.delivery_changed[0]: missing 'reflector'`` or
+    ``delta.sinks_added.edge7: loss_probability must be a number, got str``.
+    Names must be strings and costs, probabilities, capacities and
+    thresholds numbers, so a decoded delta reaches :func:`apply_delta` well
+    typed; whether its names exist in a problem is :func:`apply_delta`'s
+    check (``KeyError``).
+    """
+    try:
+        check_document(data, "problem-delta", version=DELTA_FORMAT_VERSION)
+    except ValueError as error:
+        raise DocumentError(f"delta: {error}") from None
+    section, at = "sinks_added", None
+
+    def entries(key: str, kind: type) -> Any:
+        nonlocal section, at
+        section, at = key, None
+        value = data.get(key, kind())
+        if not isinstance(value, kind):
+            noun = "an object" if kind is dict else "a list"
+            raise DocumentError(f"delta.{key} must be {noun}, got {type(value).__name__}")
+        return value
+
+    # One try for the whole decode: the loop variable ``at`` still names the
+    # entry being decoded when one of them raises.
+    try:
+        sinks_added = {}
+        for at, entry in entries("sinks_added", dict).items():
+            sinks_added[at] = _attachment_from_dict(entry)
+        sinks_removed = {}
+        for at, entry in entries("sinks_removed", dict).items():
+            sinks_removed[at] = _attachment_from_dict(entry)
+        delivery_changed = {}
+        for at, entry in enumerate(entries("delivery_changed", list)):
+            key = (_name(entry["reflector"], "reflector"), _name(entry["sink"], "sink"))
+            delivery_changed[key] = (
                 _spec_from_dict(entry.get("old")),
                 _spec_from_dict(entry.get("new")),
             )
-            for entry in data.get("delivery_changed", [])
-        },
-        stream_edges_changed={
-            (entry["stream"], entry["reflector"]): (
+        stream_edges_changed = {}
+        for at, entry in enumerate(entries("stream_edges_changed", list)):
+            key = (_name(entry["stream"], "stream"), _name(entry["reflector"], "reflector"))
+            stream_edges_changed[key] = (
                 _stream_spec_from_dict(entry.get("old")),
                 _stream_spec_from_dict(entry.get("new")),
             )
-            for entry in data.get("stream_edges_changed", [])
-        },
-        demands_changed={
-            (entry["sink"], entry["stream"]): (entry.get("old"), entry.get("new"))
-            for entry in data.get("demands_changed", [])
-        },
-        structural=tuple(data.get("structural", [])),
+        demands_changed = {}
+        for at, entry in enumerate(entries("demands_changed", list)):
+            key = (_name(entry["sink"], "sink"), _name(entry["stream"], "stream"))
+            demands_changed[key] = (
+                _optional_number(entry.get("old"), "old"),
+                _optional_number(entry.get("new"), "new"),
+            )
+    except (KeyError, TypeError, AttributeError) as error:
+        where = f"delta.{section}" + (f"[{at}]" if isinstance(at, int) else f".{at}")
+        if isinstance(error, KeyError):
+            raise DocumentError(f"{where}: missing {error}") from None
+        entry = data[section][at]
+        if not isinstance(entry, dict):
+            raise DocumentError(
+                f"{where}: entries must be objects, got {type(entry).__name__}"
+            ) from None
+        raise DocumentError(f"{where}: {error}") from None
+    structural = entries("structural", list)
+    if not all(isinstance(reason, str) for reason in structural):
+        raise DocumentError("delta.structural must be a list of strings")
+    return ProblemDelta(
+        sinks_added=sinks_added,
+        sinks_removed=sinks_removed,
+        delivery_changed=delivery_changed,
+        stream_edges_changed=stream_edges_changed,
+        demands_changed=demands_changed,
+        structural=tuple(structural),
     )
 
 

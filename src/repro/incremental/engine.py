@@ -5,12 +5,12 @@ into an updated design without paying for a from-scratch run.  It follows
 the fix-integral-variables-and-re-solve idiom of iterative LP rounding: the
 assignments of demands the change cannot touch are *fixed* (carried over
 verbatim), and only the dirty shards of the :mod:`repro.scale` partition go
-back through the Formulate/Solve/Round stages -- either whole
-(``resolve="full"``) or as a *residual* subproblem of just the affected
-demands against the fanout budget the kept assignments leave behind
-(``resolve="residual"``, the default).  The re-solved pieces are then
-spliced into the standing design by the regular stitch stage, whose fanout
-rebalance + global repair pass is exactly the cross-shard audit/repair the
+back through the Formulate/Solve/Round stages -- as a *residual* subproblem
+of just the affected demands against the fanout budget the kept assignments
+leave behind, or whole when the shard has nothing to carry.  Both run
+through :func:`repro.scale.pipeline.run_shard_loop`, the same round a
+from-scratch sharded design runs with every shard dirty; its stitch (fanout
+rebalance + global repair) is exactly the cross-shard audit/repair the
 splice needs, and the merged design is re-audited against the full problem.
 
 Determinism matches the sharded pipeline: the partition is a pure function
@@ -32,14 +32,8 @@ import time
 from typing import Mapping
 
 from repro.analysis.audit import audit_solution
-from repro.api.batch import design_batch
 from repro.api.registry import RegisteredDesigner, get_designer
-from repro.api.types import (
-    DesignRequest,
-    DesignResult,
-    parameters_from_dict,
-    parameters_to_dict,
-)
+from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
@@ -47,40 +41,24 @@ from repro.incremental.delta import ProblemDelta, diff_problems
 from repro.incremental.impact import analyze_impact
 from repro.scale.partition import (
     PartitionPlan,
+    Shard,
     build_partition,
     extract_shard_problem,
 )
-from repro.scale.pipeline import SHARDED_PREFIX, shard_seed
-from repro.scale.stitch import stitch_assignments
+from repro.scale.pipeline import (
+    SHARDED_OPTIONS,
+    SHARDED_PREFIX,
+    ShardJob,
+    run_shard_loop,
+    sharded_options,
+)
 
 #: Strategy-name prefix stamped on incremental results.
 INCREMENTAL_PREFIX = "incremental:"
 
-_OPTION_DEFAULTS = {
-    "shards": "auto",
-    "jobs": 1,
-    "partitioner": "auto",
-    "stitch_repair": True,
-    "inner_options": {},
-    "resolve": "residual",
-    "full_redesign_threshold": 0.8,
-}
-
-
-def _normalize_options(options: Mapping | None) -> dict:
-    options = dict(options or {})
-    unknown = sorted(set(options) - set(_OPTION_DEFAULTS))
-    if unknown:
-        raise ValueError(
-            f"unknown option(s) {unknown} for design_incremental "
-            f"(accepted: {sorted(_OPTION_DEFAULTS)})"
-        )
-    merged = {**_OPTION_DEFAULTS, **options}
-    if merged["resolve"] not in ("residual", "full"):
-        raise ValueError(
-            f"resolve must be 'residual' or 'full', got {merged['resolve']!r}"
-        )
-    return merged
+def incremental_options(options: Mapping | None) -> dict:
+    """``options`` over :data:`SHARDED_OPTIONS` plus ``full_redesign_threshold``."""
+    return sharded_options(options, "design_incremental", full_redesign_threshold=0.8)
 
 
 def _standing_solution(previous: DesignResult | OverlaySolution) -> OverlaySolution:
@@ -127,13 +105,7 @@ def _full_redesign(
             problem=new_problem,
             parameters=parameters,
             strategy=designer.name,
-            options={
-                "shards": options["shards"],
-                "jobs": options["jobs"],
-                "partitioner": options["partitioner"],
-                "stitch_repair": options["stitch_repair"],
-                "inner_options": dict(options["inner_options"]),
-            },
+            options={key: options[key] for key in SHARDED_OPTIONS},
             request_id=request_id,
         )
     )
@@ -145,27 +117,6 @@ def _full_redesign(
         **{f"delta_{k}": v for k, v in delta.summary().items()},
     }
     return result
-
-
-def _shard_request(
-    problem: OverlayDesignProblem,
-    inner: RegisteredDesigner,
-    base_parameters: dict,
-    seed: int | None,
-    shard_index: int,
-    inner_options: dict,
-    request_id: str,
-) -> DesignRequest:
-    parameters = dict(base_parameters)
-    parameters["rounding"] = dict(parameters["rounding"])
-    parameters["rounding"]["seed"] = shard_seed(seed, shard_index)
-    return DesignRequest(
-        problem=problem,
-        parameters=parameters_from_dict(parameters),
-        strategy=inner.name,
-        options=dict(inner_options),
-        request_id=request_id,
-    )
 
 
 def design_incremental(
@@ -196,12 +147,10 @@ def design_incremental(
         strategy with any ``sharded:``/``incremental:`` prefix stripped,
         else ``"spaa03"``.
     options:
-        ``shards``/``jobs``/``partitioner``/``stitch_repair``/
-        ``inner_options`` as in the sharded pipeline, plus ``resolve``
-        (``"residual"`` fixes unaffected in-shard assignments and re-solves
-        only the affected demands; ``"full"`` re-solves whole dirty shards)
-        and ``full_redesign_threshold`` (dirty-shard fraction above which
-        the engine falls back to a from-scratch sharded run).
+        ``shards``/``jobs``/``partitioner``/``inner_options`` as in the
+        sharded pipeline (:data:`repro.scale.pipeline.SHARDED_OPTIONS`), plus
+        ``full_redesign_threshold`` (dirty-shard fraction above which the
+        engine falls back to a from-scratch sharded run; default 0.8).
     previous_problem:
         The pre-churn problem; defaults to the standing solution's problem.
     delta:
@@ -220,7 +169,7 @@ def design_incremental(
     the impact analysis (`incremental_*`), the delta summary (`delta_*`) and
     the stitch report (`stitch_*`).
     """
-    opts = _normalize_options(options)
+    opts = incremental_options(options)
     parameters = parameters if parameters is not None else DesignParameters()
     inner = _inner_strategy(previous, strategy)
     standing = _standing_solution(previous)
@@ -332,7 +281,6 @@ def design_incremental(
             request_id=request_id,
         )
 
-    base_parameters = parameters_to_dict(parameters)
     affected = impact.affected_demands
     dirty = set(impact.dirty_shards)
 
@@ -342,136 +290,72 @@ def design_incremental(
     # paying for fresh ones it does not need.
     carried_builds: set[str] = set()
     carried_deliveries: set[tuple[str, str]] = set()
-    if opts["resolve"] == "residual":
-        for (sink, stream), reflectors in standing_assignments.items():
-            if (sink, stream) in affected or (sink, stream) not in new_keys:
-                continue
-            for reflector in reflectors:
-                carried_builds.add(reflector)
-                carried_deliveries.add((stream, reflector))
+    for (sink, stream), reflectors in standing_assignments.items():
+        if (sink, stream) in affected or (sink, stream) not in new_keys:
+            continue
+        for reflector in reflectors:
+            carried_builds.add(reflector)
+            carried_deliveries.add((stream, reflector))
 
-    start = time.perf_counter()
-    requests: list[DesignRequest] = []
-    # Per dirty shard: the fixed (carried) assignments merged back after the
-    # batch, or None for a whole-shard re-solve.
-    carried: list[dict | None] = []
-    slots: list[int] = []
-    shard_assignments: list[dict[tuple[str, str], list[str]] | None] = [
-        None
-    ] * plan.num_shards
-    for index, shard in enumerate(plan.shards):
+    def job(shard: Shard) -> ShardJob:
+        """Clean shards carry their map; dirty ones re-solve what churn touched."""
         if shard.shard_id not in dirty:
-            shard_assignments[index] = {
+            return None, {
                 key: standing_assignments[key]
                 for key in shard.demand_keys
                 if key in standing_assignments
             }
-            continue
-        affected_in_shard = [key for key in shard.demand_keys if key in affected]
-        fixed_keys = [
-            key
+        fixed = {
+            key: standing_assignments[key]
             for key in shard.demand_keys
             if key not in affected and key in standing_assignments
-        ]
-        if opts["resolve"] == "residual" and fixed_keys:
-            fixed = {key: standing_assignments[key] for key in fixed_keys}
-            fixed_load: dict[str, int] = {}
-            for reflectors in fixed.values():
-                for reflector in reflectors:
-                    fixed_load[reflector] = fixed_load.get(reflector, 0) + 1
-            overrides = {
+        }
+        if not fixed:
+            return shard.problem, {}
+        fixed_load: dict[str, int] = {}
+        for reflectors in fixed.values():
+            for reflector in reflectors:
+                fixed_load[reflector] = fixed_load.get(reflector, 0) + 1
+        affected_in_shard = [key for key in shard.demand_keys if key in affected]
+        residual = extract_shard_problem(
+            new_problem,
+            sinks=sorted({sink for sink, _stream in affected_in_shard}),
+            name=f"{new_problem.name}/{shard.shard_id}/residual",
+            demand_keys=set(affected_in_shard),
+            fanout_overrides={
                 reflector: max(1, new_problem.fanout(reflector) - load)
                 for reflector, load in fixed_load.items()
-            }
-            residual = extract_shard_problem(
-                new_problem,
-                sinks=sorted({sink for sink, _stream in affected_in_shard}),
-                name=f"{new_problem.name}/{shard.shard_id}/residual",
-                demand_keys=set(affected_in_shard),
-                fanout_overrides=overrides,
-                reflector_cost_overrides=dict.fromkeys(carried_builds, 0.0),
-                stream_edge_cost_overrides=dict.fromkeys(carried_deliveries, 0.0),
-            )
-            requests.append(
-                _shard_request(
-                    residual,
-                    inner,
-                    base_parameters,
-                    parameters.rounding.seed,
-                    index,
-                    opts["inner_options"],
-                    request_id=shard.shard_id,
-                )
-            )
-            carried.append(fixed)
-        else:
-            requests.append(
-                _shard_request(
-                    shard.problem,
-                    inner,
-                    base_parameters,
-                    parameters.rounding.seed,
-                    index,
-                    opts["inner_options"],
-                    request_id=shard.shard_id,
-                )
-            )
-            carried.append(None)
-        slots.append(index)
+            },
+            reflector_cost_overrides=dict.fromkeys(carried_builds, 0.0),
+            stream_edge_cost_overrides=dict.fromkeys(carried_deliveries, 0.0),
+        )
+        return residual, fixed
 
-    results = design_batch(requests, jobs=opts["jobs"])
-    for slot, kept, result in zip(slots, carried, results):
-        assignments = {
-            key: sorted(reflectors)
-            for key, reflectors in result.solution.assignments.items()
-        }
-        if kept is not None:
-            assignments.update(kept)
-        shard_assignments[slot] = assignments
-    design_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    solution, stitch_report = stitch_assignments(
+    result, _shard_results = run_shard_loop(
         new_problem,
         plan,
-        shard_assignments,
-        repair=opts["stitch_repair"],
-        fanout_slack=parameters.repair_fanout_slack,
-    )
-    stitch_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    audit = audit_solution(new_problem, solution)
-    audit_seconds = time.perf_counter() - start
-
-    solution.metadata["algorithm"] = f"{INCREMENTAL_PREFIX}{inner.name}"
-    metadata = {
-        "inner_strategy": inner.name,
-        "partitioner": plan.partitioner,
-        "jobs": str(opts["jobs"]),
-        "resolve": opts["resolve"],
-        "incremental_reused_assignments": sum(
-            1 for key in standing_assignments if key not in affected
-        ),
-        **impact.as_metadata(),
-        **{f"delta_{k}": v for k, v in delta.summary().items()},
-        **stitch_report.as_metadata(),
-    }
-    return DesignResult(
+        inner,
+        parameters,
+        opts,
         strategy=f"{INCREMENTAL_PREFIX}{inner.name}",
-        solution=solution,
-        lower_bound=None,
-        stage_seconds={
-            "diff": diff_seconds,
-            "partition": partition_seconds,
-            "design_shards": design_seconds,
-            "stitch": stitch_seconds,
-            "audit": audit_seconds,
-        },
-        audit=audit,
-        metadata=metadata,
         request_id=request_id,
+        job=job,
     )
+    result.stage_seconds = {
+        "diff": diff_seconds,
+        "partition": partition_seconds,
+        **result.stage_seconds,
+    }
+    result.metadata.update(
+        {
+            "incremental_reused_assignments": sum(
+                1 for key in standing_assignments if key not in affected
+            ),
+            **impact.as_metadata(),
+            **{f"delta_{k}": v for k, v in delta.summary().items()},
+        }
+    )
+    return result
 
 
 __all__ = ["INCREMENTAL_PREFIX", "design_incremental"]

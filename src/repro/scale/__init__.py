@@ -9,11 +9,12 @@ the determinism contract.
 * :mod:`repro.scale.partition` -- pluggable :class:`Partitioner` registry
   (``metro`` / ``isp`` / ``hash`` / ``auto``), balanced shard planning and
   self-contained subproblem extraction;
-* :mod:`repro.scale.stitch` -- merge, cross-shard fanout reconciliation,
-  global repair;
-* :mod:`repro.scale.pipeline` -- :func:`design_sharded` and the dynamic
-  ``"sharded:<strategy>"`` designers resolved through
-  :func:`repro.api.get_designer`.
+* :mod:`repro.scale.stitch` -- :func:`stitch_assignments`, the one stitch:
+  merge, cross-shard fanout reconciliation, global repair;
+* :mod:`repro.scale.pipeline` -- :func:`run_shard_loop` (one round of
+  shard-local solves plus the stitch, shared with the incremental engine),
+  :func:`design_sharded` and the dynamic ``"sharded:<strategy>"`` designers
+  resolved through :func:`repro.api.get_designer`.
 
 Quick start::
 
@@ -38,21 +39,18 @@ from repro.scale.partition import (
     resolve_shard_count,
 )
 from repro.scale.pipeline import (
+    SHARDED_OPTIONS,
     SHARDED_PREFIX,
     design_sharded,
     make_sharded_designer,
+    run_shard_loop,
     shard_seed,
 )
-from repro.scale.stitch import (
-    StitchReport,
-    merge_shard_solutions,
-    rebalance_fanout,
-    stitch_assignments,
-    stitch_solutions,
-)
+from repro.scale.stitch import StitchReport, rebalance_fanout, stitch_assignments
 
 __all__ = [
     "AUTO_SHARD_CAP",
+    "SHARDED_OPTIONS",
     "SHARDED_PREFIX",
     "PartitionPlan",
     "Partitioner",
@@ -63,13 +61,12 @@ __all__ = [
     "extract_shard_problem",
     "get_partitioner",
     "make_sharded_designer",
-    "merge_shard_solutions",
     "partitioner_names",
     "rebalance_fanout",
     "register_partitioner",
     "resolve_partitioner",
     "resolve_shard_count",
+    "run_shard_loop",
     "shard_seed",
     "stitch_assignments",
-    "stitch_solutions",
 ]

@@ -375,6 +375,49 @@ def _delivery_index(
     return index
 
 
+def _bind_layout(
+    problem: OverlayDesignProblem,
+    partitioner: str,
+    requested_shards: int,
+    layout: list[tuple[str, list[str]]],
+    materialize: bool,
+) -> PartitionPlan:
+    """Bind a shard layout (``(shard_id, sinks)`` per shard) to ``problem``.
+
+    Per-shard demand keys come out in ``problem.demands`` order from one pass,
+    and each shard gets a subproblem factory over ``problem``, resolved now
+    when ``materialize`` is set.
+    """
+    delivery_by_sink = _delivery_index(problem)
+    bin_of_sink = {sink: i for i, (_id, sinks) in enumerate(layout) for sink in sinks}
+    demand_keys_by_bin: list[list[tuple[str, str]]] = [[] for _ in layout]
+    for demand in problem.demands:
+        demand_keys_by_bin[bin_of_sink[demand.sink]].append(demand.key)
+    plan = PartitionPlan(partitioner=partitioner, requested_shards=requested_shards)
+    for index, (shard_id, sinks) in enumerate(layout):
+
+        def factory(
+            sinks: list[str] = sinks, shard_id: str = shard_id
+        ) -> OverlayDesignProblem:
+            return extract_shard_problem(
+                problem,
+                sinks,
+                name=f"{problem.name}/{shard_id}",
+                delivery_by_sink=delivery_by_sink,
+            )
+
+        shard = Shard(
+            shard_id=shard_id,
+            sinks=sinks,
+            demand_keys=demand_keys_by_bin[index],
+            problem_factory=factory,
+        )
+        if materialize:
+            shard.problem  # noqa: B018 - resolve the factory eagerly
+        plan.shards.append(shard)
+    return plan
+
+
 def build_partition(
     problem: OverlayDesignProblem,
     partitioner: str | Partitioner = "auto",
@@ -405,37 +448,9 @@ def build_partition(
             f"({len(covered)} placements for {problem.num_sinks} sinks)"
         )
     bins = _coalesce_groups(groups, target)
-    delivery_by_sink = _delivery_index(problem)
-    # Per-shard demand keys in problem.demands order, built in one pass.
-    bin_of_sink = {sink: i for i, sinks in enumerate(bins) for sink in sinks}
-    demand_keys_by_bin: list[list[tuple[str, str]]] = [[] for _ in bins]
-    for demand in problem.demands:
-        demand_keys_by_bin[bin_of_sink[demand.sink]].append(demand.key)
     width = len(str(max(len(bins) - 1, 1)))
-    plan = PartitionPlan(partitioner=chosen.name, requested_shards=target)
-    for index, sinks in enumerate(bins):
-        shard_id = f"shard{index:0{width}d}"
-
-        def factory(
-            sinks: list[str] = sinks, shard_id: str = shard_id
-        ) -> OverlayDesignProblem:
-            return extract_shard_problem(
-                problem,
-                sinks,
-                name=f"{problem.name}/{shard_id}",
-                delivery_by_sink=delivery_by_sink,
-            )
-
-        shard = Shard(
-            shard_id=shard_id,
-            sinks=sinks,
-            demand_keys=demand_keys_by_bin[index],
-            problem_factory=factory,
-        )
-        if materialize:
-            shard.problem  # noqa: B018 - resolve the factory eagerly
-        plan.shards.append(shard)
-    return plan
+    layout = [(f"shard{index:0{width}d}", sinks) for index, sinks in enumerate(bins)]
+    return _bind_layout(problem, chosen.name, target, layout, materialize)
 
 
 def rebind_partition(
@@ -466,40 +481,10 @@ def rebind_partition(
             f"({len(plan_sinks)} plan sinks vs {problem.num_sinks} problem sinks); "
             "rebuild the partition instead of rebinding"
         )
-    delivery_by_sink = _delivery_index(problem)
-    bin_of_sink = {
-        sink: index for index, shard in enumerate(plan.shards) for sink in shard.sinks
-    }
-    demand_keys_by_bin: list[list[tuple[str, str]]] = [[] for _ in plan.shards]
-    for demand in problem.demands:
-        demand_keys_by_bin[bin_of_sink[demand.sink]].append(demand.key)
-    rebound = PartitionPlan(
-        partitioner=plan.partitioner, requested_shards=plan.requested_shards
+    layout = [(shard.shard_id, list(shard.sinks)) for shard in plan.shards]
+    return _bind_layout(
+        problem, plan.partitioner, plan.requested_shards, layout, materialize
     )
-    for index, shard in enumerate(plan.shards):
-        sinks = list(shard.sinks)
-        shard_id = shard.shard_id
-
-        def factory(
-            sinks: list[str] = sinks, shard_id: str = shard_id
-        ) -> OverlayDesignProblem:
-            return extract_shard_problem(
-                problem,
-                sinks,
-                name=f"{problem.name}/{shard_id}",
-                delivery_by_sink=delivery_by_sink,
-            )
-
-        new_shard = Shard(
-            shard_id=shard_id,
-            sinks=sinks,
-            demand_keys=demand_keys_by_bin[index],
-            problem_factory=factory,
-        )
-        if materialize:
-            new_shard.problem  # noqa: B018 - resolve the factory eagerly
-        rebound.shards.append(new_shard)
-    return rebound
 
 
 __all__ = [

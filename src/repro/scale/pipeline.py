@@ -1,19 +1,20 @@
-"""The hierarchical sharded design pipeline: partition -> design -> stitch.
+"""The hierarchical sharded design pipeline: partition -> shard loop.
 
-:func:`design_sharded` is the scaling layer over the Designer registry: it
-partitions an internet-scale instance into ISP/metro shards
-(:mod:`repro.scale.partition`), designs every shard independently through any
-registered inner strategy -- fanned out over worker processes via
-:func:`repro.api.design_batch`, which rides
-:func:`repro.analysis.runner.execute_tasks` and therefore returns shard
-results in shard order regardless of ``jobs`` -- and stitches the shard
-designs back together (:mod:`repro.scale.stitch`) before re-auditing the
-merged solution against the *full* problem.
+A sharded design is one round of shard-local solves plus one global stitch.
+:func:`run_shard_loop` is that round, and the only copy of it: it builds each
+solved shard's request (seed from :func:`shard_seed`), runs them through
+:func:`repro.api.design_batch` (shard order regardless of ``jobs``), merges
+back the assignments each shard keeps, stitches with
+:func:`repro.scale.stitch.stitch_assignments` and audits the merged design
+against the *full* problem.  :func:`design_sharded` is its all-dirty case
+(every shard solved whole, nothing kept); :func:`repro.api.design_incremental`
+runs it over a standing design's dirty shards, their residual subproblems
+and the assignments they carry.
 
 Strategy names: any registered solution-producing strategy ``X`` is available
 as ``"sharded:X"`` through :func:`repro.api.get_designer`; the designer is
 materialised on first use by :func:`make_sharded_designer`.  Options
-(``request.options``):
+(``request.options``; :data:`SHARDED_OPTIONS` holds the defaults):
 
 ``shards``
     Target shard count, or ``"auto"`` (default; see
@@ -23,8 +24,6 @@ materialised on first use by :func:`make_sharded_designer`.  Options
     cores) or 1 (default; inline, no pool).
 ``partitioner``
     ``"auto"`` (default), ``"metro"``, ``"isp"`` or ``"hash"``.
-``stitch_repair``
-    Run the global cross-shard repair pass after merging (default True).
 ``inner_options``
     Options dict forwarded to every per-shard inner request.
 
@@ -38,6 +37,7 @@ design is bit-identical across ``jobs`` settings and machines.
 from __future__ import annotations
 
 import time
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -50,11 +50,29 @@ from repro.api.types import (
     parameters_from_dict,
     parameters_to_dict,
 )
-from repro.scale.partition import PartitionPlan, build_partition
-from repro.scale.stitch import stitch_solutions
+from repro.core.algorithm import DesignParameters
+from repro.core.problem import OverlayDesignProblem
+from repro.scale.partition import PartitionPlan, Shard, build_partition
+from repro.scale.stitch import stitch_assignments
 
 #: Prefix of dynamically materialised sharded strategies.
 SHARDED_PREFIX = "sharded:"
+
+#: Options of a sharded design and their defaults -- the one table that
+#: :func:`design_sharded`, :func:`repro.api.design_incremental` (which adds
+#: ``full_redesign_threshold``), the serving plan cache and
+#: :class:`repro.serve.DesignSession` read.
+SHARDED_OPTIONS: dict[str, Any] = {
+    "shards": "auto",
+    "jobs": 1,
+    "partitioner": "auto",
+    "inner_options": {},
+}
+
+#: What one shard contributes to a round of :func:`run_shard_loop`: the
+#: subproblem to solve (``None`` when the shard is not re-solved) and the
+#: assignments it keeps.
+ShardJob = tuple[OverlayDesignProblem | None, dict[tuple[str, str], list[str]]]
 
 
 def shard_seed(base_seed: int | None, shard_index: int) -> int | None:
@@ -74,75 +92,93 @@ def shard_seed(base_seed: int | None, shard_index: int) -> int | None:
     )
 
 
-def _sharded_options(request: DesignRequest) -> dict:
-    defaults = {
-        "shards": "auto",
-        "jobs": 1,
-        "partitioner": "auto",
-        "stitch_repair": True,
-        "inner_options": {},
-    }
-    unknown = sorted(set(request.options) - set(defaults))
+def sharded_options(options: Mapping | None, owner: str, **extra: Any) -> dict:
+    """``options`` over :data:`SHARDED_OPTIONS` (plus ``extra`` defaults).
+
+    Raises ``ValueError`` naming ``owner`` for a key neither table holds.
+    """
+    defaults = {**SHARDED_OPTIONS, **extra}
+    options = dict(options or {})
+    unknown = sorted(set(options) - set(defaults))
     if unknown:
         raise ValueError(
-            f"unknown option(s) {unknown} for strategy {request.strategy!r} "
+            f"unknown option(s) {unknown} for {owner} "
             f"(accepted: {sorted(defaults)})"
         )
-    return {**defaults, **request.options}
+    return {**defaults, **options}
 
 
-def design_sharded(
-    request: DesignRequest,
+def _whole_shard(shard: Shard) -> ShardJob:
+    return shard.problem, {}
+
+
+def run_shard_loop(
+    problem: OverlayDesignProblem,
+    plan: PartitionPlan,
     inner: RegisteredDesigner,
-    plan: PartitionPlan | None = None,
-) -> DesignResult:
-    """Run the partition -> per-shard design -> stitch -> audit pipeline.
+    parameters: DesignParameters,
+    options: Mapping[str, Any],
+    strategy: str,
+    request_id: str | None = None,
+    job: Callable[[Shard], ShardJob] = _whole_shard,
+) -> tuple[DesignResult, list[DesignResult]]:
+    """Solve shards, merge back what each keeps, stitch and audit: one round.
 
-    ``plan`` lets a caller that already holds the partition -- the serving
-    cache or a long-lived :class:`repro.serve.DesignSession` -- skip the
-    grouping/extraction pass.  The plan must have been built (or rebound via
-    :func:`repro.scale.partition.rebind_partition`) against *this* request's
-    problem with the same partitioner/shards options; since the partition is
-    a pure function of those inputs, a supplied plan cannot change the
-    design, only the ``partition`` stage time.
+    ``job(shard)`` says what the shard contributes (see :data:`ShardJob`);
+    the default solves every shard whole and keeps nothing, which is a first
+    sharded design.  Every subproblem goes through ``inner`` in one
+    :func:`repro.api.design_batch` call, seeded by :func:`shard_seed` over
+    ``parameters``' seed and the shard index, with
+    ``options["inner_options"]`` and ``options["jobs"]``.  A solved shard's
+    map is its solution's assignments updated with what it keeps; every map
+    then goes through :func:`stitch_assignments`.
+
+    Returns the audited result -- labelled ``strategy``, with stages
+    ``design_shards``/``stitch``/``audit`` and metadata ``inner_strategy``,
+    ``partitioner``, ``jobs`` and the stitch counters -- and the solved
+    shards' results in shard order.
     """
-    options = _sharded_options(request)
-    problem = request.problem
-
     start = time.perf_counter()
-    if plan is None:
-        plan = build_partition(
-            problem, partitioner=options["partitioner"], shards=options["shards"]
-        )
-    partition_seconds = time.perf_counter() - start
-
-    base_parameters = parameters_to_dict(request.parameters)
-    shard_requests = []
+    base_parameters = parameters_to_dict(parameters)
+    requests: list[DesignRequest] = []
+    slots: list[int] = []
+    shard_assignments: list[dict[tuple[str, str], list[str]]] = []
     for index, shard in enumerate(plan.shards):
-        parameters = dict(base_parameters)
-        parameters["rounding"] = dict(parameters["rounding"])
-        parameters["rounding"]["seed"] = shard_seed(request.seed, index)
-        shard_requests.append(
+        subproblem, kept = job(shard)
+        shard_assignments.append(kept)
+        if subproblem is None:
+            continue
+        shard_parameters = dict(base_parameters)
+        shard_parameters["rounding"] = {
+            **base_parameters["rounding"],
+            "seed": shard_seed(parameters.rounding.seed, index),
+        }
+        requests.append(
             DesignRequest(
-                problem=shard.problem,
-                parameters=parameters_from_dict(parameters),
+                problem=subproblem,
+                parameters=parameters_from_dict(shard_parameters),
                 strategy=inner.name,
                 options=dict(options["inner_options"]),
                 request_id=shard.shard_id,
             )
         )
-
-    start = time.perf_counter()
-    shard_results = design_batch(shard_requests, jobs=options["jobs"])
+        slots.append(index)
+    results = design_batch(requests, jobs=options["jobs"])
+    for index, result in zip(slots, results):
+        assignments = {
+            key: sorted(reflectors)
+            for key, reflectors in result.solution.assignments.items()
+        }
+        assignments.update(shard_assignments[index])
+        shard_assignments[index] = assignments
     design_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    solution, stitch_report = stitch_solutions(
+    solution, report = stitch_assignments(
         problem,
         plan,
-        [result.solution for result in shard_results],
-        repair=options["stitch_repair"],
-        fanout_slack=request.parameters.repair_fanout_slack,
+        shard_assignments,
+        fanout_slack=parameters.repair_fanout_slack,
     )
     stitch_seconds = time.perf_counter() - start
 
@@ -150,33 +186,67 @@ def design_sharded(
     audit = audit_solution(problem, solution)
     audit_seconds = time.perf_counter() - start
 
-    shard_bounds = [result.lower_bound for result in shard_results]
-    metadata = {
-        "inner_strategy": inner.name,
-        "partitioner": plan.partitioner,
-        "jobs": str(options["jobs"]),
-        **stitch_report.as_metadata(),
-    }
-    if all(bound is not None for bound in shard_bounds):
-        # Sum of shard LP bounds; NOT a lower bound on the global optimum
-        # (shared reflector builds are double-counted across shards), hence
-        # metadata rather than DesignResult.lower_bound.
-        metadata["shard_bound_sum"] = float(sum(shard_bounds))
-    solution.metadata["algorithm"] = f"{SHARDED_PREFIX}{inner.name}"
-    return DesignResult(
-        strategy=request.strategy,
+    solution.metadata["algorithm"] = strategy
+    result = DesignResult(
+        strategy=strategy,
         solution=solution,
         lower_bound=None,
         stage_seconds={
-            "partition": partition_seconds,
             "design_shards": design_seconds,
             "stitch": stitch_seconds,
             "audit": audit_seconds,
         },
         audit=audit,
-        metadata=metadata,
+        metadata={
+            "inner_strategy": inner.name,
+            "partitioner": plan.partitioner,
+            "jobs": str(options["jobs"]),
+            **report.as_metadata(),
+        },
+        request_id=request_id,
+    )
+    return result, results
+
+
+def design_sharded(
+    request: DesignRequest,
+    inner: RegisteredDesigner,
+    plan: PartitionPlan | None = None,
+) -> DesignResult:
+    """Partition, then run one round of :func:`run_shard_loop` over every shard.
+
+    ``plan`` lets a caller that already holds the partition -- the serving
+    cache -- skip the grouping/extraction pass.  The plan must have been
+    built against *this* request's problem with the same partitioner/shards
+    options; since the partition is a pure function of those inputs, a
+    supplied plan cannot change the design, only the ``partition`` stage
+    time.
+    """
+    options = sharded_options(request.options, f"strategy {request.strategy!r}")
+    start = time.perf_counter()
+    if plan is None:
+        plan = build_partition(
+            request.problem, partitioner=options["partitioner"], shards=options["shards"]
+        )
+    partition_seconds = time.perf_counter() - start
+
+    result, shard_results = run_shard_loop(
+        request.problem,
+        plan,
+        inner,
+        request.parameters,
+        options,
+        strategy=f"{SHARDED_PREFIX}{inner.name}",
         request_id=request.request_id,
     )
+    result.stage_seconds = {"partition": partition_seconds, **result.stage_seconds}
+    shard_bounds = [shard.lower_bound for shard in shard_results]
+    if all(bound is not None for bound in shard_bounds):
+        # Sum of shard LP bounds; NOT a lower bound on the global optimum
+        # (shared reflector builds are double-counted across shards), hence
+        # metadata rather than DesignResult.lower_bound.
+        result.metadata["shard_bound_sum"] = float(sum(shard_bounds))
+    return result
 
 
 def make_sharded_designer(name: str) -> RegisteredDesigner:
@@ -225,8 +295,11 @@ def make_sharded_designer(name: str) -> RegisteredDesigner:
 
 
 __all__ = [
+    "SHARDED_OPTIONS",
     "SHARDED_PREFIX",
     "design_sharded",
     "make_sharded_designer",
+    "run_shard_loop",
     "shard_seed",
+    "sharded_options",
 ]

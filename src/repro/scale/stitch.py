@@ -1,5 +1,9 @@
-"""Cross-shard stitching: merge, reconcile shared reflectors, repair, audit.
+"""Cross-shard stitching: merge, reconcile shared reflectors, repair.
 
+:func:`stitch_assignments` is the one stitch.  Every sharded design and every
+incremental update ends in it (see :func:`repro.scale.pipeline.run_shard_loop`):
+it takes one assignment map per shard -- freshly solved, carried over from a
+standing design, or both -- and returns one design over the full problem.
 Per-shard designs are independent, so the only global invariants that can
 break when merging are the ones spanning shards:
 
@@ -14,19 +18,19 @@ break when merging are the ones spanning shards:
   each reflector is back to ``max(F_r, its worst single-shard load)``.
 * **weight** -- per-demand delivered weight is untouched by the merge (edge
   weights are copied verbatim into shards), so a demand's weight fraction
-  after merging equals its shard value; the optional repair pass then tops up
+  after merging equals its shard value; the repair pass then tops up
   remaining shortfalls using *global* candidates, i.e. exactly the demands
   whose useful sources span shards.
 
 The whole stage is deterministic: iteration orders are sorted, no randomness
-is drawn, so stitching the same shard solutions always yields the same merged
-design (the ``jobs``-independence guarantee of the sharded pipeline rests on
-this).
+is drawn, so stitching the same shard assignments always yields the same
+merged design (the ``jobs``-independence guarantee of the sharded pipeline
+rests on this).  :class:`StitchReport` counts what it did.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.algorithm import repair_weight_shortfalls
@@ -47,7 +51,6 @@ class StitchReport:
     unresolved_overloads: int = 0
     shard_max_fanout_factor: float = 0.0
     shard_min_weight_fraction: float = 1.0
-    per_shard_cost: dict[str, float] = field(default_factory=dict)
 
     def as_metadata(self) -> dict:
         """JSON-scalar view for ``DesignResult.metadata``."""
@@ -63,50 +66,13 @@ class StitchReport:
         }
 
 
-def _load_counts(
-    assignments: dict[tuple[str, str], list[str]] | Sequence[list[str]],
-) -> dict[str, int]:
+def _load_counts(assignments: dict[tuple[str, str], list[str]]) -> dict[str, int]:
     """Per-reflector assignment counts (the load the fanout bounds measure)."""
-    values = (
-        assignments.values() if isinstance(assignments, dict) else assignments
-    )
     load: dict[str, int] = {}
-    for reflectors in values:
+    for reflectors in assignments.values():
         for reflector in reflectors:
             load[reflector] = load.get(reflector, 0) + 1
     return load
-
-
-def merge_shard_solutions(
-    problem: OverlayDesignProblem, solutions: Sequence[OverlaySolution]
-) -> OverlaySolution:
-    """Union the shard designs into one solution over the full problem.
-
-    Demand keys are disjoint across shards (the partition covers every sink
-    exactly once), so assignments merge without conflicts; reflector builds
-    and stream deliveries are deduplicated by reconstruction from the merged
-    assignments.
-    """
-    assignments: dict[tuple[str, str], list[str]] = {}
-    for solution in solutions:
-        for key, reflectors in solution.assignments.items():
-            if key in assignments:
-                raise ValueError(
-                    f"demand {key} appears in more than one shard solution"
-                )
-            assignments[key] = sorted(reflectors)
-    return OverlaySolution.from_assignments(
-        problem, assignments, metadata={"algorithm": "sharded-merge"}
-    )
-
-
-def _max_shard_load(solutions: Sequence[OverlaySolution]) -> dict[str, int]:
-    """Per reflector, the largest load any single shard put on it."""
-    worst: dict[str, int] = {}
-    for solution in solutions:
-        for reflector, value in _load_counts(solution.assignments).items():
-            worst[reflector] = max(worst.get(reflector, 0), value)
-    return worst
 
 
 def rebalance_fanout(
@@ -217,75 +183,22 @@ def rebalance_fanout(
     )
 
 
-def stitch_solutions(
-    problem: OverlayDesignProblem,
-    plan: PartitionPlan,
-    solutions: Sequence[OverlaySolution],
-    repair: bool = True,
-    fanout_slack: float = 4.0,
-) -> tuple[OverlaySolution, StitchReport]:
-    """Merge per-shard designs and reconcile the cross-shard constraints.
-
-    Stages: merge (dedup builds) -> fanout rebalance (shed overload on shared
-    reflectors) -> optional global repair (top up demands whose useful
-    candidates span shards, within ``fanout_slack`` x fanout) -> done.  The
-    caller re-audits the returned solution against the *full* problem.
-    """
-    if len(solutions) != plan.num_shards:
-        raise ValueError(
-            f"got {len(solutions)} shard solutions for {plan.num_shards} shards"
-        )
-    report = StitchReport(num_shards=plan.num_shards)
-    for shard, solution in zip(plan.shards, solutions):
-        report.per_shard_cost[shard.shard_id] = solution.total_cost()
-        for reflector, used in _load_counts(solution.assignments).items():
-            report.shard_max_fanout_factor = max(
-                report.shard_max_fanout_factor, used / problem.fanout(reflector)
-            )
-        for demand in shard.problem.demands:
-            report.shard_min_weight_fraction = min(
-                report.shard_min_weight_fraction,
-                solution.weight_satisfaction(demand),
-            )
-
-    merged = merge_shard_solutions(problem, solutions)
-    merged = rebalance_fanout(merged.problem, merged, _max_shard_load(solutions), report)
-    if repair:
-        before = {
-            demand.key
-            for demand in problem.demands
-            if merged.weight_satisfaction(demand) < 1.0 - 1e-12
-        }
-        if before:
-            merged = repair_weight_shortfalls(problem, merged, fanout_slack)
-            report.demands_repaired = sum(
-                1
-                for demand in problem.demands
-                if demand.key in before
-                and merged.weight_satisfaction(demand) >= 1.0 - 1e-12
-            )
-    merged.metadata["algorithm"] = "sharded-stitch"
-    return merged, report
-
-
 def stitch_assignments(
     problem: OverlayDesignProblem,
     plan: PartitionPlan,
     shard_assignments: Sequence[dict[tuple[str, str], list[str]]],
-    repair: bool = True,
     fanout_slack: float = 4.0,
 ) -> tuple[OverlaySolution, StitchReport]:
-    """:func:`stitch_solutions` for plain per-shard assignment maps.
+    """Merge per-shard assignment maps and reconcile the cross-shard constraints.
 
-    Produces a bit-identical merged solution and report without requiring the
-    caller to wrap each shard's assignments in an :class:`OverlaySolution`
-    over a materialized shard subproblem -- the incremental engine uses this
-    to splice carried and re-solved shards together on a *lazy* partition
-    plan, where clean shards never pay for subproblem extraction.  Per-shard
-    weight fractions are computed from the full problem's edge weights, which
-    the extraction copies verbatim, so the statistics match the solution
-    path.  ``report.per_shard_cost`` (diagnostics only, not part of
-    ``as_metadata``) is left empty.
+    ``shard_assignments[i]`` is shard ``i``'s map; demand keys must be
+    disjoint across shards.  Stages: merge (dedup builds) -> fanout rebalance
+    (shed overload on shared reflectors) -> global repair (top up demands
+    whose useful candidates span shards, within ``fanout_slack`` x fanout).
+    The report's per-shard statistics use the full problem's edge weights,
+    which shard extraction copies verbatim, so they equal each shard's own
+    view.  The caller re-audits the returned solution against the full
+    problem.
     """
     if len(shard_assignments) != plan.num_shards:
         raise ValueError(
@@ -294,11 +207,13 @@ def stitch_assignments(
         )
     demands_by_key = {demand.key: demand for demand in problem.demands}
     report = StitchReport(num_shards=plan.num_shards)
+    max_shard_load: dict[str, int] = {}
     for shard, assignments in zip(plan.shards, shard_assignments):
         for reflector, used in _load_counts(assignments).items():
             report.shard_max_fanout_factor = max(
                 report.shard_max_fanout_factor, used / problem.fanout(reflector)
             )
+            max_shard_load[reflector] = max(max_shard_load.get(reflector, 0), used)
         for key in shard.demand_keys:
             demand = demands_by_key[key]
             required = problem.demand_weight(demand)
@@ -326,36 +241,26 @@ def stitch_assignments(
         problem, merged_assignments, metadata={"algorithm": "sharded-merge"}
     )
 
-    max_shard_load: dict[str, int] = {}
-    for assignments in shard_assignments:
-        for reflector, value in _load_counts(assignments).items():
-            max_shard_load[reflector] = max(
-                max_shard_load.get(reflector, 0), value
-            )
-
     merged = rebalance_fanout(problem, merged, max_shard_load, report)
-    if repair:
-        before = {
-            demand.key
+    before = {
+        demand.key
+        for demand in problem.demands
+        if merged.weight_satisfaction(demand) < 1.0 - 1e-12
+    }
+    if before:
+        merged = repair_weight_shortfalls(problem, merged, fanout_slack)
+        report.demands_repaired = sum(
+            1
             for demand in problem.demands
-            if merged.weight_satisfaction(demand) < 1.0 - 1e-12
-        }
-        if before:
-            merged = repair_weight_shortfalls(problem, merged, fanout_slack)
-            report.demands_repaired = sum(
-                1
-                for demand in problem.demands
-                if demand.key in before
-                and merged.weight_satisfaction(demand) >= 1.0 - 1e-12
-            )
+            if demand.key in before
+            and merged.weight_satisfaction(demand) >= 1.0 - 1e-12
+        )
     merged.metadata["algorithm"] = "sharded-stitch"
     return merged, report
 
 
 __all__ = [
     "StitchReport",
-    "merge_shard_solutions",
     "rebalance_fanout",
     "stitch_assignments",
-    "stitch_solutions",
 ]

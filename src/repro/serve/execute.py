@@ -137,14 +137,11 @@ def _evaluate_cached(
     p_digest: str,
     stages: dict[str, str],
 ) -> None:
-    """Replicate the registry's evaluation sweep through the cache.
+    """Run :meth:`EvaluationSpec.evaluate`, the registry's sweep, through the cache.
 
-    Same call, same seeds as :meth:`RegisteredDesigner.design` -- the sweep
-    is a pure function of ``(problem, solution, spec)``, so both the whole
-    sweep and the per-scenario compiled path tables are cacheable.
+    The sweep is a pure function of ``(problem, solution, spec)``, so both
+    the whole sweep and the per-scenario compiled path tables are cacheable.
     """
-    from repro.simulation import evaluate_design
-
     spec = request.evaluation
     s_digest = solution_digest(result.solution)
     key = canonical_digest(
@@ -157,16 +154,9 @@ def _evaluate_cached(
     evaluation = cache.get("evaluation", key)
     stages["evaluate"] = "hit" if evaluation is not None else "miss"
     if evaluation is None:
-        evaluation = evaluate_design(
+        evaluation = spec.evaluate(
             request.problem,
             result.solution,
-            spec.scenarios,
-            trials=spec.trials,
-            num_packets=spec.num_packets,
-            window=spec.window,
-            seed=spec.seed,
-            traces=spec.traces,
-            max_memory=spec.max_memory,
             table_provider=make_table_provider(cache, p_digest, s_digest, spec.seed),
         )
         cache.put("evaluation", key, evaluation)
@@ -291,22 +281,24 @@ def _design_with_plan_cache(
     stages: dict[str, str],
 ) -> DesignResult:
     """Run the design, reusing the partition plan for sharded strategies."""
-    from repro.scale.pipeline import SHARDED_PREFIX, design_sharded
+    from repro.scale.pipeline import SHARDED_PREFIX, design_sharded, sharded_options
 
     if not designer.name.startswith(SHARDED_PREFIX):
         return designer.design(request)
 
     inner = get_designer(designer.name[len(SHARDED_PREFIX):])
-    options: Mapping[str, Any] = request.options or {}
-    partitioner = options.get("partitioner", "auto")
-    shards = options.get("shards", "auto")
-    key = plan_key(p_digest, partitioner, shards)
+    options = sharded_options(request.options, f"strategy {designer.name!r}")
+    key = plan_key(p_digest, options["partitioner"], options["shards"])
     plan = cache.get("plan", key)
     stages["plan"] = "hit" if plan is not None else "miss"
     if plan is None:
         from repro.scale.partition import build_partition
 
-        plan = build_partition(request.problem, partitioner=partitioner, shards=shards)
+        plan = build_partition(
+            request.problem,
+            partitioner=options["partitioner"],
+            shards=options["shards"],
+        )
         cache.put("plan", key, plan)
     return design_sharded(request, inner, plan=plan)
 

@@ -41,6 +41,7 @@ from repro.api.types import (
     request_from_dict,
     result_to_dict,
 )
+from repro.core.serialization import DocumentError
 from repro.serve.cache import ArtifactCache, request_digest
 from repro.serve.execute import run_request_cached
 
@@ -299,8 +300,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            document = json.loads(self.rfile.read(length) or b"{}")
-            ticket = self.service.submit(document)
+            request = request_from_dict(json.loads(self.rfile.read(length) or b"{}"))
+            if request.evaluation is not None and request.evaluation.scenario_files:
+                # The catalogue is process-wide: a client file could redefine a
+                # shipped scenario for every client and every cached sweep.
+                raise DocumentError(
+                    "evaluation.scenario_files is not accepted over HTTP (the "
+                    "server never opens client-named paths); name registered "
+                    "scenarios in evaluation.scenarios instead"
+                )
+            ticket = self.service.submit(request)
             result = ticket.result()
         except ServiceOverloadedError as error:
             self._respond(429, {"error": str(error)}, headers={"Retry-After": "1"})

@@ -2,10 +2,12 @@
 
 The paper frames overlay design as something an operator re-runs continuously
 ("our algorithm is reasonably fast so it can be rerun as often as needed",
-Section 1.3).  PR 6's :func:`repro.api.design_incremental` made one churn
-event cheap; :class:`DesignSession` makes a *stream* of them cheap: it holds
-the standing problem, design, and partition plan across events, feeding each
-:class:`~repro.incremental.ProblemDelta` through the incremental engine with
+Section 1.3).  :func:`repro.api.design_incremental` made one churn event
+cheap; :class:`DesignSession` makes a *stream* of them cheap: it holds the
+standing problem, design, and partition plan across events, feeding each
+:class:`~repro.incremental.ProblemDelta` through the incremental engine (the
+same shard loop, :func:`repro.scale.pipeline.run_shard_loop`, that made the
+initial sharded design) with
 
 * the standing partition plan rebound to the post-churn problem
   (:func:`repro.scale.partition.rebind_partition`) whenever the sink set is
@@ -30,23 +32,19 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from repro.api.pipeline import use_stage_cache
 from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
 from repro.core.serialization import problem_digest
 from repro.incremental.delta import ProblemDelta, apply_delta, diff_problems
-from repro.incremental.engine import design_incremental
+from repro.incremental.engine import design_incremental, incremental_options
 from repro.scale.partition import build_partition, rebind_partition
-from repro.scale.pipeline import SHARDED_PREFIX
-from repro.serve.cache import ArtifactCache
+from repro.scale.pipeline import SHARDED_OPTIONS, SHARDED_PREFIX
+from repro.serve.cache import ArtifactCache, plan_key
 from repro.serve.execute import StageCacheAdapter, run_request_cached
 
 _SESSION_COUNTER = itertools.count(1)
-
-#: Options understood by the initial (sharded) design, a subset of the
-#: incremental engine's option surface.
-_SHARDED_OPTION_KEYS = ("shards", "jobs", "partitioner", "stitch_repair",
-                        "inner_options")
 
 
 @dataclass
@@ -59,15 +57,6 @@ class SessionEvent:
     plan_reused: bool
     problem_digest: str
     strategy: str
-
-
-@dataclass
-class _NullContext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 class DesignSession:
@@ -84,9 +73,9 @@ class DesignSession:
         Design parameters shared by the initial design and every event.
     options:
         Incremental-engine options (``shards``/``jobs``/``partitioner``/
-        ``stitch_repair``/``inner_options``/``resolve``/
-        ``full_redesign_threshold``); the sharded subset also configures the
-        initial design.
+        ``inner_options``/``full_redesign_threshold``); all but the last
+        also configure the initial design.  Unknown keys raise
+        ``ValueError``.
     cache:
         The session's :class:`ArtifactCache` (a private default is created
         when omitted; pass a service's cache to share lines across
@@ -109,6 +98,7 @@ class DesignSession:
         self.strategy = strategy
         self.parameters = parameters if parameters is not None else DesignParameters()
         self.options = dict(options or {})
+        self._settings = incremental_options(self.options)
         if cache is False:
             self.cache: ArtifactCache | None = None
         elif cache is None or cache is True:
@@ -142,9 +132,9 @@ class DesignSession:
                 parameters=self.parameters,
                 strategy=self.strategy,
                 options={
-                    key: self.options[key]
-                    for key in _SHARDED_OPTION_KEYS
-                    if key in self.options
+                    key: value
+                    for key, value in self.options.items()
+                    if key in SHARDED_OPTIONS
                 }
                 if self.strategy.startswith(SHARDED_PREFIX)
                 else {},
@@ -157,14 +147,12 @@ class DesignSession:
                 # The initial sharded design just cached its partition plan;
                 # adopt it as the standing plan so the first demand-level
                 # churn event can rebind instead of regrouping.
-                from repro.serve.cache import plan_key
-
                 self._plan = self.cache.get(
                     "plan",
                     plan_key(
                         problem_digest(self.problem),
-                        self.options.get("partitioner", "auto"),
-                        self.options.get("shards", "auto"),
+                        self._settings["partitioner"],
+                        self._settings["shards"],
                     ),
                 )
         return self._result
@@ -206,18 +194,12 @@ class DesignSession:
             if plan is None:
                 plan = build_partition(
                     new_problem,
-                    partitioner=self.options.get("partitioner", "auto"),
-                    shards=self.options.get("shards", "auto"),
+                    partitioner=self._settings["partitioner"],
+                    shards=self._settings["shards"],
                     materialize=False,
                 )
         adapter = StageCacheAdapter(self.cache) if self.cache is not None else None
-        if adapter is not None:
-            from repro.api.pipeline import use_stage_cache
-
-            context = use_stage_cache(adapter)
-        else:
-            context = _NullContext()
-        with context:
+        with use_stage_cache(adapter):
             result = design_incremental(
                 standing,
                 new_problem,

@@ -20,7 +20,7 @@ from repro.incremental import (
     invert_delta,
 )
 from repro.incremental.delta import DeliveryEdgeSpec, StreamEdgeSpec
-from repro.scale import build_partition, stitch_assignments, stitch_solutions
+from repro.scale import build_partition, stitch_assignments
 from repro.api import DesignRequest, get_designer
 
 
@@ -199,13 +199,18 @@ class TestEngineOptions:
         with pytest.raises(ValueError, match="unknown option"):
             design_incremental(standing, problem, options={"bogus": 1})
 
-    def test_bad_resolve_rejected(self):
+    @pytest.mark.parametrize("removed", ["resolve", "stitch_repair"])
+    def test_removed_options_rejected(self, removed):
         problem = small_problem()
         standing = get_designer("sharded:greedy").design(
             DesignRequest(problem=problem, options={"shards": 2})
         )
-        with pytest.raises(ValueError, match="resolve"):
-            design_incremental(standing, problem, options={"resolve": "half"})
+        with pytest.raises(ValueError, match=f"unknown option.*'{removed}'"):
+            design_incremental(standing, problem, options={removed: "full"})
+        with pytest.raises(ValueError, match=f"unknown option.*'{removed}'"):
+            get_designer("sharded:greedy").design(
+                DesignRequest(problem=problem, options={removed: True})
+            )
 
     def test_bound_only_inner_rejected(self):
         problem = small_problem()
@@ -264,22 +269,6 @@ class TestLazyPartition:
 
 
 class TestStitchAssignments:
-    def test_matches_solution_level_stitch(self):
-        problem = small_problem()
-        plan = build_partition(problem, shards=3)
-        designer = get_designer("greedy")
-        solutions = [
-            designer.design(DesignRequest(problem=shard.problem)).solution
-            for shard in plan.shards
-        ]
-        merged_a, report_a = stitch_solutions(problem, plan, solutions)
-        merged_b, report_b = stitch_assignments(
-            problem, plan, [dict(s.assignments) for s in solutions]
-        )
-        assert merged_a.assignments == merged_b.assignments
-        assert merged_a.total_cost() == merged_b.total_cost()
-        assert report_a.as_metadata() == report_b.as_metadata()
-
     def test_wrong_shard_count_rejected(self):
         problem = small_problem()
         plan = build_partition(problem, shards=3)

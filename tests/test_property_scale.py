@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.api import DesignRequest, get_designer
 from repro.core.algorithm import DesignParameters
-from repro.scale import build_partition, merge_shard_solutions, stitch_solutions
+from repro.core.solution import OverlaySolution
+from repro.scale import build_partition, stitch_assignments
 from repro.workloads import (
     InternetScaleConfig,
     RandomInstanceConfig,
@@ -120,8 +121,10 @@ class TestStitchProperties:
             shard_max_factor = max(
                 shard_max_factor, result.solution.max_fanout_factor()
             )
-        merged_factor = merge_shard_solutions(problem, solutions).max_fanout_factor()
-        stitched, report = stitch_solutions(problem, plan, solutions)
+        shard_maps = [dict(solution.assignments) for solution in solutions]
+        union = {key: list(refl) for shard_map in shard_maps for key, refl in shard_map.items()}
+        merged_factor = OverlaySolution.from_assignments(problem, union).max_fanout_factor()
+        stitched, report = stitch_assignments(problem, plan, shard_maps)
 
         # Weight: stitching never makes a demand worse than its shard design
         # (repair may only improve it).

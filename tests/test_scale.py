@@ -11,12 +11,11 @@ from repro.scale import (
     StitchReport,
     build_partition,
     get_partitioner,
-    merge_shard_solutions,
     rebalance_fanout,
     resolve_partitioner,
     resolve_shard_count,
     shard_seed,
-    stitch_solutions,
+    stitch_assignments,
 )
 from repro.workloads import (
     InternetScaleConfig,
@@ -167,27 +166,58 @@ class TestPartition:
 # ---------------------------------------------------------------------------
 
 
+def _pinned_problem(fanout: int):
+    """Two sinks, each demanding stream ``s`` through the one reflector ``r``.
+
+    One copy through ``r`` satisfies either demand, and the plan puts each
+    sink in its own shard, so both shards load ``r`` once.
+    """
+    from repro.core.problem import OverlayDesignProblem
+    from repro.scale.partition import PartitionPlan, Shard, extract_shard_problem
+
+    problem = OverlayDesignProblem(name="pinned")
+    problem.add_stream("s")
+    problem.add_reflector("r", cost=10.0, fanout=fanout)
+    problem.add_stream_edge("s", "r", loss_probability=0.01, cost=1.0)
+    for sink in ("a", "b"):
+        problem.add_sink(sink)
+        problem.add_delivery_edge("r", sink, loss_probability=0.05, cost=0.5)
+        problem.add_demand(sink, "s", success_threshold=0.9)
+    plan = PartitionPlan(partitioner="hash", requested_shards=2)
+    for index, sink in enumerate(("a", "b")):
+        plan.shards.append(
+            Shard(
+                shard_id=f"shard{index}",
+                sinks=[sink],
+                demand_keys=[(sink, "s")],
+                problem=extract_shard_problem(problem, [sink], name=f"pinned/{sink}"),
+            )
+        )
+    return problem, plan
+
+
 class TestStitch:
-    def test_merge_rejects_duplicate_demand_keys(self, scale_problem):
+    def test_stitch_rejects_duplicate_demand_keys(self, scale_problem):
+        plan = build_partition(scale_problem, shards=2)
         demand = scale_problem.demands[0]
         reflector = scale_problem.candidate_reflectors(demand)[0]
-        part = OverlaySolution.from_assignments(
-            scale_problem, {demand.key: [reflector]}
-        )
+        part = {demand.key: [reflector]}
         with pytest.raises(ValueError, match="more than one shard"):
-            merge_shard_solutions(scale_problem, [part, part])
+            stitch_assignments(scale_problem, plan, [part, part])
 
-    def test_merge_deduplicates_reflector_builds(self, scale_problem):
-        d1, d2 = scale_problem.demands[0], scale_problem.demands[1]
-        shared = set(scale_problem.candidate_reflectors(d1)) & set(
-            scale_problem.candidate_reflectors(d2)
-        )
-        reflector = sorted(shared)[0]
-        a = OverlaySolution.from_assignments(scale_problem, {d1.key: [reflector]})
-        b = OverlaySolution.from_assignments(scale_problem, {d2.key: [reflector]})
-        merged = merge_shard_solutions(scale_problem, [a, b])
-        assert merged.built_reflectors == {reflector}
-        assert merged.total_cost() < a.total_cost() + b.total_cost()
+    def test_stitch_pays_shared_builds_once(self):
+        problem, plan = _pinned_problem(fanout=2)
+        maps = [{("a", "s"): ["r"]}, {("b", "s"): ["r"]}]
+        stitched, report = stitch_assignments(problem, plan, maps)
+        shard_costs = [
+            OverlaySolution.from_assignments(problem, assignments).total_cost()
+            for assignments in maps
+        ]
+        assert stitched.assignments == {("a", "s"): ["r"], ("b", "s"): ["r"]}
+        assert stitched.built_reflectors == {"r"}
+        # The build (10) and the stream edge (1) are paid once, not per shard.
+        assert stitched.total_cost() == pytest.approx(sum(shard_costs) - 11.0)
+        assert report.demands_repaired == 0
 
     def test_rebalance_sheds_redundant_overload(self):
         # Two demands, each assigned to both reflectors; r0 has fanout 1, so
@@ -224,7 +254,9 @@ class TestStitch:
             solutions.append(
                 OverlaySolution.from_assignments(shard.problem, assignments)
             )
-        stitched, report = stitch_solutions(scale_problem, plan, solutions)
+        stitched, report = stitch_assignments(
+            scale_problem, plan, [dict(s.assignments) for s in solutions]
+        )
         assert report.num_shards == 4
         assert report.demands_repaired > 0
         audit_fractions = [
@@ -239,51 +271,68 @@ class TestStitch:
             1.0,
         )
 
-    def test_stitch_wrong_solution_count_raises(self, scale_problem):
+    def test_stitch_wrong_map_count_raises(self, scale_problem):
         plan = build_partition(scale_problem, shards=3)
-        with pytest.raises(ValueError, match="shard solutions"):
-            stitch_solutions(scale_problem, plan, [])
+        with pytest.raises(ValueError, match="shard assignment maps"):
+            stitch_assignments(scale_problem, plan, [])
+
+    def test_stitch_sheds_only_down_to_the_worst_shard_load(self):
+        # Shard 0 already puts three copies on the fanout-2 reflector ``r``;
+        # shard 1 adds a fourth.  Every demand also holds a copy on ``alt``,
+        # which alone satisfies it, so each ``r`` copy is redundant.  The
+        # rebalance sheds the merged load back to max(F_r, worst shard) = 3,
+        # not to F_r = 2.
+        from repro.core.problem import OverlayDesignProblem
+        from repro.scale.partition import PartitionPlan, Shard, extract_shard_problem
+
+        problem = OverlayDesignProblem(name="worst-shard")
+        problem.add_stream("s")
+        for reflector, fanout in (("alt", 10), ("r", 2)):
+            problem.add_reflector(reflector, cost=10.0, fanout=fanout)
+            problem.add_stream_edge("s", reflector, loss_probability=0.01, cost=1.0)
+        layout = (["a", "b", "c"], ["d"])
+        for sinks in layout:
+            for sink in sinks:
+                problem.add_sink(sink)
+                for reflector in ("alt", "r"):
+                    problem.add_delivery_edge(reflector, sink, loss_probability=0.05, cost=0.5)
+                problem.add_demand(sink, "s", success_threshold=0.9)
+        plan = PartitionPlan(partitioner="hash", requested_shards=2)
+        for index, sinks in enumerate(layout):
+            plan.shards.append(
+                Shard(
+                    shard_id=f"shard{index}",
+                    sinks=sinks,
+                    demand_keys=[(sink, "s") for sink in sinks],
+                    problem=extract_shard_problem(problem, sinks, name=f"worst/{index}"),
+                )
+            )
+        maps = [{(sink, "s"): ["alt", "r"] for sink in sinks} for sinks in layout]
+
+        stitched, report = stitch_assignments(problem, plan, maps)
+        assert report.overloaded_reflectors == 1
+        assert report.assignments_dropped == 1
+        assert report.unresolved_overloads == 0
+        assert stitched.fanout_used("r") == 3
+        assert stitched.assignments[("a", "s")] == ["alt"]
+        assert report.shard_max_fanout_factor == pytest.approx(1.5)
 
     def test_stitch_counts_unresolved_overloads(self):
         # Two shards each pin their only demand on the same fanout-1
         # reflector; neither copy is droppable (the demand would go
         # unserved) and there is no alternative candidate, so the merged
         # load of 2 cannot be shed.  Weight wins over fanout: the overload
-        # stays in place and is counted, bounded by the merged load.
-        from repro.core.problem import OverlayDesignProblem
-        from repro.scale.partition import PartitionPlan, Shard, extract_shard_problem
+        # stays in place and is counted, bounded by the merged load.  No
+        # demand falls short, so the repair pass has nothing to do.
+        problem, plan = _pinned_problem(fanout=1)
+        maps = [{("a", "s"): ["r"]}, {("b", "s"): ["r"]}]
 
-        problem = OverlayDesignProblem(name="pinned-overload")
-        problem.add_stream("s")
-        problem.add_reflector("r", cost=10.0, fanout=1)
-        problem.add_stream_edge("s", "r", loss_probability=0.01, cost=1.0)
-        for sink in ("a", "b"):
-            problem.add_sink(sink)
-            problem.add_delivery_edge("r", sink, loss_probability=0.05, cost=0.5)
-            problem.add_demand(sink, "s", success_threshold=0.9)
-
-        plan = PartitionPlan(partitioner="hash", requested_shards=2)
-        for index, sink in enumerate(("a", "b")):
-            plan.shards.append(
-                Shard(
-                    shard_id=f"shard{index}",
-                    sinks=[sink],
-                    demand_keys=[(sink, "s")],
-                    problem=extract_shard_problem(
-                        problem, [sink], name=f"pinned/{sink}"
-                    ),
-                )
-            )
-        solutions = [
-            OverlaySolution.from_assignments(shard.problem, {(sink, "s"): ["r"]})
-            for shard, sink in zip(plan.shards, ("a", "b"))
-        ]
-
-        stitched, report = stitch_solutions(problem, plan, solutions, repair=False)
+        stitched, report = stitch_assignments(problem, plan, maps)
         assert report.overloaded_reflectors == 1
         assert report.unresolved_overloads == 1
         assert report.assignments_dropped == 0
         assert report.assignments_moved == 0
+        assert report.demands_repaired == 0
         assert report.as_metadata()["stitch_unresolved_overloads"] == 1
         # Both demands stay served; the fanout violation is exactly the
         # merged load over the bound and never exceeds it.

@@ -206,7 +206,60 @@ def _comparable(result) -> dict:
     return document
 
 
+#: A scenario name no other test registers, so only its file can define it.
+PROBE_SCENARIO = "served-scenario-file-probe"
+
+
+@pytest.fixture
+def probe_scenario_file(tmp_path):
+    """A DSL file defining :data:`PROBE_SCENARIO`; the catalogue is restored after."""
+    from repro.simulation.scenarios import _REGISTRY, _ensure_shipped_scenarios
+
+    _ensure_shipped_scenarios()
+    before = set(_REGISTRY)
+    assert PROBE_SCENARIO not in before
+    path = tmp_path / "probe.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "name": PROBE_SCENARIO,
+                "description": "scenario-file probe",
+                "primitives": [{"kind": "isp-outage"}],
+            }
+        )
+    )
+    yield str(path)
+    for name in set(_REGISTRY) - before:
+        del _REGISTRY[name]
+
+
+def _probe_request(problem, parameters, path):
+    return DesignRequest(
+        problem=problem,
+        parameters=parameters,
+        strategy="greedy",
+        evaluation=EvaluationSpec(
+            scenarios=(PROBE_SCENARIO,),
+            trials=2,
+            num_packets=200,
+            window=50,
+            scenario_files=(path,),
+        ),
+    )
+
+
 class TestRunRequestCached:
+    def test_served_sweep_registers_scenario_files(
+        self, problem, parameters, probe_scenario_file
+    ):
+        request = _probe_request(problem, parameters, probe_scenario_file)
+        # The served path runs first: nothing has registered the file yet.
+        served = run_request_cached(request, ArtifactCache())
+        direct = get_designer("greedy").design(request)
+        assert set(served.evaluation) == {PROBE_SCENARIO}
+        assert _comparable(served) == _comparable(direct)
+
     def test_hit_is_bit_identical_to_miss(self, problem, parameters):
         cache = ArtifactCache()
         request = DesignRequest(problem=problem, parameters=parameters)
@@ -411,6 +464,30 @@ class TestDesignService:
                 urllib.request.urlopen(post, timeout=30)
             assert excinfo.value.code == 400
             assert json.loads(excinfo.value.read())["error"]
+
+
+    def test_http_front_refuses_client_scenario_files(self, problem, parameters, tmp_path):
+        import urllib.error
+        import urllib.request
+
+        from repro.serve import DesignServer
+
+        # The file does not exist: the server must refuse the field, not read it.
+        missing = str(tmp_path / "never-opened.json")
+        document = request_to_dict(_probe_request(problem, parameters, missing))
+        with DesignServer(DesignService(workers=1)) as server:
+            post = urllib.request.Request(
+                server.url + "/design",
+                data=json.dumps(document).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(post, timeout=60)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert error.startswith("evaluation.scenario_files")
+            assert server.service.stats()["submitted"] == 0
 
 
 # ---------------------------------------------------------------------------
