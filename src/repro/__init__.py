@@ -55,7 +55,7 @@ Package layout
 ``repro.core``        the paper's algorithm (LP, rounding, GAP, extensions)
 ``repro.api``         unified strategy API: registry, staged pipeline, batch
 ``repro.serve``       design service: artifact cache, sessions, async front
-``repro.lp``          sparse LP builder + solver backends
+``repro.lp``          sparse LP builder + the one HiGHS solve
 ``repro.network``     overlay topology, loss models, exact reliability
 ``repro.workloads``   synthetic Akamai-like instance generators
 ``repro.simulation``  packet-level streaming simulation + failure injection

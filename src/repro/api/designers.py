@@ -10,7 +10,7 @@ Importing this module registers every built-in strategy with
 ``naive-quality-first``   most-reliable-first per demand (baseline)
 ``single-tree``           one reflector per demand, IP-multicast-like (baseline)
 ``random``                random feasible-ish assignment (baseline)
-``milp-exact``            exact Section-2 IP via a MILP backend (baseline)
+``milp-exact``            exact Section-2 IP via HiGHS branch-and-cut (baseline)
 ``lp-bound``              fractional LP optimum, bound only (baseline)
 ========================  ===================================================
 
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import time
 from typing import Mapping
-
-import numpy as np
 
 from repro.analysis.audit import audit_solution
 from repro.api.pipeline import DesignPipeline, PipelineContext
@@ -101,12 +99,8 @@ def _baseline_result(
     in_comparisons=False,
 )
 def _run_spaa03(request: DesignRequest) -> DesignResult:
-    # warm_start is advisory (see repro.lp.SolveOptions): honored only by
-    # backends with MIP starts, so default results never change.
-    options = _strategy_options(request, warm_start=None)
-    context = DesignPipeline.standard().run(
-        request.problem, request.parameters, warm_start=options["warm_start"]
-    )
+    _strategy_options(request)
+    context = DesignPipeline.standard().run(request.problem, request.parameters)
     return _pipeline_result(request, context)
 
 
@@ -116,10 +110,8 @@ def _run_spaa03(request: DesignRequest) -> DesignResult:
     in_comparisons=False,
 )
 def _run_spaa03_extended(request: DesignRequest) -> DesignResult:
-    options = _strategy_options(request, warm_start=None)
-    context = DesignPipeline.extended().run(
-        request.problem, request.parameters, warm_start=options["warm_start"]
-    )
+    _strategy_options(request)
+    context = DesignPipeline.extended().run(request.problem, request.parameters)
     return _pipeline_result(request, context)
 
 
@@ -180,33 +172,14 @@ def _run_random(request: DesignRequest) -> DesignResult:
 
 @register_designer(
     "milp-exact",
-    description="exact Section-2 IP via a MILP backend (the integer optimum)",
+    description="exact Section-2 IP via HiGHS branch-and-cut (the integer optimum)",
     baseline=True,
     in_comparisons=False,
 )
 def _run_milp_exact(request: DesignRequest) -> DesignResult:
-    options = _strategy_options(
-        request,
-        time_limit=None,
-        mip_gap=None,
-        symmetry_breaking=True,
-        warm_start=None,
-    )
-    if options["warm_start"] is not None:
-        # Warm starts arrive as plain lists when the request came over JSON.
-        options["warm_start"] = np.asarray(options["warm_start"], dtype=float)
-    backend = request.parameters.solver_backend
-    if backend == "highs":
-        # The design-parameter default is the LP backend; an integer solve
-        # needs a MIP-capable one unless the caller explicitly picked.
-        backend = "highs-mip"
+    options = _strategy_options(request, time_limit=None, mip_gap=None, symmetry_breaking=True)
     start = time.perf_counter()
-    result = milp_exact_design(
-        request.problem,
-        extensions=request.parameters.extensions,
-        backend=backend,
-        **options,
-    )
+    result = milp_exact_design(request.problem, extensions=request.parameters.extensions, **options)
     elapsed = time.perf_counter() - start
     design_result = _baseline_result(
         request,
@@ -220,7 +193,6 @@ def _run_milp_exact(request: DesignRequest) -> DesignResult:
             "node_count": result.node_count,
             "symmetry_rows": result.symmetry_rows,
             "symmetry_classes": result.symmetry_classes,
-            "solver_backend": result.backend,
             "time_limit": options["time_limit"],
             "mip_gap_limit": options["mip_gap"],
         },
@@ -239,11 +211,7 @@ def _run_milp_exact(request: DesignRequest) -> DesignResult:
 def _run_lp_bound(request: DesignRequest) -> DesignResult:
     _strategy_options(request)
     start = time.perf_counter()
-    lower_bound = fractional_lower_bound(
-        request.problem,
-        request.parameters.extensions,
-        solver_backend=request.parameters.solver_backend,
-    )
+    lower_bound = fractional_lower_bound(request.problem, request.parameters.extensions)
     elapsed = time.perf_counter() - start
     solution = OverlaySolution.from_assignments(
         request.problem, {}, metadata={"algorithm": "lp-bound"}

@@ -60,7 +60,6 @@ from repro.core.rounding import (
     round_solution_with_retries,
 )
 from repro.core.solution import OverlaySolution
-from repro.lp import SolveOptions
 
 
 @dataclass
@@ -75,10 +74,6 @@ class PipelineContext:
     problem: OverlayDesignProblem
     parameters: DesignParameters
     rng: np.random.Generator
-    #: optional warm-start vector for the LP solve (advisory; see
-    #: :class:`repro.lp.SolveOptions` -- only backends that support MIP
-    #: starts honor it, so the default backend's results never change).
-    warm_start: np.ndarray | None = None
     formulation: SparseOverlayFormulation | None = None
     lp_solution: object | None = None
     fractional: FractionalSolution | None = None
@@ -126,8 +121,8 @@ class StageCache:
     a long-lived session -- skip LP assembly and the simplex run entirely.
 
     Implementations key on problem *content* plus whatever parameters affect
-    the artifact (``extensions`` for formulations, ``solver_backend`` for LP
-    solves, which are otherwise deterministic given the formulation).
+    the artifact (``extensions``; LP solves are deterministic given the
+    formulation).
     Returned artifacts must be treated as immutable: formulations are solved
     read-only and fractional solutions are only read by the rounding stages,
     so one cached object may serve many concurrent pipeline runs.
@@ -231,24 +226,15 @@ class SolveStage(PipelineStage):
     name = "solve"
 
     def run(self, context: PipelineContext) -> None:
-        parameters = context.parameters
-        # Set before the cache lookup: a cached LP came from the same backend
-        # (the cache key includes it), so the result reads the same either way.
-        context.metadata["solver_backend"] = parameters.solver_backend
         cache = get_stage_cache()
         start = time.perf_counter()
         if cache is not None:
-            cached = cache.get_lp(context.problem, parameters)
+            cached = cache.get_lp(context.problem, context.parameters)
             if cached is not None:
                 context.lp_solution, context.fractional = cached
                 context.stage_seconds["solve_lp"] = time.perf_counter() - start
                 return
-        options = None
-        if context.warm_start is not None:
-            options = SolveOptions(warm_start=context.warm_start)
-        context.lp_solution = context.formulation.solve(
-            parameters.solver_backend, options=options
-        )
+        context.lp_solution = context.formulation.solve()
         context.stage_seconds["solve_lp"] = time.perf_counter() - start
         context.fractional = context.formulation.fractional_solution(
             context.lp_solution
@@ -454,22 +440,17 @@ class DesignPipeline:
         problem: OverlayDesignProblem,
         parameters: DesignParameters | None = None,
         rng: np.random.Generator | None = None,
-        warm_start: np.ndarray | None = None,
     ) -> PipelineContext:
         """Run every stage over ``problem`` and return the filled context.
 
         The RNG defaults to ``np.random.default_rng(parameters.rounding.seed)``
         and each stage consumes it in a fixed order, so solutions are
-        bit-identical for a fixed seed.  ``warm_start`` seeds the LP solve on
-        backends that honor starts (advisory; never changes results on the
-        default backend).
+        bit-identical for a fixed seed.
         """
         parameters = parameters or DesignParameters()
         if rng is None:
             rng = np.random.default_rng(parameters.rounding.seed)
-        context = PipelineContext(
-            problem=problem, parameters=parameters, rng=rng, warm_start=warm_start
-        )
+        context = PipelineContext(problem=problem, parameters=parameters, rng=rng)
         for stage in self.stages:
             stage.run(context)
             for hook in self.hooks:

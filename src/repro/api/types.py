@@ -12,9 +12,7 @@ Both types have a versioned JSON encoding (``schema_version`` +
 ``kind`` discriminator, extending the document conventions of
 :mod:`repro.core.serialization`), which is what ``repro batch`` reads and
 writes and what :func:`repro.api.design_batch` ships across worker processes.
-``options`` must be JSON-typed for a request to serialize; purely in-memory
-callers may put richer objects (e.g. a ``numpy`` array as the ``milp-exact``
-``warm_start``) in it.
+``options`` must be JSON-typed for a request to serialize.
 """
 
 from __future__ import annotations
@@ -144,6 +142,10 @@ class EvaluationSpec:
 
 #: ``evaluation.mode`` values written before the engines merged; read and ignored.
 _LEGACY_MODES = ("batched", "streaming")
+
+#: ``parameters.solver_backend`` values written before the one solver call;
+#: read and ignored.
+_LEGACY_BACKENDS = ("highs", "highs-mip")
 
 
 def evaluation_spec_to_dict(spec: EvaluationSpec) -> dict[str, Any]:
@@ -357,13 +359,22 @@ def parameters_to_dict(parameters: DesignParameters) -> dict[str, Any]:
         "keep_degenerate_box": parameters.keep_degenerate_box,
         "repair_shortfall": parameters.repair_shortfall,
         "repair_fanout_slack": parameters.repair_fanout_slack,
-        "solver_backend": parameters.solver_backend,
     }
 
 
 def parameters_from_dict(data: dict[str, Any]) -> DesignParameters:
-    """Decode :class:`DesignParameters` from :func:`parameters_to_dict` output."""
+    """Decode :class:`DesignParameters` from :func:`parameters_to_dict` output.
+
+    ``solver_backend`` (written by builds with a solver registry) is accepted
+    as ``"highs"`` or ``"highs-mip"`` and ignored: both ran the HiGHS call
+    every solve now makes.
+    """
     data = _object(data, "parameters")
+    if data.get("solver_backend", _LEGACY_BACKENDS[0]) not in _LEGACY_BACKENDS:
+        raise DocumentError(
+            "parameters.solver_backend must be 'highs' or 'highs-mip', "
+            f"got {data['solver_backend']!r}"
+        )
     rounding = _object(data.get("rounding", {}), "parameters.rounding")
     extensions = _object(data.get("extensions", {}), "parameters.extensions")
     return DesignParameters(
@@ -384,7 +395,6 @@ def parameters_from_dict(data: dict[str, Any]) -> DesignParameters:
         keep_degenerate_box=data.get("keep_degenerate_box", True),
         repair_shortfall=data.get("repair_shortfall", False),
         repair_fanout_slack=data.get("repair_fanout_slack", 4.0),
-        solver_backend=data.get("solver_backend", "highs"),
     )
 
 

@@ -16,8 +16,8 @@ produces the same :class:`~repro.core.solution.OverlaySolution` type:
   (sanity floor for comparisons);
 * :mod:`repro.baselines.single_tree` -- one reflector per stream, no
   redundancy (an IP-multicast-like tree, Section 1.4's alternative);
-* :mod:`repro.baselines.milp` -- the Section-2 IP solved exactly through a
-  registered MILP backend (the integer optimum; see ``docs/solvers.md``).
+* :mod:`repro.baselines.milp` -- the Section-2 IP solved exactly by HiGHS
+  branch-and-cut (the integer optimum; see ``docs/solvers.md``).
 
 Every baseline runs through the unified strategy registry (:mod:`repro.api`)
 under a stable name (``"greedy"``, ``"naive-quality-first"``,

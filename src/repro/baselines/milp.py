@@ -4,10 +4,10 @@ A brute-force search over per-demand reflector subsets only reaches tiny
 instances (the test suite keeps one, ``tests/exact_oracle.py``, as this
 module's differential oracle).  This module instead hands the *actual*
 Section-2 integer program -- the same :class:`~repro.lp.sparse.SparseLPBuilder` blocks the LP
-relaxation uses, with integrality restored on every variable -- to a MILP
-backend (:mod:`repro.lp.backends`, ``"highs-mip"`` by default).  That scales
-the ground truth from a handful of sinks to hundreds, which is what lets the
-F3 benchmark measure the paper's LP-vs-OPT integrality gap at realistic sizes.
+relaxation uses, with integrality restored on every variable -- to HiGHS
+branch-and-cut (:func:`repro.lp.solve_compiled`).  That scales the ground
+truth from a handful of sinks to hundreds, which is what lets the F3
+benchmark measure the paper's LP-vs-OPT integrality gap at realistic sizes.
 
 Symmetry breaking
 -----------------
@@ -34,7 +34,7 @@ from scipy import sparse
 from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
-from repro.lp import LPStatus, SolveOptions, get_backend, solve_compiled
+from repro.lp import LPStatus, solve_compiled
 from repro.lp.model import CompiledLP, Sense
 from repro.lp.sparse import BlockStats
 
@@ -63,11 +63,6 @@ class MILPResult:
         reflectors are interchangeable).
     symmetry_classes:
         Number of interchangeable-reflector classes of size >= 2.
-    backend:
-        Solver backend that produced the incumbent.
-    lp_values:
-        Raw variable vector of the incumbent (z, y, x layout of the sparse
-        formulation) -- reusable as a warm start for subsequent solves.
     """
 
     solution: OverlaySolution
@@ -78,8 +73,6 @@ class MILPResult:
     node_count: int | None
     symmetry_rows: int
     symmetry_classes: int
-    backend: str
-    lp_values: np.ndarray
 
 
 def _reflector_equivalence_classes(problem: OverlayDesignProblem) -> list[list[str]]:
@@ -169,19 +162,17 @@ def _with_symmetry_rows(
 def milp_exact_design(
     problem: OverlayDesignProblem,
     extensions: ExtensionOptions | None = None,
-    backend: str = "highs-mip",
     time_limit: float | None = None,
     mip_gap: float | None = None,
     symmetry_breaking: bool = True,
-    warm_start: np.ndarray | None = None,
 ) -> MILPResult:
-    """Solve the Section-2 IP exactly through a registered MILP backend.
+    """Solve the Section-2 IP exactly with HiGHS branch-and-cut.
 
-    Raises :class:`~repro.lp.SolverError` for unknown backends and
-    ``ValueError`` when the IP is infeasible (the message names the
-    constraint-family row counts of the build).
+    Raises ``ValueError`` when the IP is infeasible (the message names the
+    constraint-family row counts of the build) and
+    :class:`~repro.lp.SolverError` when a limit stops HiGHS before it finds
+    an incumbent.
     """
-    get_backend(backend)  # fail fast with the installed-backend list
     problem.validate()
     formulation = build_sparse_formulation(problem, extensions)
     compiled, stats = formulation.compiled, formulation.stats
@@ -203,14 +194,13 @@ def milp_exact_design(
             )
 
     # The Section-2 IP is binary in every variable family (z, y, x).
-    integrality = np.ones(len(compiled.c), dtype=np.int8)
-    options = SolveOptions(
-        integrality=integrality,
+    lp_solution = solve_compiled(
+        compiled,
+        integrality=np.ones(len(compiled.c), dtype=np.int8),
         time_limit=time_limit,
         mip_gap=mip_gap,
-        warm_start=warm_start,
+        stats=stats,
     )
-    lp_solution = solve_compiled(compiled, backend, options=options, stats=stats)
     if not lp_solution.has_solution:
         raise ValueError(
             f"Section-2 IP was not solved: {lp_solution.status.value} "
@@ -229,7 +219,6 @@ def milp_exact_design(
         dict(assignments),
         metadata={
             "algorithm": "milp-exact",
-            "solver_backend": lp_solution.backend,
             "symmetry_rows": symmetry_rows,
         },
     )
@@ -243,8 +232,6 @@ def milp_exact_design(
         node_count=lp_solution.mip_node_count,
         symmetry_rows=symmetry_rows,
         symmetry_classes=len(classes),
-        backend=lp_solution.backend,
-        lp_values=values,
     )
 
 

@@ -144,17 +144,8 @@ def _list_strategies() -> int:
 def _cmd_design(args: argparse.Namespace) -> int:
     if args.list_strategies:
         return _list_strategies()
-    if args.list_backends:
-        return _list_backends()
     if not args.problem:
-        print(
-            "error: --problem is required (unless --list-strategies/--list-backends)",
-            file=sys.stderr,
-        )
-        return 2
-    backend_error = _check_solver_backend(args.solver_backend)
-    if backend_error:
-        print(f"error: {backend_error}", file=sys.stderr)
+        print("error: --problem is required (unless --list-strategies)", file=sys.stderr)
         return 2
     problem = load_problem(args.problem)
     issues = problem.feasibility_report()
@@ -245,7 +236,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
             c=args.multiplier if args.multiplier is not None else 8.0, seed=args.seed
         ),
         repair_shortfall=args.repair,
-        solver_backend=args.solver_backend if args.solver_backend else "highs",
         seed=args.seed,
     )
     if args.isp_diversity:
@@ -327,10 +317,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    backend_error = _check_solver_backend(args.solver_backend)
-    if backend_error:
-        print(f"error: {backend_error}", file=sys.stderr)
-        return 2
     try:
         jobs = resolve_jobs(args.jobs)
     except ValueError as error:
@@ -359,10 +345,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
 
-    parameters = DesignParameters(
-        solver_backend=args.solver_backend if args.solver_backend else "highs",
-        seed=args.seed,
-    )
+    parameters = DesignParameters(seed=args.seed)
     try:
         result = design_incremental(
             solution,
@@ -1127,51 +1110,6 @@ def _out_parent(
     return parent
 
 
-def _solver_backend_parent() -> argparse.ArgumentParser:
-    """Shared ``--solver-backend`` flag (validated against the registry)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--solver-backend",
-        default=None,
-        help="registered solver backend for the LP/MILP solve (see "
-        "--list-backends; default: highs)",
-    )
-    return parent
-
-
-def _check_solver_backend(name: str | None) -> str | None:
-    """Return an error message when ``name`` is unknown or unavailable.
-
-    Mirrors the sharded-flag guard: usage errors exit 2 with a message that
-    names the *installed* backends, so a missing optional library (gurobipy)
-    reads the same as a typo.
-    """
-    from repro.lp import available_backend_names
-
-    if name is None or name in available_backend_names():
-        return None
-    installed = ", ".join(available_backend_names())
-    return (
-        f"unknown or unavailable solver backend {name!r} "
-        f"(installed backends: {installed})"
-    )
-
-
-def _list_backends() -> int:
-    from repro.lp import registered_backends
-
-    rows = [
-        {
-            "backend": backend.name,
-            "available": backend.available(),
-            "description": backend.description,
-        }
-        for backend in registered_backends()
-    ]
-    print(format_table(rows, title="registered solver backends"))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1216,7 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(sharded:<strategy> only; default: 1)",
             ),
             _out_parent("output solution JSON path"),
-            _solver_backend_parent(),
         ],
     )
     design.add_argument("--problem", help="problem JSON path (required unless --list-strategies)")
@@ -1259,11 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the registered design strategies and exit",
     )
-    design.add_argument(
-        "--list-backends",
-        action="store_true",
-        help="list the registered solver backends and exit",
-    )
     design.set_defaults(func=_cmd_design)
 
     evaluate = sub.add_parser("evaluate", help="audit a solution JSON against its problem")
@@ -1286,7 +1218,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
             _jobs_parent(),
             _out_parent("output solution JSON path"),
-            _solver_backend_parent(),
         ],
     )
     update.add_argument("--problem", required=True, help="pre-churn problem JSON path")

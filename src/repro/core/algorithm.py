@@ -66,11 +66,6 @@ class DesignParameters:
     repair_fanout_slack:
         Fanout multiple the repair pass is allowed to use (4.0 matches the
         paper's final guarantee).
-    solver_backend:
-        Which registered solver backend (:mod:`repro.lp.backends`) solves the
-        LP relaxation: ``"highs"`` (default), ``"highs-mip"``, or
-        ``"gurobi"``.  Validated against the backend registry; unknown names
-        raise ``ValueError`` listing the installed backends.
     seed:
         Convenience override for ``rounding.seed``.
     """
@@ -82,17 +77,9 @@ class DesignParameters:
     keep_degenerate_box: bool = True
     repair_shortfall: bool = False
     repair_fanout_slack: float = 4.0
-    solver_backend: str = "highs"
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        from repro.lp.backends import backend_names
-
-        if self.solver_backend not in backend_names():
-            raise ValueError(
-                f"solver_backend must be one of {backend_names()}, "
-                f"got {self.solver_backend!r}"
-            )
         if self.seed is not None:
             self.rounding = RoundingParameters(
                 c=self.rounding.c, delta=self.rounding.delta, seed=self.seed
@@ -231,11 +218,10 @@ def repair_weight_shortfalls(
 def fractional_lower_bound(
     problem: OverlayDesignProblem,
     extensions: ExtensionOptions | None = None,
-    solver_backend: str = "highs",
 ) -> float:
     """Solve only the LP relaxation and return its objective (the OPT lower bound)."""
     formulation = build_sparse_formulation(problem, extensions)
-    lp_solution = formulation.solve(solver_backend)
+    lp_solution = formulation.solve()
     return formulation.fractional_solution(lp_solution).objective
 
 

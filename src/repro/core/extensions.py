@@ -47,7 +47,6 @@ def color_constrained_parameters(
         keep_degenerate_box=base.keep_degenerate_box,
         repair_shortfall=base.repair_shortfall,
         repair_fanout_slack=base.repair_fanout_slack,
-        solver_backend=base.solver_backend,
     )
 
 

@@ -53,7 +53,6 @@ from repro.lp import (
     LPSolution,
     Objective,
     Sense,
-    SolveOptions,
     SparseLPBuilder,
     solve_compiled,
 )
@@ -112,11 +111,9 @@ class SparseOverlayFormulation:
     options: ExtensionOptions = field(default_factory=ExtensionOptions)
 
     # ------------------------------------------------------------------ solve
-    def solve(
-        self, backend: str = "highs", *, options: SolveOptions | None = None
-    ) -> LPSolution:
+    def solve(self) -> LPSolution:
         """Solve the LP relaxation (Section 2, relaxed constraint (6))."""
-        return solve_compiled(self.compiled, backend, options=options, stats=self.stats)
+        return solve_compiled(self.compiled, stats=self.stats)
 
     def fractional_solution(self, lp_solution: LPSolution) -> FractionalSolution:
         """Extract ``(z_hat, y_hat, x_hat)`` from a solved LP."""
@@ -158,6 +155,9 @@ def build_sparse_formulation(
     ``(demands, reflectors)`` boolean mask, and each constraint family --
     (1), (2), (3), (4), (5) and the Section-6 blocks -- is emitted as a
     single coordinate block.
+
+    Raises ``ValueError`` naming the reflector, stream edge or delivery edge
+    behind the first column whose cost is NaN or infinite.
     """
     options = options or ExtensionOptions()
     problem.validate()
@@ -384,6 +384,21 @@ def build_sparse_formulation(
                 )
 
     compiled, stats = builder.build()
+    if not np.isfinite(compiled.c).all():
+        # Name the field here: HiGHS would reject the objective anonymously.
+        column = int(np.flatnonzero(~np.isfinite(compiled.c))[0])
+        if column < n_reflectors:
+            entity = f"reflector {reflectors[column]!r}"
+        elif column < n_reflectors + n_edges:
+            edge = edges[column - n_reflectors]
+            entity = f"stream edge {edge.stream!r} -> {edge.reflector!r}"
+        else:
+            i = column - n_reflectors - n_edges
+            entity = (
+                f"delivery edge {reflectors[xr[i]]!r} -> {sinks[x_sink[i]]!r} "
+                f"(stream {streams[x_stream[i]]!r})"
+            )
+        raise ValueError(f"{entity}: cost must be finite, got {compiled.c[column]}")
 
     return SparseOverlayFormulation(
         problem=problem,

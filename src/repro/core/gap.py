@@ -30,8 +30,8 @@ the target).
 Implementation notes
 ---------------------
 * The network is kept as flat arc arrays (:class:`GapNetwork`) and solved as
-  one sparse node-arc LP on the ``"highs"`` backend: a conservation row for
-  every node except ``s`` and ``T``, bounds ``[0, capacity]`` on every arc.
+  one sparse node-arc LP with HiGHS: a conservation row for every node
+  except ``s`` and ``T``, bounds ``[0, capacity]`` on every arc.
 * All capacities are doubled, so they are integers.  A node-arc incidence
   matrix is totally unimodular, hence every vertex of the LP polytope is an
   integral flow and the simplex optimum is one; dividing by two recovers the
@@ -358,7 +358,7 @@ def solve_gap_flow(gap: GapNetwork) -> np.ndarray:
     Figure 2.  Raises :class:`GapFlowError` if the LP fails or its values do
     not pass :func:`check_gap_flow`.
     """
-    solution = solve_compiled(_flow_lp(gap), backend="highs")
+    solution = solve_compiled(_flow_lp(gap))
     if solution.status is not LPStatus.OPTIMAL:
         raise GapFlowError(f"GAP flow LP ended {solution.status}: {solution.message}")
     return check_gap_flow(gap, solution.values)

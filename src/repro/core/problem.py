@@ -23,6 +23,7 @@ sinks are split into copies).  Here each :class:`Demand` object *is* that
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
@@ -196,6 +197,12 @@ class OverlayDesignProblem:
             raise ValueError(f"reflector {reflector!r} already exists")
         if cost < 0:
             raise ValueError(f"reflector cost must be non-negative, got {cost}")
+        if (
+            isinstance(fanout, bool)
+            or not isinstance(fanout, numbers.Real)
+            or not float(fanout).is_integer()
+        ):
+            raise ValueError(f"reflector {reflector!r}: fanout must be an integer, got {fanout!r}")
         if fanout <= 0:
             raise ValueError(f"reflector fanout must be positive, got {fanout}")
         if capacity is not None and capacity <= 0:

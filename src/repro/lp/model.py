@@ -1,9 +1,9 @@
-"""The matrix form every LP builder and solver backend shares.
+"""The matrix form every LP builder and the solver share.
 
 :class:`~repro.lp.sparse.SparseLPBuilder` compiles models to a
 :class:`CompiledLP` (so do the hand-assembled flow LP of :mod:`repro.core.gap`
-and the symmetry-extended MILP of :mod:`repro.baselines.milp`), and every
-backend of :mod:`repro.lp.backends` solves one.
+and the symmetry-extended MILP of :mod:`repro.baselines.milp`), and
+:func:`repro.lp.solver.solve_compiled` solves one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Objective(Enum):
 
 @dataclass
 class CompiledLP:
-    """Matrix form of a model, ready for scipy's ``linprog``.
+    """Matrix form of a model, ready for scipy's ``milp``.
 
     ``A_ub x <= b_ub`` and ``A_eq x == b_eq``; ``c`` is always a minimization
     objective (maximization models are negated during compilation and the

@@ -19,7 +19,6 @@ class LPStatus(Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    ERROR = "error"
 
 
 @dataclass
@@ -36,9 +35,7 @@ class LPSolution:
     values:
         Array of variable values indexed by column; empty on failure.
     message:
-        Backend diagnostic string.
-    backend:
-        Name of the solver backend that produced this solution.
+        HiGHS's diagnostic string.
     mip_gap:
         Relative gap between incumbent and dual bound (MIP solves only).
     mip_dual_bound:
@@ -52,7 +49,6 @@ class LPSolution:
     objective: float
     values: np.ndarray = field(default_factory=lambda: np.empty(0))
     message: str = ""
-    backend: str = "highs"
     mip_gap: float | None = None
     mip_dual_bound: float | None = None
     mip_node_count: int | None = None

@@ -1,7 +1,7 @@
 """Vectorized sparse LP assembly: variable arena + batched constraint blocks.
 
 Every LP in the package is built here.  Models are assembled as flat numpy
-arrays and handed to the solver backends as
+arrays and handed to the solver as
 :class:`~repro.lp.model.CompiledLP` matrices without ever materializing
 per-variable or per-constraint objects, which keeps the Section-2 LP's
 ``O(|S|·|R|·|D|)`` variables cheap to assemble.

@@ -281,18 +281,12 @@ def formulation_key(p_digest: str, parameters: Any) -> str:
     """Key for compiled LP formulations (and their solved fractionals).
 
     Covers exactly the knobs :class:`~repro.api.pipeline.FormulateStage`
-    and :class:`~repro.api.pipeline.SolveStage` read -- the solver backend
-    and the Section-6 extension toggles -- so requests
-    differing only in rounding seed or repair knobs share a line, while
-    solves on different solver backends never alias.
+    and :class:`~repro.api.pipeline.SolveStage` read -- the Section-6
+    extension toggles -- so requests differing only in rounding seed or
+    repair knobs share a line.
     """
-    document = parameters_to_dict(parameters)
     return canonical_digest(
-        {
-            "problem": p_digest,
-            "solver_backend": document["solver_backend"],
-            "extensions": document["extensions"],
-        }
+        {"problem": p_digest, "extensions": parameters_to_dict(parameters)["extensions"]}
     )
 
 

@@ -103,6 +103,13 @@ class TestRegistry:
                 DesignRequest(problem=problem, options={"typo": 1})
             )
 
+    @pytest.mark.parametrize("strategy", ["spaa03", "spaa03-extended", "milp-exact"])
+    def test_warm_start_option_rejected(self, problem, strategy):
+        with pytest.raises(ValueError, match=r"unknown option\(s\) \['warm_start'\]"):
+            get_designer(strategy).design(
+                DesignRequest(problem=problem, strategy=strategy, options={"warm_start": None})
+            )
+
 
 class TestRegistryMatchesPipeline:
     """The pipeline designers report exactly what a direct pipeline run does."""

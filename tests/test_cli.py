@@ -764,51 +764,21 @@ class TestBadDocuments:
         assert "Traceback" not in err
 
 
-class TestSolverBackendCli:
-    def test_list_backends(self, capsys):
-        assert main(["design", "--list-backends"]) == 0
-        output = capsys.readouterr().out
-        assert "highs" in output and "highs-mip" in output and "gurobi" in output
-
-    def test_unknown_backend_exits_2_naming_installed(self, problem_file, capsys):
-        code = main(
-            ["design", "--problem", problem_file, "--solver-backend", "cplex"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown or unavailable solver backend" in err
-        assert "installed backends" in err
-        assert "highs" in err and "highs-mip" in err
-
-    def test_unavailable_backend_exits_2(self, problem_file, capsys):
-        try:
-            import gurobipy  # noqa: F401
-
-            pytest.skip("gurobipy installed; unavailable path not testable")
-        except ImportError:
-            pass
-        code = main(
-            ["design", "--problem", problem_file, "--solver-backend", "gurobi"]
-        )
-        assert code == 2
-        assert "unavailable" in capsys.readouterr().err
-
-    def test_update_rejects_unknown_backend(self, problem_file, capsys):
-        code = main(
-            [
-                "update",
-                "--problem",
-                problem_file,
-                "--solution",
-                problem_file,
-                "--event",
-                "sink-churn",
-                "--solver-backend",
-                "cplex",
-            ]
-        )
-        assert code == 2
-        assert "installed backends" in capsys.readouterr().err
+class TestSolverCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--list-backends"],
+            ["design", "--problem", "p.json", "--solver-backend", "highs"],
+            ["update", "--problem", "p.json", "--solution", "s.json", "--solver-backend", "highs"],
+        ],
+        ids=["design-list-backends", "design-solver-backend", "update-solver-backend"],
+    )
+    def test_removed_solver_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_milp_flags_rejected_on_non_milp_strategy(self, problem_file, capsys):
         code = main(
@@ -858,21 +828,6 @@ class TestSolverBackendCli:
         assert "milp-exact" in output
         solution = load_solution(str(out), load_problem(problem_file))
         assert solution.metadata["algorithm"] == "milp-exact"
-
-    def test_design_on_explicit_mip_backend(self, problem_file, capsys):
-        code = main(
-            [
-                "design",
-                "--problem",
-                problem_file,
-                "--strategy",
-                "spaa03",
-                "--solver-backend",
-                "highs-mip",
-            ]
-        )
-        assert code == 0
-        assert "total_cost" in capsys.readouterr().out
 
 
 class TestScenariosCli:

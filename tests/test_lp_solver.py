@@ -1,11 +1,19 @@
-"""Tests for solving built LPs through the scipy-backed default backend."""
+"""Tests for ``solve_compiled``, the one HiGHS call every LP and MIP goes through."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.lp import LPStatus, Objective, Sense, SparseLPBuilder, solve_compiled
+from repro.lp import (
+    CompiledLP,
+    LPStatus,
+    Objective,
+    Sense,
+    SolverError,
+    SparseLPBuilder,
+    solve_compiled,
+)
 
 
 def add_row(builder: SparseLPBuilder, coeffs: dict[int, float], rhs: float, sense: Sense) -> None:
@@ -117,3 +125,105 @@ class TestAgainstKnownOptima:
         # keeping the expensive p2->m3 lane empty is what makes it optimal.
         expected = 5 * 2.0 + 15 * 5.0 + 5 * 3.0 + 25 * 1.0
         assert solution.objective == pytest.approx(expected, abs=1e-6)
+
+
+def _two_variable_lp(costs, row, rhs) -> CompiledLP:
+    # min costs @ x  s.t.  row @ x >= rhs, 0 <= x <= 1.
+    builder = SparseLPBuilder()
+    x = builder.add_variables(2, lower=0.0, upper=1.0, name="x")
+    builder.add_objective_terms(x, costs)
+    builder.add_block("cover", [0, 0], x, row, [rhs], Sense.GE)
+    return builder.build()[0]
+
+
+def _fractional_lp() -> CompiledLP:
+    # min x + y  s.t.  2x + 2y >= 3, 0 <= x,y <= 1: LP optimum 1.5 is
+    # fractional; the integer optimum is 2 (e.g. x = y = 1).
+    return _two_variable_lp([1.0, 1.0], [2.0, 2.0], 3.0)
+
+
+BINARY = np.ones(2, dtype=np.int8)
+
+
+class TestIntegrality:
+    def test_lp_solve_reports_no_mip_diagnostics(self):
+        # min x + 2y  s.t.  x + y >= 1, 0 <= x,y <= 1  ->  optimum 1 at (1, 0).
+        solution = solve_compiled(_two_variable_lp([1.0, 2.0], [1.0, 1.0], 1.0))
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(1.0)
+        assert solution.mip_gap is solution.mip_dual_bound is solution.mip_node_count is None
+
+    def test_integrality_closes_the_gap(self):
+        assert solve_compiled(_fractional_lp()).objective == pytest.approx(1.5)
+        solution = solve_compiled(_fractional_lp(), integrality=BINARY)
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(2.0)
+        assert np.allclose(solution.values, np.round(solution.values))
+
+    def test_surfaces_mip_diagnostics(self):
+        solution = solve_compiled(_fractional_lp(), integrality=BINARY)
+        assert solution.mip_gap is not None and solution.mip_gap <= 1e-6
+        assert solution.mip_dual_bound == pytest.approx(2.0)
+        assert solution.mip_node_count is not None
+
+    def test_mip_gap_and_time_limits_accepted(self):
+        solution = solve_compiled(
+            _fractional_lp(), integrality=BINARY, mip_gap=0.5, time_limit=10.0
+        )
+        assert solution.has_solution
+        assert solution.objective == pytest.approx(2.0)
+
+    def test_unbounded_above_columns(self):
+        # min x  s.t.  x >= 2.5, x integer in [0, inf): the upper bound is np.inf.
+        builder = SparseLPBuilder()
+        x = builder.add_variables(1, lower=0.0, upper=np.inf)
+        builder.add_objective_terms(x, [1.0])
+        builder.add_block("floor", [0], x, [1.0], [2.5], Sense.GE)
+        compiled = builder.build()[0]
+        assert compiled.bounds.tolist() == [[0.0, np.inf]]
+        solution = solve_compiled(compiled, integrality=np.ones(1, dtype=np.int8))
+        assert solution.objective == pytest.approx(3.0)
+
+    def test_infeasible_mip_is_returned(self):
+        # x >= 2 with 0 <= x <= 1.
+        infeasible = _two_variable_lp([1.0, 0.0], [1.0, 0.0], 2.0)
+        solution = solve_compiled(infeasible, integrality=BINARY)
+        assert solution.status is LPStatus.INFEASIBLE
+
+
+class TestFailureSemantics:
+    def test_infeasible_message_names_constraint_families(self):
+        builder = SparseLPBuilder(name="infeasible-lp")
+        x = builder.add_variables(1, lower=0.0, upper=1.0, name="x")
+        builder.add_objective_terms(x, np.ones(1))
+        builder.add_block(
+            "(5) weight coverage",
+            rows=np.array([0]),
+            cols=x,
+            values=np.array([1.0]),
+            rhs=np.array([2.0]),
+            sense=Sense.GE,
+        )
+        compiled, stats = builder.build()
+        solution = solve_compiled(compiled, stats=stats)
+        assert solution.status is LPStatus.INFEASIBLE
+        assert "(5) weight coverage" in solution.message
+        assert "1 rows" in solution.message
+
+    def test_limit_stop_on_a_pure_lp_raises(self):
+        with pytest.raises(SolverError, match="Time limit") as excinfo:
+            solve_compiled(_fractional_lp(), time_limit=0.0)
+        assert excinfo.value.status_code == 1
+
+    def test_mip_limit_stop_without_an_incumbent_raises(self):
+        from repro.core.formulation import build_sparse_formulation
+        from repro.workloads import RandomInstanceConfig, random_problem
+
+        problem = random_problem(
+            RandomInstanceConfig(num_streams=2, num_reflectors=10, num_sinks=20), rng=42
+        )
+        compiled = build_sparse_formulation(problem).compiled
+        integrality = np.ones(len(compiled.c), dtype=np.int8)
+        with pytest.raises(SolverError, match="Time limit") as excinfo:
+            solve_compiled(compiled, integrality=integrality, time_limit=0.0)
+        assert excinfo.value.status_code == 1

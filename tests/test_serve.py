@@ -278,8 +278,10 @@ class TestRunRequestCached:
         cache = ArtifactCache()
         cold = run_request_cached(request, cache)
         # Another request digest over the same LP: a result miss whose
-        # formulate and solve stages hit the cache.
-        hot = run_request_cached(replace(request, options={"warm_start": None}), cache)
+        # formulate and solve stages hit the cache.  The repair slack is
+        # read only when repair_shortfall is on, which it is not here.
+        unread = replace(parameters, repair_fanout_slack=2.0)
+        hot = run_request_cached(replace(request, parameters=unread), cache)
         assert hot.cache["stages"]["formulate"] == hot.cache["stages"]["solve"] == "hit"
         assert _comparable(cold) == _comparable(direct) == _comparable(hot)
 
@@ -795,6 +797,18 @@ WRONG_TYPED_FIELDS = [
         "evaluation.max_memory must be an integer",
     ),
     ("mode-unknown", ("evaluation", "mode"), "tiled", "evaluation.mode must be"),
+    (
+        "solver-backend-gurobi",
+        ("parameters", "solver_backend"),
+        "gurobi",
+        "parameters.solver_backend must be",
+    ),
+    (
+        "solver-backend-int",
+        ("parameters", "solver_backend"),
+        5,
+        "parameters.solver_backend must be",
+    ),
     ("streams-int", ("problem", "streams"), [1], "problem.streams: entries must be objects"),
     ("demands-str", ("problem", "demands"), ["x"], "problem.demands: entries must be objects"),
 ]
@@ -846,3 +860,102 @@ def test_wrong_typed_field_is_named(
         path.write_text(json.dumps(document) + "\n")
         assert main(["batch", "--requests", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def _post_design(server, document: dict):
+    """POST ``document`` to ``/design``: ``(status, JSON body)``."""
+    import urllib.error
+    import urllib.request
+
+    post = urllib.request.Request(
+        server.url + "/design",
+        data=json.dumps(document).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(post, timeout=60) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+@pytest.mark.parametrize("front", ["request_from_dict", "http"])
+@pytest.mark.parametrize("backend", ["highs", "highs-mip"])
+def test_legacy_solver_backend_is_read_and_ignored(request, problem, parameters, front, backend):
+    document = json.loads(
+        json.dumps(request_to_dict(DesignRequest(problem=problem, parameters=parameters)))
+    )
+    legacy = json.loads(json.dumps(document))
+    legacy["parameters"]["solver_backend"] = backend
+    if front == "request_from_dict":
+        assert request_from_dict(legacy).parameters == request_from_dict(document).parameters
+        return
+    server = request.getfixturevalue("design_server")
+    status, plain = _post_design(server, document)
+    legacy_status, ignored = _post_design(server, legacy)
+    assert status == legacy_status == 200
+    for payload in (plain, ignored):
+        for key in ("stage_seconds", "cache", "request_id"):
+            payload.pop(key)
+    assert ignored == plain
+
+
+# ---------------------------------------------------------------------------
+# Problem values the LP cannot take: a named error at the CLI and over HTTP
+# ---------------------------------------------------------------------------
+
+
+def _design_fails_naming(request, tmp_path, capsys, front, document, message):
+    """``repro design`` exits 2, or ``POST /design`` answers 400, naming ``message``."""
+    from repro.cli import main
+
+    if front == "cli":
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(document["problem"]))
+        assert main(["design", "--problem", str(path)]) == 2
+        error = capsys.readouterr().err
+    else:
+        status, body = _post_design(request.getfixturevalue("design_server"), document)
+        assert status == 400
+        error = body["error"]
+    assert message in error
+
+
+@pytest.mark.parametrize("front", ["cli", "http"])
+@pytest.mark.parametrize("fanout", [2.5, True], ids=["fractional", "bool"])
+def test_non_integral_fanout_is_named(request, problem, tmp_path, capsys, front, fanout):
+    document = json.loads(json.dumps(request_to_dict(DesignRequest(problem=problem))))
+    reflector = document["problem"]["reflectors"][0]
+    reflector["fanout"] = fanout
+    message = f"reflector {reflector['name']!r}: fanout must be an integer, got {fanout!r}"
+    _design_fails_naming(request, tmp_path, capsys, front, document, message)
+
+
+@pytest.mark.parametrize("front", ["cli", "http"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["reflector", "stream-edge", "delivery-edge"])
+def test_non_finite_cost_is_named(request, problem, tmp_path, capsys, front, value, kind):
+    from repro.core.formulation import build_sparse_formulation
+
+    document = json.loads(json.dumps(request_to_dict(DesignRequest(problem=problem))))
+    tables = document["problem"]
+    if kind == "reflector":
+        entry = tables["reflectors"][0]
+        entity = f"reflector {entry['name']!r}"
+    elif kind == "stream-edge":
+        entry = tables["stream_edges"][0]
+        entity = f"stream edge {entry['stream']!r} -> {entry['reflector']!r}"
+    else:
+        # A link the LP has a column for: one that can serve a demand.
+        reflector, (sink, stream) = build_sparse_formulation(problem).x_keys[0]
+        entry = next(
+            edge
+            for edge in tables["delivery_edges"]
+            if (edge["reflector"], edge["sink"]) == (reflector, sink)
+        )
+        entity = f"delivery edge {reflector!r} -> {sink!r} (stream {stream!r})"
+    entry["cost"] = value
+    _design_fails_naming(
+        request, tmp_path, capsys, front, document, f"{entity}: cost must be finite, got {value}"
+    )
