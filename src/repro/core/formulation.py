@@ -56,6 +56,17 @@ from repro.lp import (
     SparseLPBuilder,
     solve_compiled,
 )
+from repro.lp.solver import LARGE_MATRIX_VALUE
+
+#: ``SparseOverlayFormulation.solve`` runs HiGHS interior point (with
+#: crossover) on an LP of at least ``IPM_MIN_NONZEROS`` nonzeros whose
+#: delivery-candidate (``x``) columns number at least ``IPM_MIN_LOAD`` times
+#: the reflectors' total fanout, and dual simplex on every other LP.  Size
+#: alone is not enough: shard LPs carry remote reflectors at their full
+#: fanout, read low on load and stay faster under simplex.  The measurements
+#: behind both constants are the table in ``docs/solvers.md``.
+IPM_MIN_NONZEROS = 5_000
+IPM_MIN_LOAD = 0.5
 
 
 @dataclass
@@ -113,7 +124,16 @@ class SparseOverlayFormulation:
     # ------------------------------------------------------------------ solve
     def solve(self) -> LPSolution:
         """Solve the LP relaxation (Section 2, relaxed constraint (6))."""
-        return solve_compiled(self.compiled, stats=self.stats)
+        return solve_compiled(self.compiled, interior_point=self.interior_point, stats=self.stats)
+
+    @property
+    def interior_point(self) -> bool:
+        """Whether :meth:`solve` runs interior point (see ``IPM_MIN_LOAD``)."""
+        total_fanout = sum(self.problem.reflector_info(name).fanout for name in self.z_keys)
+        return (
+            self.stats.num_nonzeros >= IPM_MIN_NONZEROS
+            and len(self.x_keys) >= IPM_MIN_LOAD * total_fanout
+        )
 
     def fractional_solution(self, lp_solution: LPSolution) -> FractionalSolution:
         """Extract ``(z_hat, y_hat, x_hat)`` from a solved LP."""
@@ -157,7 +177,8 @@ def build_sparse_formulation(
     single coordinate block.
 
     Raises ``ValueError`` naming the reflector, stream edge or delivery edge
-    behind the first column whose cost is NaN or infinite.
+    behind the first column whose cost is NaN or infinite, or the first
+    reflector whose fanout HiGHS would refuse as a matrix entry.
     """
     options = options or ExtensionOptions()
     problem.validate()
@@ -399,6 +420,13 @@ def build_sparse_formulation(
                 f"(stream {streams[x_stream[i]]!r})"
             )
         raise ValueError(f"{entity}: cost must be finite, got {compiled.c[column]}")
+    if (fanout >= LARGE_MATRIX_VALUE).any():
+        # Fanouts are matrix entries of rows (3)/(4); HiGHS would refuse them.
+        info = infos[int(np.argmax(fanout >= LARGE_MATRIX_VALUE))]
+        raise ValueError(
+            f"reflector {info.name!r}: fanout must be below {LARGE_MATRIX_VALUE:g}, "
+            f"got {info.fanout}"
+        )
 
     return SparseOverlayFormulation(
         problem=problem,

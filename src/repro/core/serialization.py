@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
@@ -113,10 +114,20 @@ def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
     }
 
 
+#: The numeric fields of each problem table, for naming a wrongly typed one.
+_NUMERIC_FIELDS = {
+    "streams": ("bandwidth",),
+    "reflectors": ("cost", "fanout", "capacity"),
+    "stream_edges": ("loss_probability", "cost"),
+    "delivery_edges": ("loss_probability", "cost", "capacity"),
+    "demands": ("success_threshold",),
+}
+
+
 def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
     """Decode a problem from a dictionary produced by :func:`problem_to_dict`."""
     _check_document(data, "overlay-design-problem")
-    current = "streams"
+    current, index = "streams", 0
 
     def entities(key: str) -> list:
         nonlocal current
@@ -128,9 +139,9 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
 
     problem = OverlayDesignProblem(name=data.get("name", "overlay-design"))
     try:
-        for stream in entities("streams"):
+        for index, stream in enumerate(entities("streams")):
             problem.add_stream(stream["name"], bandwidth=stream.get("bandwidth", 1.0))
-        for reflector in entities("reflectors"):
+        for index, reflector in enumerate(entities("reflectors")):
             problem.add_reflector(
                 reflector["name"],
                 cost=reflector["cost"],
@@ -138,16 +149,16 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
                 color=reflector.get("color"),
                 capacity=reflector.get("capacity"),
             )
-        for sink in entities("sinks"):
+        for index, sink in enumerate(entities("sinks")):
             problem.add_sink(sink)
-        for edge in entities("stream_edges"):
+        for index, edge in enumerate(entities("stream_edges")):
             problem.add_stream_edge(
                 edge["stream"],
                 edge["reflector"],
                 loss_probability=edge["loss_probability"],
                 cost=edge["cost"],
             )
-        for edge in entities("delivery_edges"):
+        for index, edge in enumerate(entities("delivery_edges")):
             problem.add_delivery_edge(
                 edge["reflector"],
                 edge["sink"],
@@ -156,22 +167,47 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
                 stream_costs=edge.get("stream_costs") or None,
                 capacity=edge.get("capacity"),
             )
-        for demand in entities("demands"):
+        for index, demand in enumerate(entities("demands")):
             problem.add_demand(
                 demand["sink"], demand["stream"], success_threshold=demand["success_threshold"]
             )
     except TypeError as error:
-        # The happy path pays no per-entry check: a wrongly typed entry is
-        # diagnosed only after a decode loop has tripped over it.
+        # The happy path pays no per-entry check: a wrongly typed entry or
+        # field is diagnosed only after a decode loop has tripped over it.
+        entry = data[current][index]
         kind = str if current == "sinks" else dict
-        wrong = next((e for e in data.get(current, []) if not isinstance(e, kind)), None)
-        if wrong is not None:
+        if not isinstance(entry, kind):
             noun = "strings" if kind is str else "objects"
             raise DocumentError(
-                f"problem.{current}: entries must be {noun}, got {type(wrong).__name__}"
+                f"problem.{current}: entries must be {noun}, got {type(entry).__name__}"
             ) from None
-        raise DocumentError(f"problem.{current}: {error}") from None
+        where = f"problem.{current}[{index}]"
+        for field in _NUMERIC_FIELDS.get(current, ()):
+            value = entry.get(field)
+            if not isinstance(value, (numbers.Real, type(None))):
+                raise DocumentError(
+                    f"{where}.{field} must be a number, got {type(value).__name__}"
+                ) from None
+        raise DocumentError(f"{where}: {error}") from None
+    except KeyError as error:
+        # A missing field propagates (the loaders name it); a name the problem
+        # does not define is named here, with its entry and field.
+        field = _undefined_name_field(problem, data[current][index])
+        if field is None:
+            raise
+        raise DocumentError(f"problem.{current}[{index}].{field}: {error.args[0]}") from None
     return problem
+
+
+def _undefined_name_field(problem: OverlayDesignProblem, entry: dict) -> str | None:
+    """The field of a problem-table entry that names an undefined entity."""
+    defined = {"stream": problem.streams, "reflector": problem.reflectors, "sink": problem.sinks}
+    for field, names in defined.items():
+        if field in entry and entry[field] not in names:
+            return field
+    if any(stream not in defined["stream"] for stream in entry.get("stream_costs") or ()):
+        return "stream_costs"
+    return None
 
 
 def solution_to_dict(solution: OverlaySolution) -> dict[str, Any]:

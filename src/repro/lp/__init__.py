@@ -9,8 +9,9 @@ variable arena hands out column indices in blocks and each constraint family
 is added as one coordinate block, so the ``O(|S|·|R|·|D|)``-variable
 Section-2 LP is assembled in a handful of numpy operations.  The builder
 compiles to a :class:`~repro.lp.model.CompiledLP` (scipy's matrix form),
-which :func:`solve_compiled` solves with one :func:`scipy.optimize.milp`
-call: an LP by default, a MIP when an ``integrality`` array is passed.
+which :func:`solve_compiled` solves with one HiGHS model object per call: an
+LP by default (by interior point when asked), a MIP when an ``integrality``
+array is passed.
 
 Public API
 ----------

@@ -32,7 +32,7 @@ class Objective(Enum):
 
 @dataclass
 class CompiledLP:
-    """Matrix form of a model, ready for scipy's ``milp``.
+    """Matrix form of a model, ready for :func:`~repro.lp.solver.solve_compiled`.
 
     ``A_ub x <= b_ub`` and ``A_eq x == b_eq``; ``c`` is always a minimization
     objective (maximization models are negated during compilation and the

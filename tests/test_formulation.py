@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from lp_oracle import formulation_families
 
-from repro.core.formulation import ExtensionOptions, build_sparse_formulation
+from repro.core.formulation import (
+    IPM_MIN_LOAD,
+    IPM_MIN_NONZEROS,
+    ExtensionOptions,
+    build_sparse_formulation,
+)
 from repro.core.problem import OverlayDesignProblem
 from repro.lp import Sense
 
@@ -203,3 +208,64 @@ class TestExtensionsInFormulation:
             assert row.sense is Sense.LE
             assert row.rhs == pytest.approx(1.0)
             assert len(row.coeffs) >= 2
+
+
+def _shard_formulations(problem, shards="auto"):
+    from repro.scale.partition import build_partition
+
+    plan = build_partition(problem, shards=shards)
+    return [build_sparse_formulation(shard.problem) for shard in plan.shards]
+
+
+def _load(formulation) -> float:
+    """Delivery-candidate columns per unit of total reflector fanout."""
+    problem = formulation.problem
+    total_fanout = sum(problem.reflector_info(name).fanout for name in problem.reflectors)
+    return len(formulation.x_keys) / total_fanout
+
+
+class TestSolveMethodRule:
+    """Which Section-2 LPs of the benchmark shapes ``solve`` sends to interior point.
+
+    The rule needs both a large LP and loaded fanout (see ``IPM_MIN_LOAD``):
+    monolithic ``as_geo`` designs pass it; shard LPs, whose remote reflectors
+    keep their full fanout, and slack-fanout monoliths stay on simplex.
+    """
+
+    def test_design_mono_shape_takes_interior_point(self):
+        from repro.workloads import AsGeoConfig, generate_as_geo_problem
+
+        problem = generate_as_geo_problem(AsGeoConfig(num_sinks=300), rng=0)[0]
+        formulation = build_sparse_formulation(problem)
+        assert formulation.stats.num_nonzeros >= IPM_MIN_NONZEROS
+        assert _load(formulation) >= IPM_MIN_LOAD
+        assert formulation.interior_point
+
+    def test_slack_fanout_monolith_stays_on_simplex(self):
+        from repro.workloads import AsGeoConfig, generate_as_geo_problem
+
+        config = AsGeoConfig(num_sinks=300, fanout_headroom=25)
+        formulation = build_sparse_formulation(generate_as_geo_problem(config, rng=0)[0])
+        assert formulation.stats.num_nonzeros >= IPM_MIN_NONZEROS
+        assert not formulation.interior_point
+
+    @pytest.mark.parametrize("num_sinks", [150, 1000])
+    def test_serving_shards_stay_on_simplex(self, num_sinks):
+        from repro.workloads import InternetScaleConfig, generate_internet_scale_problem
+
+        config = InternetScaleConfig(num_sinks=num_sinks)
+        formulations = _shard_formulations(generate_internet_scale_problem(config, rng=0)[0])
+        assert len(formulations) > 1
+        assert not any(f.interior_point for f in formulations)
+
+    def test_large_shards_stay_on_simplex(self):
+        # 15k-nonzero shard LPs: size alone would send them to interior point.
+        from repro.workloads import InternetScaleConfig, generate_internet_scale_problem
+
+        problem = generate_internet_scale_problem(InternetScaleConfig(num_sinks=2400), rng=0)[0]
+        formulations = _shard_formulations(problem, shards=4)
+        assert len(formulations) == 4
+        for formulation in formulations:
+            assert formulation.stats.num_nonzeros >= IPM_MIN_NONZEROS
+            assert _load(formulation) < IPM_MIN_LOAD
+            assert not formulation.interior_point

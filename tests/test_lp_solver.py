@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core
 
 from repro.lp import (
     CompiledLP,
@@ -14,6 +15,7 @@ from repro.lp import (
     SparseLPBuilder,
     solve_compiled,
 )
+from repro.lp.solver import LARGE_MATRIX_VALUE
 
 
 def add_row(builder: SparseLPBuilder, coeffs: dict[int, float], rhs: float, sense: Sense) -> None:
@@ -227,3 +229,125 @@ class TestFailureSemantics:
         with pytest.raises(SolverError, match="Time limit") as excinfo:
             solve_compiled(compiled, integrality=integrality, time_limit=0.0)
         assert excinfo.value.status_code == 1
+
+    def test_model_error_raises(self):
+        # A matrix entry of 1e30 is a HiGHS model error, not infeasibility.
+        builder = SparseLPBuilder()
+        x = builder.add_variables(1, lower=0.0, upper=1.0)
+        builder.add_objective_terms(x, [1.0])
+        builder.add_block("huge", [0], x, [1e30], [1.0], Sense.LE)
+        with pytest.raises(SolverError, match="Model error") as excinfo:
+            solve_compiled(builder.build()[0])
+        assert excinfo.value.status_code == 4
+
+
+class TestInteriorPoint:
+    def test_interior_point_ends_at_the_vertex(self):
+        # min x + 2y  s.t.  2x + 2y >= 3, 0 <= x,y <= 1: the unique optimum is
+        # the fractional vertex (1, 0.5), which crossover reaches exactly.
+        lp = _two_variable_lp([1.0, 2.0], [2.0, 2.0], 3.0)
+        solution = solve_compiled(lp, interior_point=True)
+        assert solution.is_optimal
+        assert solution.values.tolist() == pytest.approx([1.0, 0.5], abs=1e-12)
+        assert solution.objective == pytest.approx(2.0)
+
+    def test_interior_point_is_ignored_for_a_mip(self):
+        solution = solve_compiled(_fractional_lp(), integrality=BINARY, interior_point=True)
+        assert solution.objective == pytest.approx(2.0)
+        assert solution.mip_node_count is not None
+
+    @pytest.mark.parametrize("interior_point", [False, True])
+    def test_infeasible_is_returned_by_either_method(self, interior_point):
+        infeasible = _two_variable_lp([1.0, 0.0], [1.0, 0.0], 2.0)
+        solution = solve_compiled(infeasible, interior_point=interior_point)
+        assert solution.status is LPStatus.INFEASIBLE
+
+
+class TestPrivateHighsApi:
+    """Every member of scipy's private ``_highspy._core`` that ``solve_compiled`` uses.
+
+    The module is not public API, so a scipy release that renames or drops
+    one of these fails here rather than inside a design.
+    """
+
+    def test_module_members(self):
+        for name in ("_Highs", "HighsLp", "HighsStatus", "HighsModelStatus", "HighsVarType"):
+            assert hasattr(_core, name), name
+        assert _core.kHighsInf == np.inf
+        assert hasattr(_core.MatrixFormat, "kColwise")
+        assert hasattr(_core.HighsStatus, "kError")
+        for status in (
+            "kOptimal",
+            "kInfeasible",
+            "kUnbounded",
+            "kTimeLimit",
+            "kIterationLimit",
+            "kModelError",
+        ):
+            assert hasattr(_core.HighsModelStatus, status), status
+        assert int(_core.HighsVarType(1)) == 1
+
+    def test_model_object_members(self):
+        highs = _core._Highs()
+        for method in (
+            "setOptionValue",
+            "getOptionValue",
+            "passModel",
+            "run",
+            "getModelStatus",
+            "getInfo",
+            "getSolution",
+            "modelStatusToString",
+        ):
+            assert callable(getattr(highs, method)), method
+        lp = _core.HighsLp()
+        for field in (
+            "num_col_",
+            "num_row_",
+            "col_cost_",
+            "col_lower_",
+            "col_upper_",
+            "row_lower_",
+            "row_upper_",
+            "integrality_",
+        ):
+            assert hasattr(lp, field), field
+        for field in ("format_", "num_col_", "num_row_", "start_", "index_", "value_"):
+            assert hasattr(lp.a_matrix_, field), field
+        info = highs.getInfo()
+        for field in ("objective_function_value", "mip_gap", "mip_dual_bound", "mip_node_count"):
+            assert hasattr(info, field), field
+        assert hasattr(highs.getSolution(), "col_value")
+
+    def test_options(self):
+        highs = _core._Highs()
+        # Crossover on by default keeps an interior-point answer a vertex.
+        assert highs.getOptionValue("run_crossover")[1] == "on"
+        assert highs.getOptionValue("large_matrix_value")[1] == LARGE_MATRIX_VALUE
+        ok = _core.HighsStatus.kOk
+        assert highs.setOptionValue("solver", "ipm") == ok
+        assert highs.getOptionValue("solver")[1] == "ipm"
+        assert highs.setOptionValue("output_flag", False) == ok
+        assert highs.setOptionValue("time_limit", 1.0) == ok
+        assert highs.setOptionValue("mip_rel_gap", 0.5) == ok
+
+
+def test_concurrent_solves_match_sequential_ones():
+    # Each call owns its HiGHS object, so two worker threads (as in
+    # DesignService) solving at once get the bits a lone caller gets.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.core.formulation import build_sparse_formulation
+    from repro.workloads import AsGeoConfig, generate_as_geo_problem
+
+    problems = [generate_as_geo_problem(AsGeoConfig(num_sinks=120), rng=s)[0] for s in range(2)]
+    jobs = [
+        (build_sparse_formulation(problem).compiled, method)
+        for problem in problems
+        for method in (False, True)
+    ]
+    expected = [solve_compiled(lp, interior_point=method).values for lp, method in jobs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(solve_compiled, lp, interior_point=method) for lp, method in jobs]
+        got = [future.result(timeout=60).values for future in futures]
+    assert all(np.array_equal(a, b) for a, b in zip(expected, got))

@@ -959,3 +959,67 @@ def test_non_finite_cost_is_named(request, problem, tmp_path, capsys, front, val
     _design_fails_naming(
         request, tmp_path, capsys, front, document, f"{entity}: cost must be finite, got {value}"
     )
+
+
+@pytest.mark.parametrize("front", ["cli", "http"])
+def test_fanout_highs_would_refuse_is_named(request, problem, tmp_path, capsys, front):
+    document = json.loads(json.dumps(request_to_dict(DesignRequest(problem=problem))))
+    reflector = document["problem"]["reflectors"][0]
+    reflector["fanout"] = 10**30
+    message = f"reflector {reflector['name']!r}: fanout must be below 1e+15, got {10**30}"
+    _design_fails_naming(request, tmp_path, capsys, front, document, message)
+
+
+#: (id, table, field, value, message) of problem entries the reader names.
+MISNAMED_ENTRIES = [
+    (
+        "string-cost",
+        "reflectors",
+        "cost",
+        "5",
+        "problem.reflectors[0].cost must be a number, got str",
+    ),
+    (
+        "string-loss",
+        "stream_edges",
+        "loss_probability",
+        "low",
+        "problem.stream_edges[0].loss_probability must be a number, got str",
+    ),
+    (
+        "unknown-reflector",
+        "stream_edges",
+        "reflector",
+        "zz",
+        "problem.stream_edges[0].reflector: unknown reflector 'zz'",
+    ),
+    (
+        "unknown-sink",
+        "delivery_edges",
+        "sink",
+        "zz",
+        "problem.delivery_edges[0].sink: unknown sink 'zz'",
+    ),
+    ("unknown-stream", "demands", "stream", "zz", "problem.demands[0].stream: unknown stream 'zz'"),
+]
+
+
+@pytest.mark.parametrize("front", ["cli", "http"])
+@pytest.mark.parametrize(
+    "table,field,value,message",
+    [case[1:] for case in MISNAMED_ENTRIES],
+    ids=[case[0] for case in MISNAMED_ENTRIES],
+)
+def test_problem_reader_names_entry_and_field(
+    request, problem, tmp_path, capsys, front, table, field, value, message
+):
+    document = json.loads(json.dumps(request_to_dict(DesignRequest(problem=problem))))
+    document["problem"][table][0][field] = value
+    _design_fails_naming(request, tmp_path, capsys, front, document, message)
+
+
+@pytest.mark.parametrize("front", ["cli", "http"])
+def test_missing_problem_field_is_still_named(request, problem, tmp_path, capsys, front):
+    document = json.loads(json.dumps(request_to_dict(DesignRequest(problem=problem))))
+    del document["problem"]["stream_edges"][0]["reflector"]
+    _design_fails_naming(request, tmp_path, capsys, front, document, "'reflector'")

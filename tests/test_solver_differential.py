@@ -1,18 +1,25 @@
 """``solve_compiled`` against the ``linprog`` path it replaced, LP by LP.
 
 Every LP in the package used to be solved by ``scipy.optimize.linprog(...,
-method="highs")``; now one ``scipy.optimize.milp`` call solves them all.
-Both are public scipy entry points to the same HiGHS solver, so the old path
-needs no oracle copy: each test records the LPs a design hands to
-``solve_compiled`` -- the Section-2 relaxation, the Section-5 GAP flow LP and
-the Section-6.5 path LP -- and requires both calls to return the same status,
-the bit-identical primal vector and the identical objective.
+method="highs")``; now ``solve_compiled`` runs one HiGHS model object per LP,
+by simplex or, where the Section-2 formulation asks for it, by interior point
+with crossover.  ``linprog`` is a public scipy entry point to the same HiGHS
+solver, so the old path needs no oracle copy: each test records the LPs a
+design hands to ``solve_compiled`` -- the Section-2 relaxation, the Section-5
+GAP flow LP and the Section-6.5 path LP -- with the method each was solved
+by, and requires ``solve_compiled`` to return the same status, the
+bit-identical primal vector and the identical objective as ``linprog`` with
+``method="highs"`` (simplex LPs) or ``method="highs-ipm"`` (interior-point
+LPs).
 
 The corpus is the shapes the benchmarks and the goldens solve: ``spaa03`` on
-the three golden instances and on ``as_geo`` at 120 sinks, ``spaa03-extended``
-with the Section-6.4 colour constraints on ``as_geo`` 120 (seeds 0-2, which
-take the path rounding), and the shard LPs of ``sharded:spaa03`` on
-``internet_scale`` at 150 sinks.
+the three golden instances and on ``as_geo`` at 120 and 300 sinks (the
+latter is design-mono's shape), ``spaa03-extended`` with the Section-6.4
+colour constraints on ``as_geo`` 120 (seeds 0-2, which take the path
+rounding), ``spaa03`` on a random 150-sink, 20-reflector monolith, and the
+shard LPs of ``sharded:spaa03`` on ``internet_scale`` at 150 sinks.  The
+``as_geo`` 300 and random monoliths are large and fanout-loaded, so their
+Section-2 LPs take interior point; every other LP takes simplex.
 """
 
 from __future__ import annotations
@@ -32,8 +39,10 @@ from repro.lp import CompiledLP, LPStatus, solve_compiled
 from repro.workloads import (
     AsGeoConfig,
     InternetScaleConfig,
+    RandomInstanceConfig,
     generate_as_geo_problem,
     generate_internet_scale_problem,
+    random_problem,
 )
 
 #: The module whose ``solve_compiled`` lookup each LP kind goes through.
@@ -47,8 +56,8 @@ KIND_MODULES = {
 LINPROG_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 
 
-def _as_geo(seed: int):
-    return generate_as_geo_problem(AsGeoConfig(num_sinks=120), rng=seed)[0]
+def _as_geo(seed: int, num_sinks: int = 120):
+    return generate_as_geo_problem(AsGeoConfig(num_sinks=num_sinks), rng=seed)[0]
 
 
 def _golden(name: str) -> DesignRequest:
@@ -69,7 +78,16 @@ SOURCES = {
     "spaa03-as_geo-120": lambda: DesignRequest(
         problem=_as_geo(0), parameters=DesignParameters(seed=0)
     ),
+    "spaa03-as_geo-300": lambda: DesignRequest(
+        problem=_as_geo(0, num_sinks=300), parameters=DesignParameters(seed=0)
+    ),
     **{f"extended-as_geo-120-{seed}": (lambda seed=seed: _colored(seed)) for seed in range(3)},
+    "spaa03-random-150x20": lambda: DesignRequest(
+        problem=random_problem(
+            RandomInstanceConfig(num_streams=2, num_reflectors=20, num_sinks=150), rng=5
+        ),
+        parameters=DesignParameters(seed=0),
+    ),
     "sharded-internet_scale-150": lambda: DesignRequest(
         problem=generate_internet_scale_problem(InternetScaleConfig(num_sinks=150), rng=0)[0],
         parameters=DesignParameters(seed=0),
@@ -80,15 +98,15 @@ SOURCES = {
 
 
 @pytest.fixture(scope="module")
-def corpus() -> dict[str, list[tuple[str, CompiledLP]]]:
-    """Every ``(kind, CompiledLP)`` each source's design hands to the solver."""
-    calls: list[tuple[str, CompiledLP]] = []
+def corpus() -> dict[str, list[tuple[str, CompiledLP, bool]]]:
+    """Every ``(kind, CompiledLP, interior_point)`` each source's design solves."""
+    calls: list[tuple[str, CompiledLP, bool]] = []
     by_source = {}
     with pytest.MonkeyPatch.context() as patch:
         for kind, module in KIND_MODULES.items():
 
             def recording(compiled, *args, _kind=kind, **kwargs):
-                calls.append((_kind, compiled))
+                calls.append((_kind, compiled, kwargs.get("interior_point", False)))
                 return solve_compiled(compiled, *args, **kwargs)
 
             patch.setattr(module, "solve_compiled", recording)
@@ -99,7 +117,7 @@ def corpus() -> dict[str, list[tuple[str, CompiledLP]]]:
     return by_source
 
 
-def _linprog(compiled: CompiledLP):
+def _linprog(compiled: CompiledLP, interior_point: bool):
     """The deleted solve path: ``linprog`` with HiGHS on the same matrices."""
     return linprog(
         c=compiled.c,
@@ -108,26 +126,33 @@ def _linprog(compiled: CompiledLP):
         A_eq=compiled.A_eq,
         b_eq=compiled.b_eq,
         bounds=compiled.bounds,
-        method="highs",
+        method="highs-ipm" if interior_point else "highs",
     )
 
 
 @pytest.mark.parametrize("source", list(SOURCES))
-def test_milp_matches_linprog_bit_for_bit(corpus, source):
+def test_solve_matches_linprog_bit_for_bit(corpus, source):
     assert corpus[source], f"{source} solved no LP"
-    for index, (kind, compiled) in enumerate(corpus[source]):
-        where = f"{source} LP {index} ({kind}, {len(compiled.c)} columns)"
-        solution = solve_compiled(compiled)
-        reference = _linprog(compiled)
+    for index, (kind, compiled, interior_point) in enumerate(corpus[source]):
+        method = "ipm" if interior_point else "simplex"
+        where = f"{source} LP {index} ({kind}, {method}, {len(compiled.c)} columns)"
+        solution = solve_compiled(compiled, interior_point=interior_point)
+        reference = _linprog(compiled, interior_point)
         assert solution.status is LINPROG_STATUS[reference.status], where
         assert np.array_equal(solution.values, reference.x), where
         objective = compiled.objective_sign * float(reference.fun) + compiled.objective_constant
         assert solution.objective == objective, where
 
 
-def test_corpus_holds_every_kind_of_lp(corpus):
+def test_corpus_holds_every_kind_of_lp_and_both_methods(corpus):
     counts = {kind: 0 for kind in KIND_MODULES}
+    section2_methods = set()
     for lps in corpus.values():
-        for kind, _compiled in lps:
+        for kind, _compiled, interior_point in lps:
             counts[kind] += 1
+            if kind == "section-2":
+                section2_methods.add(interior_point)
     assert all(counts.values()), counts
+    # The rule sends some Section-2 LPs to interior point and keeps others on
+    # simplex; forcing it either way empties one side.
+    assert section2_methods == {False, True}
