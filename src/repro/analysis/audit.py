@@ -11,9 +11,13 @@ integration test suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.algorithm import DesignReport
+from repro.core.index import builtin_sums, problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 
@@ -55,31 +59,44 @@ class SolutionAudit:
 
 
 def audit_solution(problem: OverlayDesignProblem, solution: OverlaySolution) -> SolutionAudit:
-    """Measure all constraint violations of an integral design."""
+    """Measure all constraint violations of an integral design against ``problem``.
+
+    One pass over the assignments against the problem's index
+    (:func:`repro.core.index.problem_index`) gives every demand's weight
+    fraction, the unserved count and the colour violations; one count gives
+    the fanout loads and, when the problem declares arc capacities, the arc
+    loads.
+    """
     audit = SolutionAudit()
+    assignments = solution.assignments
+    index = problem_index(problem)
+    lists = [assignments.get(key, ()) for key in index.keys]
+    entries = index.entries(index.keys, lists)
+    delivered = builtin_sums(
+        entries.segment, index.candidate_weight[entries.position], index.num_demands
+    )
+    audit.weight_fraction = dict(zip(index.keys, index.weight_fractions(delivered).tolist()))
+    served = np.bincount(entries.segment, minlength=index.num_demands)
+    audit.unserved_demands = int(np.count_nonzero(served == 0))
+    colour = index.color[entries.reflector]
+    coloured = colour >= 0
+    pairs = entries.segment[coloured] * len(index.colors) + colour[coloured]
+    _groups, copies = np.unique(pairs, return_counts=True)
+    audit.color_violations = int(np.count_nonzero(copies > 1))
 
-    for demand in problem.demands:
-        audit.weight_fraction[demand.key] = solution.weight_satisfaction(demand)
-    audit.unserved_demands = len(solution.unserved_demands())
+    for reflector, used in solution.fanout_loads().items():
+        audit.fanout_factor[reflector] = used / problem.fanout(reflector)
 
-    used_reflectors = {
-        reflector for reflectors in solution.assignments.values() for reflector in reflectors
-    }
-    for reflector in used_reflectors:
-        audit.fanout_factor[reflector] = solution.fanout_factor(reflector)
-
-    audit.color_violations = len(solution.color_violations())
-
-    for reflector, sink in problem.delivery_links():
-        capacity = problem.arc_capacity(reflector, sink)
-        if capacity is None:
-            continue
-        used = sum(
-            1
-            for (demand_sink, _stream), reflectors in solution.assignments.items()
-            if demand_sink == sink and reflector in reflectors
+    capacities = problem.arc_capacities()
+    if capacities:
+        # A demand counts once on an arc, however often its list names the reflector.
+        arc_load = Counter(
+            (reflector, sink)
+            for (sink, _stream), reflectors in assignments.items()
+            for reflector in set(reflectors)
         )
-        audit.arc_capacity_factor[(reflector, sink)] = used / capacity
+        for arc, capacity in capacities.items():
+            audit.arc_capacity_factor[arc] = arc_load[arc] / capacity
     return audit
 
 

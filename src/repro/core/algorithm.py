@@ -23,14 +23,19 @@ consumes), the Section-7 repair pass and the LP-only lower bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.audit import SolutionAudit
 
 from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.gap import GapResult
+from repro.core.index import problem_index
 from repro.core.lp_solution import FractionalSolution, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
 from repro.core.rounding import RoundingAudit, RoundingParameters
@@ -172,43 +177,40 @@ def repair_weight_shortfalls(
     practical heuristic layered on top of the approximation algorithm that the
     paper's Section 7 anticipates; the approximation guarantee is unaffected
     because assignments are only ever added within the already-allowed fanout
-    slack.
+    slack.  A demand's delivered weight is summed over its assignment list in
+    list order, with weights and costs from the problem's index.
     """
-    assignments = {key: list(reflectors) for key, reflectors in solution.assignments.items()}
-    load: dict[str, int] = {}
-    for reflectors in assignments.values():
-        for reflector in reflectors:
-            load[reflector] = load.get(reflector, 0) + 1
+    index = problem_index(problem)
+    rows = index.rows
+    # Lists are copied when changed, never changed in place.
+    assignments = dict(solution.assignments)
+    load = Counter(chain.from_iterable(assignments.values()))
 
     def capacity_left(reflector: str) -> float:
-        return fanout_slack * problem.fanout(reflector) - load.get(reflector, 0)
+        return fanout_slack * problem.fanout(reflector) - load[reflector]
 
-    for demand in problem.demands:
-        key = demand.key
-        required = problem.demand_weight(demand)
+    # A demand's list changes only on its own turn, so every demand's weight
+    # can be summed up front (in list order) and only the short ones visited.
+    delivered = index.delivered(index.keys, [assignments.get(key, ()) for key in index.keys])
+    short = np.flatnonzero(delivered < index.demand_weight - 1e-12)
+    for demand, total in zip(short.tolist(), delivered[short].tolist()):
+        key = index.keys[demand]
+        required = rows.required[demand]
         current = set(assignments.get(key, []))
-        delivered = sum(problem.edge_weight(demand, r) for r in current)
-        if delivered >= required - 1e-12:
-            continue
         candidates = [
-            reflector
-            for reflector in problem.candidate_reflectors(demand)
+            (reflector, position)
+            for position, reflector in enumerate(index.candidates(demand), rows.pointer[demand])
             if reflector not in current and capacity_left(reflector) >= 1.0
         ]
         # Cheapest additional cost per unit of weight first.
-        candidates.sort(
-            key=lambda r: (
-                problem.assignment_cost(demand, r)
-                / max(problem.edge_weight(demand, r), 1e-12)
-            )
-        )
-        for reflector in candidates:
-            if delivered >= required - 1e-12:
+        candidates.sort(key=lambda item: rows.cost[item[1]] / max(rows.weight[item[1]], 1e-12))
+        for reflector, position in candidates:
+            if total >= required - 1e-12:
                 break
-            assignments.setdefault(key, []).append(reflector)
+            assignments[key] = [*assignments.get(key, []), reflector]
             current.add(reflector)
-            load[reflector] = load.get(reflector, 0) + 1
-            delivered += problem.edge_weight(demand, reflector)
+            load[reflector] += 1
+            total += rows.weight[position]
 
     repaired = OverlaySolution.from_assignments(problem, assignments, metadata=dict(solution.metadata))
     repaired.metadata["repaired"] = True

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.index import problem_index
 from repro.core.lp_solution import AssignmentKey, FractionalSolution
 from repro.core.problem import OverlayDesignProblem
 from repro.core.weights import MAX_WEIGHT, MIN_FAILURE_PROBABILITY
@@ -171,10 +172,12 @@ def build_sparse_formulation(
     variable exists only for (reflector, demand) pairs where both the stream
     edge and the delivery edge exist, and a ``y`` variable only for existing
     stream edges.  This matches the paper's tripartite digraph and keeps the
-    LP at ``O(|S|·|R|·|D|)`` size.  The ``x`` support is the nonzero set of a
-    ``(demands, reflectors)`` boolean mask, and each constraint family --
-    (1), (2), (3), (4), (5) and the Section-6 blocks -- is emitted as a
-    single coordinate block.
+    LP at ``O(|S|·|R|·|D|)`` size.  The ``x`` support is the candidate CSR of
+    the problem's index (:func:`repro.core.index.problem_index`): by demand,
+    then by reflector, the row-major nonzero order of the ``(demands,
+    reflectors)`` candidate mask.  The LP keeps its own ``np.log`` weights.
+    Each constraint family -- (1), (2), (3), (4), (5) and the Section-6
+    blocks -- is emitted as a single coordinate block.
 
     Raises ``ValueError`` naming the reflector, stream edge or delivery edge
     behind the first column whose cost is NaN or infinite, or the first
@@ -185,44 +188,21 @@ def build_sparse_formulation(
 
     builder = SparseLPBuilder(name=f"{problem.name}-lp", objective_sense=Objective.MINIMIZE)
 
-    # Instance arrays --------------------------------------------------------
-    reflectors = problem.reflectors
-    streams = problem.streams
-    sinks = problem.sinks
-    demands = problem.demands
-    n_reflectors, n_streams, n_sinks = len(reflectors), len(streams), len(sinks)
-    s_index = {name: i for i, name in enumerate(streams)}
-    k_index = {name: i for i, name in enumerate(sinks)}
+    # Instance arrays, from the problem's index ------------------------------
+    index = problem_index(problem)
+    reflectors, streams, sinks = index.reflectors, index.streams, index.sinks
+    demands = index.demands
+    n_reflectors, n_streams = len(reflectors), len(streams)
 
     infos = [problem.reflector_info(name) for name in reflectors]
     reflector_cost = np.array([info.cost for info in infos])
-    fanout = np.array([float(info.fanout) for info in infos])
+    fanout = index.fanout
 
     edges = problem.stream_edges()
-    r_index = {name: i for i, name in enumerate(reflectors)}
-    se_stream = np.array([s_index[e.stream] for e in edges], dtype=np.int64)
-    se_reflector = np.array([r_index[e.reflector] for e in edges], dtype=np.int64)
-    se_loss = np.array([e.loss_probability for e in edges])
+    se_reflector = index.edge_reflector
     se_cost = np.array([e.cost for e in edges])
     n_edges = len(edges)
-    stream_ok = np.zeros((n_streams, n_reflectors), dtype=bool)
-    stream_ok[se_stream, se_reflector] = True
-    se_pos = np.full((n_streams, n_reflectors), -1, dtype=np.int64)
-    se_pos[se_stream, se_reflector] = np.arange(n_edges)
 
-    links = problem.delivery_link_data()
-    dl_reflector = np.array([r_index[r] for r, _k, _l, _c in links], dtype=np.int64)
-    dl_sink = np.array([k_index[k] for _r, k, _l, _c in links], dtype=np.int64)
-    dl_loss = np.array([loss for _r, _k, loss, _c in links])
-    dl_cost = np.array([cost for _r, _k, _l, cost in links])
-    n_links = len(links)
-    deliv_ok = np.zeros((n_reflectors, n_sinks), dtype=bool)
-    deliv_ok[dl_reflector, dl_sink] = True
-    dl_pos = np.full((n_reflectors, n_sinks), -1, dtype=np.int64)
-    dl_pos[dl_reflector, dl_sink] = np.arange(n_links)
-
-    d_sink = np.array([k_index[d.sink] for d in demands], dtype=np.int64)
-    d_stream = np.array([s_index[d.stream] for d in demands], dtype=np.int64)
     d_threshold = np.array([d.success_threshold for d in demands])
     # W_kj = -log(1 - Phi), clamped exactly like weights.threshold_to_weight.
     d_failure = 1.0 - d_threshold
@@ -232,18 +212,17 @@ def build_sparse_formulation(
         np.minimum(MAX_WEIGHT, -np.log(np.maximum(d_failure, MIN_FAILURE_PROBABILITY))),
     )
 
-    # x support: (demand, reflector) pairs with both edges present -----------
-    support = stream_ok[d_stream] & deliv_ok[:, d_sink].T  # (demands, reflectors)
-    xd, xr = np.nonzero(support)
-    x_stream = d_stream[xd]
-    x_sink = d_sink[xd]
-    x_link = dl_pos[xr, x_sink]
-    x_edge = se_pos[x_stream, xr]
+    # x support: every demand's candidates, demand-major and by reflector ----
+    xd, xr = index.candidate_demand, index.candidate_reflector
+    x_stream = index.demand_stream[xd]
+    x_sink = index.demand_sink[xd]
+    x_link = index.candidate_link
+    x_edge = index.candidate_edge
     n_x = xd.size
 
     # w_kij: serial loss rule + log transform, capped at W_kj ----------------
-    p1 = se_loss[x_edge]
-    p2 = dl_loss[x_link]
+    p1 = index.edge_loss[x_edge]
+    p2 = index.link_loss[x_link]
     q = p1 + p2 - p1 * p2
     cap = np.minimum(MAX_WEIGHT, demand_weight[xd])
     x_weight = np.where(
@@ -253,17 +232,7 @@ def build_sparse_formulation(
     )
 
     # c^k_ij: per-link base cost with optional per-stream overrides ----------
-    x_cost = dl_cost[x_link].copy()
-    overrides = problem.delivery_stream_cost_overrides()
-    if overrides:
-        override_table = np.full((n_links, n_streams), np.nan)
-        for (reflector, sink), per_stream in overrides.items():
-            link = dl_pos[r_index[reflector], k_index[sink]]
-            for stream, cost in per_stream.items():
-                override_table[link, s_index[stream]] = cost
-        override_cost = override_table[x_link, x_stream]
-        overridden = ~np.isnan(override_cost)
-        x_cost[overridden] = override_cost[overridden]
+    x_cost = index.candidate_cost
 
     # Variables: z, then y, then x -------------------------------------------
     z_cols = builder.add_variables(n_reflectors, 0.0, 1.0, name="z")
@@ -322,7 +291,7 @@ def build_sparse_formulation(
         used_pairs, pair_row = np.unique(pair_key, return_inverse=True)
         pair_reflector = used_pairs // n_streams
         pair_stream = used_pairs % n_streams
-        pair_edge = se_pos[pair_stream, pair_reflector]  # always >= 0 on the support
+        pair_edge = index.stream_edge[pair_stream, pair_reflector]  # >= 0 on the support
         n_pair_rows = used_pairs.size
         builder.add_block(
             "(4) fanout vs y",
@@ -362,9 +331,7 @@ def build_sparse_formulation(
 
     # Section 6.3: arc capacities (7') -----------------------------------------
     if options.use_arc_capacities:
-        link_cap = np.full(n_links, np.nan)
-        for (reflector, sink), capacity in problem.arc_capacities().items():
-            link_cap[dl_pos[r_index[reflector], k_index[sink]]] = capacity
+        link_cap = index.link_capacity
         capped = ~np.isnan(link_cap[x_link])
         if capped.any():
             used, row = np.unique(x_link[capped], return_inverse=True)
@@ -379,14 +346,10 @@ def build_sparse_formulation(
 
     # Section 6.4: color constraints (9) ----------------------------------------
     if options.use_color_constraints:
-        color_groups = problem.colors()
-        color_of = np.full(n_reflectors, -1, dtype=np.int64)
-        for color_id, members in enumerate(color_groups.values()):
-            for member in members:
-                color_of[r_index[member]] = color_id
+        color_of = index.color
         colored = color_of[xr] >= 0
         if colored.any():
-            group_key = xd[colored] * np.int64(len(color_groups)) + color_of[xr[colored]]
+            group_key = xd[colored] * np.int64(len(index.colors)) + color_of[xr[colored]]
             groups, row = np.unique(group_key, return_inverse=True)
             counts = np.bincount(row)
             # A single member can never exceed one copy.
@@ -434,9 +397,6 @@ def build_sparse_formulation(
         stats=stats,
         z_keys=list(reflectors),
         y_keys=[(edge.stream, edge.reflector) for edge in edges],
-        x_keys=[
-            (reflectors[r], (sinks[k], streams[s]))
-            for r, k, s in zip(xr.tolist(), x_sink.tolist(), x_stream.tolist())
-        ],
+        x_keys=[(reflectors[r], index.keys[d]) for r, d in zip(xr.tolist(), xd.tolist())],
         options=options,
     )

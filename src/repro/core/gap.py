@@ -61,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from repro.core.index import problem_index
 from repro.core.lp_solution import AssignmentKey, RoundedSolution
 from repro.core.problem import Demand, OverlayDesignProblem
 from repro.lp import CompiledLP, LPStatus, solve_compiled
@@ -250,17 +251,18 @@ def build_gap_network(
         pair_of.append(p)
         box_of.append(b)
 
-    demand_lookup = {demand.key: demand for demand in problem.demands}
+    index = problem_index(problem)
+    rows = index.rows
     num_nodes = 2 + len(reflector_node)
     pairs: list[AssignmentKey] = []
     boxes: list[WeightBox] = []
     for demand_key, support in by_demand.items():
-        demand = demand_lookup[demand_key]
+        code = index.demand_code[demand_key]
+        positions = {reflector: index.position(code, reflector) for reflector, _value in support}
         entries = [
-            (reflector, problem.edge_weight(demand, reflector), value)
-            for reflector, value in support
+            (reflector, rows.weight[positions[reflector]], value) for reflector, value in support
         ]
-        demand_boxes = build_boxes_for_demand(demand, entries, keep_degenerate_box)
+        demand_boxes = build_boxes_for_demand(index.demands[code], entries, keep_degenerate_box)
         if not demand_boxes:
             continue
         # Level 4/5: box nodes and their arcs to the super sink (1/2 doubled).
@@ -274,7 +276,7 @@ def build_gap_network(
             pair_node, p = num_nodes, len(pairs)
             num_nodes += 1
             pairs.append((reflector, demand_key))
-            unit_cost = problem.assignment_cost(demand, reflector) / 2.0
+            unit_cost = rows.cost[positions[reflector]] / 2.0
             add_arc(reflector_node[reflector], pair_node, 2.0, unit_cost, p, -1)
             for offset, box in enumerate(demand_boxes):
                 if box.contains(weight):

@@ -49,6 +49,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from repro.core.gap import WeightBox, build_boxes_for_demand
+from repro.core.index import problem_index
 from repro.core.lp_solution import AssignmentKey, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
 from repro.lp import CompiledLP, LPBuildStats, Sense, SparseLPBuilder, solve_compiled
@@ -160,25 +161,26 @@ def _enumerate_paths(
     keep_degenerate_box: bool,
 ) -> tuple[list[BoxPath], dict[tuple[str, str], list[WeightBox]]]:
     """All s->box paths implied by the rounded solution's support."""
-    demand_lookup = {demand.key: demand for demand in problem.demands}
+    index = problem_index(problem)
+    rows = index.rows
     by_demand: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
+    costs: dict[AssignmentKey, float] = {}
     for (reflector, demand_key), value in rounded.x.items():
         if value <= _MASS_TOL:
             continue
-        demand = demand_lookup[demand_key]
-        by_demand.setdefault(demand_key, []).append(
-            (reflector, problem.edge_weight(demand, reflector), value)
-        )
+        position = index.position(index.demand_code[demand_key], reflector)
+        costs[reflector, demand_key] = rows.cost[position]
+        by_demand.setdefault(demand_key, []).append((reflector, rows.weight[position], value))
 
     paths: list[BoxPath] = []
     boxes_by_demand: dict[tuple[str, str], list[WeightBox]] = {}
     for demand_key, entries in by_demand.items():
-        demand = demand_lookup[demand_key]
+        demand = index.demands[index.demand_code[demand_key]]
         boxes = build_boxes_for_demand(demand, entries, keep_degenerate_box)
         boxes_by_demand[demand_key] = boxes
         for reflector, weight, _value in entries:
             key: AssignmentKey = (reflector, demand_key)
-            cost = problem.assignment_cost(demand, reflector)
+            cost = costs[key]
             for box in boxes:
                 if box.contains(weight):
                     paths.append(

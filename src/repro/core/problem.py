@@ -27,6 +27,9 @@ import numbers
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
+import numpy as np
+
+from repro.core.index import ProblemIndex, builtin_sums, problem_index
 from repro.core.weights import (
     edge_weight,
     path_failure_probability,
@@ -132,10 +135,12 @@ class OverlayDesignProblem:
     1
     """
 
-    #: Memo of :func:`repro.core.serialization.problem_digest`.  The content
-    #: changes only through the ``add_*`` methods, and each one clears it.
-    #: Pickles and copies leave it out, so they digest their own content.
+    #: Memos of :func:`repro.core.serialization.problem_digest` and
+    #: :func:`repro.core.index.problem_index`.  The content changes only
+    #: through the ``add_*`` methods, and each one clears both.  Pickles and
+    #: copies leave them out, so they digest and index their own content.
     _digest: str | None = None
+    _index: ProblemIndex | None = None
 
     def __init__(self, name: str = "overlay-design") -> None:
         self.name = name
@@ -160,6 +165,7 @@ class OverlayDesignProblem:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_digest", None)
+        state.pop("_index", None)
         return state
 
     # --------------------------------------------------------------- building
@@ -170,6 +176,7 @@ class OverlayDesignProblem:
         base formulation treats every stream as one unit of fanout.
         """
         self._digest = None
+        self._index = None
         if stream in self._stream_set:
             raise ValueError(f"stream {stream!r} already exists")
         if bandwidth <= 0:
@@ -193,6 +200,7 @@ class OverlayDesignProblem:
         streams delivered to the reflector (Section 6.2, constraint (8)).
         """
         self._digest = None
+        self._index = None
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
         if cost < 0:
@@ -215,6 +223,7 @@ class OverlayDesignProblem:
     def add_sink(self, sink: str) -> None:
         """Register a sink (edgeserver)."""
         self._digest = None
+        self._index = None
         if sink in self._sink_set:
             raise ValueError(f"sink {sink!r} already exists")
         self._sinks.append(sink)
@@ -225,6 +234,7 @@ class OverlayDesignProblem:
     ) -> None:
         """Add the source->reflector edge for ``stream`` (at most one per pair)."""
         self._digest = None
+        self._index = None
         self._require_stream(stream)
         self._require_reflector(reflector)
         _check_probability(loss_probability)
@@ -253,6 +263,7 @@ class OverlayDesignProblem:
         constraint (7')).
         """
         self._digest = None
+        self._index = None
         self._require_reflector(reflector)
         self._require_sink(sink)
         _check_probability(loss_probability)
@@ -279,6 +290,7 @@ class OverlayDesignProblem:
     def add_demand(self, sink: str, stream: str, success_threshold: float) -> None:
         """Require ``sink`` to receive ``stream`` with success probability >= threshold."""
         self._digest = None
+        self._index = None
         self._require_sink(sink)
         self._require_stream(stream)
         if not 0.0 < success_threshold < 1.0:
@@ -480,12 +492,13 @@ class OverlayDesignProblem:
             raise ValueError("problem has no sinks")
         if not self._demands:
             raise ValueError("problem has no demands")
-        for demand in self._demands:
-            if not self.candidate_reflectors(demand):
-                raise ValueError(
-                    f"demand {demand.key} has no candidate reflectors "
-                    "(missing stream edge or delivery edge)"
-                )
+        index = problem_index(self)
+        unreachable = np.flatnonzero(np.diff(index.candidate_ptr) == 0)
+        if unreachable.size:
+            raise ValueError(
+                f"demand {index.keys[unreachable[0]]} has no candidate reflectors "
+                "(missing stream edge or delivery edge)"
+            )
 
     def feasibility_report(self) -> list[FeasibilityIssue]:
         """Demands whose weight requirement cannot be met even using all reflectors.
@@ -494,21 +507,20 @@ class OverlayDesignProblem:
         fanout contention); callers can use it to produce actionable error
         messages before running the full algorithm.
         """
-        issues: list[FeasibilityIssue] = []
-        for demand in self._demands:
-            required = self.demand_weight(demand)
-            candidates = self.candidate_reflectors(demand)
-            available = sum(self.edge_weight(demand, reflector) for reflector in candidates)
-            if available + 1e-12 < required:
-                issues.append(
-                    FeasibilityIssue(
-                        demand=demand,
-                        required_weight=required,
-                        available_weight=available,
-                        reachable_reflectors=len(candidates),
-                    )
-                )
-        return issues
+        index = problem_index(self)
+        reachable = np.diff(index.candidate_ptr)
+        available = builtin_sums(index.candidate_demand, index.candidate_weight, index.num_demands)
+        short = np.flatnonzero(available + 1e-12 < index.demand_weight)
+        return [
+            FeasibilityIssue(
+                demand=index.demands[d],
+                required_weight=float(index.demand_weight[d]),
+                # sum() over no candidates is the int 0.
+                available_weight=float(available[d]) if reachable[d] else 0,
+                reachable_reflectors=int(reachable[d]),
+            )
+            for d in short.tolist()
+        ]
 
     def size_signature(self) -> tuple[int, int, int]:
         """(|S|, |R|, n) -- the quantities the paper's running time is stated in."""

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.concentration import multiplier_for_failure_probability
+from repro.core.index import problem_index
 from repro.core.lp_solution import AssignmentKey, FractionalSolution, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
 
@@ -223,21 +224,19 @@ def audit_rounding(
     is summed in ``x`` order, as :meth:`RoundedSolution.delivered_weight`
     sums it.
     """
-    demands = {demand.key: demand for demand in problem.demands}
+    index = problem_index(problem)
+    rows = index.rows
     delivered: dict[tuple[str, str], float] = {}
     load: dict[str, float] = {}
     for (reflector, key), value in rounded.x.items():
         load[reflector] = load.get(reflector, 0.0) + value
         if value > 0:
-            weight = problem.edge_weight(demands[key], reflector)
+            weight = rows.weight[index.position(index.demand_code[key], reflector)]
             delivered[key] = delivered.get(key, 0.0) + value * weight
 
     weight_fraction: dict[tuple[str, str], float] = {}
-    for demand in problem.demands:
-        required = problem.demand_weight(demand)
-        weight_fraction[demand.key] = (
-            delivered.get(demand.key, 0.0) / required if required > 0 else 1.0
-        )
+    for key, required in zip(index.keys, rows.required):
+        weight_fraction[key] = delivered.get(key, 0.0) / required if required > 0 else 1.0
 
     fanout_factor: dict[str, float] = {}
     for reflector, used in load.items():

@@ -15,9 +15,12 @@ benchmarks (C1) and the packet-level simulation uniform.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
+from repro.core.index import problem_index
 from repro.core.problem import Demand, OverlayDesignProblem
 from repro.core.weights import combined_failure_probability, success_from_weight
 
@@ -65,8 +68,7 @@ class OverlaySolution:
         """
         normalized: dict[tuple[str, str], list[str]] = {}
         if isinstance(assignments, Mapping):
-            for demand_key, reflectors in assignments.items():
-                normalized[demand_key] = sorted(set(reflectors))
+            normalized = {key: sorted(set(reflectors)) for key, reflectors in assignments.items()}
         else:
             for reflector, demand_key in assignments:
                 normalized.setdefault(demand_key, [])
@@ -75,16 +77,14 @@ class OverlaySolution:
             for demand_key in normalized:
                 normalized[demand_key] = sorted(normalized[demand_key])
 
-        built: set[str] = set()
-        deliveries: set[tuple[str, str]] = set()
-        for (sink, stream), reflectors in normalized.items():
-            for reflector in reflectors:
-                built.add(reflector)
-                deliveries.add((stream, reflector))
         return cls(
             problem=problem,
-            built_reflectors=built,
-            stream_deliveries=deliveries,
+            built_reflectors=set(chain.from_iterable(normalized.values())),
+            stream_deliveries={
+                (stream, reflector)
+                for (_sink, stream), reflectors in normalized.items()
+                for reflector in reflectors
+            },
             assignments=normalized,
             metadata=metadata or {},
         )
@@ -119,11 +119,17 @@ class OverlaySolution:
         return list(self.assignments.get(demand.key, []))
 
     def delivered_weight(self, demand: Demand) -> float:
-        """LHS of constraint (5): total (capped) weight delivered to the demand."""
-        return sum(
-            self.problem.edge_weight(demand, reflector)
-            for reflector in self.reflectors_serving(demand)
-        )
+        """LHS of constraint (5): total (capped) weight delivered to the demand.
+
+        Reads the weights from the problem's index; a demand that is not the
+        problem's own (another threshold, or no demand of it) is weighed by
+        the scalar path.
+        """
+        reflectors = self.assignments.get(demand.key, ())
+        weights = problem_index(self.problem).scalar_weights(demand, reflectors)
+        if weights is None:
+            weights = [self.problem.edge_weight(demand, reflector) for reflector in reflectors]
+        return sum(weights)
 
     def failure_probability(self, demand: Demand) -> float:
         """Exact probability that a packet reaches the sink along *no* path.
@@ -157,24 +163,23 @@ class OverlaySolution:
         return success_from_weight(self.delivered_weight(demand))
 
     # ----------------------------------------------------------------- fanout
+    def fanout_loads(self) -> Counter[str]:
+        """Assignments per reflector, counted in one pass (the fanout rows' LHS)."""
+        return Counter(chain.from_iterable(self.assignments.values()))
+
     def fanout_used(self, reflector: str) -> int:
         """Number of assignments routed through ``reflector``."""
-        return sum(
-            1
-            for reflectors in self.assignments.values()
-            for r in reflectors
-            if r == reflector
-        )
+        return self.fanout_loads()[reflector]
 
     def fanout_factor(self, reflector: str) -> float:
         """Fanout used / fanout bound (> 1 means the bound is violated)."""
         return self.fanout_used(reflector) / self.problem.fanout(reflector)
 
     def max_fanout_factor(self) -> float:
-        used = {r for reflectors in self.assignments.values() for r in reflectors}
-        if not used:
+        loads = self.fanout_loads()
+        if not loads:
             return 0.0
-        return max(self.fanout_factor(reflector) for reflector in used)
+        return max(used / self.problem.fanout(reflector) for reflector, used in loads.items())
 
     def bandwidth_used(self, reflector: str) -> float:
         """Bandwidth-weighted load (Section 6.1) routed through ``reflector``."""

@@ -35,8 +35,8 @@ from repro.incremental.delta import (
     DeliveryEdgeSpec,
     ProblemDelta,
     SinkAttachment,
+    SinkRows,
     apply_delta,
-    sink_attachment,
 )
 from repro.simulation.failures import (
     FailureSchedule,
@@ -64,28 +64,6 @@ class SinkChurnConfig:
 def _combine_loss(old: float, severity: float) -> float:
     """Stack an extra loss fraction onto a link's base loss, capped."""
     return min(MAX_LOSS, 1.0 - (1.0 - old) * (1.0 - severity))
-
-
-def _delivery_specs_by_sink(
-    problem: OverlayDesignProblem,
-) -> dict[str, list[tuple[str, DeliveryEdgeSpec]]]:
-    overrides = problem.delivery_stream_cost_overrides()
-    capacities = problem.arc_capacities()
-    by_sink: dict[str, list[tuple[str, DeliveryEdgeSpec]]] = {}
-    for reflector, sink, loss, base_cost in problem.delivery_link_data():
-        key = (reflector, sink)
-        by_sink.setdefault(sink, []).append(
-            (
-                reflector,
-                DeliveryEdgeSpec(
-                    loss_probability=loss,
-                    cost=base_cost,
-                    stream_costs=tuple(sorted((overrides.get(key) or {}).items())),
-                    capacity=capacities.get(key),
-                ),
-            )
-        )
-    return by_sink
 
 
 def ensure_feasible(
@@ -179,12 +157,9 @@ def sample_sink_churn(
     ) if leaves else []
     survivors = [sink for sink in pool if sink not in set(leaving)]
 
-    delivery_by_sink = _delivery_specs_by_sink(problem)
+    rows = SinkRows(problem)
     existing = set(problem.sinks)
     sinks_added: dict[str, SinkAttachment] = {}
-    demands_by_sink: dict[str, list] = {}
-    for demand in problem.demands:
-        demands_by_sink.setdefault(demand.sink, []).append(demand)
     for index in range(joins):
         template = str(rng.choice(survivors or pool))
         cluster = template.split("-", 1)[0]
@@ -193,7 +168,7 @@ def sample_sink_churn(
             name = f"{name}x"
         existing.add(name)
         delivery = []
-        for reflector, spec in delivery_by_sink.get(template, []):
+        for reflector, spec in rows.delivery.get(template, []):
             factor = float(rng.uniform(1.0 - config.loss_jitter, 1.0 + config.loss_jitter))
             delivery.append(
                 (
@@ -206,17 +181,12 @@ def sample_sink_churn(
                     ),
                 )
             )
-        demands = tuple(
-            sorted(
-                (demand.stream, demand.success_threshold)
-                for demand in demands_by_sink.get(template, [])
-            )
-        )
         sinks_added[name] = SinkAttachment(
-            delivery=tuple(sorted(delivery)), demands=demands
+            delivery=tuple(sorted(delivery)),
+            demands=tuple(sorted(rows.demands.get(template, ()))),
         )
 
-    sinks_removed = {sink: sink_attachment(problem, sink) for sink in leaving}
+    sinks_removed = {sink: rows.attachment(sink) for sink in leaving}
     delta = ProblemDelta(sinks_added=sinks_added, sinks_removed=sinks_removed)
     return ensure_feasible(problem, delta)
 
@@ -248,23 +218,24 @@ def delta_from_failure_schedule(
     # Per delivery link, the total extra loss fraction to stack.
     extra: dict[tuple[str, str], float] = {}
     removed_sinks: list[str] = []
+    rows = SinkRows(problem)
+    reflector_links: dict[str, list[tuple[str, str]]] = {}
+    for key in rows.specs:
+        reflector_links.setdefault(key[0], []).append(key)
+
+    def stack(keys: list[tuple[str, str]], severity: float) -> None:
+        for key in keys:
+            extra[key] = 1.0 - (1.0 - extra.get(key, 0.0)) * (1.0 - severity)
 
     def hit_reflector(reflector: str, severity: float) -> None:
-        for r, s in problem.delivery_links():
-            if r == reflector:
-                key = (r, s)
-                extra[key] = 1.0 - (1.0 - extra.get(key, 0.0)) * (1.0 - severity)
+        stack(reflector_links.get(reflector, []), severity)
 
     for event in schedule.events:
         if event.kind == "link_congestion":
             target = event.target
             if target in sinks:
-                for r, s in problem.delivery_links():
-                    if s == target:
-                        key = (r, s)
-                        extra[key] = 1.0 - (1.0 - extra.get(key, 0.0)) * (
-                            1.0 - event.severity
-                        )
+                links = [(reflector, target) for reflector, _spec in rows.delivery.get(target, [])]
+                stack(links, event.severity)
             elif target in reflectors:
                 hit_reflector(target, event.severity)
         elif event.kind in ("reflector_crash", "node_outage"):
@@ -278,16 +249,11 @@ def delta_from_failure_schedule(
                     hit_reflector(reflector, 1.0)
 
     removed = set(removed_sinks)
-    specs = {
-        (r, s): spec
-        for s, entries in _delivery_specs_by_sink(problem).items()
-        for r, spec in entries
-    }
     delivery_changed = {}
     for key, severity in sorted(extra.items()):
         if key[1] in removed:
             continue
-        before = specs[key]
+        before = rows.specs[key]
         after = DeliveryEdgeSpec(
             loss_probability=_combine_loss(before.loss_probability, severity),
             cost=before.cost,
@@ -297,7 +263,7 @@ def delta_from_failure_schedule(
         if after != before:
             delivery_changed[key] = (before, after)
     return ProblemDelta(
-        sinks_removed={sink: sink_attachment(problem, sink) for sink in sorted(removed)},
+        sinks_removed={sink: rows.attachment(sink) for sink in sorted(removed)},
         delivery_changed=delivery_changed,
     )
 

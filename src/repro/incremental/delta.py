@@ -155,29 +155,46 @@ def _demand_thresholds(problem: OverlayDesignProblem) -> dict[DemandKey, float]:
     return {demand.key: demand.success_threshold for demand in problem.demands}
 
 
-def sink_attachment(
-    problem: OverlayDesignProblem,
-    sink: str,
-    delivery_specs: Mapping[LinkKey, DeliveryEdgeSpec] | None = None,
-) -> SinkAttachment:
-    """Capture ``sink``'s full attachment (edges + demands) from ``problem``."""
-    if delivery_specs is None:
-        delivery_specs = _delivery_specs(problem)
-    delivery = tuple(
-        sorted(
-            (reflector, spec)
-            for (reflector, edge_sink), spec in delivery_specs.items()
-            if edge_sink == sink
+class SinkRows:
+    """A problem's delivery specs and demands grouped by sink, from one pass each.
+
+    ``specs`` maps every link to its spec; ``delivery[sink]`` lists
+    ``(reflector, spec)`` in link insertion order and ``demands[sink]`` lists
+    ``(stream, threshold)`` in demand order, so an attachment reads only its
+    own sink's rows.  Build one per problem and ask it for every sink that
+    needs an attachment.
+    """
+
+    def __init__(
+        self,
+        problem: OverlayDesignProblem,
+        specs: dict[LinkKey, DeliveryEdgeSpec] | None = None,
+    ) -> None:
+        self.specs = _delivery_specs(problem) if specs is None else specs
+        self.delivery: dict[str, list[tuple[str, DeliveryEdgeSpec]]] = {}
+        for (reflector, sink), spec in self.specs.items():
+            self.delivery.setdefault(sink, []).append((reflector, spec))
+        self.demands: dict[str, list[tuple[str, float]]] = {}
+        for demand in problem.demands:
+            self.demands.setdefault(demand.sink, []).append(
+                (demand.stream, demand.success_threshold)
+            )
+
+    def attachment(self, sink: str) -> SinkAttachment:
+        """``sink``'s full attachment (edges + demands), in sorted order."""
+        return SinkAttachment(
+            delivery=tuple(sorted(self.delivery.get(sink, ()))),
+            demands=tuple(sorted(self.demands.get(sink, ()))),
         )
-    )
-    demands = tuple(
-        sorted(
-            (demand.stream, demand.success_threshold)
-            for demand in problem.demands
-            if demand.sink == sink
-        )
-    )
-    return SinkAttachment(delivery=delivery, demands=demands)
+
+
+def sink_attachment(problem: OverlayDesignProblem, sink: str) -> SinkAttachment:
+    """Capture ``sink``'s full attachment (edges + demands) from ``problem``.
+
+    Each call groups the whole problem; for several sinks build one
+    :class:`SinkRows` and ask it for each.
+    """
+    return SinkRows(problem).attachment(sink)
 
 
 def diff_problems(
@@ -213,14 +230,10 @@ def diff_problems(
     old_sinks, new_sinks = set(old.sinks), set(new.sinks)
     old_delivery = _delivery_specs(old)
     new_delivery = _delivery_specs(new)
-    sinks_added = {
-        sink: sink_attachment(new, sink, new_delivery)
-        for sink in sorted(new_sinks - old_sinks)
-    }
-    sinks_removed = {
-        sink: sink_attachment(old, sink, old_delivery)
-        for sink in sorted(old_sinks - new_sinks)
-    }
+    new_rows = SinkRows(new, new_delivery)
+    sinks_added = {sink: new_rows.attachment(sink) for sink in sorted(new_sinks - old_sinks)}
+    old_rows = SinkRows(old, old_delivery)
+    sinks_removed = {sink: old_rows.attachment(sink) for sink in sorted(old_sinks - new_sinks)}
     surviving = old_sinks & new_sinks
 
     delivery_changed: dict[LinkKey, tuple[DeliveryEdgeSpec | None, DeliveryEdgeSpec | None]] = {}
@@ -613,6 +626,7 @@ __all__ = [
     "DeliveryEdgeSpec",
     "ProblemDelta",
     "SinkAttachment",
+    "SinkRows",
     "StreamEdgeSpec",
     "apply_delta",
     "delta_from_dict",

@@ -29,12 +29,15 @@ delta model), and dirty-shard fractions above ``full_redesign_threshold``
 from __future__ import annotations
 
 import time
+from collections import Counter
+from itertools import chain
 from typing import Mapping
 
 from repro.analysis.audit import audit_solution
 from repro.api.registry import RegisteredDesigner, get_designer
 from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
+from repro.core.index import problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 from repro.incremental.delta import ProblemDelta, diff_problems
@@ -239,7 +242,7 @@ def design_incremental(
 
     # Demands the standing design never served must be re-solved too: there
     # is no assignment to carry over, whatever the delta says.
-    new_keys = {demand.key for demand in new_problem.demands}
+    new_keys = problem_index(new_problem).demand_code
     extra = {key for key in new_keys if key not in standing_assignments}
     # Departing sinks strand build amortization: a reflector that loses a
     # third or more of its standing load may no longer be worth building at all,
@@ -248,13 +251,14 @@ def design_incremental(
     # reflector removed load, so the rule stays monotone in the delta.)
     if delta.sinks_removed:
         removed_sinks = set(delta.sinks_removed)
-        standing_load: dict[str, int] = {}
-        removed_load: dict[str, int] = {}
-        for (key_sink, _stream), reflectors in standing_assignments.items():
-            for reflector in reflectors:
-                standing_load[reflector] = standing_load.get(reflector, 0) + 1
-                if key_sink in removed_sinks:
-                    removed_load[reflector] = removed_load.get(reflector, 0) + 1
+        standing_load = Counter(chain.from_iterable(standing_assignments.values()))
+        removed_load = Counter(
+            chain.from_iterable(
+                reflectors
+                for (sink, _stream), reflectors in standing_assignments.items()
+                if sink in removed_sinks
+            )
+        )
         stranded_reflectors = {
             reflector
             for reflector, lost in removed_load.items()
@@ -264,8 +268,7 @@ def design_incremental(
             extra.update(
                 key
                 for key, reflectors in standing_assignments.items()
-                if key in new_keys
-                and any(r in stranded_reflectors for r in reflectors)
+                if key in new_keys and not stranded_reflectors.isdisjoint(reflectors)
             )
     impact = analyze_impact(delta, new_problem, plan, extra_affected=extra)
 
@@ -312,10 +315,7 @@ def design_incremental(
         }
         if not fixed:
             return shard.problem, {}
-        fixed_load: dict[str, int] = {}
-        for reflectors in fixed.values():
-            for reflector in reflectors:
-                fixed_load[reflector] = fixed_load.get(reflector, 0) + 1
+        fixed_load = Counter(chain.from_iterable(fixed.values()))
         affected_in_shard = [key for key in shard.demand_keys if key in affected]
         residual = extract_shard_problem(
             new_problem,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.index import problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.incremental.delta import DemandKey, ProblemDelta
 from repro.scale.partition import PartitionPlan
@@ -62,26 +63,30 @@ def affected_demand_keys(
     delta: ProblemDelta, new_problem: OverlayDesignProblem
 ) -> frozenset[DemandKey]:
     """Demand keys of ``new_problem`` whose designs the delta may invalidate."""
-    demands_by_sink: dict[str, list[DemandKey]] = {}
-    for demand in new_problem.demands:
-        demands_by_sink.setdefault(demand.sink, []).append(demand.key)
-    demand_keys = {demand.key for demand in new_problem.demands}
-    sinks_by_reflector: dict[str, set[str]] = {}
-    for reflector, sink in new_problem.delivery_links():
-        sinks_by_reflector.setdefault(reflector, set()).add(sink)
+    index = problem_index(new_problem)
+
+    def sink_demands(sink: str) -> list[DemandKey]:
+        code = index.sink_code.get(sink)
+        if code is None:
+            return []
+        rows = index.sink_demands[index.sink_demand_ptr[code] : index.sink_demand_ptr[code + 1]]
+        return [index.keys[demand] for demand in rows.tolist()]
 
     affected: set[DemandKey] = set()
     for sink in delta.sinks_added:
-        affected.update(demands_by_sink.get(sink, []))
-    for (_reflector, sink) in delta.delivery_changed:
-        affected.update(demands_by_sink.get(sink, []))
-    for (stream, reflector) in delta.stream_edges_changed:
-        for sink in sinks_by_reflector.get(reflector, ()):
-            key = (sink, stream)
-            if key in demand_keys:
+        affected.update(sink_demands(sink))
+    for sink in {sink for _reflector, sink in delta.delivery_changed}:
+        affected.update(sink_demands(sink))
+    for stream, reflector in delta.stream_edges_changed:
+        code = index.reflector_code.get(reflector)
+        if code is None:
+            continue
+        for sink in index.link_sink[index.link_reflector == code].tolist():
+            key = (index.sinks[sink], stream)
+            if key in index.demand_code:
                 affected.add(key)
     for key in delta.demands_changed:
-        if key in demand_keys:
+        if key in index.demand_code:
             affected.add(key)
     return frozenset(affected)
 

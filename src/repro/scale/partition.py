@@ -33,10 +33,13 @@ Built-in partitioners:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Mapping
 
+import numpy as np
+
+from repro.core.index import problem_index
 from repro.core.problem import OverlayDesignProblem
 
 #: Hard ceiling on ``--shards auto`` (beyond this, per-shard overheads win).
@@ -83,22 +86,25 @@ def _metro_groups(problem: OverlayDesignProblem) -> dict[str, list[str]]:
 
 
 def _isp_groups(problem: OverlayDesignProblem) -> dict[str, list[str]]:
-    candidate_colors: dict[str, Counter] = {}
-    for demand in problem.demands:
-        counter = candidate_colors.setdefault(demand.sink, Counter())
-        for reflector in problem.candidate_reflectors(demand):
-            color = problem.color(reflector)
-            if color is not None:
-                counter[str(color)] += 1
+    index = problem_index(problem)
+    # Colours count by label, so two colours with one str() are one group.
+    labels = sorted({str(color) for color in index.colors})
+    label_code = {label: code for code, label in enumerate(labels)}
+    label_of = np.array([label_code[str(color)] for color in index.colors], dtype=np.int64)
+    colour = index.color[index.candidate_reflector]
+    coloured = colour >= 0
+    sink = index.demand_sink[index.candidate_demand[coloured]]
+    pairs, counts = np.unique(sink * len(labels) + label_of[colour[coloured]], return_counts=True)
+    pair_sink, pair_label = np.divmod(pairs, max(len(labels), 1))
+    # Modal label per sink; deterministic tie-break by label.
+    order = np.lexsort((pair_label, -counts, pair_sink))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = pair_sink[order][1:] != pair_sink[order][:-1]
+    modal = dict(zip(pair_sink[order][first].tolist(), pair_label[order][first].tolist()))
     groups: dict[str, list[str]] = {}
-    for sink in problem.sinks:
-        counter = candidate_colors.get(sink)
-        if counter:
-            # Modal color; deterministic tie-break by label.
-            label = min(counter, key=lambda c: (-counter[c], c))
-        else:
-            label = "uncolored"
-        groups.setdefault(label, []).append(sink)
+    for code, sink_name in enumerate(index.sinks):
+        label = labels[modal[code]] if code in modal else "uncolored"
+        groups.setdefault(label, []).append(sink_name)
     return groups
 
 
@@ -263,7 +269,6 @@ def extract_shard_problem(
     problem: OverlayDesignProblem,
     sinks: list[str],
     name: str,
-    delivery_by_sink: Mapping[str, list[tuple[str, float, float]]] | None = None,
     demand_keys: set[tuple[str, str]] | None = None,
     fanout_overrides: Mapping[str, int] | None = None,
     reflector_cost_overrides: Mapping[str, float] | None = None,
@@ -275,7 +280,9 @@ def extract_shard_problem(
     reflector of those demands (with its full cost/fanout/color/capacity),
     and exactly the edges connecting them; weights, costs and thresholds are
     copied verbatim, so a demand's feasible weight in the shard equals its
-    feasible weight in the full problem.
+    feasible weight in the full problem.  Demands, candidates and each
+    sink's links come from the problem's index, so extracting a shard never
+    rescans the whole link table.
 
     The override knobs serve the incremental engine's *residual* subproblems
     (:mod:`repro.incremental`): ``demand_keys`` restricts the subproblem to
@@ -286,33 +293,23 @@ def extract_shard_problem(
     the kept assignments already pay for -- sunk costs the warm-started
     re-solve should treat as free.
     """
-    sink_set = set(sinks)
-    demands = [d for d in problem.demands if d.sink in sink_set]
+    index = problem_index(problem)
+    in_shard = np.zeros(len(index.sinks), dtype=bool)
+    in_shard[[index.sink_code[sink] for sink in sinks if sink in index.sink_code]] = True
+    demands = np.flatnonzero(in_shard[index.demand_sink])
     if demand_keys is not None:
-        demands = [d for d in demands if d.key in demand_keys]
-    if delivery_by_sink is None:
-        delivery_by_sink = _delivery_index(problem)
-
-    reflectors: list[str] = []
-    seen_reflectors: set[str] = set()
-    streams: list[str] = []
-    seen_streams: set[str] = set()
-    for demand in demands:
-        if demand.stream not in seen_streams:
-            seen_streams.add(demand.stream)
-            streams.append(demand.stream)
-        for reflector in problem.candidate_reflectors(demand):
-            if reflector not in seen_reflectors:
-                seen_reflectors.add(reflector)
-                reflectors.append(reflector)
+        demands = demands[[index.keys[demand] in demand_keys for demand in demands.tolist()]]
+    chosen = np.zeros(index.num_demands, dtype=bool)
+    chosen[demands] = True
+    seen_streams = np.zeros(len(index.streams), dtype=bool)
+    seen_streams[index.demand_stream[demands]] = True
+    seen_reflectors = np.zeros(len(index.reflectors), dtype=bool)
+    seen_reflectors[index.candidate_reflector[chosen[index.candidate_demand]]] = True
 
     shard = OverlayDesignProblem(name=name)
-    for stream in problem.streams:
-        if stream in seen_streams:
-            shard.add_stream(stream, bandwidth=problem.stream_bandwidth(stream))
-    for reflector in problem.reflectors:
-        if reflector not in seen_reflectors:
-            continue
+    for stream in compress(index.streams, seen_streams):
+        shard.add_stream(stream, bandwidth=problem.stream_bandwidth(stream))
+    for reflector in compress(index.reflectors, seen_reflectors):
         info = problem.reflector_info(reflector)
         fanout = info.fanout
         if fanout_overrides is not None:
@@ -327,30 +324,34 @@ def extract_shard_problem(
             color=info.color,
             capacity=info.capacity,
         )
-    for sink in problem.sinks:
-        if sink in sink_set:
-            shard.add_sink(sink)
-    for edge in problem.stream_edges():
-        if edge.stream in seen_streams and edge.reflector in seen_reflectors:
-            edge_cost = edge.cost
-            if stream_edge_cost_overrides is not None:
-                edge_cost = stream_edge_cost_overrides.get(
-                    (edge.stream, edge.reflector), edge_cost
-                )
-            shard.add_stream_edge(
-                edge.stream, edge.reflector, edge.loss_probability, edge_cost
-            )
+    for sink in compress(index.sinks, in_shard):
+        shard.add_sink(sink)
+    edge_kept = seen_streams[index.edge_stream] & seen_reflectors[index.edge_reflector]
+    for edge in compress(problem.stream_edges(), edge_kept):
+        edge_cost = edge.cost
+        if stream_edge_cost_overrides is not None:
+            edge_cost = stream_edge_cost_overrides.get((edge.stream, edge.reflector), edge_cost)
+        shard.add_stream_edge(edge.stream, edge.reflector, edge.loss_probability, edge_cost)
     overrides = problem.delivery_stream_cost_overrides()
     for sink in sinks:
-        for reflector, loss, base_cost in delivery_by_sink.get(sink, []):
-            if reflector not in seen_reflectors:
-                continue
+        code = index.sink_code.get(sink)
+        if code is None:
+            continue
+        links = index.sink_links[index.sink_link_ptr[code] : index.sink_link_ptr[code + 1]]
+        links = links[seen_reflectors[index.link_reflector[links]]]
+        for reflector, loss, base_cost, capacity in zip(
+            index.link_reflector[links].tolist(),
+            index.link_loss[links].tolist(),
+            index.link_cost[links].tolist(),
+            index.link_capacity[links].tolist(),
+        ):
+            reflector = index.reflectors[reflector]
             stream_costs = overrides.get((reflector, sink))
             if stream_costs is not None:
                 stream_costs = {
                     stream: cost
                     for stream, cost in stream_costs.items()
-                    if stream in seen_streams
+                    if seen_streams[index.stream_code[stream]]
                 }
             shard.add_delivery_edge(
                 reflector,
@@ -358,21 +359,12 @@ def extract_shard_problem(
                 loss_probability=loss,
                 cost=base_cost,
                 stream_costs=stream_costs or None,
-                capacity=problem.arc_capacity(reflector, sink),
+                capacity=None if math.isnan(capacity) else capacity,
             )
-    for demand in demands:
-        shard.add_demand(demand.sink, demand.stream, demand.success_threshold)
+    for demand in demands.tolist():
+        sink, stream = index.keys[demand]
+        shard.add_demand(sink, stream, index.demands[demand].success_threshold)
     return shard
-
-
-def _delivery_index(
-    problem: OverlayDesignProblem,
-) -> dict[str, list[tuple[str, float, float]]]:
-    """Index delivery links by sink: ``sink -> [(reflector, loss, base_cost)]``."""
-    index: dict[str, list[tuple[str, float, float]]] = {}
-    for reflector, sink, loss, base_cost in problem.delivery_link_data():
-        index.setdefault(sink, []).append((reflector, loss, base_cost))
-    return index
 
 
 def _bind_layout(
@@ -384,27 +376,21 @@ def _bind_layout(
 ) -> PartitionPlan:
     """Bind a shard layout (``(shard_id, sinks)`` per shard) to ``problem``.
 
-    Per-shard demand keys come out in ``problem.demands`` order from one pass,
-    and each shard gets a subproblem factory over ``problem``, resolved now
-    when ``materialize`` is set.
+    Per-shard demand keys come out in ``problem.demands`` order from one pass
+    over the problem's index, and each shard gets a subproblem factory over
+    ``problem``, resolved now when ``materialize`` is set.
     """
-    delivery_by_sink = _delivery_index(problem)
     bin_of_sink = {sink: i for i, (_id, sinks) in enumerate(layout) for sink in sinks}
     demand_keys_by_bin: list[list[tuple[str, str]]] = [[] for _ in layout]
-    for demand in problem.demands:
-        demand_keys_by_bin[bin_of_sink[demand.sink]].append(demand.key)
+    for key in problem_index(problem).keys:
+        demand_keys_by_bin[bin_of_sink[key[0]]].append(key)
     plan = PartitionPlan(partitioner=partitioner, requested_shards=requested_shards)
     for index, (shard_id, sinks) in enumerate(layout):
 
         def factory(
             sinks: list[str] = sinks, shard_id: str = shard_id
         ) -> OverlayDesignProblem:
-            return extract_shard_problem(
-                problem,
-                sinks,
-                name=f"{problem.name}/{shard_id}",
-                delivery_by_sink=delivery_by_sink,
-            )
+            return extract_shard_problem(problem, sinks, name=f"{problem.name}/{shard_id}")
 
         shard = Shard(
             shard_id=shard_id,

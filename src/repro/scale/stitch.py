@@ -30,10 +30,15 @@ rests on this).  :class:`StitchReport` counts what it did.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.algorithm import repair_weight_shortfalls
+from repro.core.index import problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 from repro.scale.partition import PartitionPlan
@@ -66,13 +71,17 @@ class StitchReport:
         }
 
 
-def _load_counts(assignments: dict[tuple[str, str], list[str]]) -> dict[str, int]:
-    """Per-reflector assignment counts (the load the fanout bounds measure)."""
-    load: dict[str, int] = {}
-    for reflectors in assignments.values():
-        for reflector in reflectors:
-            load[reflector] = load.get(reflector, 0) + 1
-    return load
+def _allowed_load(
+    problem: OverlayDesignProblem, max_shard_load: dict[str, int], reflector: str
+) -> int:
+    return max(problem.fanout(reflector), max_shard_load.get(reflector, 0))
+
+
+def _overloaded(
+    problem: OverlayDesignProblem, load: Counter[str], max_shard_load: dict[str, int]
+) -> list[str]:
+    """Reflectors whose merged load exceeds both their bound and their worst shard, sorted."""
+    return sorted(r for r, used in load.items() if used > _allowed_load(problem, max_shard_load, r))
 
 
 def rebalance_fanout(
@@ -98,89 +107,81 @@ def rebalance_fanout(
 
     Whatever load cannot be shed this way is left in place (weight always
     wins over fanout, matching the paper's asymmetric guarantees) and counted
-    in ``report.unresolved_overloads``.
+    in ``report.unresolved_overloads``.  Weights and costs come from the
+    problem's index.
     """
-    assignments = {
-        key: list(reflectors) for key, reflectors in solution.assignments.items()
-    }
-    load = _load_counts(assignments)
-    serving_keys: dict[str, list[tuple[str, str]]] = {}
-    for key, reflectors in assignments.items():
-        for reflector in reflectors:
-            serving_keys.setdefault(reflector, []).append(key)
-
-    demands_by_key = {demand.key: demand for demand in problem.demands}
-    delivered: dict[tuple[str, str], float] = {}
-
-    def delivered_weight(key: tuple[str, str]) -> float:
-        if key not in delivered:
-            demand = demands_by_key[key]
-            delivered[key] = sum(
-                problem.edge_weight(demand, r) for r in assignments.get(key, [])
-            )
-        return delivered[key]
+    index = problem_index(problem)
+    rows = index.rows
+    # Lists are copied when changed, never changed in place.
+    assignments = dict(solution.assignments)
+    load = Counter(chain.from_iterable(assignments.values()))
 
     def allowed(reflector: str) -> int:
-        return max(problem.fanout(reflector), max_shard_load.get(reflector, 0))
+        return _allowed_load(problem, max_shard_load, reflector)
 
-    overloaded = sorted(
-        r for r, used in load.items() if used > allowed(r)
-    )
+    overloaded = _overloaded(problem, load, max_shard_load)
     report.overloaded_reflectors = len(overloaded)
+    # Only an overloaded reflector's serving keys are ever visited, and moves
+    # never target one that is still waiting its turn (it has no spare load).
+    serving_keys: dict[str, list[tuple[str, str]]] = {reflector: [] for reflector in overloaded}
+    for key, reflectors in assignments.items():
+        for reflector in reflectors:
+            if reflector in serving_keys:
+                serving_keys[reflector].append(key)
+    delivered: dict[tuple[str, str], float] = {}
+
     for reflector in overloaded:
-        serving = sorted(serving_keys[reflector])
-        for key in serving:
+        for key in sorted(serving_keys[reflector]):
             if load[reflector] <= allowed(reflector):
                 break
-            demand = demands_by_key[key]
-            weight_here = problem.edge_weight(demand, reflector)
-            required = problem.demand_weight(demand)
-            current = delivered_weight(key)
+            demand = index.demand_code[key]
+            weight_here = rows.weight[index.position(demand, reflector)]
+            required = rows.required[demand]
+            if key not in delivered:
+                delivered[key] = sum(
+                    rows.weight[index.position(demand, r)] for r in assignments[key]
+                )
+            current = delivered[key]
             # Redundant copy: dropping it keeps the demand satisfied.
             if current - weight_here >= required - 1e-12:
-                assignments[key].remove(reflector)
+                kept = list(assignments[key])
+                kept.remove(reflector)
+                assignments[key] = kept
                 load[reflector] -= 1
                 delivered[key] = current - weight_here
                 report.assignments_dropped += 1
                 continue
             # Otherwise try to move the copy to a spare candidate.
             floor = min(required, current) - 1e-12
+            first = rows.pointer[demand]
             alternatives = [
-                candidate
-                for candidate in problem.candidate_reflectors(demand)
+                (candidate, position)
+                for position, candidate in enumerate(index.candidates(demand), first)
                 if candidate != reflector
                 and candidate not in assignments[key]
-                and load.get(candidate, 0) < allowed(candidate)
-                and current
-                - weight_here
-                + problem.edge_weight(demand, candidate)
-                >= floor
+                and load[candidate] < allowed(candidate)
+                and current - weight_here + rows.weight[position] >= floor
             ]
             if not alternatives:
                 continue
-            alternatives.sort(
-                key=lambda r: (
-                    problem.assignment_cost(demand, r)
-                    / max(problem.edge_weight(demand, r), 1e-12),
-                    r,
-                )
+            target, position = min(
+                alternatives,
+                key=lambda item: (
+                    rows.cost[item[1]] / max(rows.weight[item[1]], 1e-12),
+                    item[0],
+                ),
             )
-            target = alternatives[0]
-            assignments[key].remove(reflector)
-            assignments[key] = sorted([*assignments[key], target])
+            kept = list(assignments[key])
+            kept.remove(reflector)
+            assignments[key] = sorted([*kept, target])
             load[reflector] -= 1
-            load[target] = load.get(target, 0) + 1
-            serving_keys.setdefault(target, []).append(key)
-            delivered[key] = (
-                current - weight_here + problem.edge_weight(demand, target)
-            )
+            load[target] += 1
+            delivered[key] = current - weight_here + rows.weight[position]
             report.assignments_moved += 1
         if load[reflector] > allowed(reflector):
             report.unresolved_overloads += 1
 
-    return OverlaySolution.from_assignments(
-        problem, assignments, metadata=dict(solution.metadata)
-    )
+    return OverlaySolution.from_assignments(problem, assignments, metadata=dict(solution.metadata))
 
 
 def stitch_assignments(
@@ -205,29 +206,25 @@ def stitch_assignments(
             f"got {len(shard_assignments)} shard assignment maps "
             f"for {plan.num_shards} shards"
         )
-    demands_by_key = {demand.key: demand for demand in problem.demands}
+    index = problem_index(problem)
     report = StitchReport(num_shards=plan.num_shards)
     max_shard_load: dict[str, int] = {}
+    keys: list[tuple[str, str]] = []
+    lists: list[list[str]] = []
     for shard, assignments in zip(plan.shards, shard_assignments):
-        for reflector, used in _load_counts(assignments).items():
+        for reflector, used in Counter(chain.from_iterable(assignments.values())).items():
             report.shard_max_fanout_factor = max(
                 report.shard_max_fanout_factor, used / problem.fanout(reflector)
             )
             max_shard_load[reflector] = max(max_shard_load.get(reflector, 0), used)
-        for key in shard.demand_keys:
-            demand = demands_by_key[key]
-            required = problem.demand_weight(demand)
-            if required <= 0:
-                fraction = 1.0
-            else:
-                delivered = sum(
-                    problem.edge_weight(demand, reflector)
-                    for reflector in assignments.get(key, [])
-                )
-                fraction = delivered / required
-            report.shard_min_weight_fraction = min(
-                report.shard_min_weight_fraction, fraction
-            )
+        keys.extend(shard.demand_keys)
+        lists.extend(assignments.get(key, ()) for key in shard.demand_keys)
+    if keys:
+        # The worst shard's worst demand is the worst demand of all shards.
+        fractions = index.weight_fractions(index.delivered(keys, lists), index.demand_codes(keys))
+        report.shard_min_weight_fraction = min(
+            report.shard_min_weight_fraction, float(fractions.min())
+        )
 
     merged_assignments: dict[tuple[str, str], list[str]] = {}
     for assignments in shard_assignments:
@@ -236,25 +233,21 @@ def stitch_assignments(
                 raise ValueError(
                     f"demand {key} appears in more than one shard solution"
                 )
-            merged_assignments[key] = sorted(reflectors)
+            merged_assignments[key] = reflectors
     merged = OverlaySolution.from_assignments(
         problem, merged_assignments, metadata={"algorithm": "sharded-merge"}
     )
 
-    merged = rebalance_fanout(problem, merged, max_shard_load, report)
-    before = {
-        demand.key
-        for demand in problem.demands
-        if merged.weight_satisfaction(demand) < 1.0 - 1e-12
-    }
-    if before:
+    if _overloaded(problem, merged.fanout_loads(), max_shard_load):
+        merged = rebalance_fanout(problem, merged, max_shard_load, report)
+    short = np.flatnonzero(index.weight_satisfaction(merged.assignments) < 1.0 - 1e-12)
+    if short.size:
         merged = repair_weight_shortfalls(problem, merged, fanout_slack)
-        report.demands_repaired = sum(
-            1
-            for demand in problem.demands
-            if demand.key in before
-            and merged.weight_satisfaction(demand) >= 1.0 - 1e-12
-        )
+        short_keys = [index.keys[demand] for demand in short.tolist()]
+        lists = [merged.assignments.get(key, ()) for key in short_keys]
+        delivered = index.delivered(short_keys, lists)
+        met = index.weight_fractions(delivered, short) >= 1.0 - 1e-12
+        report.demands_repaired = int(np.count_nonzero(met))
     merged.metadata["algorithm"] = "sharded-stitch"
     return merged, report
 
