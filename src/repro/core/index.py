@@ -46,7 +46,7 @@ import numpy as np
 from repro.core.weights import MAX_WEIGHT, MIN_FAILURE_PROBABILITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.problem import Demand, OverlayDesignProblem
+    from repro.core.problem import OverlayDesignProblem
 
 DemandKey = tuple[str, str]
 
@@ -349,18 +349,6 @@ class ProblemIndex:
         """Every demand's delivered / required weight under ``assignments``, by code."""
         lists = [assignments.get(key, ()) for key in self.keys]
         return self.weight_fractions(self.delivered(self.keys, lists))
-
-    def scalar_weights(self, demand: Demand, reflectors: Sequence[str]) -> list[float] | None:
-        """The weights of ``reflectors`` for ``demand``, or ``None`` when the
-        demand is not the problem's own (its threshold sets another cap)."""
-        code = self.demand_code.get((demand.sink, demand.stream))
-        if code is None:
-            return None
-        own = self.demands[code]
-        if own is not demand and own != demand:
-            return None
-        weight = self.rows.weight
-        return [weight[self.position(code, reflector)] for reflector in reflectors]
 
 
 def problem_index(problem: OverlayDesignProblem) -> ProblemIndex:

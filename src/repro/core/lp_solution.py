@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.index import problem_index
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.problem import Demand, OverlayDesignProblem
 
@@ -98,16 +96,8 @@ class RoundedSolution:
 
     def delivered_weight(self, problem: "OverlayDesignProblem", demand: "Demand") -> float:
         """``sum_i x_bar * w`` for a demand (LHS of constraint (5) after rounding)."""
-        terms = [
-            (reflector, value)
-            for (reflector, key), value in self.x.items()
-            if key == demand.key and value > 0
-        ]
-        reflectors = [reflector for reflector, _value in terms]
-        weights = problem_index(problem).scalar_weights(demand, reflectors)
-        if weights is None:  # not one of the problem's demands: the scalar path
-            weights = [problem.edge_weight(demand, reflector) for reflector in reflectors]
         total = 0.0
-        for (_reflector, value), weight in zip(terms, weights):
-            total += value * weight
+        for (reflector, key), value in self.x.items():
+            if key == demand.key and value > 0:
+                total += value * problem.edge_weight(demand, reflector)
         return total

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
 
-from repro.core.index import problem_index
 from repro.core.problem import Demand, OverlayDesignProblem
 from repro.core.weights import combined_failure_probability, success_from_weight
 
@@ -119,17 +118,11 @@ class OverlaySolution:
         return list(self.assignments.get(demand.key, []))
 
     def delivered_weight(self, demand: Demand) -> float:
-        """LHS of constraint (5): total (capped) weight delivered to the demand.
-
-        Reads the weights from the problem's index; a demand that is not the
-        problem's own (another threshold, or no demand of it) is weighed by
-        the scalar path.
-        """
-        reflectors = self.assignments.get(demand.key, ())
-        weights = problem_index(self.problem).scalar_weights(demand, reflectors)
-        if weights is None:
-            weights = [self.problem.edge_weight(demand, reflector) for reflector in reflectors]
-        return sum(weights)
+        """LHS of constraint (5): total (capped) weight delivered to the demand."""
+        return sum(
+            self.problem.edge_weight(demand, reflector)
+            for reflector in self.reflectors_serving(demand)
+        )
 
     def failure_probability(self, demand: Demand) -> float:
         """Exact probability that a packet reaches the sink along *no* path.

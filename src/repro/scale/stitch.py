@@ -71,19 +71,6 @@ class StitchReport:
         }
 
 
-def _allowed_load(
-    problem: OverlayDesignProblem, max_shard_load: dict[str, int], reflector: str
-) -> int:
-    return max(problem.fanout(reflector), max_shard_load.get(reflector, 0))
-
-
-def _overloaded(
-    problem: OverlayDesignProblem, load: Counter[str], max_shard_load: dict[str, int]
-) -> list[str]:
-    """Reflectors whose merged load exceeds both their bound and their worst shard, sorted."""
-    return sorted(r for r, used in load.items() if used > _allowed_load(problem, max_shard_load, r))
-
-
 def rebalance_fanout(
     problem: OverlayDesignProblem,
     solution: OverlaySolution,
@@ -108,19 +95,22 @@ def rebalance_fanout(
     Whatever load cannot be shed this way is left in place (weight always
     wins over fanout, matching the paper's asymmetric guarantees) and counted
     in ``report.unresolved_overloads``.  Weights and costs come from the
-    problem's index.
+    problem's index.  When no reflector is overloaded, ``solution`` itself is
+    returned.
     """
+    load = solution.fanout_loads()
+
+    def allowed(reflector: str) -> int:
+        return max(problem.fanout(reflector), max_shard_load.get(reflector, 0))
+
+    overloaded = sorted(r for r, used in load.items() if used > allowed(r))
+    report.overloaded_reflectors = len(overloaded)
+    if not overloaded:
+        return solution
     index = problem_index(problem)
     rows = index.rows
     # Lists are copied when changed, never changed in place.
     assignments = dict(solution.assignments)
-    load = Counter(chain.from_iterable(assignments.values()))
-
-    def allowed(reflector: str) -> int:
-        return _allowed_load(problem, max_shard_load, reflector)
-
-    overloaded = _overloaded(problem, load, max_shard_load)
-    report.overloaded_reflectors = len(overloaded)
     # Only an overloaded reflector's serving keys are ever visited, and moves
     # never target one that is still waiting its turn (it has no spare load).
     serving_keys: dict[str, list[tuple[str, str]]] = {reflector: [] for reflector in overloaded}
@@ -238,8 +228,7 @@ def stitch_assignments(
         problem, merged_assignments, metadata={"algorithm": "sharded-merge"}
     )
 
-    if _overloaded(problem, merged.fanout_loads(), max_shard_load):
-        merged = rebalance_fanout(problem, merged, max_shard_load, report)
+    merged = rebalance_fanout(problem, merged, max_shard_load, report)
     short = np.flatnonzero(index.weight_satisfaction(merged.assignments) < 1.0 - 1e-12)
     if short.size:
         merged = repair_weight_shortfalls(problem, merged, fanout_slack)

@@ -2,7 +2,7 @@
 
 Every number the index holds must be the scalar path's number bit for bit:
 candidate lists, capped edge weights, delivery costs and demand weights, and
-the per-demand sums the index-backed accessors return.  A Hypothesis
+the per-demand sums the index returns.  A Hypothesis
 property draws problems with the edge cases of the weight transform --
 zero-loss hops (the weight is the cap), loss-1 hops (the weight is -0.0 or
 one ulp from it), thresholds at both ends of (0, 1) -- plus per-stream cost
@@ -207,17 +207,6 @@ def test_missing_candidates_raise_the_scalar_paths_errors():
             with pytest.raises(KeyError) as indexed:
                 call()
             assert indexed.value.args == scalar.value.args
-
-
-def test_foreign_demands_take_the_scalar_path():
-    problem = _long_demand_problem([0.1, 0.2, 0.3])
-    (demand,) = problem.demands
-    solution = OverlaySolution(problem, assignments={demand.key: ["r00", "r02"]})
-    other = type(demand)(demand.sink, demand.stream, 0.5)
-    assert solution.delivered_weight(other) == sum(
-        problem.edge_weight(other, reflector) for reflector in ("r00", "r02")
-    )
-    assert solution.delivered_weight(other) != solution.delivered_weight(demand)
 
 
 # ---------------------------------------------------------------------------
