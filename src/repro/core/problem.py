@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Hashable, Mapping
+from bisect import bisect_left, insort
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import Collection, Container, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -135,12 +137,17 @@ class OverlayDesignProblem:
     1
     """
 
-    #: Memos of :func:`repro.core.serialization.problem_digest` and
-    #: :func:`repro.core.index.problem_index`.  The content changes only
-    #: through the ``add_*`` methods, and each one clears both.  Pickles and
-    #: copies leave them out, so they digest and index their own content.
+    #: Memos of :func:`repro.core.serialization.problem_digest` (the hex and
+    #: the entry texts it hashes) and :func:`repro.core.index.problem_index`.
+    #: The content changes only through the ``add_*`` methods, and each one
+    #: clears them.  Pickles and copies leave them out, so they digest and
+    #: index their own content.
     _digest: str | None = None
+    _texts: object = None
     _index: ProblemIndex | None = None
+    #: True when every table is in canonical sorted order (:meth:`_patched`
+    #: builds them so); every ``add_*`` clears it.
+    _canonical: bool = False
 
     def __init__(self, name: str = "overlay-design") -> None:
         self.name = name
@@ -157,15 +164,14 @@ class OverlayDesignProblem:
         self._sink_reflectors: dict[str, list[str]] = {}
         self._reflector_order: dict[str, int] = {}
         self._delivery_stream_costs: dict[tuple[str, str], dict[str, float]] = {}
-        self._demands: list[Demand] = []
-        self._demand_keys: set[tuple[str, str]] = set()
+        self._demands: dict[tuple[str, str], Demand] = {}
         self._stream_bandwidth: dict[str, float] = {}
         self._arc_capacity: dict[tuple[str, str], float] = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_digest", None)
-        state.pop("_index", None)
+        for memo in ("_digest", "_texts", "_index"):
+            state.pop(memo, None)
         return state
 
     # --------------------------------------------------------------- building
@@ -175,8 +181,8 @@ class OverlayDesignProblem:
         ``bandwidth`` is only used by the Section 6.1 extension (``B^k``); the
         base formulation treats every stream as one unit of fanout.
         """
-        self._digest = None
-        self._index = None
+        self._digest = self._texts = self._index = None
+        self._canonical = False
         if stream in self._stream_set:
             raise ValueError(f"stream {stream!r} already exists")
         if bandwidth <= 0:
@@ -199,8 +205,8 @@ class OverlayDesignProblem:
         color-constraint extension; ``capacity`` bounds the number of distinct
         streams delivered to the reflector (Section 6.2, constraint (8)).
         """
-        self._digest = None
-        self._index = None
+        self._digest = self._texts = self._index = None
+        self._canonical = False
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
         if cost < 0:
@@ -222,8 +228,8 @@ class OverlayDesignProblem:
 
     def add_sink(self, sink: str) -> None:
         """Register a sink (edgeserver)."""
-        self._digest = None
-        self._index = None
+        self._digest = self._texts = self._index = None
+        self._canonical = False
         if sink in self._sink_set:
             raise ValueError(f"sink {sink!r} already exists")
         self._sinks.append(sink)
@@ -233,17 +239,12 @@ class OverlayDesignProblem:
         self, stream: str, reflector: str, loss_probability: float, cost: float
     ) -> None:
         """Add the source->reflector edge for ``stream`` (at most one per pair)."""
-        self._digest = None
-        self._index = None
-        self._require_stream(stream)
-        self._require_reflector(reflector)
-        _check_probability(loss_probability)
-        if cost < 0:
-            raise ValueError(f"edge cost must be non-negative, got {cost}")
-        key = (stream, reflector)
-        if key in self._stream_edges:
-            raise ValueError(f"stream edge {key} already exists")
-        self._stream_edges[key] = StreamEdge(stream, reflector, float(loss_probability), float(cost))
+        self._digest = self._texts = self._index = None
+        self._canonical = False
+        self._check_stream_edge(stream, reflector, loss_probability, cost, self._stream_edges)
+        self._stream_edges[stream, reflector] = StreamEdge(
+            stream, reflector, float(loss_probability), float(cost)
+        )
 
     def add_delivery_edge(
         self,
@@ -262,46 +263,25 @@ class OverlayDesignProblem:
         ``capacity`` bounds the number of streams on the link (Section 6.3,
         constraint (7')).
         """
-        self._digest = None
-        self._index = None
-        self._require_reflector(reflector)
-        self._require_sink(sink)
-        _check_probability(loss_probability)
-        if cost < 0:
-            raise ValueError(f"edge cost must be non-negative, got {cost}")
+        self._digest = self._texts = self._index = None
+        self._canonical = False
+        self._check_link(
+            reflector, sink, loss_probability, cost, stream_costs, capacity, self._delivery_links
+        )
         key = (reflector, sink)
-        if key in self._delivery_links:
-            raise ValueError(f"delivery edge {key} already exists")
         self._delivery_links[key] = (float(loss_probability), float(cost))
         self._sink_reflectors.setdefault(sink, []).append(reflector)
         if stream_costs:
-            for stream, stream_cost in stream_costs.items():
-                self._require_stream(stream)
-                if stream_cost < 0:
-                    raise ValueError("per-stream cost must be non-negative")
-            self._delivery_stream_costs[key] = {
-                stream: float(value) for stream, value in stream_costs.items()
-            }
+            self._delivery_stream_costs[key] = _float_values(stream_costs)
         if capacity is not None:
-            if capacity <= 0:
-                raise ValueError(f"arc capacity must be positive, got {capacity}")
             self._arc_capacity[key] = float(capacity)
 
     def add_demand(self, sink: str, stream: str, success_threshold: float) -> None:
         """Require ``sink`` to receive ``stream`` with success probability >= threshold."""
-        self._digest = None
-        self._index = None
-        self._require_sink(sink)
-        self._require_stream(stream)
-        if not 0.0 < success_threshold < 1.0:
-            raise ValueError(
-                f"success threshold must lie strictly between 0 and 1, got {success_threshold}"
-            )
-        key = (sink, stream)
-        if key in self._demand_keys:
-            raise ValueError(f"demand {key} already exists")
-        self._demand_keys.add(key)
-        self._demands.append(Demand(sink, stream, float(success_threshold)))
+        self._digest = self._texts = self._index = None
+        self._canonical = False
+        self._check_demand(sink, stream, success_threshold, self._demands)
+        self._demands[sink, stream] = Demand(sink, stream, float(success_threshold))
 
     # ----------------------------------------------------------------- access
     @property
@@ -318,7 +298,7 @@ class OverlayDesignProblem:
 
     @property
     def demands(self) -> list[Demand]:
-        return list(self._demands)
+        return list(self._demands.values())
 
     @property
     def num_streams(self) -> int:
@@ -539,6 +519,195 @@ class OverlayDesignProblem:
         if sink not in self._sink_set:
             raise KeyError(f"unknown sink {sink!r}")
 
+    # The add_* checks, shared with _patched: an entry's names and values,
+    # then that its key is not in ``existing`` yet (add_* passes its table).
+    def _check_stream_edge(
+        self,
+        stream: str,
+        reflector: str,
+        loss_probability: float,
+        cost: float,
+        existing: Container = (),
+    ) -> None:
+        self._require_stream(stream)
+        self._require_reflector(reflector)
+        _check_probability(loss_probability)
+        if cost < 0:
+            raise ValueError(f"edge cost must be non-negative, got {cost}")
+        if (stream, reflector) in existing:
+            raise ValueError(f"stream edge {(stream, reflector)} already exists")
+
+    def _check_link(
+        self,
+        reflector: str,
+        sink: str,
+        loss_probability: float,
+        cost: float,
+        stream_costs: Mapping[str, float] | None,
+        capacity: float | None,
+        existing: Container = (),
+    ) -> None:
+        self._require_reflector(reflector)
+        self._require_sink(sink)
+        _check_probability(loss_probability)
+        if cost < 0:
+            raise ValueError(f"edge cost must be non-negative, got {cost}")
+        if (reflector, sink) in existing:
+            raise ValueError(f"delivery edge {(reflector, sink)} already exists")
+        if stream_costs:
+            for stream, stream_cost in stream_costs.items():
+                self._require_stream(stream)
+                if stream_cost < 0:
+                    raise ValueError("per-stream cost must be non-negative")
+        if capacity is not None and capacity <= 0:
+            raise ValueError(f"arc capacity must be positive, got {capacity}")
+
+    def _check_demand(
+        self, sink: str, stream: str, success_threshold: float, existing: Container = ()
+    ) -> None:
+        self._require_sink(sink)
+        self._require_stream(stream)
+        if not 0.0 < success_threshold < 1.0:
+            raise ValueError(
+                f"success threshold must lie strictly between 0 and 1, got {success_threshold}"
+            )
+        if (sink, stream) in existing:
+            raise ValueError(f"demand {(sink, stream)} already exists")
+
+    # ------------------------------------------------------ per-entry patches
+    def _has_sink(self, sink: str) -> bool:
+        return sink in self._sink_set
+
+    def _link(self, key: tuple[str, str]) -> _LinkArguments | None:
+        """Link ``key``'s ``add_delivery_edge`` arguments after the names, or None."""
+        row = self._delivery_links.get(key)
+        if row is None:
+            return None
+        return (*row, self._delivery_stream_costs.get(key), self._arc_capacity.get(key))
+
+    def _demand(self, key: tuple[str, str]) -> Demand | None:
+        return self._demands.get(key)
+
+    def _patched(
+        self,
+        name: str,
+        *,
+        sinks_removed: Collection[str],
+        sinks_added: Collection[str],
+        stream_edges: Mapping[tuple[str, str], tuple[float, float] | None],
+        links: Mapping[tuple[str, str], _LinkArguments | None],
+        demands: Mapping[tuple[str, str], float | None],
+    ) -> OverlayDesignProblem:
+        """A copy of this problem with the named entries set (``None`` removes one).
+
+        The bulk constructor behind ``repro.incremental.apply_delta``.  Entries
+        are keyed as their ``add_*`` method names them and valued by that
+        method's remaining arguments.  The copy's tables are in canonical
+        sorted order, as adding every entry in sorted order would leave them
+        (only ``_sink_reflectors``' key order differs; it is read by key).
+        Given values pass the ``add_*`` checks in the order that rebuild
+        would meet them (stream edges, links, demands; each by key), so the
+        first bad one raises the same error; carried entries were checked
+        when they were added.  Removing a sink removes nothing else: a link
+        or demand of it that is not removed too stays, and fails its check.
+
+        Python work is per named entry, plus per reflector and per link
+        with per-stream costs; the rest are C-level table copies.  A parent
+        that is not canonical pays one sort of each table.  Mutable entries
+        (reflector records, per-stream cost dicts, per-sink lists) are copied.
+        """
+        canonical = self._canonical
+        child = OverlayDesignProblem(name)
+        streams = self._streams if canonical else sorted(self._streams)
+        child._streams = list(streams)
+        child._stream_set = set(streams)
+        child._stream_bandwidth = {stream: self._stream_bandwidth[stream] for stream in streams}
+        reflectors = self._reflectors if canonical else sorted(self._reflectors)
+        child._reflectors = {
+            reflector: replace(self._reflectors[reflector]) for reflector in reflectors
+        }
+        child._reflector_order = {reflector: at for at, reflector in enumerate(child._reflectors)}
+        sinks = self._sinks if canonical else sorted(self._sinks)
+        (child._sinks,) = _spliced([sinks], sinks_removed, [(sink,) for sink in sinks_added])
+        child._sink_set = self._sink_set.difference(sinks_removed).union(sinks_added)
+
+        for key in sorted(key for key, edge in stream_edges.items() if edge is not None):
+            child._check_stream_edge(*key, *stream_edges[key])
+        checked_links = {key: link for key, link in links.items() if link is not None}
+        checked_demands = {key: value for key, value in demands.items() if value is not None}
+        for sink in sinks_removed:
+            for reflector in self._sink_reflectors.get(sink, ()):
+                if (reflector, sink) not in links:
+                    checked_links[(reflector, sink)] = self._link((reflector, sink))
+            for stream in streams:
+                if (sink, stream) in self._demands and (sink, stream) not in demands:
+                    checked_demands[(sink, stream)] = self._demands[sink, stream].success_threshold
+        for key in sorted(checked_links):
+            child._check_link(*key, *checked_links[key])
+        for key in sorted(checked_demands):
+            child._check_demand(*key, checked_demands[key])
+
+        child._stream_edges = _merged(
+            self._stream_edges,
+            {
+                key: None if edge is None else StreamEdge(*key, float(edge[0]), float(edge[1]))
+                for key, edge in stream_edges.items()
+            },
+            canonical,
+        )
+        child._delivery_links = _merged(
+            self._delivery_links,
+            {
+                key: None if link is None else (float(link[0]), float(link[1]))
+                for key, link in links.items()
+            },
+            canonical,
+        )
+        child._delivery_stream_costs = _merged(
+            {key: dict(sorted(own.items())) for key, own in self._delivery_stream_costs.items()},
+            {
+                key: _float_values(link[2]) if link and link[2] else None
+                for key, link in links.items()
+            },
+            canonical,
+        )
+        child._arc_capacity = _merged(
+            self._arc_capacity,
+            {
+                key: None if link is None or link[3] is None else float(link[3])
+                for key, link in links.items()
+            },
+            canonical,
+        )
+        child._demands = _merged(
+            self._demands,
+            {
+                key: None if value is None else Demand(*key, float(value))
+                for key, value in demands.items()
+            },
+            canonical,
+        )
+
+        reflectors_of = dict(
+            zip(
+                self._sink_reflectors,
+                map(list if canonical else sorted, self._sink_reflectors.values()),
+            )
+        )
+        for sink in sinks_removed:
+            reflectors_of.pop(sink, None)
+        for (reflector, sink), link in links.items():
+            if (reflector, sink) not in self._delivery_links:
+                if link is not None:
+                    insort(reflectors_of.setdefault(sink, []), reflector)
+            elif link is None and sink in reflectors_of:
+                reflectors_of[sink].remove(reflector)
+                if not reflectors_of[sink]:
+                    del reflectors_of[sink]
+        child._sink_reflectors = reflectors_of
+        child._canonical = True
+        return child
+
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
             f"OverlayDesignProblem(name={self.name!r}, streams={self.num_streams}, "
@@ -547,6 +716,77 @@ class OverlayDesignProblem:
         )
 
 
+#: A link's ``add_delivery_edge`` arguments after its names:
+#: ``(loss_probability, cost, stream_costs, capacity)``.
+_LinkArguments = tuple[float, float, "Mapping[str, float] | None", "float | None"]
+
+
 def _check_probability(value: float) -> None:
     if not 0.0 <= value <= 1.0 or math.isnan(value):
         raise ValueError(f"loss probability must lie in [0, 1], got {value}")
+
+
+def _float_values(mapping: Mapping[str, float]) -> dict[str, float]:
+    return {key: float(value) for key, value in mapping.items()}
+
+
+def _spliced(columns: list[list], removed: Iterable, added: Iterable[tuple]) -> list[list] | None:
+    """Sorted rows less the ``removed`` keys and plus the ``added`` rows, still sorted.
+
+    ``columns[0]`` holds the rows' unique sort keys and each further column
+    one value per row; an ``added`` row holds one value per column.  Python
+    work is per changed row, the rest one C-level copy per column; the
+    result never shares a list with ``columns``.  ``None`` when a removed
+    key is absent.
+    """
+    keys = columns[0]
+    cuts = []
+    for key in sorted(removed):
+        at = bisect_left(keys, key)
+        if at == len(keys) or keys[at] != key:
+            return None
+        cuts.append(at)
+    added = sorted(added)
+    inserts = [bisect_left(keys, row[0]) for row in added]
+    spliced = []
+    for index, column in enumerate(columns):
+        out, start, next_cut = [], 0, 0
+        for at, row in zip(inserts, added):
+            while next_cut < len(cuts) and cuts[next_cut] < at:
+                out += column[start : cuts[next_cut]]
+                start = cuts[next_cut] + 1
+                next_cut += 1
+            out += column[start:at]
+            out.append(row[index])
+            start = at
+        for at in cuts[next_cut:]:
+            out += column[start:at]
+            start = at + 1
+        out += column[start:]
+        spliced.append(out)
+    return spliced
+
+
+def _merged(table: dict, changes: Mapping, ordered: bool) -> dict:
+    """A copy of ``table`` with ``changes`` set, keys in sorted order.
+
+    A change to ``None`` removes its key.  An ``ordered`` table (keys
+    already sorted) is copied with its hashes (C speed) and rebuilt in order
+    only when new keys come in; any other is sorted once.
+    """
+    merged = dict(table)
+    added = []
+    for key, value in changes.items():
+        if value is None:
+            merged.pop(key, None)
+        elif key in merged:
+            merged[key] = value
+        else:
+            added.append((key, value))
+    if not ordered:
+        merged.update(added)
+        return dict(sorted(merged.items(), key=itemgetter(0)))
+    if not added:
+        return merged
+    keys, values = _spliced([list(merged), list(merged.values())], (), added)
+    return dict(zip(keys, values))

@@ -18,9 +18,9 @@ import math
 import numbers
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.core.problem import OverlayDesignProblem
+from repro.core.problem import Demand, OverlayDesignProblem, StreamEdge, _spliced
 from repro.core.solution import OverlaySolution
 
 #: Format version written into every document; bump on breaking changes.
@@ -59,7 +59,7 @@ def _reflector_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
     ]
 
 
-def _stream_edge_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
+def _stream_edge_entries(edges: Iterable[StreamEdge]) -> list[dict[str, Any]]:
     return [
         {
             "stream": edge.stream,
@@ -67,12 +67,22 @@ def _stream_edge_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
             "loss_probability": edge.loss_probability,
             "cost": edge.cost,
         }
-        for edge in problem.stream_edges()
+        for edge in edges
     ]
 
 
 def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
-    """Encode a problem as a JSON-compatible dictionary."""
+    """Encode a problem as a JSON-compatible dictionary.
+
+    A delivery edge's ``cost`` is its cost for the stream with the smallest
+    name, and ``stream_costs`` lists the streams whose cost differs from it.
+    """
+    streams = problem.streams
+    reference = min(streams) if streams else None
+
+    def cost(reflector: str, sink: str, stream: str | None) -> float:
+        return problem.delivery_cost(reflector, sink, stream) if streams else 0.0
+
     return {
         "format_version": FORMAT_VERSION,
         "kind": "overlay-design-problem",
@@ -80,28 +90,22 @@ def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
         "streams": _stream_entries(problem),
         "reflectors": _reflector_entries(problem),
         "sinks": list(problem.sinks),
-        "stream_edges": _stream_edge_entries(problem),
+        "stream_edges": _stream_edge_entries(problem.stream_edges()),
         "delivery_edges": [
             {
                 "reflector": reflector,
                 "sink": sink,
                 "loss_probability": problem.delivery_loss(reflector, sink),
-                "cost": problem.delivery_cost(reflector, sink, problem.streams[0])
-                if problem.streams
-                else 0.0,
+                "cost": base,
                 "stream_costs": {
-                    stream: problem.delivery_cost(reflector, sink, stream)
-                    for stream in problem.streams
-                    if problem.delivery_cost(reflector, sink, stream)
-                    != (
-                        problem.delivery_cost(reflector, sink, problem.streams[0])
-                        if problem.streams
-                        else 0.0
-                    )
+                    stream: cost(reflector, sink, stream)
+                    for stream in streams
+                    if cost(reflector, sink, stream) != base
                 },
                 "capacity": problem.arc_capacity(reflector, sink),
             }
             for reflector, sink in problem.delivery_links()
+            for base in [cost(reflector, sink, reference)]
         ],
         "demands": [
             {
@@ -325,11 +329,6 @@ def _float_texts(values: Sequence[float]) -> list[str]:
     return json.dumps(list(map(round, values, repeat(9))))[1:-1].split(", ")
 
 
-def _sorted_texts(template: str, *columns) -> list[str]:
-    """Fill ``template`` once per row of ``columns``; the texts, sorted."""
-    return sorted(map(template.__mod__, zip(*columns)))
-
-
 # problem_to_dict's delivery-edge and demand entries and its document, keys
 # in sorted order (tests/test_digest.py holds them to the old encoder).
 _DELIVERY_EDGE = (
@@ -344,81 +343,212 @@ _PROBLEM = (
 )
 
 
-def _delivery_texts(
-    problem: OverlayDesignProblem, streams: list[str], names: dict[str, str]
-) -> list[str]:
-    """Sorted canonical texts of the delivery links, as problem_to_dict writes them.
+class _NameTexts(dict):
+    """Each name's JSON text, escaped once however often the name is used."""
 
-    A link's ``cost`` is its cost for the first stream and ``stream_costs``
-    lists the streams whose rounded cost differs from it (so a NaN cost lists
-    every stream).  problem_to_dict compares unrounded costs; comparing the
-    rounded ones keeps float noise out of the digest.  Only links with
+    def __missing__(self, name: Any) -> str:
+        text = self[name] = encode_basestring_ascii(name) if isinstance(name, str) else _text(name)
+        return text
+
+
+def _link_texts(
+    links: Sequence[tuple[str, str, float, float]],
+    streams: list[str],
+    names: dict[str, str],
+    overrides: dict[tuple[str, str], dict[str, float]],
+    capacities: dict[tuple[str, str], float],
+) -> Iterator[str]:
+    """Canonical texts of the links, as problem_to_dict writes them, in order.
+
+    ``links`` holds ``(reflector, sink, loss, base cost)`` rows.  A link's
+    ``cost`` is its cost for the smallest stream name and ``stream_costs``
+    lists the streams whose rounded cost differs from it (so a NaN cost
+    lists every stream).  problem_to_dict compares unrounded costs; comparing
+    the rounded ones keeps float noise out of the digest.  Only links with
     per-stream overrides, or a NaN cost, need that per-stream pass; the rest
     write their base cost and ``{}``.
     """
-    links = problem.delivery_link_data()
     if not links:
-        return []
+        return iter(())
     reflectors, sinks, losses, costs = zip(*links)
     stream_costs = ["{}"] * len(links)
     if not streams:
         costs = (0.0,) * len(links)
-    else:
-        overrides = problem.delivery_stream_cost_overrides()
-        if overrides or any(map(math.isnan, costs)):
-            costs = list(costs)
-            for index, (reflector, sink, _loss, base) in enumerate(links):
-                own = overrides.get((reflector, sink), {})
-                per_stream = {stream: own.get(stream, base) for stream in streams}
-                cost = costs[index] = per_stream[streams[0]]
-                differing = {
-                    k: v for k, v in per_stream.items() if round(v, 9) != round(cost, 9)
-                }
-                if differing:
-                    stream_costs[index] = _text(differing)
-    capacities = problem.arc_capacities()
+    elif overrides or any(map(math.isnan, costs)):
+        reference = min(streams)
+        costs = list(costs)
+        for index, (reflector, sink, _loss, base) in enumerate(links):
+            own = overrides.get((reflector, sink), {})
+            per_stream = {stream: own.get(stream, base) for stream in streams}
+            cost = costs[index] = per_stream[reference]
+            differing = {
+                k: v for k, v in per_stream.items() if round(v, 9) != round(cost, 9)
+            }
+            if differing:
+                stream_costs[index] = _text(differing)
     capacity_texts = (
         [_text(capacities.get(key)) for key in zip(reflectors, sinks)]
         if capacities
         else ["null"] * len(links)
     )
-    return _sorted_texts(
-        _DELIVERY_EDGE,
-        capacity_texts,
-        _float_texts(costs),
-        _float_texts(losses),
-        map(names.__getitem__, reflectors),
-        map(names.__getitem__, sinks),
-        stream_costs,
+    return map(
+        _DELIVERY_EDGE.__mod__,
+        zip(
+            capacity_texts,
+            _float_texts(costs),
+            _float_texts(losses),
+            map(names.__getitem__, reflectors),
+            map(names.__getitem__, sinks),
+            stream_costs,
+        ),
     )
 
 
+def _demand_texts(demands: list[Demand], names: dict[str, str]) -> Iterator[str]:
+    """Canonical texts of the demands, as problem_to_dict writes them, in order."""
+    return map(
+        _DEMAND.__mod__,
+        zip(
+            [names[demand.sink] for demand in demands],
+            [names[demand.stream] for demand in demands],
+            _float_texts([demand.success_threshold for demand in demands]),
+        ),
+    )
+
+
+class _Texts(NamedTuple):
+    """A problem's digest texts: each table's canonical entry texts, in hashed order.
+
+    ``sink_names`` lists the sinks by name and ``sinks`` their texts in that
+    order.  No delta changes the streams or the reflectors, so they are kept
+    joined.
+    """
+
+    streams: str
+    reflectors: str
+    stream_edges: list[str]
+    sink_names: list[str]
+    sinks: list[str]
+    links: list[str]
+    demands: list[str]
+
+
+def _entry_texts(
+    problem: OverlayDesignProblem,
+    stream_edges: Iterable[tuple[str, str]],
+    links: Iterable[tuple[str, str]],
+    demands: Iterable[tuple[str, str]],
+    names: dict[str, str],
+) -> tuple[list[str], list[str], list[str]]:
+    """The texts of the named stream edges, links and demands that ``problem`` has."""
+    edges = [problem.stream_edge(*key) for key in stream_edges if problem.has_stream_edge(*key)]
+    rows, overrides, capacities = [], {}, {}
+    for key in links:
+        link = problem._link(key)
+        if link is not None:
+            loss, cost, own, capacity = link
+            rows.append((*key, loss, cost))
+            if own:
+                overrides[key] = own
+            if capacity is not None:
+                capacities[key] = capacity
+    found = [demand for demand in map(problem._demand, demands) if demand is not None]
+    return (
+        list(map(_text, _stream_edge_entries(edges))),
+        list(_link_texts(rows, problem.streams, names, overrides, capacities)),
+        list(_demand_texts(found, names)),
+    )
+
+
+def _carry_texts(
+    parent: OverlayDesignProblem,
+    child: OverlayDesignProblem,
+    *,
+    stream_edges: Collection[tuple[str, str]],
+    links: Collection[tuple[str, str]],
+    demands: Collection[tuple[str, str]],
+    sinks_removed: Iterable[str],
+    sinks_added: Iterable[str],
+) -> None:
+    """Give ``child`` its digest texts from ``parent``'s, if ``parent`` has them.
+
+    ``child`` must be ``parent`` with only the named entries and sinks changed
+    and the same streams and reflectors.  The named entries' texts in
+    ``parent`` are swapped for their texts in ``child``: Python work per
+    named entry, plus C-level copies of the text lists.
+    """
+    texts = parent._texts
+    if texts is None:
+        return
+    names = _NameTexts()
+    old = _entry_texts(parent, stream_edges, links, demands, names)
+    new = _entry_texts(child, stream_edges, links, demands, names)
+    tables = []
+    for entries, removed, added in zip(
+        (texts.stream_edges, texts.links, texts.demands), old, new
+    ):
+        spliced = _spliced([entries], removed, [(text,) for text in added])
+        if spliced is None:
+            return
+        tables.append(spliced[0])
+    sinks = _spliced(
+        [texts.sink_names, texts.sinks],
+        sinks_removed,
+        [(sink, names[sink]) for sink in sinks_added],
+    )
+    if sinks is not None:
+        child._texts = texts._replace(
+            stream_edges=tables[0],
+            sink_names=sinks[0],
+            sinks=sinks[1],
+            links=tables[1],
+            demands=tables[2],
+        )
+
+
+def _hashed(texts: _Texts) -> str:
+    text = _PROBLEM % (
+        ", ".join(texts.links),
+        ", ".join(texts.demands),
+        FORMAT_VERSION,
+        texts.reflectors,
+        ", ".join(texts.sinks),
+        ", ".join(texts.stream_edges),
+        texts.streams,
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _problem_digest(problem: OverlayDesignProblem) -> str:
-    """One pass over the problem's tables; see :func:`problem_digest`."""
+    """One pass over the problem's tables; see :func:`problem_digest`.
+
+    Keeps the texts it hashes as the problem's memo.
+    """
     streams = problem.streams
-    sinks = problem.sinks
+    sinks = sorted(problem.sinks)
     # Each name's JSON text, escaped once however often the name is used.
     names = {
         name: encode_basestring_ascii(name) if isinstance(name, str) else _text(name)
         for name in streams + problem.reflectors + sinks
     }
-    demands = problem.demands
-    demand_texts = _sorted_texts(
-        _DEMAND,
-        [names[demand.sink] for demand in demands],
-        [names[demand.stream] for demand in demands],
-        _float_texts([demand.success_threshold for demand in demands]),
+    texts = problem._texts = _Texts(
+        streams=", ".join(sorted(map(_text, _stream_entries(problem)))),
+        reflectors=", ".join(sorted(map(_text, _reflector_entries(problem)))),
+        stream_edges=sorted(map(_text, _stream_edge_entries(problem.stream_edges()))),
+        sink_names=sinks,
+        sinks=list(map(names.__getitem__, sinks)),
+        links=sorted(
+            _link_texts(
+                problem.delivery_link_data(),
+                streams,
+                names,
+                problem.delivery_stream_cost_overrides(),
+                problem.arc_capacities(),
+            )
+        ),
+        demands=sorted(_demand_texts(problem.demands, names)),
     )
-    text = _PROBLEM % (
-        ", ".join(_delivery_texts(problem, streams, names)),
-        ", ".join(demand_texts),
-        FORMAT_VERSION,
-        ", ".join(sorted(map(_text, _reflector_entries(problem)))),
-        ", ".join(map(names.__getitem__, sorted(sinks))),
-        ", ".join(sorted(map(_text, _stream_edge_entries(problem)))),
-        ", ".join(sorted(map(_text, _stream_entries(problem)))),
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _hashed(texts)
 
 
 def problem_digest(problem: OverlayDesignProblem) -> str:
@@ -428,26 +558,27 @@ def problem_digest(problem: OverlayDesignProblem) -> str:
     two problems describing the same network (same streams, reflectors,
     sinks, edges, demands) digest identically even if they were built in
     different orders -- which is what makes the digest useful for checking
-    delta round-trips (``apply(apply(P, d), invert(d)) == P``).  One order
-    still counts: with per-stream cost overrides, a link's costs are written
-    relative to the first stream added, as :func:`problem_to_dict` writes
-    them.
+    delta round-trips (``apply(apply(P, d), invert(d)) == P``).
 
     The digest hashes :func:`problem_to_dict` without the name, with floats
     rounded as in :func:`canonical_digest`: each entity list is sorted by its
     entries' rounded text, the sinks by name, and a link lists a per-stream
-    cost only when it differs from the link's cost after rounding.  It is
-    written in one pass over the problem's tables rather than through that
-    document.  Float noise is ignored when every value keeps its 9-place
-    rounded form; a value that crosses a rounding boundary changes the
-    digest.
+    cost only when it differs from the link's cost (its cost for the
+    smallest stream name) after rounding.  It is written in one pass over
+    the problem's tables rather than through that document.  Float noise is
+    ignored when every value keeps its 9-place rounded form; a value that
+    crosses a rounding boundary changes the digest.
 
-    The digest is memoised on the problem object; every ``add_*`` method of
-    :class:`OverlayDesignProblem` clears it.
+    The digest and the entry texts it hashes are memoised on the problem
+    object; every ``add_*`` method of :class:`OverlayDesignProblem` clears
+    them.  A problem made by ``repro.incremental.apply_delta`` from a
+    digested one starts with its parent's texts, the changed entries' texts
+    swapped, so its digest costs one hash of the joined texts.
     """
     digest = problem._digest
     if digest is None:
-        digest = problem._digest = _problem_digest(problem)
+        texts = problem._texts
+        digest = problem._digest = _problem_digest(problem) if texts is None else _hashed(texts)
     return digest
 
 

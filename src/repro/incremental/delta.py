@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.core.problem import OverlayDesignProblem
-from repro.core.serialization import DocumentError, check_document
+from repro.core.serialization import DocumentError, _carry_texts, check_document
 
 #: Version written into every delta document; bump on breaking changes.
 DELTA_FORMAT_VERSION = 1
@@ -308,6 +308,21 @@ def invert_delta(delta: ProblemDelta) -> ProblemDelta:
 # ---------------------------------------------------------------------------
 
 
+def _link_spec(problem: OverlayDesignProblem, key: LinkKey) -> DeliveryEdgeSpec | None:
+    link = problem._link(key)
+    if link is None:
+        return None
+    loss, cost, stream_costs, capacity = link
+    return DeliveryEdgeSpec(loss, cost, tuple(sorted((stream_costs or {}).items())), capacity)
+
+
+def _stream_spec(problem: OverlayDesignProblem, key: LinkKey) -> StreamEdgeSpec | None:
+    if not problem.has_stream_edge(*key):
+        return None
+    edge = problem.stream_edge(*key)
+    return StreamEdgeSpec(edge.loss_probability, edge.cost)
+
+
 def apply_delta(
     problem: OverlayDesignProblem, delta: ProblemDelta, name: str | None = None
 ) -> OverlayDesignProblem:
@@ -315,91 +330,91 @@ def apply_delta(
 
     Raises ``ValueError`` when the delta records structural changes (those
     require rebuilding the problem at the source) or when a changed entry's
-    *old* side disagrees with ``problem`` (a stale delta).  The result is
-    rebuilt in canonical sorted order, so applying a delta and then its
-    inverse reproduces the original problem content-exactly.
+    *old* side disagrees with ``problem`` (a stale delta).  A value the
+    delta brings in is checked as the ``add_*`` methods check it
+    (``KeyError`` for an unknown name, ``ValueError`` for a bad number), and
+    so is a link or demand that a removed sink's attachment leaves out.
+
+    The result's tables are in canonical sorted order, so applying a delta
+    and then its inverse reproduces the original problem content-exactly.
+    It copies ``problem``'s tables and patches only the entries the delta
+    names (``OverlayDesignProblem._patched``): Python work in proportion to
+    the delta, plus C-level table copies.  A digested ``problem`` passes its
+    digest texts on, the changed entries' texts swapped, so the result's
+    digest is one hash of them.
     """
     if delta.requires_full_redesign:
         raise ValueError(
             "delta records structural changes and cannot be applied "
             f"incrementally: {'; '.join(delta.structural)}"
         )
-
-    sinks = set(problem.sinks)
     for sink in delta.sinks_added:
-        if sink in sinks:
+        if problem._has_sink(sink):
             raise ValueError(f"delta adds sink {sink!r} which already exists")
     for sink in delta.sinks_removed:
-        if sink not in sinks:
+        if not problem._has_sink(sink):
             raise ValueError(f"delta removes sink {sink!r} which does not exist")
-    sinks = (sinks - set(delta.sinks_removed)) | set(delta.sinks_added)
 
-    delivery = _delivery_specs(problem)
+    # Each named entry's new state; None removes it.
+    links: dict[LinkKey, DeliveryEdgeSpec | None] = {}
     for sink, attachment in delta.sinks_removed.items():
         for reflector, _spec in attachment.delivery:
-            delivery.pop((reflector, sink), None)
+            links[(reflector, sink)] = None
     for sink, attachment in delta.sinks_added.items():
         for reflector, spec in attachment.delivery:
-            delivery[(reflector, sink)] = spec
+            links[(reflector, sink)] = spec
     for key, (before, after) in delta.delivery_changed.items():
-        if delivery.get(key) != before:
+        if (links[key] if key in links else _link_spec(problem, key)) != before:
             raise ValueError(f"stale delta: delivery edge {key} is not {before}")
-        if after is None:
-            delivery.pop(key, None)
-        else:
-            delivery[key] = after
+        links[key] = after
 
-    stream_edges = _stream_specs(problem)
-    for key, (before, after) in delta.stream_edges_changed.items():
-        if stream_edges.get(key) != before:
+    for key, (before, _after) in delta.stream_edges_changed.items():
+        if _stream_spec(problem, key) != before:
             raise ValueError(f"stale delta: stream edge {key} is not {before}")
-        if after is None:
-            stream_edges.pop(key, None)
-        else:
-            stream_edges[key] = after
 
-    demands = _demand_thresholds(problem)
+    demands: dict[DemandKey, float | None] = {}
     for sink, attachment in delta.sinks_removed.items():
         for stream, _threshold in attachment.demands:
-            demands.pop((sink, stream), None)
+            demands[(sink, stream)] = None
     for sink, attachment in delta.sinks_added.items():
         for stream, threshold in attachment.demands:
             demands[(sink, stream)] = threshold
     for key, (before, after) in delta.demands_changed.items():
-        if demands.get(key) != before:
-            raise ValueError(f"stale delta: demand {key} threshold is not {before}")
-        if after is None:
-            demands.pop(key, None)
+        if key in demands:
+            current = demands[key]
         else:
-            demands[key] = after
+            demand = problem._demand(key)
+            current = None if demand is None else demand.success_threshold
+        if current != before:
+            raise ValueError(f"stale delta: demand {key} threshold is not {before}")
+        demands[key] = after
 
-    result = OverlayDesignProblem(name=name or problem.name)
-    for stream in sorted(problem.streams):
-        result.add_stream(stream, bandwidth=problem.stream_bandwidth(stream))
-    for reflector in sorted(problem.reflectors):
-        info = problem.reflector_info(reflector)
-        result.add_reflector(
-            reflector,
-            cost=info.cost,
-            fanout=info.fanout,
-            color=info.color,
-            capacity=info.capacity,
-        )
-    for sink in sorted(sinks):
-        result.add_sink(sink)
-    for (stream, reflector), spec in sorted(stream_edges.items()):
-        result.add_stream_edge(stream, reflector, spec.loss_probability, spec.cost)
-    for (reflector, sink), spec in sorted(delivery.items()):
-        result.add_delivery_edge(
-            reflector,
-            sink,
-            loss_probability=spec.loss_probability,
-            cost=spec.cost,
-            stream_costs=spec.stream_costs_dict(),
-            capacity=spec.capacity,
-        )
-    for (sink, stream), threshold in sorted(demands.items()):
-        result.add_demand(sink, stream, success_threshold=threshold)
+    stream_edges = {
+        key: None if after is None else (after.loss_probability, after.cost)
+        for key, (_before, after) in delta.stream_edges_changed.items()
+    }
+    result = problem._patched(
+        name or problem.name,
+        sinks_removed=delta.sinks_removed,
+        sinks_added=delta.sinks_added,
+        stream_edges=stream_edges,
+        links={
+            key: None
+            if spec is None
+            else (spec.loss_probability, spec.cost, spec.stream_costs_dict(), spec.capacity)
+            for key, spec in links.items()
+        },
+        demands=demands,
+    )
+    _carry_texts(
+        problem,
+        result,
+        links=links,
+        stream_edges=stream_edges,
+        demands=demands,
+        sinks_removed=delta.sinks_removed,
+        sinks_added=delta.sinks_added,
+    )
     return result
 
 

@@ -9,7 +9,6 @@ with rounded ones, and to the oracle's rounded mode everywhere.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import pickle
 import random
@@ -27,8 +26,8 @@ import repro.core.serialization as serialization
 from repro.api import DesignRequest, request_to_dict
 from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
-from repro.core.serialization import problem_digest, problem_from_dict, problem_to_dict
-from repro.incremental import SinkChurnConfig, sample_sink_churn
+from repro.core.serialization import problem_digest
+from repro.incremental import SinkChurnConfig, apply_delta, sample_sink_churn
 from repro.serve import ArtifactCache, DesignService, DesignSession, run_request_cached
 from repro.workloads import (
     AkamaiLikeConfig,
@@ -238,15 +237,8 @@ def test_a_value_crossing_a_rounding_boundary_changes_the_digest():
 
 
 def _shuffled(spec: dict, rng: random.Random) -> dict:
-    """``spec`` with every table in a new order.
-
-    With per-stream overrides the streams keep their order: a link's costs
-    are written relative to the first stream added (see the xfail test).
-    """
-    shuffled = {table: rng.sample(spec[table], len(spec[table])) for table in TABLES}
-    if any(link[4] for link in spec["links"]):
-        shuffled["streams"] = spec["streams"]
-    return shuffled
+    """``spec`` with every table, the streams included, in a new order."""
+    return {table: rng.sample(spec[table], len(spec[table])) for table in TABLES}
 
 
 def _nudge(value: float, step: float) -> float:
@@ -324,10 +316,9 @@ def test_memo_is_cleared_by_every_add_method(spec):
         assert problem_digest(problem) == problem_digest(fresh)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="a link's costs are written relative to the first stream added"
-)
 def test_stream_order_is_ignored_with_per_stream_costs():
+    # A link's costs are written relative to the smallest stream name, not
+    # to the first stream added.
     def build_with(streams):
         problem = OverlayDesignProblem()
         for stream in streams:
@@ -342,9 +333,22 @@ def test_stream_order_is_ignored_with_per_stream_costs():
 
 def test_pickles_and_copies_leave_the_memo_out():
     problem = build_tiny_problem()
+    digest = problem_digest(problem)
+    assert problem._texts is not None
+    for other in (pickle.loads(pickle.dumps(problem)), copy.deepcopy(problem), copy.copy(problem)):
+        assert other._digest is None and other._texts is None
+        assert problem_digest(other) == digest
+
+
+def test_a_carried_memo_is_left_out_too():
+    problem = _serving_problem()
     problem_digest(problem)
-    assert pickle.loads(pickle.dumps(problem))._digest is None
-    assert copy.deepcopy(problem)._digest is None
+    delta = sample_sink_churn(problem, SinkChurnConfig(fraction=0.1), rng=1)
+    child = apply_delta(problem, delta)
+    assert child._texts is not None
+    for other in (pickle.loads(pickle.dumps(child)), copy.deepcopy(child)):
+        assert other._texts is None
+        assert problem_digest(other) == oracle_problem_digest(child, rounded=True)
 
 
 def test_threads_digesting_one_problem_agree():
@@ -405,11 +409,15 @@ def test_session_digests_its_problem_once_per_setup_and_event(counted):
     session.ensure_design()
     assert _full_size(counted, problem) == 1
 
+    # An event's problem takes its digest texts from the standing problem's
+    # and swaps the changed entries' texts: no full pass.
     delta = sample_sink_churn(problem, SinkChurnConfig(fraction=0.1), rng=1)
     counted.clear()
     session.apply_delta(delta)
-    assert _full_size(counted, session.problem) == 1
-    assert session.events[-1].problem_digest == problem_digest(session.problem)
+    assert _full_size(counted, session.problem) == 0
+    assert session.events[-1].problem_digest == serialization._problem_digest(
+        copy.deepcopy(session.problem)
+    )
 
 
 def test_service_digests_each_request_problem_once(counted):
