@@ -1960,8 +1960,8 @@ def s1_task(task: dict) -> dict:
             ticket.result()
         stats = service.stats()
 
-    # Churn leg: a 5-event stream through one DesignSession (standing plan +
-    # stage cache reuse, all in memory) against five independent
+    # Churn leg: a 5-event stream through one DesignSession (standing plan
+    # rebind, all in memory) against five independent
     # ``repro update``-equivalent calls, each paying the JSON round-trip,
     # problem diff and fresh partition a standalone CLI invocation pays.
     # Events are deliberately *small* relative to the instance (a few

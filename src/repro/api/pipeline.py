@@ -28,11 +28,8 @@ its intermediate results are what you need.
 
 from __future__ import annotations
 
-import contextvars
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -111,78 +108,6 @@ class PipelineContext:
         )
 
 
-class StageCache:
-    """Protocol for the optional formulate/solve artifact cache.
-
-    The serving layer (:mod:`repro.serve`) installs an implementation via
-    :func:`use_stage_cache`; the standard :class:`FormulateStage` and
-    :class:`SolveStage` consult it so repeated solves of content-identical
-    (sub)problems -- repeat-digest requests, residual shard re-solves inside
-    a long-lived session -- skip LP assembly and the simplex run entirely.
-
-    Implementations key on problem *content* plus whatever parameters affect
-    the artifact (``extensions``; LP solves are deterministic given the
-    formulation).
-    Returned artifacts must be treated as immutable: formulations are solved
-    read-only and fractional solutions are only read by the rounding stages,
-    so one cached object may serve many concurrent pipeline runs.
-    """
-
-    def get_formulation(
-        self, problem: OverlayDesignProblem, parameters: DesignParameters
-    ) -> SparseOverlayFormulation | None:
-        raise NotImplementedError
-
-    def put_formulation(
-        self,
-        problem: OverlayDesignProblem,
-        parameters: DesignParameters,
-        formulation: SparseOverlayFormulation,
-    ) -> None:
-        raise NotImplementedError
-
-    def get_lp(
-        self, problem: OverlayDesignProblem, parameters: DesignParameters
-    ) -> tuple[object, FractionalSolution] | None:
-        raise NotImplementedError
-
-    def put_lp(
-        self,
-        problem: OverlayDesignProblem,
-        parameters: DesignParameters,
-        lp_solution: object,
-        fractional: FractionalSolution,
-    ) -> None:
-        raise NotImplementedError
-
-
-_STAGE_CACHE: contextvars.ContextVar[StageCache | None] = contextvars.ContextVar(
-    "repro_stage_cache", default=None
-)
-
-
-def get_stage_cache() -> StageCache | None:
-    """The stage cache active in the current context, if any."""
-    return _STAGE_CACHE.get()
-
-
-@contextmanager
-def use_stage_cache(cache: StageCache | None) -> Iterator[StageCache | None]:
-    """Install ``cache`` as the active stage cache for the enclosed block.
-
-    Scoped per :mod:`contextvars` context, so concurrent service worker
-    threads (and nested pipeline runs, e.g. per-shard inner designs executed
-    inline at ``jobs=1``) each see the cache their own front installed.
-    Worker *processes* spawned by ``jobs>1`` do not inherit it -- a
-    subprocess simply runs uncached, which affects speed, never results.
-    """
-    token = _STAGE_CACHE.set(cache)
-    try:
-        yield cache
-    finally:
-        _STAGE_CACHE.reset(token)
-
-
 class PipelineStage:
     """One stage of the design pipeline.
 
@@ -206,17 +131,10 @@ class FormulateStage(PipelineStage):
     name = "formulate"
 
     def run(self, context: PipelineContext) -> None:
-        parameters = context.parameters
-        cache = get_stage_cache()
         start = time.perf_counter()
-        formulation = None
-        if cache is not None:
-            formulation = cache.get_formulation(context.problem, parameters)
-        if formulation is None:
-            formulation = build_sparse_formulation(context.problem, parameters.extensions)
-            if cache is not None:
-                cache.put_formulation(context.problem, parameters, formulation)
-        context.formulation = formulation
+        context.formulation = build_sparse_formulation(
+            context.problem, context.parameters.extensions
+        )
         context.stage_seconds["formulate"] = time.perf_counter() - start
 
 
@@ -226,26 +144,12 @@ class SolveStage(PipelineStage):
     name = "solve"
 
     def run(self, context: PipelineContext) -> None:
-        cache = get_stage_cache()
         start = time.perf_counter()
-        if cache is not None:
-            cached = cache.get_lp(context.problem, context.parameters)
-            if cached is not None:
-                context.lp_solution, context.fractional = cached
-                context.stage_seconds["solve_lp"] = time.perf_counter() - start
-                return
         context.lp_solution = context.formulation.solve()
         context.stage_seconds["solve_lp"] = time.perf_counter() - start
         context.fractional = context.formulation.fractional_solution(
             context.lp_solution
         ).support()
-        if cache is not None:
-            cache.put_lp(
-                context.problem,
-                context.parameters,
-                context.lp_solution,
-                context.fractional,
-            )
 
 
 class RoundStage(PipelineStage):
@@ -468,7 +372,4 @@ __all__ = [
     "RepairStage",
     "RoundStage",
     "SolveStage",
-    "StageCache",
-    "get_stage_cache",
-    "use_stage_cache",
 ]

@@ -110,16 +110,12 @@ class EvaluationSpec:
             raise ValueError("max_memory must be positive when set")
 
     def evaluate(
-        self,
-        problem: OverlayDesignProblem,
-        solution: OverlaySolution,
-        table_provider=None,
+        self, problem: OverlayDesignProblem, solution: OverlaySolution
     ) -> dict[str, dict[str, float]]:
         """Sweep ``solution`` across the catalogue with this spec's fields.
 
         Registers :attr:`scenario_files` first, so their names are
-        sweepable.  ``table_provider`` is the serving cache's hook into
-        :func:`repro.simulation.evaluate_design`; it never changes metrics.
+        sweepable.
         """
         # Lazy import: the simulation stack imports this module.
         from repro.simulation import evaluate_design, register_scenario_file
@@ -136,7 +132,6 @@ class EvaluationSpec:
             seed=self.seed,
             traces=self.traces,
             max_memory=self.max_memory,
-            table_provider=table_provider,
         )
 
 

@@ -175,7 +175,7 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
             problem.add_demand(
                 demand["sink"], demand["stream"], success_threshold=demand["success_threshold"]
             )
-    except TypeError as error:
+    except (TypeError, AttributeError) as error:
         # The happy path pays no per-entry check: a wrongly typed entry or
         # field is diagnosed only after a decode loop has tripped over it.
         entry = data[current][index]
@@ -192,6 +192,19 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
                 raise DocumentError(
                     f"{where}.{field} must be a number, got {type(value).__name__}"
                 ) from None
+        if current == "delivery_edges":
+            # Read as the decode loop reads it: an empty value is no override.
+            costs = entry.get("stream_costs") or {}
+            if not isinstance(costs, dict):
+                raise DocumentError(
+                    f"{where}.stream_costs must be an object, got {type(costs).__name__}"
+                ) from None
+            for stream, value in costs.items():
+                if not isinstance(value, numbers.Real):
+                    raise DocumentError(
+                        f"{where}.stream_costs.{stream} must be a number, "
+                        f"got {type(value).__name__}"
+                    ) from None
         raise DocumentError(f"{where}: {error}") from None
     except KeyError as error:
         # A missing field propagates (the loaders name it); a name the problem
@@ -209,7 +222,8 @@ def _undefined_name_field(problem: OverlayDesignProblem, entry: dict) -> str | N
     for field, names in defined.items():
         if field in entry and entry[field] not in names:
             return field
-    if any(stream not in defined["stream"] for stream in entry.get("stream_costs") or ()):
+    costs = entry.get("stream_costs")
+    if isinstance(costs, dict) and any(stream not in defined["stream"] for stream in costs):
         return "stream_costs"
     return None
 

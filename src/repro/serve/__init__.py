@@ -3,13 +3,12 @@
 Three tiers over the Designer registry (:mod:`repro.api`):
 
 * :class:`ArtifactCache` (:mod:`repro.serve.cache`) -- a thread-safe LRU of
-  partition plans, compiled LPs, Monte-Carlo path tables, evaluation sweeps,
-  and whole serialized results, content-addressed by the canonical digests
-  of :mod:`repro.core.serialization`;
+  whole serialized results (evaluation sweeps included) and partition
+  plans, content-addressed by the canonical digests of
+  :mod:`repro.core.serialization`;
 * :class:`DesignSession` (:mod:`repro.serve.session`) -- a long-lived
   standing problem + design streaming :class:`~repro.incremental.
-  ProblemDelta` events through the incremental engine with plan and
-  warm-start reuse;
+  ProblemDelta` events through the incremental engine with plan reuse;
 * :class:`DesignService` / :class:`DesignServer` (:mod:`repro.serve.
   service`) -- the async queue + worker-pool front with in-flight request
   deduplication, exposed over HTTP by the ``repro serve`` CLI verb.
@@ -18,16 +17,8 @@ The invariant everything here maintains: caching moves wall-clock, never
 bits.  See ``docs/serving.md`` for the cache-key and determinism contracts.
 """
 
-from repro.serve.cache import (
-    ArtifactCache,
-    CacheStats,
-    formulation_key,
-    parameters_digest,
-    path_table_key,
-    plan_key,
-    request_digest,
-)
-from repro.serve.execute import StageCacheAdapter, run_request_cached
+from repro.serve.cache import ArtifactCache, CacheStats, plan_key, request_digest
+from repro.serve.execute import run_request_cached
 from repro.serve.service import (
     DesignServer,
     DesignService,
@@ -46,10 +37,6 @@ __all__ = [
     "DesignTicket",
     "ServiceOverloadedError",
     "SessionEvent",
-    "StageCacheAdapter",
-    "formulation_key",
-    "parameters_digest",
-    "path_table_key",
     "plan_key",
     "request_digest",
     "run_request_cached",

@@ -1,12 +1,11 @@
 """Content-addressed artifact cache for the serving layer.
 
-Every expensive artifact the design pipeline produces is a pure function of
+The serving layer caches two artifacts, each a pure function of
 JSON-expressible content: a partition plan of the problem document plus the
-partitioner knobs, a compiled sparse LP of the problem plus the formulation
-knobs, a Monte-Carlo :class:`~repro.simulation.montecarlo.PathTable` of the
-``(problem, solution, failure schedule)`` triple, a whole
-:class:`~repro.api.DesignResult` of the full request document.  That purity
-is the serving layer's license to cache: keys are content digests computed by
+partitioner knobs (the ``"plan"`` line), and a whole
+:class:`~repro.api.DesignResult` of the full request document, evaluation
+sweep included (the ``"result"`` line).  That purity is the serving layer's
+license to cache: keys are content digests computed by
 :func:`repro.core.serialization.canonical_digest` (floats rounded, keys
 sorted), so two requests describing the same computation -- whatever object
 identities or field orders they arrived with -- address the same cache line,
@@ -29,7 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.types import DesignRequest, parameters_to_dict
+from repro.api.types import DesignRequest, evaluation_spec_to_dict, parameters_to_dict
 from repro.core.serialization import canonical_digest, problem_digest
 
 #: Default byte budget: enough for hundreds of mid-size artifacts while
@@ -90,9 +89,8 @@ class ArtifactCache:
     """Thread-safe content-addressed LRU cache with a byte budget.
 
     Lines are addressed ``(namespace, key)`` -- the namespace names the
-    artifact kind (``"result"``, ``"plan"``, ``"formulation"``, ``"lp"``,
-    ``"path_table"``, ``"evaluation"``) and the key is a content digest from
-    the helpers below.  Values are charged their pickled size against
+    artifact kind (``"result"`` or ``"plan"``) and the key is a content
+    digest from the helpers below.  Values are charged their pickled size against
     ``max_bytes``; inserting past the budget evicts least-recently-used
     lines.  With ``spill_dir`` set, evicted picklable values are written to
     disk and silently re-admitted (counted as ``spill_hits``) when next
@@ -272,53 +270,10 @@ def _measure(value: Any) -> tuple[int, bool]:
 # identity, field order, or schema_version churn leaks into a key.
 
 
-def parameters_digest(parameters: Any) -> str:
-    """Digest of the full :class:`~repro.core.algorithm.DesignParameters`."""
-    return canonical_digest(parameters_to_dict(parameters))
-
-
-def formulation_key(p_digest: str, parameters: Any) -> str:
-    """Key for compiled LP formulations (and their solved fractionals).
-
-    Covers exactly the knobs :class:`~repro.api.pipeline.FormulateStage`
-    and :class:`~repro.api.pipeline.SolveStage` read -- the Section-6
-    extension toggles -- so requests differing only in rounding seed or
-    repair knobs share a line.
-    """
-    return canonical_digest(
-        {"problem": p_digest, "extensions": parameters_to_dict(parameters)["extensions"]}
-    )
-
-
 def plan_key(p_digest: str, partitioner: Any, shards: Any) -> str:
     """Key for partition plans: problem content plus the two layout knobs."""
     return canonical_digest(
         {"problem": p_digest, "partitioner": str(partitioner), "shards": str(shards)}
-    )
-
-
-def path_table_key(
-    p_digest: str,
-    s_digest: str,
-    scenario: str,
-    seed: int,
-    num_packets: int,
-) -> str:
-    """Key for compiled Monte-Carlo path tables.
-
-    The failure schedule is drawn from ``[seed, scenario_stream_key(scenario),
-    0]`` inside :func:`~repro.simulation.evaluate_design`
-    (:func:`~repro.simulation.scenario_stream_key`), so ``(scenario, seed,
-    num_packets)`` pins it exactly without hashing the schedule itself.
-    """
-    return canonical_digest(
-        {
-            "problem": p_digest,
-            "solution": s_digest,
-            "scenario": scenario,
-            "seed": int(seed),
-            "num_packets": int(num_packets),
-        }
     )
 
 
@@ -329,27 +284,32 @@ def request_digest(request: DesignRequest) -> str | None:
     evaluation spec, and the *problem content digest* -- rather than the
     serialized request, so it is independent of ``schema_version`` churn and
     of the correlation ``request_id`` (which identifies a submission, not a
-    computation).  Two kinds of request return ``None`` and run uncached:
-    requests whose options are not JSON-expressible (callables and the
-    like), and *seedless* requests (``parameters.rounding.seed is None``) --
-    those draw fresh entropy per run, so serving a cached payload or joining
-    an in-flight computation would silently pin one draw and change
-    observable semantics.  Stage-level caches (formulation, LP) still apply
-    to seedless requests; they sit below the randomness.
+    computation).  An evaluation spec adds the content of every scenario its
+    sweep would run (:func:`_sweep_contents`), so a rewritten scenario file
+    or a re-registered scenario name is a new digest.
+
+    Three kinds of request return ``None`` and run uncached: requests whose
+    options are not JSON-expressible (callables and the like), requests
+    whose scenario files cannot be read (the run raises the reader's
+    error), and *seedless* requests (``parameters.rounding.seed is None``)
+    -- those draw fresh entropy per run, so serving a cached payload or
+    joining an in-flight computation would silently pin one draw and change
+    observable semantics.
     """
     if request.seed is None:
         return None
-    from repro.api.types import evaluation_spec_to_dict
-
+    evaluation = None
+    if request.evaluation is not None:
+        try:
+            sweep = _sweep_contents(request.evaluation)
+        except (OSError, ValueError):
+            return None
+        evaluation = {**evaluation_spec_to_dict(request.evaluation), "sweep": sweep}
     document = {
         "strategy": request.strategy,
         "parameters": parameters_to_dict(request.parameters),
         "options": dict(request.options),
-        "evaluation": (
-            evaluation_spec_to_dict(request.evaluation)
-            if request.evaluation is not None
-            else None
-        ),
+        "evaluation": evaluation,
         "problem": problem_digest(request.problem),
     }
     try:
@@ -358,13 +318,48 @@ def request_digest(request: DesignRequest) -> str | None:
         return None
 
 
+def _sweep_contents(spec: Any) -> list[list]:
+    """``[name, content]`` of every scenario ``spec`` sweeps, in sweep order.
+
+    The sweep registers ``spec.scenario_files`` first, so a file's
+    normalized spec is the content of its name.  Any other name takes the
+    compiled DSL spec of the scenario registered under it (shipped or
+    registered); the five Python built-ins, which no file may redefine, have
+    no spec and are keyed by name alone (content ``None``).
+    """
+    from repro.simulation.dsl import (
+        compiled_scenario_spec,
+        load_scenario_data,
+        normalize_scenario_spec,
+    )
+    from repro.simulation.scenarios import failure_scenario_names
+
+    files: dict[str, dict] = {}
+    for path in spec.scenario_files:
+        normalized = normalize_scenario_spec(load_scenario_data(path), source=str(path))
+        files[normalized["name"]] = normalized
+    if spec.scenarios is None or spec.scenarios == "all":
+        catalogue = failure_scenario_names()
+        names = catalogue + [name for name in files if name not in catalogue]
+    elif isinstance(spec.scenarios, str):
+        names = [spec.scenarios]
+    else:
+        names = list(spec.scenarios)
+    contents = []
+    for name in names:
+        if name in files:
+            content = files[name]
+        else:
+            record = compiled_scenario_spec(name)
+            content = record["spec"] if record is not None else None
+        contents.append([name, content])
+    return contents
+
+
 __all__ = [
     "ArtifactCache",
     "CacheStats",
     "DEFAULT_MAX_BYTES",
-    "formulation_key",
-    "parameters_digest",
-    "path_table_key",
     "plan_key",
     "problem_digest",
     "request_digest",

@@ -3,20 +3,15 @@
 This is the single code path every serving entry point -- the async
 :class:`~repro.serve.DesignService`, a :class:`~repro.serve.DesignSession`'s
 initial design, the ``repro serve`` self-test -- funnels requests through.
-It wraps :func:`repro.api.run_request` with the content-addressed
-:class:`~repro.serve.cache.ArtifactCache` at every level:
+It wraps :func:`repro.api.run_request` with two lines of the
+content-addressed :class:`~repro.serve.cache.ArtifactCache`:
 
 * whole-result: a repeat-digest request is answered from the cached
   serialized :class:`~repro.api.DesignResult` document, bit-identical to the
   original compute (the cache stores the document, not the live object);
+  the document holds the evaluation sweep when the request asked for one;
 * partition plans: ``sharded:*`` strategies reuse the plan line keyed on
-  problem digest + partitioner knobs;
-* formulations and LP solves: a :class:`StageCacheAdapter` is installed via
-  :func:`repro.api.pipeline.use_stage_cache` for the duration of the design,
-  so the pipeline (and any inline per-shard inner designs) skips LP assembly
-  and the simplex run for content-identical subproblems;
-* Monte-Carlo tables and whole evaluation sweeps, via the
-  ``table_provider`` hook of :func:`repro.simulation.evaluate_design`.
+  problem digest + partitioner knobs.
 
 Determinism contract: every cached artifact is a pure function of its key's
 content, so for a fixed request the result payload is bit-identical with the
@@ -27,174 +22,46 @@ per-request provenance lands on ``DesignResult.cache``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Mapping
+from typing import Any
 
-from repro.api.pipeline import StageCache, use_stage_cache
 from repro.api.registry import get_designer
 from repro.api.types import (
     DesignRequest,
     DesignResult,
-    evaluation_spec_to_dict,
     result_from_dict,
     result_to_dict,
 )
-from repro.core.problem import OverlayDesignProblem
-from repro.core.serialization import (
-    canonical_digest,
-    problem_digest,
-    solution_digest,
-)
-from repro.serve.cache import (
-    ArtifactCache,
-    formulation_key,
-    path_table_key,
-    plan_key,
-    request_digest,
-)
-
-
-class StageCacheAdapter(StageCache):
-    """Bind the pipeline's stage-cache protocol to an :class:`ArtifactCache`.
-
-    One adapter is created per served request (or per session event); it
-    additionally tallies per-stage hit/miss counts so the serving layer can
-    stamp ``DesignResult.cache["stages"]`` -- a single design may run the
-    formulate/solve stages many times (once per shard), so the stamp
-    collapses the tallies to ``"hit"`` / ``"miss"`` / ``"partial"``.
-    """
-
-    def __init__(self, cache: ArtifactCache) -> None:
-        self.cache = cache
-        self.counts = {
-            "formulate": {"hit": 0, "miss": 0},
-            "solve": {"hit": 0, "miss": 0},
-        }
-
-    def get_formulation(self, problem, parameters):
-        key = formulation_key(problem_digest(problem), parameters)
-        value = self.cache.get("formulation", key)
-        self.counts["formulate"]["hit" if value is not None else "miss"] += 1
-        return value
-
-    def put_formulation(self, problem, parameters, formulation):
-        key = formulation_key(problem_digest(problem), parameters)
-        self.cache.put("formulation", key, formulation)
-
-    def get_lp(self, problem, parameters):
-        key = formulation_key(problem_digest(problem), parameters)
-        value = self.cache.get("lp", key)
-        self.counts["solve"]["hit" if value is not None else "miss"] += 1
-        return value
-
-    def put_lp(self, problem, parameters, lp_solution, fractional):
-        key = formulation_key(problem_digest(problem), parameters)
-        self.cache.put("lp", key, (lp_solution, fractional))
-
-    def stage_states(self) -> dict[str, str]:
-        states: dict[str, str] = {}
-        for stage, counts in self.counts.items():
-            if counts["hit"] == 0 and counts["miss"] == 0:
-                continue
-            if counts["miss"] == 0:
-                states[stage] = "hit"
-            elif counts["hit"] == 0:
-                states[stage] = "miss"
-            else:
-                states[stage] = "partial"
-        return states
-
-
-def make_table_provider(
-    cache: ArtifactCache, p_digest: str, s_digest: str, seed: int
-) -> Callable:
-    """The :func:`~repro.simulation.evaluate_design` hook over the cache."""
-    from repro.simulation.montecarlo import compile_path_table
-
-    def provider(
-        scenario: str,
-        problem: OverlayDesignProblem,
-        solution,
-        failures,
-        num_packets: int,
-        node_isp: Mapping[str, str | None],
-    ):
-        key = path_table_key(p_digest, s_digest, scenario, seed, num_packets)
-        table = cache.get("path_table", key)
-        if table is None:
-            table = compile_path_table(
-                problem, solution, failures, num_packets, dict(node_isp)
-            )
-            cache.put("path_table", key, table)
-        return table
-
-    return provider
-
-
-def _evaluate_cached(
-    request: DesignRequest,
-    result: DesignResult,
-    cache: ArtifactCache,
-    p_digest: str,
-    stages: dict[str, str],
-) -> None:
-    """Run :meth:`EvaluationSpec.evaluate`, the registry's sweep, through the cache.
-
-    The sweep is a pure function of ``(problem, solution, spec)``, so both
-    the whole sweep and the per-scenario compiled path tables are cacheable.
-    """
-    spec = request.evaluation
-    s_digest = solution_digest(result.solution)
-    key = canonical_digest(
-        {
-            "problem": p_digest,
-            "solution": s_digest,
-            "spec": evaluation_spec_to_dict(spec),
-        }
-    )
-    evaluation = cache.get("evaluation", key)
-    stages["evaluate"] = "hit" if evaluation is not None else "miss"
-    if evaluation is None:
-        evaluation = spec.evaluate(
-            request.problem,
-            result.solution,
-            table_provider=make_table_provider(cache, p_digest, s_digest, spec.seed),
-        )
-        cache.put("evaluation", key, evaluation)
-    result.evaluation = {
-        name: dict(metrics) for name, metrics in evaluation.items()
-    }
+from repro.core.serialization import problem_digest
+from repro.serve.cache import ArtifactCache, plan_key, request_digest
 
 
 def run_request_cached(
     request: DesignRequest,
     cache: ArtifactCache | None,
     *,
-    bypass: bool = False,
     session_id: str | None = None,
     digest: str | None = None,
 ) -> DesignResult:
     """Run a design request through the content-addressed cache.
 
-    With ``cache=None`` or ``bypass=True`` this is :func:`repro.api.
-    run_request` plus a provenance stamp -- the bypass escape hatch
-    documented in ``docs/serving.md``.  Otherwise: whole-result lookup by
-    request digest first; on a miss, the design runs with the plan cache
-    (for ``sharded:*`` strategies) and the formulate/solve stage cache
-    installed, the evaluation sweep (when requested) runs through the
-    path-table cache, and the serialized result document is stored for the
-    next repeat-digest request.
+    With ``cache=None`` this is :func:`repro.api.run_request` plus a
+    provenance stamp.  Otherwise: whole-result lookup by request digest
+    first; on a miss, the design runs with the plan cache (for ``sharded:*``
+    strategies), the evaluation sweep (when requested) runs on the design,
+    and the serialized result document is stored for the next repeat-digest
+    request.
 
     The returned result carries ``result.cache`` with the digests, the
-    per-stage ``"hit"``/``"miss"``/``"partial"`` map, and
-    ``served_from_cache``.  Requests that cannot be digested (non-JSON
-    options) run uncached with ``stages={"result": "bypass"}``.
+    per-line ``"hit"``/``"miss"`` map, and ``served_from_cache``.  Requests
+    that cannot be digested (non-JSON options, seedless requests) run
+    uncached with ``stages={"result": "bypass"}``.
 
     ``digest`` is an optional precomputed :func:`request_digest` -- the
     service passes the one it already computed for in-flight dedup.  The
     problem digest is memoised on the problem object, so a request digests
     its problem once whichever of the two computes it first.
     """
-    if cache is None or bypass:
+    if cache is None:
         from repro.api.registry import run_request
 
         result = run_request(request)
@@ -210,7 +77,7 @@ def run_request_cached(
         return result
 
     # A hit reads the problem digest from the cached entry; a miss needs it
-    # for the stage keys and finds it memoised by the request digest.
+    # for the plan key and finds it memoised by the request digest.
     r_digest = digest if digest is not None else request_digest(request)
     stages: dict[str, str] = {}
 
@@ -234,23 +101,12 @@ def run_request_cached(
 
     p_digest = problem_digest(request.problem)
     designer = get_designer(request.strategy)
-    design_request = request
-    if request.evaluation is not None:
-        design_request = replace(request, evaluation=None)
-    if design_request.strategy != designer.name:
-        design_request = replace(design_request, strategy=designer.name)
-
-    adapter = StageCacheAdapter(cache)
-    with use_stage_cache(adapter):
-        result = _design_with_plan_cache(
-            design_request, designer, cache, p_digest, stages
-        )
+    design_request = replace(request, strategy=designer.name, evaluation=None)
+    result = _design_with_plan_cache(design_request, designer, cache, p_digest, stages)
     result.strategy = designer.name
     result.request_id = request.request_id
-    stages.update(adapter.stage_states())
-
     if request.evaluation is not None and designer.produces_solution:
-        _evaluate_cached(request, result, cache, p_digest, stages)
+        result.evaluation = request.evaluation.evaluate(request.problem, result.solution)
 
     result.cache = {
         "request_digest": r_digest,
@@ -262,10 +118,9 @@ def run_request_cached(
         result.cache["session_id"] = session_id
 
     if r_digest is not None:
-        document = result_to_dict(result)
         # The stored payload is the pure computation: provenance is stamped
         # per retrieval, never cached (a hit must say it was a hit).
-        document = dict(document)
+        document = dict(result_to_dict(result))
         document["cache"] = None
         cache.put(
             "result", r_digest, {"document": document, "problem_digest": p_digest}
@@ -303,8 +158,4 @@ def _design_with_plan_cache(
     return design_sharded(request, inner, plan=plan)
 
 
-__all__ = [
-    "StageCacheAdapter",
-    "make_table_provider",
-    "run_request_cached",
-]
+__all__ = ["run_request_cached"]

@@ -90,7 +90,6 @@ class DesignService:
         self,
         cache: ArtifactCache | None = None,
         workers: int = 2,
-        bypass_cache: bool = False,
         max_queue: int | None = None,
     ) -> None:
         if workers < 1:
@@ -99,7 +98,6 @@ class DesignService:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.cache = cache if cache is not None else ArtifactCache()
         self.workers = workers
-        self.bypass_cache = bypass_cache
         self.max_queue = max_queue
         # Bounded only for submissions: shutdown sentinels and the workers
         # use blocking puts/gets, so `stop()` still drains cleanly.
@@ -165,7 +163,7 @@ class DesignService:
             raise RuntimeError("DesignService is not started (use 'with service:')")
         if not isinstance(request, DesignRequest):
             request = request_from_dict(request)
-        digest = request_digest(request) if not self.bypass_cache else None
+        digest = request_digest(request)
         with self._lock:
             self._counters["submitted"] += 1
             if digest is not None:
@@ -214,9 +212,7 @@ class DesignService:
                 return
             request, digest, future, submitted = item
             try:
-                result = run_request_cached(
-                    request, self.cache, bypass=self.bypass_cache, digest=digest
-                )
+                result = run_request_cached(request, self.cache, digest=digest)
             except BaseException as error:  # noqa: BLE001 - forwarded to caller
                 with self._lock:
                     self._counters["errors"] += 1
@@ -377,9 +373,10 @@ class DesignServer:
 def run_self_test(verbose: bool = True) -> dict:
     """The ``repro serve --self-test`` round-trip (also a CI gate).
 
-    Submits three mixed requests through a live service -- fresh, repeat
-    digest, and a churn delta through a :class:`DesignSession` -- and checks
-    the serving determinism contract end to end:
+    Submits mixed requests through a live service -- fresh, repeat digest,
+    another strategy, one with a small reliability sweep, and a churn delta
+    through a :class:`DesignSession` -- and checks the serving determinism
+    contract end to end:
 
     * every served payload is bit-identical to a direct, cache-free
       :func:`repro.api.run_request` run (modulo timings and the ``cache``
@@ -390,6 +387,7 @@ def run_self_test(verbose: bool = True) -> dict:
     Returns a JSON-friendly report; raises ``AssertionError`` on violation.
     """
     from repro.api.registry import run_request
+    from repro.api.types import EvaluationSpec
     from repro.core.algorithm import DesignParameters
     from repro.core.serialization import solution_digest
     from repro.incremental.churn import SinkChurnConfig, churn_stream
@@ -425,6 +423,11 @@ def run_self_test(verbose: bool = True) -> dict:
                 problem=problem, parameters=parameters, strategy="greedy",
                 request_id="mixed",
             ),
+            DesignRequest(
+                problem=problem, parameters=parameters, strategy="spaa03",
+                evaluation=EvaluationSpec(scenarios=("baseline", "isp-outage"), trials=2),
+                request_id="evaluated",
+            ),
         ]
         tickets = [service.submit(request) for request in requests]
         results = [ticket.result(timeout=120) for ticket in tickets]
@@ -448,14 +451,7 @@ def run_self_test(verbose: bool = True) -> dict:
         )
         results.append(replay)
         for request, result in zip(requests, results):
-            direct = run_request(
-                DesignRequest(
-                    problem=problem,
-                    parameters=parameters,
-                    strategy=request.strategy,
-                    request_id=request.request_id,
-                )
-            )
+            direct = run_request(request)
             assert payload(result) == payload(direct), (
                 f"served result for {request.request_id!r} diverges from "
                 "direct run_request"

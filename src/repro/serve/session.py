@@ -7,17 +7,15 @@ cheap; :class:`DesignSession` makes a *stream* of them cheap: it holds the
 standing problem, design, and partition plan across events, feeding each
 :class:`~repro.incremental.ProblemDelta` through the incremental engine (the
 same shard loop, :func:`repro.scale.pipeline.run_shard_loop`, that made the
-initial sharded design) with
+initial sharded design) with the standing partition plan rebound to the
+post-churn problem (:func:`repro.scale.partition.rebind_partition`) whenever
+the sink set is unchanged -- skipping the per-event grouping pass entirely.
+The initial design runs through :func:`~repro.serve.execute.
+run_request_cached`, so the session's :class:`~repro.serve.cache.
+ArtifactCache` serves a repeat of it and hands the session the partition
+plan it built.
 
-* the standing partition plan rebound to the post-churn problem
-  (:func:`repro.scale.partition.rebind_partition`) whenever the sink set is
-  unchanged -- skipping the per-event grouping pass entirely;
-* the session's :class:`~repro.serve.cache.ArtifactCache` installed as the
-  pipeline stage cache, so residual shard re-solves warm-start from cached
-  formulations/LP solutions when churn revisits content-identical
-  subproblems.
-
-Both reuses are pure-function shortcuts: a session event produces the same
+The rebind is a pure-function shortcut: a session event produces the same
 design, bit for bit, as a standalone ``design_incremental`` call over the
 same standing design and delta (the differential suite in
 ``tests/test_serve.py`` pins this).  Only wall-clock changes -- which is the
@@ -32,7 +30,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from repro.api.pipeline import use_stage_cache
 from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
@@ -42,7 +39,7 @@ from repro.incremental.engine import design_incremental, incremental_options
 from repro.scale.partition import build_partition, rebind_partition
 from repro.scale.pipeline import SHARDED_OPTIONS, SHARDED_PREFIX
 from repro.serve.cache import ArtifactCache, plan_key
-from repro.serve.execute import StageCacheAdapter, run_request_cached
+from repro.serve.execute import run_request_cached
 
 _SESSION_COUNTER = itertools.count(1)
 
@@ -198,30 +195,23 @@ class DesignSession:
                     shards=self._settings["shards"],
                     materialize=False,
                 )
-        adapter = StageCacheAdapter(self.cache) if self.cache is not None else None
-        with use_stage_cache(adapter):
-            result = design_incremental(
-                standing,
-                new_problem,
-                self.parameters,
-                strategy=self.inner_strategy,
-                options=self.options,
-                previous_problem=self.problem,
-                delta=delta,
-                plan=plan,
-            )
+        result = design_incremental(
+            standing,
+            new_problem,
+            self.parameters,
+            strategy=self.inner_strategy,
+            options=self.options,
+            previous_problem=self.problem,
+            delta=delta,
+            plan=plan,
+        )
         seconds = time.perf_counter() - start
 
         digest = problem_digest(new_problem)
-        stages: dict[str, str] = {
-            "plan": "session-reuse" if plan_reused else "miss"
-        }
-        if adapter is not None:
-            stages.update(adapter.stage_states())
         result.cache = {
             "request_digest": None,
             "problem_digest": digest,
-            "stages": stages,
+            "stages": {"plan": "session-reuse" if plan_reused else "miss"},
             "served_from_cache": False,
             "session_id": self.session_id,
             "session_event": len(self.events) + 1,

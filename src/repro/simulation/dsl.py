@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -95,9 +96,11 @@ from repro.simulation.failures import (
 )
 from repro.simulation.scenarios import (
     _COMPAT_STREAM_KEYS,
+    _REGISTRY,
     FailureScenario,
     ScenarioContext,
     ScenarioRealization,
+    _ensure_shipped_scenarios,
     register_failure_scenario,
     top_betweenness_reflectors,
 )
@@ -538,14 +541,22 @@ def _event_sort_key(event: FailureEvent) -> tuple[str, str, int, int, float]:
 # Compilation and registration
 # ---------------------------------------------------------------------------
 
-#: Normalized spec + source of every scenario compiled this process, for
-#: ``repro scenarios --show`` and round-trip tests.
-_COMPILED_SPECS: dict[str, dict[str, Any]] = {}
+#: Normalized spec + source of every scenario compiled this process, by
+#: scenario object, for ``repro scenarios --show``, the serving layer's sweep
+#: keys and round-trip tests.
+_COMPILED_SPECS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def compiled_scenario_spec(name: str) -> dict[str, Any] | None:
-    """The normalized spec of a DSL-compiled scenario, or ``None`` (built-in)."""
-    record = _COMPILED_SPECS.get(name)
+    """The normalized spec of the DSL scenario registered as ``name``.
+
+    ``None`` for a scenario registered from Python (the built-ins) and for an
+    unknown name.  Compiling a file without registering it changes nothing
+    here: the record is that of the scenario the catalogue runs.
+    """
+    _ensure_shipped_scenarios()
+    scenario = _REGISTRY.get(name)
+    record = _COMPILED_SPECS.get(scenario) if scenario is not None else None
     return None if record is None else json.loads(json.dumps(record))
 
 
@@ -580,7 +591,7 @@ def compile_scenario(data: Any, *, source: str = "<memory>") -> FailureScenario:
         realize=realize,
         tags=tuple(spec["tags"]),
     )
-    _COMPILED_SPECS[spec["name"]] = {"source": source, "spec": spec}
+    _COMPILED_SPECS[scenario] = {"source": source, "spec": spec}
     return scenario
 
 

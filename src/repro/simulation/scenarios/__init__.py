@@ -60,23 +60,7 @@ from repro.simulation.failures import (
     sample_isp_outage_schedule,
     sample_regional_outage_schedule,
 )
-from repro.simulation.montecarlo import PathTable
 from repro.simulation.streaming import MonteCarloConfig, run_monte_carlo
-
-#: Serving-cache hook signature for :func:`evaluate_design`: maps the exact
-#: ``compile_path_table`` inputs (plus the scenario name, a convenient cache
-#: key component) to a compiled table.
-TableProvider = Callable[
-    [
-        str,
-        OverlayDesignProblem,
-        OverlaySolution,
-        FailureSchedule,
-        int,
-        Mapping[str, str | None],
-    ],
-    PathTable,
-]
 
 
 @dataclass(frozen=True)
@@ -404,7 +388,6 @@ def evaluate_design(
     rebuffer_loss: float = 0.1,
     jobs: int | str | None = 1,
     node_isp: Mapping[str, str | None] | None = None,
-    table_provider: "TableProvider | None" = None,
 ) -> dict[str, dict[str, float]]:
     """Sweep ``solution`` across the failure catalogue.
 
@@ -418,13 +401,6 @@ def evaluate_design(
     per-window loss/rebuffering metrics (flattened as
     ``"trace:<name>:<metric>"``) replayed through the same fold.  The
     engine knobs are those of :class:`~repro.simulation.streaming.MonteCarloConfig`.
-
-    ``table_provider`` is the serving cache's hook: called per scenario with
-    the exact :func:`~repro.simulation.montecarlo.compile_path_table` inputs
-    ``(scenario_name, problem, solution, failures, num_packets, node_isp)``,
-    it returns a compiled :class:`~repro.simulation.montecarlo.PathTable`
-    (compiling and memoising as it sees fit).  The table is a pure function
-    of those inputs, so caching changes compile time only, never metrics.
     """
     names = resolve_scenario_names(scenarios)
     isp_map = dict(node_isp) if node_isp is not None else None
@@ -454,19 +430,8 @@ def evaluate_design(
             max_memory=max_memory,
             rebuffer_loss=rebuffer_loss,
         )
-        table = None
-        if table_provider is not None:
-            effective_isp = (
-                isp_map
-                if isp_map is not None
-                else {r: problem.color(r) for r in problem.reflectors}
-            )
-            table = table_provider(
-                name, problem, solution, realization.failures, num_packets,
-                effective_isp,
-            )
         report = run_monte_carlo(
-            problem, solution, config, node_isp=isp_map, table=table, traces=traces, jobs=jobs
+            problem, solution, config, node_isp=isp_map, traces=traces, jobs=jobs
         )
         summary = report.summary()
         summary["failure_events"] = float(len(realization.failures))

@@ -210,6 +210,18 @@ def _comparable(result) -> dict:
 PROBE_SCENARIO = "served-scenario-file-probe"
 
 
+def _probe_document(primitive: str) -> str:
+    """A DSL document defining :data:`PROBE_SCENARIO` as one ``primitive``."""
+    return json.dumps(
+        {
+            "version": 1,
+            "name": PROBE_SCENARIO,
+            "description": "scenario-file probe",
+            "primitives": [{"kind": primitive}],
+        }
+    )
+
+
 @pytest.fixture
 def probe_scenario_file(tmp_path):
     """A DSL file defining :data:`PROBE_SCENARIO`; the catalogue is restored after."""
@@ -219,16 +231,7 @@ def probe_scenario_file(tmp_path):
     before = set(_REGISTRY)
     assert PROBE_SCENARIO not in before
     path = tmp_path / "probe.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "name": PROBE_SCENARIO,
-                "description": "scenario-file probe",
-                "primitives": [{"kind": "isp-outage"}],
-            }
-        )
-    )
+    path.write_text(_probe_document("isp-outage"))
     yield str(path)
     for name in set(_REGISTRY) - before:
         del _REGISTRY[name]
@@ -249,6 +252,15 @@ def _probe_request(problem, parameters, path):
     )
 
 
+def _registered_probe_request(problem, parameters, path):
+    """A request sweeping :data:`PROBE_SCENARIO`, registered from ``path`` beforehand."""
+    from repro.simulation import register_scenario_file
+
+    register_scenario_file(path)
+    request = _probe_request(problem, parameters, path)
+    return replace(request, evaluation=replace(request.evaluation, scenario_files=()))
+
+
 class TestRunRequestCached:
     def test_served_sweep_registers_scenario_files(
         self, problem, parameters, probe_scenario_file
@@ -259,6 +271,50 @@ class TestRunRequestCached:
         direct = get_designer("greedy").design(request)
         assert set(served.evaluation) == {PROBE_SCENARIO}
         assert _comparable(served) == _comparable(direct)
+
+    def test_rewritten_scenario_file_is_a_result_miss(
+        self, problem, parameters, probe_scenario_file
+    ):
+        # The result key holds the file's content, not its path.
+        cache = ArtifactCache()
+        request = _probe_request(problem, parameters, probe_scenario_file)
+        first = run_request_cached(request, cache)
+        with open(probe_scenario_file, "w", encoding="utf-8") as handle:
+            handle.write(_probe_document("targeted-attack"))
+        second = run_request_cached(request, cache)
+        assert second.cache["stages"]["result"] == "miss"
+        assert second.evaluation != first.evaluation
+        assert _comparable(second) == _comparable(get_designer("greedy").design(request))
+
+    def test_reregistered_scenario_name_is_a_result_miss(
+        self, problem, parameters, probe_scenario_file, tmp_path
+    ):
+        # The result key holds the compiled spec a name has when it runs.
+        from repro.simulation import register_scenario_file
+
+        request = _registered_probe_request(problem, parameters, probe_scenario_file)
+        cache = ArtifactCache()
+        first = run_request_cached(request, cache)
+        other = tmp_path / "redefined.json"
+        other.write_text(_probe_document("targeted-attack"))
+        register_scenario_file(str(other))
+        second = run_request_cached(request, cache)
+        assert second.cache["stages"]["result"] == "miss"
+        assert second.evaluation != first.evaluation
+        assert _comparable(second) == _comparable(get_designer("greedy").design(request))
+
+    def test_an_unregistered_compile_leaves_the_key_alone(
+        self, problem, parameters, probe_scenario_file, tmp_path
+    ):
+        # The key reads the spec of the scenario the catalogue runs.
+        from repro.simulation import load_scenario_file
+
+        request = _registered_probe_request(problem, parameters, probe_scenario_file)
+        digest = request_digest(request)
+        other = tmp_path / "unregistered.json"
+        other.write_text(_probe_document("targeted-attack"))
+        load_scenario_file(str(other))
+        assert request_digest(request) == digest
 
     def test_hit_is_bit_identical_to_miss(self, problem, parameters):
         cache = ArtifactCache()
@@ -272,18 +328,18 @@ class TestRunRequestCached:
         assert _comparable(first) == _comparable(second)
 
     def test_cached_run_is_bit_identical_to_a_direct_run(self, problem, parameters):
-        # Stage-cache states are provenance: they go in the ``cache`` block only.
+        # Cache states are provenance: they go in the ``cache`` block only.
         request = DesignRequest(problem=problem, parameters=parameters)
         direct = get_designer("spaa03").design(request)
         cache = ArtifactCache()
         cold = run_request_cached(request, cache)
-        # Another request digest over the same LP: a result miss whose
-        # formulate and solve stages hit the cache.  The repair slack is
-        # read only when repair_shortfall is on, which it is not here.
+        # Another request digest for the same design: a second miss.  The
+        # repair slack is read only when repair_shortfall is on, which it is
+        # not here.
         unread = replace(parameters, repair_fanout_slack=2.0)
-        hot = run_request_cached(replace(request, parameters=unread), cache)
-        assert hot.cache["stages"]["formulate"] == hot.cache["stages"]["solve"] == "hit"
-        assert _comparable(cold) == _comparable(direct) == _comparable(hot)
+        other = run_request_cached(replace(request, parameters=unread), cache)
+        assert other.cache["stages"]["result"] == "miss"
+        assert _comparable(cold) == _comparable(direct) == _comparable(other)
 
     def test_result_entry_carries_document_and_problem_digest(
         self, problem, parameters
@@ -323,51 +379,47 @@ class TestRunRequestCached:
         assert second.cache["served_from_cache"] is False
         assert cache.stats().by_namespace.get("result") is None
 
-    def test_bypass_and_no_cache_still_stamp_provenance(self, problem, parameters):
+    def test_no_cache_still_stamps_provenance(self, problem, parameters):
         request = DesignRequest(problem=problem, parameters=parameters)
-        uncached = run_request_cached(request, None)
-        bypassed = run_request_cached(request, ArtifactCache(), bypass=True)
-        for result in (uncached, bypassed):
-            assert result.cache["bypass"] is True
-            assert result.cache["served_from_cache"] is False
-
-    def test_stage_cache_reuse_across_different_seeds(self, problem):
-        # Two requests differing only in rounding seed share formulation/LP
-        # lines (the stage sits below the randomness).
-        cache = ArtifactCache()
-        run_request_cached(
-            DesignRequest(problem=problem, parameters=DesignParameters(seed=1)),
-            cache,
-        )
-        result = run_request_cached(
-            DesignRequest(problem=problem, parameters=DesignParameters(seed=2)),
-            cache,
-        )
+        result = run_request_cached(request, None)
+        assert result.cache["bypass"] is True
         assert result.cache["served_from_cache"] is False
-        assert result.cache["stages"]["formulate"] == "hit"
-        assert result.cache["stages"]["solve"] == "hit"
 
-    def test_traced_sweeps_reuse_cached_path_tables(self, problem, parameters):
-        # Two evaluations of one design that differ only in the trial count
-        # compile the same path tables: the second reads them from the cache.
+    def test_served_traced_sweeps_equal_uncached_runs(self, problem, parameters):
         cache = ArtifactCache()
         spec = dict(scenarios=("baseline", "isp-outage"), num_packets=200, window=40)
-        requests = [
-            DesignRequest(
+        for trials in (2, 3):
+            request = DesignRequest(
                 problem=problem,
                 parameters=parameters,
                 evaluation=EvaluationSpec(trials=trials, traces=("diurnal",), **spec),
             )
-            for trials in (2, 3)
-        ]
-        first = run_request_cached(requests[0], cache)
-        tables = cache.stats().by_namespace["path_table"]
-        assert tables["misses"] == 2 and tables.get("hits", 0) == 0
-        second = run_request_cached(requests[1], cache)
-        assert cache.stats().by_namespace["path_table"]["hits"] == 2
-        assert "trace:diurnal:peak_window_loss" in second.evaluation["baseline"]
-        for cached, request in ((first, requests[0]), (second, requests[1])):
-            assert _comparable(cached) == _comparable(run_request_cached(request, None))
+            served = run_request_cached(request, cache)
+            assert "trace:diurnal:peak_window_loss" in served.evaluation["baseline"]
+            assert _comparable(served) == _comparable(run_request_cached(request, None))
+
+    def test_cache_holds_only_result_and_plan_lines(self, problem, parameters):
+        cache = ArtifactCache()
+        options = {"shards": 2, "jobs": 1}
+        run_request_cached(
+            DesignRequest(
+                problem=problem, parameters=parameters, strategy="sharded:spaa03",
+                options=options,
+            ),
+            cache,
+        )
+        evaluation = EvaluationSpec(
+            scenarios=("baseline", "isp-outage"), trials=2, num_packets=200, window=40
+        )
+        run_request_cached(
+            DesignRequest(problem=problem, parameters=parameters, evaluation=evaluation),
+            cache,
+        )
+        session = DesignSession(problem, parameters=parameters, options=options, cache=cache)
+        events = ["flash-crowd", "sink-churn", "isp-outage"]
+        for _event, delta, _new in churn_stream(problem, events, seed=5):
+            session.apply_delta(delta)
+        assert set(cache.stats().by_namespace) == {"result", "plan"}
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +668,7 @@ class TestDesignSession:
         standing = session.ensure_design()
 
         # Independent chain: each event pays its own design_incremental call
-        # from the previous state, with no shared plan or stage cache.
+        # from the previous state, with no shared plan.
         current_problem = problem
         current = standing
         for (_event, delta, new_problem), session_result in zip(
@@ -1001,6 +1053,23 @@ MISNAMED_ENTRIES = [
         "problem.delivery_edges[0].sink: unknown sink 'zz'",
     ),
     ("unknown-stream", "demands", "stream", "zz", "problem.demands[0].stream: unknown stream 'zz'"),
+    *(
+        (
+            f"stream-costs-{kind}",
+            "delivery_edges",
+            "stream_costs",
+            value,
+            f"problem.delivery_edges[0].stream_costs must be an object, got {kind}",
+        )
+        for kind, value in (("float", 1.5), ("str", "x"), ("list", [1]), ("bool", True))
+    ),
+    (
+        "stream-cost-string",
+        "delivery_edges",
+        "stream_costs",
+        {"s0": "x"},
+        "problem.delivery_edges[0].stream_costs.s0 must be a number, got str",
+    ),
 ]
 
 
