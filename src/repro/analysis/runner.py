@@ -9,6 +9,8 @@ diffable:
   experiment (workload family x sizes x seed block x
   :class:`~repro.core.algorithm.DesignParameters`) is declared once as a list
   of picklable *task* dicts plus a module-level task function;
+* :class:`Gate` + :func:`check_gates` -- each scenario's paper-shape
+  thresholds as ``value op bound`` rows, read by one validator;
 * :func:`execute_tasks` -- a ``concurrent.futures`` executor that fans tasks
   out over worker processes, chunked by seed, and returns rows in task order
   so a run is deterministic given the master seed regardless of ``jobs``;
@@ -20,8 +22,7 @@ diffable:
   (:class:`MetricPolicy`), which is what lets CI gate on benchmark output.
 
 Scenario definitions themselves live in :mod:`repro.analysis.scenarios`; the
-``repro bench`` CLI subcommand and the ``benchmarks/bench_*.py`` pytest
-wrappers are both thin clients of this module.
+``repro bench`` CLI subcommand is the one client that runs them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import operator
 import os
 import platform
 import subprocess
@@ -37,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 SCHEMA_VERSION = 1
 
@@ -117,6 +119,119 @@ class MetricDrift:
 
 
 # ---------------------------------------------------------------------------
+# Gates: the paper-shape thresholds as data
+# ---------------------------------------------------------------------------
+
+_GATE_OPS = {
+    "<=": operator.le,
+    ">=": operator.ge,
+    "<": operator.lt,
+    ">": operator.gt,
+    "==": operator.eq,
+}
+
+#: What a ``<=``/``>=`` gate allows against a *named* bound: the ``1e-9`` the
+#: hand-written column-vs-column checks added.  Numeric bounds carry their own
+#: slack as written (``4.0 + 1e-9``).
+NAMED_BOUND_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One paper-shape threshold, ``value op bound``, read off a record.
+
+    ``value`` names a row column when ``per_row`` is set -- the gate is then
+    checked on every row that has that column -- and otherwise a key of the
+    record's ``metrics`` or of the scenario's ``gate_values(rows)``.  A value
+    that is absent is not evaluated.  ``bound`` is a number, compared
+    exactly, or the name of another value in the same scope; a ``<=``/``>=``
+    against a named bound allows :data:`NAMED_BOUND_SLACK`.  ``full_only``
+    gates are skipped on smoke records.
+    """
+
+    value: str
+    op: str
+    bound: float | str
+    per_row: bool = False
+    full_only: bool = False
+
+    def __post_init__(self) -> None:
+        if self.op not in _GATE_OPS:
+            raise ValueError(f"gate op must be one of {sorted(_GATE_OPS)}, got {self.op!r}")
+
+    def __str__(self) -> str:
+        return f"{self.value} {self.op} {self.bound}"
+
+    def holds(self, value: float, bound: float) -> bool:
+        """``value op bound``, with the named-bound slack where it applies."""
+        if isinstance(self.bound, str):
+            if self.op == "<=":
+                bound = bound + NAMED_BOUND_SLACK
+            elif self.op == ">=":
+                bound = bound - NAMED_BOUND_SLACK
+        return _GATE_OPS[self.op](value, bound)
+
+
+class GateCheck(NamedTuple):
+    """One evaluation of a gate: on row ``row`` (per-row gates) or the record."""
+
+    gate: Gate
+    row: int | None
+    value: float
+    bound: float | None
+    passed: bool
+
+    def describe(self) -> str:
+        where = f"row {self.row}: " if self.row is not None else ""
+        if self.bound is None:
+            return f"{where}{self.gate}: bound {self.gate.bound!r} missing"
+        read = f"read {self.value!r}"
+        if isinstance(self.gate.bound, str):
+            read += f" against {self.bound!r}"
+        return f"{where}{self.gate} failed ({read})"
+
+
+def gate_scope(spec: ScenarioSpec, record: BenchRecord) -> dict[str, float]:
+    """The names a record-level gate reads: ``metrics`` plus ``gate_values(rows)``.
+
+    ``gate_values`` is recomputed here and never stored, so records stay as
+    ``run_scenario`` wrote them.  A name in both is an error in the spec.
+    """
+    scope = dict(record.metrics)
+    if spec.gate_values is not None:
+        derived = spec.gate_values(record.rows)
+        both = sorted(set(scope) & set(derived))
+        if both:
+            raise ValueError(
+                f"scenario {spec.scenario_id!r}: {both} named by both metrics and gate_values"
+            )
+        scope.update(derived)
+    return scope
+
+
+def evaluate_gates(spec: ScenarioSpec, record: BenchRecord) -> list[GateCheck]:
+    """Every evaluation of ``spec.gates`` on ``record``, passed or not."""
+    checks: list[GateCheck] = []
+    gates = [gate for gate in spec.gates if not (gate.full_only and record.smoke)]
+    scope = gate_scope(spec, record) if any(not gate.per_row for gate in gates) else {}
+    for gate in gates:
+        targets = enumerate(record.rows) if gate.per_row else [(None, scope)]
+        for index, names in targets:
+            if gate.value not in names:
+                continue
+            value = names[gate.value]
+            bound = names.get(gate.bound) if isinstance(gate.bound, str) else gate.bound
+            passed = bound is not None and gate.holds(value, bound)
+            checks.append(GateCheck(gate, index, value, bound, passed))
+    return checks
+
+
+def check_gates(spec: ScenarioSpec, record: BenchRecord) -> list[str]:
+    """One line per failed gate of ``spec`` on ``record``; empty = pass."""
+    return [check.describe() for check in evaluate_gates(spec, record) if not check.passed]
+
+
+# ---------------------------------------------------------------------------
 # Scenario specification and registry
 # ---------------------------------------------------------------------------
 
@@ -148,9 +263,14 @@ class ScenarioSpec:
         key metrics (e.g. one value per baseline design) in the parent
         process; they land in ``BenchRecord.metrics`` and participate in
         comparison under the same policy names.
-    validate:
-        Optional ``BenchRecord -> list[str]`` returning human-readable
-        threshold violations (the paper-shape checks).  Empty list = pass.
+    gates:
+        The paper-shape thresholds as :class:`Gate` rows, checked by
+        :func:`check_gates` (``repro bench`` exits 1 when one fails).
+    gate_values:
+        Optional ``rows -> dict[str, float]`` for what a gate cannot read off
+        one row or one metric: comparisons across rows, arithmetic on
+        columns, row counts.  Write each relation as a difference compared
+        with 0.  The values are recomputed at check time and never stored.
     artifact:
         Stem of the plain-text table artifact (defaults to the bench id).
     columns:
@@ -167,7 +287,8 @@ class ScenarioSpec:
     make_tasks: Callable[[int, bool], list[dict]]
     policies: dict[str, MetricPolicy] = field(default_factory=dict)
     derive_metrics: Callable[[list[dict]], dict[str, float]] | None = None
-    validate: Callable[["BenchRecord"], list[str]] | None = None
+    gates: tuple[Gate, ...] = ()
+    gate_values: Callable[[list[dict]], dict[str, float]] | None = None
     artifact: str | None = None
     columns: Sequence[str] | None = None
     description: str = ""
@@ -253,14 +374,29 @@ def _ensure_scenarios_loaded() -> None:
 # ---------------------------------------------------------------------------
 
 
+def integer_option(name: str, value: object) -> int:
+    """A count option (``jobs``, ``shards``) as an int: an int or a numeric string.
+
+    Anything else -- a float, a bool, a list -- is a ``ValueError`` naming
+    ``name``, so a wrongly typed request option is refused, not a traceback.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer or 'auto', got {type(value).__name__}")
+
+
 def resolve_jobs(jobs: int | str | None) -> int:
     """Normalise a ``--jobs`` value: ``None``/1 -> serial, ``"auto"`` -> CPUs."""
     if jobs is None:
         return 1
-    if isinstance(jobs, str):
-        if jobs == "auto":
-            return max(1, os.cpu_count() or 1)
-        jobs = int(jobs)
+    if jobs == "auto":
+        return max(1, os.cpu_count() or 1)
+    jobs = integer_option("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -618,18 +754,24 @@ def load_suite(path: str | Path) -> dict[str, BenchRecord]:
 __all__ = [
     "BenchRecord",
     "ComparisonReport",
+    "Gate",
+    "GateCheck",
     "MetricDrift",
     "MetricPolicy",
     "SCHEMA_VERSION",
     "ScenarioSpec",
     "aggregate_rows",
+    "check_gates",
     "classify_drift",
     "collect_environment",
     "compare_records",
+    "evaluate_gates",
     "execute_tasks",
     "execute_tasks_iter",
     "expand_scenario_ids",
+    "gate_scope",
     "get_scenario",
+    "integer_option",
     "load_suite",
     "register_scenario",
     "resolve_jobs",

@@ -17,6 +17,7 @@ writes and what :func:`repro.api.design_batch` ships across worker processes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -171,12 +172,23 @@ def _object(value: Any, field: str) -> dict[str, Any]:
     return value
 
 
-def _integer(data: dict[str, Any], key: str, default: int | None) -> int | None:
-    """``evaluation.<key>`` as an integer (bools excluded); ``None`` only as the default."""
+#: The JSON scalar kinds a document field can be checked against.  Bools are
+#: neither integers nor numbers.
+_SCALAR_KINDS: dict[str, Any] = {
+    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "a number": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
+    "a boolean": lambda value: isinstance(value, bool),
+}
+
+
+def _scalar(data: dict[str, Any], where: str, key: str, kind: str, default: Any) -> Any:
+    """``data[key]`` (``default`` when absent) if it is ``kind``, else a
+    :class:`DocumentError` naming ``<where>.<key>``; ``None`` passes only as
+    the default."""
     value = data.get(key, default)
-    if value is default or (isinstance(value, int) and not isinstance(value, bool)):
+    if (value is None and default is None) or _SCALAR_KINDS[kind](value):
         return value
-    raise DocumentError(f"evaluation.{key} must be an integer, got {type(value).__name__}")
+    raise DocumentError(f"{where}.{key} must be {kind}, got {type(value).__name__}")
 
 
 def _names(data: dict[str, Any], key: str) -> tuple[str, ...]:
@@ -201,14 +213,18 @@ def evaluation_spec_from_dict(data: dict[str, Any]) -> EvaluationSpec:
             f"evaluation.mode must be 'batched' or 'streaming', got {data['mode']!r}"
         )
     scenarios = data.get("scenarios", "all")
+
+    def integer(key: str, default: int | None) -> int | None:
+        return _scalar(data, "evaluation", key, "an integer", default)
+
     return EvaluationSpec(
         scenarios=scenarios if isinstance(scenarios, str) else _names(data, "scenarios"),
-        trials=_integer(data, "trials", 30),
-        num_packets=_integer(data, "num_packets", 2000),
-        window=_integer(data, "window", 200),
-        seed=_integer(data, "seed", 0),
+        trials=integer("trials", 30),
+        num_packets=integer("num_packets", 2000),
+        window=integer("window", 200),
+        seed=integer("seed", 0),
         traces=_names(data, "traces"),
-        max_memory=_integer(data, "max_memory", None),
+        max_memory=integer("max_memory", None),
         scenario_files=_names(data, "scenario_files"),
     )
 
@@ -372,24 +388,30 @@ def parameters_from_dict(data: dict[str, Any]) -> DesignParameters:
         )
     rounding = _object(data.get("rounding", {}), "parameters.rounding")
     extensions = _object(data.get("extensions", {}), "parameters.extensions")
+
+    def switch(key: str, default: bool) -> bool:
+        return _scalar(extensions, "parameters.extensions", key, "a boolean", default)
+
     return DesignParameters(
         rounding=RoundingParameters(
-            c=rounding.get("c", 8.0),
-            delta=rounding.get("delta", 0.25),
-            seed=rounding.get("seed"),
+            c=_scalar(rounding, "parameters.rounding", "c", "a number", 8.0),
+            delta=_scalar(rounding, "parameters.rounding", "delta", "a number", 0.25),
+            seed=_scalar(rounding, "parameters.rounding", "seed", "an integer", None),
         ),
         extensions=ExtensionOptions(
-            use_bandwidth=extensions.get("use_bandwidth", False),
-            use_reflector_capacities=extensions.get("use_reflector_capacities", False),
-            use_arc_capacities=extensions.get("use_arc_capacities", False),
-            use_color_constraints=extensions.get("use_color_constraints", False),
-            drop_cutting_plane=extensions.get("drop_cutting_plane", False),
+            use_bandwidth=switch("use_bandwidth", False),
+            use_reflector_capacities=switch("use_reflector_capacities", False),
+            use_arc_capacities=switch("use_arc_capacities", False),
+            use_color_constraints=switch("use_color_constraints", False),
+            drop_cutting_plane=switch("drop_cutting_plane", False),
         ),
-        retry_rounding=data.get("retry_rounding", True),
-        max_rounding_attempts=data.get("max_rounding_attempts", 20),
-        keep_degenerate_box=data.get("keep_degenerate_box", True),
-        repair_shortfall=data.get("repair_shortfall", False),
-        repair_fanout_slack=data.get("repair_fanout_slack", 4.0),
+        retry_rounding=_scalar(data, "parameters", "retry_rounding", "a boolean", True),
+        max_rounding_attempts=_scalar(
+            data, "parameters", "max_rounding_attempts", "an integer", 20
+        ),
+        keep_degenerate_box=_scalar(data, "parameters", "keep_degenerate_box", "a boolean", True),
+        repair_shortfall=_scalar(data, "parameters", "repair_shortfall", "a boolean", False),
+        repair_fanout_slack=_scalar(data, "parameters", "repair_fanout_slack", "a number", 4.0),
     )
 
 
@@ -463,10 +485,13 @@ def request_from_dict(data: dict[str, Any]) -> DesignRequest:
         accept_versions=SCHEMA_VERSIONS_READ,
     )
     evaluation_data = data.get("evaluation")
+    strategy = data.get("strategy", "spaa03")
+    if not isinstance(strategy, str):
+        raise DocumentError(f"strategy must be a string, got {type(strategy).__name__}")
     return DesignRequest(
         problem=problem_from_dict(data["problem"]),
         parameters=parameters_from_dict(data.get("parameters", {})),
-        strategy=data.get("strategy", "spaa03"),
+        strategy=strategy,
         options=dict(_object(data.get("options", {}), "options")),
         evaluation=(
             evaluation_spec_from_dict(evaluation_data)

@@ -50,7 +50,7 @@ defined in :mod:`repro.core.serialization` (problems/solutions),
 the request/result documents of :mod:`repro.api.types` (batch), and the
 ``BENCH_<ID>.json`` records of :mod:`repro.analysis.runner` (benchmarks).
 
-Exit codes of ``bench``: 0 success; 1 a scenario's paper-shape thresholds
+Exit codes of ``bench``: 0 success; 1 a scenario's paper-shape gates
 failed (takes precedence if regressions were also classified); 2 usage or
 incomparable baseline; 3 a classified regression against ``--compare-to``.
 """
@@ -836,7 +836,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not requests:
         print(f"error: no requests in {args.requests}", file=sys.stderr)
         return 2
-    results = design_batch(requests, jobs=jobs)
+    try:
+        results = design_batch(requests, jobs=jobs)
+    except (ValueError, KeyError) as error:
+        # A request that decoded but names an unknown strategy or a wrongly
+        # typed option: a named error, as over HTTP, not a traceback.
+        print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
+        return 2
     rows = [
         {
             "request": request.request_id or f"#{index}",
@@ -858,6 +864,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.analysis.runner import (
+        check_gates,
         compare_records,
         expand_scenario_ids,
         get_scenario,
@@ -928,9 +935,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"\n===== {record.bench_id} ({record.elapsed_seconds:.2f}s, jobs={jobs}) =====")
         print(table)
         print(f"wrote {json_path}")
-        if not args.no_validate and spec.validate is not None:
-            for failure in spec.validate(record):
-                failures.append(f"{sid}: {failure}")
+        if not args.no_validate:
+            failures.extend(f"{sid}: {failure}" for failure in check_gates(spec, record))
 
     if args.baseline_out:
         path = save_suite(records, args.baseline_out)
@@ -1402,7 +1408,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-validate",
         action="store_true",
-        help="skip the scenarios' paper-shape threshold checks",
+        help="skip the scenarios' paper-shape gates",
     )
     bench.add_argument("--list", action="store_true", help="list registered scenarios")
     bench.set_defaults(func=_cmd_bench)

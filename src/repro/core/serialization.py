@@ -146,11 +146,18 @@ def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
         for index, stream in enumerate(entities("streams")):
             problem.add_stream(stream["name"], bandwidth=stream.get("bandwidth", 1.0))
         for index, reflector in enumerate(entities("reflectors")):
+            # A color keys the ISP groups, so it must be a hashable JSON scalar.
+            color = reflector.get("color")
+            if isinstance(color, bool) or not isinstance(color, (str, numbers.Real, type(None))):
+                raise DocumentError(
+                    f"problem.reflectors[{index}].color must be a string, a number or "
+                    f"null, got {type(color).__name__}"
+                )
             problem.add_reflector(
                 reflector["name"],
                 cost=reflector["cost"],
                 fanout=reflector["fanout"],
-                color=reflector.get("color"),
+                color=color,
                 capacity=reflector.get("capacity"),
             )
         for index, sink in enumerate(entities("sinks")):

@@ -39,6 +39,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.analysis.runner import integer_option
 from repro.core.index import problem_index
 from repro.core.problem import OverlayDesignProblem
 
@@ -178,8 +179,7 @@ def resolve_shard_count(shards: int | str | None, problem: OverlayDesignProblem)
                 max(1, round(math.sqrt(problem.num_demands / 2.0))),
             )
         )
-    if isinstance(shards, str):
-        shards = int(shards)
+    shards = integer_option("shards", shards)
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     return min(shards, problem.num_sinks)

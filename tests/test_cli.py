@@ -260,6 +260,26 @@ class TestBatch:
         assert main(["batch", "--requests", str(path)]) == 2
         assert "no requests" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("strategy", "options", "error"),
+        [
+            ("sharded:spaa03", {"jobs": [1]}, "jobs must be an integer or 'auto', got list"),
+            ("sharded:spaa03", {"shards": 1.5}, "shards must be an integer or 'auto', got float"),
+            ("nope", {}, "unknown designer 'nope'"),
+        ],
+    )
+    def test_batch_request_the_designer_refuses_is_a_named_error(
+        self, problem_file, tmp_path, capsys, strategy, options, error
+    ):
+        from repro.api import DesignRequest, dump_requests_jsonl
+
+        path = tmp_path / "requests.jsonl"
+        problem = load_problem(problem_file)
+        request = DesignRequest(problem=problem, strategy=strategy, options=options)
+        dump_requests_jsonl([request], path)
+        assert main(["batch", "--requests", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
 
 class TestShardedCli:
     @pytest.fixture

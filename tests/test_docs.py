@@ -3,6 +3,8 @@
 * The quickstart in ``repro/__init__`` and ``README.md`` runs verbatim.
 * Every ``repro.*`` module named in ``docs/paper_map.md`` imports, and every
   backtick-quoted symbol listed alongside it actually exists there.
+* Every bench scenario the paper map names (``repro bench --suite <id>``) is
+  registered, and every test file it names exists.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.runner import scenario_ids
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,7 +75,13 @@ def test_paper_map_modules_and_symbols_exist():
 
 def test_paper_map_benchmarks_exist():
     text = (REPO_ROOT / "docs" / "paper_map.md").read_text()
-    for path in re.findall(r"`(benchmarks/\w+\.py)`", text):
-        assert (REPO_ROOT / path).exists(), f"paper map names missing file {path}"
+    named = [
+        scenario
+        for suite in re.findall(r"`repro bench --suite ([\w,]+)`", text)
+        for scenario in suite.split(",")
+    ]
+    assert len(set(named)) >= 10, named
+    unknown = sorted(set(named) - set(scenario_ids()))
+    assert not unknown, f"paper map names unregistered scenarios {unknown}"
     for path in re.findall(r"`(tests/\w+\.py)`", text):
         assert (REPO_ROOT / path).exists(), f"paper map names missing file {path}"

@@ -9,7 +9,7 @@ the Srinivasan--Teo path formulation instead.
 
 We reproduce the gap exactly using the LP substrate over the path
 formulation: relaxing integrality gives 3.5, forcing integral flows caps at 3.
-The corresponding benchmark is ``benchmarks/bench_fig3_integrality_gap.py``.
+The corresponding bench scenario is ``f3`` (``repro bench --suite f3``).
 """
 
 from __future__ import annotations

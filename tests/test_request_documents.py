@@ -4,8 +4,9 @@ Start from a valid ``sharded:spaa03`` request document with an evaluation
 spec and change one field: swap its value for one of another JSON type,
 delete it, or replace the whole document.  ``request_from_dict`` must return
 a request or raise ``ValueError``/``KeyError``, the two exceptions the HTTP
-front answers with ``400``; anything else is a traceback at ``repro batch``
-and a dropped connection at ``POST /design``.
+front answers with ``400``, and a request it returns must run through
+``run_request`` or raise one of the two; anything else is a traceback at
+``repro batch`` and a dropped connection at ``POST /design``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.api import DesignRequest, EvaluationSpec, request_from_dict, request_to_dict
+from repro.api import (
+    DesignRequest,
+    EvaluationSpec,
+    request_from_dict,
+    request_to_dict,
+    run_request,
+)
 from repro.core.algorithm import DesignParameters
 from repro.serve import DesignServer, DesignService
 from repro.workloads.random_instances import RandomInstanceConfig, random_problem
@@ -188,3 +195,88 @@ def test_refused_bodies_get_400_naming_the_error(design_server):
     sample += [case for case in refused if case[0][0] != "root" and "stream_costs" in case[0][1]]
     for mutation, document, error in sample:
         assert _post(design_server, document) == (400, {"error": error}), mutation
+
+
+def test_a_decoded_mutation_runs_or_raises_a_named_error():
+    escaped = []
+    for mutation in _single_field_mutations():
+        try:
+            request = request_from_dict(_mutated(mutation))
+        except (ValueError, KeyError):
+            continue
+        try:
+            run_request(request)
+        except (ValueError, KeyError):
+            pass
+        except Exception as error:  # noqa: BLE001 - collected, reported below
+            escaped.append((mutation, repr(error)))
+    assert escaped == []
+
+
+_WRONG = (None, "x", [1], {"x": 1})
+_UNHASHABLE = ([1], {"x": 1})
+
+#: The single-field mutations that used to decode and then escape
+#: ``run_request`` as a ``TypeError`` or ``AttributeError``, with the start
+#: of the error that now names their field.
+WRONGLY_TYPED = [
+    *[
+        (("strategy",), value, "strategy must be a string")
+        for value in (None, True, 1.5, *_UNHASHABLE)
+    ],
+    *[
+        (("parameters", "rounding", key), value, f"parameters.rounding.{key} must be a number")
+        for key in ("c", "delta")
+        for value in _WRONG
+    ],
+    *[
+        (("parameters", "rounding", "seed"), value, "parameters.rounding.seed must be an integer")
+        for value in _UNHASHABLE
+    ],
+    *[
+        (("parameters", key), value, f"parameters.{key} must be {kind}")
+        for key, kind in (
+            ("max_rounding_attempts", "an integer"),
+            ("repair_fanout_slack", "a number"),
+        )
+        for value in _WRONG
+    ],
+    *[
+        (("options", key), value, f"{key} must be an integer or 'auto'")
+        for key in ("shards", "jobs")
+        for value in _UNHASHABLE
+    ],
+    *[
+        (
+            ("problem", "reflectors", index, "color"),
+            value,
+            f"problem.reflectors[{index}].color must be a string, a number or null",
+        )
+        for index in range(3)
+        for value in _UNHASHABLE
+    ],
+]
+
+
+def test_the_wrongly_typed_fields_are_the_ones_that_escaped():
+    assert len(WRONGLY_TYPED) == 33
+
+
+@pytest.mark.parametrize(("path", "value", "error"), WRONGLY_TYPED)
+def test_a_wrongly_typed_field_gets_400_naming_it(design_server, path, value, error):
+    expected = f"{error}, got {type(value).__name__}"
+    assert _post(design_server, _mutated(("swap", path, value))) == (400, {"error": expected})
+
+
+@pytest.mark.parametrize(
+    ("path", "value"),
+    [
+        (("parameters", "rounding", "c"), True),
+        (("parameters", "retry_rounding"), "no"),
+        (("parameters", "extensions", "use_color_constraints"), 1),
+        (("problem", "reflectors", 0, "color"), False),
+    ],
+)
+def test_bools_are_not_numbers_and_numbers_are_not_bools(path, value):
+    with pytest.raises(ValueError, match="must be"):
+        request_from_dict(_mutated(("swap", path, value)))

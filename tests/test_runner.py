@@ -10,6 +10,7 @@ from repro.analysis.runner import (
     SCHEMA_VERSION,
     TIMING_SUFFIX,
     BenchRecord,
+    Gate,
     MetricPolicy,
     ScenarioSpec,
     aggregate_rows,
@@ -205,16 +206,16 @@ class TestDriftClassification:
 
 
 def _failing_task(task: dict) -> dict:
-    return {"value": 1.0}
+    return {"synthetic threshold failure": 1.0}
 
 
 register_scenario(
     ScenarioSpec(
         scenario_id="_always_failing",
-        title="synthetic scenario whose thresholds always fail",
+        title="synthetic scenario whose gate always fails",
         task_fn=_failing_task,
         make_tasks=lambda master_seed, smoke: [{}],
-        validate=lambda record: ["synthetic threshold failure"],
+        gates=(Gate("synthetic threshold failure", "==", 0, per_row=True),),
     )
 )
 
