@@ -35,18 +35,28 @@ from repro.baselines.naive import _naive_quality_first_design_impl
 from repro.baselines.random_assignment import _random_design_impl
 from repro.baselines.single_tree import _single_tree_design_impl
 from repro.core.algorithm import fractional_lower_bound
+from repro.core.schema import BOOLEAN, Doc, Field, integer, number
 from repro.core.solution import OverlaySolution
 
+#: Each baseline's options, with domains and defaults.  A fanout slack at or
+#: below 0 would leave every reflector without capacity.
+_SLACK = Field("fanout_slack", number(0.0, low_open=True), default=1.0)
+_SLACK_OPTIONS = Doc(dict, [_SLACK])
+_SINGLE_TREE_OPTIONS = Doc(dict, [_SLACK, Field("prefer_cheap", BOOLEAN, default=False)])
+_RANDOM_OPTIONS = Doc(dict, [Field("seed", integer(0), nullable=True, default=None), _SLACK])
+MILP_OPTIONS = Doc(
+    dict,
+    [
+        Field("time_limit", number(0.0, low_open=True), nullable=True, default=None),
+        Field("mip_gap", number(0.0), nullable=True, default=None),
+        Field("symmetry_breaking", BOOLEAN, default=True),
+    ],
+)
 
-def _strategy_options(request: DesignRequest, **defaults) -> dict:
-    """Merge ``request.options`` over ``defaults``, rejecting unknown keys."""
-    unknown = sorted(set(request.options) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"unknown option(s) {unknown} for strategy {request.strategy!r} "
-            f"(accepted: {sorted(defaults)})"
-        )
-    return {**defaults, **request.options}
+
+def _strategy_options(request: DesignRequest, options: Doc = Doc(dict, [])) -> dict:
+    """``request.options`` decoded through the strategy's option table."""
+    return options.options(request.options, f"strategy {request.strategy!r}")
 
 
 def _pipeline_result(request: DesignRequest, context: PipelineContext) -> DesignResult:
@@ -126,7 +136,7 @@ def _run_spaa03_extended(request: DesignRequest) -> DesignResult:
     baseline=True,
 )
 def _run_greedy(request: DesignRequest) -> DesignResult:
-    options = _strategy_options(request, fanout_slack=1.0)
+    options = _strategy_options(request, _SLACK_OPTIONS)
     start = time.perf_counter()
     solution = _greedy_design_impl(request.problem, **options)
     return _baseline_result(request, solution, time.perf_counter() - start)
@@ -138,7 +148,7 @@ def _run_greedy(request: DesignRequest) -> DesignResult:
     baseline=True,
 )
 def _run_naive(request: DesignRequest) -> DesignResult:
-    options = _strategy_options(request, fanout_slack=1.0)
+    options = _strategy_options(request, _SLACK_OPTIONS)
     start = time.perf_counter()
     solution = _naive_quality_first_design_impl(request.problem, **options)
     return _baseline_result(request, solution, time.perf_counter() - start)
@@ -150,7 +160,7 @@ def _run_naive(request: DesignRequest) -> DesignResult:
     baseline=True,
 )
 def _run_single_tree(request: DesignRequest) -> DesignResult:
-    options = _strategy_options(request, fanout_slack=1.0, prefer_cheap=False)
+    options = _strategy_options(request, _SINGLE_TREE_OPTIONS)
     start = time.perf_counter()
     solution = _single_tree_design_impl(request.problem, **options)
     return _baseline_result(request, solution, time.perf_counter() - start)
@@ -162,7 +172,7 @@ def _run_single_tree(request: DesignRequest) -> DesignResult:
     baseline=True,
 )
 def _run_random(request: DesignRequest) -> DesignResult:
-    options = _strategy_options(request, seed=None, fanout_slack=1.0)
+    options = _strategy_options(request, _RANDOM_OPTIONS)
     if options["seed"] is None:
         options["seed"] = request.seed
     start = time.perf_counter()
@@ -177,7 +187,7 @@ def _run_random(request: DesignRequest) -> DesignResult:
     in_comparisons=False,
 )
 def _run_milp_exact(request: DesignRequest) -> DesignResult:
-    options = _strategy_options(request, time_limit=None, mip_gap=None, symmetry_breaking=True)
+    options = _strategy_options(request, MILP_OPTIONS)
     start = time.perf_counter()
     result = milp_exact_design(request.problem, extensions=request.parameters.extensions, **options)
     elapsed = time.perf_counter() - start

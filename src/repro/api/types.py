@@ -10,30 +10,38 @@ constraint-violation audit, and free-form metadata.
 
 Both types have a versioned JSON encoding (``schema_version`` +
 ``kind`` discriminator, extending the document conventions of
-:mod:`repro.core.serialization`), which is what ``repro batch`` reads and
-writes and what :func:`repro.api.design_batch` ships across worker processes.
-``options`` must be JSON-typed for a request to serialize.
+:mod:`repro.core.serialization`), declared once as :data:`REQUEST` and
+:data:`RESULT` (:mod:`repro.core.schema`), which is what ``repro batch``
+reads and writes and what :func:`repro.api.design_batch` ships across worker
+processes.  ``options`` must be JSON-typed for a request to serialize.
 """
 
 from __future__ import annotations
 
-import numbers
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.analysis.audit import SolutionAudit
 from repro.core.algorithm import DesignParameters, DesignReport
 from repro.core.formulation import ExtensionOptions
 from repro.core.problem import OverlayDesignProblem
 from repro.core.rounding import RoundingParameters
-from repro.core.serialization import (
-    DocumentError,
-    check_document,
-    problem_from_dict,
-    problem_to_dict,
-    solution_from_dict,
-    solution_to_dict,
+from repro.core.schema import (
+    ANY,
+    BOOLEAN,
+    INTEGER,
+    NUMBER,
+    STRING,
+    Doc,
+    Field,
+    MapOf,
+    Rows,
+    choice,
+    integer,
+    number,
 )
+from repro.core.serialization import NAMES, PROBLEM, SOLUTION, scalar_metadata
 from repro.core.solution import OverlaySolution
 
 #: Version written into every request/result document; bump on breaking changes.
@@ -95,20 +103,12 @@ class EvaluationSpec:
     scenario_files: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.scenarios, list):
-            self.scenarios = tuple(self.scenarios)
-        if isinstance(self.traces, list):
-            self.traces = tuple(self.traces)
-        if isinstance(self.scenario_files, list):
-            self.scenario_files = tuple(self.scenario_files)
-        if self.trials <= 0:
-            raise ValueError("trials must be positive")
-        if self.num_packets <= 0:
-            raise ValueError("num_packets must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.max_memory is not None and self.max_memory <= 0:
-            raise ValueError("max_memory must be positive when set")
+        for name in ("scenarios", "traces", "scenario_files"):
+            if isinstance(getattr(self, name), list):
+                setattr(self, name, tuple(getattr(self, name)))
+        # The declaration's decoder, so a spec built here and a decoded one
+        # pass one check (a DocumentError naming ``evaluation.<field>``).
+        EVALUATION.values(vars(self), "evaluation")
 
     def evaluate(
         self, problem: OverlayDesignProblem, solution: OverlaySolution
@@ -136,97 +136,34 @@ class EvaluationSpec:
         )
 
 
-#: ``evaluation.mode`` values written before the engines merged; read and ignored.
-_LEGACY_MODES = ("batched", "streaming")
-
-#: ``parameters.solver_backend`` values written before the one solver call;
-#: read and ignored.
-_LEGACY_BACKENDS = ("highs", "highs-mip")
+EVALUATION = Doc(
+    EvaluationSpec,
+    [
+        Field("scenarios", Rows(STRING, or_single=True)),
+        Field("trials", integer(1)),
+        Field("num_packets", integer(1)),
+        Field("window", integer(1)),
+        # Seeds feed numpy's SeedSequence, which takes no negative entropy.
+        Field("seed", integer(0)),
+        # Written only when set, so documents that do not use them stay
+        # byte-stable across builds.
+        Field("traces", NAMES, omit=True),
+        Field("max_memory", integer(1), nullable=True, omit=True),
+        Field("scenario_files", NAMES, omit=True),
+        # Written by builds with two engines; read and ignored.
+        Field("mode", choice("batched", "streaming"), ignored=True),
+    ],
+)
 
 
 def evaluation_spec_to_dict(spec: EvaluationSpec) -> dict[str, Any]:
     """Encode an :class:`EvaluationSpec` as a JSON-compatible mapping."""
-    scenarios = spec.scenarios
-    data: dict[str, Any] = {
-        "scenarios": list(scenarios) if not isinstance(scenarios, str) else scenarios,
-        "trials": spec.trials,
-        "num_packets": spec.num_packets,
-        "window": spec.window,
-        "seed": spec.seed,
-    }
-    # Optional fields are emitted only when set, so documents that do not
-    # use them stay byte-stable across builds.
-    if spec.traces:
-        data["traces"] = list(spec.traces)
-    if spec.max_memory is not None:
-        data["max_memory"] = spec.max_memory
-    if spec.scenario_files:
-        data["scenario_files"] = list(spec.scenario_files)
-    return data
-
-
-def _object(value: Any, field: str) -> dict[str, Any]:
-    """``value`` if it is a JSON object, else a :class:`DocumentError` naming ``field``."""
-    if not isinstance(value, dict):
-        raise DocumentError(f"{field} must be an object, got {type(value).__name__}")
-    return value
-
-
-#: The JSON scalar kinds a document field can be checked against.  Bools are
-#: neither integers nor numbers.
-_SCALAR_KINDS: dict[str, Any] = {
-    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "a number": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
-    "a boolean": lambda value: isinstance(value, bool),
-}
-
-
-def _scalar(data: dict[str, Any], where: str, key: str, kind: str, default: Any) -> Any:
-    """``data[key]`` (``default`` when absent) if it is ``kind``, else a
-    :class:`DocumentError` naming ``<where>.<key>``; ``None`` passes only as
-    the default."""
-    value = data.get(key, default)
-    if (value is None and default is None) or _SCALAR_KINDS[kind](value):
-        return value
-    raise DocumentError(f"{where}.{key} must be {kind}, got {type(value).__name__}")
-
-
-def _names(data: dict[str, Any], key: str) -> tuple[str, ...]:
-    """``evaluation.<key>`` as a tuple of strings."""
-    value = data.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise DocumentError(f"evaluation.{key} must be a list of strings")
-    return tuple(value)
+    return EVALUATION.encode(spec)
 
 
 def evaluation_spec_from_dict(data: dict[str, Any]) -> EvaluationSpec:
-    """Decode an :class:`EvaluationSpec` from its JSON form.
-
-    A field of the wrong JSON type raises
-    :class:`~repro.core.serialization.DocumentError` naming it.  ``mode``
-    (written by builds with two engines) is accepted as ``"batched"`` or
-    ``"streaming"`` and ignored.
-    """
-    data = _object(data, "evaluation")
-    if data.get("mode", _LEGACY_MODES[0]) not in _LEGACY_MODES:
-        raise DocumentError(
-            f"evaluation.mode must be 'batched' or 'streaming', got {data['mode']!r}"
-        )
-    scenarios = data.get("scenarios", "all")
-
-    def integer(key: str, default: int | None) -> int | None:
-        return _scalar(data, "evaluation", key, "an integer", default)
-
-    return EvaluationSpec(
-        scenarios=scenarios if isinstance(scenarios, str) else _names(data, "scenarios"),
-        trials=integer("trials", 30),
-        num_packets=integer("num_packets", 2000),
-        window=integer("window", 200),
-        seed=integer("seed", 0),
-        traces=_names(data, "traces"),
-        max_memory=integer("max_memory", None),
-        scenario_files=_names(data, "scenario_files"),
-    )
+    """Decode an :class:`EvaluationSpec` from its JSON form (:data:`EVALUATION`)."""
+    return EVALUATION.decode(data, "evaluation")
 
 
 @dataclass
@@ -350,156 +287,111 @@ class DesignResult:
 # ---------------------------------------------------------------------------
 
 
+SEED = Field("seed", integer(0), nullable=True)
+ROUNDING = Doc(RoundingParameters, [Field("c", number()), Field("delta", number()), SEED])
+SWITCHES = [Field(item.name, BOOLEAN) for item in dataclasses.fields(ExtensionOptions)]
+PARAMETERS = Doc(
+    DesignParameters,
+    [
+        Field("rounding", ROUNDING),
+        Field("extensions", Doc(ExtensionOptions, SWITCHES)),
+        Field("retry_rounding", BOOLEAN),
+        Field("max_rounding_attempts", integer(1)),
+        Field("keep_degenerate_box", BOOLEAN),
+        Field("repair_shortfall", BOOLEAN),
+        Field("repair_fanout_slack", number()),
+        # Written by builds with a solver registry; both ran the HiGHS call
+        # every solve now makes.  Read and ignored.
+        Field("solver_backend", choice("highs", "highs-mip"), ignored=True),
+    ],
+)
+# ``DesignParameters.seed`` is not declared: it overrides ``rounding.seed``.
+
+
 def parameters_to_dict(parameters: DesignParameters) -> dict[str, Any]:
     """Encode :class:`DesignParameters` (all knobs, nested dataclasses inline)."""
-    return {
-        "rounding": {
-            "c": parameters.rounding.c,
-            "delta": parameters.rounding.delta,
-            "seed": parameters.rounding.seed,
-        },
-        "extensions": {
-            "use_bandwidth": parameters.extensions.use_bandwidth,
-            "use_reflector_capacities": parameters.extensions.use_reflector_capacities,
-            "use_arc_capacities": parameters.extensions.use_arc_capacities,
-            "use_color_constraints": parameters.extensions.use_color_constraints,
-            "drop_cutting_plane": parameters.extensions.drop_cutting_plane,
-        },
-        "retry_rounding": parameters.retry_rounding,
-        "max_rounding_attempts": parameters.max_rounding_attempts,
-        "keep_degenerate_box": parameters.keep_degenerate_box,
-        "repair_shortfall": parameters.repair_shortfall,
-        "repair_fanout_slack": parameters.repair_fanout_slack,
-    }
+    return PARAMETERS.encode(parameters)
 
 
 def parameters_from_dict(data: dict[str, Any]) -> DesignParameters:
-    """Decode :class:`DesignParameters` from :func:`parameters_to_dict` output.
+    """Decode :class:`DesignParameters` from :func:`parameters_to_dict` output."""
+    return PARAMETERS.decode(data, "parameters")
 
-    ``solver_backend`` (written by builds with a solver registry) is accepted
-    as ``"highs"`` or ``"highs-mip"`` and ignored: both ran the HiGHS call
-    every solve now makes.
-    """
-    data = _object(data, "parameters")
-    if data.get("solver_backend", _LEGACY_BACKENDS[0]) not in _LEGACY_BACKENDS:
-        raise DocumentError(
-            "parameters.solver_backend must be 'highs' or 'highs-mip', "
-            f"got {data['solver_backend']!r}"
-        )
-    rounding = _object(data.get("rounding", {}), "parameters.rounding")
-    extensions = _object(data.get("extensions", {}), "parameters.extensions")
 
-    def switch(key: str, default: bool) -> bool:
-        return _scalar(extensions, "parameters.extensions", key, "a boolean", default)
-
-    return DesignParameters(
-        rounding=RoundingParameters(
-            c=_scalar(rounding, "parameters.rounding", "c", "a number", 8.0),
-            delta=_scalar(rounding, "parameters.rounding", "delta", "a number", 0.25),
-            seed=_scalar(rounding, "parameters.rounding", "seed", "an integer", None),
-        ),
-        extensions=ExtensionOptions(
-            use_bandwidth=switch("use_bandwidth", False),
-            use_reflector_capacities=switch("use_reflector_capacities", False),
-            use_arc_capacities=switch("use_arc_capacities", False),
-            use_color_constraints=switch("use_color_constraints", False),
-            drop_cutting_plane=switch("drop_cutting_plane", False),
-        ),
-        retry_rounding=_scalar(data, "parameters", "retry_rounding", "a boolean", True),
-        max_rounding_attempts=_scalar(
-            data, "parameters", "max_rounding_attempts", "an integer", 20
-        ),
-        keep_degenerate_box=_scalar(data, "parameters", "keep_degenerate_box", "a boolean", True),
-        repair_shortfall=_scalar(data, "parameters", "repair_shortfall", "a boolean", False),
-        repair_fanout_slack=_scalar(data, "parameters", "repair_fanout_slack", "a number", 4.0),
-    )
+AUDIT = Doc(
+    SolutionAudit,
+    [
+        Field("weight_fraction", MapOf(NUMBER, pairs=True, sort=True)),
+        Field("fanout_factor", MapOf(NUMBER, sort=True)),
+        Field("color_violations", INTEGER),
+        Field("arc_capacity_factor", MapOf(NUMBER, pairs=True, sort=True)),
+        Field("unserved_demands", INTEGER),
+    ],
+)
 
 
 def audit_to_dict(audit: SolutionAudit) -> dict[str, Any]:
     """Encode a :class:`~repro.analysis.audit.SolutionAudit` losslessly."""
-    return {
-        "weight_fraction": [
-            [sink, stream, value]
-            for (sink, stream), value in sorted(audit.weight_fraction.items())
-        ],
-        "fanout_factor": {
-            reflector: value for reflector, value in sorted(audit.fanout_factor.items())
-        },
-        "color_violations": audit.color_violations,
-        "arc_capacity_factor": [
-            [reflector, sink, value]
-            for (reflector, sink), value in sorted(audit.arc_capacity_factor.items())
-        ],
-        "unserved_demands": audit.unserved_demands,
-    }
+    return AUDIT.encode(audit)
 
 
 def audit_from_dict(data: dict[str, Any]) -> SolutionAudit:
     """Decode a :class:`~repro.analysis.audit.SolutionAudit`."""
-    return SolutionAudit(
-        weight_fraction={
-            (sink, stream): value
-            for sink, stream, value in data.get("weight_fraction", [])
-        },
-        fanout_factor=dict(data.get("fanout_factor", {})),
-        color_violations=data.get("color_violations", 0),
-        arc_capacity_factor={
-            (reflector, sink): value
-            for reflector, sink, value in data.get("arc_capacity_factor", [])
-        },
-        unserved_demands=data.get("unserved_demands", 0),
-    )
+    return AUDIT.decode(data, "audit")
+
+
+REQUEST = Doc(
+    DesignRequest,
+    [
+        Field("strategy", STRING),
+        Field("request_id", STRING, nullable=True),
+        Field("parameters", PARAMETERS),
+        Field("options", MapOf(ANY)),
+        Field("evaluation", EVALUATION, nullable=True),
+        Field("problem", PROBLEM, required=True),
+    ],
+    header={"schema_version": SCHEMA_VERSION, "kind": REQUEST_KIND},
+    versions=SCHEMA_VERSIONS_READ,
+)
 
 
 def request_to_dict(request: DesignRequest) -> dict[str, Any]:
     """Encode a request (problem embedded) as a JSON-compatible document."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": REQUEST_KIND,
-        "strategy": request.strategy,
-        "request_id": request.request_id,
-        "parameters": parameters_to_dict(request.parameters),
-        "options": dict(request.options),
-        "evaluation": (
-            evaluation_spec_to_dict(request.evaluation)
-            if request.evaluation is not None
-            else None
-        ),
-        "problem": problem_to_dict(request.problem),
-    }
+    return REQUEST.encode(request)
 
 
 def request_from_dict(data: dict[str, Any]) -> DesignRequest:
     """Decode a request document produced by :func:`request_to_dict`.
 
     Reads every version in :data:`SCHEMA_VERSIONS_READ`, so documents written
-    by older builds keep loading after a schema bump.  A field of the wrong
-    JSON type raises :class:`~repro.core.serialization.DocumentError` (a
+    by older builds keep loading after a schema bump.  A field outside its
+    domain raises :class:`~repro.core.serialization.DocumentError` (a
     ``ValueError``) naming the field.
     """
-    check_document(
-        data,
-        REQUEST_KIND,
-        version=SCHEMA_VERSION,
-        version_key="schema_version",
-        accept_versions=SCHEMA_VERSIONS_READ,
-    )
-    evaluation_data = data.get("evaluation")
-    strategy = data.get("strategy", "spaa03")
-    if not isinstance(strategy, str):
-        raise DocumentError(f"strategy must be a string, got {type(strategy).__name__}")
-    return DesignRequest(
-        problem=problem_from_dict(data["problem"]),
-        parameters=parameters_from_dict(data.get("parameters", {})),
-        strategy=strategy,
-        options=dict(_object(data.get("options", {}), "options")),
-        evaluation=(
-            evaluation_spec_from_dict(evaluation_data)
-            if evaluation_data is not None
-            else None
-        ),
-        request_id=data.get("request_id"),
-    )
+    return REQUEST.decode(data)
+
+
+def _result(solution: Callable, strategy: str = "unknown", **values: Any) -> Callable:
+    """The decoded result, waiting for its problem."""
+    return lambda problem: DesignResult(strategy=strategy, solution=solution(problem), **values)
+
+
+RESULT = Doc(
+    _result,
+    [
+        Field("strategy", STRING),
+        Field("request_id", STRING, nullable=True),
+        Field("lower_bound", NUMBER, nullable=True),
+        Field("stage_seconds", MapOf(NUMBER)),
+        Field("audit", AUDIT, nullable=True),
+        Field("metadata", MapOf(ANY), get=lambda result: scalar_metadata(result.metadata)),
+        Field("evaluation", MapOf(ANY), nullable=True),
+        Field("cache", MapOf(ANY), nullable=True),
+        Field("solution", SOLUTION, required=True),
+    ],
+    header={"schema_version": SCHEMA_VERSION, "kind": RESULT_KIND},
+    versions=SCHEMA_VERSIONS_READ,
+)
 
 
 def result_to_dict(result: DesignResult) -> dict[str, Any]:
@@ -509,23 +401,7 @@ def result_to_dict(result: DesignResult) -> dict[str, Any]:
     and rounding state); everything else -- including stage timings and every
     audit field -- round-trips through :func:`result_from_dict`.
     """
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": RESULT_KIND,
-        "strategy": result.strategy,
-        "request_id": result.request_id,
-        "lower_bound": result.lower_bound,
-        "stage_seconds": dict(result.stage_seconds),
-        "audit": audit_to_dict(result.audit) if result.audit is not None else None,
-        "metadata": {
-            key: value
-            for key, value in result.metadata.items()
-            if isinstance(value, (str, int, float, bool, type(None)))
-        },
-        "evaluation": result.evaluation,
-        "cache": dict(result.cache) if result.cache is not None else None,
-        "solution": solution_to_dict(result.solution),
-    }
+    return RESULT.encode(result)
 
 
 def result_from_dict(
@@ -536,26 +412,7 @@ def result_from_dict(
     Reads every version in :data:`SCHEMA_VERSIONS_READ`: version-1 documents
     (no ``cache`` block) load with ``cache=None``.
     """
-    check_document(
-        data,
-        RESULT_KIND,
-        version=SCHEMA_VERSION,
-        version_key="schema_version",
-        accept_versions=SCHEMA_VERSIONS_READ,
-    )
-    audit_data = data.get("audit")
-    cache_data = data.get("cache")
-    return DesignResult(
-        strategy=data.get("strategy", "unknown"),
-        solution=solution_from_dict(data["solution"], problem),
-        lower_bound=data.get("lower_bound"),
-        stage_seconds=dict(data.get("stage_seconds", {})),
-        audit=audit_from_dict(audit_data) if audit_data is not None else None,
-        metadata=dict(data.get("metadata", {})),
-        evaluation=data.get("evaluation"),
-        cache=dict(cache_data) if cache_data is not None else None,
-        request_id=data.get("request_id"),
-    )
+    return RESULT.decode(data)(problem)
 
 
 __all__ = [

@@ -73,9 +73,12 @@ from repro.api import (
     load_requests_jsonl,
     registered_designers,
 )
+from repro.api.designers import MILP_OPTIONS
+from repro.api.types import EVALUATION, PARAMETERS
 from repro.core.algorithm import DesignParameters
 from repro.core.extensions import color_constrained_parameters
 from repro.core.rounding import RoundingParameters
+from repro.core.schema import INTEGER, Domain, integer, number
 from repro.core.serialization import (
     DocumentError,
     dump_problem,
@@ -634,16 +637,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not args.problem or not args.solution:
         print("error: --problem and --solution are required", file=sys.stderr)
         return 2
-    for flag, value in (
-        ("--packets", args.packets),
-        ("--trials", args.trials),
-        ("--window", args.window),
-        ("--demand-tile", args.demand_tile),
-        ("--trial-tile", args.trial_tile),
-    ):
-        if value is not None and value <= 0:
-            print(f"error: {flag} must be positive, got {value}", file=sys.stderr)
-            return 2
     try:
         jobs = resolve_jobs(args.jobs)
     except ValueError as error:
@@ -1076,12 +1069,39 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag(domain: Domain):
+    """An argparse ``type`` reading a numeric flag into ``domain``; a token outside it
+    exits 2 naming the flag: ``argument --packets: must be an integer >= 1, got 0``."""
+
+    def parse(token: str):
+        try:
+            value = (int if domain.kind == INTEGER.kind else float)(token)
+        except ValueError:
+            value = token
+        issue = domain.issue(value)
+        if issue is not None:
+            raise argparse.ArgumentTypeError(issue[1])
+        return value
+
+    parse.domain = domain
+    return parse
+
+
+#: The flags that feed a document field read it through that field's domain.
+_SEED = _flag(PARAMETERS.domain("rounding.seed"))
+_MULTIPLIER = _flag(PARAMETERS.domain("rounding.c"))
+_COUNT = _flag(integer(1))
+_PACKETS = _flag(EVALUATION.domain("num_packets"))
+_PORT = _flag(integer(0, 65535))
+_SECONDS = _flag(number(0.0, low_open=True))
+
+
 def _seed_parent(
     help: str = "seed for the run (default: 0)",
 ) -> argparse.ArgumentParser:
     """Shared ``--seed`` flag: every subcommand spells and types it the same."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=0, help=help)
+    parent.add_argument("--seed", type=_SEED, default=0, help=help)
     return parent
 
 
@@ -1138,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument(
         "--sinks",
-        type=int,
+        type=_COUNT,
         default=None,
         help="sink count for --workload internet-scale / as-geo "
         "(defaults: 10000 / 600)",
@@ -1165,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--problem", help="problem JSON path (required unless --list-strategies)")
     design.add_argument(
         "--multiplier",
-        type=float,
+        type=_MULTIPLIER,
         default=None,
         help="rounding multiplier c (pipeline strategies only; default 8.0)",
     )
@@ -1187,13 +1207,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     design.add_argument(
         "--time-limit",
-        type=float,
+        type=_flag(MILP_OPTIONS.domain("time_limit")),
         default=None,
         help="MILP wall-clock limit in seconds (milp-exact only)",
     )
     design.add_argument(
         "--mip-gap",
-        type=float,
+        type=_flag(MILP_OPTIONS.domain("mip_gap")),
         default=None,
         help="relative MIP gap at which the solver may stop (milp-exact only)",
     )
@@ -1238,7 +1258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample one churn event of this kind instead of loading a file",
     )
     update.add_argument(
-        "--churn-seed", type=int, default=0, help="seed for --event sampling"
+        "--churn-seed", type=_SEED, default=0, help="seed for --event sampling"
     )
     update.add_argument("--shards", default="auto")
     update.add_argument(
@@ -1246,7 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     update.add_argument(
         "--full-redesign-threshold",
-        type=float,
+        type=_flag(number()),
         default=0.8,
         help="dirty-shard fraction above which a full redesign runs instead",
     )
@@ -1266,7 +1286,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     compare.add_argument("--problem", required=True)
-    compare.add_argument("--multiplier", type=float, default=8.0)
+    compare.add_argument("--multiplier", type=_MULTIPLIER, default=8.0)
     compare.set_defaults(func=_cmd_compare)
 
     batch = sub.add_parser(
@@ -1292,16 +1312,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--problem", help="problem JSON path")
     simulate.add_argument("--solution", help="solution JSON path")
-    simulate.add_argument("--packets", type=int, default=10_000)
+    simulate.add_argument("--packets", type=_PACKETS, default=10_000)
     simulate.add_argument(
         "--trials",
-        type=int,
+        type=_flag(EVALUATION.domain("trials")),
         default=1,
         help="Monte-Carlo trials: independent packet sessions (default: 1)",
     )
     simulate.add_argument(
         "--window",
-        type=int,
+        type=_flag(EVALUATION.domain("window")),
         default=200,
         help="worst-window statistic size in packets (default: 200)",
     )
@@ -1335,13 +1355,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--demand-tile",
-        type=int,
+        type=_COUNT,
         default=None,
         help="tile height in demands (default: 1024)",
     )
     simulate.add_argument(
         "--trial-tile",
-        type=int,
+        type=_COUNT,
         default=None,
         help="tile width in trials (default: 32)",
     )
@@ -1391,7 +1411,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="scenario id(s) to run (repeatable / comma-separated; default: all)",
     )
-    bench.add_argument("--master-seed", type=int, default=0)
+    bench.add_argument("--master-seed", type=_SEED, default=0)
     bench.add_argument(
         "--smoke",
         action="store_true",
@@ -1419,14 +1439,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=8080, help="listen port (0 picks an ephemeral one)"
+        "--port", type=_PORT, default=8080, help="listen port (0 picks an ephemeral one)"
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="design worker threads (default: 2)"
+        "--workers", type=_COUNT, default=2, help="design worker threads (default: 2)"
     )
     serve.add_argument(
         "--cache-bytes",
-        type=int,
+        type=_COUNT,
         default=None,
         help="artifact-cache byte budget (default: 256 MiB)",
     )
@@ -1435,7 +1455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-queue",
-        type=int,
+        type=_COUNT,
         default=None,
         help="bound the pending-request queue; full queue answers HTTP 429 "
         "(default: unbounded)",
@@ -1464,7 +1484,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true", help="print the server's /stats and exit"
     )
     submit.add_argument(
-        "--timeout", type=float, default=300.0, help="HTTP timeout in seconds"
+        "--timeout", type=_SECONDS, default=300.0, help="HTTP timeout in seconds"
     )
     submit.set_defaults(func=_cmd_submit)
     return parser

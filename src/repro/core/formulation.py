@@ -190,7 +190,7 @@ def build_sparse_formulation(
 
     # Instance arrays, from the problem's index ------------------------------
     index = problem_index(problem)
-    reflectors, streams, sinks = index.reflectors, index.streams, index.sinks
+    reflectors, streams = index.reflectors, index.streams
     demands = index.demands
     n_reflectors, n_streams = len(reflectors), len(streams)
 
@@ -215,7 +215,6 @@ def build_sparse_formulation(
     # x support: every demand's candidates, demand-major and by reflector ----
     xd, xr = index.candidate_demand, index.candidate_reflector
     x_stream = index.demand_stream[xd]
-    x_sink = index.demand_sink[xd]
     x_link = index.candidate_link
     x_edge = index.candidate_edge
     n_x = xd.size
@@ -368,21 +367,6 @@ def build_sparse_formulation(
                 )
 
     compiled, stats = builder.build()
-    if not np.isfinite(compiled.c).all():
-        # Name the field here: HiGHS would reject the objective anonymously.
-        column = int(np.flatnonzero(~np.isfinite(compiled.c))[0])
-        if column < n_reflectors:
-            entity = f"reflector {reflectors[column]!r}"
-        elif column < n_reflectors + n_edges:
-            edge = edges[column - n_reflectors]
-            entity = f"stream edge {edge.stream!r} -> {edge.reflector!r}"
-        else:
-            i = column - n_reflectors - n_edges
-            entity = (
-                f"delivery edge {reflectors[xr[i]]!r} -> {sinks[x_sink[i]]!r} "
-                f"(stream {streams[x_stream[i]]!r})"
-            )
-        raise ValueError(f"{entity}: cost must be finite, got {compiled.c[column]}")
     if (fanout >= LARGE_MATRIX_VALUE).any():
         # Fanouts are matrix entries of rows (3)/(4); HiGHS would refuse them.
         info = infos[int(np.argmax(fanout >= LARGE_MATRIX_VALUE))]

@@ -185,8 +185,8 @@ class OverlayDesignProblem:
         self._canonical = False
         if stream in self._stream_set:
             raise ValueError(f"stream {stream!r} already exists")
-        if bandwidth <= 0:
-            raise ValueError(f"stream bandwidth must be positive, got {bandwidth}")
+        if not 0.0 < bandwidth < math.inf:
+            raise ValueError(f"stream bandwidth must be positive and finite, got {bandwidth}")
         self._streams.append(stream)
         self._stream_set.add(stream)
         self._stream_bandwidth[stream] = float(bandwidth)
@@ -209,8 +209,8 @@ class OverlayDesignProblem:
         self._canonical = False
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
-        if cost < 0:
-            raise ValueError(f"reflector cost must be non-negative, got {cost}")
+        if not 0.0 <= cost < math.inf:
+            raise ValueError(f"reflector cost must be non-negative and finite, got {cost}")
         if (
             isinstance(fanout, bool)
             or not isinstance(fanout, numbers.Real)
@@ -219,8 +219,11 @@ class OverlayDesignProblem:
             raise ValueError(f"reflector {reflector!r}: fanout must be an integer, got {fanout!r}")
         if fanout <= 0:
             raise ValueError(f"reflector fanout must be positive, got {fanout}")
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"reflector capacity must be positive, got {capacity}")
+        if capacity is not None and not 0.0 < capacity < math.inf:
+            raise ValueError(f"reflector capacity must be positive and finite, got {capacity}")
+        # A color keys the ISP groups, so it must be a hashable scalar.
+        if isinstance(color, bool) or not isinstance(color, (str, numbers.Real, type(None))):
+            raise TypeError(f"reflector {reflector!r}: color must be a string, a number or None")
         self._reflector_order[reflector] = len(self._reflectors)
         self._reflectors[reflector] = ReflectorInfo(
             name=reflector, cost=float(cost), fanout=int(fanout), color=color, capacity=capacity
@@ -532,8 +535,7 @@ class OverlayDesignProblem:
         self._require_stream(stream)
         self._require_reflector(reflector)
         _check_probability(loss_probability)
-        if cost < 0:
-            raise ValueError(f"edge cost must be non-negative, got {cost}")
+        _check_cost(cost)
         if (stream, reflector) in existing:
             raise ValueError(f"stream edge {(stream, reflector)} already exists")
 
@@ -550,17 +552,15 @@ class OverlayDesignProblem:
         self._require_reflector(reflector)
         self._require_sink(sink)
         _check_probability(loss_probability)
-        if cost < 0:
-            raise ValueError(f"edge cost must be non-negative, got {cost}")
+        _check_cost(cost)
         if (reflector, sink) in existing:
             raise ValueError(f"delivery edge {(reflector, sink)} already exists")
         if stream_costs:
             for stream, stream_cost in stream_costs.items():
                 self._require_stream(stream)
-                if stream_cost < 0:
-                    raise ValueError("per-stream cost must be non-negative")
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"arc capacity must be positive, got {capacity}")
+                _check_cost(stream_cost, "per-stream cost")
+        if capacity is not None and not 0.0 < capacity < math.inf:
+            raise ValueError(f"arc capacity must be positive and finite, got {capacity}")
 
     def _check_demand(
         self, sink: str, stream: str, success_threshold: float, existing: Container = ()
@@ -722,8 +722,13 @@ _LinkArguments = tuple[float, float, "Mapping[str, float] | None", "float | None
 
 
 def _check_probability(value: float) -> None:
-    if not 0.0 <= value <= 1.0 or math.isnan(value):
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"loss probability must lie in [0, 1], got {value}")
+
+
+def _check_cost(value: float, what: str = "edge cost") -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{what} must be non-negative and finite, got {value}")
 
 
 def _float_values(mapping: Mapping[str, float]) -> dict[str, float]:

@@ -6,7 +6,8 @@ to cross process boundaries: the measurement pipeline produces the instance,
 the designer runs periodically ("our algorithm is reasonably fast so it can be
 rerun as often as needed", Section 1.3), and the resulting design is pushed to
 the entrypoints and reflectors.  This module provides a stable, versioned JSON
-encoding for :class:`OverlayDesignProblem` and :class:`OverlaySolution` and is
+encoding for :class:`OverlayDesignProblem` and :class:`OverlaySolution`, declared
+once as :data:`PROBLEM` and :data:`SOLUTION` (:mod:`repro.core.schema`), and is
 what the CLI (:mod:`repro.cli`) reads and writes.
 """
 
@@ -14,213 +15,184 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
+from collections import namedtuple
+from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.core.problem import Demand, OverlayDesignProblem, StreamEdge, _spliced
+from repro.core.problem import Demand, OverlayDesignProblem, _spliced
+from repro.core.schema import (
+    ANY,
+    NUMBER,
+    STRING,
+    Doc,
+    DocumentError,
+    Domain,
+    Field,
+    MapOf,
+    Rows,
+    render,
+)
 from repro.core.solution import OverlaySolution
 
 #: Format version written into every document; bump on breaking changes.
 FORMAT_VERSION = 1
 
 
-class DocumentError(ValueError):
-    """A problem, solution or request document that cannot be read or decoded.
+#: The required name fields (of a stream, reflector or sink), by key.
+NAME = {key: Field(key, STRING, required=True) for key in ("name", "stream", "reflector", "sink")}
 
-    Raised by :func:`load_problem` and :func:`load_solution` for a missing or
-    unreadable file, non-JSON content, a wrong ``kind``/version, or a missing
-    field; the message names the path and the cause.  The decoders raise it
-    directly for a field of the wrong JSON type, naming the field (e.g.
-    ``problem.streams must be a list``).
+#: Fields a delivery or stream edge shares with the delta document
+#: (:mod:`repro.incremental.delta`).  Their bounds are the ``add_*`` methods'.
+LOSS_PROBABILITY = Field("loss_probability", NUMBER, required=True)
+COST = Field("cost", NUMBER, required=True)
+STREAM_COSTS = Field("stream_costs", MapOf(NUMBER), nullable=True)
+CAPACITY = Field("capacity", NUMBER, nullable=True)
+SUCCESS_THRESHOLD = Field("success_threshold", NUMBER, required=True)
+
+#: A color keys the ISP groups, so it is a hashable JSON scalar.
+COLOR = Domain(
+    "a string, a number or null",
+    lambda value: value is None or isinstance(value, str) or NUMBER.accepts(value),
+)
+
+#: The rows the problem tables without a row type of their own encode.
+_Stream = namedtuple("_Stream", "name bandwidth")
+_Link = namedtuple("_Link", "reflector sink loss_probability cost stream_costs capacity")
+
+
+class Table:
+    """A problem table: a JSON list of ``entry`` declarations.
+
+    Decoding checks only that the table is a list: :func:`_problem` hands
+    each entry to its ``add_*`` method with no per-field check, and names the
+    field of an entry that trips it (:func:`_entry_error`).
     """
 
+    def __init__(self, entry: Doc | Domain) -> None:
+        self.entry = entry
 
-def _stream_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
-    return [
-        {"name": stream, "bandwidth": problem.stream_bandwidth(stream)}
-        for stream in problem.streams
-    ]
-
-
-def _reflector_entries(problem: OverlayDesignProblem) -> list[dict[str, Any]]:
-    return [
-        {
-            "name": reflector,
-            "cost": info.cost,
-            "fanout": info.fanout,
-            "color": info.color,
-            "capacity": info.capacity,
-        }
-        for reflector in problem.reflectors
-        for info in [problem.reflector_info(reflector)]
-    ]
-
-
-def _stream_edge_entries(edges: Iterable[StreamEdge]) -> list[dict[str, Any]]:
-    return [
-        {
-            "stream": edge.stream,
-            "reflector": edge.reflector,
-            "loss_probability": edge.loss_probability,
-            "cost": edge.cost,
-        }
-        for edge in edges
-    ]
-
-
-def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
-    """Encode a problem as a JSON-compatible dictionary.
-
-    A delivery edge's ``cost`` is its cost for the stream with the smallest
-    name, and ``stream_costs`` lists the streams whose cost differs from it.
-    """
-    streams = problem.streams
-    reference = min(streams) if streams else None
-
-    def cost(reflector: str, sink: str, stream: str | None) -> float:
-        return problem.delivery_cost(reflector, sink, stream) if streams else 0.0
-
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "overlay-design-problem",
-        "name": problem.name,
-        "streams": _stream_entries(problem),
-        "reflectors": _reflector_entries(problem),
-        "sinks": list(problem.sinks),
-        "stream_edges": _stream_edge_entries(problem.stream_edges()),
-        "delivery_edges": [
-            {
-                "reflector": reflector,
-                "sink": sink,
-                "loss_probability": problem.delivery_loss(reflector, sink),
-                "cost": base,
-                "stream_costs": {
-                    stream: cost(reflector, sink, stream)
-                    for stream in streams
-                    if cost(reflector, sink, stream) != base
-                },
-                "capacity": problem.arc_capacity(reflector, sink),
-            }
-            for reflector, sink in problem.delivery_links()
-            for base in [cost(reflector, sink, reference)]
-        ],
-        "demands": [
-            {
-                "sink": demand.sink,
-                "stream": demand.stream,
-                "success_threshold": demand.success_threshold,
-            }
-            for demand in problem.demands
-        ],
-    }
-
-
-#: The numeric fields of each problem table, for naming a wrongly typed one.
-_NUMERIC_FIELDS = {
-    "streams": ("bandwidth",),
-    "reflectors": ("cost", "fanout", "capacity"),
-    "stream_edges": ("loss_probability", "cost"),
-    "delivery_edges": ("loss_probability", "cost", "capacity"),
-    "demands": ("success_threshold",),
-}
-
-
-def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
-    """Decode a problem from a dictionary produced by :func:`problem_to_dict`."""
-    _check_document(data, "overlay-design-problem")
-    current, index = "streams", 0
-
-    def entities(key: str) -> list:
-        nonlocal current
-        current = key
-        value = data.get(key, [])
+    def decode(self, value: Any, path: str) -> list:
         if not isinstance(value, list):
-            raise DocumentError(f"problem.{key} must be a list, got {type(value).__name__}")
+            raise DocumentError(f"{render(path)} must be a list, got {type(value).__name__}")
         return value
 
-    problem = OverlayDesignProblem(name=data.get("name", "overlay-design"))
+    def encode(self, rows: Iterable) -> list:
+        return list(map(self.entry.encode, rows))
+
+
+def _links(problem: OverlayDesignProblem) -> list[_Link]:
+    """Each link's row: its ``cost`` is its cost for the stream with the smallest
+    name, and ``stream_costs`` lists the streams whose cost differs from it."""
+    streams = problem.streams
+    overrides = problem.delivery_stream_cost_overrides()
+    capacities = problem.arc_capacities()
+    rows = []
+    for reflector, sink, loss, cost in problem.delivery_link_data():
+        own, costs = overrides.get((reflector, sink)), {}
+        if not streams:
+            cost = 0.0
+        elif own:
+            per_stream = {stream: own.get(stream, cost) for stream in streams}
+            cost = per_stream[min(streams)]
+            costs = {stream: value for stream, value in per_stream.items() if value != cost}
+        rows.append(_Link(reflector, sink, loss, cost, costs, capacities.get((reflector, sink))))
+    return rows
+
+
+def _problem(name: str = "overlay-design", **tables: list) -> OverlayDesignProblem:
+    """The problem the decoded tables describe, built through ``add_*`` in one pass."""
+    problem = OverlayDesignProblem(name=name)
+    table = "streams"
     try:
-        for index, stream in enumerate(entities("streams")):
+        for index, stream in enumerate(tables.get(table, ())):
             problem.add_stream(stream["name"], bandwidth=stream.get("bandwidth", 1.0))
-        for index, reflector in enumerate(entities("reflectors")):
-            # A color keys the ISP groups, so it must be a hashable JSON scalar.
-            color = reflector.get("color")
-            if isinstance(color, bool) or not isinstance(color, (str, numbers.Real, type(None))):
-                raise DocumentError(
-                    f"problem.reflectors[{index}].color must be a string, a number or "
-                    f"null, got {type(color).__name__}"
-                )
+        table = "reflectors"
+        for index, reflector in enumerate(tables.get(table, ())):
             problem.add_reflector(
                 reflector["name"],
                 cost=reflector["cost"],
                 fanout=reflector["fanout"],
-                color=color,
+                color=reflector.get("color"),
                 capacity=reflector.get("capacity"),
             )
-        for index, sink in enumerate(entities("sinks")):
+        table = "sinks"
+        for index, sink in enumerate(tables.get(table, ())):
             problem.add_sink(sink)
-        for index, edge in enumerate(entities("stream_edges")):
+        table = "stream_edges"
+        for index, edge in enumerate(tables.get(table, ())):
             problem.add_stream_edge(
                 edge["stream"],
                 edge["reflector"],
                 loss_probability=edge["loss_probability"],
                 cost=edge["cost"],
             )
-        for index, edge in enumerate(entities("delivery_edges")):
+        table = "delivery_edges"
+        for index, edge in enumerate(tables.get(table, ())):
             problem.add_delivery_edge(
                 edge["reflector"],
                 edge["sink"],
                 loss_probability=edge["loss_probability"],
                 cost=edge["cost"],
-                stream_costs=edge.get("stream_costs") or None,
+                stream_costs=edge.get("stream_costs"),
                 capacity=edge.get("capacity"),
             )
-        for index, demand in enumerate(entities("demands")):
+        table = "demands"
+        for index, demand in enumerate(tables.get(table, ())):
             problem.add_demand(
                 demand["sink"], demand["stream"], success_threshold=demand["success_threshold"]
             )
-    except (TypeError, AttributeError) as error:
-        # The happy path pays no per-entry check: a wrongly typed entry or
-        # field is diagnosed only after a decode loop has tripped over it.
-        entry = data[current][index]
-        kind = str if current == "sinks" else dict
-        if not isinstance(entry, kind):
-            noun = "strings" if kind is str else "objects"
-            raise DocumentError(
-                f"problem.{current}: entries must be {noun}, got {type(entry).__name__}"
-            ) from None
-        where = f"problem.{current}[{index}]"
-        for field in _NUMERIC_FIELDS.get(current, ()):
-            value = entry.get(field)
-            if not isinstance(value, (numbers.Real, type(None))):
-                raise DocumentError(
-                    f"{where}.{field} must be a number, got {type(value).__name__}"
-                ) from None
-        if current == "delivery_edges":
-            # Read as the decode loop reads it: an empty value is no override.
-            costs = entry.get("stream_costs") or {}
-            if not isinstance(costs, dict):
-                raise DocumentError(
-                    f"{where}.stream_costs must be an object, got {type(costs).__name__}"
-                ) from None
-            for stream, value in costs.items():
-                if not isinstance(value, numbers.Real):
-                    raise DocumentError(
-                        f"{where}.stream_costs.{stream} must be a number, "
-                        f"got {type(value).__name__}"
-                    ) from None
-        raise DocumentError(f"{where}: {error}") from None
-    except KeyError as error:
-        # A missing field propagates (the loaders name it); a name the problem
-        # does not define is named here, with its entry and field.
-        field = _undefined_name_field(problem, data[current][index])
-        if field is None:
-            raise
-        raise DocumentError(f"problem.{current}[{index}].{field}: {error.args[0]}") from None
+    except (TypeError, AttributeError, KeyError, ValueError) as error:
+        raise _entry_error(problem, table, index, tables[table][index], error) from None
     return problem
+
+
+#: The problem tables' entries.
+STREAMS = Table(Doc(dict, [NAME["name"], Field("bandwidth", NUMBER)]))
+FANOUT = Field("fanout", NUMBER, required=True)
+REFLECTOR = Doc(dict, [NAME["name"], COST, FANOUT, Field("color", COLOR), CAPACITY])
+LINK = Doc(dict, [NAME["reflector"], NAME["sink"], LOSS_PROBABILITY, COST, STREAM_COSTS, CAPACITY])
+DEMAND = Doc(dict, [NAME["sink"], NAME["stream"], SUCCESS_THRESHOLD])
+STREAM_EDGES = Table(Doc(dict, [NAME["stream"], NAME["reflector"], LOSS_PROBABILITY, COST]))
+PROBLEM = Doc(
+    _problem,
+    [
+        Field("name", STRING),
+        Field(
+            "streams", STREAMS, get=lambda p: [_Stream(s, p.stream_bandwidth(s)) for s in p.streams]
+        ),
+        Field("reflectors", Table(REFLECTOR), get=lambda p: map(p.reflector_info, p.reflectors)),
+        Field("sinks", Table(STRING)),
+        Field("stream_edges", STREAM_EDGES, get=OverlayDesignProblem.stream_edges),
+        Field("delivery_edges", Table(LINK), get=_links),
+        Field("demands", Table(DEMAND)),
+    ],
+    header={"format_version": FORMAT_VERSION, "kind": "overlay-design-problem"},
+)
+
+
+def _entry_error(
+    problem: OverlayDesignProblem, table: str, index: int, entry: Any, error: Exception
+) -> DocumentError:
+    """Name the field of the table entry that tripped the decode loop.
+
+    A value ``add_*`` refuses (``ValueError``) is prefixed with the entry's
+    path.  Otherwise the entry is decoded against its declaration, which
+    names a wrongly typed or missing field, and then a name the problem does
+    not define is named with its field.
+    """
+    declared = PROBLEM[table].codec.entry
+    noun = "strings" if declared is STRING else "objects"
+    if not isinstance(entry, str if declared is STRING else dict):
+        return DocumentError(f"problem.{table}: entries must be {noun}, got {type(entry).__name__}")
+    where = f"problem.{table}[{index}]"
+    if isinstance(declared, Doc) and not isinstance(error, ValueError):
+        declared.values(entry, where)
+    if isinstance(error, KeyError):
+        field = _undefined_name_field(problem, entry)
+        where, error = where if field is None else f"{where}.{field}", error.args[0]
+    return DocumentError(f"{where}: {error}")
 
 
 def _undefined_name_field(problem: OverlayDesignProblem, entry: dict) -> str | None:
@@ -235,40 +207,83 @@ def _undefined_name_field(problem: OverlayDesignProblem, entry: dict) -> str | N
     return None
 
 
+def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
+    """Encode a problem as a JSON-compatible dictionary (:data:`PROBLEM`)."""
+    return PROBLEM.encode(problem)
+
+
+def problem_from_dict(data: dict[str, Any]) -> OverlayDesignProblem:
+    """Decode a problem from a dictionary produced by :func:`problem_to_dict`.
+
+    A malformed document raises :class:`DocumentError` naming the field,
+    e.g. ``problem.reflectors[0].cost must be a number, got str`` or
+    ``problem.stream_edges[0].reflector: unknown reflector 'zz'``.
+    """
+    return PROBLEM.decode(data, "problem")
+
+
+#: One entry of a solution's ``assignments``.
+Assignment = namedtuple("Assignment", "sink stream reflectors")
+
+
+def scalar_metadata(metadata: dict) -> dict:
+    """The JSON-scalar entries of a free-form metadata mapping."""
+    scalars = (str, int, float, bool, type(None))
+    return {key: value for key, value in metadata.items() if isinstance(value, scalars)}
+
+
+def _solution(assignments: list = (), metadata: dict | None = None, **derived: Any) -> partial:
+    """The decoded solution, waiting for its problem.  The assignments are read
+    with no per-field check and decoded against :data:`ASSIGNMENT` only to name
+    a malformed one; the derived fields are recomputed from them."""
+    try:
+        keyed = {(entry["sink"], entry["stream"]): entry["reflectors"] for entry in assignments}
+        rows = keyed.values()
+        valid = all(type(row) is list and all(map(STRING.accepts, row)) for row in rows)
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        Rows(ASSIGNMENT).decode(assignments, "solution.assignments")
+    metadata = dict(metadata or {})
+    return partial(OverlaySolution.from_assignments, assignments=keyed, metadata=metadata)
+
+
+def _deliveries(solution: OverlaySolution) -> list[list[str]]:
+    return sorted(map(list, solution.stream_deliveries))
+
+
+def _assignments(solution: OverlaySolution) -> list[Assignment]:
+    items = sorted(solution.assignments.items())
+    return [Assignment(*key, list(reflectors)) for key, reflectors in items]
+
+
+NAMES = Rows(STRING)
+REFLECTORS = Field("reflectors", NAMES, required=True)
+ASSIGNMENT = Doc(Assignment, [NAME["sink"], NAME["stream"], REFLECTORS])
+SOLUTION = Doc(
+    _solution,
+    [
+        Field("problem_name", STRING, get=lambda solution: solution.problem.name),
+        Field("built_reflectors", NAMES, get=lambda solution: sorted(solution.built_reflectors)),
+        Field("stream_deliveries", Rows(NAMES), get=_deliveries),
+        Field("assignments", Table(ASSIGNMENT), get=_assignments),
+        Field("metadata", MapOf(ANY), get=lambda solution: scalar_metadata(solution.metadata)),
+        Field("summary", MapOf(ANY), get=OverlaySolution.summary),
+    ],
+    header={"format_version": FORMAT_VERSION, "kind": "overlay-solution"},
+)
+
+
 def solution_to_dict(solution: OverlaySolution) -> dict[str, Any]:
     """Encode a solution (without its problem) as a JSON-compatible dictionary."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "overlay-solution",
-        "problem_name": solution.problem.name,
-        "built_reflectors": sorted(solution.built_reflectors),
-        "stream_deliveries": sorted(list(pair) for pair in solution.stream_deliveries),
-        "assignments": [
-            {"sink": sink, "stream": stream, "reflectors": list(reflectors)}
-            for (sink, stream), reflectors in sorted(solution.assignments.items())
-        ],
-        "metadata": {
-            key: value
-            for key, value in solution.metadata.items()
-            if isinstance(value, (str, int, float, bool, type(None)))
-        },
-        "summary": solution.summary(),
-    }
+    return SOLUTION.encode(solution)
 
 
 def solution_from_dict(
     data: dict[str, Any], problem: OverlayDesignProblem
 ) -> OverlaySolution:
-    """Decode a solution against its problem instance."""
-    _check_document(data, "overlay-solution")
-    assignments = {
-        (entry["sink"], entry["stream"]): list(entry["reflectors"])
-        for entry in data.get("assignments", [])
-    }
-    solution = OverlaySolution.from_assignments(
-        problem, assignments, metadata=dict(data.get("metadata", {}))
-    )
-    return solution
+    """Decode a solution against its problem instance (:data:`SOLUTION`)."""
+    return SOLUTION.decode(data, "solution")(problem)
 
 
 def dump_problem(problem: OverlayDesignProblem, path: str) -> None:
@@ -282,9 +297,7 @@ def _load_document(path: str, decode):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return decode(json.load(handle))
-    except KeyError as error:
-        raise DocumentError(f"cannot read {path}: missing field {error}") from error
-    except (OSError, ValueError, TypeError) as error:
+    except (OSError, ValueError, TypeError, KeyError) as error:
         raise DocumentError(f"cannot read {path}: {error}") from error
 
 
@@ -383,11 +396,10 @@ def _link_texts(
 
     ``links`` holds ``(reflector, sink, loss, base cost)`` rows.  A link's
     ``cost`` is its cost for the smallest stream name and ``stream_costs``
-    lists the streams whose rounded cost differs from it (so a NaN cost
-    lists every stream).  problem_to_dict compares unrounded costs; comparing
-    the rounded ones keeps float noise out of the digest.  Only links with
-    per-stream overrides, or a NaN cost, need that per-stream pass; the rest
-    write their base cost and ``{}``.
+    lists the streams whose rounded cost differs from it.  problem_to_dict
+    compares unrounded costs; comparing the rounded ones keeps float noise
+    out of the digest.  Only links with per-stream overrides need that
+    per-stream pass; the rest write their base cost and ``{}``.
     """
     if not links:
         return iter(())
@@ -395,7 +407,7 @@ def _link_texts(
     stream_costs = ["{}"] * len(links)
     if not streams:
         costs = (0.0,) * len(links)
-    elif overrides or any(map(math.isnan, costs)):
+    elif overrides:
         reference = min(streams)
         costs = list(costs)
         for index, (reflector, sink, _loss, base) in enumerate(links):
@@ -475,7 +487,7 @@ def _entry_texts(
                 capacities[key] = capacity
     found = [demand for demand in map(problem._demand, demands) if demand is not None]
     return (
-        list(map(_text, _stream_edge_entries(edges))),
+        list(map(_text, STREAM_EDGES.encode(edges))),
         list(_link_texts(rows, problem.streams, names, overrides, capacities)),
         list(_demand_texts(found, names)),
     )
@@ -540,6 +552,12 @@ def _hashed(texts: _Texts) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _encoded(table: str, problem: OverlayDesignProblem) -> list[dict[str, Any]]:
+    """``problem_to_dict(problem)[table]``, without encoding the other tables."""
+    field = PROBLEM[table]
+    return field.codec.encode(field.get(problem))
+
+
 def _problem_digest(problem: OverlayDesignProblem) -> str:
     """One pass over the problem's tables; see :func:`problem_digest`.
 
@@ -553,9 +571,9 @@ def _problem_digest(problem: OverlayDesignProblem) -> str:
         for name in streams + problem.reflectors + sinks
     }
     texts = problem._texts = _Texts(
-        streams=", ".join(sorted(map(_text, _stream_entries(problem)))),
-        reflectors=", ".join(sorted(map(_text, _reflector_entries(problem)))),
-        stream_edges=sorted(map(_text, _stream_edge_entries(problem.stream_edges()))),
+        streams=", ".join(sorted(map(_text, _encoded("streams", problem)))),
+        reflectors=", ".join(sorted(map(_text, _encoded("reflectors", problem)))),
+        stream_edges=sorted(map(_text, _encoded("stream_edges", problem))),
         sink_names=sinks,
         sinks=list(map(names.__getitem__, sinks)),
         links=sorted(
@@ -614,38 +632,3 @@ def solution_digest(solution: OverlaySolution) -> str:
     document.pop("metadata", None)
     document.pop("problem_name", None)
     return canonical_digest(document)
-
-
-def check_document(
-    data: dict[str, Any],
-    expected_kind: str,
-    *,
-    version: int = FORMAT_VERSION,
-    version_key: str = "format_version",
-    accept_versions: tuple[int, ...] | None = None,
-) -> int:
-    """Validate a document's ``kind`` discriminator and version field.
-
-    Shared by this module's problem/solution documents (``format_version``)
-    and the :mod:`repro.api` request/result documents (``schema_version``).
-    ``accept_versions`` lists every readable version when a schema bump keeps
-    older documents loadable (defaults to just ``version``); the version
-    actually found is returned so decoders can branch on it.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("document must be a JSON object")
-    kind = data.get("kind")
-    if kind != expected_kind:
-        raise ValueError(f"expected a {expected_kind!r} document, got {kind!r}")
-    accepted = accept_versions if accept_versions is not None else (version,)
-    found = data.get(version_key)
-    if found not in accepted:
-        readable = "/".join(str(v) for v in accepted)
-        raise ValueError(
-            f"unsupported {version_key} {found!r} (this build reads {readable})"
-        )
-    return found
-
-
-def _check_document(data: dict[str, Any], expected_kind: str) -> None:
-    check_document(data, expected_kind)

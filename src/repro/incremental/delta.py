@@ -31,11 +31,22 @@ redesign.  See ``docs/incremental.md`` for the rationale.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.core.problem import OverlayDesignProblem
-from repro.core.serialization import DocumentError, _carry_texts, check_document
+from repro.core.schema import NUMBER, STRING, Doc, Field, MapOf, Rows
+from repro.core.serialization import (
+    CAPACITY,
+    COST,
+    LOSS_PROBABILITY,
+    STREAM_COSTS,
+    SUCCESS_THRESHOLD,
+    _carry_texts,
+    NAME,
+)
 
 #: Version written into every delta document; bump on breaking changes.
 DELTA_FORMAT_VERSION = 1
@@ -55,6 +66,12 @@ class DeliveryEdgeSpec:
 
     def stream_costs_dict(self) -> dict[str, float] | None:
         return dict(self.stream_costs) or None
+
+
+def _link(loss_probability, cost, stream_costs=None, capacity=None) -> DeliveryEdgeSpec:
+    """A link's spec from its ``add_delivery_edge`` arguments after the names."""
+    costs = tuple(sorted((stream_costs or {}).items()))
+    return DeliveryEdgeSpec(loss_probability, cost, costs, capacity)
 
 
 @dataclass(frozen=True)
@@ -132,15 +149,10 @@ class ProblemDelta:
 def _delivery_specs(problem: OverlayDesignProblem) -> dict[LinkKey, DeliveryEdgeSpec]:
     overrides = problem.delivery_stream_cost_overrides()
     capacities = problem.arc_capacities()
-    specs: dict[LinkKey, DeliveryEdgeSpec] = {}
-    for reflector, sink, loss, base_cost in problem.delivery_link_data():
+    specs = {}
+    for reflector, sink, loss, cost in problem.delivery_link_data():
         key = (reflector, sink)
-        specs[key] = DeliveryEdgeSpec(
-            loss_probability=loss,
-            cost=base_cost,
-            stream_costs=tuple(sorted((overrides.get(key) or {}).items())),
-            capacity=capacities.get(key),
-        )
+        specs[key] = _link(loss, cost, overrides.get(key), capacities.get(key))
     return specs
 
 
@@ -310,10 +322,7 @@ def invert_delta(delta: ProblemDelta) -> ProblemDelta:
 
 def _link_spec(problem: OverlayDesignProblem, key: LinkKey) -> DeliveryEdgeSpec | None:
     link = problem._link(key)
-    if link is None:
-        return None
-    loss, cost, stream_costs, capacity = link
-    return DeliveryEdgeSpec(loss, cost, tuple(sorted((stream_costs or {}).items())), capacity)
+    return None if link is None else _link(*link)
 
 
 def _stream_spec(problem: OverlayDesignProblem, key: LinkKey) -> StreamEdgeSpec | None:
@@ -423,217 +432,100 @@ def apply_delta(
 # ---------------------------------------------------------------------------
 
 
-def _spec_to_dict(spec: DeliveryEdgeSpec | None) -> dict[str, Any] | None:
-    if spec is None:
-        return None
-    return {
-        "loss_probability": spec.loss_probability,
-        "cost": spec.cost,
-        "stream_costs": {stream: cost for stream, cost in spec.stream_costs},
-        "capacity": spec.capacity,
-    }
+# A delta's link, stream-edge and demand entries share the problem tables'
+# field declarations (repro.core.serialization): each field is written once.
+LINK = Doc(_link, [LOSS_PROBABILITY, COST, STREAM_COSTS, CAPACITY])
+STREAM_EDGE = Doc(StreamEdgeSpec, [LOSS_PROBABILITY, COST])
+_AttachedLink = namedtuple(
+    "_AttachedLink", "reflector loss_probability cost stream_costs capacity", defaults=(None, None)
+)
+_AttachedDemand = namedtuple("_AttachedDemand", "stream success_threshold")
+#: A changed entry: its two key names and its ``(old, new)`` states.
+_Change = namedtuple("_Change", "first second old new", defaults=(None, None))
 
 
-def _name(value: Any, field: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{field} must be a string, got {type(value).__name__}")
-    return value
+def _attachment(delivery: list = (), demands: list = ()) -> SinkAttachment:
+    links = sorted((link[0], _link(*link[1:])) for link in delivery)
+    return SinkAttachment(delivery=tuple(links), demands=tuple(sorted(demands)))
 
 
-def _number(value: Any, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{field} must be a number, got {type(value).__name__}")
-    return value
+def _attached_links(attachment: SinkAttachment) -> list:
+    values = attrgetter(*_AttachedLink._fields[1:])
+    return [_AttachedLink(reflector, *values(spec)) for reflector, spec in attachment.delivery]
 
 
-def _optional_number(value: Any, field: str) -> float | None:
-    return None if value is None else _number(value, field)
-
-
-def _spec_from_dict(data: dict[str, Any] | None) -> DeliveryEdgeSpec | None:
-    if data is None:
-        return None
-    stream_costs = data.get("stream_costs") or {}
-    return DeliveryEdgeSpec(
-        loss_probability=_number(data["loss_probability"], "loss_probability"),
-        cost=_number(data["cost"], "cost"),
-        stream_costs=tuple(
-            sorted(
-                (stream, _number(cost, f"stream_costs.{stream}"))
-                for stream, cost in stream_costs.items()
-            )
+ATTACHED_LINK = Doc(_AttachedLink, [NAME["reflector"], *LINK.fields])
+ATTACHMENT = Doc(
+    _attachment,
+    [
+        Field("delivery", Rows(ATTACHED_LINK), get=_attached_links),
+        Field(
+            "demands",
+            Rows(Doc(_AttachedDemand, [NAME["stream"], SUCCESS_THRESHOLD])),
+            get=lambda attachment: list(map(_AttachedDemand._make, attachment.demands)),
         ),
-        capacity=_optional_number(data.get("capacity"), "capacity"),
+    ],
+)
+
+
+def _changes(table: str, first: str, second: str, state: Any) -> Field:
+    """The ``table`` field: a list of changed entries keyed by ``first``/``second``."""
+    fields = [
+        Field(first, STRING, required=True, attr="first"),
+        Field(second, STRING, required=True, attr="second"),
+        Field("old", state, nullable=True),
+        Field("new", state, nullable=True),
+    ]
+
+    def rows(delta: ProblemDelta) -> list:
+        return [_Change(*key, *pair) for key, pair in sorted(getattr(delta, table).items())]
+
+    return Field(table, Rows(Doc(_Change, fields)), get=rows)
+
+
+def _delta(sinks_added=None, sinks_removed=None, structural=(), **changed: list) -> ProblemDelta:
+    return ProblemDelta(
+        sinks_added=sinks_added or {},
+        sinks_removed=sinks_removed or {},
+        structural=tuple(structural),
+        **{
+            table: {(change.first, change.second): (change.old, change.new) for change in changes}
+            for table, changes in changed.items()
+        },
     )
 
 
-def _stream_spec_to_dict(spec: StreamEdgeSpec | None) -> dict[str, Any] | None:
-    if spec is None:
-        return None
-    return {"loss_probability": spec.loss_probability, "cost": spec.cost}
-
-
-def _stream_spec_from_dict(data: dict[str, Any] | None) -> StreamEdgeSpec | None:
-    if data is None:
-        return None
-    return StreamEdgeSpec(
-        loss_probability=_number(data["loss_probability"], "loss_probability"),
-        cost=_number(data["cost"], "cost"),
-    )
-
-
-def _attachment_to_dict(attachment: SinkAttachment) -> dict[str, Any]:
-    return {
-        "delivery": [
-            {"reflector": reflector, **_spec_to_dict(spec)}
-            for reflector, spec in attachment.delivery
-        ],
-        "demands": [
-            {"stream": stream, "success_threshold": threshold}
-            for stream, threshold in attachment.demands
-        ],
-    }
-
-
-def _attachment_from_dict(data: dict[str, Any]) -> SinkAttachment:
-    delivery = tuple(
-        sorted(
-            (_name(entry["reflector"], "reflector"), _spec_from_dict(entry))
-            for entry in data.get("delivery", [])
-        )
-    )
-    demands = tuple(
-        sorted(
-            (
-                _name(entry["stream"], "stream"),
-                _number(entry["success_threshold"], "success_threshold"),
-            )
-            for entry in data.get("demands", [])
-        )
-    )
-    return SinkAttachment(delivery=delivery, demands=demands)
+DELTA = Doc(
+    _delta,
+    [
+        Field("sinks_added", MapOf(ATTACHMENT, sort=True)),
+        Field("sinks_removed", MapOf(ATTACHMENT, sort=True)),
+        _changes("delivery_changed", "reflector", "sink", LINK),
+        _changes("stream_edges_changed", "stream", "reflector", STREAM_EDGE),
+        _changes("demands_changed", "sink", "stream", NUMBER),
+        Field("structural", Rows(STRING)),
+    ],
+    header={"format_version": DELTA_FORMAT_VERSION, "kind": "problem-delta"},
+)
 
 
 def delta_to_dict(delta: ProblemDelta) -> dict[str, Any]:
-    """Encode a delta as a versioned JSON-compatible document."""
-    return {
-        "format_version": DELTA_FORMAT_VERSION,
-        "kind": "problem-delta",
-        "sinks_added": {
-            sink: _attachment_to_dict(attachment)
-            for sink, attachment in sorted(delta.sinks_added.items())
-        },
-        "sinks_removed": {
-            sink: _attachment_to_dict(attachment)
-            for sink, attachment in sorted(delta.sinks_removed.items())
-        },
-        "delivery_changed": [
-            {
-                "reflector": reflector,
-                "sink": sink,
-                "old": _spec_to_dict(before),
-                "new": _spec_to_dict(after),
-            }
-            for (reflector, sink), (before, after) in sorted(
-                delta.delivery_changed.items()
-            )
-        ],
-        "stream_edges_changed": [
-            {
-                "stream": stream,
-                "reflector": reflector,
-                "old": _stream_spec_to_dict(before),
-                "new": _stream_spec_to_dict(after),
-            }
-            for (stream, reflector), (before, after) in sorted(
-                delta.stream_edges_changed.items()
-            )
-        ],
-        "demands_changed": [
-            {"sink": sink, "stream": stream, "old": before, "new": after}
-            for (sink, stream), (before, after) in sorted(delta.demands_changed.items())
-        ],
-        "structural": list(delta.structural),
-    }
+    """Encode a delta as a versioned JSON-compatible document (:data:`DELTA`)."""
+    return DELTA.encode(delta)
 
 
 def delta_from_dict(data: Any) -> ProblemDelta:
     """Decode a delta from a :func:`delta_to_dict` document.
 
-    Anything else raises :class:`DocumentError` naming the field, e.g.
-    ``delta.delivery_changed[0]: missing 'reflector'`` or
-    ``delta.sinks_added.edge7: loss_probability must be a number, got str``.
-    Names must be strings and costs, probabilities, capacities and
-    thresholds numbers, so a decoded delta reaches :func:`apply_delta` well
-    typed; whether its names exist in a problem is :func:`apply_delta`'s
-    check (``KeyError``).
+    Anything else raises :class:`~repro.core.serialization.DocumentError`
+    naming the field, e.g. ``delta.delivery_changed[0]: missing 'reflector'``
+    or ``delta.sinks_added.edge7.delivery[0].loss_probability must be a
+    number, got str``.  Names must be strings and costs, probabilities,
+    capacities and thresholds numbers, so a decoded delta reaches
+    :func:`apply_delta` well typed; whether its names exist in a problem,
+    and whether its numbers are in range, is :func:`apply_delta`'s check.
     """
-    try:
-        check_document(data, "problem-delta", version=DELTA_FORMAT_VERSION)
-    except ValueError as error:
-        raise DocumentError(f"delta: {error}") from None
-    section, at = "sinks_added", None
-
-    def entries(key: str, kind: type) -> Any:
-        nonlocal section, at
-        section, at = key, None
-        value = data.get(key, kind())
-        if not isinstance(value, kind):
-            noun = "an object" if kind is dict else "a list"
-            raise DocumentError(f"delta.{key} must be {noun}, got {type(value).__name__}")
-        return value
-
-    # One try for the whole decode: the loop variable ``at`` still names the
-    # entry being decoded when one of them raises.
-    try:
-        sinks_added = {}
-        for at, entry in entries("sinks_added", dict).items():
-            sinks_added[at] = _attachment_from_dict(entry)
-        sinks_removed = {}
-        for at, entry in entries("sinks_removed", dict).items():
-            sinks_removed[at] = _attachment_from_dict(entry)
-        delivery_changed = {}
-        for at, entry in enumerate(entries("delivery_changed", list)):
-            key = (_name(entry["reflector"], "reflector"), _name(entry["sink"], "sink"))
-            delivery_changed[key] = (
-                _spec_from_dict(entry.get("old")),
-                _spec_from_dict(entry.get("new")),
-            )
-        stream_edges_changed = {}
-        for at, entry in enumerate(entries("stream_edges_changed", list)):
-            key = (_name(entry["stream"], "stream"), _name(entry["reflector"], "reflector"))
-            stream_edges_changed[key] = (
-                _stream_spec_from_dict(entry.get("old")),
-                _stream_spec_from_dict(entry.get("new")),
-            )
-        demands_changed = {}
-        for at, entry in enumerate(entries("demands_changed", list)):
-            key = (_name(entry["sink"], "sink"), _name(entry["stream"], "stream"))
-            demands_changed[key] = (
-                _optional_number(entry.get("old"), "old"),
-                _optional_number(entry.get("new"), "new"),
-            )
-    except (KeyError, TypeError, AttributeError) as error:
-        where = f"delta.{section}" + (f"[{at}]" if isinstance(at, int) else f".{at}")
-        if isinstance(error, KeyError):
-            raise DocumentError(f"{where}: missing {error}") from None
-        entry = data[section][at]
-        if not isinstance(entry, dict):
-            raise DocumentError(
-                f"{where}: entries must be objects, got {type(entry).__name__}"
-            ) from None
-        raise DocumentError(f"{where}: {error}") from None
-    structural = entries("structural", list)
-    if not all(isinstance(reason, str) for reason in structural):
-        raise DocumentError("delta.structural must be a list of strings")
-    return ProblemDelta(
-        sinks_added=sinks_added,
-        sinks_removed=sinks_removed,
-        delivery_changed=delivery_changed,
-        stream_edges_changed=stream_edges_changed,
-        demands_changed=demands_changed,
-        structural=tuple(structural),
-    )
+    return DELTA.decode(data, "delta")
 
 
 __all__ = [

@@ -37,6 +37,7 @@ design is bit-identical across ``jobs`` settings and machines.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -44,30 +45,32 @@ import numpy as np
 from repro.analysis.audit import audit_solution
 from repro.api.batch import design_batch
 from repro.api.registry import RegisteredDesigner, get_designer
-from repro.api.types import (
-    DesignRequest,
-    DesignResult,
-    parameters_from_dict,
-    parameters_to_dict,
-)
+from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
+from repro.core.schema import ANY, STRING, Doc, Field, MapOf
 from repro.scale.partition import PartitionPlan, Shard, build_partition
 from repro.scale.stitch import stitch_assignments
 
 #: Prefix of dynamically materialised sharded strategies.
 SHARDED_PREFIX = "sharded:"
 
-#: Options of a sharded design and their defaults -- the one table that
-#: :func:`design_sharded`, :func:`repro.api.design_incremental` (which adds
-#: ``full_redesign_threshold``), the serving plan cache and
-#: :class:`repro.serve.DesignSession` read.
-SHARDED_OPTIONS: dict[str, Any] = {
-    "shards": "auto",
-    "jobs": 1,
-    "partitioner": "auto",
-    "inner_options": {},
-}
+#: Options of a sharded design, the one table :func:`design_sharded`,
+#: :func:`repro.api.design_incremental` (which adds ``full_redesign_threshold``),
+#: the plan cache and :class:`repro.serve.DesignSession` read.  ``shards`` and
+#: ``jobs`` are checked where they are resolved (numeric strings count).
+SHARDED = Doc(
+    dict,
+    [
+        Field("shards", ANY, default="auto"),
+        Field("jobs", ANY, default=1),
+        Field("partitioner", STRING, default="auto"),
+        Field("inner_options", MapOf(ANY), default={}),
+    ],
+)
+
+#: The sharded options' defaults.
+SHARDED_OPTIONS: dict[str, Any] = SHARDED.defaults
 
 #: What one shard contributes to a round of :func:`run_shard_loop`: the
 #: subproblem to solve (``None`` when the shard is not re-solved) and the
@@ -93,19 +96,9 @@ def shard_seed(base_seed: int | None, shard_index: int) -> int | None:
 
 
 def sharded_options(options: Mapping | None, owner: str, **extra: Any) -> dict:
-    """``options`` over :data:`SHARDED_OPTIONS` (plus ``extra`` defaults).
-
-    Raises ``ValueError`` naming ``owner`` for a key neither table holds.
-    """
-    defaults = {**SHARDED_OPTIONS, **extra}
-    options = dict(options or {})
-    unknown = sorted(set(options) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"unknown option(s) {unknown} for {owner} "
-            f"(accepted: {sorted(defaults)})"
-        )
-    return {**defaults, **options}
+    """``options`` decoded through :data:`SHARDED` (plus ``extra`` defaults); an
+    unknown key is a ``ValueError`` naming ``owner``, a bad value one naming it."""
+    return SHARDED.options(dict(options or {}), owner, **extra)
 
 
 def _whole_shard(shard: Shard) -> ShardJob:
@@ -139,7 +132,6 @@ def run_shard_loop(
     shards' results in shard order.
     """
     start = time.perf_counter()
-    base_parameters = parameters_to_dict(parameters)
     requests: list[DesignRequest] = []
     slots: list[int] = []
     shard_assignments: list[dict[tuple[str, str], list[str]]] = []
@@ -148,15 +140,19 @@ def run_shard_loop(
         shard_assignments.append(kept)
         if subproblem is None:
             continue
-        shard_parameters = dict(base_parameters)
-        shard_parameters["rounding"] = {
-            **base_parameters["rounding"],
-            "seed": shard_seed(parameters.rounding.seed, index),
-        }
+        # ``seed=None``: a set ``DesignParameters.seed`` would override the
+        # shard seed with the request's.
+        shard_parameters = replace(
+            parameters,
+            seed=None,
+            rounding=replace(
+                parameters.rounding, seed=shard_seed(parameters.rounding.seed, index)
+            ),
+        )
         requests.append(
             DesignRequest(
                 problem=subproblem,
-                parameters=parameters_from_dict(shard_parameters),
+                parameters=shard_parameters,
                 strategy=inner.name,
                 options=dict(options["inner_options"]),
                 request_id=shard.shard_id,

@@ -85,6 +85,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.schema import STRING, Domain, choice, integer, number
 from repro.network.loss import BernoulliLossModel, GilbertElliottLossModel, LossModel
 from repro.simulation.failures import (
     FailureEvent,
@@ -145,145 +146,109 @@ class ScenarioValidationError(ValueError):
         super().__init__(f"invalid scenario {source}: {detail}")
 
 
-def _expect_mapping(value: Any, path: str, issues: list[SpecIssue]) -> bool:
-    if isinstance(value, Mapping):
-        return True
-    issues.append(SpecIssue("bad-type", path, f"expected a mapping, got {type(value).__name__}"))
-    return False
-
-
-def _check_float(
-    value: Any,
-    path: str,
-    issues: list[SpecIssue],
-    *,
-    lo: float,
-    hi: float,
-    lo_open: bool = False,
-    hi_open: bool = False,
-) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        issues.append(SpecIssue("bad-type", path, f"expected a number, got {type(value).__name__}"))
+def _checked(domain: Domain, value: Any, path: str, issues: list[SpecIssue]) -> Any:
+    """``value`` read through ``domain``; ``None`` with the issue recorded if outside it."""
+    issue = domain.issue(value)
+    if issue is not None:
+        issues.append(SpecIssue(issue[0], path, issue[1]))
         return None
-    value = float(value)
-    low_ok = value > lo if lo_open else value >= lo
-    high_ok = value < hi if hi_open else value <= hi
-    if not (low_ok and high_ok):
-        left = "(" if lo_open else "["
-        right = ")" if hi_open else "]"
-        issues.append(
-            SpecIssue("bad-value", path, f"must lie in {left}{lo}, {hi}{right}, got {value}")
-        )
-        return None
-    return value
+    return domain.decode(value, path)
 
 
-def _check_int(value: Any, path: str, issues: list[SpecIssue], *, lo: int) -> int | None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        issues.append(
-            SpecIssue("bad-type", path, f"expected an integer, got {type(value).__name__}")
-        )
-        return None
-    if value < lo:
-        issues.append(SpecIssue("bad-value", path, f"must be >= {lo}, got {value}"))
-        return None
-    return value
+_MAPPING = Domain("a mapping", lambda value: isinstance(value, Mapping))
+_TAGS = Domain(
+    "a list of strings",
+    lambda value: isinstance(value, (list, tuple)) and all(isinstance(t, str) for t in value),
+)
+_LOSS = choice(*sorted(_LOSS_MODELS))
 
+#: Fractions of a session or probabilities: numbers in [0, 1] (ends open as
+#: named), read as floats so spelled-out ints normalize like their floats.
+_PROBABILITY = number(0.0, 1.0, cast=float)
+_FRACTION = number(0.0, 1.0, low_open=True, cast=float)
+_SEVERITY = number(0.0, 1.0, low_open=True, high_open=True, cast=float)
+_COUNT = integer(1)
 
-def _check_choice(
-    value: Any, path: str, issues: list[SpecIssue], *, choices: Sequence[str]
-) -> str | None:
-    if not isinstance(value, str):
-        issues.append(SpecIssue("bad-type", path, f"expected a string, got {type(value).__name__}"))
-        return None
-    if value not in choices:
-        issues.append(
-            SpecIssue("bad-value", path, f"must be one of {', '.join(choices)}; got {value!r}")
-        )
-        return None
-    return value
-
-
-#: Per-kind parameter validators: name -> (default, checker(value, path, issues)).
-_PRIMITIVE_PARAMS: dict[str, dict[str, tuple[Any, Callable[..., Any]]]] = {
+#: Per-kind parameters: name -> (default, domain).
+_PRIMITIVE_PARAMS: dict[str, dict[str, tuple[Any, Domain]]] = {
     "isp-outage": {
-        "outage_probability": (0.25, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0)),
-        "shock_probability": (0.3, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0)),
-        "shock_outage_probability": (0.8, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0)),
-        "duration_fraction": (0.3, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True)),
+        "outage_probability": (0.25, _PROBABILITY),
+        "shock_probability": (0.3, _PROBABILITY),
+        "shock_outage_probability": (0.8, _PROBABILITY),
+        "duration_fraction": (0.3, _FRACTION),
     },
     "regional-outage": {
-        "outage_probability": (0.5, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0)),
-        "duration_fraction": (0.25, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True)),
-        "max_regions": (1, lambda v, p, i: _check_int(v, p, i, lo=1)),
+        "outage_probability": (0.5, _PROBABILITY),
+        "duration_fraction": (0.25, _FRACTION),
+        "max_regions": (1, _COUNT),
     },
     "multi-metro-disaster": {
-        "num_metros": (2, lambda v, p, i: _check_int(v, p, i, lo=1)),
-        "duration_fraction": (0.3, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True)),
+        "num_metros": (2, _COUNT),
+        "duration_fraction": (0.3, _FRACTION),
     },
     "congestion-wave": {
-        "severity": (0.35, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True, hi_open=True)),
-        "surge_fraction": (0.4, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True)),
-        "num_waves": (2, lambda v, p, i: _check_int(v, p, i, lo=1)),
-        "target": ("hot-sinks", lambda v, p, i: _check_choice(v, p, i, choices=("hot-sinks", "all-sinks"))),
+        "severity": (0.35, _SEVERITY),
+        "surge_fraction": (0.4, _FRACTION),
+        "num_waves": (2, _COUNT),
+        "target": ("hot-sinks", choice("hot-sinks", "all-sinks")),
     },
     "traffic-overlay": {
-        "profile": ("diurnal", lambda v, p, i: _check_choice(v, p, i, choices=("diurnal", "flash-crowd"))),
-        "severity": (0.3, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True, hi_open=True)),
-        "peak_fraction": (0.25, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True, hi_open=True)),
+        "profile": ("diurnal", choice("diurnal", "flash-crowd")),
+        "severity": (0.3, _SEVERITY),
+        "peak_fraction": (0.25, _SEVERITY),
     },
     "targeted-attack": {
-        "top_k": (2, lambda v, p, i: _check_int(v, p, i, lo=1)),
-        "duration_fraction": (0.4, lambda v, p, i: _check_float(v, p, i, lo=0.0, hi=1.0, lo_open=True)),
+        "top_k": (2, _COUNT),
+        "duration_fraction": (0.4, _FRACTION),
     },
 }
 
 PRIMITIVE_KINDS = tuple(sorted(_PRIMITIVE_PARAMS))
 
-_TOP_LEVEL_FIELDS = ("version", "name", "description", "tags", "loss", "primitives")
 
-
-def _normalize_primitive(
-    raw: Any, path: str, issues: list[SpecIssue]
-) -> dict[str, Any] | None:
-    if not _expect_mapping(raw, path, issues):
+def _normalize_primitive(raw: Any, path: str, issues: list[SpecIssue]) -> dict[str, Any] | None:
+    """``raw`` with every parameter filled in; its issues go to ``issues``."""
+    if _checked(_MAPPING, raw, path, issues) is None:
         return None
     kind = raw.get("kind")
     if kind is None:
         issues.append(SpecIssue("missing-field", f"{path}.kind", "primitive needs a 'kind'"))
         return None
     if not isinstance(kind, str) or kind not in _PRIMITIVE_PARAMS:
-        issues.append(
-            SpecIssue(
-                "unknown-primitive",
-                f"{path}.kind",
-                f"unknown primitive kind {kind!r} (known: {', '.join(PRIMITIVE_KINDS)})",
-            )
-        )
+        known = ", ".join(PRIMITIVE_KINDS)
+        message = f"unknown primitive kind {kind!r} (known: {known})"
+        issues.append(SpecIssue("unknown-primitive", f"{path}.kind", message))
         return None
     params = _PRIMITIVE_PARAMS[kind]
     normalized: dict[str, Any] = {"kind": kind}
-    ok = True
-    for name, (default, checker) in params.items():
+    for name, (default, domain) in params.items():
+        normalized[name] = default
         if name in raw:
-            value = checker(raw[name], f"{path}.{name}", issues)
-            if value is None:
-                ok = False
-                continue
-            normalized[name] = value
-        else:
-            normalized[name] = default
+            normalized[name] = _checked(domain, raw[name], f"{path}.{name}", issues)
     for name in raw:
         if name != "kind" and name not in params:
-            issues.append(
-                SpecIssue(
-                    "unknown-field",
-                    f"{path}.{name}",
-                    f"primitive {kind!r} takes {', '.join(params)}; {name!r} is not one of them",
-                )
-            )
-            ok = False
-    return normalized if ok else None
+            message = f"primitive {kind!r} takes {', '.join(params)}; {name!r} is not one of them"
+            issues.append(SpecIssue("unknown-field", f"{path}.{name}", message))
+    return normalized
+
+
+def _is_name(name: str) -> bool:
+    return bool(name) and "-" not in (name[0], name[-1]) and all(
+        c.islower() or c.isdigit() or c == "-" for c in name
+    )
+
+
+_NAME = Domain("a string", STRING.accepts, "a name like [a-z0-9][a-z0-9-]*[a-z0-9]", _is_name)
+_PRIMITIVES = Domain("a list", lambda value: isinstance(value, (list, tuple)), "non-empty", bool)
+
+#: The fields after ``version``: name -> (domain, default; ``None`` if required).
+_TOP_LEVEL = {
+    "name": (_NAME, None),
+    "description": (STRING, None),
+    "tags": (_TAGS, []),
+    "loss": (_LOSS, "bernoulli"),
+    "primitives": (_PRIMITIVES, None),
+}
 
 
 def normalize_scenario_spec(data: Any, *, source: str = "<memory>") -> dict[str, Any]:
@@ -295,110 +260,37 @@ def normalize_scenario_spec(data: Any, *, source: str = "<memory>") -> dict[str,
     :class:`ScenarioValidationError` listing *all* problems found.
     """
     issues: list[SpecIssue] = []
-    if not _expect_mapping(data, "$", issues):
+    if _checked(_MAPPING, data, "$", issues) is None:
         raise ScenarioValidationError(source, issues)
-
     version = data.get("version")
     if version is None:
         issues.append(SpecIssue("missing-field", "$.version", "scenario needs 'version: 1'"))
     elif version != SCHEMA_VERSION:
-        issues.append(
-            SpecIssue(
-                "bad-version",
-                "$.version",
-                f"unsupported schema version {version!r} (this build reads {SCHEMA_VERSION})",
-            )
-        )
-
-    name = data.get("name")
-    if name is None:
-        issues.append(SpecIssue("missing-field", "$.name", "scenario needs a 'name'"))
-        name = ""
-    elif not isinstance(name, str):
-        issues.append(SpecIssue("bad-type", "$.name", "name must be a string"))
-        name = ""
-    else:
-        if not name or not all(c.islower() or c.isdigit() or c == "-" for c in name) or (
-            name[0] == "-" or name[-1] == "-"
-        ):
+        message = f"unsupported schema version {version!r} (this build reads {SCHEMA_VERSION})"
+        issues.append(SpecIssue("bad-version", "$.version", message))
+    spec: dict[str, Any] = {"version": SCHEMA_VERSION}
+    for field_name, (domain, default) in _TOP_LEVEL.items():
+        value = data.get(field_name, default)
+        if value is None and default is None:
             issues.append(
-                SpecIssue(
-                    "bad-value",
-                    "$.name",
-                    f"name must match [a-z0-9][a-z0-9-]*[a-z0-9] (got {name!r})",
-                )
+                SpecIssue("missing-field", f"$.{field_name}", f"scenario needs a {field_name!r}")
             )
-        if name in _COMPAT_STREAM_KEYS:
-            issues.append(
-                SpecIssue(
-                    "reserved-name",
-                    "$.name",
-                    f"{name!r} is a built-in scenario and cannot be redefined",
-                )
-            )
-
-    description = data.get("description")
-    if description is None:
-        issues.append(SpecIssue("missing-field", "$.description", "scenario needs a 'description'"))
-        description = ""
-    elif not isinstance(description, str):
-        issues.append(SpecIssue("bad-type", "$.description", "description must be a string"))
-        description = ""
-
-    tags = data.get("tags", [])
-    if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
-        issues.append(SpecIssue("bad-type", "$.tags", "tags must be a list of strings"))
-        tags = []
-
-    loss = data.get("loss", "bernoulli")
-    if loss not in _LOSS_MODELS:
-        issues.append(
-            SpecIssue(
-                "bad-value",
-                "$.loss",
-                f"loss must be one of {', '.join(sorted(_LOSS_MODELS))}; got {loss!r}",
-            )
-        )
-        loss = "bernoulli"
-
-    raw_primitives = data.get("primitives")
-    primitives: list[dict[str, Any]] = []
-    if raw_primitives is None:
-        issues.append(
-            SpecIssue("missing-field", "$.primitives", "scenario needs a 'primitives' list")
-        )
-    elif not isinstance(raw_primitives, (list, tuple)):
-        issues.append(SpecIssue("bad-type", "$.primitives", "primitives must be a list"))
-    elif not raw_primitives:
-        issues.append(
-            SpecIssue("bad-value", "$.primitives", "primitives must not be empty")
-        )
-    else:
-        for index, raw in enumerate(raw_primitives):
-            normalized = _normalize_primitive(raw, f"$.primitives[{index}]", issues)
-            if normalized is not None:
-                primitives.append(normalized)
-
+        else:
+            spec[field_name] = _checked(domain, value, f"$.{field_name}", issues)
+    if spec.get("name") in _COMPAT_STREAM_KEYS:
+        message = f"{spec['name']!r} is a built-in scenario and cannot be redefined"
+        issues.append(SpecIssue("reserved-name", "$.name", message))
+    spec["primitives"] = [
+        _normalize_primitive(raw, f"$.primitives[{index}]", issues)
+        for index, raw in enumerate(spec.get("primitives") or ())
+    ]
     for field_name in data:
-        if field_name not in _TOP_LEVEL_FIELDS:
-            issues.append(
-                SpecIssue(
-                    "unknown-field",
-                    f"$.{field_name}",
-                    f"scenario fields are {', '.join(_TOP_LEVEL_FIELDS)}",
-                )
-            )
-
+        if field_name != "version" and field_name not in _TOP_LEVEL:
+            message = f"scenario fields are {', '.join(['version', *_TOP_LEVEL])}"
+            issues.append(SpecIssue("unknown-field", f"$.{field_name}", message))
     if issues:
         raise ScenarioValidationError(source, issues)
-    return {
-        "version": SCHEMA_VERSION,
-        "name": name,
-        "description": description,
-        "tags": list(tags),
-        "loss": loss,
-        "primitives": primitives,
-    }
+    return {**spec, "tags": list(spec["tags"])}
 
 
 # ---------------------------------------------------------------------------

@@ -469,8 +469,10 @@ class TestSimulateMonteCarlo:
             "traced": ["--trace", "diurnal"],
             "scenario": ["--scenario", "baseline"],
         }[mode]
-        assert main(args + [flag, "0"]) == 2
-        assert f"error: {flag} must be positive, got 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + [flag, "0"])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be an integer >= 1, got 0" in capsys.readouterr().err
 
     def test_scenario_sweep(self, problem_file, solution_file, capsys):
         code = main(

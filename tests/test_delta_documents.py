@@ -68,7 +68,7 @@ CASES = [
             ]
         },
         DocumentError,
-        "delta.delivery_changed[0]: missing 'cost'",
+        "delta.delivery_changed[0].new: missing 'cost'",
     ),
     (
         "sinks-added-list",
@@ -87,13 +87,13 @@ CASES = [
         "stream-edge-entry-int",
         {"stream_edges_changed": [5]},
         DocumentError,
-        "delta.stream_edges_changed[0]: entries must be objects, got int",
+        "delta.stream_edges_changed[0] must be an object, got int",
     ),
     (
         "string-loss-probability",
         {"sinks_added": _added_sink(delivery={"loss_probability": "0.05"})},
         DocumentError,
-        "delta.sinks_added.d9: loss_probability must be a number, got str",
+        "delta.sinks_added.d9.delivery[0].loss_probability must be a number, got str",
     ),
     (
         "unknown-reflector",
@@ -258,12 +258,12 @@ def _valid_delta() -> dict:
     }
 
 
-#: Values each checked field must refuse (a NaN cost is accepted, as by add_*).
+#: Values each checked field must refuse.
 _BAD = {
     "loss_probability": [-0.1, 1.5, math.nan],
-    "cost": [-1.0, math.nan],
-    "capacity": [0.0, -2.0],
-    "stream_cost": [-0.5],
+    "cost": [-1.0, math.nan, math.inf],
+    "capacity": [0.0, -2.0, math.nan, math.inf],
+    "stream_cost": [-0.5, math.nan],
     "threshold": [0.0, 1.0, 1.2, -0.5, math.nan],
 }
 

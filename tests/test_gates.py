@@ -107,6 +107,24 @@ def test_every_gate_is_evaluated_on_the_committed_record(label):
     assert {check.gate for check in evaluate_gates(spec, record)} == expected
 
 
+COMMITTED = sorted(RESULTS.glob("BENCH_*.json"))
+
+
+def test_every_scenario_has_a_committed_record():
+    assert {path.stem[len("BENCH_") :].lower() for path in COMMITTED} == set(SMOKE)
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=[path.name for path in COMMITTED])
+def test_every_committed_record_passes_and_evaluates_its_gates(path):
+    """Each committed ``BENCH_*.json``, smoke or full, passes every gate it
+    is held to: the full-only gates too on a full record."""
+    record = BenchRecord.load(path)
+    spec = _spec(record)
+    assert check_gates(spec, record) == []
+    expected = {gate for gate in spec.gates if not (record.smoke and gate.full_only)}
+    assert {check.gate for check in evaluate_gates(spec, record)} == expected
+
+
 def test_full_only_gates_are_the_four_wall_clock_speedups():
     full_only = {
         (sid, gate.value)

@@ -965,7 +965,7 @@ def _design_fails_naming(request, tmp_path, capsys, front, document, message):
     if front == "cli":
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(document["problem"]))
-        assert main(["design", "--problem", str(path)]) == 2
+        assert main(["design", "--problem", str(path), "--strategy", document["strategy"]]) == 2
         error = capsys.readouterr().err
     else:
         status, body = _post_design(request.getfixturevalue("design_server"), document)
@@ -985,32 +985,19 @@ def test_non_integral_fanout_is_named(request, problem, tmp_path, capsys, front,
 
 
 @pytest.mark.parametrize("front", ["cli", "http"])
+@pytest.mark.parametrize("strategy", ["spaa03", "greedy"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("kind", ["reflector", "stream-edge", "delivery-edge"])
-def test_non_finite_cost_is_named(request, problem, tmp_path, capsys, front, value, kind):
-    from repro.core.formulation import build_sparse_formulation
-
-    document = json.loads(json.dumps(request_to_dict(DesignRequest(problem=problem))))
-    tables = document["problem"]
-    if kind == "reflector":
-        entry = tables["reflectors"][0]
-        entity = f"reflector {entry['name']!r}"
-    elif kind == "stream-edge":
-        entry = tables["stream_edges"][0]
-        entity = f"stream edge {entry['stream']!r} -> {entry['reflector']!r}"
-    else:
-        # A link the LP has a column for: one that can serve a demand.
-        reflector, (sink, stream) = build_sparse_formulation(problem).x_keys[0]
-        entry = next(
-            edge
-            for edge in tables["delivery_edges"]
-            if (edge["reflector"], edge["sink"]) == (reflector, sink)
-        )
-        entity = f"delivery edge {reflector!r} -> {sink!r} (stream {stream!r})"
-    entry["cost"] = value
-    _design_fails_naming(
-        request, tmp_path, capsys, front, document, f"{entity}: cost must be finite, got {value}"
+@pytest.mark.parametrize("table", ["reflectors", "stream_edges", "delivery_edges"])
+def test_non_finite_cost_is_named(
+    request, problem, tmp_path, capsys, front, strategy, value, table
+):
+    document = json.loads(
+        json.dumps(request_to_dict(DesignRequest(problem=problem, strategy=strategy)))
     )
+    document["problem"][table][0]["cost"] = value
+    what = "reflector cost" if table == "reflectors" else "edge cost"
+    message = f"problem.{table}[0]: {what} must be non-negative and finite, got {value}"
+    _design_fails_naming(request, tmp_path, capsys, front, document, message)
 
 
 @pytest.mark.parametrize("front", ["cli", "http"])
