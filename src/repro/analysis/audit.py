@@ -12,14 +12,53 @@ integration test suite.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.core.algorithm import DesignReport
-from repro.core.index import builtin_sums, problem_index
+from repro.core.index import DemandKey, ProblemIndex, builtin_sums, problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
+
+
+class WeightFractions(Mapping):
+    """Demand key -> weight fraction, read from one value per demand of an index.
+
+    The audit's ``weight_fraction``: a read-only mapping in the index's
+    demand order that costs nothing to make, so an audit of a changed design
+    never copies a dict entry per demand.  It pickles as a plain dict.
+    """
+
+    def __init__(self, index: ProblemIndex, values: np.ndarray) -> None:
+        values.flags.writeable = False
+        self.index, self.array = index, values
+
+    def __getitem__(self, key: DemandKey) -> float:
+        return self.array[self.index.demand_code[key]].item()
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.index.demand_code
+
+    def __iter__(self) -> Iterator[DemandKey]:
+        return iter(self.index.keys)
+
+    def __len__(self) -> int:
+        return len(self.index.keys)
+
+    def values(self) -> list[float]:
+        return self.array.tolist()
+
+    def items(self) -> list[tuple[DemandKey, float]]:
+        return list(zip(self.index.keys, self.array.tolist()))
+
+    def __reduce__(self) -> tuple:
+        return dict, (self.items(),)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass
@@ -30,11 +69,15 @@ class SolutionAudit:
     ``weight_fraction < 1`` is a shortfall, ``fanout_factor > 1`` an overload.
     """
 
-    weight_fraction: dict[tuple[str, str], float] = field(default_factory=dict)
+    weight_fraction: Mapping[tuple[str, str], float] = field(default_factory=dict)
     fanout_factor: dict[str, float] = field(default_factory=dict)
     color_violations: int = 0
     arc_capacity_factor: dict[tuple[str, str], float] = field(default_factory=dict)
     unserved_demands: int = 0
+    #: Assignments per reflector of the audited design, which an audit of a
+    #: changed design starts from; not part of the audit's document, so
+    #: ``None`` on a decoded audit.
+    loads: Counter[str] | None = field(default=None, compare=False, repr=False)
 
     @property
     def min_weight_fraction(self) -> float:
@@ -58,7 +101,12 @@ class SolutionAudit:
         }
 
 
-def audit_solution(problem: OverlayDesignProblem, solution: OverlaySolution) -> SolutionAudit:
+def audit_solution(
+    problem: OverlayDesignProblem,
+    solution: OverlaySolution,
+    previous: SolutionAudit | None = None,
+    replaced: Mapping[DemandKey, Sequence[str]] | None = None,
+) -> SolutionAudit:
     """Measure all constraint violations of an integral design against ``problem``.
 
     One pass over the assignments against the problem's index
@@ -66,26 +114,67 @@ def audit_solution(problem: OverlayDesignProblem, solution: OverlaySolution) -> 
     fraction, the unserved count and the colour violations; one count gives
     the fanout loads and, when the problem declares arc capacities, the arc
     loads.
+
+    ``previous`` and ``replaced`` audit a changed design by its changes:
+    ``previous`` audited a design that ``solution`` differs from only in the
+    lists of ``replaced``'s keys, each mapped to its former list (empty if
+    it had none), against a problem whose other demands are unchanged.
+    Only those keys are measured (and the arc loads, when the problem has
+    arc capacities); the rest is carried over, so the result equals a full
+    audit.  A decoded ``previous`` (no ``loads``) gets a full audit.
     """
     audit = SolutionAudit()
     assignments = solution.assignments
     index = problem_index(problem)
-    lists = [assignments.get(key, ()) for key in index.keys]
-    entries = index.entries(index.keys, lists)
-    delivered = builtin_sums(
-        entries.segment, index.candidate_weight[entries.position], index.num_demands
-    )
-    audit.weight_fraction = dict(zip(index.keys, index.weight_fractions(delivered).tolist()))
-    served = np.bincount(entries.segment, minlength=index.num_demands)
-    audit.unserved_demands = int(np.count_nonzero(served == 0))
-    colour = index.color[entries.reflector]
-    coloured = colour >= 0
-    pairs = entries.segment[coloured] * len(index.colors) + colour[coloured]
-    _groups, copies = np.unique(pairs, return_counts=True)
-    audit.color_violations = int(np.count_nonzero(copies > 1))
-
-    for reflector, used in solution.fanout_loads().items():
-        audit.fanout_factor[reflector] = used / problem.fanout(reflector)
+    former = previous.weight_fraction if previous is not None else None
+    if isinstance(former, WeightFractions) and previous.loads is not None and replaced:
+        keys = [key for key in replaced if key in index.demand_code]
+        codes = index.demand_codes(keys)
+    else:
+        keys, codes, former = index.keys, np.arange(index.num_demands), None
+    entries = index.entries(keys, [assignments.get(key, ()) for key in keys])
+    delivered = builtin_sums(entries.segment, index.candidate_weight[entries.position], len(keys))
+    unserved = int(np.count_nonzero(np.bincount(entries.segment, minlength=len(keys)) == 0))
+    violations = _color_violations(index, entries.segment, entries.reflector)
+    fractions = np.empty(index.num_demands)
+    fractions[codes] = index.weight_fractions(delivered, codes)
+    if former is None:
+        audit.loads = solution.fanout_loads()
+        # Every loaded reflector's fanout factor is (re)computed below.
+        loaded = audit.loads
+    else:
+        # Carry the other demands' fractions, and take the replaced lists'
+        # counts out of the previous ones.
+        parent = index.codes_in(former.index)
+        carried = np.ones(index.num_demands, dtype=bool)
+        carried[codes] = False
+        carried &= parent >= 0
+        fractions[carried] = former.array[parent[carried]]
+        before = [replaced[key] for key in replaced if key in former]
+        unserved += previous.unserved_demands - sum(1 for reflectors in before if not reflectors)
+        names = list(chain.from_iterable(before))
+        violations += previous.color_violations - _color_violations(
+            index,
+            np.repeat(np.arange(len(before)), list(map(len, before))),
+            np.fromiter(map(index.reflector_code.__getitem__, names), np.int64, len(names)),
+        )
+        change = Counter(chain.from_iterable(assignments.get(key, ()) for key in replaced))
+        change.subtract(Counter(chain.from_iterable(replaced.values())))
+        audit.loads = Counter(previous.loads)
+        audit.fanout_factor = dict(previous.fanout_factor)
+        for reflector, moved in change.items():
+            audit.loads[reflector] += moved
+        loaded = {reflector: audit.loads[reflector] for reflector in change}
+        for reflector, used in loaded.items():
+            if not used:
+                del audit.loads[reflector]
+                audit.fanout_factor.pop(reflector, None)
+    for reflector, used in loaded.items():
+        if used:
+            audit.fanout_factor[reflector] = used / problem.fanout(reflector)
+    audit.weight_fraction = WeightFractions(index, fractions)
+    audit.unserved_demands = unserved
+    audit.color_violations = violations
 
     capacities = problem.arc_capacities()
     if capacities:
@@ -98,6 +187,15 @@ def audit_solution(problem: OverlayDesignProblem, solution: OverlaySolution) -> 
         for arc, capacity in capacities.items():
             audit.arc_capacity_factor[arc] = arc_load[arc] / capacity
     return audit
+
+
+def _color_violations(index: ProblemIndex, segment: np.ndarray, reflector: np.ndarray) -> int:
+    """``(segment, colour)`` groups holding more than one of the reflectors."""
+    colour = index.color[reflector]
+    coloured = colour >= 0
+    pairs = segment[coloured] * len(index.colors) + colour[coloured]
+    _groups, copies = np.unique(pairs, return_counts=True)
+    return int(np.count_nonzero(copies > 1))
 
 
 @dataclass

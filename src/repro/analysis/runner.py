@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 SCHEMA_VERSION = 1
 
@@ -403,10 +403,10 @@ def resolve_jobs(jobs: int | str | None) -> int:
 
 
 def execute_tasks(
-    task_fn: Callable[[dict], dict | list[dict]],
-    tasks: Sequence[dict],
+    task_fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
     jobs: int | str | None = 1,
-) -> list[dict | list[dict]]:
+) -> list[Any]:
     """Run ``task_fn`` over ``tasks``, possibly across worker processes.
 
     Results come back in task order, so any deterministic ``task_fn`` yields
@@ -419,10 +419,10 @@ def execute_tasks(
 
 
 def execute_tasks_iter(
-    task_fn: Callable[[dict], dict | list[dict]],
-    tasks: Sequence[dict],
+    task_fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
     jobs: int | str | None = 1,
-) -> Iterator[dict | list[dict]]:
+) -> Iterator[Any]:
     """Lazy :func:`execute_tasks`: yield results in task order as they arrive.
 
     Same determinism contract (task-order results, ``jobs`` never changes

@@ -3,11 +3,11 @@
 :func:`design_batch` is the service-shaped front door the ROADMAP's batched-
 traffic goal needs: hand it a list of :class:`~repro.api.types.DesignRequest`
 and it fans them out over worker processes via
-:func:`repro.analysis.runner.execute_tasks`.  Requests cross the process
-boundary as their versioned JSON documents, results come back in request
-order, and each request carries its own seed -- so a batch is deterministic
-given its requests regardless of ``jobs`` (the same bit-for-bit guarantee the
-benchmark runner makes).
+:func:`repro.analysis.runner.execute_tasks`.  In process, each request goes
+straight to its designer; across processes, requests and results travel as
+pickles.  Results come back in request order, and each request carries its
+own seed -- so a batch is deterministic given its requests regardless of
+``jobs`` (the same bit-for-bit guarantee the benchmark runner makes).
 
 The JSONL helpers are the file format of ``repro batch``: one request (or
 result) document per line.
@@ -27,16 +27,26 @@ from repro.api.types import (
     DesignResult,
     request_from_dict,
     request_to_dict,
-    result_from_dict,
     result_to_dict,
 )
+from repro.core.serialization import scalar_metadata
 
 
-def _batch_task(task: dict) -> dict:
-    """One batch unit (module-level, hence picklable for worker processes)."""
-    request = request_from_dict(task["request"])
+def _batch_task(request: DesignRequest) -> DesignResult:
+    """One batch unit (module-level, hence picklable for worker processes).
+
+    The result keeps what its document would carry: no ``report`` or
+    ``shard_state``, and only JSON-scalar metadata.  It leaves its problem
+    behind, which a worker would otherwise pickle back; :func:`design_batch`
+    rebinds it.
+    """
     result = get_designer(request.strategy).design(request)
-    return result_to_dict(result)
+    result.report = result.shard_state = None
+    result.metadata = scalar_metadata(result.metadata)
+    solution = result.solution
+    solution.metadata = scalar_metadata(solution.metadata)
+    solution.problem = None
+    return result
 
 
 def design_batch(
@@ -45,11 +55,15 @@ def design_batch(
 ) -> list[DesignResult]:
     """Execute many design requests, possibly across worker processes.
 
-    Results are returned in request order and are bit-identical (up to
-    wall-clock timings) between ``jobs=1`` and any parallel setting, because
-    every request derives all randomness from its own seed.  Requests must be
-    JSON-serializable (see :func:`repro.api.types.request_to_dict`) -- that is
-    what ships them to the workers.
+    Results are returned in request order, each bound to its request's
+    problem, and are bit-identical (up to wall-clock timings) between
+    ``jobs=1`` and any parallel setting, because every request derives all
+    randomness from its own seed.  With ``jobs=1`` each designer receives
+    the request object itself, so it must leave ``request.problem``
+    unchanged (memos such as the problem index aside); worker processes
+    receive pickled requests and send pickled results back.  A result
+    carries what its ``result_to_dict`` document carries: no ``report`` or
+    ``shard_state``, and only the JSON-scalar entries of its metadata.
 
     Custom strategies and ``jobs > 1``: worker processes resolve strategies by
     re-importing :mod:`repro.api`, so a designer registered via
@@ -61,12 +75,10 @@ def design_batch(
     module.  The built-in catalogue is always available.
     """
     requests = list(requests)
-    tasks = [{"request": request_to_dict(request)} for request in requests]
-    documents = execute_tasks(_batch_task, tasks, jobs=jobs)
-    return [
-        result_from_dict(document, request.problem)
-        for request, document in zip(requests, documents)
-    ]
+    results = execute_tasks(_batch_task, requests, jobs=jobs)
+    for request, result in zip(requests, results):
+        result.solution.problem = request.problem
+    return results
 
 
 def load_requests_jsonl(path: str | Path) -> list[DesignRequest]:

@@ -12,8 +12,10 @@ Both types have a versioned JSON encoding (``schema_version`` +
 ``kind`` discriminator, extending the document conventions of
 :mod:`repro.core.serialization`), declared once as :data:`REQUEST` and
 :data:`RESULT` (:mod:`repro.core.schema`), which is what ``repro batch``
-reads and writes and what :func:`repro.api.design_batch` ships across worker
-processes.  ``options`` must be JSON-typed for a request to serialize.
+reads and writes and what the serving cache stores;
+:func:`repro.api.design_batch` hands requests to designers in process and
+pickles them across worker processes.  ``options`` must be JSON-typed for a
+request to serialize.
 """
 
 from __future__ import annotations
@@ -242,6 +244,11 @@ class DesignResult:
     report:
         The full in-memory :class:`~repro.core.algorithm.DesignReport` for
         pipeline strategies (never serialized; ``None`` after a round-trip).
+    shard_state:
+        For sharded designs and incremental updates, the
+        :class:`~repro.scale.stitch.ShardState` the next incremental update
+        of this design starts from (never serialized; ``None`` after a
+        round-trip, and then the update re-walks the standing design).
     """
 
     strategy: str
@@ -255,6 +262,7 @@ class DesignResult:
     request_id: str | None = None
     report: DesignReport | None = None
     schema_version: int = SCHEMA_VERSION
+    shard_state: Any = field(default=None, compare=False, repr=False)
 
     @property
     def total_cost(self) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -181,40 +181,71 @@ def repair_weight_shortfalls(
     list order, with weights and costs from the problem's index.
     """
     index = problem_index(problem)
-    rows = index.rows
-    # Lists are copied when changed, never changed in place.
     assignments = dict(solution.assignments)
     load = Counter(chain.from_iterable(assignments.values()))
-
-    def capacity_left(reflector: str) -> float:
-        return fanout_slack * problem.fanout(reflector) - load[reflector]
-
     # A demand's list changes only on its own turn, so every demand's weight
     # can be summed up front (in list order) and only the short ones visited.
     delivered = index.delivered(index.keys, [assignments.get(key, ()) for key in index.keys])
     short = np.flatnonzero(delivered < index.demand_weight - 1e-12)
-    for demand, total in zip(short.tolist(), delivered[short].tolist()):
+    top_up_demands(
+        problem, assignments, load, short.tolist(), delivered[short].tolist(), fanout_slack
+    )
+    repaired = OverlaySolution.from_assignments(
+        problem, assignments, metadata=dict(solution.metadata)
+    )
+    repaired.metadata["repaired"] = True
+    return repaired
+
+
+def top_up_demands(
+    problem: OverlayDesignProblem,
+    assignments: dict[tuple[str, str], list[str]],
+    load: Counter[str],
+    demands: Sequence[int],
+    delivered: Sequence[float],
+    fanout_slack: float = 4.0,
+) -> list[tuple[str, str]]:
+    """The repair pass of :func:`repair_weight_shortfalls` over given short demands.
+
+    ``demands`` are demand codes of the problem's index, in the order to
+    visit them, with their delivered weights; ``load`` counts the
+    assignments per reflector.  ``assignments`` and ``load`` are updated in
+    place (a list that grows is replaced, never changed in place), and the
+    keys whose lists grew are returned, in visiting order.
+    """
+    index = problem_index(problem)
+    pointer = index.candidate_ptr
+
+    def capacity_left(reflector: str) -> float:
+        return fanout_slack * problem.fanout(reflector) - load[reflector]
+
+    grown = []
+    for demand, total in zip(demands, delivered):
         key = index.keys[demand]
-        required = rows.required[demand]
+        required = index.demand_weight[demand].item()
         current = set(assignments.get(key, []))
+        rows = slice(pointer[demand], pointer[demand + 1])
         candidates = [
-            (reflector, position)
-            for position, reflector in enumerate(index.candidates(demand), rows.pointer[demand])
+            (reflector, weight, cost)
+            for reflector, weight, cost in zip(
+                map(index.reflectors.__getitem__, index.candidate_reflector[rows].tolist()),
+                index.candidate_weight[rows].tolist(),
+                index.candidate_cost[rows].tolist(),
+            )
             if reflector not in current and capacity_left(reflector) >= 1.0
         ]
         # Cheapest additional cost per unit of weight first.
-        candidates.sort(key=lambda item: rows.cost[item[1]] / max(rows.weight[item[1]], 1e-12))
-        for reflector, position in candidates:
+        candidates.sort(key=lambda item: item[2] / max(item[1], 1e-12))
+        for reflector, weight, _cost in candidates:
             if total >= required - 1e-12:
                 break
+            if not grown or grown[-1] != key:
+                grown.append(key)
             assignments[key] = [*assignments.get(key, []), reflector]
             current.add(reflector)
             load[reflector] += 1
-            total += rows.weight[position]
-
-    repaired = OverlaySolution.from_assignments(problem, assignments, metadata=dict(solution.metadata))
-    repaired.metadata["repaired"] = True
-    return repaired
+            total += weight
+    return grown
 
 
 def fractional_lower_bound(
@@ -232,4 +263,5 @@ __all__ = [
     "DesignReport",
     "fractional_lower_bound",
     "repair_weight_shortfalls",
+    "top_up_demands",
 ]

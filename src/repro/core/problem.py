@@ -31,7 +31,7 @@ from typing import Collection, Container, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.index import ProblemIndex, builtin_sums, problem_index
+from repro.core.index import IndexOrigin, ProblemIndex, builtin_sums, problem_index
 from repro.core.weights import (
     edge_weight,
     path_failure_probability,
@@ -145,6 +145,9 @@ class OverlayDesignProblem:
     _digest: str | None = None
     _texts: object = None
     _index: ProblemIndex | None = None
+    #: How :meth:`_patched` made this problem from a parent whose index was
+    #: built, until this problem's own index is derived from it.
+    _index_origin: IndexOrigin | None = None
     #: True when every table is in canonical sorted order (:meth:`_patched`
     #: builds them so); every ``add_*`` clears it.
     _canonical: bool = False
@@ -170,7 +173,7 @@ class OverlayDesignProblem:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for memo in ("_digest", "_texts", "_index"):
+        for memo in ("_digest", "_texts", "_index", "_index_origin"):
             state.pop(memo, None)
         return state
 
@@ -181,7 +184,7 @@ class OverlayDesignProblem:
         ``bandwidth`` is only used by the Section 6.1 extension (``B^k``); the
         base formulation treats every stream as one unit of fanout.
         """
-        self._digest = self._texts = self._index = None
+        self._digest = self._texts = self._index = self._index_origin = None
         self._canonical = False
         if stream in self._stream_set:
             raise ValueError(f"stream {stream!r} already exists")
@@ -205,7 +208,7 @@ class OverlayDesignProblem:
         color-constraint extension; ``capacity`` bounds the number of distinct
         streams delivered to the reflector (Section 6.2, constraint (8)).
         """
-        self._digest = self._texts = self._index = None
+        self._digest = self._texts = self._index = self._index_origin = None
         self._canonical = False
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
@@ -231,7 +234,7 @@ class OverlayDesignProblem:
 
     def add_sink(self, sink: str) -> None:
         """Register a sink (edgeserver)."""
-        self._digest = self._texts = self._index = None
+        self._digest = self._texts = self._index = self._index_origin = None
         self._canonical = False
         if sink in self._sink_set:
             raise ValueError(f"sink {sink!r} already exists")
@@ -242,7 +245,7 @@ class OverlayDesignProblem:
         self, stream: str, reflector: str, loss_probability: float, cost: float
     ) -> None:
         """Add the source->reflector edge for ``stream`` (at most one per pair)."""
-        self._digest = self._texts = self._index = None
+        self._digest = self._texts = self._index = self._index_origin = None
         self._canonical = False
         self._check_stream_edge(stream, reflector, loss_probability, cost, self._stream_edges)
         self._stream_edges[stream, reflector] = StreamEdge(
@@ -266,7 +269,7 @@ class OverlayDesignProblem:
         ``capacity`` bounds the number of streams on the link (Section 6.3,
         constraint (7')).
         """
-        self._digest = self._texts = self._index = None
+        self._digest = self._texts = self._index = self._index_origin = None
         self._canonical = False
         self._check_link(
             reflector, sink, loss_probability, cost, stream_costs, capacity, self._delivery_links
@@ -281,7 +284,7 @@ class OverlayDesignProblem:
 
     def add_demand(self, sink: str, stream: str, success_threshold: float) -> None:
         """Require ``sink`` to receive ``stream`` with success probability >= threshold."""
-        self._digest = self._texts = self._index = None
+        self._digest = self._texts = self._index = self._index_origin = None
         self._canonical = False
         self._check_demand(sink, stream, success_threshold, self._demands)
         self._demands[sink, stream] = Demand(sink, stream, float(success_threshold))
@@ -615,6 +618,9 @@ class OverlayDesignProblem:
         with per-stream costs; the rest are C-level table copies.  A parent
         that is not canonical pays one sort of each table.  Mutable entries
         (reflector records, per-stream cost dicts, per-sink lists) are copied.
+        A parent whose index is built leaves the copy an
+        :class:`~repro.core.index.IndexOrigin`, so the copy's index is
+        derived from it.
         """
         canonical = self._canonical
         child = OverlayDesignProblem(name)
@@ -706,6 +712,10 @@ class OverlayDesignProblem:
                     del reflectors_of[sink]
         child._sink_reflectors = reflectors_of
         child._canonical = True
+        if self._index is not None:
+            child._index_origin = IndexOrigin(
+                self._index, canonical, stream_edges.keys(), links.keys(), demands.keys()
+            )
         return child
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience

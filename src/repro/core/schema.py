@@ -16,8 +16,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 
 #: The default of a field whose type declares none.
@@ -306,7 +307,9 @@ class MapOf:
         return decoded
 
     def encode(self, value: Any) -> Any:
-        items = sorted(dict(value).items()) if self.sort else dict(value).items()
+        items = (value if isinstance(value, Mapping) else dict(value)).items()
+        if self.sort:
+            items = sorted(items)
         if isinstance(self.codec, Domain):
             return [[*key, item] for key, item in items] if self.pairs else dict(items)
         return {key: self.codec.encode(item) for key, item in items}

@@ -16,10 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import namedtuple
-from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.problem import Demand, OverlayDesignProblem, _spliced
 from repro.core.schema import (
@@ -145,6 +144,15 @@ def _problem(name: str = "overlay-design", **tables: list) -> OverlayDesignProbl
             )
     except (TypeError, AttributeError, KeyError, ValueError) as error:
         raise _entry_error(problem, table, index, tables[table][index], error) from None
+    # add_* takes any hashable name; a document's names are strings.
+    for table, names in (
+        ("streams", problem._streams),
+        ("reflectors", problem._reflectors),
+        ("sinks", problem._sinks),
+    ):
+        if not all(map(STRING.accepts, names)):
+            index = next(i for i, name in enumerate(names) if not STRING.accepts(name))
+            raise _entry_error(problem, table, index, tables[table][index], TypeError())
     return problem
 
 
@@ -232,7 +240,7 @@ def scalar_metadata(metadata: dict) -> dict:
     return {key: value for key, value in metadata.items() if isinstance(value, scalars)}
 
 
-def _solution(assignments: list = (), metadata: dict | None = None, **derived: Any) -> partial:
+def _solution(assignments: list = (), metadata: dict | None = None, **derived: Any) -> Callable:
     """The decoded solution, waiting for its problem.  The assignments are read
     with no per-field check and decoded against :data:`ASSIGNMENT` only to name
     a malformed one; the derived fields are recomputed from them."""
@@ -245,7 +253,47 @@ def _solution(assignments: list = (), metadata: dict | None = None, **derived: A
     if not valid:
         Rows(ASSIGNMENT).decode(assignments, "solution.assignments")
     metadata = dict(metadata or {})
-    return partial(OverlaySolution.from_assignments, assignments=keyed, metadata=metadata)
+
+    def bind(problem: OverlayDesignProblem) -> OverlaySolution:
+        _check_assignments(problem, assignments)
+        return OverlaySolution.from_assignments(problem, keyed, metadata=metadata)
+
+    return bind
+
+
+def _check_assignments(problem: OverlayDesignProblem, assignments: list) -> None:
+    """Refuse an entry whose demand, or one of whose reflectors, ``problem`` lacks.
+
+    One pass of dict lookups on the problem's tables (a served cache hit
+    decodes against a freshly parsed problem, which has no index yet).  A
+    reflector must be a candidate of the entry's demand: a stream edge and a
+    delivery edge must reach it.
+    """
+    demands, reflectors = problem._demands, problem._reflectors
+    # The reflectors each stream reaches; the problem keeps those each sink links to.
+    carriers: dict[str, set[str]] = {}
+    for stream, reflector in problem._stream_edges:
+        carriers.setdefault(stream, set()).add(reflector)
+    linked = problem._sink_reflectors
+    for index, entry in enumerate(assignments):
+        sink, stream = key = entry["sink"], entry["stream"]
+        if key not in demands:
+            where = f"solution.assignments[{index}]"
+            if not problem._has_sink(sink):
+                raise DocumentError(f"{where}.sink: unknown sink {sink!r}")
+            if stream not in problem._stream_set:
+                raise DocumentError(f"{where}.stream: unknown stream {stream!r}")
+            raise DocumentError(f"{where}: the problem has no demand {key!r}")
+        carried, reached = carriers.get(stream, ()), linked.get(sink, ())
+        for position, reflector in enumerate(entry["reflectors"]):
+            if reflector in carried and reflector in reached:
+                continue
+            field = f"solution.assignments[{index}].reflectors[{position}]"
+            if reflector not in reflectors:
+                raise DocumentError(f"{field}: unknown reflector {reflector!r}")
+            raise DocumentError(
+                f"{field}: reflector {reflector!r} is no candidate of demand {key!r}"
+            )
 
 
 def _deliveries(solution: OverlaySolution) -> list[list[str]]:
@@ -370,11 +418,6 @@ _DELIVERY_EDGE = (
     '"sink": %s, "stream_costs": %s}'
 )
 _DEMAND = '{"sink": %s, "stream": %s, "success_threshold": %s}'
-_PROBLEM = (
-    '{"delivery_edges": [%s], "demands": [%s], "format_version": %d, '
-    '"kind": "overlay-design-problem", "reflectors": [%s], "sinks": [%s], '
-    '"stream_edges": [%s], "streams": [%s]}'
-)
 
 
 class _NameTexts(dict):
@@ -540,16 +583,30 @@ def _carry_texts(
 
 
 def _hashed(texts: _Texts) -> str:
-    text = _PROBLEM % (
+    """The digest of the document the texts spell, fed to SHA-256 piece by piece.
+
+    The pieces are problem_to_dict's keys in sorted order and each table's
+    joined texts; the whole document is never formatted into one string.
+    """
+    digest = hashlib.sha256()
+    for piece in (
+        '{"delivery_edges": [',
         ", ".join(texts.links),
+        '], "demands": [',
         ", ".join(texts.demands),
-        FORMAT_VERSION,
+        f'], "format_version": {FORMAT_VERSION}, "kind": "overlay-design-problem", '
+        '"reflectors": [',
         texts.reflectors,
+        '], "sinks": [',
         ", ".join(texts.sinks),
+        '], "stream_edges": [',
         ", ".join(texts.stream_edges),
+        '], "streams": [',
         texts.streams,
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+        "]}",
+    ):
+        digest.update(piece.encode())
+    return digest.hexdigest()[:16]
 
 
 def _encoded(table: str, problem: OverlayDesignProblem) -> list[dict[str, Any]]:

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from repro.core.index import builtin_sums, problem_index
 from repro.core.problem import Demand, OverlayDesignProblem
 from repro.core.weights import combined_failure_probability, success_from_weight
 
@@ -214,22 +217,48 @@ class OverlaySolution:
         return violations
 
     def summary(self) -> dict:
-        """Compact dictionary summary used by reports, examples and benchmarks."""
-        demands = self.problem.demands
-        satisfactions = [self.weight_satisfaction(d) for d in demands]
-        successes = [self.success_probability(d) for d in demands]
+        """Compact dictionary summary used by reports, examples and benchmarks.
+
+        Every demand's weight satisfaction and success probability come from
+        the problem's index in one pass over the assignments, bit for bit
+        what :meth:`weight_satisfaction` and :meth:`success_probability`
+        give one demand at a time: delivered weights are summed in list
+        order (:func:`~repro.core.index.builtin_sums`), and each demand's
+        path failures multiply in list order, one list position per step.
+        """
+        index = problem_index(self.problem)
+        entries = index.entries(
+            index.keys, [self.assignments.get(key, ()) for key in index.keys]
+        )
+        satisfactions = index.weight_fractions(
+            builtin_sums(
+                entries.segment, index.candidate_weight[entries.position], index.num_demands
+            )
+        ).tolist()
+        p1 = index.edge_loss[index.candidate_edge[entries.position]]
+        p2 = index.link_loss[index.candidate_link[entries.position]]
+        path_failure = p1 + p2 - p1 * p2
+        served = np.bincount(entries.segment, minlength=index.num_demands)
+        rank = np.arange(entries.segment.size) - (np.cumsum(served) - served)[entries.segment]
+        failure = np.ones(index.num_demands)
+        for step in range(int(served.max(initial=0))):
+            at = rank == step
+            failure[entries.segment[at]] *= path_failure[at]
+        successes = (1.0 - failure).tolist()
+        thresholds = np.array([demand.success_threshold for demand in index.demands])
+        below = np.count_nonzero(1.0 - failure + 1e-12 < thresholds)
         return {
             "total_cost": self.total_cost(),
             "reflectors_built": len(self.built_reflectors),
             "assignments": sum(len(v) for v in self.assignments.values()),
-            "unserved_demands": len(self.unserved_demands()),
+            "unserved_demands": int(np.count_nonzero(served == 0)),
             "min_weight_satisfaction": min(satisfactions) if satisfactions else 1.0,
             "mean_weight_satisfaction": (
                 sum(satisfactions) / len(satisfactions) if satisfactions else 1.0
             ),
             "min_success_probability": min(successes) if successes else 1.0,
             "max_fanout_factor": self.max_fanout_factor(),
-            "demands_below_threshold": len(self.demands_below_threshold()),
+            "demands_below_threshold": int(below),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import cache
 from itertools import chain
 from typing import Mapping
 
@@ -55,6 +56,7 @@ from repro.scale.pipeline import (
     run_shard_loop,
     sharded_options,
 )
+from repro.scale.stitch import ShardState
 
 #: Strategy-name prefix stamped on incremental results.
 INCREMENTAL_PREFIX = "incremental:"
@@ -197,15 +199,14 @@ def design_incremental(
             request_id=request_id,
         )
 
-    standing_assignments = {
-        key: sorted(reflectors)
-        for key, reflectors in standing.assignments.items()
-        if reflectors
-    }
+    base = standing.assignments
+    state = _carried_state(previous, previous_problem)
 
     if delta.is_empty:
         solution = OverlaySolution.from_assignments(
-            new_problem, standing_assignments, metadata=dict(standing.metadata)
+            new_problem,
+            {key: reflectors for key, reflectors in base.items() if reflectors},
+            metadata=dict(standing.metadata),
         )
         solution.metadata["algorithm"] = f"{INCREMENTAL_PREFIX}{inner.name}"
         start = time.perf_counter()
@@ -227,9 +228,9 @@ def design_incremental(
 
     # Lazy plan: shard subproblems are extracted only when touched, and only
     # dirty shards re-solved whole touch theirs -- clean shards carry their
-    # standing assignments as plain maps and residual re-solves extract their
-    # own subproblem directly from ``new_problem``.  This keeps the update
-    # cost proportional to the churn instead of the instance size.
+    # standing assignments and residual re-solves extract their own
+    # subproblem directly from ``new_problem``.  This keeps the update cost
+    # proportional to the churn instead of the instance size.
     start = time.perf_counter()
     if plan is None:
         plan = build_partition(
@@ -241,35 +242,45 @@ def design_incremental(
     partition_seconds = time.perf_counter() - start
 
     # Demands the standing design never served must be re-solved too: there
-    # is no assignment to carry over, whatever the delta says.
+    # is no assignment to carry over, whatever the delta says.  The standing
+    # shard state keeps them, with the design's loads, (stream, reflector)
+    # counts and served count; without one, they are counted here.  (A
+    # demand the standing problem lacks is affected by the delta anyway.)
     new_keys = problem_index(new_problem).demand_code
-    extra = {key for key in new_keys if key not in standing_assignments}
+    if state is not None:
+        unserved = state.unserved()
+        extra = {key for key in unserved if key in new_keys}
+        loads, pairs = state.audit.loads, state.pairs()
+        served = len(base) - sum(1 for key in unserved if key in base)
+    else:
+        extra = {key for key in new_keys if not base.get(key)}
+        loads = Counter(chain.from_iterable(base.values()))
+        pairs = Counter(
+            (stream, reflector)
+            for (_sink, stream), reflectors in base.items()
+            for reflector in reflectors
+        )
+        served = sum(1 for reflectors in base.values() if reflectors)
     # Departing sinks strand build amortization: a reflector that loses a
     # third or more of its standing load may no longer be worth building at all,
     # so the demands still riding it re-solve too.  (Computed over the
     # standing solution; removing *more* sinks can only grow the per-
     # reflector removed load, so the rule stays monotone in the delta.)
-    if delta.sinks_removed:
-        removed_sinks = set(delta.sinks_removed)
-        standing_load = Counter(chain.from_iterable(standing_assignments.values()))
-        removed_load = Counter(
-            chain.from_iterable(
-                reflectors
-                for (sink, _stream), reflectors in standing_assignments.items()
-                if sink in removed_sinks
-            )
+    departed = [
+        (sink, stream)
+        for sink, attachment in delta.sinks_removed.items()
+        for stream, _threshold in attachment.demands
+    ]
+    removed_load = Counter(chain.from_iterable(base.get(key, ()) for key in departed))
+    stranded_reflectors = {
+        reflector for reflector, lost in removed_load.items() if 3 * lost >= loads[reflector]
+    }
+    if stranded_reflectors:
+        extra.update(
+            key
+            for key, reflectors in base.items()
+            if key in new_keys and not stranded_reflectors.isdisjoint(reflectors)
         )
-        stranded_reflectors = {
-            reflector
-            for reflector, lost in removed_load.items()
-            if 3 * lost >= standing_load[reflector]
-        }
-        if stranded_reflectors:
-            extra.update(
-                key
-                for key, reflectors in standing_assignments.items()
-                if key in new_keys and not stranded_reflectors.isdisjoint(reflectors)
-            )
     impact = analyze_impact(delta, new_problem, plan, extra_affected=extra)
 
     if impact.dirty_fraction > opts["full_redesign_threshold"]:
@@ -286,37 +297,45 @@ def design_incremental(
 
     affected = impact.affected_demands
     dirty = set(impact.dirty_shards)
+    # Standing assignments that do not carry over: the affected demands' and
+    # the departed ones'.
+    dropped = {
+        key
+        for key in chain(affected, departed, delta.demands_changed)
+        if base.get(key) and (key in affected or key not in new_keys)
+    }
 
     # Builds and stream deliveries the carried assignments already pay for
     # are sunk: residual subproblems see them at zero cost, so the warm-
     # started re-solve prefers consolidating onto standing reflectors over
     # paying for fresh ones it does not need.
-    carried_builds: set[str] = set()
-    carried_deliveries: set[tuple[str, str]] = set()
-    for (sink, stream), reflectors in standing_assignments.items():
-        if (sink, stream) in affected or (sink, stream) not in new_keys:
-            continue
-        for reflector in reflectors:
-            carried_builds.add(reflector)
-            carried_deliveries.add((stream, reflector))
+    @cache
+    def sunk_costs() -> tuple[set[str], set[tuple[str, str]]]:
+        kept_loads, kept_pairs = Counter(loads), Counter(pairs)
+        for sink, stream in dropped:
+            kept_loads.subtract(base[sink, stream])
+            kept_pairs.subtract((stream, reflector) for reflector in base[sink, stream])
+        return (
+            {reflector for reflector, used in kept_loads.items() if used > 0},
+            {pair for pair, used in kept_pairs.items() if used > 0},
+        )
 
     def job(shard: Shard) -> ShardJob:
         """Clean shards carry their map; dirty ones re-solve what churn touched."""
         if shard.shard_id not in dirty:
-            return None, {
-                key: standing_assignments[key]
-                for key in shard.demand_keys
-                if key in standing_assignments
-            }
+            if state is not None:
+                return None, None
+            return None, {key: base[key] for key in shard.demand_keys if base.get(key)}
         fixed = {
-            key: standing_assignments[key]
+            key: base[key]
             for key in shard.demand_keys
-            if key not in affected and key in standing_assignments
+            if key not in affected and base.get(key)
         }
         if not fixed:
             return shard.problem, {}
         fixed_load = Counter(chain.from_iterable(fixed.values()))
         affected_in_shard = [key for key in shard.demand_keys if key in affected]
+        carried_builds, carried_deliveries = sunk_costs()
         residual = extract_shard_problem(
             new_problem,
             sinks=sorted({sink for sink, _stream in affected_in_shard}),
@@ -340,6 +359,7 @@ def design_incremental(
         strategy=f"{INCREMENTAL_PREFIX}{inner.name}",
         request_id=request_id,
         job=job,
+        standing=state,
     )
     result.stage_seconds = {
         "diff": diff_seconds,
@@ -348,14 +368,29 @@ def design_incremental(
     }
     result.metadata.update(
         {
-            "incremental_reused_assignments": sum(
-                1 for key in standing_assignments if key not in affected
-            ),
+            "incremental_reused_assignments": served
+            - sum(1 for key in affected if base.get(key)),
             **impact.as_metadata(),
             **{f"delta_{k}": v for k, v in delta.summary().items()},
         }
     )
     return result
+
+
+def _carried_state(
+    previous: DesignResult | OverlaySolution, previous_problem: OverlayDesignProblem
+) -> ShardState | None:
+    """The standing result's shard state, when it describes the standing design
+    against ``previous_problem``."""
+    state = previous.shard_state if isinstance(previous, DesignResult) else None
+    if (
+        state is None
+        or state.audit is None
+        or state.solution is not previous.solution
+        or state.solution.problem is not previous_problem
+    ):
+        return None
+    return state
 
 
 __all__ = ["INCREMENTAL_PREFIX", "design_incremental"]

@@ -104,13 +104,14 @@ def analyze_impact(
     served (so there is nothing to carry over).
     """
     affected = frozenset(affected_demand_keys(delta, new_problem) | set(extra_affected))
+    # A shard is dirty when it holds an affected demand: when the demand's
+    # sink is one of its sinks.
+    demands, positions = problem_index(new_problem).demand_code, plan.positions()
+    touched = {positions.get(sink) for sink, stream in affected if (sink, stream) in demands}
     dirty: list[str] = []
     clean: list[str] = []
-    for shard in plan.shards:
-        if any(key in affected for key in shard.demand_keys):
-            dirty.append(shard.shard_id)
-        else:
-            clean.append(shard.shard_id)
+    for at, shard in enumerate(plan.shards):
+        (dirty if at in touched else clean).append(shard.shard_id)
     return ImpactReport(
         affected_demands=affected,
         dirty_shards=tuple(dirty),

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Callable, Mapping
+from itertools import compress, repeat
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
 from repro.analysis.runner import integer_option
-from repro.core.index import problem_index
+from repro.core.index import ProblemIndex, group_order, problem_index
 from repro.core.problem import OverlayDesignProblem
 
 #: Hard ceiling on ``--shards auto`` (beyond this, per-shard overheads win).
@@ -230,20 +230,46 @@ class Shard:
 
 @dataclass
 class PartitionPlan:
-    """The output of :func:`build_partition`: balanced, self-contained shards."""
+    """The output of :func:`build_partition`: balanced, self-contained shards.
+
+    ``shard_of_sink`` maps each sink to its shard's position in ``shards``;
+    plans rebound to a problem with the same sinks share it.
+    """
 
     partitioner: str
     requested_shards: int
     shards: list[Shard] = field(default_factory=list)
+    shard_of_sink: dict[str, int] = field(default_factory=dict)
+    #: ``(sinks, shard position per sink)`` of the last index asked.
+    _sink_shard: tuple[list[str], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
 
     def sink_to_shard(self) -> dict[str, str]:
-        return {
-            sink: shard.shard_id for shard in self.shards for sink in shard.sinks
+        return {sink: self.shards[at].shard_id for sink, at in self.positions().items()}
+
+    def positions(self) -> dict[str, int]:
+        """``shard_of_sink``, or, for a plan assembled shard by shard, the same map
+        built from its shards."""
+        return self.shard_of_sink or {
+            sink: at for at, shard in enumerate(self.shards) for sink in shard.sinks
         }
+
+    def sink_shards(self, index: ProblemIndex) -> np.ndarray:
+        """Per sink code of ``index``, its shard's position (-1 for a sink no shard has).
+
+        Memoised for the index's sink list.
+        """
+        memo = self._sink_shard
+        if memo is None or memo[0] is not index.sinks:
+            positions = self.positions()
+            shards = np.fromiter(map(positions.get, index.sinks, repeat(-1)), np.int64)
+            memo = self._sink_shard = (index.sinks, shards)
+        return memo[1]
 
 
 def _coalesce_groups(
@@ -373,19 +399,31 @@ def _bind_layout(
     requested_shards: int,
     layout: list[tuple[str, list[str]]],
     materialize: bool,
+    shard_of_sink: dict[str, int],
+    kept: Mapping[int, list[tuple[str, str]]] | None = None,
 ) -> PartitionPlan:
     """Bind a shard layout (``(shard_id, sinks)`` per shard) to ``problem``.
 
-    Per-shard demand keys come out in ``problem.demands`` order from one pass
-    over the problem's index, and each shard gets a subproblem factory over
+    Per-shard demand keys come out in ``problem.demands`` order from the
+    problem's index; ``kept`` gives the shards whose keys are carried over
+    as they are (by position).  Each shard gets a subproblem factory over
     ``problem``, resolved now when ``materialize`` is set.
     """
-    bin_of_sink = {sink: i for i, (_id, sinks) in enumerate(layout) for sink in sinks}
-    demand_keys_by_bin: list[list[tuple[str, str]]] = [[] for _ in layout]
-    for key in problem_index(problem).keys:
-        demand_keys_by_bin[bin_of_sink[key[0]]].append(key)
-    plan = PartitionPlan(partitioner=partitioner, requested_shards=requested_shards)
-    for index, (shard_id, sinks) in enumerate(layout):
+    index = problem_index(problem)
+    plan = PartitionPlan(
+        partitioner=partitioner, requested_shards=requested_shards, shard_of_sink=shard_of_sink
+    )
+    grouped = dict(kept or {})
+    if len(grouped) < len(layout):
+        # One pass over every demand: its sink's shard, then a stable grouping.
+        demand_shard = plan.sink_shards(index)[index.demand_sink]
+        order = group_order(demand_shard, len(layout)).tolist()
+        bounds = np.cumsum(np.bincount(demand_shard, minlength=len(layout))).tolist()
+        keys = list(map(index.keys.__getitem__, order))
+        for at, (start, stop) in enumerate(zip([0, *bounds], bounds)):
+            grouped.setdefault(at, keys[start:stop])
+    for at, (shard_id, sinks) in enumerate(layout):
+        demand_keys = grouped[at]
 
         def factory(
             sinks: list[str] = sinks, shard_id: str = shard_id
@@ -395,7 +433,7 @@ def _bind_layout(
         shard = Shard(
             shard_id=shard_id,
             sinks=sinks,
-            demand_keys=demand_keys_by_bin[index],
+            demand_keys=demand_keys,
             problem_factory=factory,
         )
         if materialize:
@@ -427,22 +465,25 @@ def build_partition(
     chosen, raw_groups = _resolve_with_groups(problem, partitioner)
     target = resolve_shard_count(shards, problem)
     groups = {label: sinks for label, sinks in raw_groups.items() if sinks}
-    covered = [sink for sinks in groups.values() for sink in sinks]
-    if sorted(covered) != sorted(problem.sinks):
+    bins = _coalesce_groups(groups, target)
+    shard_of_sink = {sink: at for at, sinks in enumerate(bins) for sink in sinks}
+    placements = sum(map(len, bins))
+    covered = shard_of_sink.keys() == problem_index(problem).sink_code.keys()
+    if placements != problem.num_sinks or not covered:
         raise ValueError(
             f"partitioner {chosen.name!r} does not cover every sink exactly once "
-            f"({len(covered)} placements for {problem.num_sinks} sinks)"
+            f"({placements} placements for {problem.num_sinks} sinks)"
         )
-    bins = _coalesce_groups(groups, target)
     width = len(str(max(len(bins) - 1, 1)))
     layout = [(f"shard{index:0{width}d}", sinks) for index, sinks in enumerate(bins)]
-    return _bind_layout(problem, chosen.name, target, layout, materialize)
+    return _bind_layout(problem, chosen.name, target, layout, materialize, shard_of_sink)
 
 
 def rebind_partition(
     plan: PartitionPlan,
     problem: OverlayDesignProblem,
     materialize: bool = False,
+    changed_sinks: Collection[str] | None = None,
 ) -> PartitionPlan:
     """Re-attach an existing plan's shard layout to a changed problem.
 
@@ -450,26 +491,40 @@ def rebind_partition(
     -- and only the second step looks at demands, links, or costs.  When a
     delta leaves the *sink set* unchanged, the layout (shard ids, sink
     membership) stays valid, so a long-lived session can skip the grouping
-    pass and re-extract against the new problem: per-shard ``demand_keys``
-    are recomputed in ``problem.demands`` order and subproblem factories are
-    rebound, exactly as :func:`build_partition` would have produced for the
-    same layout.  Raises ``ValueError`` when the sink sets differ (callers
-    should rebuild from scratch instead).
+    pass and re-extract against the new problem: subproblem factories are
+    rebound, and per-shard ``demand_keys`` are those :func:`build_partition`
+    would give the same layout, in ``problem.demands`` order.  Only the
+    shards of ``changed_sinks`` -- the sinks whose demands the delta added
+    or removed; ``None`` means any -- get their keys recomputed; the others
+    keep ``plan``'s lists.  Raises ``ValueError`` when the sink sets differ
+    (callers should rebuild from scratch instead).
 
     The input plan is never mutated; lazy shards default (``materialize=
     False``) because rebind callers -- the incremental engine -- touch only
     dirty shards.
     """
-    plan_sinks = sorted(sink for shard in plan.shards for sink in shard.sinks)
-    if plan_sinks != sorted(problem.sinks):
+    index = problem_index(problem)
+    if plan.shard_of_sink.keys() != index.sink_code.keys():
         raise ValueError(
             "partition plan does not cover the problem's sink set "
-            f"({len(plan_sinks)} plan sinks vs {problem.num_sinks} problem sinks); "
+            f"({len(plan.shard_of_sink)} plan sinks vs {problem.num_sinks} problem sinks); "
             "rebuild the partition instead of rebinding"
         )
-    layout = [(shard.shard_id, list(shard.sinks)) for shard in plan.shards]
+    layout = [(shard.shard_id, shard.sinks) for shard in plan.shards]
+    kept = {}
+    if changed_sinks is not None:
+        touched = {plan.shard_of_sink[sink] for sink in changed_sinks}
+        kept = {
+            at: shard.demand_keys for at, shard in enumerate(plan.shards) if at not in touched
+        }
     return _bind_layout(
-        problem, plan.partitioner, plan.requested_shards, layout, materialize
+        problem,
+        plan.partitioner,
+        plan.requested_shards,
+        layout,
+        materialize,
+        plan.shard_of_sink,
+        kept,
     )
 
 

@@ -50,7 +50,7 @@ from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
 from repro.core.schema import ANY, STRING, Doc, Field, MapOf
 from repro.scale.partition import PartitionPlan, Shard, build_partition
-from repro.scale.stitch import stitch_assignments
+from repro.scale.stitch import ShardState, stitch_assignments
 
 #: Prefix of dynamically materialised sharded strategies.
 SHARDED_PREFIX = "sharded:"
@@ -74,8 +74,9 @@ SHARDED_OPTIONS: dict[str, Any] = SHARDED.defaults
 
 #: What one shard contributes to a round of :func:`run_shard_loop`: the
 #: subproblem to solve (``None`` when the shard is not re-solved) and the
-#: assignments it keeps.
-ShardJob = tuple[OverlayDesignProblem | None, dict[tuple[str, str], list[str]]]
+#: assignments it keeps -- ``None`` for all of the standing design's, as the
+#: stitch carries them (:func:`repro.scale.stitch.stitch_assignments`).
+ShardJob = tuple[OverlayDesignProblem | None, dict[tuple[str, str], list[str]] | None]
 
 
 def shard_seed(base_seed: int | None, shard_index: int) -> int | None:
@@ -114,6 +115,7 @@ def run_shard_loop(
     strategy: str,
     request_id: str | None = None,
     job: Callable[[Shard], ShardJob] = _whole_shard,
+    standing: ShardState | None = None,
 ) -> tuple[DesignResult, list[DesignResult]]:
     """Solve shards, merge back what each keeps, stitch and audit: one round.
 
@@ -124,12 +126,16 @@ def run_shard_loop(
     ``parameters``' seed and the shard index, with
     ``options["inner_options"]`` and ``options["jobs"]``.  A solved shard's
     map is its solution's assignments updated with what it keeps; every map
-    then goes through :func:`stitch_assignments`.
+    then goes through :func:`stitch_assignments`.  A shard that keeps
+    ``None`` keeps the design ``standing`` describes (the state a previous
+    round left on its result), and the stitch and the audit then walk only
+    what changed.
 
     Returns the audited result -- labelled ``strategy``, with stages
-    ``design_shards``/``stitch``/``audit`` and metadata ``inner_strategy``,
-    ``partitioner``, ``jobs`` and the stitch counters -- and the solved
-    shards' results in shard order.
+    ``design_shards``/``stitch``/``audit``, metadata ``inner_strategy``,
+    ``partitioner``, ``jobs`` and the stitch counters, and the
+    :class:`~repro.scale.stitch.ShardState` the next round starts from as
+    ``shard_state`` -- and the solved shards' results in shard order.
     """
     start = time.perf_counter()
     requests: list[DesignRequest] = []
@@ -165,7 +171,7 @@ def run_shard_loop(
             key: sorted(reflectors)
             for key, reflectors in result.solution.assignments.items()
         }
-        assignments.update(shard_assignments[index])
+        assignments.update(shard_assignments[index] or {})
         shard_assignments[index] = assignments
     design_seconds = time.perf_counter() - start
 
@@ -175,11 +181,17 @@ def run_shard_loop(
         plan,
         shard_assignments,
         fanout_slack=parameters.repair_fanout_slack,
+        standing=standing,
     )
     stitch_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    audit = audit_solution(problem, solution)
+    state = report.state
+    if standing is None:
+        audit = audit_solution(problem, solution)
+    else:
+        audit = audit_solution(problem, solution, standing.audit, state.replaced)
+    state.audit = audit
     audit_seconds = time.perf_counter() - start
 
     solution.metadata["algorithm"] = strategy
@@ -200,6 +212,7 @@ def run_shard_loop(
             **report.as_metadata(),
         },
         request_id=request_id,
+        shard_state=state,
     )
     return result, results
 

@@ -26,27 +26,98 @@ The whole stage is deterministic: iteration orders are sorted, no randomness
 is drawn, so stitching the same shard assignments always yields the same
 merged design (the ``jobs``-independence guarantee of the sharded pipeline
 rests on this).  :class:`StitchReport` counts what it did.
+
+A stitch leaves a :class:`ShardState` on its report, and the next stitch of
+a changed problem (an incremental update) takes it as ``standing``: a shard
+whose map is ``None`` keeps the standing design, and its loads, weight
+fractions and short demands come from the state.  So the stitch walks only
+the shards solved again and the demands the rebalance and the repair touch.
+A first sharded design is the case where every shard is solved: one stitch,
+whatever the caller.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.algorithm import repair_weight_shortfalls
-from repro.core.index import problem_index
+from repro.core.algorithm import top_up_demands
+from repro.core.index import DemandKey, ProblemIndex, builtin_sums, problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 from repro.scale.partition import PartitionPlan
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.audit import SolutionAudit
+
+
+@dataclass
+class ShardState:
+    """A stitched design as arrays over its problem's index, for the next stitch.
+
+    Each assignment of the design is one entry: ``segment`` holds its demand
+    code and ``reflector`` its reflector code (codes of ``index``, entries
+    in no particular order); ``loads`` counts them per reflector code and
+    ``pair_count`` per ``stream code * len(reflectors) + reflector code``.
+    ``delivered[d]`` and ``fractions[d]`` are demand ``d``'s delivered weight
+    and weight fraction.  ``audit`` is the design's audit
+    (:func:`repro.scale.pipeline.run_shard_loop` sets it).  ``replaced``
+    maps each demand whose list the stitch set or removed against the
+    standing design to its former list (empty if it had none): the audit of
+    the new design re-measures exactly these.
+    """
+
+    solution: OverlaySolution
+    index: ProblemIndex
+    segment: np.ndarray
+    reflector: np.ndarray
+    loads: np.ndarray
+    delivered: np.ndarray
+    fractions: np.ndarray
+    pair_count: np.ndarray
+    replaced: dict[DemandKey, list[str]]
+    audit: SolutionAudit | None = None
+
+    def unserved(self) -> list[DemandKey]:
+        """The demands with no reflector."""
+        served = np.bincount(self.segment, minlength=self.index.num_demands)
+        return [self.index.keys[demand] for demand in np.flatnonzero(served == 0).tolist()]
+
+    def pairs(self) -> Counter[tuple[str, str]]:
+        """Assignments per ``(stream, reflector)``."""
+        used = np.flatnonzero(self.pair_count)
+        names = map(partial(_pair_name, self.index), used.tolist())
+        return Counter(dict(zip(names, self.pair_count[used].tolist())))
+
+
+def _pair_name(index: ProblemIndex, pair: int) -> tuple[str, str]:
+    """The ``(stream, reflector)`` of a pair code (``stream * len(reflectors) + reflector``)."""
+    stream, reflector = divmod(pair, len(index.reflectors))
+    return index.streams[stream], index.reflectors[reflector]
+
+
+def _updated(
+    names: set, name: Callable[[int], Hashable], now: np.ndarray, before: np.ndarray
+) -> set:
+    """``names`` -- the names of the codes ``before`` counts -- for the counts ``now``."""
+    names = set(names)
+    for code in np.flatnonzero((now > 0) != (before > 0)).tolist():
+        (names.add if now[code] else names.discard)(name(code))
+    return names
+
 
 @dataclass
 class StitchReport:
-    """What the stitch stage did, for result metadata and diagnostics."""
+    """What the stitch stage did, for result metadata and diagnostics.
+
+    ``state`` describes the stitched design for the next stitch; it is not
+    part of the metadata.
+    """
 
     num_shards: int = 0
     overloaded_reflectors: int = 0
@@ -56,6 +127,7 @@ class StitchReport:
     unresolved_overloads: int = 0
     shard_max_fanout_factor: float = 0.0
     shard_min_weight_fraction: float = 1.0
+    state: ShardState | None = field(default=None, compare=False, repr=False)
 
     def as_metadata(self) -> dict:
         """JSON-scalar view for ``DesignResult.metadata``."""
@@ -98,27 +170,42 @@ def rebalance_fanout(
     problem's index.  When no reflector is overloaded, ``solution`` itself is
     returned.
     """
-    load = solution.fanout_loads()
+    assignments = dict(solution.assignments)
+    changed = _rebalance(problem, assignments, solution.fanout_loads(), max_shard_load, report)
+    if not changed and not report.overloaded_reflectors:
+        return solution
+    return OverlaySolution.from_assignments(problem, assignments, metadata=dict(solution.metadata))
+
+
+def _rebalance(
+    problem: OverlayDesignProblem,
+    assignments: dict[DemandKey, list[str]],
+    load: Counter[str],
+    max_shard_load: Mapping[str, int],
+    report: StitchReport,
+) -> set[DemandKey]:
+    """:func:`rebalance_fanout` in place: ``assignments`` and ``load`` are
+    updated (a changed list is replaced, never changed in place) and the
+    keys whose lists changed are returned."""
 
     def allowed(reflector: str) -> int:
         return max(problem.fanout(reflector), max_shard_load.get(reflector, 0))
 
     overloaded = sorted(r for r, used in load.items() if used > allowed(r))
     report.overloaded_reflectors = len(overloaded)
+    changed: set[DemandKey] = set()
     if not overloaded:
-        return solution
+        return changed
     index = problem_index(problem)
     rows = index.rows
-    # Lists are copied when changed, never changed in place.
-    assignments = dict(solution.assignments)
     # Only an overloaded reflector's serving keys are ever visited, and moves
     # never target one that is still waiting its turn (it has no spare load).
-    serving_keys: dict[str, list[tuple[str, str]]] = {reflector: [] for reflector in overloaded}
+    serving_keys: dict[str, list[DemandKey]] = {reflector: [] for reflector in overloaded}
     for key, reflectors in assignments.items():
         for reflector in reflectors:
             if reflector in serving_keys:
                 serving_keys[reflector].append(key)
-    delivered: dict[tuple[str, str], float] = {}
+    delivered: dict[DemandKey, float] = {}
 
     for reflector in overloaded:
         for key in sorted(serving_keys[reflector]):
@@ -137,6 +224,7 @@ def rebalance_fanout(
                 kept = list(assignments[key])
                 kept.remove(reflector)
                 assignments[key] = kept
+                changed.add(key)
                 load[reflector] -= 1
                 delivered[key] = current - weight_here
                 report.assignments_dropped += 1
@@ -164,32 +252,56 @@ def rebalance_fanout(
             kept = list(assignments[key])
             kept.remove(reflector)
             assignments[key] = sorted([*kept, target])
+            changed.add(key)
             load[reflector] -= 1
             load[target] += 1
             delivered[key] = current - weight_here + rows.weight[position]
             report.assignments_moved += 1
         if load[reflector] > allowed(reflector):
             report.unresolved_overloads += 1
+    return changed
 
-    return OverlaySolution.from_assignments(problem, assignments, metadata=dict(solution.metadata))
+
+def _measure(
+    index: ProblemIndex, codes: np.ndarray, lists: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delivered weights and weight fractions of demands ``codes`` under ``lists``."""
+    entries = index.entries([index.keys[demand] for demand in codes.tolist()], lists)
+    delivered = builtin_sums(entries.segment, index.candidate_weight[entries.position], len(lists))
+    return delivered, index.weight_fractions(delivered, codes)
+
+
+def _codes(index: ProblemIndex, lists: Iterable[Sequence[str]]) -> np.ndarray:
+    """The reflector codes of ``lists``, one after the other."""
+    names = list(chain.from_iterable(lists))
+    return np.fromiter(map(index.reflector_code.__getitem__, names), np.int64, len(names))
 
 
 def stitch_assignments(
     problem: OverlayDesignProblem,
     plan: PartitionPlan,
-    shard_assignments: Sequence[dict[tuple[str, str], list[str]]],
+    shard_assignments: Sequence[Mapping[DemandKey, list[str]] | None],
     fanout_slack: float = 4.0,
+    standing: ShardState | None = None,
 ) -> tuple[OverlaySolution, StitchReport]:
     """Merge per-shard assignment maps and reconcile the cross-shard constraints.
 
-    ``shard_assignments[i]`` is shard ``i``'s map; demand keys must be
-    disjoint across shards.  Stages: merge (dedup builds) -> fanout rebalance
-    (shed overload on shared reflectors) -> global repair (top up demands
-    whose useful candidates span shards, within ``fanout_slack`` x fanout).
-    The report's per-shard statistics use the full problem's edge weights,
-    which shard extraction copies verbatim, so they equal each shard's own
-    view.  The caller re-audits the returned solution against the full
-    problem.
+    ``shard_assignments[i]`` is shard ``i``'s map; its keys must be demands
+    of ``problem``, disjoint across shards.  Stages: merge (dedup builds) ->
+    fanout rebalance (shed overload on shared reflectors) -> global repair
+    (top up demands whose useful candidates span shards, within
+    ``fanout_slack`` x fanout).  The report's per-shard statistics use the
+    full problem's edge weights, which shard extraction copies verbatim, so
+    they equal each shard's own view.  The caller re-audits the returned
+    solution against the full problem; ``report.state`` describes it for
+    the next stitch.
+
+    With ``standing`` (a :class:`ShardState` whose audit is set), a map may
+    be ``None``: the shard keeps the standing design's lists for its
+    demands, whose candidates and weights must be unchanged in ``problem``.
+    The result is the stitch of the maps such shards would hold, but Python
+    work is per demand of the other shards and per demand the rebalance and
+    the repair change; the rest is numpy over the standing state's arrays.
     """
     if len(shard_assignments) != plan.num_shards:
         raise ValueError(
@@ -198,50 +310,193 @@ def stitch_assignments(
         )
     index = problem_index(problem)
     report = StitchReport(num_shards=plan.num_shards)
-    max_shard_load: dict[str, int] = {}
-    keys: list[tuple[str, str]] = []
-    lists: list[list[str]] = []
-    for shard, assignments in zip(plan.shards, shard_assignments):
-        for reflector, used in Counter(chain.from_iterable(assignments.values())).items():
-            report.shard_max_fanout_factor = max(
-                report.shard_max_fanout_factor, used / problem.fanout(reflector)
-            )
-            max_shard_load[reflector] = max(max_shard_load.get(reflector, 0), used)
-        keys.extend(shard.demand_keys)
-        lists.extend(assignments.get(key, ()) for key in shard.demand_keys)
-    if keys:
-        # The worst shard's worst demand is the worst demand of all shards.
-        fractions = index.weight_fractions(index.delivered(keys, lists), index.demand_codes(keys))
-        report.shard_min_weight_fraction = min(
-            report.shard_min_weight_fraction, float(fractions.min())
-        )
-
-    merged_assignments: dict[tuple[str, str], list[str]] = {}
-    for assignments in shard_assignments:
-        for key, reflectors in assignments.items():
-            if key in merged_assignments:
-                raise ValueError(
-                    f"demand {key} appears in more than one shard solution"
-                )
-            merged_assignments[key] = reflectors
-    merged = OverlaySolution.from_assignments(
-        problem, merged_assignments, metadata={"algorithm": "sharded-merge"}
+    width = len(index.reflectors)
+    shard_of = plan.sink_shards(index)[index.demand_sink]
+    # Per shard, whether it keeps the standing design; one more slot, never
+    # keeping, for demands whose sink no shard has.
+    keeps = np.array([assignments is None for assignments in shard_assignments] + [False])
+    if standing is None:
+        if keeps.any():
+            raise ValueError("a shard keeps the standing design, but there is none")
+        base: Mapping[DemandKey, list[str]] = {}
+        parent = np.full(index.num_demands, -1)
+    elif standing.audit is None:
+        raise ValueError("the standing state has no audit")
+    else:
+        base, parent = standing.solution.assignments, index.codes_in(standing.index)
+    # Whether the standing state's reflector and stream codes are this index's.
+    same_codes = standing is not None and (
+        standing.index.reflectors == index.reflectors and standing.index.streams == index.streams
     )
+    # The demands whose standing lists carry over; every other one has its
+    # shard map's list or none.  ``replaced`` keeps the standing list of
+    # every demand whose list may change.
+    carried = (parent >= 0) & keeps[shard_of]
+    merged = dict(base)
+    replaced: dict[DemandKey, list[str]] = {}
+    rows = np.zeros((plan.num_shards, width), dtype=np.int64)
+    for at, assignments in enumerate(shard_assignments):
+        if assignments is not None:
+            rows[at] = np.bincount(_codes(index, assignments.values()), minlength=width)
+            for key, reflectors in assignments.items():
+                if key in replaced or (carried[index.demand_code[key]] and base.get(key)):
+                    raise ValueError(f"demand {key} appears in more than one shard solution")
+                replaced[key] = base.get(key, [])
+                merged[key] = sorted(set(reflectors))
+    fresh = np.flatnonzero(~carried)
+    given = [
+        _given(shard_assignments, shard_of[demand], index.keys[demand])
+        for demand in fresh.tolist()
+    ]
+    gone = []
+    if standing is not None:
+        present = np.zeros(standing.index.num_demands, dtype=bool)
+        present[parent[parent >= 0]] = True
+        gone = [standing.index.keys[demand] for demand in np.flatnonzero(~present).tolist()]
+    for key in chain((index.keys[demand] for demand in fresh.tolist()), gone):
+        if key not in replaced:
+            replaced[key] = base.get(key, [])
+            merged.pop(key, None)
 
-    merged = rebalance_fanout(problem, merged, max_shard_load, report)
-    short = np.flatnonzero(index.weight_satisfaction(merged.assignments) < 1.0 - 1e-12)
+    # Per-shard statistics of the maps as given, the carried shards' from
+    # the standing entries.
+    delivered, fractions = np.zeros(index.num_demands), np.zeros(index.num_demands)
+    delivered[fresh], fractions[fresh] = _measure(index, fresh, given)
+    if standing is not None:
+        delivered[carried] = standing.delivered[parent[carried]]
+        fractions[carried] = standing.fractions[parent[carried]]
+        child = np.full(standing.index.num_demands, -1)
+        child[parent[carried]] = np.flatnonzero(carried)
+        entry_demand = child[standing.segment]
+        entry_carried = entry_demand >= 0
+        entry_demand = entry_demand[entry_carried]
+        entry_reflector = standing.reflector[entry_carried]
+        if not same_codes:
+            entry_reflector = _reflector_codes(index, standing.index)[entry_reflector]
+        rows += np.bincount(
+            shard_of[entry_demand] * width + entry_reflector, minlength=rows.size
+        ).reshape(rows.shape)
+    used = rows > 0
+    if used.any():
+        factors = rows[used] / np.broadcast_to(index.fanout, rows.shape)[used]
+        report.shard_max_fanout_factor = float(factors.max())
+    if (shard_of >= 0).any():
+        report.shard_min_weight_fraction = min(1.0, float(fractions[shard_of >= 0].min()))
+
+    # Reconcile: the merged loads, the rebalance, then the repair.
+    lists = (merged.get(key, ()) for key in replaced)
+    load = np.bincount(_codes(index, lists), minlength=width)
+    if standing is not None:
+        load += np.bincount(entry_reflector, minlength=width)
+    worst = rows.max(axis=0, initial=0)
+    load_of = dict(zip(index.reflectors, load.tolist()))
+    changed: set[DemandKey] = set()
+    if (load > np.maximum(index.fanout, worst)).any():
+        max_shard_load = dict(zip(index.reflectors, worst.tolist()))
+        changed = _rebalance(problem, merged, load_of, max_shard_load, report)
+    again = [
+        demand
+        for demand, reflectors in zip(fresh.tolist(), given)
+        if merged.get(index.keys[demand], []) != list(reflectors)
+    ]
+    changed_codes = index.demand_codes(list(changed))
+    touched = np.union1d(fresh, changed_codes)
+    _remeasure(index, np.union1d(again, changed_codes), merged, delivered, fractions)
+    short = np.flatnonzero(fractions < 1.0 - 1e-12)
+    metadata = {"algorithm": "sharded-stitch"}
     if short.size:
-        merged = repair_weight_shortfalls(problem, merged, fanout_slack)
-        short_keys = [index.keys[demand] for demand in short.tolist()]
-        lists = [merged.assignments.get(key, ()) for key in short_keys]
-        delivered = index.delivered(short_keys, lists)
-        met = index.weight_fractions(delivered, short) >= 1.0 - 1e-12
-        report.demands_repaired = int(np.count_nonzero(met))
-    merged.metadata["algorithm"] = "sharded-stitch"
-    return merged, report
+        metadata["repaired"] = True
+        visit = np.flatnonzero(delivered < index.demand_weight - 1e-12)
+        grown = top_up_demands(
+            problem, merged, load_of, visit.tolist(), delivered[visit].tolist(), fanout_slack
+        )
+        for key in grown:
+            merged[key] = sorted(set(merged[key]))
+        grown_codes = index.demand_codes(grown)
+        _remeasure(index, grown_codes, merged, delivered, fractions)
+        touched = np.union1d(touched, grown_codes)
+        report.demands_repaired = int(np.count_nonzero(fractions[short] >= 1.0 - 1e-12))
+
+    # The stitched design, and its entries for the next stitch: the carried
+    # demands' standing entries and the touched demands' lists.
+    lists = [merged.get(index.keys[demand], ()) for demand in touched.tolist()]
+    for demand in touched.tolist():
+        replaced.setdefault(index.keys[demand], base.get(index.keys[demand], []))
+    segment = np.repeat(touched, list(map(len, lists)))
+    reflector = _codes(index, lists)
+    if standing is not None:
+        untouched = np.ones(index.num_demands, dtype=bool)
+        untouched[touched] = False
+        kept = untouched[entry_demand]
+        segment = np.concatenate([entry_demand[kept], segment])
+        reflector = np.concatenate([entry_reflector[kept], reflector])
+    loads = np.bincount(reflector, minlength=width)
+    pair_count = np.bincount(
+        index.demand_stream[segment] * width + reflector, minlength=len(index.streams) * width
+    )
+    pair_name = partial(_pair_name, index)
+    if same_codes:
+        built = _updated(
+            standing.solution.built_reflectors, index.reflectors.__getitem__, loads, standing.loads
+        )
+        deliveries = _updated(
+            standing.solution.stream_deliveries, pair_name, pair_count, standing.pair_count
+        )
+    else:
+        built = {index.reflectors[code] for code in np.flatnonzero(loads).tolist()}
+        deliveries = set(map(pair_name, np.flatnonzero(pair_count).tolist()))
+    solution = OverlaySolution(
+        problem=problem,
+        built_reflectors=built,
+        stream_deliveries=deliveries,
+        assignments=merged,
+        metadata=metadata,
+    )
+    report.state = ShardState(
+        solution=solution,
+        index=index,
+        segment=segment,
+        reflector=reflector,
+        loads=loads,
+        delivered=delivered,
+        fractions=fractions,
+        pair_count=pair_count,
+        replaced=replaced,
+    )
+    return solution, report
+
+
+def _remeasure(
+    index: ProblemIndex,
+    codes: np.ndarray,
+    merged: Mapping[DemandKey, Sequence[str]],
+    delivered: np.ndarray,
+    fractions: np.ndarray,
+) -> None:
+    """Measure the merged lists of demands ``codes`` into ``delivered`` and ``fractions``."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size:
+        lists = [merged.get(index.keys[demand], ()) for demand in codes.tolist()]
+        delivered[codes], fractions[codes] = _measure(index, codes, lists)
+
+
+def _given(
+    shard_assignments: Sequence[Mapping[DemandKey, list[str]] | None], at: int, key: DemandKey
+) -> Sequence[str]:
+    """``key``'s list in the map of shard ``at`` (none when the shard keeps the standing design)."""
+    assignments = shard_assignments[at] if at >= 0 else None
+    return () if assignments is None else assignments.get(key, ())
+
+
+def _reflector_codes(index: ProblemIndex, other: ProblemIndex) -> np.ndarray:
+    """Per reflector code of ``other``, the reflector's code in ``index``."""
+    return np.array([index.reflector_code[name] for name in other.reflectors], np.int64)
+
+
 
 
 __all__ = [
+    "ShardState",
     "StitchReport",
     "rebalance_fanout",
     "stitch_assignments",

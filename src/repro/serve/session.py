@@ -183,8 +183,14 @@ class DesignSession:
         sinks_changed = bool(delta.sinks_added) or bool(delta.sinks_removed)
         if not delta.requires_full_redesign:
             if self._plan is not None and not sinks_changed:
+                # Only sinks that gained or lost a demand change their shard's keys.
+                changed = {
+                    sink
+                    for (sink, _stream), (before, after) in delta.demands_changed.items()
+                    if before is None or after is None
+                }
                 try:
-                    plan = rebind_partition(self._plan, new_problem)
+                    plan = rebind_partition(self._plan, new_problem, changed_sinks=changed)
                     plan_reused = True
                 except ValueError:
                     plan = None

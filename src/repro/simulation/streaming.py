@@ -800,7 +800,7 @@ def run_monte_carlo(
     ``node_isp`` maps node names to ISP names for ISP-outage events; it
     defaults to the reflector colors recorded in the problem.  ``table``
     supplies a pre-compiled :class:`~repro.simulation.montecarlo.PathTable`
-    (e.g. from the serving cache) and must come from
+    and must come from
     :func:`~repro.simulation.montecarlo.compile_path_table` over the *same*
     ``(problem, solution, config.failures, config.num_packets, node_isp)``
     -- a valid supplied table only skips the compile pass.

@@ -1,7 +1,8 @@
 """Differential oracle for the problem index (:mod:`repro.core.index`).
 
 The scalar code the index-backed consumers replaced: the audit, the
-``OverlaySolution`` weight and fanout accessors, the repair pass, the
+``OverlaySolution`` weight and fanout accessors and its ``summary``, the
+repair pass, the
 stitch's weight passes (per-shard statistics, fanout rebalance, repair),
 the feasibility report, and the partition's ISP grouping and shard
 extraction.  Each reads ``problem.edge_weight``,
@@ -77,6 +78,26 @@ def color_violations(solution: OverlaySolution) -> list[tuple[Demand, object, in
             if copies > 1:
                 violations.append((demand, color, copies))
     return violations
+
+
+def summary(solution: OverlaySolution) -> dict:
+    """``OverlaySolution.summary`` as it priced every demand through the scalar accessors."""
+    demands = solution.problem.demands
+    satisfactions = [solution.weight_satisfaction(d) for d in demands]
+    successes = [solution.success_probability(d) for d in demands]
+    return {
+        "total_cost": solution.total_cost(),
+        "reflectors_built": len(solution.built_reflectors),
+        "assignments": sum(len(v) for v in solution.assignments.values()),
+        "unserved_demands": len(solution.unserved_demands()),
+        "min_weight_satisfaction": min(satisfactions) if satisfactions else 1.0,
+        "mean_weight_satisfaction": (
+            sum(satisfactions) / len(satisfactions) if satisfactions else 1.0
+        ),
+        "min_success_probability": min(successes) if successes else 1.0,
+        "max_fanout_factor": solution.max_fanout_factor(),
+        "demands_below_threshold": len(solution.demands_below_threshold()),
+    }
 
 
 # ---------------------------------------------------------------------------

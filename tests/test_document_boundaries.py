@@ -184,6 +184,11 @@ def _assert_named(message: str, root: str, mutation: tuple, tables: dict) -> Non
         return
     if tables and re.search(r"unknown (stream|reflector|sink) ", message):
         return
+    if "assignments" in path and path[-1] in ("sink", "stream"):
+        # A demand key names its entry: the pair may name no demand, or a
+        # demand its reflectors cannot serve.
+        assert message.startswith(render(root, path[:-1])), (mutation, message)
+        return
     entry = tables.get(path)
     assert entry is not None, (mutation, message)
     allowed = (f"{render(root, entry)}: ", f"{render(root, entry[:-1])}: entries must be")
@@ -191,8 +196,9 @@ def _assert_named(message: str, root: str, mutation: tuple, tables: dict) -> Non
 
 
 #: Each boundary: (path root, declaration, a valid document, decoder, the
-#: old decoder, exceptions a decoded document may raise against its problem
-#: (a solution naming a reflector the problem lacks: ``KeyError``)).
+#: old decoder, exceptions besides ``DocumentError`` the decoder may raise;
+#: a result or solution naming a demand or reflector its problem lacks is a
+#: ``DocumentError`` too).
 BOUNDARIES = {
     "problem": (
         "problem",
@@ -209,7 +215,7 @@ BOUNDARIES = {
         RESULT_DOCUMENT,
         lambda document: result_from_dict(document, FUZZ_PROBLEM),
         lambda document: oracle.result_from_dict(document, FUZZ_PROBLEM),
-        (KeyError,),
+        (),
     ),
     "solution": (
         "solution",
@@ -217,7 +223,7 @@ BOUNDARIES = {
         SOLUTION_DOCUMENT,
         lambda document: solution_from_dict(document, FUZZ_PROBLEM),
         lambda document: oracle.solution_from_dict(document, FUZZ_PROBLEM),
-        (KeyError,),
+        (),
     ),
     "delta": ("delta", DELTA, DELTA_DOCUMENT, delta_from_dict, oracle.delta_from_dict, ()),
 }
@@ -532,6 +538,57 @@ def test_a_solution_entry_of_the_wrong_kind_exits_2(tmp_path, capsys):
         solution_path.write_text(json.dumps(document))
         assert main(argv) == 2
         assert error in capsys.readouterr().err
+
+
+def test_a_solution_naming_what_its_problem_lacks_exits_2(tmp_path, capsys):
+    """An unknown demand or reflector, or a reflector that is no candidate."""
+    problem_path, solution_path = tmp_path / "problem.json", tmp_path / "solution.json"
+    dump_problem(FUZZ_PROBLEM, str(problem_path))
+    dump_solution(_RESULT.solution, str(solution_path))
+    argv = ["evaluate", "--problem", str(problem_path), "--solution", str(solution_path)]
+    cases = (
+        ("reflectors", ["nope"], "solution.assignments[0].reflectors[0]: unknown reflector 'nope'"),
+        ("sink", "zz", "solution.assignments[0].sink: unknown sink 'zz'"),
+        ("stream", "q", "solution.assignments[0].stream: unknown stream 'q'"),
+        ("sink", "d2", "solution.assignments[0]: the problem has no demand ('d2', 't')"),
+    )
+    for field, value, error in cases:
+        document = json.loads(solution_path.read_text())
+        document["assignments"][0] = {"sink": "d1", "stream": "t", "reflectors": ["r1"]}
+        document["assignments"][0][field] = value
+        with pytest.raises(DocumentError, match="^" + re.escape(error) + "$"):
+            solution_from_dict(document, FUZZ_PROBLEM)
+        solution_path.write_text(json.dumps(document))
+        assert main(argv) == 2
+        assert error in capsys.readouterr().err
+    # ('d1', 't') has no stream edge to r3.
+    document["assignments"][0] = {"sink": "d1", "stream": "t", "reflectors": ["r1", "r3"]}
+    error = (
+        "solution.assignments[0].reflectors[1]: "
+        "reflector 'r3' is no candidate of demand ('d1', 't')"
+    )
+    with pytest.raises(DocumentError, match="^" + re.escape(error) + "$"):
+        result_from_dict({**RESULT_DOCUMENT, "solution": document}, FUZZ_PROBLEM)
+
+
+@pytest.mark.parametrize(
+    ("table", "entry", "error"),
+    [
+        ("streams", {"name": 5}, "problem.streams[2].name must be a string, got int"),
+        (
+            "reflectors",
+            {"name": True, "cost": 1.0, "fanout": 2},
+            "problem.reflectors[3].name must be a string, got bool",
+        ),
+        ("sinks", 7.5, "problem.sinks: entries must be strings, got float"),
+    ],
+)
+def test_a_problem_name_that_is_no_string_is_named(table, entry, error):
+    """add_* takes any hashable name, so the decoder checks the name tables once."""
+    document = json.loads(json.dumps(PROBLEM_DOCUMENT))
+    document[table].append(entry)
+    with pytest.raises(DocumentError, match="^" + re.escape(error) + "$"):
+        problem_from_dict(document)
 
 
 @pytest.mark.parametrize("loss", [[], {}])

@@ -34,6 +34,7 @@ import index_oracle as oracle
 import numpy as np
 import pytest
 from test_golden_designs import GOLDEN_SEED, WORKLOADS
+from stitch_oracle import carried_maps
 from test_stitch_differential import INNER, INSTANCES
 
 import repro.analysis.audit as audit_module
@@ -48,6 +49,7 @@ from repro.core.algorithm import DesignParameters
 from repro.core.extensions import color_constrained_parameters
 from repro.core.formulation import ExtensionOptions
 from repro.core.problem import OverlayDesignProblem
+from repro.core.solution import OverlaySolution
 from repro.core.serialization import problem_to_dict
 from repro.incremental import SinkChurnConfig, flash_crowd_delta, sample_sink_churn
 from repro.scale.partition import _isp_groups, build_partition, extract_shard_problem
@@ -79,15 +81,18 @@ class Recorder:
         self.feasibility: list[tuple[str, str]] = []
 
     def install(self, patch: pytest.MonkeyPatch) -> None:
-        audit, repair, stitch = (
+        audit, repair, top_up, stitch = (
             audit_module.audit_solution,
-            stitch_module.repair_weight_shortfalls,
+            pipeline_module.repair_weight_shortfalls,
+            stitch_module.top_up_demands,
             stitch_module.stitch_assignments,
         )
         report = OverlayDesignProblem.feasibility_report
 
-        def audited(problem, solution):
-            result = audit(problem, solution)
+        def audited(problem, solution, previous=None, replaced=None):
+            # An update's audit re-measures only the replaced demands; the
+            # oracle audits the whole design.
+            result = audit(problem, solution, previous, replaced)
             self.audits.append(
                 (audit_to_dict(result), audit_to_dict(oracle.audit_solution(problem, solution)))
             )
@@ -113,12 +118,26 @@ class Recorder:
             self.ties.extend(oracle.repair_decision_ties(problem, solution, fanout_slack))
             return result
 
-        def stitched(problem, plan, shard_assignments, fanout_slack=4.0):
+        def topped(problem, assignments, load, demands, delivered, fanout_slack=4.0):
+            # The stitch tops up the demands it keeps short; the oracle
+            # repairs the whole merged design and must agree.
+            before = OverlaySolution.from_assignments(problem, dict(assignments))
+            grown = top_up(problem, assignments, load, demands, delivered, fanout_slack)
+            reference = oracle.repair_weight_shortfalls(problem, before, fanout_slack)
+            after = {key: sorted(set(reflectors)) for key, reflectors in assignments.items()}
+            self.repairs.append((after, reference.assignments))
+            added = sum(map(len, after.values())) - sum(map(len, before.assignments.values()))
+            self.repair_added.append(added)
+            self.ties.extend(oracle.repair_decision_ties(problem, before, fanout_slack))
+            return grown
+
+        def stitched(problem, plan, shard_assignments, fanout_slack=4.0, standing=None):
             merged, merged_report = stitch(
-                problem, plan, shard_assignments, fanout_slack=fanout_slack
+                problem, plan, shard_assignments, fanout_slack=fanout_slack, standing=standing
             )
+            full = carried_maps(plan, shard_assignments, standing)
             reference, reference_report = oracle.stitch_assignments(
-                problem, plan, shard_assignments, fanout_slack
+                problem, plan, full, fanout_slack
             )
             self.stitches.append((merged.assignments, reference.assignments))
             self.reports.append((merged_report.as_metadata(), reference_report.as_metadata()))
@@ -132,7 +151,7 @@ class Recorder:
         for module in (pipeline_module, shard_loop_module, engine_module, designers_module):
             patch.setattr(module, "audit_solution", audited)
         patch.setattr(pipeline_module, "repair_weight_shortfalls", repaired)
-        patch.setattr(stitch_module, "repair_weight_shortfalls", repaired)
+        patch.setattr(stitch_module, "top_up_demands", topped)
         patch.setattr(shard_loop_module, "stitch_assignments", stitched)
         patch.setattr(OverlayDesignProblem, "feasibility_report", reported)
 
@@ -308,3 +327,31 @@ def test_partition_matches_the_scalar_partition():
         extracted = extract_shard_problem(problem, sinks, name="residual", **overrides)
         reference = oracle.extract_shard_problem(problem, sinks, name="residual", **overrides)
         assert problem_to_dict(extracted) == problem_to_dict(reference)
+
+
+def _summary_corpus():
+    """Thirty designs: ``internet_scale`` at 30, 150 and 1,000 sinks, three seeds,
+    by ``sharded:spaa03``, ``greedy`` and ``random``; ``as_geo`` by ``spaa03``."""
+    for sinks in (30, 150, 1000):
+        for seed in (0, 1, 2):
+            problem, _registry = generate_internet_scale_problem(
+                InternetScaleConfig(num_sinks=sinks), rng=seed
+            )
+            for strategy in ("sharded:spaa03", "greedy", "random"):
+                yield _design(problem, strategy, DesignParameters(seed=seed)).solution
+    for seed in (0, 1, 2):
+        problem, _registry = generate_as_geo_problem(AsGeoConfig(num_sinks=120), rng=seed)
+        yield _design(problem, "spaa03", DesignParameters(seed=seed)).solution
+
+
+def test_summaries_match_the_scalar_summary():
+    """``OverlaySolution.summary`` reads the index; the oracle prices every demand."""
+    count = 0
+    for solution in _summary_corpus():
+        program, reference = solution.summary(), oracle.summary(solution)
+        assert program == reference
+        assert [type(value) for value in program.values()] == [
+            type(value) for value in reference.values()
+        ]
+        count += 1
+    assert count == 30

@@ -470,3 +470,60 @@ class TestShardedDesigner:
         )
         assert result.metadata["num_shards"] == 1
         assert result.audit.unserved_demands == 0
+
+
+# ---------------------------------------------------------------------------
+# In-process shards: no documents between a plan and its designer
+# ---------------------------------------------------------------------------
+
+
+def _comparable(result) -> dict:
+    document = result_to_dict(result)
+    document.pop("stage_seconds")
+    return document
+
+
+def test_design_batch_gives_one_result_for_jobs_1_and_2(scale_problem):
+    """In process the designer gets the shard objects; workers get pickles back."""
+    from repro.api import design_batch
+
+    plan = build_partition(scale_problem, shards=3)
+    requests = [
+        DesignRequest(
+            problem=shard.problem,
+            parameters=DesignParameters(seed=seed),
+            strategy=strategy,
+            request_id=f"{shard.shard_id}-{strategy}",
+        )
+        for seed, shard in enumerate(plan.shards)
+        for strategy in ("spaa03", "greedy")
+    ]
+    serial, parallel = design_batch(requests, jobs=1), design_batch(requests, jobs=2)
+    for request, one, two in zip(requests, serial, parallel):
+        assert _comparable(one) == _comparable(two)
+        for result in (one, two):
+            assert result.solution.problem is request.problem
+            assert result.report is None and result.shard_state is None
+
+
+def _solution_designers() -> list[str]:
+    from repro.api import registered_designers
+
+    names = [designer.name for designer in registered_designers() if designer.produces_solution]
+    return [*names, "sharded:spaa03", "sharded:greedy"]
+
+
+@pytest.mark.parametrize("name", _solution_designers())
+def test_a_designer_leaves_its_requests_problem_unchanged(name):
+    """Plans hand designers their shard problems, which the serving plan cache shares."""
+    from repro.core.serialization import problem_digest, problem_to_dict
+
+    problem = random_problem(
+        RandomInstanceConfig(num_streams=2, num_reflectors=6, num_sinks=10, num_colors=2), rng=3
+    )
+    before, digest = problem_to_dict(problem), problem_digest(problem)
+    get_designer(name).design(
+        DesignRequest(problem=problem, parameters=DesignParameters(seed=1), options={})
+    )
+    assert problem_to_dict(problem) == before
+    assert problem_digest(problem) == digest

@@ -9,20 +9,38 @@ over shard :class:`OverlaySolution` objects.  Over twelve sharded designs
 registered ``sharded:*`` designer, must give the same design bit for bit and
 the same stitch report.  The ``as_geo`` greedy designs overload shared
 reflectors, so the rebalance both moves and drops assignments there.
+
+An update's stitch carries the clean shards from the standing design's
+state, and its audit re-measures only the replaced demands.  Over a 50-event
+churn session at 1,000 sinks, each must equal the whole-problem stitch the
+carried one replaced (``stitch_oracle.full_stitch``) and a full audit; and
+at one dirty shard, their seconds may grow at most 3x from 1,000 to 10,000
+sinks.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from stitch_oracle import carried_maps, full_stitch, stitch_solutions
 
+import repro.scale.pipeline as shard_loop
 from repro.api import DesignRequest, design_batch, get_designer
-from repro.api.types import parameters_from_dict, parameters_to_dict
+from repro.api.types import audit_to_dict, parameters_from_dict, parameters_to_dict
 from repro.core.algorithm import DesignParameters
 from repro.core.serialization import solution_digest
+from repro.incremental import (
+    ProblemDelta,
+    SinkChurnConfig,
+    apply_delta,
+    design_incremental,
+    flash_crowd_delta,
+    sample_sink_churn,
+)
 from repro.scale import build_partition, shard_seed, stitch_assignments
+from repro.serve import DesignSession
 from repro.workloads import InternetScaleConfig, generate_internet_scale_problem
 from repro.workloads.as_geo import AsGeoConfig, generate_as_geo_problem
-from stitch_oracle import stitch_solutions
 
 SEED = 0
 
@@ -96,3 +114,124 @@ def test_the_differential_exercises_the_rebalance(stitched):
     reports = [one_report for _oracle, (_one, one_report), _designed in stitched.values()]
     assert any(r.assignments_moved > 0 and r.assignments_dropped > 0 for r in reports)
     assert any(r.demands_repaired > 0 for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# Updates: a stitch that carries the clean shards, and an audit of the changes
+# ---------------------------------------------------------------------------
+
+CHURN_SINKS = 1000
+CHURN_EVENTS = 50
+
+
+def _churn_delta(problem, rng, event):
+    if event % 2 == 0:
+        return sample_sink_churn(problem, SinkChurnConfig(fraction=0.01), rng)
+    return flash_crowd_delta(problem, rng, hot_fraction=0.02)
+
+
+@pytest.fixture(scope="module")
+def churn_rounds():
+    """Each stitch and audit of a 50-event churn session, beside the whole-problem ones.
+
+    ``stitches`` holds ``(carried, design, metadata, report, oracle design,
+    oracle report)`` per stitch, the oracle being :func:`stitch_oracle.full_stitch`
+    over the maps the clean shards would hold; ``audits`` holds ``(incremental,
+    audit, full audit)``.
+    """
+    stitch, audit = shard_loop.stitch_assignments, shard_loop.audit_solution
+    stitches, audits = [], []
+
+    def stitched(problem, plan, shard_assignments, fanout_slack=4.0, standing=None):
+        design, report = stitch(
+            problem, plan, shard_assignments, fanout_slack=fanout_slack, standing=standing
+        )
+        maps = carried_maps(plan, shard_assignments, standing)
+        reference, reference_report = full_stitch(problem, plan, maps, fanout_slack)
+        carried = any(assignments is None for assignments in shard_assignments)
+        stitches.append(
+            (carried, design, dict(design.metadata), report, reference, reference_report)
+        )
+        return design, report
+
+    def audited(problem, solution, previous=None, replaced=None):
+        result = audit(problem, solution, previous, replaced)
+        audits.append((previous is not None, result, audit(problem, solution)))
+        return result
+
+    problem, _registry = generate_internet_scale_problem(
+        InternetScaleConfig(num_sinks=CHURN_SINKS), rng=6
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shard_loop, "stitch_assignments", stitched)
+        patch.setattr(shard_loop, "audit_solution", audited)
+        session = DesignSession(problem, parameters=DesignParameters(seed=6), options={"jobs": 1})
+        session.ensure_design()
+        rng = np.random.default_rng(16)
+        for event in range(CHURN_EVENTS):
+            session.apply_delta(_churn_delta(session.problem, rng, event))
+    return stitches, audits
+
+
+def test_a_dirty_shard_stitch_matches_the_whole_problem_stitch(churn_rounds):
+    stitches, _audits = churn_rounds
+    assert sum(carried for carried, *_rest in stitches) == CHURN_EVENTS
+    for _carried, design, metadata, report, reference, reference_report in stitches:
+        assert design.assignments == reference.assignments
+        assert design.built_reflectors == reference.built_reflectors
+        assert design.stream_deliveries == reference.stream_deliveries
+        assert metadata == reference.metadata
+        assert report.as_metadata() == reference_report.as_metadata()
+        assert solution_digest(design) == solution_digest(reference)
+    assert any(report.demands_repaired for *_rest, report, _ref, _ref_report in stitches)
+
+
+def test_an_audit_of_the_changes_matches_the_full_audit(churn_rounds):
+    _stitches, audits = churn_rounds
+    assert sum(incremental for incremental, *_rest in audits) == CHURN_EVENTS
+    for _incremental, audit, reference in audits:
+        assert audit_to_dict(audit) == audit_to_dict(reference)
+        assert audit.loads == reference.loads
+        assert audit.weight_fraction == reference.weight_fraction
+
+
+def test_a_carried_stitch_needs_the_standing_state(problems):
+    problem = problems["internet_scale-150-0"]
+    plan = build_partition(problem)
+    with pytest.raises(ValueError, match="keeps the standing design"):
+        stitch_assignments(problem, plan, [None] * plan.num_shards)
+
+
+def _one_dirty_shard_seconds(sinks: int):
+    """A sharded design's updates, one re-thresholded demand (one dirty shard) each."""
+    problem, _registry = generate_internet_scale_problem(
+        InternetScaleConfig(num_sinks=sinks), rng=1
+    )
+    parameters = DesignParameters(seed=3)
+    result = get_designer("sharded:spaa03").design(
+        DesignRequest(problem=problem, parameters=parameters, options={"jobs": 1})
+    )
+    rng = np.random.default_rng(5)
+    while True:
+        demand = problem.demands[int(rng.integers(problem.num_demands))]
+        threshold = 0.5 * (demand.success_threshold + 1.0)
+        delta = ProblemDelta(demands_changed={demand.key: (demand.success_threshold, threshold)})
+        problem = apply_delta(problem, delta)
+        result = design_incremental(result, problem, parameters, options={"jobs": 1}, delta=delta)
+        assert result.metadata["incremental_dirty_shards"] == 1
+        yield result.stage_seconds["stitch"] + result.stage_seconds["audit"]
+
+
+def test_stitch_and_audit_at_one_dirty_shard_grow_at_most_3x_from_1000_to_10000_sinks():
+    """The clean shards cost numpy passes and dict copies, not Python work per demand.
+
+    Events alternate between the two sizes so that drift in the machine's
+    speed hits both; each size's median over 24 events is compared.
+    """
+    small, large = _one_dirty_shard_seconds(1000), _one_dirty_shard_seconds(10000)
+    seconds = {1000: [], 10000: []}
+    for _event in range(26):
+        seconds[1000].append(next(small))
+        seconds[10000].append(next(large))
+    ratio = np.median(seconds[10000][2:]) / np.median(seconds[1000][2:])
+    assert ratio <= 3.0, seconds
