@@ -574,14 +574,6 @@ class BenchRecord:
     def load(cls, path: str | Path) -> "BenchRecord":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-    def metric_value(self, name: str) -> float | None:
-        """Comparison value for ``name``: key metric first, else aggregate mean."""
-        if name in self.metrics:
-            return float(self.metrics[name])
-        if name in self.aggregates:
-            return float(self.aggregates[name]["mean"])
-        return None
-
     def comparable_metrics(self) -> dict[str, float]:
         out = {name: float(value) for name, value in self.metrics.items()}
         for name, stats in self.aggregates.items():

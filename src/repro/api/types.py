@@ -248,7 +248,8 @@ class DesignResult:
         For sharded designs and incremental updates, the
         :class:`~repro.scale.stitch.ShardState` the next incremental update
         of this design starts from (never serialized; ``None`` after a
-        round-trip, and then the update re-walks the standing design).
+        round-trip, and then the update builds the state from the design
+        first, :meth:`~repro.scale.stitch.ShardState.of`).
     """
 
     strategy: str

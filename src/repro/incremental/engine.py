@@ -12,6 +12,9 @@ through :func:`repro.scale.pipeline.run_shard_loop`, the same round a
 from-scratch sharded design runs with every shard dirty; its stitch (fanout
 rebalance + global repair) is exactly the cross-shard audit/repair the
 splice needs, and the merged design is re-audited against the full problem.
+Every update starts from the standing design's
+:class:`~repro.scale.stitch.ShardState`: the one its result carries, or one
+built from the design when the result carries none.
 
 Determinism matches the sharded pipeline: the partition is a pure function
 of the new problem, per-shard seeds derive from the request seed and the
@@ -169,8 +172,12 @@ def design_incremental(
         The partition is a pure function of those inputs, so a valid
         supplied plan cannot change the design.
 
-    An empty delta returns the standing design bit-identically (same
-    assignments, rebound to ``new_problem``).  The result's metadata carries
+    The standing design's shard state is the one ``previous`` carries when
+    it describes that design against ``previous_problem``; otherwise (a
+    bare solution, a decoded or cached result, a monolithic design) it is
+    built from the design with :meth:`ShardState.of`.  An empty delta
+    returns the standing design bit-identically (same assignments, rebound
+    to ``new_problem``).  The result's metadata carries
     the impact analysis (`incremental_*`), the delta summary (`delta_*`) and
     the stitch report (`stitch_*`).
     """
@@ -199,13 +206,10 @@ def design_incremental(
             request_id=request_id,
         )
 
-    base = standing.assignments
-    state = _carried_state(previous, previous_problem)
-
     if delta.is_empty:
         solution = OverlaySolution.from_assignments(
             new_problem,
-            {key: reflectors for key, reflectors in base.items() if reflectors},
+            {key: reflectors for key, reflectors in standing.assignments.items() if reflectors},
             metadata=dict(standing.metadata),
         )
         solution.metadata["algorithm"] = f"{INCREMENTAL_PREFIX}{inner.name}"
@@ -243,24 +247,16 @@ def design_incremental(
 
     # Demands the standing design never served must be re-solved too: there
     # is no assignment to carry over, whatever the delta says.  The standing
-    # shard state keeps them, with the design's loads, (stream, reflector)
-    # counts and served count; without one, they are counted here.  (A
-    # demand the standing problem lacks is affected by the delta anyway.)
+    # design's shard state keeps them, with its loads and (stream, reflector)
+    # counts.  (A demand the standing problem lacks is affected by the delta
+    # anyway.)
+    state = _standing_state(previous, previous_problem)
+    base = state.solution.assignments
     new_keys = problem_index(new_problem).demand_code
-    if state is not None:
-        unserved = state.unserved()
-        extra = {key for key in unserved if key in new_keys}
-        loads, pairs = state.audit.loads, state.pairs()
-        served = len(base) - sum(1 for key in unserved if key in base)
-    else:
-        extra = {key for key in new_keys if not base.get(key)}
-        loads = Counter(chain.from_iterable(base.values()))
-        pairs = Counter(
-            (stream, reflector)
-            for (_sink, stream), reflectors in base.items()
-            for reflector in reflectors
-        )
-        served = sum(1 for reflectors in base.values() if reflectors)
+    unserved = state.unserved()
+    extra = {key for key in unserved if key in new_keys}
+    loads, pairs = state.audit.loads, state.pairs()
+    served = len(base) - sum(1 for key in unserved if key in base)
     # Departing sinks strand build amortization: a reflector that loses a
     # third or more of its standing load may no longer be worth building at all,
     # so the demands still riding it re-solve too.  (Computed over the
@@ -321,11 +317,9 @@ def design_incremental(
         )
 
     def job(shard: Shard) -> ShardJob:
-        """Clean shards carry their map; dirty ones re-solve what churn touched."""
+        """Clean shards keep the standing design; dirty ones re-solve what churn touched."""
         if shard.shard_id not in dirty:
-            if state is not None:
-                return None, None
-            return None, {key: base[key] for key in shard.demand_keys if base.get(key)}
+            return None, None
         fixed = {
             key: base[key]
             for key in shard.demand_keys
@@ -377,20 +371,23 @@ def design_incremental(
     return result
 
 
-def _carried_state(
+def _standing_state(
     previous: DesignResult | OverlaySolution, previous_problem: OverlayDesignProblem
-) -> ShardState | None:
-    """The standing result's shard state, when it describes the standing design
-    against ``previous_problem``."""
-    state = previous.shard_state if isinstance(previous, DesignResult) else None
+) -> ShardState:
+    """The standing design's shard state against ``previous_problem``: the one
+    the standing result carries when it describes that design, else one built
+    from the design (a bare solution, a decoded or cached result, a monolithic
+    design), which reuses the result's audit when it has ``loads``."""
+    if not isinstance(previous, DesignResult):
+        return ShardState.of(previous_problem, previous)
+    state = previous.shard_state
     if (
-        state is None
-        or state.audit is None
-        or state.solution is not previous.solution
-        or state.solution.problem is not previous_problem
+        state is not None
+        and state.solution is previous.solution
+        and state.solution.problem is previous_problem
     ):
-        return None
-    return state
+        return state
+    return ShardState.of(previous_problem, previous.solution, previous.audit)
 
 
 __all__ = ["INCREMENTAL_PREFIX", "design_incremental"]

@@ -12,8 +12,8 @@ It provides:
 * :mod:`repro.network.topology` -- node / link / topology containers and the
   conversion to an :class:`repro.core.problem.OverlayDesignProblem`;
 * :mod:`repro.network.loss` -- link-loss models (independent Bernoulli, the
-  paper's base model; Gilbert--Elliott bursty loss; ISP-correlated outages)
-  used by the packet simulation;
+  paper's base model; Gilbert--Elliott bursty loss) used by the packet
+  simulation;
 * :mod:`repro.network.reliability` -- exact reliability computation for
   three-level designs and scenario-based (ISP outage) reliability.
 """
@@ -22,7 +22,6 @@ from repro.network.isp import ISP, ISPRegistry
 from repro.network.loss import (
     BernoulliLossModel,
     GilbertElliottLossModel,
-    IspOutageLossModel,
     LossModel,
 )
 from repro.network.reliability import (
@@ -38,7 +37,6 @@ __all__ = [
     "ISPRegistry",
     "BernoulliLossModel",
     "GilbertElliottLossModel",
-    "IspOutageLossModel",
     "LossModel",
     "NodeRole",
     "OverlayLink",

@@ -5,23 +5,20 @@ every packet traversing a link is lost with the link's measured probability,
 independently across links.  :class:`BernoulliLossModel` implements exactly
 that and is what the analytic/simulated cross-validation tests rely on.
 
-Two richer models exercise the extensions:
-
-* :class:`GilbertElliottLossModel` -- two-state bursty loss (good/bad channel),
-  the classic model of correlated *in-link* loss.  The paper explicitly allows
-  losses on a single link to be correlated ("we don't assume that loss of
-  packets on individual links are uncorrelated"); this model lets the
-  simulation show that the design quality degrades gracefully under bursts of
-  the same average rate.
-* :class:`IspOutageLossModel` -- wraps another model and forces loss 1.0 on
-  links whose tail or head is homed in a failed ISP, implementing the
-  catastrophic events of Sections 1.2 / 6.4.
+:class:`GilbertElliottLossModel` -- two-state bursty loss (good/bad channel),
+the classic model of correlated *in-link* loss -- exercises the extensions.
+The paper explicitly allows losses on a single link to be correlated ("we
+don't assume that loss of packets on individual links are uncorrelated");
+this model lets the simulation show that the design quality degrades
+gracefully under bursts of the same average rate.  ISP outages (the
+catastrophic events of Sections 1.2 / 6.4) are ``isp_outage`` events of a
+:class:`~repro.simulation.failures.FailureSchedule`, not a loss model.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -246,39 +243,6 @@ class BernoulliLossModel(LossModel):
     ) -> np.ndarray:
         _check(loss_probability, num_packets)
         return rng.random(num_packets) < loss_probability
-
-    def sample_loss_matrix(
-        self,
-        loss_probabilities: np.ndarray,
-        trials: int,
-        num_packets: int,
-        rng: np.random.Generator,
-        links: Sequence[tuple[str, str]] | None = None,
-    ) -> np.ndarray:
-        """Vectorized Bernoulli sampling over ``(links, trials, packets)``.
-
-        Real overlay links lose ~1--5% of packets, so drawing one uniform per
-        packet wastes almost all of the generated entropy; each row is sampled
-        through :func:`sample_bernoulli_positions` (geometric skip-sampling)
-        and scattered into a zero mask.
-        """
-        probabilities = np.asarray(loss_probabilities, dtype=np.float64)
-        for probability in probabilities:
-            _check(float(probability), num_packets)
-        out = np.zeros((probabilities.size, trials, num_packets), dtype=bool)
-        if num_packets == 0 or trials == 0:
-            return out
-        flat = out.reshape(-1)
-        for index, probability in enumerate(probabilities):
-            p = float(probability)
-            if p <= 0.0:
-                continue
-            if p >= 1.0:
-                out[index] = True
-                continue
-            trial_idx, positions = sample_bernoulli_positions(p, trials, num_packets, rng)
-            flat[(index * trials + trial_idx) * num_packets + positions] = True
-        return out
 
     def sample_packed_loss_matrix(
         self,
@@ -573,34 +537,6 @@ class GilbertElliottLossModel(LossModel):
         lost &= in_bad
         lost |= lost_bad
         return lost
-
-
-@dataclass
-class IspOutageLossModel(LossModel):
-    """Force total loss on links touching a failed ISP; delegate otherwise.
-
-    ``node_isp`` maps node name -> ISP name; ``failed_isps`` is the outage
-    scenario.  The wrapped ``base`` model handles ordinary loss.
-    """
-
-    node_isp: dict[str, str | None]
-    failed_isps: set[str] = field(default_factory=set)
-    base: LossModel = field(default_factory=BernoulliLossModel)
-
-    def sample_losses(
-        self,
-        loss_probability: float,
-        num_packets: int,
-        rng: np.random.Generator,
-        link: tuple[str, str] | None = None,
-    ) -> np.ndarray:
-        _check(loss_probability, num_packets)
-        if link is not None and self.failed_isps:
-            tail_isp = self.node_isp.get(link[0])
-            head_isp = self.node_isp.get(link[1])
-            if tail_isp in self.failed_isps or head_isp in self.failed_isps:
-                return np.ones(num_packets, dtype=bool)
-        return self.base.sample_losses(loss_probability, num_packets, rng, link)
 
 
 def _check(loss_probability: float, num_packets: int) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 from repro.core.problem import OverlayDesignProblem
 
@@ -105,10 +104,6 @@ class OverlayTopology:
             raise ValueError(f"node {node.name!r} already exists")
         self._nodes[node.name] = node
 
-    def add_nodes(self, nodes: Iterable[OverlayNode]) -> None:
-        for node in nodes:
-            self.add_node(node)
-
     def node(self, name: str) -> OverlayNode:
         try:
             return self._nodes[name]
@@ -151,10 +146,6 @@ class OverlayTopology:
                 f"{tail_role.value}->{head_role.value}"
             )
         self._links[key] = link
-
-    def add_links(self, links: Iterable[OverlayLink]) -> None:
-        for link in links:
-            self.add_link(link)
 
     def link(self, tail: str, head: str) -> OverlayLink:
         try:

@@ -33,7 +33,6 @@ from repro.scale.partition import (
     build_partition,
     extract_shard_problem,
     get_partitioner,
-    partitioner_names,
     register_partitioner,
     resolve_partitioner,
     resolve_shard_count,
@@ -61,7 +60,6 @@ __all__ = [
     "extract_shard_problem",
     "get_partitioner",
     "make_sharded_designer",
-    "partitioner_names",
     "rebalance_fanout",
     "register_partitioner",
     "resolve_partitioner",

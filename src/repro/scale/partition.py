@@ -74,10 +74,6 @@ def get_partitioner(name: str) -> Partitioner:
         raise KeyError(f"unknown partitioner {name!r} (known: {known})") from None
 
 
-def partitioner_names() -> list[str]:
-    return sorted(_PARTITIONERS)
-
-
 def _metro_groups(problem: OverlayDesignProblem) -> dict[str, list[str]]:
     groups: dict[str, list[str]] = {}
     for sink in problem.sinks:
@@ -248,9 +244,6 @@ class PartitionPlan:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    def sink_to_shard(self) -> dict[str, str]:
-        return {sink: self.shards[at].shard_id for sink, at in self.positions().items()}
 
     def positions(self) -> dict[str, int]:
         """``shard_of_sink``, or, for a plan assembled shard by shard, the same map
@@ -536,7 +529,6 @@ __all__ = [
     "build_partition",
     "extract_shard_problem",
     "get_partitioner",
-    "partitioner_names",
     "rebind_partition",
     "register_partitioner",
     "resolve_partitioner",

@@ -126,10 +126,12 @@ def run_shard_loop(
     ``parameters``' seed and the shard index, with
     ``options["inner_options"]`` and ``options["jobs"]``.  A solved shard's
     map is its solution's assignments updated with what it keeps; every map
-    then goes through :func:`stitch_assignments`.  A shard that keeps
-    ``None`` keeps the design ``standing`` describes (the state a previous
-    round left on its result), and the stitch and the audit then walk only
-    what changed.
+    then goes through :func:`stitch_assignments`, from ``standing``: the
+    standing design's :class:`~repro.scale.stitch.ShardState` -- the one a
+    previous round left on its result, or one ``ShardState.of`` built --
+    by default the empty design's.  A shard that keeps ``None`` keeps the
+    design ``standing`` describes, and the audit re-measures only what the
+    stitch replaced (a first design, every demand).
 
     Returns the audited result -- labelled ``strategy``, with stages
     ``design_shards``/``stitch``/``audit``, metadata ``inner_strategy``,
@@ -176,6 +178,8 @@ def run_shard_loop(
     design_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
+    if standing is None:
+        standing = ShardState.empty(problem)
     solution, report = stitch_assignments(
         problem,
         plan,
@@ -187,11 +191,7 @@ def run_shard_loop(
 
     start = time.perf_counter()
     state = report.state
-    if standing is None:
-        audit = audit_solution(problem, solution)
-    else:
-        audit = audit_solution(problem, solution, standing.audit, state.replaced)
-    state.audit = audit
+    audit = state.audit = audit_solution(problem, solution, standing.audit, state.replaced)
     audit_seconds = time.perf_counter() - start
 
     solution.metadata["algorithm"] = strategy

@@ -27,13 +27,14 @@ is drawn, so stitching the same shard assignments always yields the same
 merged design (the ``jobs``-independence guarantee of the sharded pipeline
 rests on this).  :class:`StitchReport` counts what it did.
 
-A stitch leaves a :class:`ShardState` on its report, and the next stitch of
-a changed problem (an incremental update) takes it as ``standing``: a shard
-whose map is ``None`` keeps the standing design, and its loads, weight
-fractions and short demands come from the state.  So the stitch walks only
-the shards solved again and the demands the rebalance and the repair touch.
-A first sharded design is the case where every shard is solved: one stitch,
-whatever the caller.
+Every stitch starts from a :class:`ShardState`, the standing design's, and
+leaves one on its report for the next: a shard whose map is ``None`` keeps
+the standing design, and its loads, weight fractions and short demands come
+from the state.  So the stitch walks only the shards solved again and the
+demands the rebalance and the repair touch.  A first sharded design stitches
+every shard solved from the empty design's state (:meth:`ShardState.empty`);
+a standing design whose result carries no state gets one from
+:meth:`ShardState.of`.  One stitch, whatever the caller.
 """
 
 from __future__ import annotations
@@ -42,18 +43,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.analysis.audit import SolutionAudit, audit_solution
 from repro.core.algorithm import top_up_demands
 from repro.core.index import DemandKey, ProblemIndex, builtin_sums, problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 from repro.scale.partition import PartitionPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.audit import SolutionAudit
 
 
 @dataclass
@@ -66,10 +65,11 @@ class ShardState:
     ``pair_count`` per ``stream code * len(reflectors) + reflector code``.
     ``delivered[d]`` and ``fractions[d]`` are demand ``d``'s delivered weight
     and weight fraction.  ``audit`` is the design's audit
-    (:func:`repro.scale.pipeline.run_shard_loop` sets it).  ``replaced``
-    maps each demand whose list the stitch set or removed against the
-    standing design to its former list (empty if it had none): the audit of
-    the new design re-measures exactly these.
+    (:func:`repro.scale.pipeline.run_shard_loop` sets it); the empty
+    design's state has none, so a first design is audited in full.
+    ``replaced`` maps each demand whose list the stitch set or removed
+    against the standing design to its former list (empty if it had none):
+    the audit of the new design re-measures exactly these.
     """
 
     solution: OverlaySolution
@@ -82,6 +82,73 @@ class ShardState:
     pair_count: np.ndarray
     replaced: dict[DemandKey, list[str]]
     audit: SolutionAudit | None = None
+
+    @classmethod
+    def empty(cls, problem: OverlayDesignProblem) -> ShardState:
+        """The state of the design with no assignments, which a first design stitches from."""
+        index = problem_index(problem)
+        width = len(index.reflectors)
+        nothing = np.zeros(0, dtype=np.int64)
+        delivered = np.zeros(index.num_demands)
+        return cls(
+            solution=OverlaySolution(problem),
+            index=index,
+            segment=nothing,
+            reflector=nothing,
+            loads=np.zeros(width, dtype=np.int64),
+            delivered=delivered,
+            fractions=index.weight_fractions(delivered),
+            pair_count=np.zeros(len(index.streams) * width, dtype=np.int64),
+            replaced={},
+        )
+
+    @classmethod
+    def of(
+        cls,
+        problem: OverlayDesignProblem,
+        solution: OverlaySolution,
+        audit: SolutionAudit | None = None,
+    ) -> ShardState:
+        """The state of ``solution``, a design of ``problem`` that ``audit`` audited.
+
+        The state's design is the one a stitch would leave: the non-empty
+        lists of ``problem``'s demands, sorted without repeats, and the builds
+        and deliveries they use.  It is audited here when ``audit`` has no
+        ``loads`` (none given, or decoded from a document).
+        """
+        index = problem_index(problem)
+        width = len(index.reflectors)
+        design = OverlaySolution.from_assignments(
+            problem,
+            {
+                key: reflectors
+                for key, reflectors in solution.assignments.items()
+                if reflectors and key in index.demand_code
+            },
+        )
+        entries = index.entries(
+            index.keys, [design.assignments.get(key, ()) for key in index.keys]
+        )
+        delivered = builtin_sums(
+            entries.segment, index.candidate_weight[entries.position], index.num_demands
+        )
+        if audit is None or audit.loads is None:
+            audit = audit_solution(problem, design)
+        return cls(
+            solution=design,
+            index=index,
+            segment=entries.segment,
+            reflector=entries.reflector,
+            loads=np.bincount(entries.reflector, minlength=width),
+            delivered=delivered,
+            fractions=index.weight_fractions(delivered),
+            pair_count=np.bincount(
+                index.demand_stream[entries.segment] * width + entries.reflector,
+                minlength=len(index.streams) * width,
+            ),
+            replaced={},
+            audit=audit,
+        )
 
     def unserved(self) -> list[DemandKey]:
         """The demands with no reflector."""
@@ -296,12 +363,13 @@ def stitch_assignments(
     solution against the full problem; ``report.state`` describes it for
     the next stitch.
 
-    With ``standing`` (a :class:`ShardState` whose audit is set), a map may
-    be ``None``: the shard keeps the standing design's lists for its
-    demands, whose candidates and weights must be unchanged in ``problem``.
-    The result is the stitch of the maps such shards would hold, but Python
-    work is per demand of the other shards and per demand the rebalance and
-    the repair change; the rest is numpy over the standing state's arrays.
+    ``standing`` is the :class:`ShardState` of the standing design (by
+    default the empty design's).  A map may be ``None`` when ``standing`` is
+    given: the shard keeps the standing design's lists for its demands,
+    whose candidates and weights must be unchanged in ``problem``.  The
+    result is the stitch of the maps such shards would hold, but Python work
+    is per demand of the other shards and per demand the rebalance and the
+    repair change; the rest is numpy over the standing state's arrays.
     """
     if len(shard_assignments) != plan.num_shards:
         raise ValueError(
@@ -318,14 +386,10 @@ def stitch_assignments(
     if standing is None:
         if keeps.any():
             raise ValueError("a shard keeps the standing design, but there is none")
-        base: Mapping[DemandKey, list[str]] = {}
-        parent = np.full(index.num_demands, -1)
-    elif standing.audit is None:
-        raise ValueError("the standing state has no audit")
-    else:
-        base, parent = standing.solution.assignments, index.codes_in(standing.index)
+        standing = ShardState.empty(problem)
+    base, parent = standing.solution.assignments, index.codes_in(standing.index)
     # Whether the standing state's reflector and stream codes are this index's.
-    same_codes = standing is not None and (
+    same_codes = (
         standing.index.reflectors == index.reflectors and standing.index.streams == index.streams
     )
     # The demands whose standing lists carry over; every other one has its
@@ -348,11 +412,9 @@ def stitch_assignments(
         _given(shard_assignments, shard_of[demand], index.keys[demand])
         for demand in fresh.tolist()
     ]
-    gone = []
-    if standing is not None:
-        present = np.zeros(standing.index.num_demands, dtype=bool)
-        present[parent[parent >= 0]] = True
-        gone = [standing.index.keys[demand] for demand in np.flatnonzero(~present).tolist()]
+    present = np.zeros(standing.index.num_demands, dtype=bool)
+    present[parent[parent >= 0]] = True
+    gone = [standing.index.keys[demand] for demand in np.flatnonzero(~present).tolist()]
     for key in chain((index.keys[demand] for demand in fresh.tolist()), gone):
         if key not in replaced:
             replaced[key] = base.get(key, [])
@@ -362,20 +424,19 @@ def stitch_assignments(
     # the standing entries.
     delivered, fractions = np.zeros(index.num_demands), np.zeros(index.num_demands)
     delivered[fresh], fractions[fresh] = _measure(index, fresh, given)
-    if standing is not None:
-        delivered[carried] = standing.delivered[parent[carried]]
-        fractions[carried] = standing.fractions[parent[carried]]
-        child = np.full(standing.index.num_demands, -1)
-        child[parent[carried]] = np.flatnonzero(carried)
-        entry_demand = child[standing.segment]
-        entry_carried = entry_demand >= 0
-        entry_demand = entry_demand[entry_carried]
-        entry_reflector = standing.reflector[entry_carried]
-        if not same_codes:
-            entry_reflector = _reflector_codes(index, standing.index)[entry_reflector]
-        rows += np.bincount(
-            shard_of[entry_demand] * width + entry_reflector, minlength=rows.size
-        ).reshape(rows.shape)
+    delivered[carried] = standing.delivered[parent[carried]]
+    fractions[carried] = standing.fractions[parent[carried]]
+    child = np.full(standing.index.num_demands, -1)
+    child[parent[carried]] = np.flatnonzero(carried)
+    entry_demand = child[standing.segment]
+    entry_carried = entry_demand >= 0
+    entry_demand = entry_demand[entry_carried]
+    entry_reflector = standing.reflector[entry_carried]
+    if not same_codes:
+        entry_reflector = _reflector_codes(index, standing.index)[entry_reflector]
+    rows += np.bincount(
+        shard_of[entry_demand] * width + entry_reflector, minlength=rows.size
+    ).reshape(rows.shape)
     used = rows > 0
     if used.any():
         factors = rows[used] / np.broadcast_to(index.fanout, rows.shape)[used]
@@ -386,8 +447,7 @@ def stitch_assignments(
     # Reconcile: the merged loads, the rebalance, then the repair.
     lists = (merged.get(key, ()) for key in replaced)
     load = np.bincount(_codes(index, lists), minlength=width)
-    if standing is not None:
-        load += np.bincount(entry_reflector, minlength=width)
+    load += np.bincount(entry_reflector, minlength=width)
     worst = rows.max(axis=0, initial=0)
     load_of = dict(zip(index.reflectors, load.tolist()))
     changed: set[DemandKey] = set()
@@ -424,12 +484,11 @@ def stitch_assignments(
         replaced.setdefault(index.keys[demand], base.get(index.keys[demand], []))
     segment = np.repeat(touched, list(map(len, lists)))
     reflector = _codes(index, lists)
-    if standing is not None:
-        untouched = np.ones(index.num_demands, dtype=bool)
-        untouched[touched] = False
-        kept = untouched[entry_demand]
-        segment = np.concatenate([entry_demand[kept], segment])
-        reflector = np.concatenate([entry_reflector[kept], reflector])
+    untouched = np.ones(index.num_demands, dtype=bool)
+    untouched[touched] = False
+    kept = untouched[entry_demand]
+    segment = np.concatenate([entry_demand[kept], segment])
+    reflector = np.concatenate([entry_reflector[kept], reflector])
     loads = np.bincount(reflector, minlength=width)
     pair_count = np.bincount(
         index.demand_stream[segment] * width + reflector, minlength=len(index.streams) * width
@@ -491,8 +550,6 @@ def _given(
 def _reflector_codes(index: ProblemIndex, other: ProblemIndex) -> np.ndarray:
     """Per reflector code of ``other``, the reflector's code in ``index``."""
     return np.array([index.reflector_code[name] for name in other.reflectors], np.int64)
-
-
 
 
 __all__ = [

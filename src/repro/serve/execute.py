@@ -15,8 +15,9 @@ content-addressed :class:`~repro.serve.cache.ArtifactCache`:
 
 Determinism contract: every cached artifact is a pure function of its key's
 content, so for a fixed request the result payload is bit-identical with the
-cache hot, cold, or absent -- caching moves wall-clock, never bits.  The
-per-request provenance lands on ``DesignResult.cache``.
+cache hot or cold, and equal to a direct :func:`repro.api.run_request` run
+-- caching moves wall-clock, never bits.  The per-request provenance lands
+on ``DesignResult.cache``.
 """
 
 from __future__ import annotations
@@ -37,19 +38,17 @@ from repro.serve.cache import ArtifactCache, plan_key, request_digest
 
 def run_request_cached(
     request: DesignRequest,
-    cache: ArtifactCache | None,
+    cache: ArtifactCache,
     *,
     session_id: str | None = None,
     digest: str | None = None,
 ) -> DesignResult:
     """Run a design request through the content-addressed cache.
 
-    With ``cache=None`` this is :func:`repro.api.run_request` plus a
-    provenance stamp.  Otherwise: whole-result lookup by request digest
-    first; on a miss, the design runs with the plan cache (for ``sharded:*``
-    strategies), the evaluation sweep (when requested) runs on the design,
-    and the serialized result document is stored for the next repeat-digest
-    request.
+    Whole-result lookup by request digest first; on a miss, the design runs
+    with the plan cache (for ``sharded:*`` strategies), the evaluation sweep
+    (when requested) runs on the design, and the serialized result document
+    is stored for the next repeat-digest request.
 
     The returned result carries ``result.cache`` with the digests, the
     per-line ``"hit"``/``"miss"`` map, and ``served_from_cache``.  Requests
@@ -61,21 +60,6 @@ def run_request_cached(
     problem digest is memoised on the problem object, so a request digests
     its problem once whichever of the two computes it first.
     """
-    if cache is None:
-        from repro.api.registry import run_request
-
-        result = run_request(request)
-        result.cache = {
-            "request_digest": None,
-            "problem_digest": None,
-            "stages": {},
-            "served_from_cache": False,
-            "bypass": True,
-        }
-        if session_id is not None:
-            result.cache["session_id"] = session_id
-        return result
-
     # A hit reads the problem digest from the cached entry; a miss needs it
     # for the plan key and finds it memoised by the request digest.
     r_digest = digest if digest is not None else request_digest(request)

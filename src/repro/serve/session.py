@@ -32,9 +32,10 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
+from repro.core.index import problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.serialization import problem_digest
-from repro.incremental.delta import ProblemDelta, apply_delta, diff_problems
+from repro.incremental.delta import ProblemDelta, apply_delta
 from repro.incremental.engine import design_incremental, incremental_options
 from repro.scale.partition import build_partition, rebind_partition
 from repro.scale.pipeline import SHARDED_OPTIONS, SHARDED_PREFIX
@@ -76,7 +77,7 @@ class DesignSession:
     cache:
         The session's :class:`ArtifactCache` (a private default is created
         when omitted; pass a service's cache to share lines across
-        sessions).  ``cache=False`` disables caching entirely.
+        sessions).
     session_id:
         Stable identifier stamped into every result's ``cache`` provenance.
     """
@@ -88,7 +89,7 @@ class DesignSession:
         strategy: str = "sharded:spaa03",
         parameters: DesignParameters | None = None,
         options: Mapping | None = None,
-        cache: ArtifactCache | None | bool = None,
+        cache: ArtifactCache | None = None,
         session_id: str | None = None,
     ) -> None:
         self.problem = problem
@@ -96,12 +97,7 @@ class DesignSession:
         self.parameters = parameters if parameters is not None else DesignParameters()
         self.options = dict(options or {})
         self._settings = incremental_options(self.options)
-        if cache is False:
-            self.cache: ArtifactCache | None = None
-        elif cache is None or cache is True:
-            self.cache = ArtifactCache()
-        else:
-            self.cache = cache
+        self.cache = cache if cache is not None else ArtifactCache()
         self.session_id = session_id or f"session-{next(_SESSION_COUNTER):04d}"
         self.events: list[SessionEvent] = []
         self._result: DesignResult | None = None
@@ -140,7 +136,7 @@ class DesignSession:
             self._result = run_request_cached(
                 request, self.cache, session_id=self.session_id
             )
-            if self.cache is not None and self.strategy.startswith(SHARDED_PREFIX):
+            if self.strategy.startswith(SHARDED_PREFIX):
                 # The initial sharded design just cached its partition plan;
                 # adopt it as the standing plan so the first demand-level
                 # churn event can rebind instead of regrouping.
@@ -158,25 +154,13 @@ class DesignSession:
 
     def apply_delta(self, delta: ProblemDelta) -> DesignResult:
         """Apply one delta against the standing problem and re-design."""
+        standing = self.ensure_design()
+        # Index the standing problem first (a served initial design leaves it
+        # unindexed), so the post-churn problem's index derives from it.
+        problem_index(self.problem)
         new_problem = (
             self.problem if delta.is_empty else apply_delta(self.problem, delta)
         )
-        return self._apply(delta, new_problem)
-
-    def apply_problem(self, new_problem: OverlayDesignProblem) -> DesignResult:
-        """Diff the standing problem against ``new_problem`` and re-design."""
-        delta = diff_problems(self.problem, new_problem)
-        return self._apply(delta, new_problem)
-
-    def stream(self, deltas: Iterable[ProblemDelta]) -> Iterator[DesignResult]:
-        """Apply a sequence of deltas, yielding the result after each."""
-        for delta in deltas:
-            yield self.apply_delta(delta)
-
-    def _apply(
-        self, delta: ProblemDelta, new_problem: OverlayDesignProblem
-    ) -> DesignResult:
-        standing = self.ensure_design()
         start = time.perf_counter()
         plan = None
         plan_reused = False
@@ -238,6 +222,11 @@ class DesignSession:
         self._plan = plan
         return result
 
+    def stream(self, deltas: Iterable[ProblemDelta]) -> Iterator[DesignResult]:
+        """Apply a sequence of deltas, yielding the result after each."""
+        for delta in deltas:
+            yield self.apply_delta(delta)
+
     def summary(self) -> dict:
         """JSON-friendly session snapshot (the ``repro serve`` stats shape)."""
         return {
@@ -246,7 +235,7 @@ class DesignSession:
             "events": len(self.events),
             "plan_reuses": sum(1 for event in self.events if event.plan_reused),
             "event_seconds": [event.seconds for event in self.events],
-            "cache": self.cache.stats().as_dict() if self.cache is not None else None,
+            "cache": self.cache.stats().as_dict(),
         }
 
 

@@ -663,10 +663,6 @@ class MonteCarloReport:
             return 0.0
         return float(1.96 * means.std(ddof=1) / np.sqrt(means.size))
 
-    @property
-    def loss_bin_edges(self) -> np.ndarray:
-        return np.arange(self.accumulator.loss_bins + 1) / self.accumulator.loss_bins
-
     def demand_index(self, demand_key: tuple[str, str]) -> int:
         try:
             return self.demand_keys.index(demand_key)

@@ -58,21 +58,6 @@ class SessionActivity:
     def num_demands(self) -> int:
         return int(self.arrival.size)
 
-    def active_mask(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Boolean ``(demands, windows)`` activity for demand rows [start, stop)."""
-        stop = self.num_demands if stop is None else stop
-        windows = np.arange(self.num_windows, dtype=np.int64)
-        return (windows >= self.arrival[start:stop, None]) & (
-            windows < self.departure[start:stop, None]
-        )
-
-    def active_counts(self) -> np.ndarray:
-        """Number of active demands per window (exact, O(D + W))."""
-        delta = np.zeros(self.num_windows + 1, dtype=np.int64)
-        np.add.at(delta, self.arrival, 1)
-        np.add.at(delta, self.departure, -1)
-        return np.cumsum(delta[:-1])
-
 
 @dataclass(frozen=True)
 class TraceContext:

@@ -8,7 +8,8 @@ at 1,000 and 10,000 sinks, and over a delta that touches every table of a
 problem with per-stream costs and arc capacities, every derived index must
 equal a fresh ``ProblemIndex`` of the same problem: every array (dtype,
 shape and bits), every name table and every code map, in order.  A churn
-session must never build the full problem's index from scratch.
+session must never build the full problem's index from scratch, also when
+its initial design was served from the cache.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from test_delta_documents import FUZZ_PROBLEM, _valid_delta
 import repro.core.index as index_module
 from repro.core.algorithm import DesignParameters
 from repro.core.index import ProblemIndex, problem_index
+from repro.core.serialization import problem_from_dict, problem_to_dict
 from repro.incremental import (
     ProblemDelta,
     SinkChurnConfig,
@@ -27,7 +29,7 @@ from repro.incremental import (
     flash_crowd_delta,
     sample_sink_churn,
 )
-from repro.serve import DesignSession
+from repro.serve import ArtifactCache, DesignSession
 from repro.workloads import InternetScaleConfig, generate_internet_scale_problem
 
 EVENTS = 50
@@ -89,12 +91,19 @@ def test_an_unbuilt_parent_leaves_no_origin():
     assert child._index_origin is None
 
 
-def test_no_session_event_builds_the_full_problems_index_from_scratch(monkeypatch):
+@pytest.mark.parametrize("served", [False, True], ids=["computed", "served"])
+def test_no_session_event_builds_the_full_problems_index_from_scratch(monkeypatch, served):
     problem, _registry = generate_internet_scale_problem(
         InternetScaleConfig(num_sinks=1000), rng=4
     )
-    session = DesignSession(problem, parameters=DesignParameters(seed=5), options={"jobs": 1})
+    parameters, cache = DesignParameters(seed=5), ArtifactCache()
+    session = DesignSession(problem, parameters=parameters, options={"jobs": 1}, cache=cache)
     session.ensure_design()
+    if served:
+        # A served initial design leaves its freshly parsed problem unindexed.
+        copy = problem_from_dict(problem_to_dict(problem))
+        session = DesignSession(copy, parameters=parameters, options={"jobs": 1}, cache=cache)
+        assert session.ensure_design().cache["served_from_cache"]
     built: list[int] = []
     fresh = index_module.ProblemIndex.__init__
 

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.loss import (
-    BernoulliLossModel,
-    GilbertElliottLossModel,
-    IspOutageLossModel,
-)
+from repro.network.loss import BernoulliLossModel, GilbertElliottLossModel
 
 
 class TestBernoulli:
@@ -81,30 +77,3 @@ class TestGilbertElliott:
         ):
             losses = model.sample_losses(0.05, 2000, rng)
             assert losses.shape == (2000,) and 0.0 < losses.mean() < 0.2
-
-
-class TestIspOutage:
-    NODE_ISP = {"src": "ispA", "r1": "ispA", "r2": "ispB", "d": "ispB"}
-
-    def test_links_in_failed_isp_lose_everything(self, rng):
-        model = IspOutageLossModel(node_isp=self.NODE_ISP, failed_isps={"ispA"})
-        losses = model.sample_losses(0.01, 1000, rng, link=("src", "r1"))
-        assert losses.all()
-        # Link whose endpoints are both in ispB is unaffected (just base loss).
-        clean = model.sample_losses(0.01, 5000, rng, link=("r2", "d"))
-        assert clean.mean() < 0.05
-
-    def test_link_touching_failed_isp_on_either_end_is_down(self, rng):
-        model = IspOutageLossModel(node_isp=self.NODE_ISP, failed_isps={"ispB"})
-        assert model.sample_losses(0.01, 100, rng, link=("r1", "d")).all()
-        assert model.sample_losses(0.01, 100, rng, link=("r2", "d")).all()
-
-    def test_no_failures_delegates_to_base(self, rng):
-        model = IspOutageLossModel(node_isp=self.NODE_ISP)
-        losses = model.sample_losses(0.3, 30_000, rng, link=("src", "r1"))
-        assert losses.mean() == pytest.approx(0.3, abs=0.02)
-
-    def test_unknown_link_unaffected(self, rng):
-        model = IspOutageLossModel(node_isp=self.NODE_ISP, failed_isps={"ispA"})
-        losses = model.sample_losses(0.1, 10_000, rng, link=("x", "y"))
-        assert losses.mean() == pytest.approx(0.1, abs=0.02)

@@ -379,10 +379,11 @@ class TestRunRequestCached:
         assert second.cache["served_from_cache"] is False
         assert cache.stats().by_namespace.get("result") is None
 
-    def test_no_cache_still_stamps_provenance(self, problem, parameters):
+    def test_a_cold_cache_still_stamps_provenance(self, problem, parameters):
         request = DesignRequest(problem=problem, parameters=parameters)
-        result = run_request_cached(request, None)
-        assert result.cache["bypass"] is True
+        result = run_request_cached(request, ArtifactCache())
+        assert result.cache["stages"]["result"] == "miss"
+        assert result.cache["request_digest"] == request_digest(request)
         assert result.cache["served_from_cache"] is False
 
     def test_served_traced_sweeps_equal_uncached_runs(self, problem, parameters):
@@ -396,7 +397,8 @@ class TestRunRequestCached:
             )
             served = run_request_cached(request, cache)
             assert "trace:diurnal:peak_window_loss" in served.evaluation["baseline"]
-            assert _comparable(served) == _comparable(run_request_cached(request, None))
+            cold = run_request_cached(request, ArtifactCache())
+            assert _comparable(served) == _comparable(cold)
 
     def test_cache_holds_only_result_and_plan_lines(self, problem, parameters):
         cache = ArtifactCache()
@@ -723,11 +725,14 @@ class TestDesignSession:
         assert result.cache["session_event"] == 1
         assert result.cache["stages"]["plan"] == "session-reuse"
 
-    def test_cache_false_disables_caching(self, problem, parameters):
-        session = DesignSession(problem, parameters=parameters, cache=False)
+    def test_a_session_holds_its_own_cache_by_default(self, problem, parameters):
+        session = DesignSession(problem, parameters=parameters)
+        other = DesignSession(problem, parameters=parameters)
         session.ensure_design()
-        assert session.cache is None
-        assert session.summary()["cache"] is None
+        assert isinstance(session.cache, ArtifactCache)
+        assert session.cache is not other.cache
+        assert session.summary()["cache"]["misses"] > 0
+        assert other.summary()["cache"]["misses"] == 0
 
 
 # ---------------------------------------------------------------------------

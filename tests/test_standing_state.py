@@ -1,0 +1,217 @@
+"""Standing designs without a carried shard state take the carried path.
+
+Every incremental update starts from the standing design's
+:class:`repro.scale.stitch.ShardState`.  A sharded or incremental result
+carries one; a bare :class:`OverlaySolution`, a result decoded from its
+document or served from the cache, and a monolithic design do not, and the
+update builds one first (``ShardState.of``).  Each such update must equal
+the same update from a carried state: the sharded design's own result, or,
+for the monolithic design, a state built entry by entry with the scalar
+accessors.  A session whose initial design is a cache hit must stream the
+same results as one whose initial design it computed, and a first design
+stitches from the empty design's state whether or not the caller passes it.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from repro.analysis.audit import audit_solution
+from repro.api import DesignRequest, get_designer
+from repro.api.types import DesignResult, result_from_dict, result_to_dict
+from repro.core.algorithm import DesignParameters
+from repro.core.index import problem_index
+from repro.core.serialization import solution_digest
+from repro.incremental import (
+    SinkChurnConfig,
+    apply_delta,
+    design_incremental,
+    flash_crowd_delta,
+    sample_sink_churn,
+)
+from repro.scale import build_partition, stitch_assignments
+from repro.scale.stitch import ShardState
+from repro.serve import ArtifactCache, DesignSession
+from repro.workloads import InternetScaleConfig, generate_internet_scale_problem
+
+SINKS = 1000
+MONOLITHIC_SINKS = 300
+OPTIONS = {"jobs": 1}
+DELTAS = ("sink-churn", "flash-crowd")
+
+
+def _delta(problem, rng, kind):
+    if kind == "sink-churn":
+        return sample_sink_churn(problem, SinkChurnConfig(fraction=0.01), rng)
+    return flash_crowd_delta(problem, rng, hot_fraction=0.02)
+
+
+def _document(result) -> str:
+    document = result_to_dict(result)
+    for key in ("stage_seconds", "cache"):
+        document.pop(key)
+    return json.dumps(document, sort_keys=True)
+
+
+def _scalar_state(problem, solution) -> ShardState:
+    """The state of ``solution``, entry by entry, through the scalar accessors."""
+    index = problem_index(problem)
+    entries = [
+        (index.demand_code[key], index.reflector_code[name])
+        for key, reflectors in solution.assignments.items()
+        for name in reflectors
+    ]
+    segment, reflector = (np.array(column, dtype=np.int64) for column in zip(*entries))
+    width = len(index.reflectors)
+    return ShardState(
+        solution=solution,
+        index=index,
+        segment=segment,
+        reflector=reflector,
+        loads=np.bincount(reflector, minlength=width),
+        delivered=np.array([solution.delivered_weight(d) for d in problem.demands]),
+        fractions=np.array([solution.weight_satisfaction(d) for d in problem.demands]),
+        pair_count=np.bincount(
+            index.demand_stream[segment] * width + reflector,
+            minlength=len(index.streams) * width,
+        ),
+        replaced={},
+        audit=audit_solution(problem, solution),
+    )
+
+
+def _same_state(state: ShardState, reference: ShardState) -> None:
+    assert state.solution.assignments == reference.solution.assignments
+    assert state.solution.built_reflectors == reference.solution.built_reflectors
+    assert state.solution.stream_deliveries == reference.solution.stream_deliveries
+    assert sorted(zip(state.segment.tolist(), state.reflector.tolist())) == sorted(
+        zip(reference.segment.tolist(), reference.reflector.tolist())
+    )
+    for name in ("loads", "delivered", "fractions", "pair_count"):
+        assert np.array_equal(getattr(state, name), getattr(reference, name)), name
+    assert state.audit.loads == reference.audit.loads
+    assert dict(state.audit.weight_fraction) == dict(reference.audit.weight_fraction)
+
+
+@pytest.fixture(scope="module")
+def sharded():
+    problem, _registry = generate_internet_scale_problem(
+        InternetScaleConfig(num_sinks=SINKS), rng=2
+    )
+    parameters = DesignParameters(seed=2)
+    result = get_designer("sharded:spaa03").design(
+        DesignRequest(problem=problem, parameters=parameters, options=OPTIONS)
+    )
+    return problem, parameters, result
+
+
+@pytest.fixture(scope="module")
+def monolithic():
+    problem, _registry = generate_internet_scale_problem(
+        InternetScaleConfig(num_sinks=MONOLITHIC_SINKS), rng=2
+    )
+    parameters = DesignParameters(seed=2)
+    result = get_designer("spaa03").design(DesignRequest(problem=problem, parameters=parameters))
+    assert result.shard_state is None
+    return problem, parameters, result
+
+
+def _update(standing, problem, parameters, kind):
+    delta = _delta(problem, np.random.default_rng(21), kind)
+    return design_incremental(
+        standing,
+        apply_delta(problem, delta),
+        parameters,
+        strategy="spaa03",
+        options=OPTIONS,
+        previous_problem=problem,
+        delta=delta,
+    )
+
+
+@pytest.mark.parametrize("kind", DELTAS)
+@pytest.mark.parametrize("form", ["bare solution", "decoded result"])
+def test_an_update_without_a_carried_state_matches_the_carried_update(sharded, form, kind):
+    problem, parameters, result = sharded
+    standing = (
+        result.solution
+        if form == "bare solution"
+        else result_from_dict(json.loads(json.dumps(result_to_dict(result))), problem)
+    )
+    assert getattr(standing, "shard_state", None) is None
+    update = _update(standing, problem, parameters, kind)
+    carried = _update(result, problem, parameters, kind)
+    assert _document(update) == _document(carried)
+    assert solution_digest(update.solution) == solution_digest(carried.solution)
+    assert isinstance(update.shard_state, ShardState)
+
+
+@pytest.mark.parametrize("kind", DELTAS)
+def test_an_update_of_a_monolithic_design_matches_one_from_a_scalar_state(monolithic, kind):
+    problem, parameters, result = monolithic
+    carried = DesignResult(
+        strategy=result.strategy,
+        solution=result.solution,
+        audit=result.audit,
+        shard_state=_scalar_state(problem, result.solution),
+    )
+    update = _update(result, problem, parameters, kind)
+    reference = _update(carried, problem, parameters, kind)
+    assert _document(update) == _document(reference)
+    assert solution_digest(update.solution) == solution_digest(reference.solution)
+
+
+def test_the_built_state_equals_the_scalar_state(sharded, monolithic):
+    for problem, _parameters, result in (sharded, monolithic):
+        reference = _scalar_state(problem, result.solution)
+        _same_state(ShardState.of(problem, result.solution), reference)
+        _same_state(ShardState.of(problem, result.solution, result.audit), reference)
+
+
+def test_the_built_state_equals_the_stitched_one(sharded):
+    problem, _parameters, result = sharded
+    built = ShardState.of(problem, result.solution)
+    _same_state(built, result.shard_state)
+    # A decoded audit has no loads, so the design is audited again.
+    decoded = result_from_dict(json.loads(json.dumps(result_to_dict(result))), problem)
+    assert decoded.audit.loads is None
+    _same_state(ShardState.of(problem, decoded.solution, decoded.audit), result.shard_state)
+
+
+def test_a_cache_hit_session_streams_the_carried_sessions_results(sharded):
+    problem, parameters, _result = sharded
+    cache = ArtifactCache()
+    computed = DesignSession(
+        problem, parameters=parameters, options=OPTIONS, cache=cache, session_id="s"
+    )
+    served = DesignSession(
+        problem, parameters=parameters, options=OPTIONS, cache=cache, session_id="s"
+    )
+    assert computed.ensure_design().cache["served_from_cache"] is False
+    initial = served.ensure_design()
+    assert initial.cache["served_from_cache"] is True
+    assert initial.shard_state is None
+    rng = np.random.default_rng(31)
+    for event in range(10):
+        delta = _delta(computed.problem, rng, DELTAS[event % 2])
+        expected, result = computed.apply_delta(delta), served.apply_delta(delta)
+        assert _document(result) == _document(expected), event
+        assert solution_digest(result.solution) == solution_digest(expected.solution)
+        assert isinstance(result.shard_state, ShardState)
+        assert result.shard_state.solution is result.solution
+
+
+def test_a_first_design_stitches_from_the_empty_state(sharded):
+    problem, _parameters, result = sharded
+    plan = build_partition(problem)
+    lists = result.solution.assignments
+    maps = [{key: lists[key] for key in shard.demand_keys if key in lists} for shard in plan.shards]
+    empty = ShardState.empty(problem)
+    assert empty.audit is None and not empty.solution.assignments
+    default, _report = stitch_assignments(problem, plan, maps)
+    explicit, _report = stitch_assignments(problem, plan, maps, standing=empty)
+    assert default.assignments == explicit.assignments
+    assert solution_digest(default) == solution_digest(explicit)
