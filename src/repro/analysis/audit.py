@@ -12,9 +12,8 @@ integration test suite.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -28,8 +27,9 @@ class WeightFractions(Mapping):
     """Demand key -> weight fraction, read from one value per demand of an index.
 
     The audit's ``weight_fraction``: a read-only mapping in the index's
-    demand order that costs nothing to make, so an audit of a changed design
-    never copies a dict entry per demand.  It pickles as a plain dict.
+    demand order that costs nothing to make, so an audit read off a stitched
+    design's state never copies a dict entry per demand.  It pickles as a
+    plain dict.
     """
 
     def __init__(self, index: ProblemIndex, values: np.ndarray) -> None:
@@ -74,10 +74,6 @@ class SolutionAudit:
     color_violations: int = 0
     arc_capacity_factor: dict[tuple[str, str], float] = field(default_factory=dict)
     unserved_demands: int = 0
-    #: Assignments per reflector of the audited design, which an audit of a
-    #: changed design starts from; not part of the audit's document, so
-    #: ``None`` on a decoded audit.
-    loads: Counter[str] | None = field(default=None, compare=False, repr=False)
 
     @property
     def min_weight_fraction(self) -> float:
@@ -101,87 +97,61 @@ class SolutionAudit:
         }
 
 
-def audit_solution(
-    problem: OverlayDesignProblem,
-    solution: OverlaySolution,
-    previous: SolutionAudit | None = None,
-    replaced: Mapping[DemandKey, Sequence[str]] | None = None,
-) -> SolutionAudit:
+def audit_solution(problem: OverlayDesignProblem, solution: OverlaySolution) -> SolutionAudit:
     """Measure all constraint violations of an integral design against ``problem``.
 
     One pass over the assignments against the problem's index
     (:func:`repro.core.index.problem_index`) gives every demand's weight
-    fraction, the unserved count and the colour violations; one count gives
-    the fanout loads and, when the problem declares arc capacities, the arc
-    loads.
-
-    ``previous`` and ``replaced`` audit a changed design by its changes:
-    ``previous`` audited a design that ``solution`` differs from only in the
-    lists of ``replaced``'s keys, each mapped to its former list (empty if
-    it had none), against a problem whose other demands are unchanged.
-    Only those keys are measured (and the arc loads, when the problem has
-    arc capacities); the rest is carried over, so the result equals a full
-    audit.  A decoded ``previous`` (no ``loads``) gets a full audit.
+    fraction, the fanout loads, the unserved count and the colour
+    violations.  A stitched design's :class:`repro.scale.stitch.ShardState`
+    carries these measures, and its audit is read off the state instead.
     """
-    audit = SolutionAudit()
-    assignments = solution.assignments
     index = problem_index(problem)
-    former = previous.weight_fraction if previous is not None else None
-    if isinstance(former, WeightFractions) and previous.loads is not None and replaced:
-        keys = [key for key in replaced if key in index.demand_code]
-        codes = index.demand_codes(keys)
-    else:
-        keys, codes, former = index.keys, np.arange(index.num_demands), None
-    entries = index.entries(keys, [assignments.get(key, ()) for key in keys])
-    delivered = builtin_sums(entries.segment, index.candidate_weight[entries.position], len(keys))
-    unserved = int(np.count_nonzero(np.bincount(entries.segment, minlength=len(keys)) == 0))
-    violations = _color_violations(index, entries.segment, entries.reflector)
-    fractions = np.empty(index.num_demands)
-    fractions[codes] = index.weight_fractions(delivered, codes)
-    if former is None:
-        audit.loads = solution.fanout_loads()
-        # Every loaded reflector's fanout factor is (re)computed below.
-        loaded = audit.loads
-    else:
-        # Carry the other demands' fractions, and take the replaced lists'
-        # counts out of the previous ones.
-        parent = index.codes_in(former.index)
-        carried = np.ones(index.num_demands, dtype=bool)
-        carried[codes] = False
-        carried &= parent >= 0
-        fractions[carried] = former.array[parent[carried]]
-        before = [replaced[key] for key in replaced if key in former]
-        unserved += previous.unserved_demands - sum(1 for reflectors in before if not reflectors)
-        names = list(chain.from_iterable(before))
-        violations += previous.color_violations - _color_violations(
-            index,
-            np.repeat(np.arange(len(before)), list(map(len, before))),
-            np.fromiter(map(index.reflector_code.__getitem__, names), np.int64, len(names)),
-        )
-        change = Counter(chain.from_iterable(assignments.get(key, ()) for key in replaced))
-        change.subtract(Counter(chain.from_iterable(replaced.values())))
-        audit.loads = Counter(previous.loads)
-        audit.fanout_factor = dict(previous.fanout_factor)
-        for reflector, moved in change.items():
-            audit.loads[reflector] += moved
-        loaded = {reflector: audit.loads[reflector] for reflector in change}
-        for reflector, used in loaded.items():
-            if not used:
-                del audit.loads[reflector]
-                audit.fanout_factor.pop(reflector, None)
-    for reflector, used in loaded.items():
-        if used:
-            audit.fanout_factor[reflector] = used / problem.fanout(reflector)
-    audit.weight_fraction = WeightFractions(index, fractions)
-    audit.unserved_demands = unserved
-    audit.color_violations = violations
+    assignments = solution.assignments
+    entries = index.entries(index.keys, [assignments.get(key, ()) for key in index.keys])
+    delivered = builtin_sums(
+        entries.segment, index.candidate_weight[entries.position], index.num_demands
+    )
+    served = np.bincount(entries.segment, minlength=index.num_demands)
+    return _audit(
+        problem,
+        solution,
+        fractions=index.weight_fractions(delivered),
+        loads=np.bincount(entries.reflector, minlength=len(index.reflectors)),
+        unserved=int(np.count_nonzero(served == 0)),
+        color_violations=_color_violations(index, entries.segment, entries.reflector),
+    )
 
+
+def _audit(
+    problem: OverlayDesignProblem,
+    solution: OverlaySolution,
+    fractions: np.ndarray,
+    loads: np.ndarray,
+    unserved: int,
+    color_violations: int,
+) -> SolutionAudit:
+    """The audit of ``solution`` from its measures over the problem's index.
+
+    ``fractions`` holds every demand's weight fraction and ``loads`` every
+    reflector's assignment count, by code; the arc loads, when the problem
+    declares arc capacities, are counted from the assignments.
+    """
+    index = problem_index(problem)
+    used = np.flatnonzero(loads)
+    factors = loads[used] / index.fanout[used]
+    audit = SolutionAudit(
+        weight_fraction=WeightFractions(index, fractions),
+        fanout_factor=dict(zip(map(index.reflectors.__getitem__, used.tolist()), factors.tolist())),
+        color_violations=color_violations,
+        unserved_demands=unserved,
+    )
     capacities = problem.arc_capacities()
     if capacities:
         # A demand counts once on an arc, however often its list names the reflector.
         arc_load = Counter(
             (reflector, sink)
-            for (sink, _stream), reflectors in assignments.items()
+            for (sink, _stream), reflectors in solution.assignments.items()
             for reflector in set(reflectors)
         )
         for arc, capacity in capacities.items():

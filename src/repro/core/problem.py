@@ -378,15 +378,6 @@ class OverlayDesignProblem:
             return overrides[stream]
         return loss_cost[1]
 
-    def delivery_edge(self, reflector: str, sink: str, stream: str) -> DeliveryEdge:
-        return DeliveryEdge(
-            stream=stream,
-            reflector=reflector,
-            sink=sink,
-            loss_probability=self.delivery_loss(reflector, sink),
-            cost=self.delivery_cost(reflector, sink, stream),
-        )
-
     def delivery_links(self) -> list[tuple[str, str]]:
         """All (reflector, sink) pairs with a delivery edge."""
         return list(self._delivery_links)

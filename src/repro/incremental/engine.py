@@ -11,7 +11,8 @@ leave behind, or whole when the shard has nothing to carry.  Both run
 through :func:`repro.scale.pipeline.run_shard_loop`, the same round a
 from-scratch sharded design runs with every shard dirty; its stitch (fanout
 rebalance + global repair) is exactly the cross-shard audit/repair the
-splice needs, and the merged design is re-audited against the full problem.
+splice needs, and the merged design's audit against the full problem is read
+off the state the stitch leaves.
 Every update starts from the standing design's
 :class:`~repro.scale.stitch.ShardState`: the one its result carries, or one
 built from the design when the result carries none.
@@ -37,7 +38,6 @@ from functools import cache
 from itertools import chain
 from typing import Mapping
 
-from repro.analysis.audit import audit_solution
 from repro.api.registry import RegisteredDesigner, get_designer
 from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
@@ -177,8 +177,9 @@ def design_incremental(
     bare solution, a decoded or cached result, a monolithic design) it is
     built from the design with :meth:`ShardState.of`.  An empty delta
     returns the standing design bit-identically (same assignments, rebound
-    to ``new_problem``).  The result's metadata carries
-    the impact analysis (`incremental_*`), the delta summary (`delta_*`) and
+    to ``new_problem``) with the state ``ShardState.of`` builds for it, so
+    the next update carries that state.  The result's metadata carries the
+    impact analysis (`incremental_*`), the delta summary (`delta_*`) and
     the stitch report (`stitch_*`).
     """
     opts = incremental_options(options)
@@ -207,18 +208,17 @@ def design_incremental(
         )
 
     if delta.is_empty:
-        solution = OverlaySolution.from_assignments(
-            new_problem,
-            {key: reflectors for key, reflectors in standing.assignments.items() if reflectors},
-            metadata=dict(standing.metadata),
-        )
-        solution.metadata["algorithm"] = f"{INCREMENTAL_PREFIX}{inner.name}"
         start = time.perf_counter()
-        audit = audit_solution(new_problem, solution)
+        state = ShardState.of(new_problem, standing)
+        state.solution.metadata = {
+            **standing.metadata,
+            "algorithm": f"{INCREMENTAL_PREFIX}{inner.name}",
+        }
+        audit = state.solution_audit()
         audit_seconds = time.perf_counter() - start
         return DesignResult(
             strategy=f"{INCREMENTAL_PREFIX}{inner.name}",
-            solution=solution,
+            solution=state.solution,
             lower_bound=None,
             stage_seconds={"diff": diff_seconds, "audit": audit_seconds},
             audit=audit,
@@ -228,6 +228,7 @@ def design_incremental(
                 **{f"delta_{k}": v for k, v in delta.summary().items()},
             },
             request_id=request_id,
+            shard_state=state,
         )
 
     # Lazy plan: shard subproblems are extracted only when touched, and only
@@ -255,7 +256,7 @@ def design_incremental(
     new_keys = problem_index(new_problem).demand_code
     unserved = state.unserved()
     extra = {key for key in unserved if key in new_keys}
-    loads, pairs = state.audit.loads, state.pairs()
+    loads = dict(zip(state.index.reflectors, state.loads.tolist()))
     served = len(base) - sum(1 for key in unserved if key in base)
     # Departing sinks strand build amortization: a reflector that loses a
     # third or more of its standing load may no longer be worth building at all,
@@ -307,7 +308,7 @@ def design_incremental(
     # paying for fresh ones it does not need.
     @cache
     def sunk_costs() -> tuple[set[str], set[tuple[str, str]]]:
-        kept_loads, kept_pairs = Counter(loads), Counter(pairs)
+        kept_loads, kept_pairs = Counter(loads), state.pairs()
         for sink, stream in dropped:
             kept_loads.subtract(base[sink, stream])
             kept_pairs.subtract((stream, reflector) for reflector in base[sink, stream])
@@ -377,7 +378,7 @@ def _standing_state(
     """The standing design's shard state against ``previous_problem``: the one
     the standing result carries when it describes that design, else one built
     from the design (a bare solution, a decoded or cached result, a monolithic
-    design), which reuses the result's audit when it has ``loads``."""
+    design)."""
     if not isinstance(previous, DesignResult):
         return ShardState.of(previous_problem, previous)
     state = previous.shard_state
@@ -387,7 +388,7 @@ def _standing_state(
         and state.solution.problem is previous_problem
     ):
         return state
-    return ShardState.of(previous_problem, previous.solution, previous.audit)
+    return ShardState.of(previous_problem, previous.solution)
 
 
 __all__ = ["INCREMENTAL_PREFIX", "design_incremental"]

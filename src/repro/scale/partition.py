@@ -475,7 +475,6 @@ def build_partition(
 def rebind_partition(
     plan: PartitionPlan,
     problem: OverlayDesignProblem,
-    materialize: bool = False,
     changed_sinks: Collection[str] | None = None,
 ) -> PartitionPlan:
     """Re-attach an existing plan's shard layout to a changed problem.
@@ -492,9 +491,9 @@ def rebind_partition(
     keep ``plan``'s lists.  Raises ``ValueError`` when the sink sets differ
     (callers should rebuild from scratch instead).
 
-    The input plan is never mutated; lazy shards default (``materialize=
-    False``) because rebind callers -- the incremental engine -- touch only
-    dirty shards.
+    The input plan is never mutated.  The rebound shards are lazy (their
+    subproblems are extracted on first access), because rebind callers --
+    the incremental engine -- touch only dirty shards.
     """
     index = problem_index(problem)
     if plan.shard_of_sink.keys() != index.sink_code.keys():
@@ -515,9 +514,9 @@ def rebind_partition(
         plan.partitioner,
         plan.requested_shards,
         layout,
-        materialize,
-        plan.shard_of_sink,
-        kept,
+        materialize=False,
+        shard_of_sink=plan.shard_of_sink,
+        kept=kept,
     )
 
 

@@ -5,11 +5,12 @@ A sharded design is one round of shard-local solves plus one global stitch.
 solved shard's request (seed from :func:`shard_seed`), runs them through
 :func:`repro.api.design_batch` (shard order regardless of ``jobs``), merges
 back the assignments each shard keeps, stitches with
-:func:`repro.scale.stitch.stitch_assignments` and audits the merged design
-against the *full* problem.  :func:`design_sharded` is its all-dirty case
-(every shard solved whole, nothing kept); :func:`repro.api.design_incremental`
-runs it over a standing design's dirty shards, their residual subproblems
-and the assignments they carry.
+:func:`repro.scale.stitch.stitch_assignments` and reads the merged design's
+audit against the *full* problem off the state the stitch leaves.
+:func:`design_sharded` is its all-dirty case (every shard solved whole,
+nothing kept); :func:`repro.api.design_incremental` runs it over a standing
+design's dirty shards, their residual subproblems and the assignments they
+carry.
 
 Strategy names: any registered solution-producing strategy ``X`` is available
 as ``"sharded:X"`` through :func:`repro.api.get_designer`; the designer is
@@ -42,7 +43,6 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.analysis.audit import audit_solution
 from repro.api.batch import design_batch
 from repro.api.registry import RegisteredDesigner, get_designer
 from repro.api.types import DesignRequest, DesignResult
@@ -130,8 +130,9 @@ def run_shard_loop(
     standing design's :class:`~repro.scale.stitch.ShardState` -- the one a
     previous round left on its result, or one ``ShardState.of`` built --
     by default the empty design's.  A shard that keeps ``None`` keeps the
-    design ``standing`` describes, and the audit re-measures only what the
-    stitch replaced (a first design, every demand).
+    design ``standing`` describes.  The merged design's audit is read off
+    the state the stitch leaves (:meth:`ShardState.solution_audit`), which
+    measured every demand it replaced.
 
     Returns the audited result -- labelled ``strategy``, with stages
     ``design_shards``/``stitch``/``audit``, metadata ``inner_strategy``,
@@ -191,7 +192,7 @@ def run_shard_loop(
 
     start = time.perf_counter()
     state = report.state
-    audit = state.audit = audit_solution(problem, solution, standing.audit, state.replaced)
+    audit = state.solution_audit()
     audit_seconds = time.perf_counter() - start
 
     solution.metadata["algorithm"] = strategy

@@ -31,7 +31,10 @@ Every stitch starts from a :class:`ShardState`, the standing design's, and
 leaves one on its report for the next: a shard whose map is ``None`` keeps
 the standing design, and its loads, weight fractions and short demands come
 from the state.  So the stitch walks only the shards solved again and the
-demands the rebalance and the repair touch.  A first sharded design stitches
+demands the rebalance and the repair touch.  The state it leaves also
+carries the unserved and colour-violation counts, updated from the lists it
+replaced, so the design's audit is read off the state
+(:meth:`ShardState.solution_audit`).  A first sharded design stitches
 every shard solved from the empty design's state (:meth:`ShardState.empty`);
 a standing design whose result carries no state gets one from
 :meth:`ShardState.of`.  One stitch, whatever the caller.
@@ -47,7 +50,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.analysis.audit import SolutionAudit, audit_solution
+from repro.analysis.audit import SolutionAudit, _audit, _color_violations
 from repro.core.algorithm import top_up_demands
 from repro.core.index import DemandKey, ProblemIndex, builtin_sums, problem_index
 from repro.core.problem import OverlayDesignProblem
@@ -64,12 +67,10 @@ class ShardState:
     in no particular order); ``loads`` counts them per reflector code and
     ``pair_count`` per ``stream code * len(reflectors) + reflector code``.
     ``delivered[d]`` and ``fractions[d]`` are demand ``d``'s delivered weight
-    and weight fraction.  ``audit`` is the design's audit
-    (:func:`repro.scale.pipeline.run_shard_loop` sets it); the empty
-    design's state has none, so a first design is audited in full.
-    ``replaced`` maps each demand whose list the stitch set or removed
-    against the standing design to its former list (empty if it had none):
-    the audit of the new design re-measures exactly these.
+    and weight fraction; ``unserved_demands`` counts the demands with no
+    reflector and ``color_violations`` the (demand, colour) pairs served by
+    more than one reflector.  The design's audit is read off these
+    (:meth:`solution_audit`), so it is never measured a second time.
     """
 
     solution: OverlaySolution
@@ -80,8 +81,8 @@ class ShardState:
     delivered: np.ndarray
     fractions: np.ndarray
     pair_count: np.ndarray
-    replaced: dict[DemandKey, list[str]]
-    audit: SolutionAudit | None = None
+    unserved_demands: int
+    color_violations: int
 
     @classmethod
     def empty(cls, problem: OverlayDesignProblem) -> ShardState:
@@ -99,22 +100,17 @@ class ShardState:
             delivered=delivered,
             fractions=index.weight_fractions(delivered),
             pair_count=np.zeros(len(index.streams) * width, dtype=np.int64),
-            replaced={},
+            unserved_demands=index.num_demands,
+            color_violations=0,
         )
 
     @classmethod
-    def of(
-        cls,
-        problem: OverlayDesignProblem,
-        solution: OverlaySolution,
-        audit: SolutionAudit | None = None,
-    ) -> ShardState:
-        """The state of ``solution``, a design of ``problem`` that ``audit`` audited.
+    def of(cls, problem: OverlayDesignProblem, solution: OverlaySolution) -> ShardState:
+        """The state of ``solution``, a design of ``problem``, in one pass over its lists.
 
         The state's design is the one a stitch would leave: the non-empty
         lists of ``problem``'s demands, sorted without repeats, and the builds
-        and deliveries they use.  It is audited here when ``audit`` has no
-        ``loads`` (none given, or decoded from a document).
+        and deliveries they use.
         """
         index = problem_index(problem)
         width = len(index.reflectors)
@@ -132,8 +128,7 @@ class ShardState:
         delivered = builtin_sums(
             entries.segment, index.candidate_weight[entries.position], index.num_demands
         )
-        if audit is None or audit.loads is None:
-            audit = audit_solution(problem, design)
+        served = np.bincount(entries.segment, minlength=index.num_demands)
         return cls(
             solution=design,
             index=index,
@@ -146,8 +141,23 @@ class ShardState:
                 index.demand_stream[entries.segment] * width + entries.reflector,
                 minlength=len(index.streams) * width,
             ),
-            replaced={},
-            audit=audit,
+            unserved_demands=int(np.count_nonzero(served == 0)),
+            color_violations=_color_violations(index, entries.segment, entries.reflector),
+        )
+
+    def solution_audit(self) -> SolutionAudit:
+        """The design's audit, read off the state: no pass over its lists.
+
+        Equal to ``audit_solution(problem, solution)`` for the state's
+        ``solution`` and its problem.
+        """
+        return _audit(
+            self.solution.problem,
+            self.solution,
+            fractions=self.fractions,
+            loads=self.loads,
+            unserved=self.unserved_demands,
+            color_violations=self.color_violations,
         )
 
     def unserved(self) -> list[DemandKey]:
@@ -359,9 +369,9 @@ def stitch_assignments(
     (top up demands whose useful candidates span shards, within
     ``fanout_slack`` x fanout).  The report's per-shard statistics use the
     full problem's edge weights, which shard extraction copies verbatim, so
-    they equal each shard's own view.  The caller re-audits the returned
-    solution against the full problem; ``report.state`` describes it for
-    the next stitch.
+    they equal each shard's own view.  ``report.state`` describes the
+    returned solution against the full problem, its audit's measures
+    included, for the caller and the next stitch.
 
     ``standing`` is the :class:`ShardState` of the standing design (by
     default the empty design's).  A map may be ``None`` when ``standing`` is
@@ -482,8 +492,23 @@ def stitch_assignments(
     lists = [merged.get(index.keys[demand], ()) for demand in touched.tolist()]
     for demand in touched.tolist():
         replaced.setdefault(index.keys[demand], base.get(index.keys[demand], []))
-    segment = np.repeat(touched, list(map(len, lists)))
+    lengths = list(map(len, lists))
+    segment = np.repeat(touched, lengths)
     reflector = _codes(index, lists)
+    # Its counts: the standing design's, less those of the standing lists it
+    # replaced, plus those of the touched demands' lists.
+    former = [
+        reflectors for key, reflectors in replaced.items() if key in standing.index.demand_code
+    ]
+    former_lengths = list(map(len, former))
+    unserved = standing.unserved_demands + lengths.count(0) - former_lengths.count(0)
+    violations = (
+        standing.color_violations
+        + _color_violations(index, segment, reflector)
+        - _color_violations(
+            index, np.repeat(np.arange(len(former)), former_lengths), _codes(index, former)
+        )
+    )
     untouched = np.ones(index.num_demands, dtype=bool)
     untouched[touched] = False
     kept = untouched[entry_demand]
@@ -520,7 +545,8 @@ def stitch_assignments(
         delivered=delivered,
         fractions=fractions,
         pair_count=pair_count,
-        replaced=replaced,
+        unserved_demands=unserved,
+        color_violations=violations,
     )
     return solution, report
 

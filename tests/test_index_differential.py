@@ -9,7 +9,10 @@ oracle on the same inputs, and the two must agree with ``==``:
 ``audit_to_dict`` (plus every demand's ``weight_satisfaction`` and the
 solution's ``max_fanout_factor``), the repaired assignments, the stitched
 assignments with ``StitchReport.as_metadata()``, and the feasibility issues.
-The partition's ISP grouping and shard extraction are compared directly.
+A sharded round reads its audit off the state its stitch leaves, so every
+round of the shard loop is recorded too, its audit against the oracle's
+audit of its design.  The partition's ISP grouping and shard extraction are
+compared directly.
 
 The corpus:
 
@@ -19,7 +22,9 @@ The corpus:
 * a 50-event ``DesignSession`` stream shaped like perfbench's churn-session
   (``sharded:spaa03`` on ``internet_scale``, alternating 1% sink churn and
   2% flash crowd; 500 sinks here);
-* an instance with arc capacities (``spaa03-extended`` with rows (7') on);
+* an instance with arc capacities (``spaa03-extended`` with rows (7') on),
+  also designed by ``sharded:spaa03`` and streamed through a 10-event
+  ``DesignSession``;
 * a colour-constrained ``spaa03-extended`` design (``as_geo``, whose
   reflectors carry carrier colours) and a greedy design of that instance.
 
@@ -65,6 +70,7 @@ from repro.workloads import (
 
 STREAM_SINKS = 500
 STREAM_EVENTS = 50
+ARC_EVENTS = 10
 
 
 class Recorder:
@@ -72,6 +78,7 @@ class Recorder:
 
     def __init__(self) -> None:
         self.audits: list[tuple[dict, dict]] = []
+        self.round_audits: list[tuple[dict, dict]] = []
         self.accessors: list[tuple[list, list]] = []
         self.repairs: list[tuple[dict, dict]] = []
         self.repair_added: list[int] = []
@@ -81,19 +88,17 @@ class Recorder:
         self.feasibility: list[tuple[str, str]] = []
 
     def install(self, patch: pytest.MonkeyPatch) -> None:
-        audit, repair, top_up, stitch = (
+        audit, shard_round, repair, top_up, stitch = (
             audit_module.audit_solution,
+            shard_loop_module.run_shard_loop,
             pipeline_module.repair_weight_shortfalls,
             stitch_module.top_up_demands,
             stitch_module.stitch_assignments,
         )
         report = OverlayDesignProblem.feasibility_report
 
-        def audited(problem, solution, previous=None, replaced=None):
-            # An update's audit re-measures only the replaced demands; the
-            # oracle audits the whole design.
-            result = audit(problem, solution, previous, replaced)
-            self.audits.append(
+        def record(audits, problem, solution, result) -> None:
+            audits.append(
                 (audit_to_dict(result), audit_to_dict(oracle.audit_solution(problem, solution)))
             )
             demands = solution.problem.demands
@@ -105,7 +110,18 @@ class Recorder:
                     + [oracle.weight_satisfaction(solution, d) for d in demands],
                 )
             )
+
+        def audited(problem, solution):
+            result = audit(problem, solution)
+            record(self.audits, problem, solution, result)
             return result
+
+        def rounded(problem, *args, **kwargs):
+            # A round's audit is read off the stitched state; the oracle
+            # audits the whole design.
+            result, shard_results = shard_round(problem, *args, **kwargs)
+            record(self.round_audits, problem, result.solution, result.audit)
+            return result, shard_results
 
         def repaired(problem, solution, fanout_slack=4.0):
             result = repair(problem, solution, fanout_slack=fanout_slack)
@@ -148,8 +164,10 @@ class Recorder:
             self.feasibility.append((repr(issues), repr(oracle.feasibility_report(problem))))
             return issues
 
-        for module in (pipeline_module, shard_loop_module, engine_module, designers_module):
+        for module in (pipeline_module, designers_module):
             patch.setattr(module, "audit_solution", audited)
+        for module in (shard_loop_module, engine_module):
+            patch.setattr(module, "run_shard_loop", rounded)
         patch.setattr(pipeline_module, "repair_weight_shortfalls", repaired)
         patch.setattr(stitch_module, "top_up_demands", topped)
         patch.setattr(shard_loop_module, "stitch_assignments", stitched)
@@ -197,7 +215,8 @@ def _churn_stream() -> None:
         session.apply_delta(delta)
 
 
-def _arc_capacity_design() -> None:
+def _arc_capacity_problem() -> OverlayDesignProblem:
+    """A random instance whose every other delivery link has capacity 1."""
     base = random_problem(
         RandomInstanceConfig(num_streams=2, num_reflectors=8, num_sinks=30), rng=7
     )
@@ -216,12 +235,33 @@ def _arc_capacity_design() -> None:
         problem.add_delivery_edge(reflector, sink, loss, cost, capacity=capacity)
     for demand in base.demands:
         problem.add_demand(demand.sink, demand.stream, demand.success_threshold)
+    return problem
+
+
+def _arc_capacity_design() -> None:
+    problem = _arc_capacity_problem()
     parameters = DesignParameters(
         seed=3,
         repair_shortfall=True,
         extensions=ExtensionOptions(use_arc_capacities=True),
     )
     DesignPipeline.extended().run(problem, parameters)
+
+
+def _arc_capacity_sharded() -> None:
+    """A sharded design and a 10-event session on the arc-capacity instance."""
+    problem = _arc_capacity_problem()
+    parameters = DesignParameters(seed=3)
+    _design(problem, "sharded:spaa03", parameters, {"shards": 3, "jobs": 1})
+    session = DesignSession(problem, parameters=parameters, options={"shards": 3, "jobs": 1})
+    session.ensure_design()
+    rng = np.random.default_rng(13)
+    for event in range(ARC_EVENTS):
+        if event % 2 == 0:
+            delta = sample_sink_churn(session.problem, SinkChurnConfig(fraction=0.1), rng)
+        else:
+            delta = flash_crowd_delta(session.problem, rng, hot_fraction=0.1)
+        session.apply_delta(delta)
 
 
 def _colour_constrained_design() -> None:
@@ -240,6 +280,7 @@ def recorded() -> Recorder:
         _stitch_oracle_designs()
         _churn_stream()
         _arc_capacity_design()
+        _arc_capacity_sharded()
         _colour_constrained_design()
     return recorder
 
@@ -247,6 +288,12 @@ def recorded() -> Recorder:
 def test_audits_match_the_scalar_audit(recorded):
     assert len(recorded.audits) > 100
     for program, reference in recorded.audits:
+        assert program == reference
+
+
+def test_every_sharded_rounds_audit_matches_the_scalar_audit(recorded):
+    assert len(recorded.round_audits) > 70
+    for program, reference in recorded.round_audits:
         assert program == reference
 
 
@@ -281,9 +328,10 @@ def test_feasibility_reports_match(recorded):
 
 
 def test_the_corpus_exercises_every_branch(recorded):
-    audits = [program for program, _reference in recorded.audits]
-    assert any(audit["arc_capacity_factor"] for audit in audits)
-    assert any(audit["color_violations"] for audit in audits)
+    for records in (recorded.audits, recorded.round_audits):
+        audits = [program for program, _reference in records]
+        assert any(audit["arc_capacity_factor"] for audit in audits)
+        assert any(audit["color_violations"] for audit in audits)
     reports = [program for program, _reference in recorded.reports]
     assert any(r["stitch_assignments_moved"] and r["stitch_assignments_dropped"] for r in reports)
     assert any(r["stitch_demands_repaired"] for r in reports)

@@ -4,28 +4,32 @@ Every incremental update starts from the standing design's
 :class:`repro.scale.stitch.ShardState`.  A sharded or incremental result
 carries one; a bare :class:`OverlaySolution`, a result decoded from its
 document or served from the cache, and a monolithic design do not, and the
-update builds one first (``ShardState.of``).  Each such update must equal
-the same update from a carried state: the sharded design's own result, or,
-for the monolithic design, a state built entry by entry with the scalar
-accessors.  A session whose initial design is a cache hit must stream the
-same results as one whose initial design it computed, and a first design
-stitches from the empty design's state whether or not the caller passes it.
+update builds one first (``ShardState.of``, one pass over the design's
+lists).  Each such update must equal the same update from a carried state:
+the sharded design's own result, or, for the monolithic design, a state
+built entry by entry with the scalar accessors.  A built state's fields, and
+the audit read off it, must equal the scalar ones.  A session whose initial
+design is a cache hit must stream the same results as one whose initial
+design it computed; an empty delta's result carries its state, so the next
+event builds none; and a first design stitches from the empty design's
+state whether or not the caller passes it.
 """
 
 from __future__ import annotations
 
 import json
 
+import index_oracle as oracle
 import numpy as np
 import pytest
 
-from repro.analysis.audit import audit_solution
 from repro.api import DesignRequest, get_designer
-from repro.api.types import DesignResult, result_from_dict, result_to_dict
+from repro.api.types import DesignResult, audit_to_dict, result_from_dict, result_to_dict
 from repro.core.algorithm import DesignParameters
-from repro.core.index import problem_index
+from repro.core.index import ProblemIndex, problem_index
 from repro.core.serialization import solution_digest
 from repro.incremental import (
+    ProblemDelta,
     SinkChurnConfig,
     apply_delta,
     design_incremental,
@@ -78,8 +82,8 @@ def _scalar_state(problem, solution) -> ShardState:
             index.demand_stream[segment] * width + reflector,
             minlength=len(index.streams) * width,
         ),
-        replaced={},
-        audit=audit_solution(problem, solution),
+        unserved_demands=len(solution.unserved_demands()),
+        color_violations=len(oracle.color_violations(solution)),
     )
 
 
@@ -92,8 +96,15 @@ def _same_state(state: ShardState, reference: ShardState) -> None:
     )
     for name in ("loads", "delivered", "fractions", "pair_count"):
         assert np.array_equal(getattr(state, name), getattr(reference, name)), name
-    assert state.audit.loads == reference.audit.loads
-    assert dict(state.audit.weight_fraction) == dict(reference.audit.weight_fraction)
+    assert state.unserved_demands == reference.unserved_demands
+    assert state.color_violations == reference.color_violations
+    # The audit read off the state is the scalar audit of its design.
+    audit = state.solution_audit()
+    problem = reference.solution.problem
+    expected = oracle.audit_solution(problem, reference.solution)
+    assert audit_to_dict(audit) == audit_to_dict(expected)
+    assert audit.fanout_factor == expected.fanout_factor
+    assert dict(audit.weight_fraction) == expected.weight_fraction
 
 
 @pytest.fixture(scope="module")
@@ -168,17 +179,27 @@ def test_the_built_state_equals_the_scalar_state(sharded, monolithic):
     for problem, _parameters, result in (sharded, monolithic):
         reference = _scalar_state(problem, result.solution)
         _same_state(ShardState.of(problem, result.solution), reference)
-        _same_state(ShardState.of(problem, result.solution, result.audit), reference)
 
 
 def test_the_built_state_equals_the_stitched_one(sharded):
     problem, _parameters, result = sharded
-    built = ShardState.of(problem, result.solution)
-    _same_state(built, result.shard_state)
-    # A decoded audit has no loads, so the design is audited again.
+    _same_state(ShardState.of(problem, result.solution), result.shard_state)
     decoded = result_from_dict(json.loads(json.dumps(result_to_dict(result))), problem)
-    assert decoded.audit.loads is None
-    _same_state(ShardState.of(problem, decoded.solution, decoded.audit), result.shard_state)
+    _same_state(ShardState.of(problem, decoded.solution), result.shard_state)
+    assert audit_to_dict(result.shard_state.solution_audit()) == audit_to_dict(result.audit)
+
+
+def test_building_a_state_makes_one_pass_over_the_design(sharded, monkeypatch):
+    problem, _parameters, result = sharded
+    entries, passes = ProblemIndex.entries, []
+
+    def counted(index, keys, lists):
+        passes.append(len(keys))
+        return entries(index, keys, lists)
+
+    monkeypatch.setattr(ProblemIndex, "entries", counted)
+    ShardState.of(problem, result.solution).solution_audit()
+    assert passes == [problem.num_demands]
 
 
 def test_a_cache_hit_session_streams_the_carried_sessions_results(sharded):
@@ -210,8 +231,36 @@ def test_a_first_design_stitches_from_the_empty_state(sharded):
     lists = result.solution.assignments
     maps = [{key: lists[key] for key in shard.demand_keys if key in lists} for shard in plan.shards]
     empty = ShardState.empty(problem)
-    assert empty.audit is None and not empty.solution.assignments
+    assert not empty.solution.assignments
+    assert empty.unserved_demands == problem.num_demands and empty.color_violations == 0
     default, _report = stitch_assignments(problem, plan, maps)
     explicit, _report = stitch_assignments(problem, plan, maps, standing=empty)
     assert default.assignments == explicit.assignments
     assert solution_digest(default) == solution_digest(explicit)
+
+
+def test_an_empty_delta_carries_its_state_to_the_next_event(sharded, monkeypatch):
+    """A session alternating empty deltas with 1% sink churn builds no state on a churn event."""
+    problem, parameters, _result = sharded
+    session = DesignSession(problem, parameters=parameters, options=OPTIONS)
+    session.ensure_design()
+    built, of = [], ShardState.of.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(len(session.events))
+        return of(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ShardState, "of", classmethod(counted))
+    rng = np.random.default_rng(41)
+    for event in range(8):
+        if event % 2 == 0:
+            result = session.apply_delta(ProblemDelta())
+            assert result.metadata["incremental_identity"] is True
+            assert result.shard_state.solution is result.solution
+            assert audit_to_dict(result.audit) == audit_to_dict(
+                oracle.audit_solution(session.problem, result.solution)
+            )
+        else:
+            session.apply_delta(_delta(session.problem, rng, "sink-churn"))
+    # Each empty event (0, 2, 4, 6) built its own state; no churn event built one.
+    assert built == [0, 2, 4, 6]

@@ -11,11 +11,11 @@ the same stitch report.  The ``as_geo`` greedy designs overload shared
 reflectors, so the rebalance both moves and drops assignments there.
 
 An update's stitch carries the clean shards from the standing design's
-state, and its audit re-measures only the replaced demands.  Over a 50-event
-churn session at 1,000 sinks, each must equal the whole-problem stitch the
-carried one replaced (``stitch_oracle.full_stitch``) and a full audit; and
-at one dirty shard, their seconds may grow at most 3x from 1,000 to 10,000
-sinks.
+state, and the round's audit is read off the state the stitch leaves.  Over
+a 50-event churn session at 1,000 sinks, each stitch must equal the
+whole-problem stitch the carried one replaced (``stitch_oracle.full_stitch``)
+and each round's audit a full ``audit_solution``; and at one dirty shard,
+the stitch and audit seconds may grow at most 3x from 1,000 to 10,000 sinks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import numpy as np
 import pytest
 from stitch_oracle import carried_maps, full_stitch, stitch_solutions
 
+import repro.incremental.engine as engine
 import repro.scale.pipeline as shard_loop
+from repro.analysis.audit import audit_solution
 from repro.api import DesignRequest, design_batch, get_designer
 from repro.api.types import audit_to_dict, parameters_from_dict, parameters_to_dict
 from repro.core.algorithm import DesignParameters
@@ -117,7 +119,7 @@ def test_the_differential_exercises_the_rebalance(stitched):
 
 
 # ---------------------------------------------------------------------------
-# Updates: a stitch that carries the clean shards, and an audit of the changes
+# Updates: a stitch that carries the clean shards, and an audit off its state
 # ---------------------------------------------------------------------------
 
 CHURN_SINKS = 1000
@@ -136,10 +138,10 @@ def churn_rounds():
 
     ``stitches`` holds ``(carried, design, metadata, report, oracle design,
     oracle report)`` per stitch, the oracle being :func:`stitch_oracle.full_stitch`
-    over the maps the clean shards would hold; ``audits`` holds ``(incremental,
-    audit, full audit)``.
+    over the maps the clean shards would hold; ``audits`` holds ``(carried,
+    the round's audit, full audit)`` per round of the shard loop.
     """
-    stitch, audit = shard_loop.stitch_assignments, shard_loop.audit_solution
+    stitch, shard_round = shard_loop.stitch_assignments, shard_loop.run_shard_loop
     stitches, audits = [], []
 
     def stitched(problem, plan, shard_assignments, fanout_slack=4.0, standing=None):
@@ -154,17 +156,19 @@ def churn_rounds():
         )
         return design, report
 
-    def audited(problem, solution, previous=None, replaced=None):
-        result = audit(problem, solution, previous, replaced)
-        audits.append((previous is not None, result, audit(problem, solution)))
-        return result
+    def audited(problem, *args, standing=None, **kwargs):
+        result, shard_results = shard_round(problem, *args, standing=standing, **kwargs)
+        full = audit_solution(problem, result.solution)
+        audits.append((standing is not None, result.audit, full))
+        return result, shard_results
 
     problem, _registry = generate_internet_scale_problem(
         InternetScaleConfig(num_sinks=CHURN_SINKS), rng=6
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shard_loop, "stitch_assignments", stitched)
-        patch.setattr(shard_loop, "audit_solution", audited)
+        for module in (shard_loop, engine):
+            patch.setattr(module, "run_shard_loop", audited)
         session = DesignSession(problem, parameters=DesignParameters(seed=6), options={"jobs": 1})
         session.ensure_design()
         rng = np.random.default_rng(16)
@@ -186,12 +190,14 @@ def test_a_dirty_shard_stitch_matches_the_whole_problem_stitch(churn_rounds):
     assert any(report.demands_repaired for *_rest, report, _ref, _ref_report in stitches)
 
 
-def test_an_audit_of_the_changes_matches_the_full_audit(churn_rounds):
+def test_every_rounds_audit_matches_the_full_audit(churn_rounds):
     _stitches, audits = churn_rounds
-    assert sum(incremental for incremental, *_rest in audits) == CHURN_EVENTS
-    for _incremental, audit, reference in audits:
+    assert len(audits) == CHURN_EVENTS + 1
+    assert sum(carried for carried, *_rest in audits) == CHURN_EVENTS
+    for _carried, audit, reference in audits:
+        assert audit.summary() == reference.summary()
         assert audit_to_dict(audit) == audit_to_dict(reference)
-        assert audit.loads == reference.loads
+        assert audit.fanout_factor == reference.fanout_factor
         assert audit.weight_fraction == reference.weight_fraction
 
 
