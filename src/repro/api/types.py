@@ -20,7 +20,9 @@ request to serialize.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -250,6 +252,9 @@ class DesignResult:
         of this design starts from (never serialized; ``None`` after a
         round-trip, and then the update builds the state from the design
         first, :meth:`~repro.scale.stitch.ShardState.of`).
+
+    A result served from the cache (:func:`stored_result`) decodes its
+    ``solution`` and ``audit`` from the stored document on first read.
     """
 
     strategy: str
@@ -289,6 +294,51 @@ class DesignResult:
             info["rounding_attempts"] = self.report.rounding_attempts
         info["stage_seconds"] = dict(self.stage_seconds)
         return info
+
+
+#: Held while a stored document is decoded, so threads reading one result
+#: decode it once and see one solution and one audit.
+_DECODING = threading.Lock()
+
+
+class _StoredDocument:
+    """A stored result document and the problem it is read against.
+
+    A result served from the cache holds one in place of its solution and
+    its audit; the first read of either decodes the document through
+    :func:`result_from_dict`, once for both.
+    """
+
+    def __init__(self, document: dict[str, Any], problem: OverlayDesignProblem) -> None:
+        self.document, self.problem, self._result = document, problem, None
+
+    def decoded(self) -> DesignResult:
+        with _DECODING:
+            if self._result is None:
+                self._result = result_from_dict(self.document, self.problem)
+        return self._result
+
+
+class _DecodedOnRead:
+    """A :class:`DesignResult` field that may hold a :class:`_StoredDocument` until read."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result: DesignResult | None, owner: type | None = None) -> Any:
+        if result is None:
+            return self
+        value = result.__dict__[self.name]
+        if type(value) is _StoredDocument:
+            value = result.__dict__[self.name] = getattr(value.decoded(), self.name)
+        return value
+
+    def __set__(self, result: DesignResult, value: Any) -> None:
+        result.__dict__[self.name] = value
+
+
+DesignResult.solution = _DecodedOnRead("solution")
+DesignResult.audit = _DecodedOnRead("audit")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +472,40 @@ def result_from_dict(
     (no ``cache`` block) load with ``cache=None``.
     """
     return RESULT.decode(data)(problem)
+
+
+def stored_result(document: dict[str, Any], problem: OverlayDesignProblem) -> DesignResult:
+    """The result a stored :func:`result_to_dict` document holds, against ``problem``.
+
+    For the serving cache's own documents: nothing is checked or decoded.
+    The scalars and copies of the maps are read off the document, so editing
+    the result never edits it; the solution and the audit are decoded
+    through :func:`result_from_dict` on first read (:func:`unread_document`
+    tells whether they have been).  Documents from elsewhere go through
+    :func:`result_from_dict`.
+    """
+    stored = _StoredDocument(document, problem)
+    return DesignResult(
+        strategy=document["strategy"],
+        solution=stored,
+        lower_bound=document["lower_bound"],
+        stage_seconds=dict(document["stage_seconds"]),
+        audit=stored,
+        metadata=dict(document["metadata"]),
+        evaluation=copy.deepcopy(document["evaluation"]),
+    )
+
+
+def unread_document(result: DesignResult) -> dict[str, Any] | None:
+    """The document a :func:`stored_result` holds while neither its solution nor
+    its audit has been read, else ``None``.
+
+    The document is the cache's own: write it out, never change it.
+    """
+    stored = result.__dict__["solution"]
+    if type(stored) is _StoredDocument and result.__dict__["audit"] is stored:
+        return stored.document
+    return None
 
 
 __all__ = [

@@ -18,9 +18,10 @@ import json
 from collections import namedtuple
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.core.problem import Demand, OverlayDesignProblem, _spliced
+from repro.core.problem import Demand, OverlayDesignProblem, StreamEdge, _spliced
 from repro.core.schema import (
     ANY,
     NUMBER,
@@ -401,23 +402,48 @@ def _text(value: Any) -> str:
 
 
 def _float_texts(values: Sequence[float]) -> list[str]:
-    """Canonical text of each float in ``values``, in order.
+    """``json.dumps(round(v, 9))`` of each value in ``values``, in order.
 
-    ``json`` writes the whole rounded column in one call; no float's text
-    contains ``", "``, so the column splits back into one text per value.
+    A float with ``1e-4 <= |v| < 1e6`` is written as ``'%.9f' % v`` less its
+    trailing zeros: ``round`` and ``'%.9f'`` give the same correctly rounded
+    9-place decimal, which has at most 15 significant digits, so ``repr``
+    writes the rounded float as that decimal, in positional notation.  One
+    conversion instead of two; every other value takes the ``json`` path.
     """
-    if not values:
-        return []
-    return json.dumps(list(map(round, values, repeat(9))))[1:-1].split(", ")
+    texts = []
+    append = texts.append
+    for value in values:
+        if type(value) is float and 1e-4 <= abs(value) < 1e6:
+            text = ("%.9f" % value).rstrip("0")
+            append(text + "0" if text[-1] == "." else text)
+        else:
+            append(json.dumps(round(value, 9)))
+    return texts
 
 
-# problem_to_dict's delivery-edge and demand entries and its document, keys
-# in sorted order (tests/test_digest.py holds them to the old encoder).
+# problem_to_dict's entries and its document, keys in sorted order
+# (tests/test_digest.py holds them to the old encoder).
+_STREAM = '{"bandwidth": %s, "name": %s}'
+_REFLECTOR = '{"capacity": %s, "color": %s, "cost": %s, "fanout": %s, "name": %s}'
+_STREAM_EDGE = '{"cost": %s, "loss_probability": %s, "reflector": %s, "stream": %s}'
 _DELIVERY_EDGE = (
     '{"capacity": %s, "cost": %s, "loss_probability": %s, "reflector": %s, '
     '"sink": %s, "stream_costs": %s}'
 )
 _DEMAND = '{"sink": %s, "stream": %s, "success_threshold": %s}'
+
+
+def _filled(template: str, *columns: Iterable[str]) -> Iterator[str]:
+    """``template % row`` for each row of the text ``columns``, in order.
+
+    Each row is joined from the template's pieces and its texts by one
+    ``str.join``, which costs about a third of what ``%`` costs per row.
+    """
+    pieces = template.split("%s")
+    parts: list[Iterable[str]] = [repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += (column, repeat(piece))
+    return map("".join, zip(*parts))
 
 
 class _NameTexts(dict):
@@ -429,7 +455,8 @@ class _NameTexts(dict):
 
 
 def _link_texts(
-    links: Sequence[tuple[str, str, float, float]],
+    keys: Sequence[tuple[str, str]],
+    values: Sequence[tuple[float, float]],
     streams: list[str],
     names: dict[str, str],
     overrides: dict[tuple[str, str], dict[str, float]],
@@ -437,24 +464,25 @@ def _link_texts(
 ) -> Iterator[str]:
     """Canonical texts of the links, as problem_to_dict writes them, in order.
 
-    ``links`` holds ``(reflector, sink, loss, base cost)`` rows.  A link's
-    ``cost`` is its cost for the smallest stream name and ``stream_costs``
-    lists the streams whose rounded cost differs from it.  problem_to_dict
-    compares unrounded costs; comparing the rounded ones keeps float noise
-    out of the digest.  Only links with per-stream overrides need that
-    per-stream pass; the rest write their base cost and ``{}``.
+    ``keys`` holds each link's ``(reflector, sink)`` and ``values`` its
+    ``(loss, base cost)``, the problem's own pairs: the columns are read off
+    them without a new tuple per link, so a large problem's digest does not
+    set off the garbage collector.  A link's ``cost`` is its cost for the
+    smallest stream name and ``stream_costs`` lists the streams whose
+    rounded cost differs from it.  problem_to_dict compares unrounded costs;
+    comparing the rounded ones keeps float noise out of the digest.  Only
+    links with per-stream overrides need that per-stream pass; the rest
+    write their base cost and ``{}``.
     """
-    if not links:
-        return iter(())
-    reflectors, sinks, losses, costs = zip(*links)
-    stream_costs = ["{}"] * len(links)
+    first, second = itemgetter(0), itemgetter(1)
+    costs = list(map(second, values))
+    stream_costs = ["{}"] * len(keys)
     if not streams:
-        costs = (0.0,) * len(links)
+        costs = [0.0] * len(keys)
     elif overrides:
         reference = min(streams)
-        costs = list(costs)
-        for index, (reflector, sink, _loss, base) in enumerate(links):
-            own = overrides.get((reflector, sink), {})
+        for index, (key, base) in enumerate(zip(keys, costs)):
+            own = overrides.get(key, {})
             per_stream = {stream: own.get(stream, base) for stream in streams}
             cost = costs[index] = per_stream[reference]
             differing = {
@@ -463,32 +491,57 @@ def _link_texts(
             if differing:
                 stream_costs[index] = _text(differing)
     capacity_texts = (
-        [_text(capacities.get(key)) for key in zip(reflectors, sinks)]
-        if capacities
-        else ["null"] * len(links)
+        [_text(capacities.get(key)) for key in keys] if capacities else ["null"] * len(keys)
     )
-    return map(
-        _DELIVERY_EDGE.__mod__,
-        zip(
-            capacity_texts,
-            _float_texts(costs),
-            _float_texts(losses),
-            map(names.__getitem__, reflectors),
-            map(names.__getitem__, sinks),
-            stream_costs,
-        ),
+    return _filled(
+        _DELIVERY_EDGE,
+        capacity_texts,
+        _float_texts(costs),
+        _float_texts(list(map(first, values))),
+        map(names.__getitem__, map(first, keys)),
+        map(names.__getitem__, map(second, keys)),
+        stream_costs,
     )
 
 
 def _demand_texts(demands: list[Demand], names: dict[str, str]) -> Iterator[str]:
     """Canonical texts of the demands, as problem_to_dict writes them, in order."""
-    return map(
-        _DEMAND.__mod__,
-        zip(
-            [names[demand.sink] for demand in demands],
-            [names[demand.stream] for demand in demands],
-            _float_texts([demand.success_threshold for demand in demands]),
-        ),
+    return _filled(
+        _DEMAND,
+        [names[demand.sink] for demand in demands],
+        [names[demand.stream] for demand in demands],
+        _float_texts([demand.success_threshold for demand in demands]),
+    )
+
+
+def _stream_texts(problem: OverlayDesignProblem, names: dict[str, str]) -> Iterator[str]:
+    """Canonical texts of the streams, as problem_to_dict writes them, in order."""
+    streams = problem.streams
+    bandwidths = _float_texts(list(map(problem.stream_bandwidth, streams)))
+    return _filled(_STREAM, bandwidths, map(names.__getitem__, streams))
+
+
+def _reflector_texts(problem: OverlayDesignProblem, names: dict[str, str]) -> Iterator[str]:
+    """Canonical texts of the reflectors, as problem_to_dict writes them, in order."""
+    infos = list(map(problem.reflector_info, problem.reflectors))
+    return _filled(
+        _REFLECTOR,
+        [_text(info.capacity) for info in infos],
+        [_text(info.color) for info in infos],
+        _float_texts([info.cost for info in infos]),
+        [_text(info.fanout) for info in infos],
+        [names[info.name] for info in infos],
+    )
+
+
+def _stream_edge_texts(edges: list[StreamEdge], names: dict[str, str]) -> Iterator[str]:
+    """Canonical texts of the stream edges, as problem_to_dict writes them, in order."""
+    return _filled(
+        _STREAM_EDGE,
+        _float_texts([edge.cost for edge in edges]),
+        _float_texts([edge.loss_probability for edge in edges]),
+        [names[edge.reflector] for edge in edges],
+        [names[edge.stream] for edge in edges],
     )
 
 
@@ -518,20 +571,21 @@ def _entry_texts(
 ) -> tuple[list[str], list[str], list[str]]:
     """The texts of the named stream edges, links and demands that ``problem`` has."""
     edges = [problem.stream_edge(*key) for key in stream_edges if problem.has_stream_edge(*key)]
-    rows, overrides, capacities = [], {}, {}
+    keys, values, overrides, capacities = [], [], {}, {}
     for key in links:
         link = problem._link(key)
         if link is not None:
             loss, cost, own, capacity = link
-            rows.append((*key, loss, cost))
+            keys.append(key)
+            values.append((loss, cost))
             if own:
                 overrides[key] = own
             if capacity is not None:
                 capacities[key] = capacity
     found = [demand for demand in map(problem._demand, demands) if demand is not None]
     return (
-        list(map(_text, STREAM_EDGES.encode(edges))),
-        list(_link_texts(rows, problem.streams, names, overrides, capacities)),
+        list(_stream_edge_texts(edges, names)),
+        list(_link_texts(keys, values, problem.streams, names, overrides, capacities)),
         list(_demand_texts(found, names)),
     )
 
@@ -609,12 +663,6 @@ def _hashed(texts: _Texts) -> str:
     return digest.hexdigest()[:16]
 
 
-def _encoded(table: str, problem: OverlayDesignProblem) -> list[dict[str, Any]]:
-    """``problem_to_dict(problem)[table]``, without encoding the other tables."""
-    field = PROBLEM[table]
-    return field.codec.encode(field.get(problem))
-
-
 def _problem_digest(problem: OverlayDesignProblem) -> str:
     """One pass over the problem's tables; see :func:`problem_digest`.
 
@@ -622,20 +670,17 @@ def _problem_digest(problem: OverlayDesignProblem) -> str:
     """
     streams = problem.streams
     sinks = sorted(problem.sinks)
-    # Each name's JSON text, escaped once however often the name is used.
-    names = {
-        name: encode_basestring_ascii(name) if isinstance(name, str) else _text(name)
-        for name in streams + problem.reflectors + sinks
-    }
+    names = _NameTexts()
     texts = problem._texts = _Texts(
-        streams=", ".join(sorted(map(_text, _encoded("streams", problem)))),
-        reflectors=", ".join(sorted(map(_text, _encoded("reflectors", problem)))),
-        stream_edges=sorted(map(_text, _encoded("stream_edges", problem))),
+        streams=", ".join(sorted(_stream_texts(problem, names))),
+        reflectors=", ".join(sorted(_reflector_texts(problem, names))),
+        stream_edges=sorted(_stream_edge_texts(problem.stream_edges(), names)),
         sink_names=sinks,
         sinks=list(map(names.__getitem__, sinks)),
         links=sorted(
             _link_texts(
-                problem.delivery_link_data(),
+                list(problem._delivery_links),
+                list(problem._delivery_links.values()),
                 streams,
                 names,
                 problem.delivery_stream_cost_overrides(),

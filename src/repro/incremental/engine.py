@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from itertools import chain
 from typing import Mapping
@@ -177,10 +178,11 @@ def design_incremental(
     bare solution, a decoded or cached result, a monolithic design) it is
     built from the design with :meth:`ShardState.of`.  An empty delta
     returns the standing design bit-identically (same assignments, rebound
-    to ``new_problem``) with the state ``ShardState.of`` builds for it, so
-    the next update carries that state.  The result's metadata carries the
-    impact analysis (`incremental_*`), the delta summary (`delta_*`) and
-    the stitch report (`stitch_*`).
+    to ``new_problem``) with its state against ``new_problem`` -- the
+    carried one by the same rule, so a session's empty event makes no pass
+    over the design -- and the next update carries that state.  The
+    result's metadata carries the impact analysis (`incremental_*`), the
+    delta summary (`delta_*`) and the stitch report (`stitch_*`).
     """
     opts = incremental_options(options)
     parameters = parameters if parameters is not None else DesignParameters()
@@ -209,11 +211,12 @@ def design_incremental(
 
     if delta.is_empty:
         start = time.perf_counter()
-        state = ShardState.of(new_problem, standing)
-        state.solution.metadata = {
-            **standing.metadata,
-            "algorithm": f"{INCREMENTAL_PREFIX}{inner.name}",
-        }
+        # The standing design's state against the new problem: the carried
+        # one when it describes it (a session event), else one pass.  The
+        # identity design shares its lists; only its metadata is new.
+        state = _standing_state(previous, new_problem)
+        metadata = {**standing.metadata, "algorithm": f"{INCREMENTAL_PREFIX}{inner.name}"}
+        state = replace(state, solution=replace(state.solution, metadata=metadata))
         audit = state.solution_audit()
         audit_seconds = time.perf_counter() - start
         return DesignResult(

@@ -9,7 +9,9 @@ content-addressed :class:`~repro.serve.cache.ArtifactCache`:
 * whole-result: a repeat-digest request is answered from the cached
   serialized :class:`~repro.api.DesignResult` document, bit-identical to the
   original compute (the cache stores the document, not the live object);
-  the document holds the evaluation sweep when the request asked for one;
+  the document holds the evaluation sweep when the request asked for one.
+  A hit decodes nothing: its solution and audit are decoded from the
+  document on first read (:func:`repro.api.types.stored_result`);
 * partition plans: ``sharded:*`` strategies reuse the plan line keyed on
   problem digest + partitioner knobs.
 
@@ -22,16 +24,12 @@ on ``DesignResult.cache``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from typing import Any
 
 from repro.api.registry import get_designer
-from repro.api.types import (
-    DesignRequest,
-    DesignResult,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.api.types import DesignRequest, DesignResult, result_to_dict, stored_result
 from repro.core.serialization import problem_digest
 from repro.serve.cache import ArtifactCache, plan_key, request_digest
 
@@ -68,7 +66,7 @@ def run_request_cached(
     if r_digest is not None:
         entry = cache.get("result", r_digest)
         if entry is not None:
-            result = result_from_dict(entry["document"], request.problem)
+            result = stored_result(entry["document"], request.problem)
             result.request_id = request.request_id
             result.cache = {
                 "request_digest": r_digest,
@@ -103,9 +101,13 @@ def run_request_cached(
 
     if r_digest is not None:
         # The stored payload is the pure computation: provenance is stamped
-        # per retrieval, never cached (a hit must say it was a hit).
-        document = dict(result_to_dict(result))
+        # per retrieval, never cached (a hit must say it was a hit).  The
+        # encoding shares only the sweep's maps with ``result``; the stored
+        # document keeps copies, so a caller editing the result cannot edit
+        # a later hit.
+        document = result_to_dict(result)
         document["cache"] = None
+        document["evaluation"] = copy.deepcopy(document["evaluation"])
         cache.put(
             "result", r_digest, {"document": document, "problem_digest": p_digest}
         )

@@ -40,6 +40,7 @@ from repro.api.types import (
     DesignResult,
     request_from_dict,
     result_to_dict,
+    unread_document,
 )
 from repro.core.serialization import DocumentError
 from repro.serve.cache import ArtifactCache, request_digest
@@ -313,7 +314,21 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (ValueError, KeyError) as error:
             self._respond(400, {"error": str(error)})
             return
-        self._respond(200, result_to_dict(result))
+        self._respond(200, _response_document(result))
+
+
+def _response_document(result: DesignResult) -> dict:
+    """The ``/design`` response body of ``result``: ``result_to_dict(result)``.
+
+    A cache hit whose solution and audit nobody has read yet is written as
+    the document it was served from, with its own ``cache`` and
+    ``request_id`` spliced in: the same document, with no decode and no
+    re-encode.
+    """
+    stored = unread_document(result)
+    if stored is None:
+        return result_to_dict(result)
+    return {**stored, "cache": result.cache, "request_id": result.request_id}
 
 
 class DesignServer:
@@ -380,14 +395,17 @@ def run_self_test(verbose: bool = True) -> dict:
 
     * every served payload is bit-identical to a direct, cache-free
       :func:`repro.api.run_request` run (modulo timings and the ``cache``
-      provenance block);
+      provenance block), and so is the body the HTTP front writes for the
+      replayed request (a cache hit, written from its stored document);
     * the session event matches a standalone ``design_incremental`` call;
     * the cache saw at least one hit.
 
     Returns a JSON-friendly report; raises ``AssertionError`` on violation.
     """
+    import urllib.request
+
     from repro.api.registry import run_request
-    from repro.api.types import EvaluationSpec
+    from repro.api.types import EvaluationSpec, request_to_dict
     from repro.core.algorithm import DesignParameters
     from repro.core.serialization import solution_digest
     from repro.incremental.churn import SinkChurnConfig, churn_stream
@@ -457,6 +475,26 @@ def run_self_test(verbose: bool = True) -> dict:
                 "direct run_request"
             )
             checks.append(f"{request.request_id}: bit-identical to direct run")
+
+        # HTTP leg: the replay request over the front, a hit it writes from
+        # the stored document.  The body must be the direct payload's bytes.
+        post = urllib.request.Request(
+            server.url + "/design",
+            data=json.dumps(request_to_dict(requests[-1])).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(post, timeout=120) as response:
+            body = json.loads(response.read())
+        assert body["cache"]["served_from_cache"], "expected the HTTP replay to be a cache hit"
+        direct = result_to_dict(run_request(requests[-1]))
+        for document in (body, direct):
+            for key in ("stage_seconds", "cache", "request_id"):
+                document.pop(key, None)
+        assert json.dumps(body, sort_keys=True) == json.dumps(direct, sort_keys=True), (
+            "the HTTP body of the replayed request diverges from direct run_request"
+        )
+        checks.append("replay over HTTP: body bit-identical to direct run")
 
         # Churn leg: one session event vs a standalone incremental call.
         session = DesignSession(

@@ -9,6 +9,8 @@ with rounded ones, and to the oracle's rounded mode everywhere.
 from __future__ import annotations
 
 import copy
+import json
+import math
 import pickle
 import random
 import sys
@@ -441,3 +443,58 @@ def test_cached_run_digests_the_problem_once(counted):
     request = DesignRequest(problem=_serving_problem(), parameters=DesignParameters(seed=3))
     run_request_cached(request, ArtifactCache())
     assert _full_size(counted, request.problem) == 1
+
+
+# ---------------------------------------------------------------------------
+# Float texts: the fixed-point path against the json path it stands in for
+# ---------------------------------------------------------------------------
+
+
+def _json_texts(values: list[float]) -> list[str]:
+    return [json.dumps(round(value, 9)) for value in values]
+
+
+#: Zeros and subnormals (the json path); both ends of the fixed-point range
+#: and the floats beside them; values that round across an end; and values
+#: halfway between two 9-place decimals, in decimal and exactly in binary.
+FLOAT_TEXT_EDGES = [
+    0.0,
+    5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    5e-05,
+    0.0001,
+    0.00009999999995,
+    math.nextafter(0.0001, 0.0),
+    math.nextafter(0.0001, 1.0),
+    999999.9999999996,
+    math.nextafter(1e6, 0.0),
+    1e6,
+    1e16,
+    0.1234567885,
+    0.0009765625,
+    1907.3486328125,
+    0.5,
+    1.0,
+    123456.0,
+]
+
+
+def test_float_texts_match_the_json_path_on_edge_values():
+    values = FLOAT_TEXT_EDGES + [-value for value in FLOAT_TEXT_EDGES]
+    assert serialization._float_texts(values) == _json_texts(values)
+    assert serialization._float_texts([-0.0]) == ["-0.0"]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-2e6, max_value=2e6),
+            # Near a tie between two 9-place decimals.
+            st.integers(-(10**15), 10**15).map(lambda k: (k + 0.5) / 10**9),
+        )
+    )
+)
+def test_float_texts_match_the_json_path(values):
+    assert serialization._float_texts(values) == _json_texts(values)

@@ -5,7 +5,8 @@ accessors, the repair pass, the stitch's weight passes and the feasibility
 report as they read the problem before it had an index.  While the corpus
 below is designed, every call the program makes to the audit, the repair,
 the stitch and ``feasibility_report`` is recorded and re-run through the
-oracle on the same inputs, and the two must agree with ``==``:
+oracle on the same inputs, and the two must agree with ``==`` (canonical
+digests first, so a failing comparison reports fast):
 ``audit_to_dict`` (plus every demand's ``weight_satisfaction`` and the
 solution's ``max_fanout_factor``), the repaired assignments, the stitched
 assignments with ``StitchReport.as_metadata()``, and the feasibility issues.
@@ -35,6 +36,8 @@ decision could depend on that order (``index_oracle.repair_decision_ties``).
 
 from __future__ import annotations
 
+from typing import Any
+
 import index_oracle as oracle
 import numpy as np
 import pytest
@@ -55,7 +58,7 @@ from repro.core.extensions import color_constrained_parameters
 from repro.core.formulation import ExtensionOptions
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
-from repro.core.serialization import problem_to_dict
+from repro.core.serialization import canonical_digest, problem_to_dict
 from repro.incremental import SinkChurnConfig, flash_crowd_delta, sample_sink_churn
 from repro.scale.partition import _isp_groups, build_partition, extract_shard_problem
 from repro.serve import DesignSession
@@ -285,27 +288,51 @@ def recorded() -> Recorder:
     return recorder
 
 
+def _differing(program: Any, reference: Any) -> list:
+    """The first keys (or positions) at which two recorded values differ."""
+    if isinstance(program, dict) and isinstance(reference, dict):
+        keys = sorted(program.keys() | reference.keys(), key=repr)
+        return [key for key in keys if program.get(key) != reference.get(key)][:5]
+    if isinstance(program, list) and isinstance(reference, list):
+        pairs = enumerate(zip(program, reference))
+        return [at for at, (one, other) in pairs if one != other][:5] or ["length"]
+    return [program, reference]
+
+
+def _same(program: Any, reference: Any) -> None:
+    """``program == reference``, their canonical digests compared first.
+
+    pytest explains a failing ``==`` of two whole documents by diffing
+    their values, a cost that grows with their size; a failing digest
+    comparison reports two short strings and where the values differ.
+    """
+    assert canonical_digest(program) == canonical_digest(reference), _differing(
+        program, reference
+    )
+    assert program == reference
+
+
 def test_audits_match_the_scalar_audit(recorded):
     assert len(recorded.audits) > 100
     for program, reference in recorded.audits:
-        assert program == reference
+        _same(program, reference)
 
 
 def test_every_sharded_rounds_audit_matches_the_scalar_audit(recorded):
     assert len(recorded.round_audits) > 70
     for program, reference in recorded.round_audits:
-        assert program == reference
+        _same(program, reference)
 
 
 def test_solution_accessors_match(recorded):
     for program, reference in recorded.accessors:
-        assert program == reference
+        _same(program, reference)
 
 
 def test_repairs_match_the_scalar_repair(recorded):
     assert len(recorded.repairs) > 50
     for program, reference in recorded.repairs:
-        assert program == reference
+        _same(program, reference)
 
 
 def test_no_repair_decision_depends_on_the_summation_order(recorded):
@@ -315,15 +342,15 @@ def test_no_repair_decision_depends_on_the_summation_order(recorded):
 def test_stitches_match_the_scalar_stitch(recorded):
     assert len(recorded.stitches) > 60
     for program, reference in recorded.stitches:
-        assert program == reference
+        _same(program, reference)
     for program, reference in recorded.reports:
-        assert program == reference
+        _same(program, reference)
 
 
 def test_feasibility_reports_match(recorded):
     assert len(recorded.feasibility) > 50
     for program, reference in recorded.feasibility:
-        assert program == reference
+        _same(program, reference)
     assert any(program != "[]" for program, _reference in recorded.feasibility)
 
 

@@ -36,6 +36,8 @@ from repro.serve import (
     run_request_cached,
 )
 from repro.serve.cache import plan_key, request_digest
+from repro.api.types import unread_document
+from repro.serve.service import _response_document
 from repro.workloads.random_instances import RandomInstanceConfig, random_problem
 
 
@@ -422,6 +424,221 @@ class TestRunRequestCached:
         for _event, delta, _new in churn_stream(problem, events, seed=5):
             session.apply_delta(delta)
         assert set(cache.stats().by_namespace) == {"result", "plan"}
+
+
+# ---------------------------------------------------------------------------
+# Served hits: decoded on first read, written as stored
+# ---------------------------------------------------------------------------
+
+SWEEP = EvaluationSpec(scenarios=("baseline", "isp-outage"), trials=2, num_packets=200, window=40)
+
+
+def _hit_requests(problem, parameters) -> dict[str, DesignRequest]:
+    return {
+        "sharded:spaa03": DesignRequest(
+            problem=problem,
+            parameters=parameters,
+            strategy="sharded:spaa03",
+            options={"shards": 2, "jobs": 1},
+        ),
+        "spaa03": DesignRequest(problem=problem, parameters=parameters),
+        "evaluated": DesignRequest(problem=problem, parameters=parameters, evaluation=SWEEP),
+    }
+
+
+def _payload(document: dict) -> str:
+    """A response document minus what differs between deliveries, as JSON text."""
+    document = dict(document)
+    for key in ("stage_seconds", "cache", "request_id"):
+        document.pop(key, None)
+    return json.dumps(document, sort_keys=True)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count the assignment checks and solution builds a decode makes."""
+    import repro.core.serialization as serialization
+    from repro.core.solution import OverlaySolution
+
+    counts = {"checked": 0, "built": 0}
+    check, build = serialization._check_assignments, OverlaySolution.from_assignments.__func__
+
+    def checked(*args, **kwargs):
+        counts["checked"] += 1
+        return check(*args, **kwargs)
+
+    def built(cls, *args, **kwargs):
+        counts["built"] += 1
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(serialization, "_check_assignments", checked)
+    monkeypatch.setattr(OverlaySolution, "from_assignments", classmethod(built))
+    return counts
+
+
+class TestServedHits:
+    def test_a_hit_decodes_nothing_until_read(self, problem, parameters, decodes):
+        cache = ArtifactCache()
+        request = DesignRequest(problem=problem, parameters=parameters)
+        run_request_cached(request, cache)
+        decodes.update(checked=0, built=0)
+        hit = run_request_cached(request, cache)
+        assert hit.cache["served_from_cache"]
+        assert hit.strategy == "spaa03" and hit.metadata and hit.stage_seconds
+        assert decodes == {"checked": 0, "built": 0}
+        assert unread_document(hit) is not None
+        audit = hit.audit
+        assert decodes == {"checked": 1, "built": 1}
+        # One decode serves both fields.
+        assert hit.solution.problem is problem
+        assert decodes == {"checked": 1, "built": 1}
+        assert hit.audit is audit
+        assert unread_document(hit) is None
+
+    def test_threads_reading_one_hit_decode_it_once(self, problem, parameters, decodes):
+        import sys
+
+        cache = ArtifactCache()
+        request = DesignRequest(problem=problem, parameters=parameters)
+        run_request_cached(request, cache)
+        hit = run_request_cached(request, cache)
+        decodes.update(checked=0, built=0)
+        start, seen = threading.Barrier(8), []
+
+        def read():
+            start.wait(timeout=30)
+            seen.append((hit.solution, hit.audit))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert decodes == {"checked": 1, "built": 1}
+        assert all(pair[0] is hit.solution and pair[1] is hit.audit for pair in seen)
+
+    def test_a_read_hit_equals_the_eager_decode(self, problem, parameters):
+        for request in _hit_requests(problem, parameters).values():
+            cache = ArtifactCache()
+            run_request_cached(request, cache)
+            hit = run_request_cached(request, cache)
+            entry = cache.get("result", hit.cache["request_digest"])
+            eager = result_from_dict(entry["document"], request.problem)
+            eager.cache, eager.request_id = hit.cache, hit.request_id
+            assert hit == eager
+
+    def test_a_joined_ticket_re_stamps_a_hit(self, problem, parameters):
+        from concurrent.futures import Future
+
+        from repro.serve import DesignTicket
+
+        cache = ArtifactCache()
+        request = DesignRequest(problem=problem, parameters=parameters, request_id="first")
+        direct = run_request_cached(request, cache)
+        hit = run_request_cached(request, cache)
+        future: Future = Future()
+        future.set_result(hit)
+        ticket = DesignTicket(
+            request_id="joined",
+            digest=hit.cache["request_digest"],
+            deduplicated=True,
+            future=future,
+        )
+        joined = ticket.result()
+        assert joined.request_id == "joined"
+        assert joined.cache["deduplicated"] is True and joined.cache["served_from_cache"]
+        assert "deduplicated" not in hit.cache and hit.request_id == "first"
+        assert _payload(result_to_dict(joined)) == _payload(result_to_dict(direct))
+
+    def test_editing_a_returned_result_leaves_later_hits_alone(self, problem, parameters):
+        request = _hit_requests(problem, parameters)["evaluated"]
+        expected = _payload(result_to_dict(get_designer("spaa03").design(request)))
+        cache = ArtifactCache()
+        miss = run_request_cached(request, cache)
+        hit = run_request_cached(request, cache)
+        for result in (miss, hit):
+            for metrics in result.evaluation.values():
+                for metric in metrics:
+                    metrics[metric] = -1.0
+            result.metadata["edited"] = True
+            result.stage_seconds.clear()
+            document = result_to_dict(result)
+            for metrics in document["evaluation"].values():
+                metrics.clear()
+            document["metadata"]["edited"] = True
+            document["solution"]["summary"]["total_cost"] = -1.0
+            document["solution"]["metadata"]["edited"] = True
+            for entry in document["solution"]["assignments"]:
+                entry["reflectors"].append("edited")
+            document["audit"]["weight_fraction"][0][2] = -1.0
+            document["audit"]["fanout_factor"].clear()
+            for reflectors in result.solution.assignments.values():
+                reflectors.append("edited")
+        later = run_request_cached(request, cache)
+        assert later.cache["served_from_cache"]
+        assert _payload(_response_document(later)) == expected
+        assert _payload(result_to_dict(later)) == expected
+
+    @pytest.mark.parametrize("kind", ["sharded:spaa03", "spaa03", "evaluated"])
+    def test_read_and_unread_hits_write_the_direct_payload(self, problem, parameters, kind):
+        from repro.api import run_request
+
+        request = _hit_requests(problem, parameters)[kind]
+        expected = _payload(result_to_dict(run_request(request)))
+        cache = ArtifactCache()
+        run_request_cached(request, cache)
+        unread, read = run_request_cached(request, cache), run_request_cached(request, cache)
+        assert read.solution is not None and read.audit is not None
+        assert unread_document(unread) is not None and unread_document(read) is None
+        body = _response_document(unread)
+        assert body["cache"] == unread.cache and body["request_id"] == unread.request_id
+        assert _payload(body) == expected
+        # Writing an unread hit leaves it unread; encoding it reads it.
+        assert unread_document(unread) is not None
+        assert _payload(result_to_dict(unread)) == expected
+        assert unread_document(unread) is None
+        assert _payload(_response_document(read)) == expected
+
+    def test_a_session_started_from_a_hit_runs_its_first_event(self, problem, parameters):
+        options = {"shards": 2, "jobs": 1}
+        cache = ArtifactCache()
+        sessions = [
+            DesignSession(
+                problem,
+                strategy="sharded:spaa03",
+                parameters=parameters,
+                options=options,
+                cache=cache,
+            )
+            for _ in range(2)
+        ]
+        standing = sessions[0].ensure_design()
+        session = sessions[1]
+        initial = session.ensure_design()
+        assert initial.cache["served_from_cache"] and unread_document(initial) is not None
+        _event, delta, new_problem = next(
+            churn_stream(
+                problem, ["sink-churn"], seed=3, churn_config=SinkChurnConfig(fraction=0.15)
+            )
+        )
+        served = session.apply_delta(delta)
+        direct = design_incremental(
+            standing,
+            new_problem,
+            parameters,
+            options=options,
+            previous_problem=problem,
+            delta=delta,
+        )
+        assert solution_digest(served.solution) == solution_digest(direct.solution)
+        assert served.shard_state is not None
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ the sharded design's own result, or, for the monolithic design, a state
 built entry by entry with the scalar accessors.  A built state's fields, and
 the audit read off it, must equal the scalar ones.  A session whose initial
 design is a cache hit must stream the same results as one whose initial
-design it computed; an empty delta's result carries its state, so the next
-event builds none; and a first design stitches from the empty design's
-state whether or not the caller passes it.
+design it computed; an empty delta's result reuses the state the standing
+result carries and carries it on, so neither it nor the next event builds
+one; and a first design stitches from the empty design's state whether or
+not the caller passes it.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import index_oracle as oracle
 import numpy as np
@@ -240,9 +242,40 @@ def test_a_first_design_stitches_from_the_empty_state(sharded):
 
 
 def test_an_empty_delta_carries_its_state_to_the_next_event(sharded, monkeypatch):
-    """A session alternating empty deltas with 1% sink churn builds no state on a churn event."""
+    """A session alternating empty deltas with 1% sink churn builds no state after set-up.
+
+    Its results equal, document for document, those of a session whose empty
+    events build the standing state with ``ShardState.of`` (the carried state
+    dropped first), which is what every empty event did before it reused it.
+    """
     problem, parameters, _result = sharded
-    session = DesignSession(problem, parameters=parameters, options=OPTIONS)
+
+    def play(session, before_empty=None):
+        session.ensure_design()
+        rng = np.random.default_rng(41)
+        for event in range(8):
+            if event % 2 == 0:
+                if before_empty is not None:
+                    before_empty(session)
+                result = session.apply_delta(ProblemDelta())
+                assert result.metadata["incremental_identity"] is True
+                assert set(result.stage_seconds) == {"diff", "audit"}
+                assert result.shard_state.solution is result.solution
+                assert audit_to_dict(result.audit) == audit_to_dict(
+                    oracle.audit_solution(session.problem, result.solution)
+                )
+            else:
+                result = session.apply_delta(_delta(session.problem, rng, "sink-churn"))
+            yield result
+
+    def drop_state(session):
+        session._result = replace(session._result, shard_state=None)
+
+    # One session id, so both sessions' results carry the same request ids.
+    reference = DesignSession(problem, parameters=parameters, options=OPTIONS, session_id="empty")
+    expected = [_document(result) for result in play(reference, drop_state)]
+
+    session = DesignSession(problem, parameters=parameters, options=OPTIONS, session_id="empty")
     session.ensure_design()
     built, of = [], ShardState.of.__func__
 
@@ -251,16 +284,16 @@ def test_an_empty_delta_carries_its_state_to_the_next_event(sharded, monkeypatch
         return of(cls, *args, **kwargs)
 
     monkeypatch.setattr(ShardState, "of", classmethod(counted))
-    rng = np.random.default_rng(41)
-    for event in range(8):
-        if event % 2 == 0:
-            result = session.apply_delta(ProblemDelta())
-            assert result.metadata["incremental_identity"] is True
-            assert result.shard_state.solution is result.solution
-            assert audit_to_dict(result.audit) == audit_to_dict(
-                oracle.audit_solution(session.problem, result.solution)
-            )
-        else:
-            session.apply_delta(_delta(session.problem, rng, "sink-churn"))
-    # Each empty event (0, 2, 4, 6) built its own state; no churn event built one.
-    assert built == [0, 2, 4, 6]
+    standing = session.result
+    standing_metadata = dict(standing.solution.metadata)
+    documents = []
+    for result in play(session):
+        documents.append(_document(result))
+        if result.metadata.get("incremental_identity"):
+            # The identity design shares the standing lists, never its metadata.
+            assert result.solution is not standing.solution
+            assert standing.solution.metadata == standing_metadata
+        standing = result
+        standing_metadata = dict(result.solution.metadata)
+    assert built == []
+    assert documents == expected
