@@ -20,7 +20,7 @@ from repro.analysis.metrics import (
     cost_ratio,
     reliability_metrics,
 )
-from repro.analysis.tables import format_csv, format_table
+from repro.analysis.tables import format_table
 from repro.analysis.runner import (
     BenchRecord,
     ComparisonReport,
@@ -50,7 +50,6 @@ __all__ = [
     "cost_breakdown",
     "cost_ratio",
     "execute_tasks",
-    "format_csv",
     "format_table",
     "get_scenario",
     "register_scenario",

@@ -1,14 +1,14 @@
-"""Plain-text and CSV table formatting.
+"""Plain-text table formatting.
 
-The benchmark harness prints the rows/series each experiment produces (the
-reproduction analogue of the paper's tables and figures); these helpers keep
-that output aligned and machine-readable without any plotting dependency.
+The benchmark harness prints the rows each experiment produces (the
+reproduction analogue of the paper's tables and figures); this helper keeps
+that output aligned without any plotting dependency.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def _format_value(value: object, float_format: str) -> str:
@@ -45,35 +45,3 @@ def format_table(
     for line in rendered:
         out.write("  ".join(value.ljust(widths[idx]) for idx, value in enumerate(line)) + "\n")
     return out.getvalue().rstrip("\n")
-
-
-def format_csv(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-    float_format: str = ".6g",
-) -> str:
-    """Render rows as CSV text (no external csv dependency needed for reading)."""
-    if not rows:
-        return ""
-    if columns is None:
-        columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(
-            ",".join(_format_value(row.get(column, ""), float_format) for column in columns)
-        )
-    return "\n".join(lines)
-
-
-def summarize_series(name: str, values: Iterable[float]) -> dict:
-    """Min/mean/max summary row for a numeric series (used in bench output)."""
-    data = list(values)
-    if not data:
-        return {"series": name, "count": 0, "min": 0.0, "mean": 0.0, "max": 0.0}
-    return {
-        "series": name,
-        "count": len(data),
-        "min": min(data),
-        "mean": sum(data) / len(data),
-        "max": max(data),
-    }

@@ -235,9 +235,11 @@ class DesignResult:
         when the request carried an :class:`EvaluationSpec`, else ``None``.
     cache:
         Cache provenance stamped by the serving layer (:mod:`repro.serve`):
-        ``request_digest``/``problem_digest`` (the content-addressed keys),
-        ``stages`` (per-stage ``"hit"``/``"miss"``), ``session_id`` when the
-        result came out of a :class:`~repro.serve.DesignSession`, and
+        ``request_digest``/``problem_digest`` (the content-addressed keys; a
+        session event's result keys nothing, so its ``request_digest`` is
+        ``None`` and it has no ``problem_digest``), ``stages`` (per-stage
+        ``"hit"``/``"miss"``), ``session_id`` when the result came out of a
+        :class:`~repro.serve.DesignSession`, and
         ``served_from_cache`` for whole-result hits.  ``None`` for results
         produced outside the serving layer (schema version 2; see
         ``docs/serving.md``).

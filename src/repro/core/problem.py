@@ -137,13 +137,11 @@ class OverlayDesignProblem:
     1
     """
 
-    #: Memos of :func:`repro.core.serialization.problem_digest` (the hex and
-    #: the entry texts it hashes) and :func:`repro.core.index.problem_index`.
-    #: The content changes only through the ``add_*`` methods, and each one
-    #: clears them.  Pickles and copies leave them out, so they digest and
-    #: index their own content.
+    #: Memos of :func:`repro.core.serialization.problem_digest` and
+    #: :func:`repro.core.index.problem_index`.  The content changes only
+    #: through the ``add_*`` methods, and each one clears them.  Pickles and
+    #: copies leave them out, so they digest and index their own content.
     _digest: str | None = None
-    _texts: object = None
     _index: ProblemIndex | None = None
     #: How :meth:`_patched` made this problem from a parent whose index was
     #: built, until this problem's own index is derived from it.
@@ -173,7 +171,7 @@ class OverlayDesignProblem:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for memo in ("_digest", "_texts", "_index", "_index_origin"):
+        for memo in ("_digest", "_index", "_index_origin"):
             state.pop(memo, None)
         return state
 
@@ -184,7 +182,7 @@ class OverlayDesignProblem:
         ``bandwidth`` is only used by the Section 6.1 extension (``B^k``); the
         base formulation treats every stream as one unit of fanout.
         """
-        self._digest = self._texts = self._index = self._index_origin = None
+        self._digest = self._index = self._index_origin = None
         self._canonical = False
         if stream in self._stream_set:
             raise ValueError(f"stream {stream!r} already exists")
@@ -208,7 +206,7 @@ class OverlayDesignProblem:
         color-constraint extension; ``capacity`` bounds the number of distinct
         streams delivered to the reflector (Section 6.2, constraint (8)).
         """
-        self._digest = self._texts = self._index = self._index_origin = None
+        self._digest = self._index = self._index_origin = None
         self._canonical = False
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
@@ -234,7 +232,7 @@ class OverlayDesignProblem:
 
     def add_sink(self, sink: str) -> None:
         """Register a sink (edgeserver)."""
-        self._digest = self._texts = self._index = self._index_origin = None
+        self._digest = self._index = self._index_origin = None
         self._canonical = False
         if sink in self._sink_set:
             raise ValueError(f"sink {sink!r} already exists")
@@ -245,7 +243,7 @@ class OverlayDesignProblem:
         self, stream: str, reflector: str, loss_probability: float, cost: float
     ) -> None:
         """Add the source->reflector edge for ``stream`` (at most one per pair)."""
-        self._digest = self._texts = self._index = self._index_origin = None
+        self._digest = self._index = self._index_origin = None
         self._canonical = False
         self._check_stream_edge(stream, reflector, loss_probability, cost, self._stream_edges)
         self._stream_edges[stream, reflector] = StreamEdge(
@@ -269,7 +267,7 @@ class OverlayDesignProblem:
         ``capacity`` bounds the number of streams on the link (Section 6.3,
         constraint (7')).
         """
-        self._digest = self._texts = self._index = self._index_origin = None
+        self._digest = self._index = self._index_origin = None
         self._canonical = False
         self._check_link(
             reflector, sink, loss_probability, cost, stream_costs, capacity, self._delivery_links
@@ -284,7 +282,7 @@ class OverlayDesignProblem:
 
     def add_demand(self, sink: str, stream: str, success_threshold: float) -> None:
         """Require ``sink`` to receive ``stream`` with success probability >= threshold."""
-        self._digest = self._texts = self._index = self._index_origin = None
+        self._digest = self._index = self._index_origin = None
         self._canonical = False
         self._check_demand(sink, stream, success_threshold, self._demands)
         self._demands[sink, stream] = Demand(sink, stream, float(success_threshold))

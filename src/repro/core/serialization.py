@@ -19,9 +19,9 @@ from collections import namedtuple
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.problem import Demand, OverlayDesignProblem, StreamEdge, _spliced
+from repro.core.problem import Demand, OverlayDesignProblem, StreamEdge
 from repro.core.schema import (
     ANY,
     NUMBER,
@@ -454,26 +454,21 @@ class _NameTexts(dict):
         return text
 
 
-def _link_texts(
-    keys: Sequence[tuple[str, str]],
-    values: Sequence[tuple[float, float]],
-    streams: list[str],
-    names: dict[str, str],
-    overrides: dict[tuple[str, str], dict[str, float]],
-    capacities: dict[tuple[str, str], float],
-) -> Iterator[str]:
+def _link_texts(problem: OverlayDesignProblem, names: dict[str, str]) -> Iterator[str]:
     """Canonical texts of the links, as problem_to_dict writes them, in order.
 
-    ``keys`` holds each link's ``(reflector, sink)`` and ``values`` its
-    ``(loss, base cost)``, the problem's own pairs: the columns are read off
-    them without a new tuple per link, so a large problem's digest does not
-    set off the garbage collector.  A link's ``cost`` is its cost for the
-    smallest stream name and ``stream_costs`` lists the streams whose
-    rounded cost differs from it.  problem_to_dict compares unrounded costs;
-    comparing the rounded ones keeps float noise out of the digest.  Only
-    links with per-stream overrides need that per-stream pass; the rest
-    write their base cost and ``{}``.
+    The columns are read off the problem's own ``(reflector, sink)`` keys and
+    ``(loss, base cost)`` pairs without a new tuple per link, so a large
+    problem's digest does not set off the garbage collector.  A link's
+    ``cost`` is its cost for the smallest stream name and ``stream_costs``
+    lists the streams whose rounded cost differs from it.  problem_to_dict
+    compares unrounded costs; comparing the rounded ones keeps float noise
+    out of the digest.  Only links with per-stream overrides need that
+    per-stream pass; the rest write their base cost and ``{}``.
     """
+    keys, values = list(problem._delivery_links), list(problem._delivery_links.values())
+    streams = problem.streams
+    overrides, capacities = problem.delivery_stream_cost_overrides(), problem.arc_capacities()
     first, second = itemgetter(0), itemgetter(1)
     costs = list(map(second, values))
     stream_costs = ["{}"] * len(keys)
@@ -545,151 +540,34 @@ def _stream_edge_texts(edges: list[StreamEdge], names: dict[str, str]) -> Iterat
     )
 
 
-class _Texts(NamedTuple):
-    """A problem's digest texts: each table's canonical entry texts, in hashed order.
-
-    ``sink_names`` lists the sinks by name and ``sinks`` their texts in that
-    order.  No delta changes the streams or the reflectors, so they are kept
-    joined.
-    """
-
-    streams: str
-    reflectors: str
-    stream_edges: list[str]
-    sink_names: list[str]
-    sinks: list[str]
-    links: list[str]
-    demands: list[str]
-
-
-def _entry_texts(
-    problem: OverlayDesignProblem,
-    stream_edges: Iterable[tuple[str, str]],
-    links: Iterable[tuple[str, str]],
-    demands: Iterable[tuple[str, str]],
-    names: dict[str, str],
-) -> tuple[list[str], list[str], list[str]]:
-    """The texts of the named stream edges, links and demands that ``problem`` has."""
-    edges = [problem.stream_edge(*key) for key in stream_edges if problem.has_stream_edge(*key)]
-    keys, values, overrides, capacities = [], [], {}, {}
-    for key in links:
-        link = problem._link(key)
-        if link is not None:
-            loss, cost, own, capacity = link
-            keys.append(key)
-            values.append((loss, cost))
-            if own:
-                overrides[key] = own
-            if capacity is not None:
-                capacities[key] = capacity
-    found = [demand for demand in map(problem._demand, demands) if demand is not None]
-    return (
-        list(_stream_edge_texts(edges, names)),
-        list(_link_texts(keys, values, problem.streams, names, overrides, capacities)),
-        list(_demand_texts(found, names)),
-    )
-
-
-def _carry_texts(
-    parent: OverlayDesignProblem,
-    child: OverlayDesignProblem,
-    *,
-    stream_edges: Collection[tuple[str, str]],
-    links: Collection[tuple[str, str]],
-    demands: Collection[tuple[str, str]],
-    sinks_removed: Iterable[str],
-    sinks_added: Iterable[str],
-) -> None:
-    """Give ``child`` its digest texts from ``parent``'s, if ``parent`` has them.
-
-    ``child`` must be ``parent`` with only the named entries and sinks changed
-    and the same streams and reflectors.  The named entries' texts in
-    ``parent`` are swapped for their texts in ``child``: Python work per
-    named entry, plus C-level copies of the text lists.
-    """
-    texts = parent._texts
-    if texts is None:
-        return
-    names = _NameTexts()
-    old = _entry_texts(parent, stream_edges, links, demands, names)
-    new = _entry_texts(child, stream_edges, links, demands, names)
-    tables = []
-    for entries, removed, added in zip(
-        (texts.stream_edges, texts.links, texts.demands), old, new
-    ):
-        spliced = _spliced([entries], removed, [(text,) for text in added])
-        if spliced is None:
-            return
-        tables.append(spliced[0])
-    sinks = _spliced(
-        [texts.sink_names, texts.sinks],
-        sinks_removed,
-        [(sink, names[sink]) for sink in sinks_added],
-    )
-    if sinks is not None:
-        child._texts = texts._replace(
-            stream_edges=tables[0],
-            sink_names=sinks[0],
-            sinks=sinks[1],
-            links=tables[1],
-            demands=tables[2],
-        )
-
-
-def _hashed(texts: _Texts) -> str:
-    """The digest of the document the texts spell, fed to SHA-256 piece by piece.
+def _problem_digest(problem: OverlayDesignProblem) -> str:
+    """One pass over the problem's tables, fed to SHA-256 piece by piece; see
+    :func:`problem_digest`.
 
     The pieces are problem_to_dict's keys in sorted order and each table's
-    joined texts; the whole document is never formatted into one string.
+    sorted entry texts, joined; the whole document is never formatted into
+    one string.
     """
+    names = _NameTexts()
     digest = hashlib.sha256()
     for piece in (
         '{"delivery_edges": [',
-        ", ".join(texts.links),
+        ", ".join(sorted(_link_texts(problem, names))),
         '], "demands": [',
-        ", ".join(texts.demands),
+        ", ".join(sorted(_demand_texts(problem.demands, names))),
         f'], "format_version": {FORMAT_VERSION}, "kind": "overlay-design-problem", '
         '"reflectors": [',
-        texts.reflectors,
+        ", ".join(sorted(_reflector_texts(problem, names))),
         '], "sinks": [',
-        ", ".join(texts.sinks),
+        ", ".join(map(names.__getitem__, sorted(problem.sinks))),
         '], "stream_edges": [',
-        ", ".join(texts.stream_edges),
+        ", ".join(sorted(_stream_edge_texts(problem.stream_edges(), names))),
         '], "streams": [',
-        texts.streams,
+        ", ".join(sorted(_stream_texts(problem, names))),
         "]}",
     ):
         digest.update(piece.encode())
     return digest.hexdigest()[:16]
-
-
-def _problem_digest(problem: OverlayDesignProblem) -> str:
-    """One pass over the problem's tables; see :func:`problem_digest`.
-
-    Keeps the texts it hashes as the problem's memo.
-    """
-    streams = problem.streams
-    sinks = sorted(problem.sinks)
-    names = _NameTexts()
-    texts = problem._texts = _Texts(
-        streams=", ".join(sorted(_stream_texts(problem, names))),
-        reflectors=", ".join(sorted(_reflector_texts(problem, names))),
-        stream_edges=sorted(_stream_edge_texts(problem.stream_edges(), names)),
-        sink_names=sinks,
-        sinks=list(map(names.__getitem__, sinks)),
-        links=sorted(
-            _link_texts(
-                list(problem._delivery_links),
-                list(problem._delivery_links.values()),
-                streams,
-                names,
-                problem.delivery_stream_cost_overrides(),
-                problem.arc_capacities(),
-            )
-        ),
-        demands=sorted(_demand_texts(problem.demands, names)),
-    )
-    return _hashed(texts)
 
 
 def problem_digest(problem: OverlayDesignProblem) -> str:
@@ -710,16 +588,12 @@ def problem_digest(problem: OverlayDesignProblem) -> str:
     ignored when every value keeps its 9-place rounded form; a value that
     crosses a rounding boundary changes the digest.
 
-    The digest and the entry texts it hashes are memoised on the problem
-    object; every ``add_*`` method of :class:`OverlayDesignProblem` clears
-    them.  A problem made by ``repro.incremental.apply_delta`` from a
-    digested one starts with its parent's texts, the changed entries' texts
-    swapped, so its digest costs one hash of the joined texts.
+    The digest is memoised on the problem object; every ``add_*`` method of
+    :class:`OverlayDesignProblem` clears it.
     """
     digest = problem._digest
     if digest is None:
-        texts = problem._texts
-        digest = problem._digest = _problem_digest(problem) if texts is None else _hashed(texts)
+        digest = problem._digest = _problem_digest(problem)
     return digest
 
 

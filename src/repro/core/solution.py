@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.index import builtin_sums, problem_index
 from repro.core.problem import Demand, OverlayDesignProblem
-from repro.core.weights import combined_failure_probability, success_from_weight
+from repro.core.weights import combined_failure_probability
 
 
 @dataclass
@@ -149,15 +149,6 @@ class OverlaySolution:
             return 1.0
         return self.delivered_weight(demand) / required
 
-    def weight_success_probability(self, demand: Demand) -> float:
-        """Success probability implied by the *capped* delivered weight.
-
-        This is the conservative quantity the approximation guarantee speaks
-        about (a factor-4 weight shortfall corresponds to the fourth root of
-        the failure target).
-        """
-        return success_from_weight(self.delivered_weight(demand))
-
     # ----------------------------------------------------------------- fanout
     def fanout_loads(self) -> Counter[str]:
         """Assignments per reflector, counted in one pass (the fanout rows' LHS)."""
@@ -176,14 +167,6 @@ class OverlaySolution:
         if not loads:
             return 0.0
         return max(used / self.problem.fanout(reflector) for reflector, used in loads.items())
-
-    def bandwidth_used(self, reflector: str) -> float:
-        """Bandwidth-weighted load (Section 6.1) routed through ``reflector``."""
-        total = 0.0
-        for (sink, stream), reflectors in self.assignments.items():
-            if reflector in reflectors:
-                total += self.problem.stream_bandwidth(stream)
-        return total
 
     # ------------------------------------------------------------- diagnostics
     def unserved_demands(self) -> list[Demand]:

@@ -25,6 +25,7 @@ renegotiated when the network can no longer meet it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -35,8 +36,9 @@ from repro.incremental.delta import (
     DeliveryEdgeSpec,
     ProblemDelta,
     SinkAttachment,
-    SinkRows,
+    _link_spec,
     apply_delta,
+    sink_attachment,
 )
 from repro.simulation.failures import (
     FailureSchedule,
@@ -157,7 +159,6 @@ def sample_sink_churn(
     ) if leaves else []
     survivors = [sink for sink in pool if sink not in set(leaving)]
 
-    rows = SinkRows(problem)
     existing = set(problem.sinks)
     sinks_added: dict[str, SinkAttachment] = {}
     for index in range(joins):
@@ -167,26 +168,22 @@ def sample_sink_churn(
         while name in existing:
             name = f"{name}x"
         existing.add(name)
+        # The jitter is drawn over the template's links in their table order,
+        # not name order: the pinned deltas of tests/test_churn_tables.py hold it.
+        factors = {
+            reflector: float(rng.uniform(1.0 - config.loss_jitter, 1.0 + config.loss_jitter))
+            for reflector in problem._sink_reflectors.get(template, ())
+        }
+        attachment = sink_attachment(problem, template)
         delivery = []
-        for reflector, spec in rows.delivery.get(template, []):
-            factor = float(rng.uniform(1.0 - config.loss_jitter, 1.0 + config.loss_jitter))
+        for reflector, spec in attachment.delivery:
+            loss = min(0.95, spec.loss_probability * factors[reflector])
             delivery.append(
-                (
-                    reflector,
-                    DeliveryEdgeSpec(
-                        loss_probability=min(0.95, spec.loss_probability * factor),
-                        cost=spec.cost,
-                        stream_costs=spec.stream_costs,
-                        capacity=spec.capacity,
-                    ),
-                )
+                (reflector, DeliveryEdgeSpec(loss, spec.cost, spec.stream_costs, spec.capacity))
             )
-        sinks_added[name] = SinkAttachment(
-            delivery=tuple(sorted(delivery)),
-            demands=tuple(sorted(rows.demands.get(template, ()))),
-        )
+        sinks_added[name] = SinkAttachment(tuple(delivery), attachment.demands)
 
-    sinks_removed = {sink: rows.attachment(sink) for sink in leaving}
+    sinks_removed = {sink: sink_attachment(problem, sink) for sink in leaving}
     delta = ProblemDelta(sinks_added=sinks_added, sinks_removed=sinks_removed)
     return ensure_feasible(problem, delta)
 
@@ -218,24 +215,28 @@ def delta_from_failure_schedule(
     # Per delivery link, the total extra loss fraction to stack.
     extra: dict[tuple[str, str], float] = {}
     removed_sinks: list[str] = []
-    rows = SinkRows(problem)
-    reflector_links: dict[str, list[tuple[str, str]]] = {}
-    for key in rows.specs:
-        reflector_links.setdefault(key[0], []).append(key)
+
+    @cache
+    def reflector_links() -> dict[str, list[tuple[str, str]]]:
+        """The links grouped by reflector: one table read, and only if a reflector is hit."""
+        grouped: dict[str, list[tuple[str, str]]] = {}
+        for key in problem.delivery_links():
+            grouped.setdefault(key[0], []).append(key)
+        return grouped
 
     def stack(keys: list[tuple[str, str]], severity: float) -> None:
         for key in keys:
             extra[key] = 1.0 - (1.0 - extra.get(key, 0.0)) * (1.0 - severity)
 
     def hit_reflector(reflector: str, severity: float) -> None:
-        stack(reflector_links.get(reflector, []), severity)
+        stack(reflector_links().get(reflector, []), severity)
 
     for event in schedule.events:
         if event.kind == "link_congestion":
             target = event.target
             if target in sinks:
-                links = [(reflector, target) for reflector, _spec in rows.delivery.get(target, [])]
-                stack(links, event.severity)
+                reached = problem._sink_reflectors.get(target, ())
+                stack([(reflector, target) for reflector in reached], event.severity)
             elif target in reflectors:
                 hit_reflector(target, event.severity)
         elif event.kind in ("reflector_crash", "node_outage"):
@@ -253,17 +254,13 @@ def delta_from_failure_schedule(
     for key, severity in sorted(extra.items()):
         if key[1] in removed:
             continue
-        before = rows.specs[key]
-        after = DeliveryEdgeSpec(
-            loss_probability=_combine_loss(before.loss_probability, severity),
-            cost=before.cost,
-            stream_costs=before.stream_costs,
-            capacity=before.capacity,
-        )
+        before = _link_spec(problem, key)
+        loss = _combine_loss(before.loss_probability, severity)
+        after = DeliveryEdgeSpec(loss, before.cost, before.stream_costs, before.capacity)
         if after != before:
             delivery_changed[key] = (before, after)
     return ProblemDelta(
-        sinks_removed={sink: rows.attachment(sink) for sink in sorted(removed)},
+        sinks_removed={sink: sink_attachment(problem, sink) for sink in sorted(removed)},
         delivery_changed=delivery_changed,
     )
 

@@ -44,7 +44,6 @@ from repro.core.serialization import (
     LOSS_PROBABILITY,
     STREAM_COSTS,
     SUCCESS_THRESHOLD,
-    _carry_texts,
     NAME,
 )
 
@@ -167,46 +166,27 @@ def _demand_thresholds(problem: OverlayDesignProblem) -> dict[DemandKey, float]:
     return {demand.key: demand.success_threshold for demand in problem.demands}
 
 
-class SinkRows:
-    """A problem's delivery specs and demands grouped by sink, from one pass each.
-
-    ``specs`` maps every link to its spec; ``delivery[sink]`` lists
-    ``(reflector, spec)`` in link insertion order and ``demands[sink]`` lists
-    ``(stream, threshold)`` in demand order, so an attachment reads only its
-    own sink's rows.  Build one per problem and ask it for every sink that
-    needs an attachment.
-    """
-
-    def __init__(
-        self,
-        problem: OverlayDesignProblem,
-        specs: dict[LinkKey, DeliveryEdgeSpec] | None = None,
-    ) -> None:
-        self.specs = _delivery_specs(problem) if specs is None else specs
-        self.delivery: dict[str, list[tuple[str, DeliveryEdgeSpec]]] = {}
-        for (reflector, sink), spec in self.specs.items():
-            self.delivery.setdefault(sink, []).append((reflector, spec))
-        self.demands: dict[str, list[tuple[str, float]]] = {}
-        for demand in problem.demands:
-            self.demands.setdefault(demand.sink, []).append(
-                (demand.stream, demand.success_threshold)
-            )
-
-    def attachment(self, sink: str) -> SinkAttachment:
-        """``sink``'s full attachment (edges + demands), in sorted order."""
-        return SinkAttachment(
-            delivery=tuple(sorted(self.delivery.get(sink, ()))),
-            demands=tuple(sorted(self.demands.get(sink, ()))),
-        )
+def _link_spec(problem: OverlayDesignProblem, key: LinkKey) -> DeliveryEdgeSpec | None:
+    link = problem._link(key)
+    return None if link is None else _link(*link)
 
 
 def sink_attachment(problem: OverlayDesignProblem, sink: str) -> SinkAttachment:
-    """Capture ``sink``'s full attachment (edges + demands) from ``problem``.
+    """``sink``'s full attachment (edges + demands) in ``problem``, in sorted order.
 
-    Each call groups the whole problem; for several sinks build one
-    :class:`SinkRows` and ask it for each.
+    Reads only ``sink``'s own rows: its links (``_sink_reflectors``) and one
+    demand lookup per stream.
     """
-    return SinkRows(problem).attachment(sink)
+    delivery = [
+        (reflector, _link_spec(problem, (reflector, sink)))
+        for reflector in problem._sink_reflectors.get(sink, ())
+    ]
+    demands = []
+    for stream in problem._streams:
+        demand = problem._demand((sink, stream))
+        if demand is not None:
+            demands.append((stream, demand.success_threshold))
+    return SinkAttachment(delivery=tuple(sorted(delivery)), demands=tuple(sorted(demands)))
 
 
 def diff_problems(
@@ -240,14 +220,11 @@ def diff_problems(
             structural.append(f"reflector attributes changed: {reflector}")
 
     old_sinks, new_sinks = set(old.sinks), set(new.sinks)
-    old_delivery = _delivery_specs(old)
-    new_delivery = _delivery_specs(new)
-    new_rows = SinkRows(new, new_delivery)
-    sinks_added = {sink: new_rows.attachment(sink) for sink in sorted(new_sinks - old_sinks)}
-    old_rows = SinkRows(old, old_delivery)
-    sinks_removed = {sink: old_rows.attachment(sink) for sink in sorted(old_sinks - new_sinks)}
+    sinks_added = {sink: sink_attachment(new, sink) for sink in sorted(new_sinks - old_sinks)}
+    sinks_removed = {sink: sink_attachment(old, sink) for sink in sorted(old_sinks - new_sinks)}
     surviving = old_sinks & new_sinks
 
+    old_delivery, new_delivery = _delivery_specs(old), _delivery_specs(new)
     delivery_changed: dict[LinkKey, tuple[DeliveryEdgeSpec | None, DeliveryEdgeSpec | None]] = {}
     for key in sorted(set(old_delivery) | set(new_delivery)):
         _reflector, sink = key
@@ -320,11 +297,6 @@ def invert_delta(delta: ProblemDelta) -> ProblemDelta:
 # ---------------------------------------------------------------------------
 
 
-def _link_spec(problem: OverlayDesignProblem, key: LinkKey) -> DeliveryEdgeSpec | None:
-    link = problem._link(key)
-    return None if link is None else _link(*link)
-
-
 def _stream_spec(problem: OverlayDesignProblem, key: LinkKey) -> StreamEdgeSpec | None:
     if not problem.has_stream_edge(*key):
         return None
@@ -348,9 +320,7 @@ def apply_delta(
     and then its inverse reproduces the original problem content-exactly.
     It copies ``problem``'s tables and patches only the entries the delta
     names (``OverlayDesignProblem._patched``): Python work in proportion to
-    the delta, plus C-level table copies.  A digested ``problem`` passes its
-    digest texts on, the changed entries' texts swapped, so the result's
-    digest is one hash of them.
+    the delta, plus C-level table copies.
     """
     if delta.requires_full_redesign:
         raise ValueError(
@@ -402,7 +372,7 @@ def apply_delta(
         key: None if after is None else (after.loss_probability, after.cost)
         for key, (_before, after) in delta.stream_edges_changed.items()
     }
-    result = problem._patched(
+    return problem._patched(
         name or problem.name,
         sinks_removed=delta.sinks_removed,
         sinks_added=delta.sinks_added,
@@ -415,16 +385,6 @@ def apply_delta(
         },
         demands=demands,
     )
-    _carry_texts(
-        problem,
-        result,
-        links=links,
-        stream_edges=stream_edges,
-        demands=demands,
-        sinks_removed=delta.sinks_removed,
-        sinks_added=delta.sinks_added,
-    )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +493,6 @@ __all__ = [
     "DeliveryEdgeSpec",
     "ProblemDelta",
     "SinkAttachment",
-    "SinkRows",
     "StreamEdgeSpec",
     "apply_delta",
     "delta_from_dict",

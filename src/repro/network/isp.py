@@ -7,16 +7,14 @@ with PSINet".  To evaluate the value of ISP diversity we model ISPs as
 entities that are either *up* or *down*; when an ISP is down every reflector
 (and every link endpoint) homed in it stops forwarding packets.
 
-:class:`ISPRegistry` tracks the ISPs of a deployment and can sample outage
-scenarios for the simulation and the T6 benchmark.
+:class:`ISPRegistry` tracks the ISPs of a deployment and the probability of
+each exact outage scenario, for the scenario-based reliability analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class ISP:
 
 @dataclass
 class ISPRegistry:
-    """A collection of ISPs with helpers to sample correlated outage scenarios."""
+    """A collection of ISPs and the probabilities of their outage scenarios."""
 
     isps: dict[str, ISP] = field(default_factory=dict)
 
@@ -76,22 +74,6 @@ class ISPRegistry:
         return name in self.isps
 
     # ------------------------------------------------------------ scenarios
-    def sample_outages(self, rng: np.random.Generator) -> set[str]:
-        """Sample the set of ISPs that are down (independent per-ISP outages)."""
-        return {
-            isp.name for isp in self.isps.values() if rng.random() < isp.outage_probability
-        }
-
-    def single_outage_scenarios(self) -> list[set[str]]:
-        """All scenarios in which exactly one ISP is down (plus the no-outage one).
-
-        Used by the exact scenario-based reliability analysis: single-ISP
-        failures are the events the color constraints are designed to survive.
-        """
-        scenarios: list[set[str]] = [set()]
-        scenarios.extend({name} for name in self.isps)
-        return scenarios
-
     def outage_probability_of_scenario(self, down: set[str]) -> float:
         """Probability of an exact outage scenario (independent ISP outages)."""
         probability = 1.0
@@ -101,22 +83,3 @@ class ISPRegistry:
             else:
                 probability *= 1.0 - isp.outage_probability
         return probability
-
-    def sample_outage_schedule(
-        self,
-        num_packets: int,
-        rng: np.random.Generator,
-        **sampler_options,
-    ) -> "FailureSchedule":
-        """Sample a correlated ISP-outage schedule for a simulated session.
-
-        Thin bridge to
-        :func:`repro.simulation.failures.sample_isp_outage_schedule` (the
-        common-shock model) over this registry's ISPs; keyword options are
-        forwarded to the sampler.
-        """
-        from repro.simulation.failures import sample_isp_outage_schedule
-
-        return sample_isp_outage_schedule(
-            self.names(), num_packets, rng, **sampler_options
-        )

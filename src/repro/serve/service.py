@@ -26,12 +26,13 @@ result depends only on its own content and seed, never on queue order.
 
 from __future__ import annotations
 
+import copy
 import json
 import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -68,12 +69,17 @@ class DesignTicket:
     future: Future
 
     def result(self, timeout: float | None = None) -> DesignResult:
-        """Block for the design result (re-stamped for deduplicated tickets)."""
+        """Block for the design result (re-stamped for deduplicated tickets).
+
+        A re-stamped result is a shallow copy that reads no field, so a
+        served cache hit stays unread (:func:`~repro.api.types.unread_document`).
+        """
         result = self.future.result(timeout=timeout)
         if self.deduplicated:
             cache_block = dict(result.cache or {})
             cache_block["deduplicated"] = True
-            result = replace(result, cache=cache_block, request_id=self.request_id)
+            result = copy.copy(result)
+            result.cache, result.request_id = cache_block, self.request_id
         return result
 
     def done(self) -> bool:

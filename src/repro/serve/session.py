@@ -47,13 +47,16 @@ _SESSION_COUNTER = itertools.count(1)
 
 @dataclass
 class SessionEvent:
-    """Provenance of one applied delta, kept in ``DesignSession.events``."""
+    """Provenance of one applied delta, kept in ``DesignSession.events``.
+
+    ``seconds`` times the whole event: the table patch, the partition and the
+    incremental design.
+    """
 
     index: int
     delta_summary: dict
     seconds: float
     plan_reused: bool
-    problem_digest: str
     strategy: str
 
 
@@ -155,13 +158,13 @@ class DesignSession:
     def apply_delta(self, delta: ProblemDelta) -> DesignResult:
         """Apply one delta against the standing problem and re-design."""
         standing = self.ensure_design()
+        start = time.perf_counter()
         # Index the standing problem first (a served initial design leaves it
         # unindexed), so the post-churn problem's index derives from it.
         problem_index(self.problem)
         new_problem = (
             self.problem if delta.is_empty else apply_delta(self.problem, delta)
         )
-        start = time.perf_counter()
         plan = None
         plan_reused = False
         sinks_changed = bool(delta.sinks_added) or bool(delta.sinks_removed)
@@ -197,10 +200,8 @@ class DesignSession:
         )
         seconds = time.perf_counter() - start
 
-        digest = problem_digest(new_problem)
         result.cache = {
             "request_digest": None,
-            "problem_digest": digest,
             "stages": {"plan": "session-reuse" if plan_reused else "miss"},
             "served_from_cache": False,
             "session_id": self.session_id,
@@ -213,7 +214,6 @@ class DesignSession:
                 delta_summary=dict(delta.summary()),
                 seconds=seconds,
                 plan_reused=plan_reused,
-                problem_digest=digest,
                 strategy=result.strategy,
             )
         )

@@ -99,18 +99,3 @@ def zipf_viewership(
         counts.append(int(np.clip(round(expected * jitter), min_regions, num_regions)))
     return counts
 
-
-def success_threshold_for_quality(quality: str) -> float:
-    """Map a named stream-quality tier to a required success probability.
-
-    The thresholds correspond to post-reconstruction loss budgets that keep
-    the player glitch-free: premium events tolerate 0.1% loss, standard
-    streams 1%, best-effort 5%.
-    """
-    thresholds = {"premium": 0.999, "standard": 0.99, "best-effort": 0.95}
-    try:
-        return thresholds[quality]
-    except KeyError:
-        raise ValueError(
-            f"unknown quality tier {quality!r}; expected one of {sorted(thresholds)}"
-        ) from None

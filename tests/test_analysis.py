@@ -10,11 +10,9 @@ from repro.analysis import (
     compare_designs,
     cost_breakdown,
     cost_ratio,
-    format_csv,
     format_table,
     reliability_metrics,
 )
-from repro.analysis.tables import summarize_series
 from repro.api import DesignPipeline, DesignRequest, run_request
 from repro.core.algorithm import DesignParameters
 from repro.core.solution import OverlaySolution
@@ -138,15 +136,3 @@ class TestTables:
     def test_format_table_column_subset(self):
         text = format_table(self.ROWS, columns=["name"])
         assert "value" not in text
-
-    def test_format_csv(self):
-        csv_text = format_csv(self.ROWS)
-        lines = csv_text.splitlines()
-        assert lines[0] == "name,value,count"
-        assert lines[1].startswith("a,")
-        assert format_csv([]) == ""
-
-    def test_summarize_series(self):
-        summary = summarize_series("x", [1.0, 2.0, 3.0])
-        assert summary["min"] == 1.0 and summary["max"] == 3.0 and summary["mean"] == 2.0
-        assert summarize_series("empty", [])["count"] == 0

@@ -5,10 +5,9 @@ entries a delta names; the oracle re-adds every entry through the ``add_*``
 methods in sorted order.  For every valid delta below the two must leave
 every table in the same insertion order -- ``_sink_reflectors`` is compared
 by content, since only its key order may differ -- and the child must digest
-as a full pass over the oracle's problem and as ``tests/digest_oracle.py``
-does.  The child's digest must come from its parent's texts, not from a
-full pass.  Each delta is applied to a generator-ordered parent and to a
-canonical one (itself an ``apply_delta`` result).
+as the oracle's problem does and as ``tests/digest_oracle.py`` does.  Each
+delta is applied to a generator-ordered parent and to a canonical one
+(itself an ``apply_delta`` result).
 """
 
 from __future__ import annotations
@@ -30,7 +29,9 @@ import repro.core.serialization as serialization
 from repro.core.problem import OverlayDesignProblem
 from repro.core.serialization import problem_digest, problem_from_dict, problem_to_dict
 from repro.incremental import (
+    DeliveryEdgeSpec,
     ProblemDelta,
+    SinkAttachment,
     SinkChurnConfig,
     apply_delta,
     diff_problems,
@@ -38,6 +39,7 @@ from repro.incremental import (
     invert_delta,
     outage_delta,
     sample_sink_churn,
+    sink_attachment,
 )
 from repro.workloads import (
     FlashCrowdConfig,
@@ -84,30 +86,14 @@ def assert_unshared(parent: OverlayDesignProblem, child: OverlayDesignProblem) -
         assert reflectors is not parent._sink_reflectors.get(sink)
 
 
-@pytest.fixture
-def full_passes(monkeypatch):
-    """Problems digested by a full pass (not from a memo or a parent's texts)."""
-    digested: list[OverlayDesignProblem] = []
-    compute = serialization._problem_digest
-
-    def counting(problem):
-        digested.append(problem)
-        return compute(problem)
-
-    monkeypatch.setattr(serialization, "_problem_digest", counting)
-    return digested
-
-
-def check(parent: OverlayDesignProblem, delta: ProblemDelta, full_passes) -> OverlayDesignProblem:
+def check(parent: OverlayDesignProblem, delta: ProblemDelta) -> OverlayDesignProblem:
     """Apply ``delta`` both ways; the tables and digests must agree."""
     expected = oracle_apply_delta(parent, delta)
     problem_digest(parent)
-    full_passes.clear()
     child = apply_delta(parent, delta)
     assert tables(child) == tables(expected)
     assert_unshared(parent, child)
     digest = problem_digest(child)
-    assert full_passes == []
     assert digest == serialization._problem_digest(expected)
     assert digest == oracle_problem_digest(expected, rounded=True)
     return child
@@ -172,13 +158,41 @@ def parents():
 @pytest.mark.parametrize("order", ["generated", "canonical"])
 @pytest.mark.parametrize("adapter", sorted(ADAPTERS))
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
-def test_adapter_deltas_match_the_rebuild(instance, adapter, order, parents, full_passes):
+def test_adapter_deltas_match_the_rebuild(instance, adapter, order, parents):
     parent = parents[instance, order]
     delta = ADAPTERS[adapter](parent, 7)
     assert not delta.is_empty
-    child = check(parent, delta, full_passes)
+    child = check(parent, delta)
     # And back: the inverse patches the canonical child.
-    assert problem_digest(check(child, invert_delta(delta), full_passes)) == problem_digest(parent)
+    assert problem_digest(check(child, invert_delta(delta))) == problem_digest(parent)
+
+
+def _grouped_attachments(problem: OverlayDesignProblem) -> dict[str, SinkAttachment]:
+    """Every sink's attachment from one grouping pass over the whole tables."""
+    overrides, capacities = problem.delivery_stream_cost_overrides(), problem.arc_capacities()
+    delivery: dict[str, list] = {}
+    for reflector, sink, loss, cost in problem.delivery_link_data():
+        key = (reflector, sink)
+        costs = tuple(sorted((overrides.get(key) or {}).items()))
+        spec = DeliveryEdgeSpec(loss, cost, costs, capacities.get(key))
+        delivery.setdefault(sink, []).append((reflector, spec))
+    demands: dict[str, list] = {}
+    for demand in problem.demands:
+        demands.setdefault(demand.sink, []).append((demand.stream, demand.success_threshold))
+    return {
+        sink: SinkAttachment(
+            tuple(sorted(delivery.get(sink, ()))), tuple(sorted(demands.get(sink, ())))
+        )
+        for sink in problem.sinks
+    }
+
+
+@pytest.mark.parametrize("order", ["generated", "canonical"])
+@pytest.mark.parametrize("instance", sorted(INSTANCES))
+def test_sink_attachment_equals_a_grouping_of_the_whole_tables(instance, order, parents):
+    problem = parents[instance, order]
+    attachments = {sink: sink_attachment(problem, sink) for sink in problem.sinks}
+    assert attachments == _grouped_attachments(problem)
 
 
 def test_the_canonical_parents_are_the_rebuild(parents):
@@ -188,40 +202,30 @@ def test_the_canonical_parents_are_the_rebuild(parents):
         assert tables(canonical) == tables(oracle_apply_delta(generated, ProblemDelta()))
 
 
-def test_a_chain_of_children_carries_the_texts(full_passes):
+def test_a_chain_of_children_digests_as_its_deep_copy():
     problem = _internet_scale(300)
     problem_digest(problem)
     current = problem
     for step in range(4):
         current = apply_delta(current, ADAPTERS["sink-churn"](current, step))
-    full_passes.clear()
     digest = problem_digest(current)
-    assert full_passes == []
     assert digest == serialization._problem_digest(copy.deepcopy(current))
+    assert digest == oracle_problem_digest(current, rounded=True)
 
 
-def test_an_undigested_parent_gives_a_full_pass(full_passes):
+def test_an_add_call_drops_a_childs_digest_and_canonical_flag():
     parent = _internet_scale(300)
-    child = apply_delta(parent, ADAPTERS["flash-crowd"](parent, 1))
-    assert child._texts is None
-    problem_digest(child)
-    assert full_passes == [child]
-
-
-def test_an_add_call_drops_the_carried_texts():
-    parent = _internet_scale(300)
-    problem_digest(parent)
     child = apply_delta(parent, ADAPTERS["sink-churn"](parent, 2))
+    before = problem_digest(child)
     child.add_sink("late-joiner")
-    assert child._texts is None and not child._canonical
-    assert problem_digest(child) == oracle_problem_digest(child, rounded=True)
+    assert child._digest is None and not child._canonical
+    assert problem_digest(child) == oracle_problem_digest(child, rounded=True) != before
 
 
 def test_no_child_keeps_its_parent_alive():
     parent = _internet_scale(300)
     problem_digest(parent)
     child = apply_delta(parent, ADAPTERS["sink-churn"](parent, 3))
-    assert child._texts is not None
     alive = weakref.ref(parent)
     del parent
     gc.collect()
@@ -287,6 +291,5 @@ def test_any_valid_delta_matches_the_rebuild(pair, canonical):
     child = apply_delta(parent, delta)
     assert tables(child) == tables(expected)
     assert_unshared(parent, child)
-    assert child._texts is not None
     assert problem_digest(child) == serialization._problem_digest(expected)
     assert problem_digest(child) == problem_digest(target)

@@ -32,8 +32,8 @@ from repro.incremental import (
     apply_delta,
     delta_from_dict,
     delta_to_dict,
+    sink_attachment,
 )
-from repro.incremental.delta import SinkRows
 from repro.workloads.tiny import build_tiny_problem
 
 HEADER = {"kind": "problem-delta", "format_version": 1}
@@ -242,7 +242,7 @@ _LINK = DeliveryEdgeSpec(loss_probability=0.03, cost=0.5)
 def _valid_delta() -> dict:
     """A delta touching every section, as mutable parts."""
     return {
-        "sinks_removed": {"d3": SinkRows(FUZZ_PROBLEM).attachment("d3")},
+        "sinks_removed": {"d3": sink_attachment(FUZZ_PROBLEM, "d3")},
         "sinks_added": {
             "d9": SinkAttachment(
                 delivery=(("r1", _LINK), ("r3", DeliveryEdgeSpec(0.04, 0.6, (("t", 0.8),), 3.0))),

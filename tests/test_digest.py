@@ -28,7 +28,7 @@ from repro.api import DesignRequest, request_to_dict
 from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
 from repro.core.serialization import problem_digest
-from repro.incremental import SinkChurnConfig, apply_delta, sample_sink_churn
+from repro.incremental import SinkChurnConfig, churn_stream
 from repro.serve import ArtifactCache, DesignService, DesignSession, run_request_cached
 from repro.workloads import (
     AkamaiLikeConfig,
@@ -335,21 +335,9 @@ def test_stream_order_is_ignored_with_per_stream_costs():
 def test_pickles_and_copies_leave_the_memo_out():
     problem = build_tiny_problem()
     digest = problem_digest(problem)
-    assert problem._texts is not None
     for other in (pickle.loads(pickle.dumps(problem)), copy.deepcopy(problem), copy.copy(problem)):
-        assert other._digest is None and other._texts is None
+        assert other._digest is None
         assert problem_digest(other) == digest
-
-
-def test_a_carried_memo_is_left_out_too():
-    problem = _serving_problem()
-    problem_digest(problem)
-    delta = sample_sink_churn(problem, SinkChurnConfig(fraction=0.1), rng=1)
-    child = apply_delta(problem, delta)
-    assert child._texts is not None
-    for other in (pickle.loads(pickle.dumps(child)), copy.deepcopy(child)):
-        assert other._texts is None
-        assert problem_digest(other) == oracle_problem_digest(child, rounded=True)
 
 
 def test_threads_digesting_one_problem_agree():
@@ -399,7 +387,7 @@ def _serving_problem() -> OverlayDesignProblem:
 SHARDED = {"shards": 2, "jobs": 1}
 
 
-def test_session_digests_its_problem_once_per_setup_and_event(counted):
+def test_session_digests_its_problem_once_at_setup_and_never_per_event(counted):
     problem = _serving_problem()
     session = DesignSession(
         problem,
@@ -410,15 +398,22 @@ def test_session_digests_its_problem_once_per_setup_and_event(counted):
     session.ensure_design()
     assert _full_size(counted, problem) == 1
 
-    # An event's problem takes its digest texts from the standing problem's
-    # and swaps the changed entries' texts: no full pass.
-    delta = sample_sink_churn(problem, SinkChurnConfig(fraction=0.1), rng=1)
+    # An event applies its delta and designs; nothing digests its problem.
     counted.clear()
-    session.apply_delta(delta)
-    assert _full_size(counted, session.problem) == 0
-    assert session.events[-1].problem_digest == serialization._problem_digest(
-        copy.deepcopy(session.problem)
-    )
+    for _event, delta, _problem in churn_stream(
+        problem,
+        ["sink-churn", "flash-crowd", "sink-churn"],
+        seed=1,
+        churn_config=SinkChurnConfig(fraction=0.1),
+    ):
+        session.apply_delta(delta)
+    assert len(session.events) == 3 and counted == []
+    assert "problem_digest" not in session.result.cache
+    assert session.problem._digest is None
+    # Asked for, the standing problem's digest is a full pass over its content.
+    digest = problem_digest(session.problem)
+    assert digest == serialization._problem_digest(copy.deepcopy(session.problem))
+    assert digest == oracle_problem_digest(session.problem, rounded=True)
 
 
 def test_service_digests_each_request_problem_once(counted):

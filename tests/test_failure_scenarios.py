@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.api import DesignRequest, run_request
-from repro.network.isp import ISP, ISPRegistry
 from repro.simulation import (
     FailureEvent,
     FailureSchedule,
@@ -179,16 +178,6 @@ class TestGoldenSamplers:
             for _ in range(200)
         ]
         assert np.mean(sizes) > np.mean(quiet) + 1.0
-
-    def test_registry_bridge(self):
-        registry = ISPRegistry()
-        registry.add_many([ISP("a", 0.1), ISP("b", 0.1)])
-        schedule = registry.sample_outage_schedule(
-            500, np.random.default_rng(1), outage_probability=1.0, shock_probability=0.0
-        )
-        assert {e.target for e in schedule.events} == {"a", "b"}
-        for event in schedule.events:
-            assert 0 <= event.start < event.end <= 500
 
 
 class TestCatalogue:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.network.isp import ISP, ISPRegistry
@@ -36,14 +35,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             ISPRegistry().get("missing")
 
-    def test_single_outage_scenarios(self):
-        registry = ISPRegistry()
-        registry.add_many([ISP("a", 0.1), ISP("b", 0.1)])
-        scenarios = registry.single_outage_scenarios()
-        assert set() in scenarios
-        assert {"a"} in scenarios and {"b"} in scenarios
-        assert len(scenarios) == 3
-
     def test_scenario_probabilities_sum_to_one_over_all_subsets(self):
         registry = ISPRegistry()
         registry.add_many([ISP("a", 0.3), ISP("b", 0.5)])
@@ -51,13 +42,3 @@ class TestRegistry:
         total = sum(registry.outage_probability_of_scenario(s) for s in subsets)
         assert total == pytest.approx(1.0)
         assert registry.outage_probability_of_scenario({"a"}) == pytest.approx(0.3 * 0.5)
-
-    def test_sample_outages_respects_probabilities(self):
-        registry = ISPRegistry()
-        registry.add_many([ISP("always", 1.0), ISP("never", 0.0), ISP("half", 0.5)])
-        rng = np.random.default_rng(0)
-        samples = [registry.sample_outages(rng) for _ in range(2000)]
-        assert all("always" in s for s in samples)
-        assert all("never" not in s for s in samples)
-        frequency = np.mean(["half" in s for s in samples])
-        assert frequency == pytest.approx(0.5, abs=0.05)

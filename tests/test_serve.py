@@ -557,6 +557,34 @@ class TestServedHits:
         assert "deduplicated" not in hit.cache and hit.request_id == "first"
         assert _payload(result_to_dict(joined)) == _payload(result_to_dict(direct))
 
+    def test_a_join_on_an_unread_hit_leaves_both_unread(self, problem, parameters):
+        from concurrent.futures import Future
+
+        from repro.api import run_request
+        from repro.serve import DesignTicket
+
+        request = DesignRequest(problem=problem, parameters=parameters, request_id="first")
+        expected = _payload(result_to_dict(run_request(request)))
+        cache = ArtifactCache()
+        run_request_cached(request, cache)
+        hit = run_request_cached(request, cache)
+        future: Future = Future()
+        future.set_result(hit)
+        ticket = DesignTicket(
+            request_id="joined",
+            digest=hit.cache["request_digest"],
+            deduplicated=True,
+            future=future,
+        )
+        joined = ticket.result()
+        assert unread_document(hit) is not None and unread_document(joined) is not None
+        body = _response_document(joined)
+        assert body["request_id"] == "joined" and body["cache"]["deduplicated"] is True
+        assert _payload(body) == expected
+        assert unread_document(hit) is not None and unread_document(joined) is not None
+        # Read, the two share one decode.
+        assert joined.solution is hit.solution
+
     def test_editing_a_returned_result_leaves_later_hits_alone(self, problem, parameters):
         request = _hit_requests(problem, parameters)["evaluated"]
         expected = _payload(result_to_dict(get_designer("spaa03").design(request)))
@@ -941,6 +969,27 @@ class TestDesignSession:
         assert result.cache["session_id"] == "prov"
         assert result.cache["session_event"] == 1
         assert result.cache["stages"]["plan"] == "session-reuse"
+
+    def test_event_seconds_cover_the_table_patch(self, problem, parameters, monkeypatch):
+        import time
+
+        import repro.serve.session as session_module
+
+        patch = session_module.apply_delta
+
+        def slow_patch(*args, **kwargs):
+            time.sleep(0.05)
+            return patch(*args, **kwargs)
+
+        session = DesignSession(
+            problem, parameters=parameters, options={"shards": 2, "jobs": 1}
+        )
+        session.ensure_design()
+        monkeypatch.setattr(session_module, "apply_delta", slow_patch)
+        _event, delta, _new = next(churn_stream(problem, ["flash-crowd"], seed=3))
+        session.apply_delta(delta)
+        assert session.events[-1].seconds >= 0.05
+        assert session.summary()["event_seconds"] == [session.events[-1].seconds]
 
     def test_a_session_holds_its_own_cache_by_default(self, problem, parameters):
         session = DesignSession(problem, parameters=parameters)

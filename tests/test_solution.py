@@ -76,14 +76,6 @@ class TestReliability:
             delivered / tiny_problem.demand_weight(demand)
         )
 
-    def test_weight_success_probability_monotone_in_paths(self, tiny_problem):
-        single = OverlaySolution.from_assignments(tiny_problem, {("d1", "s"): ["r1"]})
-        double = OverlaySolution.from_assignments(tiny_problem, {("d1", "s"): ["r1", "r2"]})
-        demand = tiny_problem.demands[0]
-        assert double.weight_success_probability(demand) >= single.weight_success_probability(
-            demand
-        )
-
     def test_demands_below_threshold(self, tiny_problem):
         # One lossy reflector alone cannot reach 0.995 for d1.
         solution = OverlaySolution.from_assignments(tiny_problem, {("d1", "s"): ["r3"]})
@@ -102,9 +94,6 @@ class TestFanoutAndColors:
     def test_empty_solution_fanout_zero(self, tiny_problem):
         solution = OverlaySolution.from_assignments(tiny_problem, {})
         assert solution.max_fanout_factor() == 0.0
-
-    def test_bandwidth_used(self, tiny_problem, manual_solution):
-        assert manual_solution.bandwidth_used("r1") == pytest.approx(2.0)  # two demands x B=1
 
     def test_color_violations(self, colored_problem):
         demand = colored_problem.demands[0]

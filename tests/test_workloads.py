@@ -21,7 +21,6 @@ from repro.workloads import (
     small_example_problem,
     zipf_viewership,
 )
-from repro.workloads.synthetic import success_threshold_for_quality
 
 
 class TestSyntheticPrimitives:
@@ -57,13 +56,6 @@ class TestSyntheticPrimitives:
         assert counts[0] >= counts[-1]
         with pytest.raises(ValueError):
             zipf_viewership(0, 10, rng)
-
-    def test_quality_tiers(self):
-        assert success_threshold_for_quality("premium") == 0.999
-        assert success_threshold_for_quality("standard") == 0.99
-        assert success_threshold_for_quality("best-effort") == 0.95
-        with pytest.raises(ValueError):
-            success_threshold_for_quality("imaginary")
 
 
 class TestRandomInstances:
