@@ -651,10 +651,6 @@ class ComparisonReport:
     def improvements(self) -> list[MetricDrift]:
         return [d for d in self.drifts if d.classification == CLASS_IMPROVEMENT]
 
-    @property
-    def has_regressions(self) -> bool:
-        return bool(self.regressions)
-
     def rows(self) -> list[dict]:
         return [drift.as_row() for drift in self.drifts]
 

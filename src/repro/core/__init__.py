@@ -30,7 +30,6 @@ from repro.core.weights import (
     path_failure_probability,
     success_from_weight,
     threshold_to_weight,
-    weight_to_failure,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "path_failure_probability",
     "success_from_weight",
     "threshold_to_weight",
-    "weight_to_failure",
 ]

@@ -499,10 +499,6 @@ class ProblemIndex:
         return len(self.demands)
 
     @property
-    def num_candidates(self) -> int:
-        return int(self.candidate_reflector.size)
-
-    @property
     def nbytes(self) -> int:
         """Bytes held by the index's arrays (the name tables not included)."""
         return sum(value.nbytes for value in vars(self).values() if isinstance(value, np.ndarray))

@@ -210,16 +210,7 @@ class OverlayDesignProblem:
         self._canonical = False
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
-        if not 0.0 <= cost < math.inf:
-            raise ValueError(f"reflector cost must be non-negative and finite, got {cost}")
-        if (
-            isinstance(fanout, bool)
-            or not isinstance(fanout, numbers.Real)
-            or not float(fanout).is_integer()
-        ):
-            raise ValueError(f"reflector {reflector!r}: fanout must be an integer, got {fanout!r}")
-        if fanout <= 0:
-            raise ValueError(f"reflector fanout must be positive, got {fanout}")
+        _check_build(reflector, cost, fanout)
         if capacity is not None and not 0.0 < capacity < math.inf:
             raise ValueError(f"reflector capacity must be positive and finite, got {capacity}")
         # A color keys the ISP groups, so it must be a hashable scalar.
@@ -497,10 +488,6 @@ class OverlayDesignProblem:
             for d in short.tolist()
         ]
 
-    def size_signature(self) -> tuple[int, int, int]:
-        """(|S|, |R|, n) -- the quantities the paper's running time is stated in."""
-        return (self.num_streams, self.num_reflectors, self.num_demands)
-
     # ---------------------------------------------------------------- helpers
     def _require_stream(self, stream: str) -> None:
         if stream not in self._stream_set:
@@ -707,6 +694,68 @@ class OverlayDesignProblem:
             )
         return child
 
+    def _cut(
+        self,
+        name: str,
+        *,
+        streams: Iterable[str],
+        reflectors: Iterable[str],
+        sinks: Iterable[str],
+        stream_edges: Iterable[tuple[str, str]],
+        demands: Iterable[tuple[str, str]],
+        link_sinks: Iterable[str],
+        fanouts: Mapping[str, int],
+        reflector_costs: Mapping[str, float],
+        stream_edge_costs: Mapping[tuple[str, str], float],
+    ) -> OverlayDesignProblem:
+        """The named rows of this problem, in the tables adding them would give.
+
+        The bulk constructor behind ``repro.scale.extract_shard_problem``:
+        rows are named in table order, and each of ``link_sinks`` keeps its
+        links to kept reflectors, in ``_sink_reflectors`` order.  Kept rows
+        were checked when they were added; only the override values are, as
+        ``add_*`` would, in its order.  Immutable rows are shared; reflector
+        records and per-stream cost dicts are copied.
+        """
+        child = OverlayDesignProblem(name)
+        child._streams = list(streams)
+        child._stream_set = set(child._streams)
+        child._stream_bandwidth = {s: self._stream_bandwidth[s] for s in child._streams}
+        for reflector in reflectors:
+            info = self._reflectors[reflector]
+            cost = reflector_costs.get(reflector, info.cost)
+            fanout = fanouts.get(reflector, info.fanout)
+            if reflector in fanouts or reflector in reflector_costs:
+                _check_build(reflector, cost, fanout)
+            child._reflectors[reflector] = replace(info, cost=float(cost), fanout=int(fanout))
+        child._reflector_order = dict(zip(child._reflectors, range(len(child._reflectors))))
+        child._sinks = list(sinks)
+        child._sink_set = set(child._sinks)
+        for key in stream_edges:
+            edge = self._stream_edges[key]
+            if key in stream_edge_costs:
+                _check_cost(stream_edge_costs[key])
+                edge = replace(edge, cost=float(stream_edge_costs[key]))
+            child._stream_edges[key] = edge
+
+        kept = child._reflectors
+        for sink in link_sinks:
+            reflectors_of = [r for r in self._sink_reflectors.get(sink, ()) if r in kept]
+            if reflectors_of:
+                child._sink_reflectors[sink] = reflectors_of
+        links = [(r, sink) for sink, of in child._sink_reflectors.items() for r in of]
+        child._delivery_links = {key: self._delivery_links[key] for key in links}
+        for key in links:
+            own = self._delivery_stream_costs.get(key, {})
+            costs = {stream: cost for stream, cost in own.items() if stream in child._stream_set}
+            if costs:
+                child._delivery_stream_costs[key] = costs
+            if key in self._arc_capacity:
+                child._arc_capacity[key] = self._arc_capacity[key]
+        child._demands = {key: self._demands[key] for key in demands}
+        child._canonical = False
+        return child
+
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
             f"OverlayDesignProblem(name={self.name!r}, streams={self.num_streams}, "
@@ -718,6 +767,20 @@ class OverlayDesignProblem:
 #: A link's ``add_delivery_edge`` arguments after its names:
 #: ``(loss_probability, cost, stream_costs, capacity)``.
 _LinkArguments = tuple[float, float, "Mapping[str, float] | None", "float | None"]
+
+
+def _check_build(reflector: str, cost: float, fanout: int) -> None:
+    """``add_reflector``'s checks of a build cost and a fanout bound."""
+    if not 0.0 <= cost < math.inf:
+        raise ValueError(f"reflector cost must be non-negative and finite, got {cost}")
+    if (
+        isinstance(fanout, bool)
+        or not isinstance(fanout, numbers.Real)
+        or not float(fanout).is_integer()
+    ):
+        raise ValueError(f"reflector {reflector!r}: fanout must be an integer, got {fanout!r}")
+    if fanout <= 0:
+        raise ValueError(f"reflector fanout must be positive, got {fanout}")
 
 
 def _check_probability(value: float) -> None:

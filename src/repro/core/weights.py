@@ -80,13 +80,6 @@ def failure_to_weight(failure_probability: float, cap: float = MAX_WEIGHT) -> fl
     return min(cap, -math.log(failure_probability))
 
 
-def weight_to_failure(weight: float) -> float:
-    """Inverse transform ``q = exp(-w)``."""
-    if weight < 0:
-        raise ValueError(f"weight must be non-negative, got {weight}")
-    return math.exp(-weight)
-
-
 def threshold_to_weight(success_threshold: float, cap: float = MAX_WEIGHT) -> float:
     """Demand weight ``W = -log(1 - Phi)`` for a success-probability threshold.
 

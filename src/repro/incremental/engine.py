@@ -39,6 +39,8 @@ from functools import cache
 from itertools import chain
 from typing import Mapping
 
+import numpy as np
+
 from repro.api.registry import RegisteredDesigner, get_designer
 from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
@@ -234,19 +236,12 @@ def design_incremental(
             shard_state=state,
         )
 
-    # Lazy plan: shard subproblems are extracted only when touched, and only
-    # dirty shards re-solved whole touch theirs -- clean shards carry their
-    # standing assignments and residual re-solves extract their own
-    # subproblem directly from ``new_problem``.  This keeps the update cost
-    # proportional to the churn instead of the instance size.
+    # The plan holds names: the job below cuts a subproblem from
+    # ``new_problem`` for a dirty shard only (whole, or the residual of its
+    # affected demands), so the update costs what the churn touches.
     start = time.perf_counter()
     if plan is None:
-        plan = build_partition(
-            new_problem,
-            partitioner=opts["partitioner"],
-            shards=opts["shards"],
-            materialize=False,
-        )
+        plan = build_partition(new_problem, partitioner=opts["partitioner"], shards=opts["shards"])
     partition_seconds = time.perf_counter() - start
 
     # Demands the standing design never served must be re-solved too: there
@@ -308,16 +303,23 @@ def design_incremental(
     # Builds and stream deliveries the carried assignments already pay for
     # are sunk: residual subproblems see them at zero cost, so the warm-
     # started re-solve prefers consolidating onto standing reflectors over
-    # paying for fresh ones it does not need.
+    # paying for fresh ones it does not need.  The dropped lists come off the
+    # state's counts per reflector and per (stream, reflector) pair.
     @cache
-    def sunk_costs() -> tuple[set[str], set[tuple[str, str]]]:
-        kept_loads, kept_pairs = Counter(loads), state.pairs()
-        for sink, stream in dropped:
-            kept_loads.subtract(base[sink, stream])
-            kept_pairs.subtract((stream, reflector) for reflector in base[sink, stream])
+    def sunk_costs() -> tuple[list[str], list[tuple[str, str]]]:
+        index, width = state.index, len(state.index.reflectors)
+        keys = list(dropped)
+        entries = index.entries(keys, [base[key] for key in keys])
+        streams = index.demand_stream[[index.demand_code[key] for key in keys]]
+        pairs = streams[entries.segment] * width + entries.reflector
+        kept_loads = state.loads - np.bincount(entries.reflector, minlength=width)
+        kept_pairs = state.pair_count - np.bincount(pairs, minlength=state.pair_count.size)
         return (
-            {reflector for reflector, used in kept_loads.items() if used > 0},
-            {pair for pair, used in kept_pairs.items() if used > 0},
+            [index.reflectors[code] for code in np.flatnonzero(kept_loads > 0).tolist()],
+            [
+                (index.streams[pair // width], index.reflectors[pair % width])
+                for pair in np.flatnonzero(kept_pairs > 0).tolist()
+            ],
         )
 
     def job(shard: Shard) -> ShardJob:
@@ -329,15 +331,16 @@ def design_incremental(
             for key in shard.demand_keys
             if key not in affected and base.get(key)
         }
+        name = f"{new_problem.name}/{shard.shard_id}"
         if not fixed:
-            return shard.problem, {}
+            return extract_shard_problem(new_problem, shard.sinks, name=name), {}
         fixed_load = Counter(chain.from_iterable(fixed.values()))
         affected_in_shard = [key for key in shard.demand_keys if key in affected]
         carried_builds, carried_deliveries = sunk_costs()
         residual = extract_shard_problem(
             new_problem,
             sinks=sorted({sink for sink, _stream in affected_in_shard}),
-            name=f"{new_problem.name}/{shard.shard_id}/residual",
+            name=f"{name}/residual",
             demand_keys=set(affected_in_shard),
             fanout_overrides={
                 reflector: max(1, new_problem.fanout(reflector) - load)

@@ -14,7 +14,7 @@ each exact outage scenario, for the scenario-based reliability analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class ISPRegistry:
         if isp.name in self.isps:
             raise ValueError(f"ISP {isp.name!r} already registered")
         self.isps[isp.name] = isp
-
-    def add_many(self, isps: Iterable[ISP]) -> None:
-        for isp in isps:
-            self.add(isp)
 
     def get(self, name: str) -> ISP:
         try:

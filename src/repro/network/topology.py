@@ -153,17 +153,11 @@ class OverlayTopology:
         except KeyError:
             raise KeyError(f"no link {tail!r} -> {head!r}") from None
 
-    def has_link(self, tail: str, head: str) -> bool:
-        return (tail, head) in self._links
-
     def links(self) -> list[OverlayLink]:
         return list(self._links.values())
 
     def out_links(self, tail: str) -> list[OverlayLink]:
         return [link for (t, _h), link in self._links.items() if t == tail]
-
-    def in_links(self, head: str) -> list[OverlayLink]:
-        return [link for (_t, h), link in self._links.items() if h == head]
 
     # ---------------------------------------------------------------- streams
     def add_stream(self, stream: StreamSpec) -> None:

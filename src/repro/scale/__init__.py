@@ -7,8 +7,8 @@ re-audit the merged design.  See ``docs/scaling.md`` for the architecture and
 the determinism contract.
 
 * :mod:`repro.scale.partition` -- pluggable :class:`Partitioner` registry
-  (``metro`` / ``isp`` / ``hash`` / ``auto``), balanced shard planning and
-  self-contained subproblem extraction;
+  (``metro`` / ``isp`` / ``hash`` / ``auto``), balanced shard planning (a
+  plan holds names) and the bulk cut of each self-contained subproblem;
 * :mod:`repro.scale.stitch` -- :func:`stitch_assignments`, the one stitch:
   merge, cross-shard fanout reconciliation, global repair;
 * :mod:`repro.scale.pipeline` -- :func:`run_shard_loop` (one round of
@@ -34,7 +34,6 @@ from repro.scale.partition import (
     extract_shard_problem,
     get_partitioner,
     register_partitioner,
-    resolve_partitioner,
     resolve_shard_count,
 )
 from repro.scale.pipeline import (
@@ -62,7 +61,6 @@ __all__ = [
     "make_sharded_designer",
     "rebalance_fanout",
     "register_partitioner",
-    "resolve_partitioner",
     "resolve_shard_count",
     "run_shard_loop",
     "shard_seed",

@@ -1,9 +1,10 @@
 """Partitioning internet-scale instances into ISP/metro shards.
 
 A :class:`Partitioner` groups a problem's *sinks* into named groups; the
-planner coalesces those groups into a target number of balanced shards and
-extracts one self-contained sub-:class:`~repro.core.problem.OverlayDesignProblem`
-per shard.  Each shard contains
+planner coalesces those groups into a target number of balanced shards, each
+a :class:`Shard` record of names, and :func:`extract_shard_problem` cuts one
+self-contained sub-:class:`~repro.core.problem.OverlayDesignProblem` per
+shard from the problem's own rows.  Each shard problem contains
 
 * the shard's sinks and their demands (every sink lands in exactly one shard,
   so the shard demand sets partition ``problem.demands``);
@@ -128,13 +129,6 @@ register_partitioner(
 )
 
 
-def resolve_partitioner(
-    problem: OverlayDesignProblem, partitioner: str | Partitioner = "auto"
-) -> Partitioner:
-    """Resolve ``"auto"`` (or a name) to a concrete :class:`Partitioner`."""
-    return _resolve_with_groups(problem, partitioner)[0]
-
-
 def _resolve_with_groups(
     problem: OverlayDesignProblem, partitioner: str | Partitioner
 ) -> tuple[Partitioner, dict[str, list[str]]]:
@@ -181,55 +175,26 @@ def resolve_shard_count(shards: int | str | None, problem: OverlayDesignProblem)
     return min(shards, problem.num_sinks)
 
 
+@dataclass(frozen=True)
 class Shard:
-    """One shard: its sinks, its slice of the demands, and its subproblem.
+    """One shard of a plan: its id, its sinks and the keys of its demands.
 
-    ``problem`` may be materialized lazily (``build_partition(...,
-    materialize=False)``): extraction is a pure function of the full problem,
-    so *when* it runs does not affect determinism.  The incremental engine
-    relies on this -- it touches only the dirty shards' subproblems, so a
-    lazy plan costs membership bookkeeping instead of a full extraction per
-    shard.  Lazily-built shards hold a closure and are not picklable until
-    ``problem`` has been accessed.
+    A shard is a slice of the problem its plan is bound to, held as names;
+    :func:`extract_shard_problem` cuts its subproblem from that problem.
     """
 
-    def __init__(
-        self,
-        shard_id: str,
-        sinks: list[str],
-        demand_keys: list[tuple[str, str]],
-        problem: OverlayDesignProblem | None = None,
-        problem_factory: Callable[[], OverlayDesignProblem] | None = None,
-    ) -> None:
-        if problem is None and problem_factory is None:
-            raise ValueError("Shard needs a problem or a problem_factory")
-        self.shard_id = shard_id
-        self.sinks = sinks
-        self.demand_keys = demand_keys
-        self._problem = problem
-        self._problem_factory = problem_factory
-
-    @property
-    def problem(self) -> OverlayDesignProblem:
-        if self._problem is None:
-            assert self._problem_factory is not None
-            self._problem = self._problem_factory()
-            self._problem_factory = None
-        return self._problem
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Shard({self.shard_id!r}, sinks={len(self.sinks)}, "
-            f"demands={len(self.demand_keys)})"
-        )
+    shard_id: str
+    sinks: list[str] = field(repr=False)
+    demand_keys: list[tuple[str, str]] = field(repr=False)
 
 
 @dataclass
 class PartitionPlan:
-    """The output of :func:`build_partition`: balanced, self-contained shards.
+    """The output of :func:`build_partition`: a balanced layout of shards.
 
     ``shard_of_sink`` maps each sink to its shard's position in ``shards``;
-    plans rebound to a problem with the same sinks share it.
+    plans rebound to a problem with the same sinks share it.  A plan holds
+    names only, so it pickles small: the ``_sink_shard`` memo stays out.
     """
 
     partitioner: str
@@ -240,6 +205,11 @@ class PartitionPlan:
     _sink_shard: tuple[list[str], np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_sink_shard", None)
+        return state
 
     @property
     def num_shards(self) -> int:
@@ -293,15 +263,15 @@ def extract_shard_problem(
     reflector_cost_overrides: Mapping[str, float] | None = None,
     stream_edge_cost_overrides: Mapping[tuple[str, str], float] | None = None,
 ) -> OverlayDesignProblem:
-    """Build the self-contained subproblem for one shard.
+    """Cut the self-contained subproblem for one shard out of ``problem``.
 
     The subproblem keeps the shard's sinks and demands, every candidate
     reflector of those demands (with its full cost/fanout/color/capacity),
     and exactly the edges connecting them; weights, costs and thresholds are
-    copied verbatim, so a demand's feasible weight in the shard equals its
-    feasible weight in the full problem.  Demands, candidates and each
-    sink's links come from the problem's index, so extracting a shard never
-    rescans the whole link table.
+    the parent's own, so a demand's feasible weight in the shard equals its
+    feasible weight in the full problem.  The index picks the rows, and one
+    bulk cut copies them (``OverlayDesignProblem._cut``): the subproblem
+    equals, table for table, the one adding each kept row would build.
 
     The override knobs serve the incremental engine's *residual* subproblems
     (:mod:`repro.incremental`): ``demand_keys`` restricts the subproblem to
@@ -310,7 +280,8 @@ def extract_shard_problem(
     keeps, and ``reflector_cost_overrides`` / ``stream_edge_cost_overrides``
     (keyed ``(stream, reflector)``) discount builds and stream deliveries
     the kept assignments already pay for -- sunk costs the warm-started
-    re-solve should treat as free.
+    re-solve should treat as free.  Override values are checked as
+    ``add_reflector`` and ``add_stream_edge`` check them.
     """
     index = problem_index(problem)
     in_shard = np.zeros(len(index.sinks), dtype=bool)
@@ -320,70 +291,26 @@ def extract_shard_problem(
         demands = demands[[index.keys[demand] in demand_keys for demand in demands.tolist()]]
     chosen = np.zeros(index.num_demands, dtype=bool)
     chosen[demands] = True
-    seen_streams = np.zeros(len(index.streams), dtype=bool)
-    seen_streams[index.demand_stream[demands]] = True
-    seen_reflectors = np.zeros(len(index.reflectors), dtype=bool)
-    seen_reflectors[index.candidate_reflector[chosen[index.candidate_demand]]] = True
-
-    shard = OverlayDesignProblem(name=name)
-    for stream in compress(index.streams, seen_streams):
-        shard.add_stream(stream, bandwidth=problem.stream_bandwidth(stream))
-    for reflector in compress(index.reflectors, seen_reflectors):
-        info = problem.reflector_info(reflector)
-        fanout = info.fanout
-        if fanout_overrides is not None:
-            fanout = fanout_overrides.get(reflector, fanout)
-        cost = info.cost
-        if reflector_cost_overrides is not None:
-            cost = reflector_cost_overrides.get(reflector, cost)
-        shard.add_reflector(
-            reflector,
-            cost=cost,
-            fanout=fanout,
-            color=info.color,
-            capacity=info.capacity,
-        )
-    for sink in compress(index.sinks, in_shard):
-        shard.add_sink(sink)
-    edge_kept = seen_streams[index.edge_stream] & seen_reflectors[index.edge_reflector]
-    for edge in compress(problem.stream_edges(), edge_kept):
-        edge_cost = edge.cost
-        if stream_edge_cost_overrides is not None:
-            edge_cost = stream_edge_cost_overrides.get((edge.stream, edge.reflector), edge_cost)
-        shard.add_stream_edge(edge.stream, edge.reflector, edge.loss_probability, edge_cost)
-    overrides = problem.delivery_stream_cost_overrides()
-    for sink in sinks:
-        code = index.sink_code.get(sink)
-        if code is None:
-            continue
-        links = index.sink_links[index.sink_link_ptr[code] : index.sink_link_ptr[code + 1]]
-        links = links[seen_reflectors[index.link_reflector[links]]]
-        for reflector, loss, base_cost, capacity in zip(
-            index.link_reflector[links].tolist(),
-            index.link_loss[links].tolist(),
-            index.link_cost[links].tolist(),
-            index.link_capacity[links].tolist(),
-        ):
-            reflector = index.reflectors[reflector]
-            stream_costs = overrides.get((reflector, sink))
-            if stream_costs is not None:
-                stream_costs = {
-                    stream: cost
-                    for stream, cost in stream_costs.items()
-                    if seen_streams[index.stream_code[stream]]
-                }
-            shard.add_delivery_edge(
-                reflector,
-                sink,
-                loss_probability=loss,
-                cost=base_cost,
-                stream_costs=stream_costs or None,
-                capacity=None if math.isnan(capacity) else capacity,
-            )
-    for demand in demands.tolist():
-        sink, stream = index.keys[demand]
-        shard.add_demand(sink, stream, index.demands[demand].success_threshold)
-    return shard
+    streams = np.zeros(len(index.streams), dtype=bool)
+    streams[index.demand_stream[demands]] = True
+    reflectors = np.zeros(len(index.reflectors), dtype=bool)
+    reflectors[index.candidate_reflector[chosen[index.candidate_demand]]] = True
+    edges = np.flatnonzero(streams[index.edge_stream] & reflectors[index.edge_reflector])
+    return problem._cut(
+        name,
+        streams=compress(index.streams, streams.tolist()),
+        reflectors=compress(index.reflectors, reflectors.tolist()),
+        sinks=map(index.sinks.__getitem__, np.flatnonzero(in_shard).tolist()),
+        stream_edges=zip(
+            map(index.streams.__getitem__, index.edge_stream[edges].tolist()),
+            map(index.reflectors.__getitem__, index.edge_reflector[edges].tolist()),
+        ),
+        demands=map(index.keys.__getitem__, demands.tolist()),
+        link_sinks=sinks,
+        fanouts=fanout_overrides or {},
+        reflector_costs=reflector_cost_overrides or {},
+        stream_edge_costs=stream_edge_cost_overrides or {},
+    )
 
 
 def _bind_layout(
@@ -391,47 +318,31 @@ def _bind_layout(
     partitioner: str,
     requested_shards: int,
     layout: list[tuple[str, list[str]]],
-    materialize: bool,
     shard_of_sink: dict[str, int],
-    kept: Mapping[int, list[tuple[str, str]]] | None = None,
+    kept: Mapping[int, Shard] | None = None,
 ) -> PartitionPlan:
     """Bind a shard layout (``(shard_id, sinks)`` per shard) to ``problem``.
 
     Per-shard demand keys come out in ``problem.demands`` order from the
-    problem's index; ``kept`` gives the shards whose keys are carried over
-    as they are (by position).  Each shard gets a subproblem factory over
-    ``problem``, resolved now when ``materialize`` is set.
+    problem's index; ``kept`` gives the shards carried over as they are (by
+    position).
     """
     index = problem_index(problem)
     plan = PartitionPlan(
         partitioner=partitioner, requested_shards=requested_shards, shard_of_sink=shard_of_sink
     )
-    grouped = dict(kept or {})
-    if len(grouped) < len(layout):
+    shards = dict(kept or {})
+    if len(shards) < len(layout):
         # One pass over every demand: its sink's shard, then a stable grouping.
         demand_shard = plan.sink_shards(index)[index.demand_sink]
         order = group_order(demand_shard, len(layout)).tolist()
         bounds = np.cumsum(np.bincount(demand_shard, minlength=len(layout))).tolist()
         keys = list(map(index.keys.__getitem__, order))
         for at, (start, stop) in enumerate(zip([0, *bounds], bounds)):
-            grouped.setdefault(at, keys[start:stop])
-    for at, (shard_id, sinks) in enumerate(layout):
-        demand_keys = grouped[at]
-
-        def factory(
-            sinks: list[str] = sinks, shard_id: str = shard_id
-        ) -> OverlayDesignProblem:
-            return extract_shard_problem(problem, sinks, name=f"{problem.name}/{shard_id}")
-
-        shard = Shard(
-            shard_id=shard_id,
-            sinks=sinks,
-            demand_keys=demand_keys,
-            problem_factory=factory,
-        )
-        if materialize:
-            shard.problem  # noqa: B018 - resolve the factory eagerly
-        plan.shards.append(shard)
+            if at not in shards:
+                shard_id, sinks = layout[at]
+                shards[at] = Shard(shard_id, sinks, keys[start:stop])
+    plan.shards = [shards[at] for at in range(len(layout))]
     return plan
 
 
@@ -439,21 +350,15 @@ def build_partition(
     problem: OverlayDesignProblem,
     partitioner: str | Partitioner = "auto",
     shards: int | str | None = "auto",
-    materialize: bool = True,
 ) -> PartitionPlan:
-    """Partition ``problem`` into balanced, self-contained shards.
+    """Partition ``problem`` into balanced shards.
 
     The plan is a pure function of the problem and the two knobs -- no
     randomness, no environment dependence -- which is what makes the sharded
     pipeline deterministic regardless of ``--jobs``.  Raises ``ValueError``
-    if the partitioner fails to cover every sink exactly once.
-
-    With ``materialize=False`` the shard subproblems are extracted on first
-    access instead of eagerly; the plan (shard ids, sink membership, demand
-    keys) is identical either way.  Callers that only touch a few shards --
-    the incremental engine re-solving dirty shards -- skip the extraction
-    cost of the others entirely.  Lazy shards hold closures, so pass
-    ``materialize=True`` (the default) when shards cross process boundaries.
+    if the partitioner fails to cover every sink exactly once.  The plan
+    holds names; callers cut the shard problems they design with
+    :func:`extract_shard_problem`.
     """
     chosen, raw_groups = _resolve_with_groups(problem, partitioner)
     target = resolve_shard_count(shards, problem)
@@ -469,7 +374,7 @@ def build_partition(
         )
     width = len(str(max(len(bins) - 1, 1)))
     layout = [(f"shard{index:0{width}d}", sinks) for index, sinks in enumerate(bins)]
-    return _bind_layout(problem, chosen.name, target, layout, materialize, shard_of_sink)
+    return _bind_layout(problem, chosen.name, target, layout, shard_of_sink)
 
 
 def rebind_partition(
@@ -479,21 +384,18 @@ def rebind_partition(
 ) -> PartitionPlan:
     """Re-attach an existing plan's shard layout to a changed problem.
 
-    Sharding is a two-step process -- group sinks, then extract subproblems
-    -- and only the second step looks at demands, links, or costs.  When a
-    delta leaves the *sink set* unchanged, the layout (shard ids, sink
-    membership) stays valid, so a long-lived session can skip the grouping
-    pass and re-extract against the new problem: subproblem factories are
-    rebound, and per-shard ``demand_keys`` are those :func:`build_partition`
-    would give the same layout, in ``problem.demands`` order.  Only the
-    shards of ``changed_sinks`` -- the sinks whose demands the delta added
-    or removed; ``None`` means any -- get their keys recomputed; the others
-    keep ``plan``'s lists.  Raises ``ValueError`` when the sink sets differ
-    (callers should rebuild from scratch instead).
+    Sharding is a two-step process -- group sinks, then cut subproblems --
+    and only the second step looks at links or costs.  When a delta leaves
+    the *sink set* unchanged, the layout (shard ids, sink membership) stays
+    valid, so a long-lived session can skip the grouping pass: per-shard
+    ``demand_keys`` are those :func:`build_partition` would give the same
+    layout, in ``problem.demands`` order.  Only the shards of
+    ``changed_sinks`` -- the sinks whose demands the delta added or removed;
+    ``None`` means any -- get their keys recomputed; the others keep
+    ``plan``'s shards, key lists included.  Raises ``ValueError`` when the
+    sink sets differ (callers should rebuild from scratch instead).
 
-    The input plan is never mutated.  The rebound shards are lazy (their
-    subproblems are extracted on first access), because rebind callers --
-    the incremental engine -- touch only dirty shards.
+    The input plan is never mutated.
     """
     index = problem_index(problem)
     if plan.shard_of_sink.keys() != index.sink_code.keys():
@@ -506,15 +408,12 @@ def rebind_partition(
     kept = {}
     if changed_sinks is not None:
         touched = {plan.shard_of_sink[sink] for sink in changed_sinks}
-        kept = {
-            at: shard.demand_keys for at, shard in enumerate(plan.shards) if at not in touched
-        }
+        kept = {at: shard for at, shard in enumerate(plan.shards) if at not in touched}
     return _bind_layout(
         problem,
         plan.partitioner,
         plan.requested_shards,
         layout,
-        materialize=False,
         shard_of_sink=plan.shard_of_sink,
         kept=kept,
     )
@@ -530,6 +429,5 @@ __all__ = [
     "get_partitioner",
     "rebind_partition",
     "register_partitioner",
-    "resolve_partitioner",
     "resolve_shard_count",
 ]

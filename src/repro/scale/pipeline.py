@@ -1,12 +1,13 @@
 """The hierarchical sharded design pipeline: partition -> shard loop.
 
 A sharded design is one round of shard-local solves plus one global stitch.
-:func:`run_shard_loop` is that round, and the only copy of it: it builds each
-solved shard's request (seed from :func:`shard_seed`), runs them through
-:func:`repro.api.design_batch` (shard order regardless of ``jobs``), merges
-back the assignments each shard keeps, stitches with
-:func:`repro.scale.stitch.stitch_assignments` and reads the merged design's
-audit against the *full* problem off the state the stitch leaves.
+:func:`run_shard_loop` is that round, and the only copy of it: it runs the
+job it is given on each shard, builds each solved shard's request (seed from
+:func:`shard_seed`), runs them through :func:`repro.api.design_batch` (shard
+order regardless of ``jobs``), merges back the assignments each shard keeps,
+stitches with :func:`repro.scale.stitch.stitch_assignments` and reads the
+merged design's audit against the *full* problem off the state the stitch
+leaves.
 :func:`design_sharded` is its all-dirty case (every shard solved whole,
 nothing kept); :func:`repro.api.design_incremental` runs it over a standing
 design's dirty shards, their residual subproblems and the assignments they
@@ -49,7 +50,7 @@ from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
 from repro.core.problem import OverlayDesignProblem
 from repro.core.schema import ANY, STRING, Doc, Field, MapOf
-from repro.scale.partition import PartitionPlan, Shard, build_partition
+from repro.scale.partition import PartitionPlan, Shard, build_partition, extract_shard_problem
 from repro.scale.stitch import ShardState, stitch_assignments
 
 #: Prefix of dynamically materialised sharded strategies.
@@ -102,26 +103,21 @@ def sharded_options(options: Mapping | None, owner: str, **extra: Any) -> dict:
     return SHARDED.options(dict(options or {}), owner, **extra)
 
 
-def _whole_shard(shard: Shard) -> ShardJob:
-    return shard.problem, {}
-
-
 def run_shard_loop(
     problem: OverlayDesignProblem,
     plan: PartitionPlan,
     inner: RegisteredDesigner,
     parameters: DesignParameters,
     options: Mapping[str, Any],
+    job: Callable[[Shard], ShardJob],
     strategy: str,
     request_id: str | None = None,
-    job: Callable[[Shard], ShardJob] = _whole_shard,
     standing: ShardState | None = None,
 ) -> tuple[DesignResult, list[DesignResult]]:
     """Solve shards, merge back what each keeps, stitch and audit: one round.
 
-    ``job(shard)`` says what the shard contributes (see :data:`ShardJob`);
-    the default solves every shard whole and keeps nothing, which is a first
-    sharded design.  Every subproblem goes through ``inner`` in one
+    ``job(shard)`` says what the shard contributes (see :data:`ShardJob`).
+    Every subproblem goes through ``inner`` in one
     :func:`repro.api.design_batch` call, seeded by :func:`shard_seed` over
     ``parameters``' seed and the shard index, with
     ``options["inner_options"]`` and ``options["jobs"]``.  A solved shard's
@@ -225,27 +221,35 @@ def design_sharded(
 ) -> DesignResult:
     """Partition, then run one round of :func:`run_shard_loop` over every shard.
 
-    ``plan`` lets a caller that already holds the partition -- the serving
-    cache -- skip the grouping/extraction pass.  The plan must have been
-    built against *this* request's problem with the same partitioner/shards
+    The ``partition`` stage builds the plan and cuts every shard's
+    subproblem.  ``plan`` lets a caller that already holds the partition --
+    the serving cache -- skip the grouping pass.  It must have been built
+    against this request's problem content with the same partitioner/shards
     options; since the partition is a pure function of those inputs, a
-    supplied plan cannot change the design, only the ``partition`` stage
-    time.
+    supplied plan cannot change the design, only the ``partition`` time.
     """
     options = sharded_options(request.options, f"strategy {request.strategy!r}")
+    problem = request.problem
     start = time.perf_counter()
     if plan is None:
         plan = build_partition(
-            request.problem, partitioner=options["partitioner"], shards=options["shards"]
+            problem, partitioner=options["partitioner"], shards=options["shards"]
         )
+    subproblems = {
+        shard.shard_id: extract_shard_problem(
+            problem, shard.sinks, name=f"{problem.name}/{shard.shard_id}"
+        )
+        for shard in plan.shards
+    }
     partition_seconds = time.perf_counter() - start
 
     result, shard_results = run_shard_loop(
-        request.problem,
+        problem,
         plan,
         inner,
         request.parameters,
         options,
+        lambda shard: (subproblems[shard.shard_id], {}),
         strategy=f"{SHARDED_PREFIX}{inner.name}",
         request_id=request.request_id,
     )

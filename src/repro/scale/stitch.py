@@ -165,12 +165,6 @@ class ShardState:
         served = np.bincount(self.segment, minlength=self.index.num_demands)
         return [self.index.keys[demand] for demand in np.flatnonzero(served == 0).tolist()]
 
-    def pairs(self) -> Counter[tuple[str, str]]:
-        """Assignments per ``(stream, reflector)``."""
-        used = np.flatnonzero(self.pair_count)
-        names = map(partial(_pair_name, self.index), used.tolist())
-        return Counter(dict(zip(names, self.pair_count[used].tolist())))
-
 
 def _pair_name(index: ProblemIndex, pair: int) -> tuple[str, str]:
     """The ``(stream, reflector)`` of a pair code (``stream * len(reflectors) + reflector``)."""

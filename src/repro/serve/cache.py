@@ -36,7 +36,7 @@ from repro.core.serialization import canonical_digest, problem_digest
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Nominal size charged to artifacts that cannot be pickled for measurement
-#: (e.g. lazy partition plans holding closures).
+#: (the serving layer's own result documents and partition plans all pickle).
 UNSIZED_NOMINAL_BYTES = 64 * 1024
 
 
@@ -94,8 +94,8 @@ class ArtifactCache:
     ``max_bytes``; inserting past the budget evicts least-recently-used
     lines.  With ``spill_dir`` set, evicted picklable values are written to
     disk and silently re-admitted (counted as ``spill_hits``) when next
-    requested; unpicklable values (lazy plans holding closures) stay
-    memory-only and are charged a nominal size.
+    requested; unpicklable values stay memory-only and are charged a nominal
+    size.
 
     A single oversized artifact (larger than the whole budget) is stored
     anyway -- refusing it would make the serving layer slower than no cache

@@ -13,7 +13,8 @@ content-addressed :class:`~repro.serve.cache.ArtifactCache`:
   A hit decodes nothing: its solution and audit are decoded from the
   document on first read (:func:`repro.api.types.stored_result`);
 * partition plans: ``sharded:*`` strategies reuse the plan line keyed on
-  problem digest + partitioner knobs.
+  problem digest + partitioner knobs.  A plan holds names, so a hit skips
+  only the grouping pass: the shards are cut from the request's problem.
 
 Determinism contract: every cached artifact is a pure function of its key's
 content, so for a fixed request the result payload is bit-identical with the

@@ -186,7 +186,6 @@ class DesignSession:
                     new_problem,
                     partitioner=self._settings["partitioner"],
                     shards=self._settings["shards"],
-                    materialize=False,
                 )
         result = design_incremental(
             standing,

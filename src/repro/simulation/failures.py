@@ -115,10 +115,6 @@ class FailureSchedule:
     def __len__(self) -> int:
         return len(self.events)
 
-    def has_congestion(self) -> bool:
-        """Whether any event carries fractional (non-outage) severity."""
-        return any(event.kind in CONGESTION_KINDS for event in self.events)
-
     def validate_for_session(self, num_packets: int) -> None:
         """Reject events that could silently never fire in a session.
 

@@ -75,12 +75,12 @@ def stitch_solutions(
     if len(solutions) != plan.num_shards:
         raise ValueError(f"got {len(solutions)} shard solutions for {plan.num_shards} shards")
     report = StitchReport(num_shards=plan.num_shards)
-    for shard, solution in zip(plan.shards, solutions):
+    for solution in solutions:
         for reflector, used in _loads(solution).items():
             report.shard_max_fanout_factor = max(
                 report.shard_max_fanout_factor, used / problem.fanout(reflector)
             )
-        for demand in shard.problem.demands:
+        for demand in solution.problem.demands:
             report.shard_min_weight_fraction = min(
                 report.shard_min_weight_fraction,
                 solution.weight_satisfaction(demand),

@@ -32,7 +32,7 @@ from repro.incremental import (
     sample_sink_churn,
 )
 from repro.incremental.churn import delta_from_failure_schedule
-from repro.scale.partition import build_partition
+from repro.scale.partition import build_partition, extract_shard_problem
 from repro.simulation.failures import FailureEvent, FailureSchedule
 from repro.workloads import InternetScaleConfig, generate_internet_scale_problem
 
@@ -157,7 +157,10 @@ def test_each_sinks_reflectors_are_listed_in_link_table_order():
     generated = _problem(0)
     decoded = problem_from_dict(problem_to_dict(generated))
     patched = apply_delta(generated, sample_sink_churn(generated, SinkChurnConfig(0.1), 5))
-    shards = [shard.problem for shard in build_partition(generated, "metro", 4).shards]
+    shards = [
+        extract_shard_problem(generated, shard.sinks, name=shard.shard_id)
+        for shard in build_partition(generated, "metro", 4).shards
+    ]
     # The generator's link order is not name order, so the order is a real constraint.
     assert sum(links != sorted(links) for links in _link_order(generated).values()) > 100
     for problem in (generated, decoded, patched, *shards):

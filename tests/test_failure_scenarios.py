@@ -113,7 +113,7 @@ class TestFailureSchedule:
         assert profile[6:8] == pytest.approx([0.75, 0.75])  # independent combine
         assert profile[8:].tolist() == [0.0, 0.0]
         assert index.loss_profile(index.link_events("r1", "edge2"), 10) is None
-        assert schedule.has_congestion()
+        assert any(event.kind == "link_congestion" for event in schedule.events)
 
     def test_outage_mask_ignores_congestion(self):
         schedule = FailureSchedule(
@@ -209,7 +209,8 @@ class TestCatalogue:
                 assert isinstance(realization.loss_model, BernoulliLossModel)
             if name == "flash-crowd":
                 assert len(realization.failures) > 0
-                assert realization.failures.has_congestion()
+                kinds = {event.kind for event in realization.failures.events}
+                assert "link_congestion" in kinds
 
     def test_realization_deterministic(self, akamai):
         problem, _solution = akamai

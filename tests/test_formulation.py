@@ -211,10 +211,13 @@ class TestExtensionsInFormulation:
 
 
 def _shard_formulations(problem, shards="auto"):
-    from repro.scale.partition import build_partition
+    from repro.scale.partition import build_partition, extract_shard_problem
 
     plan = build_partition(problem, shards=shards)
-    return [build_sparse_formulation(shard.problem) for shard in plan.shards]
+    return [
+        build_sparse_formulation(extract_shard_problem(problem, shard.sinks, name=shard.shard_id))
+        for shard in plan.shards
+    ]
 
 
 def _load(formulation) -> float:

@@ -249,25 +249,6 @@ class TestEngineOptions:
         assert result.metadata["incremental_fallback"] == "dirty-fraction"
 
 
-class TestLazyPartition:
-    def test_lazy_plan_matches_eager_plan(self):
-        problem = small_problem()
-        eager = build_partition(problem, shards=3)
-        lazy = build_partition(problem, shards=3, materialize=False)
-        assert [s.shard_id for s in lazy.shards] == [s.shard_id for s in eager.shards]
-        for lazy_shard, eager_shard in zip(lazy.shards, eager.shards):
-            assert lazy_shard.sinks == eager_shard.sinks
-            assert lazy_shard.demand_keys == eager_shard.demand_keys
-            # Materializing on first access yields the identical subproblem.
-            assert problem_digest(lazy_shard.problem) == problem_digest(eager_shard.problem)
-
-    def test_shard_requires_problem_or_factory(self):
-        from repro.scale import Shard
-
-        with pytest.raises(ValueError, match="problem"):
-            Shard(shard_id="s", sinks=[], demand_keys=[])
-
-
 class TestStitchAssignments:
     def test_wrong_shard_count_rejected(self):
         problem = small_problem()

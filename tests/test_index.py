@@ -283,7 +283,6 @@ def test_threads_indexing_one_problem_agree():
 def test_index_size_is_reported():
     problem, _registry = generate_as_geo_problem(AsGeoConfig(num_sinks=300), rng=0)
     index = problem_index(problem)
-    assert index.num_candidates == sum(
-        len(problem.candidate_reflectors(demand)) for demand in problem.demands
-    )
-    assert 0 < index.nbytes < 100 * (index.num_candidates + index.num_demands) + 10**5
+    candidates = index.candidate_reflector.size
+    assert candidates == sum(len(problem.candidate_reflectors(demand)) for demand in problem.demands)
+    assert 0 < index.nbytes < 100 * (candidates + index.num_demands) + 10**5

@@ -18,7 +18,8 @@ class TestISP:
 class TestRegistry:
     def test_add_and_query(self):
         registry = ISPRegistry()
-        registry.add_many([ISP("a", 0.1), ISP("b", 0.2)])
+        for isp in (ISP("a", 0.1), ISP("b", 0.2)):
+            registry.add(isp)
         assert len(registry) == 2
         assert "a" in registry and "c" not in registry
         assert registry.get("b").outage_probability == 0.2
@@ -37,7 +38,8 @@ class TestRegistry:
 
     def test_scenario_probabilities_sum_to_one_over_all_subsets(self):
         registry = ISPRegistry()
-        registry.add_many([ISP("a", 0.3), ISP("b", 0.5)])
+        for isp in (ISP("a", 0.3), ISP("b", 0.5)):
+            registry.add(isp)
         subsets = [set(), {"a"}, {"b"}, {"a", "b"}]
         total = sum(registry.outage_probability_of_scenario(s) for s in subsets)
         assert total == pytest.approx(1.0)

@@ -86,7 +86,8 @@ class TestDemandSuccess:
 class TestIspOutageExpectation:
     def test_expectation_between_best_and_worst_case(self, colored_tiny):
         registry = ISPRegistry()
-        registry.add_many([ISP("ispA", 0.05), ISP("ispB", 0.05)])
+        for isp in (ISP("ispA", 0.05), ISP("ispB", 0.05)):
+            registry.add(isp)
         solution = OverlaySolution.from_assignments(
             colored_tiny, {("d1", "s"): ["r1", "r2"], ("d2", "s"): ["r1", "r2"]}
         )
@@ -106,7 +107,8 @@ class TestIspOutageExpectation:
     def test_diverse_isps_more_resilient_than_single_isp(self, colored_tiny):
         """The Section-6.4 motivation: spreading copies across ISPs survives outages."""
         registry = ISPRegistry()
-        registry.add_many([ISP("ispA", 0.2), ISP("ispB", 0.2)])
+        for isp in (ISP("ispA", 0.2), ISP("ispB", 0.2)):
+            registry.add(isp)
         demand = colored_tiny.demands[0]
         diverse = OverlaySolution.from_assignments(colored_tiny, {demand.key: ["r1", "r2"]})
         same_isp = OverlaySolution.from_assignments(colored_tiny, {demand.key: ["r1", "r3"]})
@@ -131,7 +133,8 @@ class TestSummary:
 
     def test_summary_with_registry_adds_outage_metrics(self, colored_tiny):
         registry = ISPRegistry()
-        registry.add_many([ISP("ispA", 0.1), ISP("ispB", 0.1)])
+        for isp in (ISP("ispA", 0.1), ISP("ispB", 0.1)):
+            registry.add(isp)
         solution = OverlaySolution.from_assignments(
             colored_tiny, {("d1", "s"): ["r1", "r2"], ("d2", "s"): ["r2"]}
         )

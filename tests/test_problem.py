@@ -15,7 +15,6 @@ class TestBuilding:
         assert tiny_problem.num_reflectors == 3
         assert tiny_problem.num_sinks == 2
         assert tiny_problem.num_demands == 2
-        assert tiny_problem.size_signature() == (1, 3, 2)
 
     def test_duplicate_stream_rejected(self):
         problem = OverlayDesignProblem()

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.api import DesignRequest, get_designer
 from repro.core.algorithm import DesignParameters
 from repro.core.solution import OverlaySolution
-from repro.scale import build_partition, stitch_assignments
+from repro.scale import build_partition, extract_shard_problem, stitch_assignments
 from repro.workloads import (
     InternetScaleConfig,
     RandomInstanceConfig,
@@ -92,8 +92,9 @@ class TestPartitionProperties:
         problem, partitioner, shards = case
         plan = build_partition(problem, partitioner=partitioner, shards=shards)
         for shard in plan.shards:
-            shard.problem.validate()
-            assert shard.problem.feasibility_report() == []
+            subproblem = extract_shard_problem(problem, shard.sinks, name=shard.shard_id)
+            subproblem.validate()
+            assert subproblem.feasibility_report() == []
 
 
 class TestStitchProperties:
@@ -107,14 +108,15 @@ class TestStitchProperties:
         shard_weight_fraction: dict[tuple[str, str], float] = {}
         shard_max_factor = 0.0
         for index, shard in enumerate(plan.shards):
+            subproblem = extract_shard_problem(problem, shard.sinks, name=shard.shard_id)
             result = get_designer("greedy").design(
                 DesignRequest(
-                    problem=shard.problem,
+                    problem=subproblem,
                     parameters=DesignParameters(seed=seed + index),
                 )
             )
             solutions.append(result.solution)
-            for demand in shard.problem.demands:
+            for demand in subproblem.demands:
                 shard_weight_fraction[demand.key] = result.solution.weight_satisfaction(
                     demand
                 )

@@ -171,14 +171,14 @@ class TestDriftClassification:
         current = _make_record(rows=[], aggregates={})
         report = compare_records(current, baseline, {"metric_a": MetricPolicy("lower")})
         assert [d.classification for d in report.drifts] == ["missing"]
-        assert report.has_regressions
+        assert report.regressions
 
     def test_new_metric_in_current_is_neutral(self):
         baseline = _make_record(aggregates={})
         current = _make_record()
         report = compare_records(current, baseline, {"metric_a": MetricPolicy("lower")})
         assert [d.classification for d in report.drifts] == ["new"]
-        assert not report.has_regressions
+        assert not report.regressions
 
     def test_unlisted_metric_defaults_to_equal_policy(self):
         baseline = _make_record()

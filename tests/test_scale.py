@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import pytest
 
+import index_oracle as oracle
 from repro.api import DesignRequest, get_designer, result_from_dict, result_to_dict
 from repro.core.algorithm import DesignParameters
 from repro.core.solution import OverlaySolution
 from repro.scale import (
     StitchReport,
     build_partition,
+    extract_shard_problem,
     get_partitioner,
     rebalance_fanout,
-    resolve_partitioner,
     resolve_shard_count,
     shard_seed,
     stitch_assignments,
 )
+from repro.scale.partition import rebind_partition
 from repro.workloads import (
     InternetScaleConfig,
     RandomInstanceConfig,
@@ -24,6 +29,12 @@ from repro.workloads import (
     random_problem,
 )
 from repro.workloads.tiny import build_tiny_problem
+from test_index_differential import _partition_corpus
+
+
+def _cut(problem, shard):
+    """The shard's subproblem, as the sharded pipeline cuts it."""
+    return extract_shard_problem(problem, shard.sinks, name=f"{problem.name}/{shard.shard_id}")
 
 
 @pytest.fixture(scope="module")
@@ -95,28 +106,28 @@ class TestPartition:
 
     def test_subproblem_preserves_demand_candidates_and_weights(self, scale_problem):
         plan = build_partition(scale_problem, shards=4)
-        shard = plan.shards[0]
-        for demand in shard.problem.demands:
+        subproblem = _cut(scale_problem, plan.shards[0])
+        for demand in subproblem.demands:
             original = next(
                 d for d in scale_problem.demands if d.key == demand.key
             )
             assert demand.success_threshold == original.success_threshold
-            assert shard.problem.candidate_reflectors(demand) == (
+            assert subproblem.candidate_reflectors(demand) == (
                 scale_problem.candidate_reflectors(original)
             )
-            for reflector in shard.problem.candidate_reflectors(demand):
-                assert shard.problem.edge_weight(demand, reflector) == (
+            for reflector in subproblem.candidate_reflectors(demand):
+                assert subproblem.edge_weight(demand, reflector) == (
                     scale_problem.edge_weight(original, reflector)
                 )
-                assert shard.problem.assignment_cost(demand, reflector) == (
+                assert subproblem.assignment_cost(demand, reflector) == (
                     scale_problem.assignment_cost(original, reflector)
                 )
 
     def test_subproblem_reflector_attributes_copied(self, scale_problem):
         plan = build_partition(scale_problem, shards=2)
-        shard = plan.shards[0]
-        for reflector in shard.problem.reflectors:
-            ours = shard.problem.reflector_info(reflector)
+        subproblem = _cut(scale_problem, plan.shards[0])
+        for reflector in subproblem.reflectors:
+            ours = subproblem.reflector_info(reflector)
             theirs = scale_problem.reflector_info(reflector)
             assert (ours.cost, ours.fanout, ours.color, ours.capacity) == (
                 theirs.cost,
@@ -136,15 +147,14 @@ class TestPartition:
         problem = random_problem(
             RandomInstanceConfig(num_streams=2, num_reflectors=6, num_sinks=12), rng=0
         )
-        chosen = resolve_partitioner(problem, "hash")
-        assert chosen.name == "hash"
         plan = build_partition(problem, partitioner="hash", shards=3)
+        assert plan.partitioner == "hash"
         sizes = sorted(len(shard.sinks) for shard in plan.shards)
         assert sum(sizes) == problem.num_sinks
         assert sizes[-1] - sizes[0] <= 1
 
     def test_auto_partitioner_prefers_metro_clusters(self, scale_problem):
-        assert resolve_partitioner(scale_problem, "auto").name == "metro"
+        assert build_partition(scale_problem, partitioner="auto").partitioner == "metro"
 
     def test_unknown_partitioner_raises(self, scale_problem):
         with pytest.raises(KeyError, match="unknown partitioner 'bogus'"):
@@ -160,6 +170,118 @@ class TestPartition:
         with pytest.raises(ValueError, match="shards must be >= 1"):
             resolve_shard_count(0, scale_problem)
 
+    def test_a_plan_pickles_its_names_without_the_memo(self, scale_problem):
+        plan = build_partition(scale_problem, shards=4)
+        assert plan._sink_shard is not None
+        restored = pickle.loads(pickle.dumps(plan))
+        assert restored == plan
+        assert restored._sink_shard is None
+        assert set(vars(restored)) == {
+            "partitioner",
+            "requested_shards",
+            "shards",
+            "shard_of_sink",
+        }
+
+    def test_a_rebind_keeps_untouched_shards_and_leaves_its_input_alone(self, scale_problem):
+        plan = build_partition(scale_problem, shards=4)
+        before = [(shard.sinks, list(shard.demand_keys)) for shard in plan.shards]
+        changed = plan.shards[1].sinks[0]
+        rebound = rebind_partition(plan, scale_problem, changed_sinks=[changed])
+        assert [shard is old for shard, old in zip(rebound.shards, plan.shards)] == [
+            True,
+            False,
+            True,
+            True,
+        ]
+        assert rebound == plan
+        assert [(shard.sinks, shard.demand_keys) for shard in plan.shards] == before
+
+
+# ---------------------------------------------------------------------------
+# The bulk cut: extract_shard_problem against the add_* oracle
+# ---------------------------------------------------------------------------
+
+#: The problem's memos, which neither build sets the same way.
+MEMOS = ("_digest", "_index", "_index_origin")
+
+
+def _tables(problem) -> list:
+    """Every attribute but the memos, each dict as its list of items (order counts)."""
+
+    def ordered(value):
+        if isinstance(value, dict):
+            return [(key, ordered(item)) for key, item in value.items()]
+        if isinstance(value, list):
+            return [ordered(item) for item in value]
+        return value
+
+    return [(name, ordered(value)) for name, value in vars(problem).items() if name not in MEMOS]
+
+
+class TestBulkCut:
+    def test_every_cut_equals_the_add_oracle_table_for_table(self):
+        """The partition corpus, every shard of two plans and a residual with overrides."""
+        for problem in _partition_corpus():
+            for partitioner, shards in (("isp", 4), ("auto", "auto")):
+                plan = build_partition(problem, partitioner=partitioner, shards=shards)
+                for shard in plan.shards:
+                    cut = extract_shard_problem(problem, shard.sinks, name="shard")
+                    reference = oracle.extract_shard_problem(problem, shard.sinks, name="shard")
+                    assert _tables(cut) == _tables(reference)
+                    assert cut._canonical is False
+            keys = set(plan.shards[0].demand_keys[::2])
+            reflectors = problem.reflectors[::3]
+            overrides = {
+                "demand_keys": keys,
+                "fanout_overrides": dict.fromkeys(reflectors, 1),
+                "reflector_cost_overrides": dict.fromkeys(reflectors, 0.0),
+                "stream_edge_cost_overrides": {
+                    (edge.stream, edge.reflector): 0.0 for edge in problem.stream_edges()[::2]
+                },
+            }
+            sinks = sorted({sink for sink, _stream in keys})
+            cut = extract_shard_problem(problem, sinks, name="residual", **overrides)
+            reference = oracle.extract_shard_problem(problem, sinks, name="residual", **overrides)
+            assert _tables(cut) == _tables(reference)
+
+    def test_a_cut_shares_immutable_rows_and_copies_reflector_records(self, scale_problem):
+        shard = build_partition(scale_problem, shards=4).shards[0]
+        cut = _cut(scale_problem, shard)
+        for key, demand in cut._demands.items():
+            assert demand is scale_problem._demands[key]
+        for key, link in cut._delivery_links.items():
+            assert link is scale_problem._delivery_links[key]
+        for reflector, info in cut._reflectors.items():
+            assert info == scale_problem._reflectors[reflector]
+            assert info is not scale_problem._reflectors[reflector]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"fanout_overrides": {"r2": 0}},
+            {"fanout_overrides": {"r2": -1}},
+            {"fanout_overrides": {"r2": 1.5}},
+            {"fanout_overrides": {"r2": True}},
+            {"reflector_cost_overrides": {"r3": -1.0}},
+            {"reflector_cost_overrides": {"r3": math.inf}},
+            {"stream_edge_cost_overrides": {("s", "r1"): -0.5}},
+            {"stream_edge_cost_overrides": {("s", "r1"): math.nan}},
+            # Adding the rows meets the reflectors before the stream edges.
+            {
+                "stream_edge_cost_overrides": {("s", "r1"): -0.5},
+                "reflector_cost_overrides": {"r3": -1.0},
+            },
+        ],
+    )
+    def test_a_bad_override_raises_the_add_error(self, overrides):
+        problem = build_tiny_problem()
+        with pytest.raises((ValueError, TypeError)) as expected:
+            oracle.extract_shard_problem(problem, problem.sinks, name="bad", **overrides)
+        with pytest.raises(expected.type) as raised:
+            extract_shard_problem(problem, problem.sinks, name="bad", **overrides)
+        assert str(raised.value) == str(expected.value)
+
 
 # ---------------------------------------------------------------------------
 # Stitching
@@ -173,7 +295,7 @@ def _pinned_problem(fanout: int):
     sink in its own shard, so both shards load ``r`` once.
     """
     from repro.core.problem import OverlayDesignProblem
-    from repro.scale.partition import PartitionPlan, Shard, extract_shard_problem
+    from repro.scale.partition import PartitionPlan, Shard
 
     problem = OverlayDesignProblem(name="pinned")
     problem.add_stream("s")
@@ -185,14 +307,7 @@ def _pinned_problem(fanout: int):
         problem.add_demand(sink, "s", success_threshold=0.9)
     plan = PartitionPlan(partitioner="hash", requested_shards=2)
     for index, sink in enumerate(("a", "b")):
-        plan.shards.append(
-            Shard(
-                shard_id=f"shard{index}",
-                sinks=[sink],
-                demand_keys=[(sink, "s")],
-                problem=extract_shard_problem(problem, [sink], name=f"pinned/{sink}"),
-            )
-        )
+        plan.shards.append(Shard(shard_id=f"shard{index}", sinks=[sink], demand_keys=[(sink, "s")]))
     return problem, plan
 
 
@@ -246,14 +361,11 @@ class TestStitch:
         # requirements), then let the stitch repair pass top them up globally.
         solutions = []
         for shard in plan.shards:
+            subproblem = _cut(scale_problem, shard)
             assignments = {}
-            for demand in shard.problem.demands:
-                assignments[demand.key] = [
-                    shard.problem.candidate_reflectors(demand)[0]
-                ]
-            solutions.append(
-                OverlaySolution.from_assignments(shard.problem, assignments)
-            )
+            for demand in subproblem.demands:
+                assignments[demand.key] = [subproblem.candidate_reflectors(demand)[0]]
+            solutions.append(OverlaySolution.from_assignments(subproblem, assignments))
         stitched, report = stitch_assignments(
             scale_problem, plan, [dict(s.assignments) for s in solutions]
         )
@@ -265,8 +377,8 @@ class TestStitch:
         assert min(audit_fractions) >= min(
             min(
                 sol.weight_satisfaction(d)
-                for shard, sol in zip(plan.shards, solutions)
-                for d in shard.problem.demands
+                for sol in solutions
+                for d in sol.problem.demands
             ),
             1.0,
         )
@@ -283,7 +395,7 @@ class TestStitch:
         # rebalance sheds the merged load back to max(F_r, worst shard) = 3,
         # not to F_r = 2.
         from repro.core.problem import OverlayDesignProblem
-        from repro.scale.partition import PartitionPlan, Shard, extract_shard_problem
+        from repro.scale.partition import PartitionPlan, Shard
 
         problem = OverlayDesignProblem(name="worst-shard")
         problem.add_stream("s")
@@ -304,7 +416,6 @@ class TestStitch:
                     shard_id=f"shard{index}",
                     sinks=sinks,
                     demand_keys=[(sink, "s") for sink in sinks],
-                    problem=extract_shard_problem(problem, sinks, name=f"worst/{index}"),
                 )
             )
         maps = [{(sink, "s"): ["alt", "r"] for sink in sinks} for sinks in layout]
@@ -490,12 +601,14 @@ def test_design_batch_gives_one_result_for_jobs_1_and_2(scale_problem):
     plan = build_partition(scale_problem, shards=3)
     requests = [
         DesignRequest(
-            problem=shard.problem,
+            problem=subproblem,
             parameters=DesignParameters(seed=seed),
             strategy=strategy,
             request_id=f"{shard.shard_id}-{strategy}",
         )
-        for seed, shard in enumerate(plan.shards)
+        for seed, (shard, subproblem) in enumerate(
+            (shard, _cut(scale_problem, shard)) for shard in plan.shards
+        )
         for strategy in ("spaa03", "greedy")
     ]
     serial, parallel = design_batch(requests, jobs=1), design_batch(requests, jobs=2)
@@ -515,7 +628,7 @@ def _solution_designers() -> list[str]:
 
 @pytest.mark.parametrize("name", _solution_designers())
 def test_a_designer_leaves_its_requests_problem_unchanged(name):
-    """Plans hand designers their shard problems, which the serving plan cache shares."""
+    """A designer reads its request's problem and never writes to it."""
     from repro.core.serialization import problem_digest, problem_to_dict
 
     problem = random_problem(

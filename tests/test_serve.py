@@ -23,6 +23,7 @@ from repro.api import (
     request_to_dict,
     result_from_dict,
     result_to_dict,
+    run_request,
 )
 from repro.core.algorithm import DesignParameters
 from repro.core.serialization import problem_digest, solution_digest
@@ -35,7 +36,7 @@ from repro.serve import (
     ServiceOverloadedError,
     run_request_cached,
 )
-from repro.serve.cache import plan_key, request_digest
+from repro.serve.cache import UNSIZED_NOMINAL_BYTES, plan_key, request_digest
 from repro.api.types import unread_document
 from repro.serve.service import _response_document
 from repro.workloads.random_instances import RandomInstanceConfig, random_problem
@@ -424,6 +425,51 @@ class TestRunRequestCached:
         for _event, delta, _new in churn_stream(problem, events, seed=5):
             session.apply_delta(delta)
         assert set(cache.stats().by_namespace) == {"result", "plan"}
+
+
+# ---------------------------------------------------------------------------
+# The plan line: a partition plan of names, cut again on every hit
+# ---------------------------------------------------------------------------
+
+
+def _sharded_request(problem, seed: int) -> DesignRequest:
+    return DesignRequest(
+        problem=problem,
+        parameters=DesignParameters(seed=seed),
+        strategy="sharded:spaa03",
+        options={"shards": 3, "jobs": 1},
+    )
+
+
+class TestPlanLine:
+    def test_a_plan_hit_designs_as_a_direct_run(self, problem):
+        cache = ArtifactCache()
+        first = run_request_cached(_sharded_request(problem, 1), cache)
+        assert first.cache["stages"] == {"result": "miss", "plan": "miss"}
+        request = _sharded_request(problem, 2)
+        second = run_request_cached(request, cache)
+        assert second.cache["stages"] == {"result": "miss", "plan": "hit"}
+        assert _comparable(second) == _comparable(run_request(request))
+
+    def test_the_plan_line_is_charged_its_pickled_size_and_spills(self, problem, tmp_path):
+        cache = ArtifactCache()
+        run_request_cached(_sharded_request(problem, 1), cache)
+        key = plan_key(problem_digest(problem), "auto", 3)
+        plan = cache.get("plan", key)
+        size = len(pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size != UNSIZED_NOMINAL_BYTES
+
+        # Alone in a cache, the plan is all it holds; a second line evicts
+        # it to the spill directory, and a get reads it back.
+        small = ArtifactCache(max_bytes=size + 1, spill_dir=str(tmp_path))
+        small.put("plan", key, plan)
+        assert small.stats().current_bytes == size
+        small.put("plan", "other", b"x" * size)
+        assert small.stats().spills == 1
+        restored = small.get("plan", key)
+        assert small.stats().spill_hits == 1
+        assert restored == plan and restored is not plan
+        assert restored._sink_shard is None
 
 
 # ---------------------------------------------------------------------------

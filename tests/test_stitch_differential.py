@@ -39,7 +39,7 @@ from repro.incremental import (
     flash_crowd_delta,
     sample_sink_churn,
 )
-from repro.scale import build_partition, shard_seed, stitch_assignments
+from repro.scale import build_partition, extract_shard_problem, shard_seed, stitch_assignments
 from repro.serve import DesignSession
 from repro.workloads import InternetScaleConfig, generate_internet_scale_problem
 from repro.workloads.as_geo import AsGeoConfig, generate_as_geo_problem
@@ -73,7 +73,7 @@ def _shard_solutions(problem, plan, inner):
         parameters = {**base, "rounding": {**base["rounding"], "seed": shard_seed(SEED, index)}}
         requests.append(
             DesignRequest(
-                problem=shard.problem,
+                problem=extract_shard_problem(problem, shard.sinks, name=shard.shard_id),
                 parameters=parameters_from_dict(parameters),
                 strategy=inner,
             )
