@@ -194,7 +194,7 @@ class PartitionPlan:
 
     ``shard_of_sink`` maps each sink to its shard's position in ``shards``;
     plans rebound to a problem with the same sinks share it.  A plan holds
-    names only, so it pickles small: the ``_sink_shard`` memo stays out.
+    names, and a memo of the last index :meth:`sink_shards` read.
     """
 
     partitioner: str
@@ -205,11 +205,6 @@ class PartitionPlan:
     _sink_shard: tuple[list[str], np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_sink_shard", None)
-        return state
 
     @property
     def num_shards(self) -> int:

@@ -57,8 +57,8 @@ from repro.scale.stitch import ShardState, stitch_assignments
 SHARDED_PREFIX = "sharded:"
 
 #: Options of a sharded design, the one table :func:`design_sharded`,
-#: :func:`repro.api.design_incremental` (which adds ``full_redesign_threshold``),
-#: the plan cache and :class:`repro.serve.DesignSession` read.  ``shards`` and
+#: :func:`repro.api.design_incremental` (which adds ``full_redesign_threshold``)
+#: and :class:`repro.serve.DesignSession` read.  ``shards`` and
 #: ``jobs`` are checked where they are resolved (numeric strings count).
 SHARDED = Doc(
     dict,
@@ -214,27 +214,18 @@ def run_shard_loop(
     return result, results
 
 
-def design_sharded(
-    request: DesignRequest,
-    inner: RegisteredDesigner,
-    plan: PartitionPlan | None = None,
-) -> DesignResult:
+def design_sharded(request: DesignRequest, inner: RegisteredDesigner) -> DesignResult:
     """Partition, then run one round of :func:`run_shard_loop` over every shard.
 
     The ``partition`` stage builds the plan and cuts every shard's
-    subproblem.  ``plan`` lets a caller that already holds the partition --
-    the serving cache -- skip the grouping pass.  It must have been built
-    against this request's problem content with the same partitioner/shards
-    options; since the partition is a pure function of those inputs, a
-    supplied plan cannot change the design, only the ``partition`` time.
+    subproblem.  The plan is a pure function of the problem and the
+    ``partitioner``/``shards`` options, so a caller holding the same three
+    (:class:`repro.serve.DesignSession`) rebuilds this design's plan.
     """
     options = sharded_options(request.options, f"strategy {request.strategy!r}")
     problem = request.problem
     start = time.perf_counter()
-    if plan is None:
-        plan = build_partition(
-            problem, partitioner=options["partitioner"], shards=options["shards"]
-        )
+    plan = build_partition(problem, partitioner=options["partitioner"], shards=options["shards"])
     subproblems = {
         shard.shard_id: extract_shard_problem(
             problem, shard.sinks, name=f"{problem.name}/{shard.shard_id}"

@@ -3,9 +3,8 @@
 Three tiers over the Designer registry (:mod:`repro.api`):
 
 * :class:`ArtifactCache` (:mod:`repro.serve.cache`) -- a thread-safe LRU of
-  whole serialized results (evaluation sweeps included) and partition
-  plans, content-addressed by the canonical digests of
-  :mod:`repro.core.serialization`;
+  whole serialized results (evaluation sweeps included), content-addressed
+  by the canonical digests of :mod:`repro.core.serialization`;
 * :class:`DesignSession` (:mod:`repro.serve.session`) -- a long-lived
   standing problem + design streaming :class:`~repro.incremental.
   ProblemDelta` events through the incremental engine with plan reuse;
@@ -17,7 +16,7 @@ The invariant everything here maintains: caching moves wall-clock, never
 bits.  See ``docs/serving.md`` for the cache-key and determinism contracts.
 """
 
-from repro.serve.cache import ArtifactCache, CacheStats, plan_key, request_digest
+from repro.serve.cache import ArtifactCache, CacheStats, request_digest
 from repro.serve.execute import run_request_cached
 from repro.serve.service import (
     DesignServer,
@@ -37,7 +36,6 @@ __all__ = [
     "DesignTicket",
     "ServiceOverloadedError",
     "SessionEvent",
-    "plan_key",
     "request_digest",
     "run_request_cached",
     "run_self_test",

@@ -1,11 +1,10 @@
 """Content-addressed artifact cache for the serving layer.
 
-The serving layer caches two artifacts, each a pure function of
-JSON-expressible content: a partition plan of the problem document plus the
-partitioner knobs (the ``"plan"`` line), and a whole
-:class:`~repro.api.DesignResult` of the full request document, evaluation
-sweep included (the ``"result"`` line).  That purity is the serving layer's
-license to cache: keys are content digests computed by
+The serving layer caches one artifact, a pure function of JSON-expressible
+content: the whole :class:`~repro.api.DesignResult` document of the full
+request, evaluation sweep included, with its problem digest (the
+``"result"`` line).  That purity is the serving layer's license to cache:
+keys are content digests computed by
 :func:`repro.core.serialization.canonical_digest` (floats rounded, keys
 sorted), so two requests describing the same computation -- whatever object
 identities or field orders they arrived with -- address the same cache line,
@@ -13,7 +12,7 @@ and a hit is *bit-identical* to a recompute by construction.
 
 :class:`ArtifactCache` is a thread-safe LRU over ``(namespace, key)`` lines
 with a byte budget, hit/miss/eviction counters per namespace, and optional
-on-disk spill: evicted picklable artifacts drop to ``spill_dir`` and are
+on-disk spill: evicted artifacts drop to ``spill_dir`` and are
 transparently re-admitted on the next get.  One cache instance backs a whole
 :class:`~repro.serve.DesignService` (shared across worker threads) or a
 single :class:`~repro.serve.DesignSession`.
@@ -34,10 +33,6 @@ from repro.core.serialization import canonical_digest, problem_digest
 #: Default byte budget: enough for hundreds of mid-size artifacts while
 #: staying far below the Monte-Carlo engine's working set.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-#: Nominal size charged to artifacts that cannot be pickled for measurement
-#: (the serving layer's own result documents and partition plans all pickle).
-UNSIZED_NOMINAL_BYTES = 64 * 1024
 
 
 @dataclass
@@ -82,20 +77,18 @@ class CacheStats:
 class _Entry:
     value: Any
     size: int
-    spillable: bool
 
 
 class ArtifactCache:
     """Thread-safe content-addressed LRU cache with a byte budget.
 
     Lines are addressed ``(namespace, key)`` -- the namespace names the
-    artifact kind (``"result"`` or ``"plan"``) and the key is a content
-    digest from the helpers below.  Values are charged their pickled size against
-    ``max_bytes``; inserting past the budget evicts least-recently-used
-    lines.  With ``spill_dir`` set, evicted picklable values are written to
-    disk and silently re-admitted (counted as ``spill_hits``) when next
-    requested; unpicklable values stay memory-only and are charged a nominal
-    size.
+    artifact kind (the serving layer stores only ``"result"`` lines) and the
+    key is a content digest (:func:`request_digest`).  Values must pickle:
+    each is charged its pickled size against ``max_bytes``; inserting past
+    the budget evicts least-recently-used lines.  With ``spill_dir`` set,
+    evicted values are written to disk and silently re-admitted (counted as
+    ``spill_hits``) when next requested.
 
     A single oversized artifact (larger than the whole budget) is stored
     anyway -- refusing it would make the serving layer slower than no cache
@@ -152,14 +145,6 @@ class ArtifactCache:
             self._count(namespace, "puts")
             self._admit(namespace, key, value)
 
-    def contains(self, namespace: str, key: str) -> bool:
-        """Membership test that touches neither the LRU order nor counters."""
-        with self._lock:
-            if (namespace, key) in self._entries:
-                return True
-        path = self._spill_path(namespace, key)
-        return path is not None and os.path.exists(path)
-
     def clear(self) -> None:
         """Drop every line (spilled files included); counters survive."""
         with self._lock:
@@ -208,11 +193,11 @@ class ArtifactCache:
 
     def _admit(self, namespace: str, key: str, value: Any) -> None:
         line = (namespace, key)
+        size = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         old = self._entries.pop(line, None)
         if old is not None:
             self._current_bytes -= old.size
-        size, spillable = _measure(value)
-        self._entries[line] = _Entry(value=value, size=size, spillable=spillable)
+        self._entries[line] = _Entry(value=value, size=size)
         self._current_bytes += size
         while self._current_bytes > self.max_bytes and len(self._entries) > 1:
             self._evict_lru(keep=line)
@@ -226,15 +211,14 @@ class ArtifactCache:
         entry = self._entries.pop(line)
         self._current_bytes -= entry.size
         self._count(line[0], "evictions")
-        if entry.spillable:
-            path = self._spill_path(*line)
-            if path is not None:
-                try:
-                    with open(path, "wb") as handle:
-                        pickle.dump(entry.value, handle)
-                    self._count(line[0], "spills")
-                except (OSError, pickle.PicklingError):
-                    pass
+        path = self._spill_path(*line)
+        if path is not None:
+            try:
+                with open(path, "wb") as handle:
+                    pickle.dump(entry.value, handle)
+                self._count(line[0], "spills")
+            except OSError:
+                pass
 
     def _spill_path(self, namespace: str, key: str) -> str | None:
         if not self.spill_dir:
@@ -254,27 +238,12 @@ class ArtifactCache:
             return None
 
 
-def _measure(value: Any) -> tuple[int, bool]:
-    """Pickled byte size of a value, or a nominal charge when unpicklable."""
-    try:
-        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)), True
-    except Exception:
-        return UNSIZED_NOMINAL_BYTES, False
-
-
 # -- content-addressed keys -----------------------------------------------
 #
-# Key builders live next to the cache so the whole cache-key contract is in
-# one file (docs/serving.md restates it).  All of them bottom out in
-# canonical_digest over explicit JSON documents: nothing about object
+# The key builder lives next to the cache so the whole cache-key contract is
+# in one file (docs/serving.md restates it).  It bottoms out in
+# canonical_digest over an explicit JSON document: nothing about object
 # identity, field order, or schema_version churn leaks into a key.
-
-
-def plan_key(p_digest: str, partitioner: Any, shards: Any) -> str:
-    """Key for partition plans: problem content plus the two layout knobs."""
-    return canonical_digest(
-        {"problem": p_digest, "partitioner": str(partitioner), "shards": str(shards)}
-    )
 
 
 def request_digest(request: DesignRequest) -> str | None:
@@ -360,7 +329,6 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "DEFAULT_MAX_BYTES",
-    "plan_key",
     "problem_digest",
     "request_digest",
 ]

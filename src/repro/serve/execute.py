@@ -3,20 +3,16 @@
 This is the single code path every serving entry point -- the async
 :class:`~repro.serve.DesignService`, a :class:`~repro.serve.DesignSession`'s
 initial design, the ``repro serve`` self-test -- funnels requests through.
-It wraps :func:`repro.api.run_request` with two lines of the
-content-addressed :class:`~repro.serve.cache.ArtifactCache`:
+It wraps :func:`repro.api.run_request` with the one line of the
+content-addressed :class:`~repro.serve.cache.ArtifactCache`, the whole
+result: a repeat-digest request is answered from the cached serialized
+:class:`~repro.api.DesignResult` document, bit-identical to the original
+compute (the cache stores the document, not the live object); the document
+holds the evaluation sweep when the request asked for one.  A hit decodes
+nothing: its solution and audit are decoded from the document on first read
+(:func:`repro.api.types.stored_result`).  A miss is :func:`run_request`.
 
-* whole-result: a repeat-digest request is answered from the cached
-  serialized :class:`~repro.api.DesignResult` document, bit-identical to the
-  original compute (the cache stores the document, not the live object);
-  the document holds the evaluation sweep when the request asked for one.
-  A hit decodes nothing: its solution and audit are decoded from the
-  document on first read (:func:`repro.api.types.stored_result`);
-* partition plans: ``sharded:*`` strategies reuse the plan line keyed on
-  problem digest + partitioner knobs.  A plan holds names, so a hit skips
-  only the grouping pass: the shards are cut from the request's problem.
-
-Determinism contract: every cached artifact is a pure function of its key's
+Determinism contract: a cached result is a pure function of its key's
 content, so for a fixed request the result payload is bit-identical with the
 cache hot or cold, and equal to a direct :func:`repro.api.run_request` run
 -- caching moves wall-clock, never bits.  The per-request provenance lands
@@ -26,44 +22,40 @@ on ``DesignResult.cache``.
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
-from typing import Any
 
-from repro.api.registry import get_designer
+from repro.api.registry import run_request
 from repro.api.types import DesignRequest, DesignResult, result_to_dict, stored_result
 from repro.core.serialization import problem_digest
-from repro.serve.cache import ArtifactCache, plan_key, request_digest
+from repro.serve.cache import ArtifactCache, request_digest
 
 
 def run_request_cached(
     request: DesignRequest,
     cache: ArtifactCache,
     *,
-    session_id: str | None = None,
     digest: str | None = None,
 ) -> DesignResult:
     """Run a design request through the content-addressed cache.
 
-    Whole-result lookup by request digest first; on a miss, the design runs
-    with the plan cache (for ``sharded:*`` strategies), the evaluation sweep
-    (when requested) runs on the design, and the serialized result document
-    is stored for the next repeat-digest request.
+    Whole-result lookup by request digest first; a miss runs
+    :func:`repro.api.run_request` (the design and, when requested, its
+    evaluation sweep) and stores the serialized result document for the
+    next repeat-digest request.
 
     The returned result carries ``result.cache`` with the digests, the
-    per-line ``"hit"``/``"miss"`` map, and ``served_from_cache``.  Requests
-    that cannot be digested (non-JSON options, seedless requests) run
-    uncached with ``stages={"result": "bypass"}``.
+    ``"result"`` line's ``"hit"``/``"miss"`` state under ``stages``, and
+    ``served_from_cache``.  Requests that cannot be digested (non-JSON
+    options, seedless requests) run uncached with
+    ``stages={"result": "bypass"}``.
 
     ``digest`` is an optional precomputed :func:`request_digest` -- the
     service passes the one it already computed for in-flight dedup.  The
     problem digest is memoised on the problem object, so a request digests
     its problem once whichever of the two computes it first.
     """
-    # A hit reads the problem digest from the cached entry; a miss needs it
-    # for the plan key and finds it memoised by the request digest.
+    # A hit reads the problem digest from the cached entry; a miss finds it
+    # memoised by the request digest.
     r_digest = digest if digest is not None else request_digest(request)
-    stages: dict[str, str] = {}
-
     if r_digest is not None:
         entry = cache.get("result", r_digest)
         if entry is not None:
@@ -75,30 +67,16 @@ def run_request_cached(
                 "stages": {"result": "hit"},
                 "served_from_cache": True,
             }
-            if session_id is not None:
-                result.cache["session_id"] = session_id
             return result
-        stages["result"] = "miss"
-    else:
-        stages["result"] = "bypass"
 
     p_digest = problem_digest(request.problem)
-    designer = get_designer(request.strategy)
-    design_request = replace(request, strategy=designer.name, evaluation=None)
-    result = _design_with_plan_cache(design_request, designer, cache, p_digest, stages)
-    result.strategy = designer.name
-    result.request_id = request.request_id
-    if request.evaluation is not None and designer.produces_solution:
-        result.evaluation = request.evaluation.evaluate(request.problem, result.solution)
-
+    result = run_request(request)
     result.cache = {
         "request_digest": r_digest,
         "problem_digest": p_digest,
-        "stages": stages,
+        "stages": {"result": "miss" if r_digest is not None else "bypass"},
         "served_from_cache": False,
     }
-    if session_id is not None:
-        result.cache["session_id"] = session_id
 
     if r_digest is not None:
         # The stored payload is the pure computation: provenance is stamped
@@ -113,36 +91,6 @@ def run_request_cached(
             "result", r_digest, {"document": document, "problem_digest": p_digest}
         )
     return result
-
-
-def _design_with_plan_cache(
-    request: DesignRequest,
-    designer: Any,
-    cache: ArtifactCache,
-    p_digest: str,
-    stages: dict[str, str],
-) -> DesignResult:
-    """Run the design, reusing the partition plan for sharded strategies."""
-    from repro.scale.pipeline import SHARDED_PREFIX, design_sharded, sharded_options
-
-    if not designer.name.startswith(SHARDED_PREFIX):
-        return designer.design(request)
-
-    inner = get_designer(designer.name[len(SHARDED_PREFIX):])
-    options = sharded_options(request.options, f"strategy {designer.name!r}")
-    key = plan_key(p_digest, options["partitioner"], options["shards"])
-    plan = cache.get("plan", key)
-    stages["plan"] = "hit" if plan is not None else "miss"
-    if plan is None:
-        from repro.scale.partition import build_partition
-
-        plan = build_partition(
-            request.problem,
-            partitioner=options["partitioner"],
-            shards=options["shards"],
-        )
-        cache.put("plan", key, plan)
-    return design_sharded(request, inner, plan=plan)
 
 
 __all__ = ["run_request_cached"]

@@ -12,8 +12,10 @@ post-churn problem (:func:`repro.scale.partition.rebind_partition`) whenever
 the sink set is unchanged -- skipping the per-event grouping pass entirely.
 The initial design runs through :func:`~repro.serve.execute.
 run_request_cached`, so the session's :class:`~repro.serve.cache.
-ArtifactCache` serves a repeat of it and hands the session the partition
-plan it built.
+ArtifactCache` serves a repeat of it; a sharded session then builds its
+standing plan with :func:`~repro.scale.partition.build_partition`, which is
+a pure function of the problem and the partition options, so it is the
+plan the initial design used.  The session digests nothing itself.
 
 The rebind is a pure-function shortcut: a session event produces the same
 design, bit for bit, as a standalone ``design_incremental`` call over the
@@ -34,12 +36,12 @@ from repro.api.types import DesignRequest, DesignResult
 from repro.core.algorithm import DesignParameters
 from repro.core.index import problem_index
 from repro.core.problem import OverlayDesignProblem
-from repro.core.serialization import problem_digest
+from repro.core.serialization import problem_digest  # noqa: F401 -- perfbench patches it
 from repro.incremental.delta import ProblemDelta, apply_delta
 from repro.incremental.engine import design_incremental, incremental_options
 from repro.scale.partition import build_partition, rebind_partition
 from repro.scale.pipeline import SHARDED_OPTIONS, SHARDED_PREFIX
-from repro.serve.cache import ArtifactCache, plan_key
+from repro.serve.cache import ArtifactCache
 from repro.serve.execute import run_request_cached
 
 _SESSION_COUNTER = itertools.count(1)
@@ -121,36 +123,32 @@ class DesignSession:
         return self._result
 
     def ensure_design(self) -> DesignResult:
-        """Design the standing problem if no design exists yet."""
+        """Design the standing problem if no design exists yet.
+
+        A sharded initial design also gives the session its standing plan,
+        built from the standing problem and the session's ``partitioner``
+        and ``shards`` options: the plan the design used, whether the cache
+        served the design or computed it.
+        """
         if self._result is None:
+            sharded = self.strategy.startswith(SHARDED_PREFIX)
+            options = {k: v for k, v in self.options.items() if k in SHARDED_OPTIONS}
             request = DesignRequest(
                 problem=self.problem,
                 parameters=self.parameters,
                 strategy=self.strategy,
-                options={
-                    key: value
-                    for key, value in self.options.items()
-                    if key in SHARDED_OPTIONS
-                }
-                if self.strategy.startswith(SHARDED_PREFIX)
-                else {},
+                options=options if sharded else {},
                 request_id=f"{self.session_id}-initial",
             )
-            self._result = run_request_cached(
-                request, self.cache, session_id=self.session_id
-            )
-            if self.strategy.startswith(SHARDED_PREFIX):
-                # The initial sharded design just cached its partition plan;
-                # adopt it as the standing plan so the first demand-level
-                # churn event can rebind instead of regrouping.
-                self._plan = self.cache.get(
-                    "plan",
-                    plan_key(
-                        problem_digest(self.problem),
-                        self._settings["partitioner"],
-                        self._settings["shards"],
-                    ),
+            result = run_request_cached(request, self.cache)
+            result.cache["session_id"] = self.session_id
+            if sharded:
+                self._plan = build_partition(
+                    self.problem,
+                    partitioner=self._settings["partitioner"],
+                    shards=self._settings["shards"],
                 )
+            self._result = result
         return self._result
 
     # -- event stream ------------------------------------------------------
@@ -159,8 +157,8 @@ class DesignSession:
         """Apply one delta against the standing problem and re-design."""
         standing = self.ensure_design()
         start = time.perf_counter()
-        # Index the standing problem first (a served initial design leaves it
-        # unindexed), so the post-churn problem's index derives from it.
+        # Index the standing problem first (a served monolithic initial design
+        # leaves it unindexed), so the post-churn problem's index derives from it.
         problem_index(self.problem)
         new_problem = (
             self.problem if delta.is_empty else apply_delta(self.problem, delta)
@@ -176,12 +174,9 @@ class DesignSession:
                     for (sink, _stream), (before, after) in delta.demands_changed.items()
                     if before is None or after is None
                 }
-                try:
-                    plan = rebind_partition(self._plan, new_problem, changed_sinks=changed)
-                    plan_reused = True
-                except ValueError:
-                    plan = None
-            if plan is None:
+                plan = rebind_partition(self._plan, new_problem, changed_sinks=changed)
+                plan_reused = True
+            else:
                 plan = build_partition(
                     new_problem,
                     partitioner=self._settings["partitioner"],

@@ -16,7 +16,7 @@ process for any :class:`repro.core.OverlaySolution`:
   *any* copy arrives) is a bitwise fold over each demand's paths;
 * :mod:`repro.simulation.streaming` -- the Monte-Carlo engine
   (:func:`run_monte_carlo`): tiles the demands x trials plane, runs the
-  kernel per tile and folds exact mergeable accumulators, flat memory in
+  kernel per tile and folds it into exact accumulators, flat memory in
   the trial count;
 * :mod:`repro.simulation.traces` -- diurnal :class:`LoadTrace` catalogue
   (arrival/departure processes) for trace-driven replay through the fold;

@@ -2,7 +2,7 @@
 
 :func:`run_monte_carlo` measures the loss each edgeserver sees after
 reconstruction.  It tiles the ``(demands x trials)`` plane and folds
-statistics tile by tile through mergeable accumulators, so peak memory is
+statistics tile by tile into exact accumulators, so peak memory is
 one tile's working set plus per-demand sufficient statistics -- *flat in
 the trial count*, which is what lets it audit million-demand instances:
 
@@ -15,9 +15,10 @@ the trial count*, which is what lets it audit million-demand instances:
   trials never shift another tile's random-block layout;
 * accumulators hold *exact integer sufficient statistics* (lost-packet
   counts and their squares, threshold hits, duplicate counts, worst-window
-  numerators over a common denominator), so ``merge`` is integer
-  addition/maximum -- exact, associative, commutative -- and results are
-  bit-identical no matter how tiles are scheduled;
+  numerators over a common denominator), so folding a tile's partial
+  (``fold_partial``) is integer addition/maximum -- exact, associative,
+  commutative -- and results are bit-identical no matter how tiles are
+  scheduled;
 * tiles fan out over :func:`repro.analysis.runner.execute_tasks_iter`, the
   same deterministic executor the bench scenarios use.
 
@@ -201,11 +202,12 @@ def _loss_bin_indices(loss_count: np.ndarray, num_packets: int, bins: int) -> np
 
 @dataclass
 class StreamingAccumulator:
-    """Mergeable exact sufficient statistics of a Monte-Carlo run.
+    """Exact sufficient statistics of a Monte-Carlo run, folded tile by tile.
 
-    All fields are int64; :meth:`merge` is elementwise addition (and maximum
-    for the ``*_max`` fields), which is exact, associative and commutative --
-    the reason tile order and ``--jobs`` can never change a result.
+    All fields are int64; :meth:`fold_partial` is elementwise addition (and
+    maximum for the ``*_max`` fields) over the tile's rows, which is exact,
+    associative and commutative -- the reason tile order and ``--jobs`` can
+    never change a result.
     """
 
     num_packets: int
@@ -250,32 +252,6 @@ class StreamingAccumulator:
     def num_demands(self) -> int:
         return int(self.loss_sum.size)
 
-    def _check_compatible(self, other: StreamingAccumulator) -> None:
-        if (
-            self.num_packets != other.num_packets
-            or self.window != other.window
-            or self.worst_scale != other.worst_scale
-            or self.loss_bins != other.loss_bins
-            or self.loss_sum.shape != other.loss_sum.shape
-            or self.trial_loss_sum.shape != other.trial_loss_sum.shape
-        ):
-            raise ValueError("cannot merge accumulators with different shapes/metadata")
-
-    def merge(self, other: StreamingAccumulator) -> StreamingAccumulator:
-        """Fold ``other`` into ``self`` (exact; any merge order agrees)."""
-        self._check_compatible(other)
-        self.trial_counts += other.trial_counts
-        self.loss_sum += other.loss_sum
-        self.loss_sq_sum += other.loss_sq_sum
-        np.maximum(self.loss_max, other.loss_max, out=self.loss_max)
-        self.meets += other.meets
-        self.duplicates_sum += other.duplicates_sum
-        self.worst_sum += other.worst_sum
-        np.maximum(self.worst_max, other.worst_max, out=self.worst_max)
-        self.loss_histogram += other.loss_histogram
-        self.trial_loss_sum += other.trial_loss_sum
-        return self
-
     def fold_partial(self, partial: dict) -> None:
         """Fold one tile's partial (demand rows ``[d0, d1)``, trials at t0)."""
         d0, d1 = partial["d0"], partial["d1"]
@@ -295,7 +271,7 @@ class StreamingAccumulator:
 
 @dataclass
 class TraceAccumulator:
-    """Mergeable per-window trace-replay counters (exact int64)."""
+    """Per-window trace-replay counters (exact int64), folded tile by tile."""
 
     trace_name: str
     num_windows: int
@@ -314,15 +290,6 @@ class TraceAccumulator:
             rebuffer_cells=np.zeros(num_windows, dtype=np.int64),
             rebuffer_sessions=0,
         )
-
-    def merge(self, other: TraceAccumulator) -> TraceAccumulator:
-        if self.trace_name != other.trace_name or self.num_windows != other.num_windows:
-            raise ValueError("cannot merge trace accumulators for different traces")
-        self.active_cells += other.active_cells
-        self.lost_packets += other.lost_packets
-        self.rebuffer_cells += other.rebuffer_cells
-        self.rebuffer_sessions += other.rebuffer_sessions
-        return self
 
     def fold_partial(self, partial: dict) -> None:
         self.active_cells += partial["active_cells"]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import pickle
 
 import pytest
 
@@ -169,19 +168,6 @@ class TestPartition:
         assert resolve_shard_count(10_000, scale_problem) == scale_problem.num_sinks
         with pytest.raises(ValueError, match="shards must be >= 1"):
             resolve_shard_count(0, scale_problem)
-
-    def test_a_plan_pickles_its_names_without_the_memo(self, scale_problem):
-        plan = build_partition(scale_problem, shards=4)
-        assert plan._sink_shard is not None
-        restored = pickle.loads(pickle.dumps(plan))
-        assert restored == plan
-        assert restored._sink_shard is None
-        assert set(vars(restored)) == {
-            "partitioner",
-            "requested_shards",
-            "shards",
-            "shard_of_sink",
-        }
 
     def test_a_rebind_keeps_untouched_shards_and_leaves_its_input_alone(self, scale_problem):
         plan = build_partition(scale_problem, shards=4)

@@ -36,7 +36,7 @@ from repro.serve import (
     ServiceOverloadedError,
     run_request_cached,
 )
-from repro.serve.cache import UNSIZED_NOMINAL_BYTES, plan_key, request_digest
+from repro.serve.cache import request_digest
 from repro.api.types import unread_document
 from repro.serve.service import _response_document
 from repro.workloads.random_instances import RandomInstanceConfig, random_problem
@@ -63,21 +63,31 @@ def parameters():
 class TestArtifactCache:
     def test_put_get_and_counters(self):
         cache = ArtifactCache(max_bytes=1 << 20)
-        assert cache.get("plan", "k1") is None
-        cache.put("plan", "k1", {"value": 1})
-        assert cache.get("plan", "k1") == {"value": 1}
+        assert cache.get("result", "k1") is None
+        cache.put("result", "k1", {"value": 1})
+        assert cache.get("result", "k1") == {"value": 1}
         stats = cache.stats()
         assert stats.hits == 1
         assert stats.misses == 1
         assert stats.puts == 1
         assert stats.entries == 1
-        assert stats.by_namespace["plan"]["hits"] == 1
+        assert stats.by_namespace["result"]["hits"] == 1
         assert 0 < stats.hit_rate < 1
 
     def test_none_values_are_rejected(self):
         cache = ArtifactCache()
         with pytest.raises(ValueError, match="cannot cache None"):
-            cache.put("plan", "k", None)
+            cache.put("result", "k", None)
+
+    def test_a_value_that_does_not_pickle_is_refused(self):
+        cache = ArtifactCache()
+        cache.put("result", "k", {"value": 1})
+        with pytest.raises(TypeError, match="pickle"):
+            cache.put("result", "k", {"value": threading.Lock()})
+        assert cache.get("result", "k") == {"value": 1}
+        assert cache.stats().current_bytes == len(
+            pickle.dumps({"value": 1}, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def test_lru_eviction_under_byte_pressure(self):
         payload = b"x" * 4096
@@ -109,21 +119,21 @@ class TestArtifactCache:
         payload = {"rows": list(range(512))}
         size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         cache = ArtifactCache(max_bytes=2 * size + 64, spill_dir=str(tmp_path))
-        cache.put("plan", "a", payload)
-        cache.put("plan", "b", payload)
-        cache.put("plan", "c", payload)  # evicts "a" to disk
+        cache.put("result", "a", payload)
+        cache.put("result", "b", payload)
+        cache.put("result", "c", payload)  # evicts "a" to disk
         stats = cache.stats()
         assert stats.evictions >= 1
         assert stats.spills >= 1
         assert any(path.suffix == ".pkl" for path in tmp_path.iterdir())
         # The spilled line comes back transparently and counts as a hit.
-        assert cache.get("plan", "a") == payload
+        assert cache.get("result", "a") == payload
         assert cache.stats().spill_hits == 1
 
     def test_clear_drops_lines_and_spill_files_but_keeps_counters(self, tmp_path):
         cache = ArtifactCache(max_bytes=128, spill_dir=str(tmp_path))
-        cache.put("plan", "a", b"p" * 256)
-        cache.put("plan", "b", b"q" * 256)
+        cache.put("result", "a", b"p" * 256)
+        cache.put("result", "b", b"q" * 256)
         puts_before = cache.stats().puts
         cache.clear()
         stats = cache.stats()
@@ -131,15 +141,7 @@ class TestArtifactCache:
         assert stats.current_bytes == 0
         assert stats.puts == puts_before
         assert not any(path.suffix == ".pkl" for path in tmp_path.iterdir())
-        assert cache.get("plan", "a") is None
-
-    def test_contains_does_not_touch_lru_or_counters(self):
-        cache = ArtifactCache()
-        cache.put("plan", "k", 1)
-        hits_before = cache.stats().hits
-        assert cache.contains("plan", "k")
-        assert not cache.contains("plan", "missing")
-        assert cache.stats().hits == hits_before
+        assert cache.get("result", "a") is None
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,7 @@ class TestRunRequestCached:
             cold = run_request_cached(request, ArtifactCache())
             assert _comparable(served) == _comparable(cold)
 
-    def test_cache_holds_only_result_and_plan_lines(self, problem, parameters):
+    def test_cache_holds_only_result_lines(self, problem, parameters):
         cache = ArtifactCache()
         options = {"shards": 2, "jobs": 1}
         run_request_cached(
@@ -424,52 +426,7 @@ class TestRunRequestCached:
         events = ["flash-crowd", "sink-churn", "isp-outage"]
         for _event, delta, _new in churn_stream(problem, events, seed=5):
             session.apply_delta(delta)
-        assert set(cache.stats().by_namespace) == {"result", "plan"}
-
-
-# ---------------------------------------------------------------------------
-# The plan line: a partition plan of names, cut again on every hit
-# ---------------------------------------------------------------------------
-
-
-def _sharded_request(problem, seed: int) -> DesignRequest:
-    return DesignRequest(
-        problem=problem,
-        parameters=DesignParameters(seed=seed),
-        strategy="sharded:spaa03",
-        options={"shards": 3, "jobs": 1},
-    )
-
-
-class TestPlanLine:
-    def test_a_plan_hit_designs_as_a_direct_run(self, problem):
-        cache = ArtifactCache()
-        first = run_request_cached(_sharded_request(problem, 1), cache)
-        assert first.cache["stages"] == {"result": "miss", "plan": "miss"}
-        request = _sharded_request(problem, 2)
-        second = run_request_cached(request, cache)
-        assert second.cache["stages"] == {"result": "miss", "plan": "hit"}
-        assert _comparable(second) == _comparable(run_request(request))
-
-    def test_the_plan_line_is_charged_its_pickled_size_and_spills(self, problem, tmp_path):
-        cache = ArtifactCache()
-        run_request_cached(_sharded_request(problem, 1), cache)
-        key = plan_key(problem_digest(problem), "auto", 3)
-        plan = cache.get("plan", key)
-        size = len(pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
-        assert size != UNSIZED_NOMINAL_BYTES
-
-        # Alone in a cache, the plan is all it holds; a second line evicts
-        # it to the spill directory, and a get reads it back.
-        small = ArtifactCache(max_bytes=size + 1, spill_dir=str(tmp_path))
-        small.put("plan", key, plan)
-        assert small.stats().current_bytes == size
-        small.put("plan", "other", b"x" * size)
-        assert small.stats().spills == 1
-        restored = small.get("plan", key)
-        assert small.stats().spill_hits == 1
-        assert restored == plan and restored is not plan
-        assert restored._sink_shard is None
+        assert set(cache.stats().by_namespace) == {"result"}
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +477,17 @@ def decodes(monkeypatch):
     monkeypatch.setattr(serialization, "_check_assignments", checked)
     monkeypatch.setattr(OverlaySolution, "from_assignments", classmethod(built))
     return counts
+
+
+class TestServedMisses:
+    @pytest.mark.parametrize("kind", ["spaa03", "sharded:spaa03", "evaluated"])
+    def test_a_miss_is_run_request(self, problem, parameters, kind):
+        request = _hit_requests(problem, parameters)[kind]
+        served = run_request_cached(request, ArtifactCache())
+        direct = run_request(request)
+        assert served.cache["stages"] == {"result": "miss"}
+        assert list(served.stage_seconds) == list(direct.stage_seconds)
+        assert _payload(result_to_dict(served)) == _payload(result_to_dict(direct))
 
 
 class TestServedHits:
@@ -987,19 +955,44 @@ class TestDesignSession:
         assert summary["plan_reuses"] == 2
         assert [e.plan_reused for e in session.events] == [True, False, True]
 
-    def test_initial_design_adopts_cached_partition_plan(self, problem, parameters):
-        cache = ArtifactCache()
+    def test_set_up_counts_no_cache_hit(self, problem, parameters):
         session = DesignSession(
             problem,
             strategy="sharded:spaa03",
             parameters=parameters,
             options={"shards": 2, "jobs": 1},
-            cache=cache,
         )
         session.ensure_design()
-        key = plan_key(problem_digest(problem), "auto", 2)
-        assert cache.contains("plan", key)
-        assert session._plan is not None
+        stats = session.cache.stats()
+        assert stats.hits == 0
+        assert stats.hit_rate == 0.0
+        assert set(stats.by_namespace) == {"result"}
+
+    @pytest.mark.parametrize("served", [False, True], ids=["computed", "served"])
+    def test_a_first_flash_crowd_rebinds_the_set_up_plan(self, problem, parameters, served):
+        options = {"shards": 2, "jobs": 1}
+        cache = ArtifactCache()
+        # A second session on the same cache is served the first one's design.
+        sessions = [
+            DesignSession(problem, parameters=parameters, options=options, cache=cache)
+            for _ in range(2 if served else 1)
+        ]
+        sessions[0].ensure_design()
+        session = sessions[-1]
+        assert session.ensure_design().cache["served_from_cache"] is served
+        _event, delta, _new = next(churn_stream(problem, ["flash-crowd"], seed=3))
+        result = session.apply_delta(delta)
+        assert session.events[0].plan_reused
+        assert result.cache["stages"]["plan"] == "session-reuse"
+
+    def test_a_monolithic_session_partitions_on_its_first_event(self, problem, parameters):
+        session = DesignSession(
+            problem, strategy="spaa03", parameters=parameters, options={"shards": 2, "jobs": 1}
+        )
+        session.ensure_design()
+        events = list(churn_stream(problem, ["flash-crowd", "flash-crowd"], seed=3))
+        results = [session.apply_delta(delta) for _event, delta, _new in events]
+        assert [result.cache["stages"]["plan"] for result in results] == ["miss", "session-reuse"]
 
     def test_session_provenance_is_stamped(self, problem, parameters):
         session = DesignSession(

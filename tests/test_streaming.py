@@ -41,7 +41,6 @@ from repro.simulation import (
 )
 from repro.simulation.streaming import (
     StreamingAccumulator,
-    TraceAccumulator,
     plan_tiles,
     resolve_tiling,
     threshold_budget_counts,
@@ -263,36 +262,7 @@ class TestTiling:
 # ---------------------------------------------------------------------------
 
 
-def _filled_accumulator(seed: int) -> StreamingAccumulator:
-    rng = np.random.default_rng(seed)
-    acc = StreamingAccumulator.zeros(5, 6, 100, 50, 8)
-    for name in _ACC_FIELDS:
-        array = getattr(acc, name)
-        array[:] = rng.integers(0, 1000, array.shape)
-    return acc
-
-
 class TestAccumulatorAlgebra:
-    def test_merge_is_commutative(self):
-        ab = _filled_accumulator(1).merge(_filled_accumulator(2))
-        ba = _filled_accumulator(2).merge(_filled_accumulator(1))
-        _assert_accumulators_equal(ab, ba)
-
-    def test_merge_is_associative(self):
-        left = _filled_accumulator(1).merge(_filled_accumulator(2)).merge(_filled_accumulator(3))
-        right = _filled_accumulator(1).merge(
-            _filled_accumulator(2).merge(_filled_accumulator(3))
-        )
-        _assert_accumulators_equal(left, right)
-
-    def test_incompatible_merge_is_rejected(self):
-        with pytest.raises(ValueError, match="cannot merge"):
-            StreamingAccumulator.zeros(5, 6, 100, 50, 8).merge(
-                StreamingAccumulator.zeros(5, 6, 100, 50, 16)
-            )
-        with pytest.raises(ValueError, match="different traces"):
-            TraceAccumulator.zeros("a", 4).merge(TraceAccumulator.zeros("b", 4))
-
     def test_threshold_budget_counts_match_float_semantics(self):
         num_packets = 417
         thresholds = np.asarray([0.0, 0.5, 0.9, 0.99, 0.999, 1.0])
