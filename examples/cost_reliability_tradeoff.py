@@ -45,9 +45,8 @@ def main() -> None:
                     ),
                 )
             )
-            report = result.report
             solution = result.solution
-            costs.append(report.cost_ratio)
+            costs.append(result.cost_ratio)
             met = np.mean(
                 [solution.weight_satisfaction(d) >= 1.0 - 1e-9 for d in problem.demands]
             )

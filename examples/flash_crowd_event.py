@@ -48,7 +48,6 @@ def main() -> None:
             ),
         )
     )
-    report = result.report
     designs = {"spaa03 (+repair)": result.solution}
     for label, strategy in (
         ("greedy", "greedy"),
@@ -60,7 +59,7 @@ def main() -> None:
         ).solution
 
     print("\n=== Cost vs reliability across designs ===")
-    rows = compare_designs(problem, designs, lower_bound=report.lp_lower_bound)
+    rows = compare_designs(problem, designs, lower_bound=result.lower_bound)
     print(
         format_table(
             rows,
@@ -75,7 +74,7 @@ def main() -> None:
             ],
         )
     )
-    print(f"\nLP lower bound on any fully feasible design: {report.lp_lower_bound:.2f}")
+    print(f"\nLP lower bound on any fully feasible design: {result.lower_bound:.2f}")
 
     # --- Replay the event through the packet simulator ----------------------
     print("\n=== Packet-level replay of the event stream (20k packets) ===")

@@ -57,7 +57,6 @@ def main() -> None:
     result = run_request(
         DesignRequest(problem, DesignParameters(seed=7, repair_shortfall=True))
     )
-    report = result.report
     solution = result.solution
 
     print("\n=== Design ===")
@@ -76,12 +75,12 @@ def main() -> None:
 
     print("\n=== Cost ===")
     print(f"Total cost           : {solution.total_cost():.2f}")
-    print(f"LP lower bound (OPT>=): {report.lp_lower_bound:.2f}")
-    print(f"Cost ratio           : {report.cost_ratio:.3f}")
-    print(f"(paper bound: c*log n = {report.rounded.multiplier:.1f})")
+    print(f"LP lower bound (OPT>=): {result.lower_bound:.2f}")
+    print(f"Cost ratio           : {result.cost_ratio:.3f}")
+    print(f"(paper bound: c*log n = {result.report.rounded.multiplier:.1f})")
 
     print("\n=== Paper guarantees on this run ===")
-    for check in check_paper_guarantees(problem, report):
+    for check in check_paper_guarantees(problem, result):
         status = "OK " if check.holds else "FAIL"
         print(f"[{status}] {check.name}: measured {check.measured:.3f} vs bound {check.bound:.3f}")
 

@@ -32,7 +32,7 @@ probability*, which on a two-reflector toy instance is not a certainty.)
 Every design strategy -- the paper's algorithm, its Section-6 extension and
 all six baselines -- lives in the strategy registry (:mod:`repro.api`)
 behind one typed request/response boundary; :class:`~repro.api.DesignPipeline`
-exposes the paper algorithm's individual stages.  Resolving a designer by
+runs the paper algorithm's steps with hooks between them.  Resolving a designer by
 name runs the same code as ``run_request``, seed-for-seed:
 
 >>> from repro import get_designer
@@ -78,7 +78,6 @@ from repro.api import (
 )
 from repro.core.algorithm import (
     DesignParameters,
-    DesignReport,
     fractional_lower_bound,
     repair_weight_shortfalls,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "Designer",
     "DesignParameters",
     "DesignPipeline",
-    "DesignReport",
     "DesignRequest",
     "DesignResult",
     "DesignService",

@@ -14,10 +14,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.algorithm import DesignReport
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.types import DesignResult
+
 from repro.core.index import DemandKey, ProblemIndex, builtin_sums, problem_index
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
@@ -181,11 +184,11 @@ class GuaranteeCheck:
 
 def check_paper_guarantees(
     problem: OverlayDesignProblem,
-    report: DesignReport,
+    result: DesignResult,
     weight_factor: float = 4.0,
     fanout_factor: float = 4.0,
 ) -> list[GuaranteeCheck]:
-    """Check the Section-5 guarantees on a finished :class:`DesignReport`.
+    """Check the Section-5 guarantees on a finished ``spaa03`` design of ``problem``.
 
     * weight: every demand retains at least ``1/weight_factor`` of its
       required weight (paper: factor 4);
@@ -193,9 +196,12 @@ def check_paper_guarantees(
       (paper: factor 4);
     * cost: the final cost is at most ``c log n`` times the LP lower bound
       (paper: Lemma 4.1 plus the constant-factor GAP stage).
+
+    Reads the result's own audit (the pipeline's audit step), cost ratio and
+    rounding multiplier (``metadata["multiplier"]``); nothing is audited
+    again, so a result decoded from its document checks the same.
     """
-    solution = report.solution
-    audit = audit_solution(problem, solution)
+    audit = result.audit
 
     checks: list[GuaranteeCheck] = []
     weight_bound = 1.0 / weight_factor
@@ -222,13 +228,13 @@ def check_paper_guarantees(
     )
     # The cost bound the paper proves is in expectation; we check against the
     # actually-used multiplier (c log n), with a factor 2 for the GAP doubling.
-    cost_bound = 2.0 * report.rounded.multiplier
+    cost_bound = 2.0 * result.metadata["multiplier"]
     checks.append(
         GuaranteeCheck(
             name="cost <= 2 c log n * OPT_LP",
             bound=cost_bound,
-            measured=report.cost_ratio,
-            holds=report.cost_ratio <= cost_bound + 1e-9,
+            measured=result.cost_ratio,
+            holds=result.cost_ratio <= cost_bound + 1e-9,
             description=(
                 "Final cost over the LP lower bound stays within the rounding "
                 "multiplier (c log n) times the GAP doubling factor."

@@ -647,10 +647,6 @@ class ComparisonReport:
     def regressions(self) -> list[MetricDrift]:
         return [d for d in self.drifts if d.classification in (CLASS_REGRESSION, CLASS_MISSING)]
 
-    @property
-    def improvements(self) -> list[MetricDrift]:
-        return [d for d in self.drifts if d.classification == CLASS_IMPROVEMENT]
-
     def rows(self) -> list[dict]:
         return [drift.as_row() for drift in self.drifts]
 

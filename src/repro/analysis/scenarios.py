@@ -35,8 +35,8 @@ from repro.analysis.runner import (
     ScenarioSpec,
     register_scenario,
 )
-from repro.api import DesignPipeline, DesignRequest, comparison_designers, get_designer
-from repro.core.algorithm import DesignParameters, DesignReport
+from repro.api import DesignRequest, comparison_designers, get_designer, run_request
+from repro.core.algorithm import DesignParameters
 from repro.core.concentration import (
     chernoff_lower_tail,
     chernoff_upper_tail,
@@ -80,38 +80,37 @@ from repro.workloads.tiny import build_tiny_problem
 
 def run_design(
     problem: OverlayDesignProblem,
-    parameters: DesignParameters | None = None,
-) -> tuple[DesignReport, dict]:
-    """Run the paper pipeline on one instance and extract the standard metric row.
+    parameters: DesignParameters,
+) -> dict:
+    """Run the ``spaa03`` designer on one instance and extract the standard metric row.
 
     Shared by the tiny, T1 and T5 scenarios.
     """
     start = time.perf_counter()
-    report = DesignPipeline.standard().run(problem, parameters).report()
+    result = run_request(DesignRequest(problem=problem, parameters=parameters))
     elapsed = time.perf_counter() - start
-    audit = report.solution_audit
-    row = {
+    audit, context = result.audit, result.report
+    return {
         "streams": problem.num_streams,
         "reflectors": problem.num_reflectors,
         "demands": problem.num_demands,
-        "lp_variables": report.formulation_size[0],
-        "lp_constraints": report.formulation_size[1],
-        "lp_lower_bound": report.lp_lower_bound,
-        "total_cost": report.solution.total_cost(),
-        "cost_ratio": report.cost_ratio,
-        "multiplier": report.rounded.multiplier,
+        "lp_variables": context.formulation.num_variables,
+        "lp_constraints": context.formulation.num_constraints,
+        "lp_lower_bound": result.lower_bound,
+        "total_cost": result.total_cost,
+        "cost_ratio": result.cost_ratio,
+        "multiplier": context.rounded.multiplier,
         "min_weight_fraction": audit.min_weight_fraction,
         "max_fanout_factor": audit.max_fanout_factor,
         "unserved_demands": audit.unserved_demands,
-        "rounding_attempts": report.rounding_attempts,
+        "rounding_attempts": context.rounding_attempts,
         "elapsed_seconds": elapsed,
-        "lp_nonzeros": report.lp_build_stats.num_nonzeros,
-        "formulate_seconds": report.stage_seconds.get("formulate", 0.0),
-        "lp_seconds": report.stage_seconds.get("solve_lp", 0.0),
-        "rounding_seconds": report.stage_seconds.get("rounding", 0.0),
-        "gap_seconds": report.stage_seconds.get("gap", 0.0),
+        "lp_nonzeros": context.formulation.stats.num_nonzeros,
+        "formulate_seconds": result.stage_seconds.get("formulate", 0.0),
+        "lp_seconds": result.stage_seconds.get("solve_lp", 0.0),
+        "rounding_seconds": result.stage_seconds.get("rounding", 0.0),
+        "gap_seconds": result.stage_seconds.get("gap", 0.0),
     }
-    return report, row
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def run_design(
 def tiny_task(task: dict) -> dict:
     problem = build_tiny_problem()
     parameters = DesignParameters(seed=task["seed"], repair_shortfall=True)
-    _, row = run_design(problem, parameters)
+    row = run_design(problem, parameters)
     row["seed"] = task["seed"]
     return row
 
@@ -171,7 +170,7 @@ def t1_task(task: dict) -> dict:
         ),
         rng=task["seed"],
     )
-    report, row = run_design(
+    row = run_design(
         problem,
         DesignParameters(rounding=RoundingParameters(c=task["c"], seed=task["seed"])),
     )
@@ -180,7 +179,7 @@ def t1_task(task: dict) -> dict:
         "demands": sinks,
         "seed": task["seed"],
         "cost_ratio": row["cost_ratio"],
-        "paper_bound_2clogn": 2.0 * report.rounded.multiplier,
+        "paper_bound_2clogn": 2.0 * row["multiplier"],
         "elapsed_seconds": row["elapsed_seconds"],
     }
 
@@ -398,8 +397,7 @@ def t4_task(task: dict) -> dict:
         seed=task["seed"],
         repair_shortfall=False,
     )
-    report = DesignPipeline.standard().run(problem, params).report()
-    solution = report.solution
+    solution = run_request(DesignRequest(problem=problem, parameters=params)).solution
     weight_fractions = [solution.weight_satisfaction(d) for d in problem.demands]
     fourth_root_ok = []
     for demand in problem.demands:
@@ -490,7 +488,7 @@ def t5_task(task: dict) -> dict:
         ),
         rng=task["rng"],
     )
-    _, row = run_design(problem, DesignParameters(seed=task["seed"], retry_rounding=False))
+    row = run_design(problem, DesignParameters(seed=task["seed"], retry_rounding=False))
     return {
         "size_product": streams * reflectors * sinks,
         "lp_variables": row["lp_variables"],
@@ -590,10 +588,12 @@ def t6_task(task: dict) -> dict:
     )
     problem = topology.to_problem()
     base = DesignParameters(seed=seed, repair_shortfall=True)
-    plain = DesignPipeline.standard().run(problem, base).solution
-    colored_context = DesignPipeline.extended().run(problem, color_constrained_parameters(base))
-    colored = colored_context.solution
-    path_info = colored_context.path_rounding
+    plain = run_request(DesignRequest(problem, base)).solution
+    colored_result = run_request(
+        DesignRequest(problem, color_constrained_parameters(base), strategy="spaa03-extended")
+    )
+    colored = colored_result.solution
+    path_info = colored_result.report.path_rounding
     worst_plain = min(_survivor_fraction(problem, plain, isp) for isp in registry.names())
     worst_colored = min(
         _survivor_fraction(problem, colored, isp) for isp in registry.names()
@@ -603,7 +603,7 @@ def t6_task(task: dict) -> dict:
         "demands": problem.num_demands,
         "plain_cost": plain.total_cost(),
         "colored_cost": colored.total_cost(),
-        "cost_factor_vs_lp": colored.total_cost() / max(colored_context.lp_lower_bound, 1e-9),
+        "cost_factor_vs_lp": colored.total_cost() / max(colored_result.lower_bound, 1e-9),
         "paper_cost_factor_bound": 14.0,
         "entangled_violation_factor": (
             path_info.violation_factors.get("entangled", 0.0) if path_info else 0.0
@@ -771,7 +771,6 @@ def c1_task(task: dict) -> list[dict]:
             ),
         )
     )
-    report = result.report
     # Registry-driven comparison: every designer registered with
     # in_comparisons=True appears automatically; each derives its randomness
     # from the request seed, so rows stay deterministic.
@@ -794,11 +793,11 @@ def c1_task(task: dict) -> list[dict]:
     rows = compare_designs(
         problem,
         designs,
-        lower_bound=report.lp_lower_bound,
+        lower_bound=result.lower_bound,
         extra_metrics={"simulated_mean_loss": simulated_loss},
     )
     for row in rows:
-        row["rounding_multiplier"] = report.rounded.multiplier
+        row["rounding_multiplier"] = result.report.rounded.multiplier
     return rows
 
 
@@ -908,9 +907,8 @@ def c2_task(task: dict) -> dict:
         result = get_designer("spaa03").design(
             DesignRequest(problem=problem, parameters=params)
         )
-        report = result.report
         solution = result.solution
-        ratios.append(report.cost_ratio)
+        ratios.append(result.cost_ratio)
         min_weights.append(min(solution.weight_satisfaction(d) for d in problem.demands))
         unserved.append(len(solution.unserved_demands()))
         fanouts.append(solution.max_fanout_factor())

@@ -7,9 +7,10 @@ This package is the typed request/response boundary the rest of the system
   dataclasses with versioned JSON (de)serialization;
 * :mod:`repro.api.registry` -- the :class:`Designer` protocol and the
   ``@register_designer`` strategy registry (:func:`get_designer`);
-* :mod:`repro.api.pipeline` -- the composable staged pipeline
+* :mod:`repro.api.pipeline` -- the fixed pipeline
   (``Formulate -> Solve -> Round -> Repair -> Audit``) behind the paper's
-  algorithm, with stage-swap and hook points for experiments;
+  algorithm, with per-step hooks and one record of the run
+  (:class:`PipelineContext`);
 * :mod:`repro.api.designers` -- the built-in catalogue: the paper algorithm
   (``"spaa03"``), its Section-6 extension (``"spaa03-extended"``) and the six
   baselines;
@@ -24,7 +25,7 @@ Quick start::
     results = design_batch(requests, jobs=4)
 
 The registry is the only way to run a design; :class:`DesignPipeline` gives
-access to the paper algorithm's individual stages.
+hooks into the paper algorithm's steps.
 """
 
 from repro.api.batch import (
@@ -33,17 +34,7 @@ from repro.api.batch import (
     dump_results_jsonl,
     load_requests_jsonl,
 )
-from repro.api.pipeline import (
-    AuditStage,
-    DesignPipeline,
-    ExtendedRoundStage,
-    FormulateStage,
-    PipelineContext,
-    PipelineStage,
-    RepairStage,
-    RoundStage,
-    SolveStage,
-)
+from repro.api.pipeline import DesignPipeline, PipelineContext
 from repro.api.registry import (
     Designer,
     RegisteredDesigner,
@@ -78,20 +69,13 @@ from repro.incremental.engine import design_incremental  # noqa: E402  isort:ski
 
 __all__ = [
     "SCHEMA_VERSION",
-    "AuditStage",
     "Designer",
     "DesignPipeline",
     "DesignRequest",
     "DesignResult",
     "EvaluationSpec",
-    "ExtendedRoundStage",
-    "FormulateStage",
     "PipelineContext",
-    "PipelineStage",
     "RegisteredDesigner",
-    "RepairStage",
-    "RoundStage",
-    "SolveStage",
     "comparison_designers",
     "design_batch",
     "design_incremental",

@@ -16,8 +16,8 @@ Importing this module registers every built-in strategy with
 
 These registrations are the only way to run a strategy: callers go through
 ``get_designer(name).design(request)`` or ``run_request(request)``, and the
-paper algorithm's stages are reachable through
-:class:`~repro.api.pipeline.DesignPipeline`.
+paper algorithm's steps are observable through
+:class:`~repro.api.pipeline.DesignPipeline`'s hooks.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _pipeline_result(request: DesignRequest, context: PipelineContext) -> Design
         audit=context.solution_audit,
         metadata=metadata,
         request_id=request.request_id,
-        report=context.report(),
+        report=context,
     )
 
 

@@ -1,29 +1,25 @@
-"""The staged design pipeline: Formulate -> Solve -> Round -> Repair -> Audit.
+"""The paper's algorithm as one fixed run: Formulate -> Solve -> Round -> Repair -> Audit.
 
-The paper's algorithm is inherently a staged pipeline -- formulate the
-Section-2 LP, solve it, round the fractional solution (Sections 3 + 5), repair
-shortfalls (Section 7) and audit the result -- and this module makes those
-stages first-class objects.  :class:`DesignPipeline` runs an ordered list of
-:class:`PipelineStage` instances over a shared :class:`PipelineContext`;
-every intermediate artifact (formulation, LP solution, fractional support,
-rounding draw, GAP result, final solution, audit) lives on the context, and
-per-stage wall-clock times accumulate in ``context.stage_seconds``.
+:class:`DesignPipeline` formulates the Section-2 LP, solves it, rounds the
+fractional solution (Sections 3 + 5), repairs shortfalls (Section 7) and
+audits the result, in that order, over one :class:`PipelineContext`.  The
+context is the run's one record: every intermediate artifact (formulation,
+LP solution, fractional support, rounding draw, GAP result, final solution,
+audit) lives on it, and per-step wall-clock times accumulate in
+``context.stage_seconds``.  The ``"spaa03"`` and ``"spaa03-extended"``
+designers return it as ``DesignResult.report``.
 
-Experiments can customize the pipeline without forking the driver:
+``DesignPipeline.standard(hooks=[hook])`` calls ``hook(step_name, context)``
+after every step (``formulate``, ``solve``, ``round``, ``repair``,
+``audit``), so e.g. the fractional LP solution is observable right after the
+``"solve"`` step.  :meth:`DesignPipeline.extended` is the Section-6 variant:
+its round step uses path rounding when colour constraints or arc capacities
+are on.
 
-* **swap a stage** -- ``DesignPipeline.standard().with_stage("round",
-  MyRoundStage())`` replaces the Section-3/5 rounding with any object
-  implementing :class:`PipelineStage`;
-* **intercept an intermediate result** -- ``DesignPipeline.standard(hooks=
-  [hook])`` calls ``hook(stage_name, context)`` after every stage, so e.g. the
-  fractional LP solution is observable right after the ``"solve"`` stage.
-
-The registered ``"spaa03"`` and ``"spaa03-extended"`` designers of
-:mod:`repro.api.designers` run :meth:`DesignPipeline.standard` and
-:meth:`DesignPipeline.extended`, so a pipeline run and a registry run produce
-bit-identical solutions for a fixed seed.  Use the registry
-(``repro.api.run_request``) to run a design, and a pipeline when a stage or
-its intermediate results are what you need.
+The registered designers of :mod:`repro.api.designers` run these two
+pipelines, so a pipeline run and a registry run produce bit-identical
+solutions for a fixed seed.  Use the registry (``repro.api.run_request``) to
+run a design, and a pipeline when its hooks are what you need.
 """
 
 from __future__ import annotations
@@ -34,11 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.audit import SolutionAudit, audit_solution
-from repro.core.algorithm import (
-    DesignParameters,
-    DesignReport,
-    repair_weight_shortfalls,
-)
+from repro.core.algorithm import DesignParameters, repair_weight_shortfalls
 from repro.core.formulation import SparseOverlayFormulation, build_sparse_formulation
 from repro.core.gap import GapResult, gap_round
 from repro.core.lp_solution import FractionalSolution, RoundedSolution
@@ -61,11 +53,12 @@ from repro.core.solution import OverlaySolution
 
 @dataclass
 class PipelineContext:
-    """Everything a pipeline run produces, shared mutable state between stages.
+    """Everything a pipeline run produces: the one record of a design run.
 
-    Stages read their inputs from and write their outputs to this object, so a
-    custom stage can consume anything its predecessors produced.  ``metadata``
-    is free-form scratch space for experiment hooks and custom stages.
+    Each step reads its inputs from and writes its outputs to this object.
+    ``stage_seconds`` has the keys ``formulate``, ``solve_lp``, ``rounding``,
+    ``gap``, ``repair`` and ``audit``.  ``metadata`` is free-form scratch
+    space for hooks; the designers copy it into their result's metadata.
     """
 
     problem: OverlayDesignProblem
@@ -89,254 +82,138 @@ class PipelineContext:
     def lp_lower_bound(self) -> float | None:
         return self.fractional.objective if self.fractional is not None else None
 
-    def report(self) -> DesignReport:
-        """Assemble the :class:`~repro.core.algorithm.DesignReport` of this run."""
-        return DesignReport(
-            solution=self.solution,
-            fractional=self.fractional,
-            rounded=self.rounded,
-            rounding_audit=self.rounding_audit,
-            gap=self.gap,
-            formulation_size=(
-                self.formulation.num_variables,
-                self.formulation.num_constraints,
-            ),
-            stage_seconds=dict(self.stage_seconds),
-            rounding_attempts=self.rounding_attempts,
-            lp_build_stats=self.formulation.stats,
-            solution_audit=self.solution_audit,
-        )
 
-
-class PipelineStage:
-    """One stage of the design pipeline.
-
-    Subclasses set ``name`` (the key used by :meth:`DesignPipeline.with_stage`
-    and reported to hooks) and implement :meth:`run`, reading/writing the
-    shared :class:`PipelineContext`.  Stages record their own wall-clock times
-    into ``context.stage_seconds`` -- the standard stages use the keys
-    ``formulate``, ``solve_lp``, ``rounding``, ``gap``, ``repair`` and
-    ``audit``, which report consumers read.
-    """
-
-    name: str = "stage"
-
-    def run(self, context: PipelineContext) -> None:
-        raise NotImplementedError
-
-
-class FormulateStage(PipelineStage):
+def _formulate(context: PipelineContext) -> None:
     """Build the Section-2 LP relaxation."""
-
-    name = "formulate"
-
-    def run(self, context: PipelineContext) -> None:
-        start = time.perf_counter()
-        context.formulation = build_sparse_formulation(
-            context.problem, context.parameters.extensions
-        )
-        context.stage_seconds["formulate"] = time.perf_counter() - start
+    start = time.perf_counter()
+    context.formulation = build_sparse_formulation(context.problem, context.parameters.extensions)
+    context.stage_seconds["formulate"] = time.perf_counter() - start
 
 
-class SolveStage(PipelineStage):
+def _solve(context: PipelineContext) -> None:
     """Solve the LP and extract the fractional support."""
-
-    name = "solve"
-
-    def run(self, context: PipelineContext) -> None:
-        start = time.perf_counter()
-        context.lp_solution = context.formulation.solve()
-        context.stage_seconds["solve_lp"] = time.perf_counter() - start
-        context.fractional = context.formulation.fractional_solution(
-            context.lp_solution
-        ).support()
+    start = time.perf_counter()
+    context.lp_solution = context.formulation.solve()
+    context.stage_seconds["solve_lp"] = time.perf_counter() - start
+    context.fractional = context.formulation.fractional_solution(context.lp_solution).support()
 
 
-class RoundStage(PipelineStage):
-    """Section-3 randomized rounding followed by the Section-5 GAP rounding."""
-
-    name = "round"
-    algorithm_label = "spaa03-lp-rounding"
-
-    def run(self, context: PipelineContext) -> None:
-        self._draw(context)
-        self._integralize(context)
-        context.solution = OverlaySolution.from_assignments(
+def _draw(context: PipelineContext) -> None:
+    """The Section-3 randomized rounding, redrawn until accepted when asked."""
+    parameters = context.parameters
+    start = time.perf_counter()
+    if parameters.retry_rounding:
+        rounded, audit, attempts = round_solution_with_retries(
             context.problem,
-            context.gap.assignments,
-            metadata=self.solution_metadata(context),
+            context.fractional,
+            parameters.rounding,
+            context.rng,
+            max_attempts=parameters.max_rounding_attempts,
         )
-
-    def _draw(self, context: PipelineContext) -> None:
-        parameters = context.parameters
-        start = time.perf_counter()
-        if parameters.retry_rounding:
-            rounded, audit, attempts = round_solution_with_retries(
-                context.problem,
-                context.fractional,
-                parameters.rounding,
-                context.rng,
-                max_attempts=parameters.max_rounding_attempts,
-            )
-        else:
-            rounded = round_solution(
-                context.problem, context.fractional, parameters.rounding, context.rng
-            )
-            audit = audit_rounding(context.problem, rounded)
-            attempts = 1
-        context.rounded = rounded
-        context.rounding_audit = audit
-        context.rounding_attempts = attempts
-        context.stage_seconds["rounding"] = time.perf_counter() - start
-
-    def _integralize(self, context: PipelineContext) -> None:
-        start = time.perf_counter()
-        context.gap = gap_round(
-            context.problem, context.rounded, context.parameters.keep_degenerate_box
+    else:
+        rounded = round_solution(
+            context.problem, context.fractional, parameters.rounding, context.rng
         )
-        context.stage_seconds["gap"] = time.perf_counter() - start
-
-    def solution_metadata(self, context: PipelineContext) -> dict:
-        return {
-            "algorithm": self.algorithm_label,
-            "multiplier": context.rounded.multiplier,
-            "rounding_attempts": context.rounding_attempts,
-        }
+        audit = audit_rounding(context.problem, rounded)
+        attempts = 1
+    context.rounded = rounded
+    context.rounding_audit = audit
+    context.rounding_attempts = attempts
+    context.stage_seconds["rounding"] = time.perf_counter() - start
 
 
-class ExtendedRoundStage(RoundStage):
-    """Rounding for the Section-6 extensions.
+def _path_round(context: PipelineContext) -> GapResult:
+    """The Section-6.5 path rounding over the draw's entangled sets.
 
-    When arc capacities or color constraints are enabled the remaining
-    fractional assignments are entangled across demands, so the plain GAP
-    rounding is replaced by the Section-6.5 path rounding over the computed
-    entangled sets; otherwise this behaves exactly like :class:`RoundStage`.
+    Arc capacities and colour constraints entangle the remaining fractional
+    assignments across demands, which the plain GAP rounding cannot honour.
+    """
+    options = context.parameters.extensions
+    support = list(context.rounded.x.keys())
+    if options.use_color_constraints:
+        context.entangled_sets.extend(color_entangled_sets(context.problem, support))
+    if options.use_arc_capacities:
+        context.entangled_sets.extend(arc_capacity_entangled_sets(context.problem, support))
+    result = context.path_rounding = path_round(
+        context.problem,
+        context.rounded,
+        entangled_sets=context.entangled_sets,
+        rng=context.rng,
+        keep_degenerate_box=context.parameters.keep_degenerate_box,
+    )
+    return GapResult(
+        assignments=result.assignments,
+        flow_value=float(result.boxes_served),
+        boxes_total=result.boxes_total,
+        boxes_served=result.boxes_served,
+        cost=result.cost,
+    )
+
+
+def _repair(context: PipelineContext) -> None:
+    """Optional Section-7-style greedy repair of weight shortfalls."""
+    start = time.perf_counter()
+    if context.parameters.repair_shortfall:
+        context.solution = repair_weight_shortfalls(
+            context.problem,
+            context.solution,
+            fanout_slack=context.parameters.repair_fanout_slack,
+        )
+    context.stage_seconds["repair"] = time.perf_counter() - start
+
+
+def _audit(context: PipelineContext) -> None:
+    """Constraint-violation audit of the final solution."""
+    start = time.perf_counter()
+    context.solution_audit = audit_solution(context.problem, context.solution)
+    context.stage_seconds["audit"] = time.perf_counter() - start
+
+
+class DesignPipeline:
+    """The five steps of the paper's algorithm plus per-step observation hooks.
+
+    ``hooks`` are callables ``(step_name, context) -> None`` invoked after
+    each step completes; they observe (and may annotate
+    ``context.metadata``) but should not replace pipeline state.
+    ``path_rounding`` selects the Section-6 round step of :meth:`extended`.
     """
 
-    name = "round"
-    algorithm_label = "spaa03-lp-rounding-extended"
+    def __init__(self, hooks: list | None = None, path_rounding: bool = False) -> None:
+        self.hooks = list(hooks or [])
+        self.path_rounding = path_rounding
 
-    def _integralize(self, context: PipelineContext) -> None:
+    @classmethod
+    def standard(cls, hooks: list | None = None) -> "DesignPipeline":
+        """The paper's algorithm: the pipeline behind the ``"spaa03"`` designer."""
+        return cls(hooks)
+
+    @classmethod
+    def extended(cls, hooks: list | None = None) -> "DesignPipeline":
+        """The Section-6 variant: the pipeline behind ``"spaa03-extended"``."""
+        return cls(hooks, path_rounding=True)
+
+    def _round(self, context: PipelineContext) -> None:
+        """Section-3 rounding, then the Section-5 GAP (or Section-6.5 path) rounding."""
+        _draw(context)
         options = context.parameters.extensions
-        needs_path_rounding = options.use_color_constraints or options.use_arc_capacities
         start = time.perf_counter()
-        if needs_path_rounding:
-            support = list(context.rounded.x.keys())
-            if options.use_color_constraints:
-                context.entangled_sets.extend(
-                    color_entangled_sets(context.problem, support)
-                )
-            if options.use_arc_capacities:
-                context.entangled_sets.extend(
-                    arc_capacity_entangled_sets(context.problem, support)
-                )
-            context.path_rounding = path_round(
-                context.problem,
-                context.rounded,
-                entangled_sets=context.entangled_sets,
-                rng=context.rng,
-                keep_degenerate_box=context.parameters.keep_degenerate_box,
-            )
-            context.gap = GapResult(
-                assignments=context.path_rounding.assignments,
-                flow_value=float(context.path_rounding.boxes_served),
-                boxes_total=context.path_rounding.boxes_total,
-                boxes_served=context.path_rounding.boxes_served,
-                cost=context.path_rounding.cost,
-            )
+        if self.path_rounding and (options.use_color_constraints or options.use_arc_capacities):
+            context.gap = _path_round(context)
         else:
             context.gap = gap_round(
                 context.problem, context.rounded, context.parameters.keep_degenerate_box
             )
         context.stage_seconds["gap"] = time.perf_counter() - start
-
-    def solution_metadata(self, context: PipelineContext) -> dict:
-        metadata = super().solution_metadata(context)
-        metadata["path_rounding"] = context.path_rounding is not None
-        return metadata
-
-
-class RepairStage(PipelineStage):
-    """Optional Section-7-style greedy repair of weight shortfalls."""
-
-    name = "repair"
-
-    def run(self, context: PipelineContext) -> None:
-        start = time.perf_counter()
-        if context.parameters.repair_shortfall:
-            context.solution = repair_weight_shortfalls(
-                context.problem,
-                context.solution,
-                fanout_slack=context.parameters.repair_fanout_slack,
-            )
-        context.stage_seconds["repair"] = time.perf_counter() - start
-
-
-class AuditStage(PipelineStage):
-    """Constraint-violation audit of the final solution."""
-
-    name = "audit"
-
-    def run(self, context: PipelineContext) -> None:
-        start = time.perf_counter()
-        context.solution_audit = audit_solution(context.problem, context.solution)
-        context.stage_seconds["audit"] = time.perf_counter() - start
-
-
-class DesignPipeline:
-    """An ordered list of stages plus per-stage observation hooks.
-
-    ``hooks`` are callables ``(stage_name, context) -> None`` invoked after
-    each stage completes; they observe (and may annotate ``context.metadata``)
-    but should not replace pipeline state -- use a custom stage for that.
-    """
-
-    def __init__(
-        self,
-        stages: list[PipelineStage] | None = None,
-        hooks: list | None = None,
-    ) -> None:
-        self.stages = list(stages) if stages is not None else self.default_stages()
-        self.hooks = list(hooks or [])
-
-    @staticmethod
-    def default_stages() -> list[PipelineStage]:
-        return [
-            FormulateStage(),
-            SolveStage(),
-            RoundStage(),
-            RepairStage(),
-            AuditStage(),
-        ]
-
-    @classmethod
-    def standard(cls, hooks: list | None = None) -> "DesignPipeline":
-        """The paper's algorithm: the pipeline behind the ``"spaa03"`` designer."""
-        return cls(hooks=hooks)
-
-    @classmethod
-    def extended(cls, hooks: list | None = None) -> "DesignPipeline":
-        """The Section-6 variant: the pipeline behind ``"spaa03-extended"``."""
-        return cls(hooks=hooks).with_stage("round", ExtendedRoundStage())
-
-    def stage(self, name: str) -> PipelineStage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        known = ", ".join(stage.name for stage in self.stages)
-        raise KeyError(f"no stage named {name!r} (stages: {known})")
-
-    def with_stage(self, name: str, replacement: PipelineStage) -> "DesignPipeline":
-        """Return a new pipeline with the stage named ``name`` replaced.
-
-        The receiver is left untouched, so a pipeline can safely serve as a
-        shared template: ``base.with_stage("round", MyStage())`` never changes
-        what ``base.run(...)`` executes.
-        """
-        self.stage(name)  # raises KeyError with the stage list if unknown
-        return DesignPipeline(
-            [replacement if stage.name == name else stage for stage in self.stages],
-            list(self.hooks),
+        label = "spaa03-lp-rounding-extended" if self.path_rounding else "spaa03-lp-rounding"
+        metadata = {
+            "algorithm": label,
+            "multiplier": context.rounded.multiplier,
+            "rounding_attempts": context.rounding_attempts,
+        }
+        if self.path_rounding:
+            metadata["path_rounding"] = context.path_rounding is not None
+        context.solution = OverlaySolution.from_assignments(
+            context.problem, context.gap.assignments, metadata=metadata
         )
 
     def run(
@@ -345,31 +222,28 @@ class DesignPipeline:
         parameters: DesignParameters | None = None,
         rng: np.random.Generator | None = None,
     ) -> PipelineContext:
-        """Run every stage over ``problem`` and return the filled context.
+        """Run every step over ``problem`` and return the filled context.
 
         The RNG defaults to ``np.random.default_rng(parameters.rounding.seed)``
-        and each stage consumes it in a fixed order, so solutions are
+        and the steps consume it in a fixed order, so solutions are
         bit-identical for a fixed seed.
         """
         parameters = parameters or DesignParameters()
         if rng is None:
             rng = np.random.default_rng(parameters.rounding.seed)
         context = PipelineContext(problem=problem, parameters=parameters, rng=rng)
-        for stage in self.stages:
-            stage.run(context)
+        steps = (
+            ("formulate", _formulate),
+            ("solve", _solve),
+            ("round", self._round),
+            ("repair", _repair),
+            ("audit", _audit),
+        )
+        for name, step in steps:
+            step(context)
             for hook in self.hooks:
-                hook(stage.name, context)
+                hook(name, context)
         return context
 
 
-__all__ = [
-    "AuditStage",
-    "DesignPipeline",
-    "ExtendedRoundStage",
-    "FormulateStage",
-    "PipelineContext",
-    "PipelineStage",
-    "RepairStage",
-    "RoundStage",
-    "SolveStage",
-]
+__all__ = ["DesignPipeline", "PipelineContext"]

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis.audit import SolutionAudit
-from repro.core.algorithm import DesignParameters, DesignReport
+from repro.api.pipeline import PipelineContext
+from repro.core.algorithm import DesignParameters
 from repro.core.formulation import ExtensionOptions
 from repro.core.problem import OverlayDesignProblem
 from repro.core.rounding import RoundingParameters
@@ -246,8 +247,12 @@ class DesignResult:
     request_id:
         Echo of the request's correlation id.
     report:
-        The full in-memory :class:`~repro.core.algorithm.DesignReport` for
-        pipeline strategies (never serialized; ``None`` after a round-trip).
+        For pipeline strategies, the run's
+        :class:`~repro.api.pipeline.PipelineContext`: every intermediate
+        artifact (formulation, LP and fractional solutions, rounding draw,
+        GAP or path-rounding result).  In memory only: never serialized,
+        left out of comparisons and ``repr``, and ``None`` after a
+        round-trip or out of :func:`~repro.api.design_batch`.
     shard_state:
         For sharded designs and incremental updates, the
         :class:`~repro.scale.stitch.ShardState` the next incremental update
@@ -268,7 +273,7 @@ class DesignResult:
     evaluation: dict[str, dict[str, float]] | None = None
     cache: dict | None = None
     request_id: str | None = None
-    report: DesignReport | None = None
+    report: PipelineContext | None = field(default=None, compare=False, repr=False)
     schema_version: int = SCHEMA_VERSION
     shard_state: Any = field(default=None, compare=False, repr=False)
 
@@ -291,8 +296,8 @@ class DesignResult:
             info["lp_lower_bound"] = self.lower_bound
             info["cost_ratio"] = self.cost_ratio
         if self.report is not None:
-            info["lp_variables"] = self.report.formulation_size[0]
-            info["lp_constraints"] = self.report.formulation_size[1]
+            info["lp_variables"] = self.report.formulation.num_variables
+            info["lp_constraints"] = self.report.formulation.num_constraints
             info["rounding_attempts"] = self.report.rounding_attempts
         info["stage_seconds"] = dict(self.stage_seconds)
         return info
@@ -458,9 +463,10 @@ RESULT = Doc(
 def result_to_dict(result: DesignResult) -> dict[str, Any]:
     """Encode a result as a JSON-compatible document.
 
-    The in-memory ``report`` is intentionally dropped (it holds the full LP
-    and rounding state); everything else -- including stage timings and every
-    audit field -- round-trips through :func:`result_from_dict`.
+    The in-memory ``report`` is intentionally dropped (it is the run's
+    :class:`~repro.api.pipeline.PipelineContext`); everything else --
+    including stage timings and every audit field -- round-trips through
+    :func:`result_from_dict`.
     """
     return RESULT.encode(result)
 

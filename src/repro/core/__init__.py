@@ -17,12 +17,12 @@ algorithm end to end:
   used for the Section 6.3-6.5 extensions.
 * :mod:`repro.core.extensions` -- bandwidth, arc-capacity and color-constraint
   extensions (Sections 6.1-6.4).
-* :mod:`repro.core.algorithm` -- the pipeline's parameters, report and repair
-  pass (the stages run in :class:`repro.api.DesignPipeline`).
+* :mod:`repro.core.algorithm` -- the pipeline's parameters and repair pass
+  (the steps run in :class:`repro.api.DesignPipeline`).
 * :mod:`repro.core.solution` -- the resulting overlay design and its audit.
 """
 
-from repro.core.algorithm import DesignParameters, DesignReport
+from repro.core.algorithm import DesignParameters
 from repro.core.problem import Demand, OverlayDesignProblem, StreamEdge, DeliveryEdge
 from repro.core.solution import OverlaySolution
 from repro.core.weights import (
@@ -36,7 +36,6 @@ __all__ = [
     "Demand",
     "DeliveryEdge",
     "DesignParameters",
-    "DesignReport",
     "OverlayDesignProblem",
     "OverlaySolution",
     "StreamEdge",

@@ -13,12 +13,13 @@ The algorithm follows the paper exactly:
    requirement using spare fanout ("heuristics based on the algorithm",
    Section 7).
 
-The stages run in :class:`repro.api.DesignPipeline`; the registered
-``"spaa03"`` designer (``repro.api.run_request``) is the one way to run
-them end to end.  This module holds what the stages share: the
-:class:`DesignParameters` knobs, the :class:`DesignReport` every intermediate
-result and per-stage wall-clock time lands in (what the benchmark harness
-consumes), the Section-7 repair pass and the LP-only lower bound.
+The steps run in :class:`repro.api.DesignPipeline`, whose
+:class:`~repro.api.PipelineContext` is the one record of a run (every
+intermediate result and per-step wall-clock time); the registered
+``"spaa03"`` designer (``repro.api.run_request``) is the one way to run them
+end to end.  This module holds what the steps share: the
+:class:`DesignParameters` knobs, the Section-7 repair pass and the LP-only
+lower bound.
 """
 
 from __future__ import annotations
@@ -26,21 +27,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.analysis.audit import SolutionAudit
-
 from repro.core.formulation import ExtensionOptions, build_sparse_formulation
-from repro.core.gap import GapResult
 from repro.core.index import problem_index
-from repro.core.lp_solution import FractionalSolution, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
-from repro.core.rounding import RoundingAudit, RoundingParameters
+from repro.core.rounding import RoundingParameters
 from repro.core.solution import OverlaySolution
-from repro.lp import LPBuildStats
 
 
 @dataclass
@@ -89,79 +84,6 @@ class DesignParameters:
             self.rounding = RoundingParameters(
                 c=self.rounding.c, delta=self.rounding.delta, seed=self.seed
             )
-
-
-@dataclass
-class DesignReport:
-    """Everything produced along the pipeline, for inspection and benchmarking.
-
-    Attributes
-    ----------
-    solution:
-        The final integral overlay design.
-    fractional:
-        The optimal LP solution (its objective is the lower bound used for
-        approximation-ratio measurements).
-    rounded:
-        The state after Section-3 rounding.
-    rounding_audit:
-        Weight / fanout violation audit of the accepted rounding draw.
-    gap:
-        The Section-5 GAP result.
-    formulation_size:
-        (num variables, num constraints) of the LP.
-    stage_seconds:
-        Wall-clock time per stage ("formulate", "solve_lp", "rounding", "gap",
-        "repair", and -- since the pipeline gained its audit stage -- "audit").
-    rounding_attempts:
-        Number of rounding draws used.
-    lp_build_stats:
-        Matrix-assembly report (:class:`repro.lp.LPBuildStats`) of the
-        Section-2 LP: sizes, build time and per-family row counts.
-    solution_audit:
-        Constraint-violation audit of the final solution, produced by the
-        pipeline's audit stage (:class:`repro.analysis.audit.SolutionAudit`).
-        Consumers should reuse it instead of re-running ``audit_solution``.
-    lp_lower_bound:
-        Alias for ``fractional.objective``.
-    """
-
-    solution: OverlaySolution
-    fractional: FractionalSolution
-    rounded: RoundedSolution
-    rounding_audit: RoundingAudit
-    gap: GapResult
-    formulation_size: tuple[int, int]
-    stage_seconds: dict[str, float]
-    rounding_attempts: int
-    lp_build_stats: LPBuildStats
-    solution_audit: "SolutionAudit | None" = None
-
-    @property
-    def lp_lower_bound(self) -> float:
-        return self.fractional.objective
-
-    @property
-    def cost_ratio(self) -> float:
-        """Final cost divided by the LP lower bound (>= 1; paper bound: c log n)."""
-        lower = self.lp_lower_bound
-        if lower <= 0:
-            return float("inf") if self.solution.total_cost() > 0 else 1.0
-        return self.solution.total_cost() / lower
-
-    def summary(self) -> dict:
-        info = self.solution.summary()
-        info.update(
-            {
-                "lp_lower_bound": self.lp_lower_bound,
-                "cost_ratio": self.cost_ratio,
-                "lp_variables": self.formulation_size[0],
-                "lp_constraints": self.formulation_size[1],
-                "rounding_attempts": self.rounding_attempts,
-                "stage_seconds": dict(self.stage_seconds),
-            }
-        )
-        return info
 
 
 def repair_weight_shortfalls(
@@ -260,7 +182,6 @@ def fractional_lower_bound(
 
 __all__ = [
     "DesignParameters",
-    "DesignReport",
     "fractional_lower_bound",
     "repair_weight_shortfalls",
     "top_up_demands",

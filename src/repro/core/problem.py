@@ -439,10 +439,6 @@ class OverlayDesignProblem:
         """Cost ``c^k_ij`` of assigning ``demand`` to ``reflector`` (delivery leg only)."""
         return self.delivery_cost(reflector, demand.sink, demand.stream)
 
-    def total_fanout(self) -> int:
-        """Sum of reflector fanout bounds (an upper bound on total assignments)."""
-        return sum(info.fanout for info in self._reflectors.values())
-
     # ------------------------------------------------------------- validation
     def validate(self) -> None:
         """Raise ``ValueError`` if the instance is structurally incomplete.

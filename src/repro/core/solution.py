@@ -158,10 +158,6 @@ class OverlaySolution:
         """Number of assignments routed through ``reflector``."""
         return self.fanout_loads()[reflector]
 
-    def fanout_factor(self, reflector: str) -> float:
-        """Fanout used / fanout bound (> 1 means the bound is violated)."""
-        return self.fanout_used(reflector) / self.problem.fanout(reflector)
-
     def max_fanout_factor(self) -> float:
         loads = self.fanout_loads()
         if not loads:
@@ -180,24 +176,6 @@ class OverlaySolution:
             for demand in self.problem.demands
             if self.success_probability(demand) + 1e-12 < demand.success_threshold
         ]
-
-    def color_violations(self) -> list[tuple[Demand, object, int]]:
-        """Section 6.4 check: demands served more than once from a single color.
-
-        Returns (demand, color, copies) triples for every violation.
-        """
-        violations: list[tuple[Demand, object, int]] = []
-        for demand in self.problem.demands:
-            per_color: dict[object, int] = {}
-            for reflector in self.reflectors_serving(demand):
-                color = self.problem.color(reflector)
-                if color is None:
-                    continue
-                per_color[color] = per_color.get(color, 0) + 1
-            for color, copies in per_color.items():
-                if copies > 1:
-                    violations.append((demand, color, copies))
-        return violations
 
     def summary(self) -> dict:
         """Compact dictionary summary used by reports, examples and benchmarks.

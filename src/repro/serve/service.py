@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import queue
 import threading
 import time
@@ -259,11 +260,16 @@ class DesignService:
 
 
 def _percentile(sorted_values: list[float], q: float) -> float | None:
-    """Nearest-rank percentile of an ascending list (``None`` when empty)."""
+    """Nearest-rank percentile of an ascending list (``None`` when empty).
+
+    The rank is ``ceil(q * n / 100)``, clamped to ``[1, n]``; multiplying
+    before dividing keeps an integral rank exact.
+    """
     if not sorted_values:
         return None
-    rank = max(0, min(len(sorted_values) - 1, round(q / 100.0 * len(sorted_values)) - 1))
-    return float(sorted_values[rank])
+    count = len(sorted_values)
+    rank = max(1, min(count, math.ceil(q * count / 100.0)))
+    return float(sorted_values[rank - 1])
 
 
 # -- HTTP front ------------------------------------------------------------
@@ -303,6 +309,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # ``rfile.read(-1)`` would block until the client hangs up.
+                raise ValueError(f"Content-Length must be >= 0, got {length}")
             request = request_from_dict(json.loads(self.rfile.read(length) or b"{}"))
             if request.evaluation is not None and request.evaluation.scenario_files:
                 # The catalogue is process-wide: a client file could redefine a

@@ -13,7 +13,7 @@ from repro.analysis import (
     format_table,
     reliability_metrics,
 )
-from repro.api import DesignPipeline, DesignRequest, run_request
+from repro.api import DesignRequest, run_request
 from repro.core.algorithm import DesignParameters
 from repro.core.solution import OverlaySolution
 
@@ -65,13 +65,42 @@ class TestAudit:
         assert audit.max_arc_capacity_factor == pytest.approx(2.0)
 
     def test_guarantee_checks_pass_for_paper_run(self, small_random_problem):
-        report = DesignPipeline.standard().run(
-            small_random_problem, DesignParameters(seed=0)
-        ).report()
-        checks = check_paper_guarantees(small_random_problem, report)
+        result = run_request(DesignRequest(small_random_problem, DesignParameters(seed=0)))
+        checks = check_paper_guarantees(small_random_problem, result)
         names = {check.name for check in checks}
         assert {"weight >= W/4", "fanout <= 4F", "cost <= 2 c log n * OPT_LP"} <= names
         assert all(check.holds for check in checks)
+
+    def test_guarantee_checks_read_the_results_own_audit(self, small_random_problem, monkeypatch):
+        import repro.analysis.audit as audit_module
+
+        result = run_request(
+            DesignRequest(small_random_problem, DesignParameters(seed=2, repair_shortfall=True))
+        )
+        audit = audit_solution(small_random_problem, result.solution)
+        expected = [
+            (audit.min_weight_fraction, 0.25),
+            (audit.max_fanout_factor, 4.0),
+            (
+                result.solution.total_cost() / result.report.lp_lower_bound,
+                2.0 * result.report.rounded.multiplier,
+            ),
+        ]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return audit_solution(*args, **kwargs)
+
+        monkeypatch.setattr(audit_module, "audit_solution", counted)
+        checks = check_paper_guarantees(small_random_problem, result)
+        assert calls == []
+        assert [(check.measured, check.bound) for check in checks] == expected
+        assert [check.holds for check in checks] == [
+            audit.min_weight_fraction + 1e-9 >= 0.25,
+            audit.max_fanout_factor <= 4.0 + 1e-9,
+            expected[2][0] <= expected[2][1] + 1e-9,
+        ]
 
 
 class TestMetrics:

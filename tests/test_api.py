@@ -2,8 +2,9 @@
 
 Covers the satellite checklist of the API redesign: registry completeness and
 name stability, request/result JSON round-trips (stage timings + audit
-fields included), pipeline stage-swap and hook points, batch determinism
-across ``jobs``, and the ``repro.__all__`` API-surface snapshot.
+fields included), the pipeline contract (hook names and order,
+``stage_seconds`` keys, ``result.report`` as the run's context), batch
+determinism across ``jobs``, and the ``repro.__all__`` API-surface snapshot.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.api import (
     Designer,
     DesignPipeline,
     DesignRequest,
-    RoundStage,
+    PipelineContext,
     comparison_designers,
     design_batch,
     designer_names,
@@ -117,17 +118,17 @@ class TestRegistryMatchesPipeline:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_spaa03_matches_standard_pipeline(self, problem, seed):
         parameters = DesignParameters(seed=seed, repair_shortfall=True)
-        report = DesignPipeline.standard().run(problem, parameters).report()
+        context = DesignPipeline.standard().run(problem, parameters)
         result = get_designer("spaa03").design(
             DesignRequest(problem=problem, parameters=parameters)
         )
-        assert result.solution.assignments == report.solution.assignments
-        assert result.solution.total_cost() == report.solution.total_cost()
-        assert result.lower_bound == report.lp_lower_bound
-        assert result.report.rounding_attempts == report.rounding_attempts
-        # The pipeline's audit stage lands on the report for reuse.
-        assert report.solution_audit is not None
-        assert report.solution_audit.summary() == result.audit.summary()
+        assert result.solution.assignments == context.solution.assignments
+        assert result.solution.total_cost() == context.solution.total_cost()
+        assert result.lower_bound == context.lp_lower_bound
+        assert result.report.rounding_attempts == context.rounding_attempts
+        # The pipeline's audit step lands on the context for reuse.
+        assert context.solution_audit is not None
+        assert context.solution_audit.summary() == result.audit.summary()
 
     def test_spaa03_extended_matches_extended_pipeline(self, problem):
         parameters = color_constrained_parameters(DesignParameters(seed=3))
@@ -225,44 +226,70 @@ class TestPipeline:
         )
         assert seen["objective"] == context.fractional.objective
 
-    def test_stage_swap_replaces_the_rounding(self, problem):
-        class TaggedRoundStage(RoundStage):
-            algorithm_label = "tagged-rounding"
-
-            def solution_metadata(self, context):
-                metadata = super().solution_metadata(context)
-                metadata["swapped"] = True
-                return metadata
-
-        base = DesignPipeline.standard()
-        pipeline = base.with_stage("round", TaggedRoundStage())
-        # with_stage is copy-returning: the template pipeline is untouched.
-        assert not any(isinstance(stage, TaggedRoundStage) for stage in base.stages)
-        context = pipeline.run(problem, DesignParameters(seed=0))
-        assert context.solution.metadata["algorithm"] == "tagged-rounding"
-        assert context.solution.metadata["swapped"] is True
-        # The swapped stage still produces the same draw for the same seed.
-        baseline = base.run(problem, DesignParameters(seed=0))
-        assert context.solution.assignments == baseline.solution.assignments
-
-    def test_stage_names_and_unknown_swap(self):
-        pipeline = DesignPipeline.standard()
-        assert [stage.name for stage in pipeline.stages] == [
-            "formulate",
-            "solve",
-            "round",
-            "repair",
-            "audit",
-        ]
-        with pytest.raises(KeyError, match="no stage named 'nope'"):
-            pipeline.with_stage("nope", RoundStage())
-
     def test_report_matches_run_request(self, problem):
         parameters = DesignParameters(seed=5)
         context = DesignPipeline.standard().run(problem, parameters)
         report = run_request(DesignRequest(problem, parameters)).report
-        assert context.report().solution.assignments == report.solution.assignments
-        assert context.report().formulation_size == report.formulation_size
+        assert context.solution.assignments == report.solution.assignments
+        assert context.formulation.num_variables == report.formulation.num_variables
+        assert context.formulation.num_constraints == report.formulation.num_constraints
+
+
+#: Hook names of a pipeline run, in order, and its ``stage_seconds`` keys:
+#: perfbench's design-mono workload reads both.
+PIPELINE_STEPS = ["formulate", "solve", "round", "repair", "audit"]
+STAGE_SECONDS_KEYS = {"formulate", "solve_lp", "rounding", "gap", "repair", "audit"}
+
+
+class TestPipelineContract:
+    """A pipeline strategy's result carries its run's ``PipelineContext``.
+
+    ``spaa03-extended`` runs with colour constraints on, so its round step
+    takes the path rounding.
+    """
+
+    PIPELINES = {"spaa03": DesignPipeline.standard, "spaa03-extended": DesignPipeline.extended}
+
+    @pytest.fixture(params=["spaa03", "spaa03-extended"])
+    def request_(self, request, colored_problem):
+        parameters = DesignParameters(seed=1, repair_shortfall=True)
+        if request.param == "spaa03-extended":
+            parameters = color_constrained_parameters(parameters)
+        return DesignRequest(colored_problem, parameters, strategy=request.param)
+
+    def test_result_report_is_the_run_context(self, request_):
+        result = run_request(request_)
+        context = result.report
+        assert isinstance(context, PipelineContext)
+        assert context.solution is result.solution
+        assert context.solution_audit is result.audit
+        assert context.lp_lower_bound == result.lower_bound
+        assert set(context.stage_seconds) == STAGE_SECONDS_KEYS
+        assert context.stage_seconds == result.stage_seconds
+        extended = request_.strategy == "spaa03-extended"
+        assert (context.path_rounding is not None) == extended
+        assert result.metadata.get("path_rounding", False) == extended
+
+    def test_hooks_see_the_steps_in_order(self, request_):
+        seen = []
+        pipeline = self.PIPELINES[request_.strategy](hooks=[lambda *call: seen.append(call)])
+        context = pipeline.run(request_.problem, request_.parameters)
+        assert [name for name, _ in seen] == PIPELINE_STEPS
+        assert all(hooked is context for _, hooked in seen)
+        assert set(context.stage_seconds) == STAGE_SECONDS_KEYS
+        # The hooked run keeps the record the registry hands back.
+        report = run_request(request_).report
+        assert context.solution.assignments == report.solution.assignments
+        assert (context.path_rounding is None) == (report.path_rounding is None)
+        assert context.entangled_sets == report.entangled_sets
+
+    def test_two_results_of_one_request_compare_equal(self, request_):
+        first, second = run_request(request_), run_request(request_)
+        second.stage_seconds = first.stage_seconds  # wall-clock noise
+        assert first.report is not second.report
+        assert first == second
+        assert "report=" not in repr(first)
+        assert "PipelineContext" not in repr(first)
 
 
 class TestBatch:
@@ -425,7 +452,6 @@ def test_api_surface_snapshot():
             "Designer",
             "DesignParameters",
             "DesignPipeline",
-            "DesignReport",
             "DesignRequest",
             "DesignResult",
             "DesignService",

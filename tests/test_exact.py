@@ -58,11 +58,11 @@ class TestExactDesign:
         """The paper's guarantee measured against OPT, not just the LP bound."""
         problem = tiny_instance(1)
         exact = exact_design(problem)
-        report = DesignPipeline.standard().run(
+        context = DesignPipeline.standard().run(
             problem, DesignParameters(seed=0, repair_shortfall=True)
-        ).report()
-        ratio = report.solution.total_cost() / exact.optimal_cost
-        assert ratio <= 2.0 * report.rounded.multiplier + 1e-9
+        )
+        ratio = context.solution.total_cost() / exact.optimal_cost
+        assert ratio <= 2.0 * context.rounded.multiplier + 1e-9
 
     def test_respects_known_optimum_on_handcrafted_instance(self):
         problem = OverlayDesignProblem()

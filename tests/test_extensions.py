@@ -15,7 +15,7 @@ class TestExtendedPipeline:
         assert context.path_rounding is None
         assert context.entangled_sets == []
         assert context.solution.assignments
-        assert context.report().cost_ratio > 0
+        assert context.solution.total_cost() / context.lp_lower_bound > 0
 
     def test_color_constraints_trigger_path_rounding(self, colored_problem):
         params = color_constrained_parameters(DesignParameters(seed=1))

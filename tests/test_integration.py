@@ -19,8 +19,8 @@ from repro.workloads import (
 
 
 def design(problem, parameters):
-    """The ``DesignReport`` of one ``"spaa03"`` registry run."""
-    return run_request(DesignRequest(problem=problem, parameters=parameters)).report
+    """The ``DesignResult`` of one ``"spaa03"`` registry run."""
+    return run_request(DesignRequest(problem=problem, parameters=parameters))
 
 
 def baseline(strategy, problem):

@@ -164,9 +164,6 @@ class TestDerivedQuantities:
         assert problem.delivery_cost("r", "d", "hd") == 3.0
         assert problem.delivery_cost("r", "d", "sd") == 1.0
 
-    def test_total_fanout(self, tiny_problem):
-        assert tiny_problem.total_fanout() == 3 + 2 + 2
-
     def test_assignment_cost(self, tiny_problem):
         demand = tiny_problem.demands[1]  # d2
         assert tiny_problem.assignment_cost(demand, "r3") == pytest.approx(0.2)

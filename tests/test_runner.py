@@ -38,8 +38,7 @@ def _design_row_task(task: dict) -> dict:
     streams, reflectors, sinks = task["size"]
     config = RandomInstanceConfig(num_streams=streams, num_reflectors=reflectors, num_sinks=sinks)
     problem = random_problem(config, rng=task["seed"])
-    _, row = run_design(problem, DesignParameters(seed=task["seed"]))
-    return row
+    return run_design(problem, DesignParameters(seed=task["seed"]))
 
 
 def _strip_timings(rows: list[dict]) -> list[dict]:

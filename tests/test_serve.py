@@ -38,7 +38,7 @@ from repro.serve import (
 )
 from repro.serve.cache import request_digest
 from repro.api.types import unread_document
-from repro.serve.service import _response_document
+from repro.serve.service import _percentile, _response_document
 from repro.workloads.random_instances import RandomInstanceConfig, random_problem
 
 
@@ -779,6 +779,32 @@ class TestDesignService:
                 urllib.request.urlopen(post, timeout=30)
             assert excinfo.value.code == 400
             assert json.loads(excinfo.value.read())["error"]
+
+    def test_http_front_answers_400_for_a_negative_content_length(self):
+        import socket
+
+        from repro.serve import DesignServer
+
+        # rfile.read(-1) reads until the client hangs up: the front must
+        # answer before reading the body.
+        with DesignServer(DesignService(workers=1)) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as client:
+                client.sendall(
+                    b"POST /design HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n{}"
+                )
+                status_line = client.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
+
+    def test_latency_percentiles_are_nearest_rank(self):
+        def percentile(values, q):
+            return _percentile([float(value) for value in values], q)
+
+        assert percentile(range(1, 10), 50.0) == 5.0
+        assert percentile(range(1, 6), 50.0) == 3.0
+        assert percentile(range(1, 101), 99.0) == 99.0
+        assert percentile([7], 50.0) == percentile([7], 99.0) == 7.0
+        assert percentile([], 50.0) is None
 
 
     def test_http_front_refuses_client_scenario_files(self, problem, parameters, tmp_path):

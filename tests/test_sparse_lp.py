@@ -218,7 +218,9 @@ class TestSparseFormulation:
 
 class TestPipelineIntegration:
     def test_report_carries_build_stats(self, tiny_problem):
-        report = DesignPipeline.standard().run(tiny_problem, DesignParameters(seed=0)).report()
-        assert report.lp_build_stats.num_variables == report.formulation_size[0]
-        assert report.lp_build_stats.num_constraints == report.formulation_size[1]
-        assert report.lp_build_stats.num_nonzeros > 0
+        formulation = DesignPipeline.standard().run(
+            tiny_problem, DesignParameters(seed=0)
+        ).formulation
+        assert formulation.stats.num_variables == formulation.num_variables
+        assert formulation.stats.num_constraints == formulation.num_constraints
+        assert formulation.stats.num_nonzeros > 0
